@@ -20,13 +20,13 @@
 //! says how much of it the named layers explain.
 
 use crate::workloads::{self, Engine, RunSize};
-use crate::{fingerprint, liveness, median, ratio, run_once, Args, Checks, Reference, Report};
+use crate::{median, ratio, rounds, Args, Checks, Leg, Report};
 use garibaldi::{GaribaldiModule, ThresholdUnit};
 use garibaldi_cache::{AccessCtx, CacheConfig, PolicyKind, SetAssocCache};
 use garibaldi_mem::DramModel;
 use garibaldi_sim::engine::request::{LlcRequest, ReqKey, ReqKind, ShardCmd};
 use garibaldi_sim::engine::shard::{DrainOut, LlcShard, ThresholdSnapshot};
-use garibaldi_sim::{EngineStats, RunResult, SystemConfig};
+use garibaldi_sim::{EngineStats, SystemConfig};
 use garibaldi_trace::{registry, PpnAllocator, SharedAddressSpace, TraceRecord, WorkloadClass};
 use garibaldi_types::{CoreId, LineAddr, ThreadId, VirtAddr};
 use std::collections::HashMap;
@@ -331,11 +331,8 @@ fn med(stats: &[EngineStats], f: impl Fn(&EngineStats) -> f64) -> f64 {
 
 pub(crate) fn per_layer(a: &Args, checks: &mut Checks, out: &mut Report) {
     let w = a.workload;
-    let size = workloads::REFERENCE;
+    let size = workloads::TIMED;
     let total = size.records + size.warmup;
-    // Every record measured, so the counters cover exactly the records the
-    // phase seconds cover.
-    let traced_size = RunSize { records: total, warmup: 0 };
     let mg = workloads::runner(w, workloads::scheme_under_test(), a.seed);
     let cfg = mg.config().clone();
     let slots: Vec<&str> = (0..cfg.cores).map(|i| w.profiles[i % w.profiles.len()]).collect();
@@ -355,59 +352,18 @@ pub(crate) fn per_layer(a: &Args, checks: &mut Checks, out: &mut Report) {
     let p = probe(&cfg, &feed);
     drop(feed);
 
-    // Engine rounds: untraced w1 (the end-to-end configuration), the traced
-    // w1 run (every record measured, so its counters cover exactly the
-    // records its phase seconds cover) and w2, in rotating order.
-    #[derive(Clone, Copy)]
-    enum Leg {
-        Untraced,
-        Traced,
-        W2,
-    }
-    let legs = [Leg::Untraced, Leg::Traced, Leg::W2];
-    let (mut untraced, mut traced_walls, mut w2) = (Vec::new(), Vec::new(), Vec::new());
-    let mut traced_stats: Vec<EngineStats> = Vec::new();
-    let mut traced: Option<RunResult> = None;
-    let mut reference = Reference::default();
-    let mut traced_ref = Reference::default();
-    let deadline = Instant::now() + std::time::Duration::from_secs_f64(a.seconds);
-    let mut round = 0usize;
-    // Round 0 warms the process; its walls are not kept.
-    while round < crate::MIN_ROUNDS || Instant::now() < deadline {
-        for k in 0..legs.len() {
-            match legs[(round + k) % legs.len()] {
-                Leg::Untraced => {
-                    let (r, _, wall) = run_once(&mg, Engine::Workers(1), size);
-                    if round > 0 {
-                        untraced.push(wall);
-                    }
-                    let same = reference.check(Engine::Workers(1), fingerprint(&r));
-                    checks.run(&[same, liveness(w, &r)]);
-                }
-                Leg::W2 => {
-                    let (r, _, wall) = run_once(&mg, Engine::Workers(2), size);
-                    if round > 0 {
-                        w2.push(wall);
-                    }
-                    let same = reference.check(Engine::Workers(2), fingerprint(&r));
-                    checks.run(&[same, liveness(w, &r)]);
-                }
-                Leg::Traced => {
-                    let (r, s, wall) = run_once(&mg, Engine::Workers(1), traced_size);
-                    if round > 0 {
-                        traced_walls.push(wall);
-                        traced_stats.push(s.expect("parallel runs report engine stats"));
-                    }
-                    let (_, same) = traced_ref.check(Engine::Workers(1), fingerprint(&r));
-                    checks.run(&[("traced-w1-repeat-identical".into(), same), liveness(w, &r)]);
-                    traced = Some(r);
-                }
-            }
-        }
-        round += 1;
-    }
-    let r = traced.expect("at least one traced run");
-    let st = &traced_stats;
+    // The end-to-end w1 and w2 legs, plus the traced w1 run: every record
+    // measured (no warmup), so its counters cover exactly the records its
+    // phase seconds cover.
+    let legs = [
+        Leg::new("w1", Engine::Workers(1), size),
+        Leg::new("w1-traced", Engine::Workers(1), RunSize { records: total, warmup: 0 }),
+        Leg::new("w2", Engine::Workers(2), size),
+    ];
+    let (runs, n_rounds) = rounds(w, &mg, &legs, a.seconds, checks);
+    let [untraced, traced, w2] = &runs[..] else { unreachable!("three legs") };
+    let r = traced.last.as_ref().expect("at least one traced run");
+    let st = &traced.stats;
     let n = size.total() as f64;
     let rps = |walls: &[f64]| median(&walls.iter().map(|t| n / t).collect::<Vec<_>>());
     let step_s = med(st, |s| s.step_s);
@@ -417,11 +373,9 @@ pub(crate) fn per_layer(a: &Args, checks: &mut Checks, out: &mut Report) {
     let l1d_hits = r.l1.hits() - r.l1i.hits();
     let l1d_acc = r.l1.accesses() - r.l1i.accesses();
     let cpi = r.mean_cpi_stack();
-    let g = r.garibaldi.expect("the scheme under test runs Garibaldi");
+    let g = r.garibaldi.as_ref().expect("the scheme under test runs Garibaldi");
     let gs = g.stats;
-    let w1_wall = median(&untraced);
-    let w2_wall = median(&w2);
-    let scaling = ratio(w1_wall, w2_wall);
+    let scaling = ratio(median(&untraced.walls), median(&w2.walls));
 
     // Cost model: counts of the traced run times per-call costs.
     let m_trace = gen_s;
@@ -496,8 +450,13 @@ pub(crate) fn per_layer(a: &Args, checks: &mut Checks, out: &mut Report) {
     out.put("engine.learned_syncs", med(st, |s| s.learned_syncs as f64), "count");
     out.put("engine.inval_cmds", med(st, |s| s.inval_cmds as f64), "count");
     out.put("coherence.invalidations", r.invalidations as f64, "count");
-    // Amdahl with 2 workers: speedup S = 1 / ((1 - p) + p / 2).
-    out.put("engine.parallel_fraction", 2.0 * (1.0 - ratio(1.0, scaling)), "fraction");
+    // Share of the traced run's engine wall spent in the phases that run on
+    // the workers (step, drain, apply): the Amdahl p behind any speedup.
+    out.put(
+        "engine.parallel_fraction",
+        med(st, |s| ratio(s.step_s + s.drain_s + s.apply_s, s.wall_s)),
+        "fraction",
+    );
     out.put("engine.w2_scaling", scaling, "ratio");
 
     out.put("model.step.trace_s", m_trace, "s");
@@ -512,12 +471,12 @@ pub(crate) fn per_layer(a: &Args, checks: &mut Checks, out: &mut Report) {
     out.put("engine.model_residual_pct.drain", residual(drain_s, m_llc + m_gar + m_dram), "%");
     out.put("engine.model_residual_pct.serial", residual(serial_s, m_thresh + m_apply), "%");
 
-    let (rps_traced, rps_untraced) = (rps(&traced_walls), rps(&untraced));
+    let (rps_traced, rps_untraced) = (rps(&traced.walls), rps(&untraced.walls));
     out.put("trace.rps_w1_traced", rps_traced, "records/s");
     out.put("trace.rps_w1_untraced", rps_untraced, "records/s");
     out.put("trace.overhead_pct", 100.0 * ratio(rps_untraced - rps_traced, rps_untraced), "%");
     println!(
-        "note: {round} rounds of untraced w1 / traced w1 / w2; probes fed by the first \
+        "note: {n_rounds} rounds of untraced w1 / traced w1 / w2; probes fed by the first \
          {PROBE_RECORDS_PER_CORE} records of each core"
     );
 }

@@ -2,7 +2,7 @@
 //!
 //! ```console
 //! $ cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
-//!       --workload server-consolidation --seed 42 --seconds 45 --trace 0
+//!       --workload server-consolidation --seed 42 --seconds 50 --trace 0
 //! ```
 //!
 //! One invocation runs one workload (see `workloads.rs`) in this process as
@@ -15,15 +15,17 @@
 //! `--trace 0` prints the end-to-end metrics. Simulated metrics come from
 //! one run per engine at the reference point (7.5 k + 30 k records per
 //! core); they are deterministic. Host times are medians of as many rounds
-//! of shorter runs (2.5 k + 10 k records per core) as fit in `--seconds`.
+//! of shorter runs (2.5 k + 10 k records per core) as fit in `--seconds`;
+//! each round also times zero-record runs, whose median is `setup_s`.
 //! `--trace 1` prints the per-layer split instead: it times each layer's
 //! public entry points on inputs taken from the workload's own generated
 //! streams, reads the counters of a separate traced `w1` run, reconciles the
-//! two in a cost model and reports the tracing overhead against an untraced
-//! `w1` run.
+//! two in a cost model and reports the tracing overhead against the untraced
+//! `w1` runs. Both modes time their runs in the same rounds (see [`rounds`]).
 //!
 //! Every run's output is checked: repeats of an engine must give identical
-//! results, `w1` and `w2` must agree byte for byte, and each workload must
+//! results, `w1` and `w2` must agree byte for byte, `w1` must stay within
+//! the 2 % hmean-IPC fidelity gate of `serial`, and each workload must
 //! exercise the path it was chosen for. A failed check is printed by name
 //! and makes the command exit non-zero. The last line of standard output is
 //! one JSON object: `{"correct", "attempted", "failed", "metrics"}`.
@@ -32,11 +34,14 @@ mod layers;
 mod workloads;
 
 use garibaldi_sim::{EngineStats, RunResult, SimRunner};
-use std::time::Instant;
+use std::collections::HashMap;
+use std::time::{Duration, Instant};
 use workloads::{Engine, RunSize, Workload};
 
-/// Zero-record runs behind the `setup_s` median.
-const SETUP_REPEATS: usize = 21;
+/// Zero-record runs per round behind the `setup_s` median.
+const SETUP_PER_ROUND: usize = 5;
+/// Largest hmean-IPC gap, in %, allowed between `w1` and `serial`.
+const FIDELITY_GATE_PCT: f64 = 2.0;
 /// Rounds every invocation runs, whatever `--seconds` says: round 0 warms
 /// the process and is not timed, so the medians need at least two more.
 const MIN_ROUNDS: usize = 3;
@@ -237,32 +242,88 @@ fn run_once(
     (r, s, t.elapsed().as_secs_f64())
 }
 
-/// Identity checks over repeated runs: a repeat of an engine reproduces
-/// its first result byte for byte, and so does a parallel run with another
-/// worker count (worker-count invariance).
-#[derive(Default)]
-struct Reference {
-    serial: Option<String>,
-    parallel: Option<(Engine, String)>,
+/// One leg of a timing round: `reps` runs of `engine` at `size`.
+#[derive(Clone, Copy)]
+struct Leg {
+    name: &'static str,
+    engine: Engine,
+    size: RunSize,
+    reps: usize,
 }
 
-impl Reference {
-    fn check(&mut self, engine: Engine, fp: String) -> (String, bool) {
-        let name = format!("{}-repeat-identical", engine.label());
-        match (engine, &self.serial, &self.parallel) {
-            (Engine::Serial, Some(first), _) => (name, *first == fp),
-            (Engine::Serial, None, _) => {
-                self.serial = Some(fp);
-                (name, true)
-            }
-            (_, _, Some((e, first))) if *e == engine => (name, *first == fp),
-            (_, _, Some((_, first))) => ("worker-count-invariance".into(), *first == fp),
-            (_, _, None) => {
-                self.parallel = Some((engine, fp));
-                (name, true)
+impl Leg {
+    fn new(name: &'static str, engine: Engine, size: RunSize) -> Leg {
+        Leg { name, engine, size, reps: 1 }
+    }
+}
+
+/// What [`rounds`] keeps of one leg: the host wall seconds and engine stats
+/// of its runs after round 0, and its last result.
+#[derive(Default)]
+struct LegRuns {
+    walls: Vec<f64>,
+    stats: Vec<EngineStats>,
+    last: Option<RunResult>,
+}
+
+/// Runs `legs` round after round, in an order that rotates each round so no
+/// leg always runs first, until `seconds` are spent and at least
+/// [`MIN_ROUNDS`] rounds are done. Round 0 warms the process and is not
+/// kept. Every run is checked: a repeat of a leg reproduces the leg's first
+/// result byte for byte, a parallel run reproduces the first parallel result
+/// of the same size from another leg (worker-count invariance), and a run
+/// that simulates records exercises the workload's path. Returns each leg's
+/// runs and the number of rounds.
+fn rounds(
+    w: &Workload,
+    runner: &SimRunner,
+    legs: &[Leg],
+    seconds: f64,
+    checks: &mut Checks,
+) -> (Vec<LegRuns>, usize) {
+    let mut runs: Vec<LegRuns> = legs.iter().map(|_| LegRuns::default()).collect();
+    let mut first: Vec<Option<String>> = vec![None; legs.len()];
+    // The first parallel result of each run size, with the leg behind it.
+    let mut parallel: HashMap<(u64, u64), (usize, String)> = HashMap::new();
+    let deadline = Instant::now() + Duration::from_secs_f64(seconds);
+    let mut round = 0;
+    while round < MIN_ROUNDS || Instant::now() < deadline {
+        for k in 0..legs.len() {
+            let i = (round + k) % legs.len();
+            let leg = legs[i];
+            for _ in 0..leg.reps {
+                let (r, s, wall) = run_once(runner, leg.engine, leg.size);
+                let fp = fingerprint(&r);
+                let mut c = Vec::new();
+                match &first[i] {
+                    Some(f) => c.push((format!("{}-repeat-identical", leg.name), *f == fp)),
+                    None => first[i] = Some(fp.clone()),
+                }
+                if let Engine::Workers(_) = leg.engine {
+                    match parallel.get(&(leg.size.records, leg.size.warmup)) {
+                        Some((j, f)) if *j != i => {
+                            c.push(("worker-count-invariance".into(), *f == fp));
+                        }
+                        Some(_) => {}
+                        None => {
+                            parallel.insert((leg.size.records, leg.size.warmup), (i, fp));
+                        }
+                    }
+                }
+                if leg.size.records > 0 {
+                    c.push(liveness(w, &r));
+                }
+                checks.run(&c);
+                if round > 0 {
+                    runs[i].walls.push(wall);
+                    runs[i].stats.extend(s);
+                }
+                runs[i].last = Some(r);
             }
         }
+        round += 1;
     }
+    (runs, round)
 }
 
 /// Named metrics with units. `metrics` go into the result JSON; `shown`
@@ -283,22 +344,9 @@ impl Report {
     }
 }
 
-fn setup_s(runner: &SimRunner) -> f64 {
-    let profile = workloads::parallel_profile(1);
-    let times: Vec<f64> = (0..SETUP_REPEATS)
-        .map(|_| {
-            let t = Instant::now();
-            std::hint::black_box(runner.run_parallel_stats(0, 0, &profile));
-            t.elapsed().as_secs_f64()
-        })
-        .collect();
-    median(&times)
-}
-
 fn end_to_end(a: &Args, checks: &mut Checks, out: &mut Report) {
     let w = a.workload;
     let mg = workloads::runner(w, workloads::scheme_under_test(), a.seed);
-    let setup = setup_s(&mg);
 
     // Simulated metrics, at the reference point. They are deterministic, so
     // one run per engine suffices.
@@ -306,59 +354,53 @@ fn end_to_end(a: &Args, checks: &mut Checks, out: &mut Report) {
     let (mj_res, _, _) = run_once(&mj, Engine::Serial, workloads::REFERENCE);
     let (serial, _, _) = run_once(&mg, Engine::Serial, workloads::REFERENCE);
     let (w1, _, _) = run_once(&mg, Engine::Workers(1), workloads::REFERENCE);
+    let (ipc, ipc_w1) = (serial.harmonic_mean_ipc(), w1.harmonic_mean_ipc());
+    let fidelity_err_pct = 100.0 * ratio((ipc_w1 - ipc).abs(), ipc);
     checks.run(&[]);
     checks.run(&[liveness(w, &serial)]);
-    checks.run(&[liveness(w, &w1)]);
+    checks.run(&[
+        liveness(w, &w1),
+        ("fidelity-within-2pct-gate".into(), fidelity_err_pct <= FIDELITY_GATE_PCT),
+    ]);
     // Peak memory of the reference-point runs, read before any two-worker
     // run: a second thread's malloc arena keeps a varying amount of freed
     // memory, which moved the whole-process peak by ±7 % between runs.
     let peak_rss = peak_rss_mb();
 
-    // Host time: rounds of shorter runs until `--seconds` is spent.
-    let engines = [Engine::Serial, Engine::Workers(1), Engine::Workers(2)];
-    let mut walls: [Vec<f64>; 3] = Default::default();
-    let mut reference = Reference::default();
-    let deadline = Instant::now() + std::time::Duration::from_secs_f64(a.seconds);
-    let mut round = 0usize;
-    while round < MIN_ROUNDS || Instant::now() < deadline {
-        // Rotate the engine order each round so no engine always runs first.
-        for k in 0..engines.len() {
-            let idx = (round + k) % engines.len();
-            let e = engines[idx];
-            let (r, _, wall) = run_once(&mg, e, workloads::TIMED);
-            if round > 0 {
-                walls[idx].push(wall);
-            }
-            let same = reference.check(e, fingerprint(&r));
-            checks.run(&[same, liveness(w, &r)]);
-        }
-        round += 1;
-    }
-
-    let timed = workloads::TIMED.total() as f64;
-    let rps = |i: usize| median(&walls[i].iter().map(|t| timed / t).collect::<Vec<_>>());
-    let (ipc, ipc_w1) = (serial.harmonic_mean_ipc(), w1.harmonic_mean_ipc());
-    let fidelity_err_pct = 100.0 * ratio((ipc_w1 - ipc).abs(), ipc);
-    out.put("setup_s", setup, "s");
-    out.put("rps_serial", rps(0), "records/s");
-    out.put("rps_w1", rps(1), "records/s");
-    out.put("rps_w2", rps(2), "records/s");
+    // Host time: rounds of shorter runs until `--seconds` is spent. Set-up
+    // samples (zero-record w1 runs) ride in every round, so they see the
+    // same host state as the runs they precede.
+    let timed = workloads::TIMED;
+    let legs = [
+        Leg { reps: SETUP_PER_ROUND, ..Leg::new("setup", Engine::Workers(1), RunSize::ZERO) },
+        Leg::new("serial", Engine::Serial, timed),
+        Leg::new("w1", Engine::Workers(1), timed),
+        Leg::new("w2", Engine::Workers(2), timed),
+    ];
+    let (runs, n_rounds) = rounds(w, &mg, &legs, a.seconds, checks);
+    let records = timed.total() as f64;
+    let rps = |i: usize| median(&runs[i].walls.iter().map(|t| records / t).collect::<Vec<_>>());
+    out.put("setup_s", median(&runs[0].walls), "s");
+    out.put("rps_serial", rps(1), "records/s");
+    out.put("rps_w1", rps(2), "records/s");
+    out.put("rps_w2", rps(3), "records/s");
     out.put("peak_rss_mb", peak_rss, "MiB");
     out.put("hmean_ipc", ipc, "IPC");
     out.put("garibaldi_gain", ratio(ipc, mj_res.harmonic_mean_ipc()), "ratio");
     // The error itself can sit near 0 (spec-stream), where a relative bound
-    // means nothing; its complement is bounded on the 100 % scale.
-    out.put("fidelity_agree_pct", 100.0 - fidelity_err_pct, "%");
+    // means nothing; 1 + error moves by the error's own absolute change.
+    out.put("fidelity_ipc_ratio", 1.0 + fidelity_err_pct / 100.0, "ratio");
     out.show("fidelity_err_pct", fidelity_err_pct, "%");
-    for (e, t) in engines.iter().zip(&walls) {
-        let t: Vec<String> = t.iter().map(|t| format!("{t:.3}")).collect();
-        println!("wall seconds {}: {}", e.label(), t.join(" "));
+    for (leg, run) in legs.iter().zip(&runs) {
+        let t: Vec<String> = run.walls.iter().map(|t| format!("{t:.3}")).collect();
+        println!("wall seconds {}: {}", leg.name, t.join(" "));
     }
     println!(
         "note: simulated metrics at {} records per run; records/s are medians of rounds \
-         1..{round} of serial/w1/w2 runs of {timed} records in rotating order (round 0 warms \
-         the process); fidelity compares the parallel engine with the serial reference model \
-         and is unvalidated against real hardware",
+         1..{n_rounds} of serial/w1/w2 runs of {records} records in rotating order (round 0 \
+         warms the process); setup_s is the median of {SETUP_PER_ROUND} zero-record w1 runs per \
+         round; fidelity compares the parallel engine with the serial reference model and is \
+         unvalidated against real hardware",
         workloads::REFERENCE.total()
     );
 }

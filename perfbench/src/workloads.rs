@@ -21,6 +21,9 @@ pub struct RunSize {
 }
 
 impl RunSize {
+    /// No records: the run builds everything and returns.
+    pub const ZERO: RunSize = RunSize { records: 0, warmup: 0 };
+
     /// Records a run simulates: warmup plus measured region, all cores.
     pub fn total(self) -> u64 {
         CORES as u64 * (self.records + self.warmup)
@@ -74,15 +77,6 @@ pub enum Engine {
     Serial,
     /// The parallel engine with `n` worker threads.
     Workers(usize),
-}
-
-impl Engine {
-    pub fn label(self) -> String {
-        match self {
-            Engine::Serial => "serial".into(),
-            Engine::Workers(n) => format!("w{n}"),
-        }
-    }
 }
 
 /// The parallel profile every parallel run uses (the figure benches'

@@ -365,7 +365,7 @@ pub(crate) fn per_layer(a: &Args, checks: &mut Checks, out: &mut Report) {
     let r = traced.last.as_ref().expect("at least one traced run");
     let st = &traced.stats;
     let n = size.total() as f64;
-    let rps = |walls: &[f64]| median(&walls.iter().map(|t| n / t).collect::<Vec<_>>());
+    let rps = |secs: &[f64]| median(&secs.iter().map(|t| n / t).collect::<Vec<_>>());
     let step_s = med(st, |s| s.step_s);
     let drain_s = med(st, |s| s.drain_s);
     let serial_s = med(st, |s| s.serial_s);
@@ -375,7 +375,7 @@ pub(crate) fn per_layer(a: &Args, checks: &mut Checks, out: &mut Report) {
     let cpi = r.mean_cpi_stack();
     let g = r.garibaldi.as_ref().expect("the scheme under test runs Garibaldi");
     let gs = g.stats;
-    let scaling = ratio(median(&untraced.walls), median(&w2.walls));
+    let scaling = ratio(median(&untraced.scaled), median(&w2.scaled));
 
     // Cost model: counts of the traced run times per-call costs.
     let m_trace = gen_s;
@@ -471,7 +471,7 @@ pub(crate) fn per_layer(a: &Args, checks: &mut Checks, out: &mut Report) {
     out.put("engine.model_residual_pct.drain", residual(drain_s, m_llc + m_gar + m_dram), "%");
     out.put("engine.model_residual_pct.serial", residual(serial_s, m_thresh + m_apply), "%");
 
-    let (rps_traced, rps_untraced) = (rps(&traced.walls), rps(&untraced.walls));
+    let (rps_traced, rps_untraced) = (rps(&traced.scaled), rps(&untraced.scaled));
     out.put("trace.rps_w1_traced", rps_traced, "records/s");
     out.put("trace.rps_w1_untraced", rps_untraced, "records/s");
     out.put("trace.overhead_pct", 100.0 * ratio(rps_untraced - rps_traced, rps_untraced), "%");

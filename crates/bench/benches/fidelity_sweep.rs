@@ -1,25 +1,19 @@
 //! Epoch-engine fidelity sweep — the study behind the default
-//! `EngineConfig::epoch_cycles`, the benches' parallel-engine flip, and
-//! the ewma estimator default.
+//! `EngineConfig::epoch_cycles` and the benches' parallel-engine flip.
 //!
 //! Runs matched (mix, scale, scheme) points through the serial min-clock
-//! engine and the epoch-sharded engine across an `epoch_cycles` ×
-//! issue-latency-estimator grid ({optimistic, ewma} — see
-//! `sim::engine::estimate`), prints the per-(epoch, estimator) error
-//! table, and writes the machine-readable report to
-//! `target/garibaldi-results/fidelity_report.jsonl` (the committed copy
-//! lives in `docs/fidelity/`). Individual runs checkpoint through
-//! `fidelity_sweep.jsonl`, so an interrupted sweep resumes (estimator
-//! tags keep rows from different profiles apart).
+//! engine and the epoch-sharded engine's one profile across an
+//! `epoch_cycles` grid, prints the per-epoch error table, and writes the
+//! machine-readable report to
+//! `target/garibaldi-results/fidelity_report.jsonl` (the committed
+//! reports live in `docs/fidelity/`). Individual runs checkpoint through
+//! `fidelity_sweep.jsonl`, so an interrupted sweep resumes.
 //!
 //! Knobs:
 //! - `GARIBALDI_FID_GRID` — comma-separated `epoch_cycles` values
 //!   (default `5000,20000,50000,100000,250000`);
 //! - `GARIBALDI_FID_MIXES` — mini-Fig 11 mix count (default 3);
 //! - `GARIBALDI_FID_WORKLOADS` — mini-Fig 12 workload count (default 4);
-//! - `GARIBALDI_SYNC_EVERY` / `GARIBALDI_TRAIN_MODE` — sweep an
-//!   off-default learned-sync cadence / the async training mode
-//!   (`docs/fidelity/` commits one report per studied value);
 //! - `GARIBALDI_FULL=1` — sweep at the default figure scale instead of
 //!   the shortened fidelity scale (slow).
 
@@ -51,26 +45,7 @@ fn main() {
             .take(n_workloads.min(registry::SERVER_NAMES.len()))
             .collect();
 
-    let mut suite = FidelitySuite::paper_figures(scale, n_mixes, &workloads, grid);
-    // Learned-sync cadence axis: GARIBALDI_SYNC_EVERY measures one
-    // off-default cadence per invocation (ewma engine tags embed it, so
-    // checkpoint rows from different cadences never mix; serial and
-    // optimistic rows are cadence-independent and stay shared).
-    if let Some(k) = garibaldi_sim::config::env_positive("GARIBALDI_SYNC_EVERY") {
-        suite.sync_every = k;
-    }
-    // Training-mode axis: GARIBALDI_TRAIN_MODE=async sweeps the whole
-    // parallel grid under asynchronous training (every engine tag grows
-    // an `-async` suffix, so async rows never collide with sync rows in
-    // the checkpoint or the report).
-    if let Some(m) = garibaldi_sim::TrainMode::parse(
-        "GARIBALDI_TRAIN_MODE",
-        std::env::var("GARIBALDI_TRAIN_MODE").ok().as_deref(),
-    )
-    .unwrap_or_else(|e| panic!("{e}"))
-    {
-        suite.train_mode = m;
-    }
+    let suite = FidelitySuite::paper_figures(scale, n_mixes, &workloads, grid);
     let jobs = suite.jobs();
     println!(
         "fidelity sweep: {} points × (serial + {} epoch values) = {} runs \
@@ -105,20 +80,20 @@ fn main() {
 
     let target_tol = 0.01;
     let hard_tol = 0.02;
-    if let Some((e, est)) = report.recommend(target_tol) {
-        let err = report.max_figure_err_for(e, est);
+    if let Some(e) = report.recommend_epoch(target_tol) {
+        let err = report.max_figure_err(e);
         if err <= target_tol {
             println!(
-                "recommended default: epoch_cycles = {e} with the {est} estimator — largest grid \
-                 point with figure-geomean error ≤ {:.1}% ({:.4}%; hard gate {:.1}%)",
+                "recommended default: epoch_cycles = {e} — largest grid point with \
+                 figure-geomean error ≤ {:.1}% ({:.4}%; hard gate {:.1}%)",
                 target_tol * 100.0,
                 err * 100.0,
                 hard_tol * 100.0
             );
         } else {
             println!(
-                "no (epoch, estimator) cell meets the {:.1}% target; least-error cell is \
-                 ({e}, {est}) at {:.4}% (hard gate {:.1}%)",
+                "no epoch meets the {:.1}% target; least-error epoch is {e} at {:.4}% \
+                 (hard gate {:.1}%)",
                 target_tol * 100.0,
                 err * 100.0,
                 hard_tol * 100.0
@@ -127,17 +102,13 @@ fn main() {
     }
     let current = EngineConfig::default().epoch_cycles;
     if report.epoch_grid.contains(&current) {
-        for est in &report.estimators {
-            let (f, c) =
-                (report.max_figure_err_for(current, est), report.max_cell_err_for(current, est));
-            let verdict = if f <= hard_tol { "within the hard gate" } else { "OVER the hard gate" };
-            println!(
-                "default epoch_cycles = {current}, {est}: figure err {:.4}%, cell err {:.4}% — \
-                 {verdict}",
-                f * 100.0,
-                c * 100.0
-            );
-        }
+        let (f, c) = (report.max_figure_err(current), report.max_cell_err(current));
+        let verdict = if f <= hard_tol { "within the hard gate" } else { "OVER the hard gate" };
+        println!(
+            "default epoch_cycles = {current}: figure err {:.4}%, cell err {:.4}% — {verdict}",
+            f * 100.0,
+            c * 100.0
+        );
     } else {
         println!(
             "current EngineConfig::default().epoch_cycles = {current} is not in the sweep grid; \

@@ -20,17 +20,15 @@
 //! snapshots from the same host class only.
 
 use garibaldi_bench::*;
-use garibaldi_sim::{EngineStats, EstimatorKind, TrainMode};
+use garibaldi_sim::EngineStats;
 use garibaldi_trace::{random_shared_mixes, WorkloadMix};
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
 
-/// One engine leg of the snapshot.
+/// The engine leg of the snapshot: the parallel engine's one profile.
 struct EngineLeg {
-    estimator: EstimatorKind,
-    sync_every: usize,
-    train_mode: TrainMode,
+    tag: String,
     stats: EngineStats,
     harmonic_mean_ipc: f64,
 }
@@ -49,25 +47,13 @@ fn reference_runner(records: u64, warmup: u64) -> (SimRunner, u64, u64) {
     (SimRunner::new(cfg, WorkloadMix { slots }, 42), records, warmup)
 }
 
-fn run_leg(
-    runner: &SimRunner,
-    records: u64,
-    warmup: u64,
-    estimator: EstimatorKind,
-    train_mode: TrainMode,
-) -> EngineLeg {
-    let eng = EngineConfig { estimator, train_mode, ..EngineConfig::default() };
+fn run_leg(runner: &SimRunner, records: u64, warmup: u64) -> EngineLeg {
+    let eng = EngineConfig::default();
+    let tag = EngineChoice::Parallel(eng).tag();
     let (result, stats) = runner.run_parallel_stats(records, warmup, &eng);
     println!(
-        "[perf] {}{}{} wall={:.3}s step={:.3}s drain={:.3}s merge={:.3}s apply={:.3}s \
-         serial={:.3}s epochs={} syncs={} merge-bg={:.3}s lag={} hmean-ipc={:.4}",
-        estimator.label(),
-        if estimator == EstimatorKind::Ewma {
-            format!(" k={}", eng.sync_every)
-        } else {
-            String::new()
-        },
-        if train_mode == TrainMode::Async { " async" } else { "" },
+        "[perf] {tag} wall={:.3}s step={:.3}s drain={:.3}s merge={:.3}s apply={:.3}s \
+         serial={:.3}s epochs={} syncs={} hmean-ipc={:.4}",
         stats.wall_s,
         stats.step_s,
         stats.drain_s,
@@ -76,17 +62,9 @@ fn run_leg(
         stats.serial_s,
         stats.epochs,
         stats.learned_syncs,
-        stats.merge_bg_s,
-        stats.publish_lag,
         result.harmonic_mean_ipc(),
     );
-    EngineLeg {
-        estimator,
-        sync_every: eng.sync_every,
-        train_mode,
-        stats,
-        harmonic_mean_ipc: result.harmonic_mean_ipc(),
-    }
+    EngineLeg { tag, stats, harmonic_mean_ipc: result.harmonic_mean_ipc() }
 }
 
 /// The shared-data coherence reference point (PR 8): an 8-core random
@@ -115,7 +93,7 @@ fn shared_reference(records: u64, warmup: u64) -> SharedLeg {
     let mix = random_shared_mixes(1, scale.cores, 42).remove(0);
     let mix_label = mix.slots.join(",");
     let runner = SimRunner::new(cfg, mix, 42);
-    let eng = EngineConfig { estimator: EstimatorKind::Ewma, ..EngineConfig::default() };
+    let eng = EngineConfig::default();
     let (result, stats) = runner.run_parallel_stats(records, warmup, &eng);
     println!(
         "[perf] shared-ref ({mix_label}) wall={:.3}s invals={} inval-cmds={} hmean-ipc={:.4}",
@@ -394,10 +372,10 @@ fn micro_benches() -> Vec<(&'static str, f64)> {
         out.push(("apply_cmds_run", ns_per_iter(|| shard.apply_cmds(&cmds, snap))));
     }
 
-    // Learned-state merge (the unit of work the async training mode lifts
-    // off the barrier critical path): pool eight divergently trained
-    // Mockingjay predictors' privatized exports into one consensus. One
-    // iteration ≈ one sync's merge under the 8-shard default geometry.
+    // Learned-state merge (the barrier's learned-state sync work): pool
+    // eight divergently trained Mockingjay predictors' privatized exports
+    // into one consensus. One iteration ≈ one sync's merge under the
+    // 8-shard default geometry.
     {
         let n_shards = 8usize;
         let peers: Vec<SetAssocCache> = (0..n_shards as u64)
@@ -457,17 +435,7 @@ fn main() {
     );
 
     let (runner, records, warmup) = reference_runner(records, warmup);
-    // Three reference rows: the Optimistic floor, the ewma profile under
-    // synchronous training (the PR 8 number), and the same profile with
-    // asynchronous training — the row the learned-merge overlap moves.
-    let legs: Vec<EngineLeg> = [
-        (EstimatorKind::Optimistic, TrainMode::Sync),
-        (EstimatorKind::Ewma, TrainMode::Sync),
-        (EstimatorKind::Ewma, TrainMode::Async),
-    ]
-    .into_iter()
-    .map(|(e, m)| run_leg(&runner, records, warmup, e, m))
-    .collect();
+    let leg = run_leg(&runner, records, warmup);
     let shared = shared_reference(records, warmup);
     let micro = micro_benches();
 
@@ -481,37 +449,27 @@ fn main() {
          \"records_per_core\": {records}, \"warmup_per_core\": {warmup}, \"workers\": 1, \
          \"seed\": 42}},"
     );
-    let _ = writeln!(json, "  \"engine\": [");
-    for (i, leg) in legs.iter().enumerate() {
-        let s = &leg.stats;
-        let _ = writeln!(
-            json,
-            "    {{\"estimator\": \"{}\", \"sync_every\": {}, \"train_mode\": \"{}\", \
-             \"wall_s\": {}, \"step_s\": {}, \"drain_s\": {}, \"merge_s\": {}, \
-             \"apply_s\": {}, \"serial_s\": {}, \"epochs\": {}, \"learned_syncs\": {}, \
-             \"merge_bg_s\": {}, \"publish_lag\": {}, \"harmonic_mean_ipc\": {}}}{}",
-            leg.estimator.label(),
-            leg.sync_every,
-            leg.train_mode.label(),
-            json_num(s.wall_s),
-            json_num(s.step_s),
-            json_num(s.drain_s),
-            json_num(s.merge_s),
-            json_num(s.apply_s),
-            json_num(s.serial_s),
-            s.epochs,
-            s.learned_syncs,
-            json_num(s.merge_bg_s),
-            s.publish_lag,
-            json_num(leg.harmonic_mean_ipc),
-            if i + 1 < legs.len() { "," } else { "" },
-        );
-    }
-    let _ = writeln!(json, "  ],");
+    let s = &leg.stats;
+    let _ = writeln!(
+        json,
+        "  \"engine\": [{{\"tag\": \"{}\", \"wall_s\": {}, \"step_s\": {}, \"drain_s\": {}, \
+         \"merge_s\": {}, \"apply_s\": {}, \"serial_s\": {}, \"epochs\": {}, \
+         \"learned_syncs\": {}, \"harmonic_mean_ipc\": {}}}],",
+        leg.tag,
+        json_num(s.wall_s),
+        json_num(s.step_s),
+        json_num(s.drain_s),
+        json_num(s.merge_s),
+        json_num(s.apply_s),
+        json_num(s.serial_s),
+        s.epochs,
+        s.learned_syncs,
+        json_num(leg.harmonic_mean_ipc),
+    );
     let _ = writeln!(
         json,
         "  \"shared_reference\": {{\"cores\": 8, \"factor\": 1.0, \"mix\": \"{}\", \
-         \"scheme\": \"Mockingjay+Garibaldi\", \"estimator\": \"ewma\", \
+         \"scheme\": \"Mockingjay+Garibaldi\", \
          \"records_per_core\": {records}, \"warmup_per_core\": {warmup}, \"seed\": 42, \
          \"wall_s\": {}, \"invalidations\": {}, \"inval_cmds\": {}, \
          \"harmonic_mean_ipc\": {}}},",

@@ -11,14 +11,11 @@
 //!
 //! Engine: since the fidelity study (`docs/fidelity/`, ARCHITECTURE.md
 //! §"Fidelity") every figure target defaults to the **epoch-sharded
-//! parallel engine** at the validated default `epoch_cycles`, with
-//! `GARIBALDI_INNER_WORKERS` threads per run — and, since the estimator
-//! study, with the **ewma** fidelity profile (learned issue latencies +
-//! barrier learned-state sync, the measured-best configuration).
-//! `GARIBALDI_ENGINE=serial` is the escape hatch back to the serial
-//! min-clock reference; `GARIBALDI_WORKERS` / `GARIBALDI_SHARDS` /
-//! `GARIBALDI_EPOCH` / `GARIBALDI_ESTIMATOR` override the geometry (see
-//! [`bench_engine`]).
+//! parallel engine**'s one profile ([`EngineConfig::default`]), with
+//! `GARIBALDI_INNER_WORKERS` threads per run. `GARIBALDI_ENGINE=serial`
+//! is the escape hatch back to the serial min-clock reference;
+//! `GARIBALDI_WORKERS` / `GARIBALDI_SHARDS` / `GARIBALDI_EPOCH` override
+//! the geometry (see [`bench_engine`]).
 
 #![warn(missing_docs)]
 
@@ -28,25 +25,15 @@ use std::sync::Mutex;
 
 pub use garibaldi_sim::experiment::{geomean, weighted_speedup};
 pub use garibaldi_sim::{
-    EngineChoice, EngineConfig, EstimatorKind, ExperimentScale, LlcScheme, RunResult, SimRunner,
-    SystemConfig,
+    EngineChoice, EngineConfig, ExperimentScale, LlcScheme, RunResult, SimRunner, SystemConfig,
 };
 
 /// The engine every bench run uses: [`EngineChoice::from_env_or`] with a
-/// **parallel** default — [`EngineConfig::default`] geometry (the
-/// fidelity-validated `epoch_cycles`), the **ewma** estimator (the
-/// measured-best fidelity profile: ≤ 1 % figure-geomean error at the
-/// default window vs ~1.7 % for `optimistic`, see `docs/fidelity/`) and
-/// [`inner_workers`] threads per run. Set `GARIBALDI_ENGINE=serial` for
-/// the serial reference engine, or `GARIBALDI_ESTIMATOR=optimistic` for
-/// the pre-estimator parallel engine.
+/// **parallel** default — the fidelity-validated [`EngineConfig::default`]
+/// profile with [`inner_workers`] threads per run. Set
+/// `GARIBALDI_ENGINE=serial` for the serial reference engine.
 pub fn bench_engine() -> EngineChoice {
-    let default = EngineConfig {
-        workers: inner_workers(),
-        estimator: EstimatorKind::Ewma,
-        ..EngineConfig::default()
-    };
-    EngineChoice::from_env_or(EngineChoice::Parallel(default))
+    EngineChoice::from_env_or(EngineChoice::Parallel(EngineConfig::with_workers(inner_workers())))
 }
 
 /// Per-run worker threads from `GARIBALDI_INNER_WORKERS` (default 1).
@@ -75,7 +62,7 @@ pub fn per_run_threads() -> usize {
 }
 
 /// Identity of the simulation model the benches run under — `"serial"` or
-/// `"sharded-s<shards>-e<epoch>"` (see [`EngineChoice::tag`]). Worker
+/// `"sharded-s<shards>-e<epoch>-ewma-k<sync_every>"` (see [`EngineChoice::tag`]). Worker
 /// count is *not* part of the identity (it never changes results); shard
 /// count and epoch window are. Embed this in checkpoint keys so rows
 /// produced under different engines are never silently mixed.
@@ -320,7 +307,6 @@ mod tests {
             "GARIBALDI_WORKERS",
             "GARIBALDI_SHARDS",
             "GARIBALDI_EPOCH",
-            "GARIBALDI_ESTIMATOR",
             "GARIBALDI_INNER_WORKERS",
         ];
         let saved: Vec<_> = vars.iter().map(|v| (*v, std::env::var(v).ok())).collect();
@@ -367,11 +353,7 @@ mod tests {
         with_clean_env(|| {
             match bench_engine() {
                 EngineChoice::Parallel(c) => {
-                    assert_eq!(
-                        c,
-                        EngineConfig { estimator: EstimatorKind::Ewma, ..EngineConfig::default() },
-                        "validated default geometry + the ewma estimator default"
-                    );
+                    assert_eq!(c, EngineConfig::default(), "the one validated parallel profile");
                 }
                 EngineChoice::Serial => panic!("benches must default to the parallel engine"),
             }
@@ -379,13 +361,6 @@ mod tests {
             match bench_engine() {
                 EngineChoice::Parallel(c) => {
                     assert_eq!(c.workers, 2, "inner workers feed the engine");
-                }
-                EngineChoice::Serial => panic!("still parallel"),
-            }
-            std::env::set_var("GARIBALDI_ESTIMATOR", "optimistic");
-            match bench_engine() {
-                EngineChoice::Parallel(c) => {
-                    assert_eq!(c.estimator, EstimatorKind::Optimistic, "estimator escape hatch");
                 }
                 EngineChoice::Serial => panic!("still parallel"),
             }

@@ -17,28 +17,12 @@
 //!   --oracle                 I-oracle mode (instructions hit after first touch)
 //!   --partition N            reserve N LLC ways for instruction lines
 //!   --workers N              run on the epoch-sharded parallel engine with
-//!                            N worker threads (0 = serial engine; default)
+//!                            N worker threads (0 = serial engine; default).
+//!                            The parallel engine has one profile: ewma
+//!                            issue estimates, learned-state sync every 8
+//!                            barriers
 //!   --shards N               LLC shard count for the parallel engine (8)
 //!   --epoch N                epoch window in cycles (20000)
-//!   --estimator NAME         issue-latency estimator: optimistic|ewma
-//!                            (default optimistic). Selects the parallel
-//!                            engine when given — the estimator only
-//!                            exists there — like GARIBALDI_ESTIMATOR.
-//!                            GARIBALDI_ENGINE_STATS=1 prints its bias/RMS
-//!                            error against drained outcomes
-//!   --sync-every K           run the ewma learned-state sync every K
-//!                            epoch barriers (default 8, the validated
-//!                            cadence — use 1 for PR 4's every-barrier
-//!                            sync; like GARIBALDI_SYNC_EVERY; no effect
-//!                            under the optimistic estimator, where no
-//!                            sync runs)
-//!   --train-mode MODE        learned-state training mode: sync|async
-//!                            (default sync). async takes the merge off
-//!                            the barrier critical path (overlapped with
-//!                            the next epoch's step phase, installed one
-//!                            barrier late) and privatizes pair-table
-//!                            confidence updates per source shard; like
-//!                            GARIBALDI_TRAIN_MODE
 //!   --dump-trace PATH        write the per-core record streams to PATH and
 //!                            exit (replayable across schemes and engines)
 //!   --replay PATH            replay streams dumped with --dump-trace
@@ -66,8 +50,7 @@
 
 use garibaldi_cache::PolicyKind;
 use garibaldi_sim::{
-    EngineChoice, EngineConfig, EstimatorKind, ExperimentScale, LlcScheme, RunResult, SimRunner,
-    SystemConfig, TrainMode,
+    EngineChoice, EngineConfig, ExperimentScale, LlcScheme, RunResult, SimRunner, SystemConfig,
 };
 use garibaldi_trace::{registry, serial, WorkloadMix};
 
@@ -99,11 +82,6 @@ struct Args {
     workers: usize,
     shards: usize,
     epoch: u64,
-    /// Set by `--estimator`; selecting one selects the parallel engine
-    /// (mirrors the `GARIBALDI_ESTIMATOR` precedence rule).
-    estimator: Option<EstimatorKind>,
-    sync_every: usize,
-    train_mode: TrainMode,
     dump_trace: Option<String>,
     replay: Option<String>,
     checkpoint: Option<String>,
@@ -126,9 +104,6 @@ fn parse_args() -> Result<Args, String> {
         workers: 0,
         shards: defaults.llc_shards,
         epoch: defaults.epoch_cycles,
-        estimator: None,
-        sync_every: defaults.sync_every,
-        train_mode: defaults.train_mode,
         dump_trace: None,
         replay: None,
         checkpoint: None,
@@ -155,20 +130,6 @@ fn parse_args() -> Result<Args, String> {
             "--workers" => a.workers = val("--workers")?.parse().map_err(|e| format!("{e}"))?,
             "--shards" => a.shards = val("--shards")?.parse().map_err(|e| format!("{e}"))?,
             "--epoch" => a.epoch = val("--epoch")?.parse().map_err(|e| format!("{e}"))?,
-            "--estimator" => {
-                a.estimator = EstimatorKind::parse("--estimator", Some(&val("--estimator")?))?;
-            }
-            "--sync-every" => {
-                a.sync_every = garibaldi_sim::config::parse_positive(
-                    "--sync-every",
-                    Some(&val("--sync-every")?),
-                )?
-                .expect("value present");
-            }
-            "--train-mode" => {
-                a.train_mode = TrainMode::parse("--train-mode", Some(&val("--train-mode")?))?
-                    .expect("value present");
-            }
             "--dump-trace" => a.dump_trace = Some(val("--dump-trace")?),
             "--replay" => a.replay = Some(val("--replay")?),
             "--checkpoint" => a.checkpoint = Some(val("--checkpoint")?),
@@ -311,17 +272,11 @@ fn main() {
         }
     }
 
-    // Like GARIBALDI_ESTIMATOR, `--estimator` alone selects the parallel
-    // engine — silently running the serial engine instead would drop the
-    // flag (the failure mode the env hardening exists to prevent).
-    let parallel = args.workers > 0 || args.estimator.is_some();
+    let parallel = args.workers > 0;
     let eng = EngineConfig {
-        workers: args.workers.max(1),
         epoch_cycles: args.epoch,
         llc_shards: args.shards,
-        estimator: args.estimator.unwrap_or_default(),
-        sync_every: args.sync_every,
-        train_mode: args.train_mode,
+        ..EngineConfig::with_workers(args.workers)
     };
     let replay_streams = args.replay.as_ref().map(|path| {
         let bytes = std::fs::read(path).unwrap_or_else(|e| {
@@ -341,13 +296,7 @@ fn main() {
         args.records,
         cfg.scheme.label(),
         if parallel {
-            format!(
-                " [parallel engine: {} workers, {} shards, {} estimator, {} training]",
-                eng.workers,
-                eng.llc_shards,
-                eng.estimator.label(),
-                eng.train_mode.label()
-            )
+            format!(" [parallel engine: {} workers, {} shards]", eng.workers, eng.llc_shards)
         } else {
             String::new()
         }

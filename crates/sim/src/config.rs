@@ -213,7 +213,7 @@ impl SystemConfig {
 /// Configuration of the epoch-sharded parallel engine (see
 /// `docs/ARCHITECTURE.md` §"Parallel sharded engine").
 ///
-/// Results are a function of `epoch_cycles`, `llc_shards` and `estimator`
+/// Results are a function of `epoch_cycles`, `llc_shards` and `sync_every`
 /// only — the worker count changes wall-clock, never the simulated
 /// outcome (the determinism contract tested in `tests/determinism.rs`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -226,69 +226,33 @@ pub struct EngineConfig {
     /// Number of set-contiguous LLC shards (each owns its slice of the
     /// Garibaldi pair/D_PPN state and of the DRAM channels).
     pub llc_shards: usize,
-    /// Intra-epoch fidelity profile (`sim::engine::estimate`), named after
-    /// its main lever, the issue-time latency estimator: what a deferred
-    /// LLC-bound access is charged until its barrier outcome arrives.
-    /// [`EstimatorKind::Ewma`] additionally turns on the barrier
-    /// learned-state sync (per-shard replacement-policy predictor slices
-    /// exchange their training, closing the other structural gap to the
-    /// serial engine's single globally-trained instance);
-    /// [`EstimatorKind::Optimistic`] is the pre-estimator engine,
-    /// bit-identical. A *model* parameter like `epoch_cycles`: it changes
-    /// simulated results (toward the serial engine, per the fidelity
-    /// study), never determinism.
+    /// Always [`EstimatorKind::Ewma`]; kept because `perfbench` sets every field.
     pub estimator: EstimatorKind,
-    /// Run the ewma learned-state sync every `sync_every` barriers
-    /// (`--sync-every` / `GARIBALDI_SYNC_EVERY`; ≥ 1). The sync is the
-    /// dominant single-CPU cost of the ewma profile — predictor-table
-    /// export + consensus merge per shard per barrier — while its fidelity
-    /// value decays slowly with staleness (measured in `docs/fidelity/`),
-    /// so syncing every k-th barrier trades a bounded fidelity delta for
-    /// most of that overhead. Under [`EstimatorKind::Optimistic`] no sync
-    /// ever runs, so this knob provably cannot change results there
-    /// (regression-tested); under ewma it is a *model* parameter like
-    /// `epoch_cycles` — the barrier count is a pure function of the
-    /// simulated schedule, so every value stays worker-count invariant.
+    /// Run the learned-state sync every `sync_every` barriers (≥ 1; a
+    /// model parameter like `epoch_cycles`, worker-count invariant for
+    /// every value).
     pub sync_every: usize,
-    /// When learned-state merges run (`--train-mode` /
-    /// `GARIBALDI_TRAIN_MODE`; see [`TrainMode`]): synchronously inside
-    /// the exporting barrier (the default, bit-compatible with every
-    /// committed golden), or overlapped with the next epoch's step phase
-    /// and installed one barrier later, with pair-table confidence
-    /// batches privatized per source shard. [`TrainMode::Async`] is a
-    /// *model* parameter like `epoch_cycles`: it changes simulated
-    /// results (fidelity-gated), never determinism — the publish schedule
-    /// is barrier-count pure and merges run in fixed shard order, so
-    /// worker-count byte-invariance holds in both modes.
+    /// Always [`TrainMode::Sync`]; kept because `perfbench` sets every field.
     pub train_mode: TrainMode,
 }
 
 impl Default for EngineConfig {
-    /// The fidelity-validated default geometry.
+    /// The one fidelity-validated parallel profile (`docs/fidelity/`):
+    /// ewma issue estimates, synchronous learned-state training every
+    /// `sync_every = 8` barriers, 8 LLC shards and 20 k-cycle epochs.
     ///
-    /// `sync_every = 8` is the measured sweet spot of the learned-sync
-    /// cadence (PR 5, `docs/fidelity/README.md` §"The `sync_every` axis"):
-    /// at the default window the ewma figure-geomean error moves only
-    /// fig11 0.10 % → 0.21 % / fig12 0.78 % → 0.80 % (bound: ≤ 1 %) while
-    /// the sync's wall-clock cost — the dominant single-CPU ewma overhead
-    /// — drops to an eighth (40-core reference point 1.74 s → 1.34 s).
-    /// Under the default `Optimistic` estimator the knob is inert
-    /// (regression-tested byte-identical).
-    ///
-    /// `epoch_cycles = 20_000`
-    /// was selected by the epoch sweep in `docs/fidelity/`: figure-level
-    /// geomean error vs the serial engine is nearly flat in the window
-    /// size (the residual is intra-epoch issue optimism, not staleness),
-    /// so the choice is driven by barrier amortization — 20 k keeps the
-    /// measured fig11/fig12 error at ≤ 1.73 % (hard gate 2 %, enforced by
-    /// `tests/fidelity.rs`) with 2.5× fewer barriers than the 1 %-error
-    /// region of the grid.
+    /// `sync_every = 8` moves the figure-geomean error only fig11
+    /// 0.10 % → 0.21 % / fig12 0.78 % → 0.80 % against syncing at every
+    /// barrier (bound: ≤ 1 %), at an eighth of the sync's wall-clock cost.
+    /// `epoch_cycles = 20_000` keeps the error well inside the 2 % hard
+    /// gate (`tests/fidelity.rs`) with 2.5× fewer barriers than the
+    /// 1 %-error region of the epoch grid.
     fn default() -> Self {
         Self {
             workers: 1,
             epoch_cycles: 20_000,
             llc_shards: 8,
-            estimator: EstimatorKind::Optimistic,
+            estimator: EstimatorKind::Ewma,
             sync_every: 8,
             train_mode: TrainMode::Sync,
         }
@@ -296,80 +260,9 @@ impl Default for EngineConfig {
 }
 
 impl EngineConfig {
-    /// A config with `workers` threads and default epoch/shard geometry.
+    /// A config with `workers` threads and the default profile.
     pub fn with_workers(workers: usize) -> Self {
         Self { workers: workers.max(1), ..Self::default() }
-    }
-
-    /// The parallel-engine config the environment selects, or `None` when
-    /// the environment selects the serial engine (callers then keep the
-    /// serial min-clock engine). Delegates to [`EngineChoice::from_env_or`]
-    /// with a serial default, so the full precedence applies — in
-    /// particular `GARIBALDI_ENGINE=serial` wins over `GARIBALDI_WORKERS`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a set-but-invalid value (garbage, overflow, or zero): a
-    /// typo'd `GARIBALDI_WORKERS` silently falling back to the serial
-    /// engine would make the CI leg that forces the parallel engine pass
-    /// without testing it. The parsing itself is the pure (unit-tested)
-    /// [`EngineConfig::parse_env`] / [`EngineChoice::resolve`].
-    pub fn from_env() -> Option<Self> {
-        match EngineChoice::from_env_or(EngineChoice::Serial) {
-            EngineChoice::Serial => None,
-            EngineChoice::Parallel(cfg) => Some(cfg),
-        }
-    }
-
-    /// Pure form of [`EngineConfig::from_env`]: builds a config from the
-    /// raw values of the engine environment variables. `Ok(None)` when
-    /// both `workers` and `estimator` are absent (either one selects the
-    /// parallel engine on its own — the estimator only exists there).
-    ///
-    /// # Errors
-    ///
-    /// Rejects garbage, overflow and zero counts — and unknown estimator
-    /// or train-mode names — for every variable with a message naming the
-    /// variable and the offending value; never a silent fallback. All
-    /// variables are validated even when none selects the engine, so e.g.
-    /// a bad `GARIBALDI_SHARDS` cannot hide behind a serial run.
-    pub fn parse_env(
-        workers: Option<&str>,
-        shards: Option<&str>,
-        epoch: Option<&str>,
-        estimator: Option<&str>,
-        sync_every: Option<&str>,
-        train_mode: Option<&str>,
-    ) -> Result<Option<Self>, String> {
-        let workers = parse_positive("GARIBALDI_WORKERS", workers)?;
-        let shards = parse_positive("GARIBALDI_SHARDS", shards)?;
-        let epoch = parse_positive("GARIBALDI_EPOCH", epoch)?;
-        let estimator = EstimatorKind::parse("GARIBALDI_ESTIMATOR", estimator)?;
-        let sync_every = parse_positive("GARIBALDI_SYNC_EVERY", sync_every)?;
-        let train_mode = TrainMode::parse("GARIBALDI_TRAIN_MODE", train_mode)?;
-        if workers.is_none() && estimator.is_none() {
-            return Ok(None);
-        }
-        let mut cfg = Self::default();
-        if let Some(w) = workers {
-            cfg.workers = w;
-        }
-        if let Some(s) = shards {
-            cfg.llc_shards = s;
-        }
-        if let Some(e) = epoch {
-            cfg.epoch_cycles = e as u64;
-        }
-        if let Some(k) = estimator {
-            cfg.estimator = k;
-        }
-        if let Some(k) = sync_every {
-            cfg.sync_every = k;
-        }
-        if let Some(m) = train_mode {
-            cfg.train_mode = m;
-        }
-        Ok(Some(cfg))
     }
 
     /// Validates structural invariants.
@@ -394,6 +287,12 @@ impl EngineConfig {
     }
 }
 
+/// Environment variables that once selected engine axes which no longer
+/// exist. Setting one is an error, never a silent no-op: a script asking
+/// for a retired mode must not quietly run the one remaining profile.
+const RETIRED_ENGINE_VARS: [&str; 3] =
+    ["GARIBALDI_ESTIMATOR", "GARIBALDI_TRAIN_MODE", "GARIBALDI_SYNC_EVERY"];
+
 /// Which simulation engine a run uses (see `docs/ARCHITECTURE.md`
 /// §"Parallel sharded engine"): the serial min-clock reference, or the
 /// epoch-sharded parallel engine with a concrete [`EngineConfig`].
@@ -413,16 +312,12 @@ impl EngineChoice {
     /// same table lives in the README's environment section):
     ///
     /// 1. `GARIBALDI_ENGINE=serial` forces the serial engine (the escape
-    ///    hatch the benches document), even if `GARIBALDI_ESTIMATOR` or
-    ///    `GARIBALDI_WORKERS` is set. `GARIBALDI_ENGINE=parallel` (alias
-    ///    `sharded`) forces the parallel engine.
-    /// 2. `GARIBALDI_ENGINE` unset but `GARIBALDI_ESTIMATOR` set:
-    ///    parallel — the estimator is a parallel-engine model axis, so
-    ///    selecting one selects the engine.
-    /// 3. `GARIBALDI_ENGINE` and `GARIBALDI_ESTIMATOR` unset but
-    ///    `GARIBALDI_WORKERS` set: parallel (the PR-2 forcing mechanism
-    ///    the CI matrix leg uses).
-    /// 4. Nothing set: `default`. (`GARIBALDI_INNER_WORKERS` ranks below
+    ///    hatch the benches document), even if `GARIBALDI_WORKERS` is set.
+    ///    `GARIBALDI_ENGINE=parallel` (alias `sharded`) forces the
+    ///    parallel engine.
+    /// 2. `GARIBALDI_ENGINE` unset but `GARIBALDI_WORKERS` set: parallel
+    ///    (the forcing mechanism the CI `parallel-engine` job uses).
+    /// 3. Nothing set: `default`. (`GARIBALDI_INNER_WORKERS` ranks below
     ///    all of the above: it never selects an engine — it only feeds the
     ///    bench harness's default parallel geometry, and a resolved
     ///    `GARIBALDI_WORKERS` overrides it; see
@@ -431,29 +326,34 @@ impl EngineChoice {
     /// Whenever the outcome is parallel, its geometry starts from the
     /// caller's `default` when that is parallel (else
     /// [`EngineConfig::default`]) and each of `GARIBALDI_WORKERS` /
-    /// `GARIBALDI_SHARDS` / `GARIBALDI_EPOCH` / `GARIBALDI_ESTIMATOR` /
-    /// `GARIBALDI_SYNC_EVERY` / `GARIBALDI_TRAIN_MODE` that is set
-    /// overrides its field — so e.g.
-    /// `GARIBALDI_EPOCH=5000` alone re-windows a bench run (the benches
-    /// default to parallel). When the outcome is serial, the geometry
-    /// variables have nothing to configure and are only validated.
+    /// `GARIBALDI_SHARDS` / `GARIBALDI_EPOCH` that is set overrides its
+    /// field — so e.g. `GARIBALDI_EPOCH=5000` alone re-windows a bench run
+    /// (the benches default to parallel). When the outcome is serial, the
+    /// geometry variables have nothing to configure and are only
+    /// validated.
     ///
     /// # Panics
     ///
-    /// Panics with a clear message on malformed values (unknown engine or
-    /// estimator name, zero/garbage/overflowing counts) —
-    /// misconfiguration must never silently select a different engine
-    /// than intended. The pure, unit-tested resolution is
-    /// [`EngineChoice::resolve`].
+    /// Panics with a clear message on malformed values (unknown engine
+    /// name, zero/garbage/overflowing counts) and on any set retired
+    /// variable (`GARIBALDI_ESTIMATOR`, `GARIBALDI_TRAIN_MODE`,
+    /// `GARIBALDI_SYNC_EVERY`) — misconfiguration must never silently
+    /// select a different engine than intended. The pure, unit-tested
+    /// resolution is [`EngineChoice::resolve`].
     pub fn from_env_or(default: Self) -> Self {
+        for var in RETIRED_ENGINE_VARS {
+            if std::env::var_os(var).is_some() {
+                panic!(
+                    "{var} was retired: the parallel engine has one profile \
+                     (ewma, sync training, sync_every 8); unset {var}"
+                );
+            }
+        }
         Self::resolve(
             env_raw("GARIBALDI_ENGINE").as_deref(),
             env_raw("GARIBALDI_WORKERS").as_deref(),
             env_raw("GARIBALDI_SHARDS").as_deref(),
             env_raw("GARIBALDI_EPOCH").as_deref(),
-            env_raw("GARIBALDI_ESTIMATOR").as_deref(),
-            env_raw("GARIBALDI_SYNC_EVERY").as_deref(),
-            env_raw("GARIBALDI_TRAIN_MODE").as_deref(),
             default,
         )
         .unwrap_or_else(|e| panic!("{e}"))
@@ -464,43 +364,33 @@ impl EngineChoice {
     /// # Errors
     ///
     /// Returns a message naming the offending variable and value for an
-    /// unknown engine or estimator name or an invalid count.
-    #[allow(clippy::too_many_arguments)]
+    /// unknown engine name or an invalid count.
     pub fn resolve(
         engine: Option<&str>,
         workers: Option<&str>,
         shards: Option<&str>,
         epoch: Option<&str>,
-        estimator: Option<&str>,
-        sync_every: Option<&str>,
-        train_mode: Option<&str>,
         default: Self,
     ) -> Result<Self, String> {
         let workers = parse_positive("GARIBALDI_WORKERS", workers)?;
         let shards = parse_positive("GARIBALDI_SHARDS", shards)?;
         let epoch = parse_positive("GARIBALDI_EPOCH", epoch)?;
-        let estimator = EstimatorKind::parse("GARIBALDI_ESTIMATOR", estimator)?;
-        let sync_every = parse_positive("GARIBALDI_SYNC_EVERY", sync_every)?;
-        let train_mode = TrainMode::parse("GARIBALDI_TRAIN_MODE", train_mode)?;
         // Which engine, and from which base geometry?
         let base = match engine.map(str::trim) {
             Some("serial") => return Ok(Self::Serial),
-            Some("parallel" | "sharded") => Some(default),
+            Some("parallel" | "sharded") => default,
             Some(other) => {
                 return Err(format!(
                     "GARIBALDI_ENGINE must be \"serial\" or \"parallel\", got {other:?}"
                 ))
             }
-            None if estimator.is_some() || workers.is_some() => Some(default),
+            // A parallel default still takes the geometry overrides below
+            // (the benches' documented contract).
+            None if workers.is_some() => default,
             None => match default {
-                // A parallel default still takes the geometry overrides
-                // below (the benches' documented contract).
-                Self::Parallel(_) => Some(default),
-                Self::Serial => None,
+                Self::Parallel(_) => default,
+                Self::Serial => return Ok(Self::Serial),
             },
-        };
-        let Some(base) = base else {
-            return Ok(Self::Serial);
         };
         let mut cfg = match base {
             Self::Parallel(c) => c,
@@ -515,47 +405,24 @@ impl EngineChoice {
         if let Some(e) = epoch {
             cfg.epoch_cycles = e as u64;
         }
-        if let Some(k) = estimator {
-            cfg.estimator = k;
-        }
-        if let Some(k) = sync_every {
-            cfg.sync_every = k;
-        }
-        if let Some(m) = train_mode {
-            cfg.train_mode = m;
-        }
         Ok(Self::Parallel(cfg))
     }
 
     /// Stable identity string for checkpoint keys and reports: `"serial"`
-    /// or `"sharded-s<shards>-e<epoch>[-<estimator>[-k<sync_every>]][-async]"`
-    /// (the estimator suffix appears only for non-default estimators, the
-    /// sync suffix only under ewma with `sync_every != 1`, and the
-    /// train-mode suffix only for [`TrainMode::Async`], so keys minted
-    /// before any of these axes existed still name the same model).
-    /// Worker count is deliberately excluded — it never changes simulated
-    /// results (the determinism contract), so runs under different worker
-    /// counts may share rows. `sync_every` is likewise excluded under the
-    /// optimistic estimator, where no sync ever runs and the knob provably
-    /// cannot change the model. The async marker appears under *every*
-    /// estimator: Phase B′ pair-table batches change shape in async mode
-    /// regardless of the estimator, so the mode is part of the model
-    /// identity even when no learned sync runs.
+    /// or `"sharded-s<shards>-e<epoch>-ewma[-k<sync_every>]"` (the sync
+    /// suffix only for `sync_every != 1`). The default profile's tag,
+    /// `sharded-s8-e20000-ewma-k8`, is the one earlier builds minted for
+    /// the same model, so existing checkpoint rows keep hitting. Worker
+    /// count is deliberately excluded — it never changes simulated results
+    /// (the determinism contract), so runs under different worker counts
+    /// may share rows.
     pub fn tag(&self) -> String {
         match self {
             Self::Serial => "serial".to_string(),
             Self::Parallel(e) => {
-                let mut t = format!("sharded-s{}-e{}", e.llc_shards, e.epoch_cycles);
-                if e.estimator != EstimatorKind::default() {
-                    t.push('-');
-                    t.push_str(e.estimator.label());
-                    if e.sync_every != 1 {
-                        t.push_str(&format!("-k{}", e.sync_every));
-                    }
-                }
-                if e.train_mode != TrainMode::default() {
-                    t.push('-');
-                    t.push_str(e.train_mode.label());
+                let mut t = format!("sharded-s{}-e{}-ewma", e.llc_shards, e.epoch_cycles);
+                if e.sync_every != 1 {
+                    t.push_str(&format!("-k{}", e.sync_every));
                 }
                 t
             }
@@ -668,142 +535,42 @@ mod tests {
     }
 
     #[test]
-    fn engine_config_parse_env_cases() {
-        // Neither workers nor estimator → None regardless of other knobs.
+    fn default_engine_config_is_the_one_parallel_profile() {
         assert_eq!(
-            EngineConfig::parse_env(None, Some("4"), Some("1000"), None, None, None).unwrap(),
-            None
+            EngineConfig::default(),
+            EngineConfig {
+                workers: 1,
+                epoch_cycles: 20_000,
+                llc_shards: 8,
+                estimator: EstimatorKind::Ewma,
+                sync_every: 8,
+                train_mode: TrainMode::Sync,
+            }
         );
-        // Workers alone → defaults for the rest.
-        let c = EngineConfig::parse_env(Some("2"), None, None, None, None, None).unwrap().unwrap();
-        assert_eq!(c.workers, 2);
-        assert_eq!(c, EngineConfig { workers: 2, ..EngineConfig::default() });
-        // Estimator alone also selects the engine (it only exists there).
-        let c =
-            EngineConfig::parse_env(None, None, None, Some("ewma"), None, None).unwrap().unwrap();
-        assert_eq!(c, EngineConfig { estimator: EstimatorKind::Ewma, ..EngineConfig::default() });
-        // Full set.
-        let c = EngineConfig::parse_env(
-            Some("4"),
-            Some("2"),
-            Some("5000"),
-            Some("optimistic"),
-            Some("8"),
-            Some("async"),
-        )
-        .unwrap()
-        .unwrap();
-        assert_eq!((c.workers, c.llc_shards, c.epoch_cycles), (4, 2, 5000));
-        assert_eq!(c.estimator, EstimatorKind::Optimistic);
-        assert_eq!(c.sync_every, 8);
-        assert_eq!(c.train_mode, TrainMode::Async);
-        // Invalid values err rather than falling back.
-        assert!(EngineConfig::parse_env(Some("0"), None, None, None, None, None).is_err());
-        assert!(EngineConfig::parse_env(Some("two"), None, None, None, None, None).is_err());
-        assert!(EngineConfig::parse_env(Some("2"), Some("0"), None, None, None, None).is_err());
-        assert!(EngineConfig::parse_env(Some("2"), None, Some("0"), None, None, None).is_err());
-        assert!(EngineConfig::parse_env(
-            Some("18446744073709551616"),
-            None,
-            None,
-            None,
-            None,
-            None
-        )
-        .is_err());
-        let err =
-            EngineConfig::parse_env(Some("2"), None, None, Some("magic"), None, None).unwrap_err();
-        assert!(err.contains("GARIBALDI_ESTIMATOR") && err.contains("magic"), "{err}");
-        // sync_every is hardened like every other count — even when it
-        // selects nothing (serial outcome), a bad value must fail loudly.
-        let err =
-            EngineConfig::parse_env(Some("2"), None, None, None, Some("0"), None).unwrap_err();
-        assert!(err.contains("GARIBALDI_SYNC_EVERY"), "{err}");
-        assert!(EngineConfig::parse_env(None, None, None, None, Some("nope"), None).is_err());
-        // …and so is the train mode, with the same always-validated rule.
-        let err =
-            EngineConfig::parse_env(Some("2"), None, None, None, None, Some("maybe")).unwrap_err();
-        assert!(err.contains("GARIBALDI_TRAIN_MODE") && err.contains("maybe"), "{err}");
-        assert!(EngineConfig::parse_env(None, None, None, None, None, Some("lazy")).is_err());
     }
 
     #[test]
     fn engine_choice_resolution_precedence() {
+        use EngineChoice::Serial;
         let default_par = EngineChoice::Parallel(EngineConfig::default());
+        let parallel = |r: Result<EngineChoice, String>| match r.unwrap() {
+            EngineChoice::Parallel(c) => c,
+            other => panic!("expected parallel, got {other:?}"),
+        };
         // Nothing set → the caller's default.
+        assert_eq!(EngineChoice::resolve(None, None, None, None, Serial).unwrap(), Serial);
         assert_eq!(
-            EngineChoice::resolve(None, None, None, None, None, None, None, EngineChoice::Serial)
-                .unwrap(),
-            EngineChoice::Serial
-        );
-        assert_eq!(
-            EngineChoice::resolve(None, None, None, None, None, None, None, default_par).unwrap(),
+            EngineChoice::resolve(None, None, None, None, default_par).unwrap(),
             default_par
         );
-        // serial wins even over GARIBALDI_WORKERS and GARIBALDI_ESTIMATOR.
+        // serial wins even over GARIBALDI_WORKERS.
         assert_eq!(
-            EngineChoice::resolve(
-                Some("serial"),
-                Some("4"),
-                None,
-                None,
-                None,
-                None,
-                None,
-                default_par
-            )
-            .unwrap(),
-            EngineChoice::Serial
+            EngineChoice::resolve(Some("serial"), Some("4"), None, None, default_par).unwrap(),
+            Serial
         );
-        assert_eq!(
-            EngineChoice::resolve(
-                Some("serial"),
-                None,
-                None,
-                None,
-                Some("ewma"),
-                None,
-                None,
-                default_par
-            )
-            .unwrap(),
-            EngineChoice::Serial
-        );
-        // Back-compat: workers alone flips to parallel.
-        match EngineChoice::resolve(
-            None,
-            Some("3"),
-            None,
-            None,
-            None,
-            None,
-            None,
-            EngineChoice::Serial,
-        )
-        .unwrap()
-        {
-            EngineChoice::Parallel(c) => assert_eq!(c.workers, 3),
-            other => panic!("expected parallel, got {other:?}"),
-        }
-        // An estimator alone flips to parallel too (precedence step 2).
-        match EngineChoice::resolve(
-            None,
-            None,
-            None,
-            None,
-            Some("ewma"),
-            None,
-            None,
-            EngineChoice::Serial,
-        )
-        .unwrap()
-        {
-            EngineChoice::Parallel(c) => {
-                assert_eq!(c.estimator, EstimatorKind::Ewma);
-                assert_eq!(c.workers, EngineConfig::default().workers);
-            }
-            other => panic!("expected parallel, got {other:?}"),
-        }
+        // Workers alone flips to parallel.
+        let c = parallel(EngineChoice::resolve(None, Some("3"), None, None, Serial));
+        assert_eq!(c, EngineConfig::with_workers(3));
         // parallel with a parallel default keeps its geometry, env overrides.
         let tuned = EngineChoice::Parallel(EngineConfig {
             workers: 2,
@@ -811,170 +578,40 @@ mod tests {
             llc_shards: 4,
             ..EngineConfig::default()
         });
-        match EngineChoice::resolve(
-            Some("parallel"),
-            None,
-            None,
-            Some("123"),
-            None,
-            None,
-            None,
-            tuned,
-        )
-        .unwrap()
-        {
-            EngineChoice::Parallel(c) => {
-                assert_eq!((c.workers, c.llc_shards, c.epoch_cycles), (2, 4, 123));
-            }
-            other => panic!("expected parallel, got {other:?}"),
-        }
+        let c = parallel(EngineChoice::resolve(Some("parallel"), None, None, Some("123"), tuned));
+        assert_eq!((c.workers, c.llc_shards, c.epoch_cycles), (2, 4, 123));
         // Geometry overrides also apply when the *default* supplies the
         // parallel engine (the benches' contract): GARIBALDI_EPOCH alone
-        // re-windows a bench run instead of being silently ignored. The
-        // train mode rides the same rule.
-        match EngineChoice::resolve(
-            None,
-            None,
-            Some("16"),
-            Some("123"),
-            Some("ewma"),
-            None,
-            Some("async"),
-            tuned,
-        )
-        .unwrap()
-        {
-            EngineChoice::Parallel(c) => {
-                assert_eq!((c.workers, c.llc_shards, c.epoch_cycles), (2, 16, 123));
-                assert_eq!(c.estimator, EstimatorKind::Ewma);
-                assert_eq!(c.train_mode, TrainMode::Async);
-            }
-            other => panic!("expected parallel, got {other:?}"),
-        }
+        // re-windows a bench run instead of being silently ignored.
+        let c = parallel(EngineChoice::resolve(None, None, Some("16"), Some("123"), tuned));
+        assert_eq!((c.workers, c.llc_shards, c.epoch_cycles), (2, 16, 123));
         // With a serial default, geometry variables alone do not flip the
         // engine — but they are still validated.
-        assert_eq!(
-            EngineChoice::resolve(
-                None,
-                None,
-                None,
-                Some("123"),
-                None,
-                None,
-                None,
-                EngineChoice::Serial
-            )
-            .unwrap(),
-            EngineChoice::Serial
-        );
-        assert!(EngineChoice::resolve(
-            None,
-            None,
-            None,
-            Some("0"),
-            None,
-            None,
-            None,
-            EngineChoice::Serial
-        )
-        .is_err());
-        // The train mode alone does not select an engine either — it is a
-        // parallel-engine scheduling axis, not a forcing mechanism — but
-        // it is still validated.
-        assert_eq!(
-            EngineChoice::resolve(
-                None,
-                None,
-                None,
-                None,
-                None,
-                None,
-                Some("async"),
-                EngineChoice::Serial
-            )
-            .unwrap(),
-            EngineChoice::Serial
-        );
+        assert_eq!(EngineChoice::resolve(None, None, None, Some("123"), Serial).unwrap(), Serial);
+        assert!(EngineChoice::resolve(None, None, None, Some("0"), Serial).is_err());
         // Unknown engine name is a hard error naming the value.
-        let err = EngineChoice::resolve(
-            Some("turbo"),
-            None,
-            None,
-            None,
-            None,
-            None,
-            None,
-            EngineChoice::Serial,
-        )
-        .unwrap_err();
+        let err = EngineChoice::resolve(Some("turbo"), None, None, None, Serial).unwrap_err();
         assert!(err.contains("GARIBALDI_ENGINE") && err.contains("turbo"), "{err}");
-        // Invalid counts, estimator and train-mode names propagate even
-        // under an explicit engine name — including serial (validated,
-        // unused).
-        assert!(EngineChoice::resolve(
-            Some("parallel"),
-            Some("0"),
-            None,
-            None,
-            None,
-            None,
-            None,
-            EngineChoice::Serial
-        )
-        .is_err());
-        let err = EngineChoice::resolve(
-            Some("serial"),
-            None,
-            None,
-            None,
-            Some("magic"),
-            None,
-            None,
-            EngineChoice::Serial,
-        )
-        .unwrap_err();
-        assert!(err.contains("GARIBALDI_ESTIMATOR") && err.contains("magic"), "{err}");
-        let err = EngineChoice::resolve(
-            Some("serial"),
-            None,
-            None,
-            None,
-            None,
-            None,
-            Some("eventually"),
-            EngineChoice::Serial,
-        )
-        .unwrap_err();
-        assert!(err.contains("GARIBALDI_TRAIN_MODE") && err.contains("eventually"), "{err}");
+        // Invalid counts propagate even under an explicit engine name —
+        // including serial (validated, unused).
+        assert!(EngineChoice::resolve(Some("parallel"), Some("0"), None, None, Serial).is_err());
+        let err = EngineChoice::resolve(Some("serial"), None, Some("x"), None, Serial).unwrap_err();
+        assert!(err.contains("GARIBALDI_SHARDS") && err.contains('x'), "{err}");
     }
 
     #[test]
     fn engine_choice_tags() {
         assert_eq!(EngineChoice::Serial.tag(), "serial");
-        let e = EngineConfig {
-            workers: 9,
-            epoch_cycles: 50_000,
-            llc_shards: 8,
-            ..EngineConfig::default()
-        };
-        assert_eq!(EngineChoice::Parallel(e).tag(), "sharded-s8-e50000", "workers excluded");
-        // sync_every is invisible under optimistic (no sync ever runs, so
-        // the model is unchanged — pre-knob rows stay valid)…
-        let e = EngineConfig { sync_every: 4, ..e };
-        assert_eq!(EngineChoice::Parallel(e).tag(), "sharded-s8-e50000");
-        // …and part of the identity under ewma: non-default estimators
-        // carry their label, and a non-every-barrier cadence its k (an
-        // `-ewma` row without `-k` means the pre-knob every-barrier sync).
-        let e = EngineConfig { estimator: EstimatorKind::Ewma, sync_every: 1, ..e };
+        // The default profile keeps the tag earlier builds minted for it.
+        let e = EngineConfig { workers: 9, ..EngineConfig::default() };
+        assert_eq!(
+            EngineChoice::Parallel(e).tag(),
+            "sharded-s8-e20000-ewma-k8",
+            "workers excluded"
+        );
+        let e = EngineConfig { epoch_cycles: 50_000, sync_every: 1, ..e };
         assert_eq!(EngineChoice::Parallel(e).tag(), "sharded-s8-e50000-ewma");
-        let e = EngineConfig { sync_every: 8, ..e };
-        assert_eq!(EngineChoice::Parallel(e).tag(), "sharded-s8-e50000-ewma-k8");
-        // The async train mode is part of the model identity under every
-        // estimator (Phase B′ pair batches change shape); the sync default
-        // is tag-invisible so pre-PR-9 keys stay valid.
-        let e = EngineConfig { train_mode: TrainMode::Async, ..e };
-        assert_eq!(EngineChoice::Parallel(e).tag(), "sharded-s8-e50000-ewma-k8-async");
-        let e = EngineConfig { estimator: EstimatorKind::Optimistic, ..e };
-        assert_eq!(EngineChoice::Parallel(e).tag(), "sharded-s8-e50000-async");
+        let e = EngineConfig { llc_shards: 2, sync_every: 3, ..e };
+        assert_eq!(EngineChoice::Parallel(e).tag(), "sharded-s2-e50000-ewma-k3");
     }
 }

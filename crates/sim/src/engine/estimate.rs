@@ -1,40 +1,27 @@
-//! Pluggable issue-time latency estimation for the epoch engine.
+//! Issue-time latency estimation for the epoch engine.
 //!
 //! During an epoch, every LLC-bound access advances its core's clock by an
 //! *estimate* of the access latency; the drained outcome replaces the
 //! estimate at the barrier ([`correct_record`]). The estimate therefore
 //! controls the **intra-epoch interleave**: an over-optimistic estimate
 //! lets a miss-heavy core race ahead of its serial-engine schedule inside
-//! the window, which the PR 3 fidelity study measured as the flat ~1.4 %
-//! fig12 error floor (`docs/fidelity/`) — the drift was issue optimism,
-//! not feedback staleness.
+//! the window — the flat ~1.4 % fig12 error floor the fidelity study
+//! measured for the constant LLC-hit charge (`docs/fidelity/`).
 //!
-//! This module makes the estimate a policy:
-//!
-//! - [`Optimistic`] charges the constant LLC-hit latency — bit-identical
-//!   to the engine before this module existed (gated by the parallel
-//!   golden baselines in `tests/fidelity.rs`).
-//! - [`Ewma`] learns per-core, per-stream-class (instruction fetch vs.
-//!   data) expected latencies from drained barrier outcomes: an
-//!   exponentially weighted hit rate plus hit/miss latency averages,
-//!   combined into an expected access latency at issue time.
-//!
-//! The estimator kind doubles as the engine's **intra-epoch fidelity
-//! profile**: under [`EstimatorKind::Ewma`] the barrier additionally runs
-//! the learned-state sync (per-shard replacement-policy predictor slices
-//! pool their training through
-//! `ReplacementPolicy::{export_learned, import_learned}` — see
-//! [`super`]'s barrier and `docs/ARCHITECTURE.md` §"Issue-latency
-//! estimation"), because the fidelity study found the sharded policy
-//! training to be the larger half of the fig12 error floor the estimator
-//! attacks.
+//! [`Ewma`] learns per-core, per-stream-class (instruction fetch vs.
+//! data) expected latencies from drained barrier outcomes: an
+//! exponentially weighted hit rate plus hit/miss latency averages,
+//! combined into an expected access latency at issue time. It beat the
+//! constant charge at every grid point of the fidelity study, so it is the
+//! engine's only estimator (`docs/ARCHITECTURE.md` §"Why one parallel
+//! profile").
 //!
 //! Determinism: estimator state lives in each [`super::private::EpochCore`]
 //! and is only mutated at epoch barriers, from that core's own outcomes in
 //! sequence order ([`super::private::ClusterSim::apply_corrections`]) — a
 //! pure function of the simulated schedule, never of worker scheduling —
 //! so `workers=1` vs `workers=N` results stay byte-identical per fixed
-//! epoch window under every estimator (`tests/determinism.rs`,
+//! epoch window (`tests/determinism.rs`,
 //! `crates/sim/tests/engine_properties.rs`).
 
 use super::request::ReqOutcome;
@@ -43,109 +30,23 @@ use crate::core_model::combine_data_stalls;
 use garibaldi_trace::MAX_DATA_REFS;
 use serde::{Deserialize, Serialize};
 
-/// Which latency estimator the epoch engine charges at issue time (the
-/// `estimator` axis of [`crate::config::EngineConfig`]).
+/// The issue-latency estimator of [`crate::config::EngineConfig`]: only
+/// [`EstimatorKind::Ewma`] remains; kept because `perfbench` sets it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum EstimatorKind {
-    /// Constant LLC-hit latency (the original engine behavior,
-    /// bit-identical; shard policy slices train in isolation).
-    #[default]
-    Optimistic,
     /// Learned per-core, per-stream-class EWMA of drained outcomes, plus
     /// the barrier learned-state sync for sharded replacement policies.
+    #[default]
     Ewma,
 }
 
-impl EstimatorKind {
-    /// Every selectable kind, in report order.
-    pub const ALL: [EstimatorKind; 2] = [EstimatorKind::Optimistic, EstimatorKind::Ewma];
-
-    /// Stable lowercase name (env values, report axes, engine tags).
-    pub fn label(&self) -> &'static str {
-        match self {
-            EstimatorKind::Optimistic => "optimistic",
-            EstimatorKind::Ewma => "ewma",
-        }
-    }
-
-    /// Parses an env-var value (`GARIBALDI_ESTIMATOR` hardening: invalid
-    /// values must fail loudly, naming the variable and the value, never
-    /// silently fall back). `Ok(None)` when unset.
-    ///
-    /// # Errors
-    ///
-    /// Rejects anything but `"optimistic"` / `"ewma"` (trimmed).
-    pub fn parse(var: &str, raw: Option<&str>) -> Result<Option<Self>, String> {
-        let Some(raw) = raw else {
-            return Ok(None);
-        };
-        match raw.trim() {
-            "optimistic" => Ok(Some(EstimatorKind::Optimistic)),
-            "ewma" => Ok(Some(EstimatorKind::Ewma)),
-            other => Err(format!("{var} must be \"optimistic\" or \"ewma\", got {other:?}")),
-        }
-    }
-}
-
-/// When the epoch engine merges and installs learned state — the
-/// `train_mode` axis of [`crate::config::EngineConfig`].
-///
-/// Learned-state *training* (per-shard predictor slices, pair-table
-/// confidence) always happens inside the barrier phases that own the
-/// state; this knob selects when the cross-shard **merge** runs:
-///
-/// - [`TrainMode::Sync`]: merge and install inside the same barrier that
-///   exported (the PR 4 schedule; bit-compatible with every committed
-///   golden). The merge itself is computed once per sync — it is a pure
-///   function of the shard-ordered exports — and installed everywhere.
-/// - [`TrainMode::Async`]: the merge runs on a thread overlapped with the
-///   *next* epoch's parallel step phase and installs at the next barrier's
-///   entry, one barrier later. Shard policies are only read/mutated inside
-///   barriers, so the deferred install is byte-identical to publishing at
-///   the exporting barrier's tail as far as the learned tables are
-///   concerned; the mode additionally privatizes pair-table confidence
-///   batches per source shard (merged in fixed shard order), which is a
-///   model change gated by the fidelity suite. Deterministic and
-///   worker-count byte-invariant: the publish schedule is barrier-count
-///   pure and every merge ingests shard-indexed exports in shard order.
+/// When the epoch engine merges and installs learned state: only
+/// [`TrainMode::Sync`] remains; kept because `perfbench` sets it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum TrainMode {
-    /// Merge learned state synchronously at the exporting barrier.
+    /// Merge and install learned state inside the exporting barrier.
     #[default]
     Sync,
-    /// Merge off the barrier critical path; install one barrier later.
-    Async,
-}
-
-impl TrainMode {
-    /// Every selectable mode, in report order.
-    pub const ALL: [TrainMode; 2] = [TrainMode::Sync, TrainMode::Async];
-
-    /// Stable lowercase name (env values, report axes, engine tags).
-    pub fn label(&self) -> &'static str {
-        match self {
-            TrainMode::Sync => "sync",
-            TrainMode::Async => "async",
-        }
-    }
-
-    /// Parses an env-var value (`GARIBALDI_TRAIN_MODE` hardening: invalid
-    /// values must fail loudly, naming the variable and the value, never
-    /// silently fall back). `Ok(None)` when unset.
-    ///
-    /// # Errors
-    ///
-    /// Rejects anything but `"sync"` / `"async"` (trimmed).
-    pub fn parse(var: &str, raw: Option<&str>) -> Result<Option<Self>, String> {
-        let Some(raw) = raw else {
-            return Ok(None);
-        };
-        match raw.trim() {
-            "sync" => Ok(Some(TrainMode::Sync)),
-            "async" => Ok(Some(TrainMode::Async)),
-            other => Err(format!("{var} must be \"sync\" or \"async\", got {other:?}")),
-        }
-    }
 }
 
 /// The stream class an LLC-bound access belongs to. Instruction fetches
@@ -168,45 +69,6 @@ impl StreamClass {
             StreamClass::Data => 1,
         }
     }
-}
-
-/// A per-core issue-latency estimator.
-///
-/// Implementations must be pure functions of the observation sequence:
-/// [`LatencyEstimator::observe`] is called at epoch barriers only, in the
-/// core's request sequence order, so any state evolution is deterministic
-/// and worker-count invariant.
-pub trait LatencyEstimator {
-    /// Full access latency (cycles) to charge at issue time for an
-    /// LLC-bound access of `class`.
-    fn issue_estimate(&self, class: StreamClass) -> u64;
-
-    /// Learns from one drained demand outcome of `class`.
-    fn observe(&mut self, class: StreamClass, outcome: ReqOutcome);
-}
-
-/// The original engine behavior: every deferred access is charged the
-/// constant LLC-hit latency at issue time and corrected at the barrier.
-#[derive(Debug, Clone, Copy)]
-pub struct Optimistic {
-    hit_latency: u64,
-}
-
-impl Optimistic {
-    /// Estimator charging `cfg`'s L1+L2+LLC hit latency.
-    pub fn new(cfg: &SystemConfig) -> Self {
-        Self { hit_latency: cfg.l1_latency + cfg.l2_latency + cfg.llc_latency }
-    }
-}
-
-impl LatencyEstimator for Optimistic {
-    #[inline]
-    fn issue_estimate(&self, _class: StreamClass) -> u64 {
-        self.hit_latency
-    }
-
-    #[inline]
-    fn observe(&mut self, _class: StreamClass, _outcome: ReqOutcome) {}
 }
 
 /// EWMA weight: each new observation contributes 1/16. Small enough to
@@ -266,8 +128,7 @@ impl ClassEwma {
 /// Learned per-core, per-stream-class estimator: charges the expected
 /// access latency `P(hit)·E[lat|hit] + P(miss)·E[lat|miss]`, each term an
 /// EWMA over this core's drained outcomes. Cold state (no observations
-/// yet) falls back to the optimistic constant, so the first epoch is
-/// identical to [`Optimistic`].
+/// yet) falls back to the optimistic L1+L2+LLC hit constant.
 #[derive(Debug, Clone, Copy)]
 pub struct Ewma {
     hit_latency: u64,
@@ -282,55 +143,19 @@ impl Ewma {
             classes: [ClassEwma::default(); 2],
         }
     }
-}
 
-impl LatencyEstimator for Ewma {
+    /// Full access latency (cycles) to charge at issue time for an
+    /// LLC-bound access of `class`.
     #[inline]
-    fn issue_estimate(&self, class: StreamClass) -> u64 {
+    pub fn issue_estimate(&self, class: StreamClass) -> u64 {
         self.classes[class.idx()].expected(self.hit_latency)
     }
 
+    /// Learns from one drained demand outcome of `class`. Called at epoch
+    /// barriers only, in the core's request sequence order.
     #[inline]
-    fn observe(&mut self, class: StreamClass, outcome: ReqOutcome) {
+    pub fn observe(&mut self, class: StreamClass, outcome: ReqOutcome) {
         self.classes[class.idx()].observe(outcome);
-    }
-}
-
-/// Static dispatch over the configured estimator (one per core; the hot
-/// issue path must not pay a vtable call per LLC-bound access).
-#[derive(Debug, Clone, Copy)]
-pub enum AnyEstimator {
-    /// [`Optimistic`].
-    Optimistic(Optimistic),
-    /// [`Ewma`].
-    Ewma(Ewma),
-}
-
-impl AnyEstimator {
-    /// Builds the estimator `kind` for `cfg`.
-    pub fn new(kind: EstimatorKind, cfg: &SystemConfig) -> Self {
-        match kind {
-            EstimatorKind::Optimistic => AnyEstimator::Optimistic(Optimistic::new(cfg)),
-            EstimatorKind::Ewma => AnyEstimator::Ewma(Ewma::new(cfg)),
-        }
-    }
-}
-
-impl LatencyEstimator for AnyEstimator {
-    #[inline]
-    fn issue_estimate(&self, class: StreamClass) -> u64 {
-        match self {
-            AnyEstimator::Optimistic(e) => e.issue_estimate(class),
-            AnyEstimator::Ewma(e) => e.issue_estimate(class),
-        }
-    }
-
-    #[inline]
-    fn observe(&mut self, class: StreamClass, outcome: ReqOutcome) {
-        match self {
-            AnyEstimator::Optimistic(e) => e.observe(class, outcome),
-            AnyEstimator::Ewma(e) => e.observe(class, outcome),
-        }
     }
 }
 
@@ -422,7 +247,7 @@ pub fn correct_record(
     p: &PendingRecord,
     outcomes: &[ReqOutcome],
     cfg: &SystemConfig,
-    est: &mut AnyEstimator,
+    est: &mut Ewma,
     stats: &mut EstimatorStats,
 ) -> (f64, f64) {
     let actual_ifetch_stall = match p.ifetch.seq {
@@ -471,38 +296,12 @@ mod tests {
     }
 
     #[test]
-    fn kind_parse_accepts_names_and_rejects_garbage() {
-        assert_eq!(EstimatorKind::parse("X", None).unwrap(), None);
-        assert_eq!(
-            EstimatorKind::parse("X", Some(" optimistic ")).unwrap(),
-            Some(EstimatorKind::Optimistic)
-        );
-        assert_eq!(EstimatorKind::parse("X", Some("ewma")).unwrap(), Some(EstimatorKind::Ewma));
-        for bad in ["EWMA", "learned", "", "1"] {
-            let err = EstimatorKind::parse("GARIBALDI_ESTIMATOR", Some(bad)).unwrap_err();
-            assert!(err.contains("GARIBALDI_ESTIMATOR"), "{err}");
-        }
-    }
-
-    #[test]
-    fn optimistic_always_charges_the_hit_constant() {
-        let c = cfg();
-        let want = c.l1_latency + c.l2_latency + c.llc_latency;
-        let mut e = Optimistic::new(&c);
-        assert_eq!(e.issue_estimate(StreamClass::Ifetch), want);
-        for _ in 0..100 {
-            e.observe(StreamClass::Data, miss(5_000));
-        }
-        assert_eq!(e.issue_estimate(StreamClass::Data), want, "observations are ignored");
-    }
-
-    #[test]
     fn ewma_cold_state_matches_optimistic() {
+        // Cold state charges the optimistic L1+L2+LLC hit constant.
         let c = cfg();
         let e = Ewma::new(&c);
-        let opt = Optimistic::new(&c);
         for class in [StreamClass::Ifetch, StreamClass::Data] {
-            assert_eq!(e.issue_estimate(class), opt.issue_estimate(class));
+            assert_eq!(e.issue_estimate(class), c.l1_latency + c.l2_latency + c.llc_latency);
         }
     }
 
@@ -554,7 +353,7 @@ mod tests {
     #[test]
     fn correct_record_charges_the_estimate_outcome_gap() {
         let c = cfg();
-        let mut est = AnyEstimator::new(EstimatorKind::Optimistic, &c);
+        let mut est = Ewma::new(&c);
         let mut stats = EstimatorStats::default();
         let hitlat = c.l1_latency + c.l2_latency + c.llc_latency;
         let p = PendingRecord {

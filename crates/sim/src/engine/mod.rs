@@ -22,15 +22,12 @@
 //!    cross-shard Garibaldi traffic (pair updates keyed by the instruction
 //!    line's shard, pairwise prefetch fills keyed by the data line's) is
 //!    key-merged and applied in a second parallel shard pass; coherence
-//!    invalidations flow back to the private tiers; under the ewma
-//!    fidelity profile the shards pool their replacement-policy learned
-//!    state (merged on the barrier path under [`estimate::TrainMode::Sync`],
-//!    or — under [`estimate::TrainMode::Async`] — merged overlapped with
-//!    the next epoch's step phase and installed one barrier late, with
-//!    pair-table confidence updates privatized per source shard); and
-//!    every core's issue-time latency estimates are corrected
-//!    to the drained outcomes, which also train the configured
-//!    [`estimate::LatencyEstimator`]. All barrier orders are restored by
+//!    invalidations flow back to the private tiers; every
+//!    [`EngineConfig::sync_every`]-th barrier the shards pool their
+//!    replacement-policy learned state (one merge, installed into every
+//!    shard); and every core's issue-time latency estimates are corrected
+//!    to the drained outcomes, which also train its [`estimate::Ewma`]
+//!    estimator. All barrier orders are restored by
 //!    stable k-way merges of already-sorted runs ([`merge`]), never by
 //!    comparison sorts.
 //!
@@ -64,7 +61,7 @@ use crate::fault;
 use crate::metrics::{ConditionalMatrix, GaribaldiReport, ReuseSummary, RunResult};
 use crate::reuse::ReuseProfiler;
 use contain::{payload_str, FailState, SectionCtx};
-use estimate::{EstimatorStats, TrainMode};
+use estimate::EstimatorStats;
 use garibaldi::ThresholdUnit;
 use garibaldi_cache::{CacheConfig, CacheStats};
 use garibaldi_mem::DramStats;
@@ -109,30 +106,16 @@ struct ShardBuf {
 pub struct EngineStats {
     /// Epochs executed (one barrier each).
     pub epochs: u64,
-    /// Barriers executed (== epochs; kept separate for the sync account).
-    pub barriers: u64,
-    /// Barriers that ran the ewma learned-state sync (every
-    /// [`EngineConfig::sync_every`]-th barrier under the ewma profile).
+    /// Barriers that ran the learned-state sync (every
+    /// [`EngineConfig::sync_every`]-th barrier).
     pub learned_syncs: u64,
     /// Parallel cluster-step seconds.
     pub step_s: f64,
     /// Parallel shard-drain seconds (phase A).
     pub drain_s: f64,
-    /// Learned-state merge/install seconds on the barrier critical path:
-    /// the pooled-consensus merge plus the per-shard install under sync
-    /// training, the install alone under async training (where the merge
-    /// itself runs overlapped with the step phase — see `merge_bg_s`).
+    /// Learned-state export, pooled-consensus merge and per-shard install
+    /// seconds on the barrier path.
     pub merge_s: f64,
-    /// Learned-state merge seconds overlapped with cluster stepping
-    /// (async training only). Off the barrier critical path whenever the
-    /// host has a spare core; on a fully loaded host it shows up as
-    /// step-phase interference instead.
-    pub merge_bg_s: f64,
-    /// Cumulative published-state lag, in barriers, between a learned
-    /// export and its install: 0 under sync training (merged and
-    /// installed at the exporting barrier), +1 per sync under async
-    /// training (the consensus lands at the next barrier's entry).
-    pub publish_lag: u64,
     /// Invalidation + correction seconds (barrier tail, minus the
     /// learned-state work accounted in `merge_s`).
     pub apply_s: f64,
@@ -159,8 +142,7 @@ pub struct EngineStats {
 }
 
 impl EngineStats {
-    /// Total barrier seconds (everything except the cluster stepping and
-    /// the overlapped async merge, which runs during the step phase).
+    /// Total barrier seconds (everything except the cluster stepping).
     pub fn barrier_s(&self) -> f64 {
         self.drain_s + self.merge_s + self.apply_s + self.serial_s
     }
@@ -207,12 +189,6 @@ pub struct ParallelEngine<'p> {
     /// consensus serves all) and installed into every shard. Reused
     /// across syncs.
     learned_merged: Vec<u32>,
-    /// Async training: a consensus merge is pending. Exports were taken
-    /// at the last sync barrier's tail; the merge runs overlapped with
-    /// the next epoch's step phase and installs at the next barrier's
-    /// entry. Persists across `advance_to` calls (the schedule is a pure
-    /// function of the barrier count, never of wall clock or workers).
-    merge_pending: bool,
     /// Wall-clock phase account (always collected; printed under
     /// `GARIBALDI_ENGINE_STATS=1`, returned by `run_with_stats`).
     stats: EngineStats,
@@ -255,7 +231,7 @@ impl<'p> ParallelEngine<'p> {
             let lo = k * cfg.l2_cluster_size;
             let hi = (lo + cfg.l2_cluster_size).min(cfg.cores);
             let members: Vec<_> = cores.drain(..hi - lo).collect();
-            clusters.push(ClusterSim::new(cfg, k, lo, members, eng.estimator));
+            clusters.push(ClusterSim::new(cfg, k, lo, members));
         }
 
         Self {
@@ -278,7 +254,6 @@ impl<'p> ParallelEngine<'p> {
             inval_merged: Vec::new(),
             learned_exports: vec![Vec::new(); n_shards],
             learned_merged: Vec::new(),
-            merge_pending: false,
             stats: EngineStats::default(),
             fail: FailState::default(),
             watchdog,
@@ -369,48 +344,11 @@ impl<'p> ParallelEngine<'p> {
             let t0 = std::time::Instant::now();
             let workers = self.eng.workers.min(self.clusters.len()).max(1);
             let (fail, timeout) = (&self.fail, self.watchdog);
-            if self.merge_pending {
-                // Async training: fold the privatized learned-state
-                // exports into the pooled consensus *while* the clusters
-                // step the next epoch. The merge reads shard 0's policy
-                // baselines (identical on every shard) and the
-                // shard-indexed exports; the stepping mutates only the
-                // private tiers — disjoint state, so the overlap cannot
-                // change either side's bytes, only who waits for whom.
-                let (clusters, shards) = (&mut self.clusters, &self.shards);
-                let (exports, merged) = (&self.learned_exports, &mut self.learned_merged);
-                let bg = std::thread::scope(|s| {
-                    let h = s.spawn(move || {
-                        let tm = std::time::Instant::now();
-                        let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            fault::engine_hook(fault::Site::Merge, epoch, 0, fail.cancel_flag());
-                            shards[0].merge_policy_learned(exports, merged);
-                        }));
-                        if let Err(p) = res {
-                            fail.record(EngineError {
-                                epoch,
-                                shard: None,
-                                phase: "merge",
-                                payload: payload_str(p),
-                            });
-                        }
-                        tm.elapsed().as_secs_f64()
-                    });
-                    let ctx = SectionCtx { fail, epoch, phase: "step", timeout };
-                    run_per_cluster(clusters, workers, &ctx, |i, cl| {
-                        fault::engine_hook(fault::Site::Step, epoch, i, fail.cancel_flag());
-                        cl.step_epoch(epoch_end, target);
-                    });
-                    h.join().expect("merge monitor thread")
-                });
-                self.stats.merge_bg_s += bg;
-            } else {
-                let ctx = SectionCtx { fail, epoch, phase: "step", timeout };
-                run_per_cluster(&mut self.clusters, workers, &ctx, |i, cl| {
-                    fault::engine_hook(fault::Site::Step, epoch, i, fail.cancel_flag());
-                    cl.step_epoch(epoch_end, target);
-                });
-            }
+            let ctx = SectionCtx { fail, epoch, phase: "step", timeout };
+            run_per_cluster(&mut self.clusters, workers, &ctx, |i, cl| {
+                fault::engine_hook(fault::Site::Step, epoch, i, fail.cancel_flag());
+                cl.step_epoch(epoch_end, target);
+            });
             let t1 = std::time::Instant::now();
             self.stats.step_s += (t1 - t0).as_secs_f64();
             self.check()?;
@@ -424,8 +362,7 @@ impl<'p> ParallelEngine<'p> {
             let d = &self.stats;
             eprintln!(
                 "[engine] target={target} epochs={} step={:.3}s barrier={:.3}s \
-                 (drain={:.3}s merge={:.3}s apply={:.3}s serial={:.3}s syncs={} \
-                 merge_bg={:.3}s lag={})",
+                 (drain={:.3}s merge={:.3}s apply={:.3}s serial={:.3}s syncs={})",
                 d.epochs - before.epochs,
                 d.step_s - before.step_s,
                 d.barrier_s() - before.barrier_s(),
@@ -434,8 +371,6 @@ impl<'p> ParallelEngine<'p> {
                 d.apply_s - before.apply_s,
                 d.serial_s - before.serial_s,
                 d.learned_syncs - before.learned_syncs,
-                d.merge_bg_s - before.merge_bg_s,
-                d.publish_lag - before.publish_lag,
             );
             if let Some((max, mean)) = d.drain_imbalance() {
                 eprintln!(
@@ -471,30 +406,6 @@ impl<'p> ParallelEngine<'p> {
         let workers = self.eng.workers.max(1);
         let epoch = self.stats.epochs;
         let timeout = self.watchdog;
-        self.stats.barriers += 1;
-
-        // Async training: install the consensus merged during the step
-        // phase (from exports taken at the previous sync barrier's tail)
-        // before phase A consults the policies. Deferring the install
-        // from the exporting barrier's tail to here crosses only cluster
-        // stepping, which never touches shard policies — so the learned
-        // bytes installed are identical to a tail install; the lag the
-        // *next* training interval sees is what the fidelity sweep gates.
-        let mut t_install = std::time::Duration::ZERO;
-        if self.merge_pending {
-            let tm = std::time::Instant::now();
-            let merged = &self.learned_merged;
-            let ctx = SectionCtx { fail: &self.fail, epoch, phase: "install", timeout };
-            let _: Vec<()> =
-                run_per_shard(&mut self.shards, &mut self.shard_bufs, workers, &ctx, |_, sh, _| {
-                    sh.install_policy_learned(merged)
-                });
-            self.merge_pending = false;
-            self.stats.learned_syncs += 1;
-            self.stats.publish_lag += 1;
-            t_install = tm.elapsed();
-            self.check()?;
-        }
 
         let snap = ThresholdSnapshot {
             color: self.threshold.as_ref().map(|t| t.color()).unwrap_or(0),
@@ -591,18 +502,11 @@ impl<'p> ParallelEngine<'p> {
         self.replay_outcomes();
 
         // Phase B′: cross-shard commands, routed by target. Each shard
-        // drained in key order, so its command stream is already sorted.
-        //
-        // Sync training restores the serial engine's global order with a
-        // k-way merge of the per-shard runs (same-key batches — several
-        // pairwise-prefetch candidates of one request — stay in their
-        // shard's emission order). Async training privatizes the batches
-        // instead: each source shard's run is routed directly, in fixed
-        // shard order, so targets apply source-major batches without the
-        // serial merge. `LlcShard::apply_cmds` never reads the keys, so
-        // the two modes differ only in pair-table mutation *order* — a
-        // deterministic, worker-count-invariant model difference that the
-        // fidelity sweep gates like any other async drift.
+        // drained in key order, so its command stream is already sorted;
+        // a k-way merge of the per-shard runs restores the serial engine's
+        // global order (same-key batches — several pairwise-prefetch
+        // candidates of one request — stay in their shard's emission
+        // order).
         for v in self.cmd_routed.iter_mut() {
             v.clear();
         }
@@ -610,19 +514,11 @@ impl<'p> ParallelEngine<'p> {
             ShardCmd::PairUpdate { il, .. } => Self::shard_of_line(llc_sets, n_shards, il),
             ShardCmd::PairwisePrefetch { dl, .. } => Self::shard_of_line(llc_sets, n_shards, dl),
         };
-        if self.eng.train_mode == TrainMode::Async {
-            for b in &self.shard_bufs {
-                for &(k, cmd) in &b.out.cmds {
-                    self.cmd_routed[route(&cmd)].push((k, cmd));
-                }
-            }
-        } else {
-            let cmd_runs: Vec<&[(ReqKey, ShardCmd)]> =
-                self.shard_bufs.iter().map(|b| b.out.cmds.as_slice()).collect();
-            kway_merge_into(&cmd_runs, |&(k, _)| k, &mut self.cmd_merged);
-            for &(k, cmd) in &self.cmd_merged {
-                self.cmd_routed[route(&cmd)].push((k, cmd));
-            }
+        let cmd_runs: Vec<&[(ReqKey, ShardCmd)]> =
+            self.shard_bufs.iter().map(|b| b.out.cmds.as_slice()).collect();
+        kway_merge_into(&cmd_runs, |&(k, _)| k, &mut self.cmd_merged);
+        for &(k, cmd) in &self.cmd_merged {
+            self.cmd_routed[route(&cmd)].push((k, cmd));
         }
         let cmds_ctx = SectionCtx { fail: &self.fail, epoch, phase: "apply-cmds", timeout };
         let _: Vec<()> = run_per_shard(
@@ -653,74 +549,49 @@ impl<'p> ParallelEngine<'p> {
         self.invalidations += dropped.iter().sum::<u64>();
         self.check()?;
 
-        // Learned-state sync (the ewma fidelity profile only — the
-        // optimistic profile stays bit-identical to the pre-estimator
-        // engine): every shard's replacement policy trained its slice of
-        // the PC-indexed predictor on 1/n of the samples this epoch; the
+        // Learned-state sync: every shard's replacement policy trained
+        // its slice of the PC-indexed predictor on 1/n of the samples; the
         // shards export their privatized deltas, the deltas are merged
-        // once into a pooled consensus, and every shard installs it, so
-        // the sharded policy tracks the serial engine's one
-        // globally-trained instance. Exports are indexed by shard and the
-        // merge is a pure function of them — worker-count invariant.
-        //
-        // The sync runs every `sync_every`-th barrier (`--sync-every` /
-        // `GARIBALDI_SYNC_EVERY`): the barrier count is a pure function of
-        // the simulated schedule, so the sync schedule — and therefore the
-        // results — stay worker-count invariant for every `sync_every`.
+        // once into a pooled consensus — the baselines are identical on
+        // every shard, so shard 0's consensus serves all — and every shard
+        // installs it, so the sharded policy tracks the serial engine's
+        // one globally-trained instance. Exports are indexed by shard and
+        // the merge is a pure function of them, and the sync runs every
+        // `sync_every`-th epoch, a pure function of the simulated schedule
+        // — worker-count invariant for every cadence.
         let mut t_sync = std::time::Duration::ZERO;
-        if self.eng.estimator == estimate::EstimatorKind::Ewma
-            && self.stats.barriers % self.eng.sync_every.max(1) as u64 == 0
-        {
+        if epoch % self.eng.sync_every.max(1) as u64 == 0 {
             let tm = std::time::Instant::now();
             for (sh, buf) in self.shards.iter().zip(self.learned_exports.iter_mut()) {
                 sh.export_policy_learned_into(buf);
             }
             if self.learned_exports.iter().any(|e| !e.is_empty()) {
-                match self.eng.train_mode {
-                    // Merge the privatized deltas once — the baselines
-                    // are identical on every shard, so shard 0's
-                    // consensus serves all — and install it everywhere:
-                    // byte-identical to each shard merging redundantly,
-                    // at 1/n_shards the merge work.
-                    TrainMode::Sync => {
-                        let (shards, exports, merged, fail) = (
-                            &self.shards,
-                            &self.learned_exports,
-                            &mut self.learned_merged,
-                            &self.fail,
-                        );
-                        let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            fault::engine_hook(fault::Site::Merge, epoch, 0, fail.cancel_flag());
-                            shards[0].merge_policy_learned(exports, merged);
-                        }));
-                        if let Err(p) = res {
-                            fail.record(EngineError {
-                                epoch,
-                                shard: None,
-                                phase: "merge",
-                                payload: payload_str(p),
-                            });
-                        }
-                        self.check()?;
-                        let merged = &self.learned_merged;
-                        let ctx = SectionCtx { fail: &self.fail, epoch, phase: "install", timeout };
-                        let _: Vec<()> = run_per_shard(
-                            &mut self.shards,
-                            &mut self.shard_bufs,
-                            workers,
-                            &ctx,
-                            |_, sh, _| sh.install_policy_learned(merged),
-                        );
-                        self.stats.learned_syncs += 1;
-                        self.check()?;
-                    }
-                    // Defer: the merge overlaps the next epoch's step
-                    // phase and the install lands at the next barrier's
-                    // entry. Both the deferral and the install point are
-                    // pure functions of the barrier count — worker-count
-                    // invariant for any cadence.
-                    TrainMode::Async => self.merge_pending = true,
+                let (shards, exports, merged, fail) =
+                    (&self.shards, &self.learned_exports, &mut self.learned_merged, &self.fail);
+                let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    fault::engine_hook(fault::Site::Merge, epoch, 0, fail.cancel_flag());
+                    shards[0].merge_policy_learned(exports, merged);
+                }));
+                if let Err(p) = res {
+                    fail.record(EngineError {
+                        epoch,
+                        shard: None,
+                        phase: "merge",
+                        payload: payload_str(p),
+                    });
                 }
+                self.check()?;
+                let merged = &self.learned_merged;
+                let ctx = SectionCtx { fail: &self.fail, epoch, phase: "install", timeout };
+                let _: Vec<()> = run_per_shard(
+                    &mut self.shards,
+                    &mut self.shard_bufs,
+                    workers,
+                    &ctx,
+                    |_, sh, _| sh.install_policy_learned(merged),
+                );
+                self.stats.learned_syncs += 1;
+                self.check()?;
             }
             t_sync = tm.elapsed();
         }
@@ -731,9 +602,9 @@ impl<'p> ParallelEngine<'p> {
         let t_apply = ta.elapsed() - t_sync;
         let total = t0.elapsed();
         self.stats.drain_s += t_drain.as_secs_f64();
-        self.stats.merge_s += (t_install + t_sync).as_secs_f64();
+        self.stats.merge_s += t_sync.as_secs_f64();
         self.stats.apply_s += t_apply.as_secs_f64();
-        self.stats.serial_s += (total - t_drain - t_apply - t_install - t_sync).as_secs_f64();
+        self.stats.serial_s += (total - t_drain - t_apply - t_sync).as_secs_f64();
         self.check()
     }
 
@@ -825,9 +696,8 @@ impl<'p> ParallelEngine<'p> {
                 }
             }
             eprintln!(
-                "[engine] estimator={} samples={} bias={:+.2} rms={:.2} \
+                "[engine] estimator=ewma samples={} bias={:+.2} rms={:.2} \
                  (issue estimate − drained latency, cycles, measured region)",
-                self.eng.estimator.label(),
                 est.samples,
                 est.bias(),
                 est.rms(),

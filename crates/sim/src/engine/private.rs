@@ -9,14 +9,13 @@
 //! never of which worker thread runs it. Anything shared beyond the
 //! cluster is deferred as an [`LlcRequest`] and resolved at the epoch
 //! barrier; the latency gap between the issue-time estimate (produced by
-//! the configured [`LatencyEstimator`], see [`super::estimate`]) and the
+//! the core's [`Ewma`] estimator, see [`super::estimate`]) and the
 //! drained outcome is charged back through
 //! [`ClusterSim::apply_corrections`], which also feeds the outcomes back
 //! into the estimator's learned state.
 
 use super::estimate::{
-    correct_record, AnyEstimator, EstimatorStats, LatencyEstimator, PendingRecord, PendingRef,
-    StreamClass,
+    correct_record, EstimatorStats, Ewma, PendingRecord, PendingRef, StreamClass,
 };
 use super::request::{InvalCmd, LlcRequest, ReqKey, ReqKind, ReqOutcome};
 use crate::config::SystemConfig;
@@ -87,7 +86,7 @@ pub struct EpochCore<'p> {
     pending: Vec<PendingRecord>,
     /// Issue-latency estimator (frozen within an epoch, learns at
     /// barriers — see [`super::estimate`]).
-    est: AnyEstimator,
+    est: Ewma,
     /// Estimate-vs-outcome error account over the measured region.
     pub est_stats: EstimatorStats,
 }
@@ -151,7 +150,7 @@ impl<'p> EpochCore<'p> {
 }
 
 /// Result of a private-tier access: resolved with a final latency, or
-/// LLC-bound with the optimistic estimate and the buffered request's seq.
+/// LLC-bound with the issue-time estimate and the buffered request's seq.
 enum TierRes {
     Done(u64),
     Pending { est: u64, seq: u32 },
@@ -231,13 +230,12 @@ pub struct ClusterSim<'p> {
 
 impl<'p> ClusterSim<'p> {
     /// Builds cluster `cluster` with one `(source, space)` pair per core,
-    /// each issuing through a fresh `estimator`-kind latency estimator.
+    /// each issuing through a fresh [`Ewma`] latency estimator.
     pub fn new(
         cfg: &SystemConfig,
         cluster: usize,
         core_base: usize,
         cores: Vec<(RecordSource<'p>, SharedAddressSpace)>,
-        estimator: super::estimate::EstimatorKind,
     ) -> Self {
         let n = cores.len();
         let tier = ClusterTier {
@@ -300,7 +298,7 @@ impl<'p> ClusterSim<'p> {
                 demand_idx: Vec::new(),
                 outcomes: Vec::new(),
                 pending: Vec::new(),
-                est: AnyEstimator::new(estimator, cfg),
+                est: Ewma::new(cfg),
                 est_stats: EstimatorStats::default(),
             })
             .collect();

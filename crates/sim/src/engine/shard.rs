@@ -151,30 +151,18 @@ impl LlcShard {
     }
 
     /// Exports this shard's replacement-policy learned state (empty when
-    /// the policy has none) for the barrier's learned-state sync.
-    pub fn export_policy_learned(&self) -> Vec<u32> {
-        self.cache.export_policy_learned()
-    }
-
-    /// [`LlcShard::export_policy_learned`] into an engine-owned buffer
-    /// (cleared first) — the sync exports per shard per synced barrier,
-    /// so the buffers are arena-reused across epochs.
+    /// the policy has none) into an engine-owned buffer (cleared first)
+    /// for the barrier's learned-state sync — the sync exports per shard
+    /// per synced barrier, so the buffers are arena-reused across epochs.
     pub fn export_policy_learned_into(&self, out: &mut Vec<u32>) {
         self.cache.export_policy_learned_into(out);
-    }
-
-    /// Installs the consensus of all shards' policy exports (the
-    /// learned-state sync's second half; deterministic in shard order).
-    pub fn import_policy_learned(&mut self, peers: &[Vec<u32>]) {
-        self.cache.import_policy_learned(peers);
     }
 
     /// Computes the consensus of all shards' policy exports into `out`
     /// without touching shard state. The merge is a pure function of the
     /// shard-ordered exports (see
     /// [`garibaldi_cache::ReplacementPolicy::merge_learned`]), so the
-    /// engine computes it once — on any shard, or on a thread overlapped
-    /// with the next epoch's step phase — and installs the same bytes
+    /// engine computes it once, on any shard, and installs the same bytes
     /// into every shard.
     pub fn merge_policy_learned(&self, peers: &[Vec<u32>], out: &mut Vec<u32>) {
         self.cache.merge_policy_learned(peers, out);

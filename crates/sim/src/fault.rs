@@ -52,7 +52,7 @@ pub enum Site {
     Step,
     /// A per-shard drain closure at the epoch barrier (phase A).
     Drain,
-    /// The learned-state merge (synchronous tail or async overlap thread).
+    /// The learned-state merge at a syncing barrier.
     Merge,
 }
 

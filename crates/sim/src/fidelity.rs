@@ -18,7 +18,6 @@
 
 use crate::checkpoint::{self, esc, num, Json};
 use crate::config::{EngineChoice, EngineConfig, LlcScheme};
-use crate::engine::estimate::{EstimatorKind, TrainMode};
 use crate::experiment::{geomean, ExperimentScale};
 use crate::metrics::{MetricDiff, RunDiff, RunResult};
 use garibaldi_cache::PolicyKind;
@@ -79,32 +78,20 @@ pub struct FidelityJob {
 }
 
 /// A full sweep: every point on the serial engine once, plus once per
-/// (`epoch_cycles` grid value × issue-latency estimator) on the parallel
-/// engine.
+/// `epoch_cycles` grid value on the parallel engine.
 #[derive(Debug, Clone)]
 pub struct FidelitySuite {
     /// Scale every point runs at.
     pub scale: ExperimentScale,
     /// `epoch_cycles` values under test.
     pub epoch_grid: Vec<u64>,
-    /// Issue-latency estimators under test (the second model axis; see
-    /// `sim::engine::estimate`).
-    pub estimators: Vec<EstimatorKind>,
     /// LLC shard count for the parallel runs.
     pub llc_shards: usize,
     /// Learned-state sync cadence for the parallel runs
-    /// ([`EngineConfig::sync_every`]): the ewma sync runs every this many
-    /// barriers. Only the ewma estimator is sensitive to it; its engine
-    /// tags embed non-default values, so suite keys never collide across
-    /// cadences.
+    /// ([`EngineConfig::sync_every`]): the sync runs every this many
+    /// barriers. Engine tags embed the cadence, so suite keys never
+    /// collide across cadences.
     pub sync_every: usize,
-    /// Learned-state training mode for the parallel runs
-    /// ([`EngineConfig::train_mode`]): synchronous (merge + install on the
-    /// barrier critical path) or asynchronous (merge overlapped with the
-    /// next epoch's step phase, installed one barrier late). Async engine
-    /// tags embed an `-async` suffix, so suite keys never collide across
-    /// modes.
-    pub train_mode: TrainMode,
     /// Per-figure speedup aggregates: `(figure, metric)`.
     pub figure_metrics: Vec<(String, SpeedupMetric)>,
     /// Comparison points. Within each figure, every case must include an
@@ -161,10 +148,8 @@ impl FidelitySuite {
         Self {
             scale,
             epoch_grid,
-            estimators: EstimatorKind::ALL.to_vec(),
             llc_shards: EngineConfig::default().llc_shards,
             sync_every: EngineConfig::default().sync_every,
-            train_mode: EngineConfig::default().train_mode,
             figure_metrics: vec![
                 ("fig11".into(), SpeedupMetric::IpcSum),
                 ("fig12".into(), SpeedupMetric::HarmonicMeanIpc),
@@ -173,32 +158,23 @@ impl FidelitySuite {
         }
     }
 
-    /// The parallel-engine config for one (grid value, estimator) cell.
-    pub fn engine_at(&self, epoch_cycles: u64, estimator: EstimatorKind) -> EngineConfig {
+    /// The parallel-engine config for one grid value.
+    pub fn engine_at(&self, epoch_cycles: u64) -> EngineConfig {
         EngineConfig {
-            workers: 1,
             epoch_cycles,
             llc_shards: self.llc_shards,
-            estimator,
             sync_every: self.sync_every,
-            train_mode: self.train_mode,
+            ..EngineConfig::default()
         }
     }
 
     /// Enumerates every simulation of the sweep in a fixed order: the
-    /// serial baseline block first, then one block per `epoch_grid` value
-    /// × estimator (epoch-major, estimator-minor).
+    /// serial baseline block first, then one block per `epoch_grid` value.
     /// [`FidelitySuite::assemble`] consumes results in exactly this order.
     pub fn jobs(&self) -> Vec<FidelityJob> {
-        let blocks = 1 + self.epoch_grid.len() * self.estimators.len();
-        let mut jobs = Vec::with_capacity(self.points.len() * blocks);
+        let mut jobs = Vec::with_capacity(self.points.len() * (1 + self.epoch_grid.len()));
         let engines: Vec<EngineChoice> = std::iter::once(EngineChoice::Serial)
-            .chain(
-                self.epoch_grid
-                    .iter()
-                    .flat_map(|&e| self.estimators.iter().map(move |&k| (e, k)))
-                    .map(|(e, k)| EngineChoice::Parallel(self.engine_at(e, k))),
-            )
+            .chain(self.epoch_grid.iter().map(|&e| EngineChoice::Parallel(self.engine_at(e))))
             .collect();
         for engine in engines {
             for (i, p) in self.points.iter().enumerate() {
@@ -220,7 +196,7 @@ impl FidelitySuite {
 
     /// Reduces run results (in [`FidelitySuite::jobs`] order) into the
     /// report: per-point metric diffs and per-figure geomean errors, per
-    /// (epoch, estimator) cell.
+    /// epoch.
     ///
     /// # Panics
     ///
@@ -230,40 +206,31 @@ impl FidelitySuite {
         let n = self.points.len();
         assert_eq!(
             results.len(),
-            n * (1 + self.epoch_grid.len() * self.estimators.len()),
+            n * (1 + self.epoch_grid.len()),
             "one result per FidelitySuite::jobs entry"
         );
         let serial = &results[..n];
         let mut cells = Vec::new();
         let mut figures = Vec::new();
         for (g, &epoch) in self.epoch_grid.iter().enumerate() {
-            for (s, &kind) in self.estimators.iter().enumerate() {
-                let b = 1 + g * self.estimators.len() + s;
-                let par = &results[n * b..n * (b + 1)];
-                let estimator = kind.label();
-                for (i, p) in self.points.iter().enumerate() {
-                    cells.push(FidelityCell {
-                        figure: p.figure.clone(),
-                        case: p.case.clone(),
-                        scheme: p.scheme.label(),
-                        epoch_cycles: epoch,
-                        estimator,
-                        diff: par[i].diff(&serial[i]),
-                    });
-                }
-                for (figure, metric) in &self.figure_metrics {
-                    figures.extend(
-                        self.figure_geomeans(figure, *metric, epoch, estimator, serial, par),
-                    );
-                }
+            let par = &results[n * (g + 1)..n * (g + 2)];
+            for (i, p) in self.points.iter().enumerate() {
+                cells.push(FidelityCell {
+                    figure: p.figure.clone(),
+                    case: p.case.clone(),
+                    scheme: p.scheme.label(),
+                    epoch_cycles: epoch,
+                    diff: par[i].diff(&serial[i]),
+                });
+            }
+            for (figure, metric) in &self.figure_metrics {
+                figures.extend(self.figure_geomeans(figure, *metric, epoch, serial, par));
             }
         }
         FidelityReport {
             epoch_grid: self.epoch_grid.clone(),
-            estimators: self.estimators.iter().map(|k| k.label()).collect(),
             llc_shards: self.llc_shards,
             sync_every: self.sync_every,
-            train_mode: self.train_mode.label(),
             cells,
             figures,
         }
@@ -276,7 +243,6 @@ impl FidelitySuite {
         figure: &str,
         metric: SpeedupMetric,
         epoch: u64,
-        estimator: &'static str,
         serial: &[RunResult],
         par: &[RunResult],
     ) -> Vec<FigureGeomean> {
@@ -324,7 +290,6 @@ impl FidelitySuite {
                     scheme: scheme.clone(),
                     metric: metric.name(),
                     epoch_cycles: epoch,
-                    estimator,
                     serial_geomean: s,
                     parallel_geomean: p,
                     rel_err: crate::metrics::rel_err(s, p),
@@ -334,7 +299,7 @@ impl FidelitySuite {
     }
 }
 
-/// One (point, epoch, estimator) comparison: the parallel run's metric
+/// One (point, epoch) comparison: the parallel run's metric
 /// diff against the matched serial run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FidelityCell {
@@ -346,8 +311,6 @@ pub struct FidelityCell {
     pub scheme: String,
     /// Parallel engine's epoch window.
     pub epoch_cycles: u64,
-    /// Parallel engine's issue-latency estimator.
-    pub estimator: &'static str,
     /// Per-metric relative errors.
     pub diff: RunDiff,
 }
@@ -364,8 +327,6 @@ pub struct FigureGeomean {
     pub metric: &'static str,
     /// Parallel engine's epoch window.
     pub epoch_cycles: u64,
-    /// Parallel engine's issue-latency estimator.
-    pub estimator: &'static str,
     /// Serial-engine geomean speedup over LRU.
     pub serial_geomean: f64,
     /// Parallel-engine geomean speedup over LRU.
@@ -379,26 +340,19 @@ pub struct FigureGeomean {
 pub struct FidelityReport {
     /// `epoch_cycles` values swept.
     pub epoch_grid: Vec<u64>,
-    /// Estimator axis (labels, in sweep order).
-    pub estimators: Vec<&'static str>,
     /// LLC shard count of the parallel runs.
     pub llc_shards: usize,
-    /// Learned-state sync cadence of the parallel runs (ewma only; 1 =
-    /// every barrier, the pre-knob behavior).
+    /// Learned-state sync cadence of the parallel runs (1 = every
+    /// barrier).
     pub sync_every: usize,
-    /// Learned-state training-mode label of the parallel runs (`"sync"`
-    /// = merged on the barrier critical path, `"async"` = merged off it,
-    /// installed one barrier late).
-    pub train_mode: &'static str,
-    /// Per-(point, epoch, estimator) metric diffs.
+    /// Per-(point, epoch) metric diffs.
     pub cells: Vec<FidelityCell>,
-    /// Per-(figure, scheme, epoch, estimator) geomean comparisons.
+    /// Per-(figure, scheme, epoch) geomean comparisons.
     pub figures: Vec<FigureGeomean>,
 }
 
 impl FidelityReport {
-    /// Largest per-metric relative error across all cells at `epoch`,
-    /// across every estimator.
+    /// Largest per-metric relative error across all cells at `epoch`.
     pub fn max_cell_err(&self, epoch: u64) -> f64 {
         self.cells
             .iter()
@@ -407,17 +361,8 @@ impl FidelityReport {
             .fold(0.0, f64::max)
     }
 
-    /// [`FidelityReport::max_cell_err`] restricted to one estimator.
-    pub fn max_cell_err_for(&self, epoch: u64, estimator: &str) -> f64 {
-        self.cells
-            .iter()
-            .filter(|c| c.epoch_cycles == epoch && c.estimator == estimator)
-            .map(|c| c.diff.max_rel_err())
-            .fold(0.0, f64::max)
-    }
-
-    /// Largest figure-geomean relative error at `epoch`, across every
-    /// estimator — the number the acceptance tolerance gates on.
+    /// Largest figure-geomean relative error at `epoch` — the number the
+    /// acceptance tolerance gates on.
     pub fn max_figure_err(&self, epoch: u64) -> f64 {
         self.figures
             .iter()
@@ -426,48 +371,18 @@ impl FidelityReport {
             .fold(0.0, f64::max)
     }
 
-    /// [`FidelityReport::max_figure_err`] restricted to one estimator.
-    pub fn max_figure_err_for(&self, epoch: u64, estimator: &str) -> f64 {
-        self.figures
-            .iter()
-            .filter(|f| f.epoch_cycles == epoch && f.estimator == estimator)
-            .map(|f| f.rel_err)
-            .fold(0.0, f64::max)
-    }
-
-    /// The best (epoch, estimator) recommendation: the largest grid epoch
-    /// where *some* estimator keeps the figure-geomean error within `tol`
-    /// (largest = fewest barriers = fastest), together with the estimator
-    /// achieving the smallest error there; falls back to the overall
-    /// minimum-error cell when none qualifies.
-    pub fn recommend(&self, tol: f64) -> Option<(u64, &'static str)> {
-        let best_at = |e: u64| -> Option<(&'static str, f64)> {
-            self.estimators
-                .iter()
-                .map(|&k| (k, self.max_figure_err_for(e, k)))
-                .min_by(|a, b| a.1.total_cmp(&b.1))
-        };
-        let within: Option<u64> = self
-            .epoch_grid
-            .iter()
-            .copied()
-            .filter(|&e| best_at(e).is_some_and(|(_, err)| err <= tol))
-            .max();
-        let epoch = match within {
-            Some(e) => Some(e),
-            None => self.epoch_grid.iter().copied().min_by(|&a, &b| {
-                let ea = best_at(a).map(|(_, e)| e).unwrap_or(f64::INFINITY);
-                let eb = best_at(b).map(|(_, e)| e).unwrap_or(f64::INFINITY);
-                ea.total_cmp(&eb)
-            }),
-        };
-        epoch.and_then(|e| best_at(e).map(|(k, _)| (e, k)))
-    }
-
-    /// [`FidelityReport::recommend`]'s epoch alone (back-compatible
-    /// helper).
+    /// The recommended epoch window: the largest grid epoch whose
+    /// figure-geomean error stays within `tol` (largest = fewest barriers
+    /// = fastest); falls back to the minimum-error epoch when none
+    /// qualifies.
     pub fn recommend_epoch(&self, tol: f64) -> Option<u64> {
-        self.recommend(tol).map(|(e, _)| e)
+        let within = self.epoch_grid.iter().copied().filter(|&e| self.max_figure_err(e) <= tol);
+        within.max().or_else(|| {
+            self.epoch_grid
+                .iter()
+                .copied()
+                .min_by(|&a, &b| self.max_figure_err(a).total_cmp(&self.max_figure_err(b)))
+        })
     }
 
     /// Serializes the report as JSON lines: a `meta` line, one `cell` line
@@ -477,15 +392,10 @@ impl FidelityReport {
     pub fn to_json_lines(&self) -> String {
         let mut out = String::new();
         let grid = self.epoch_grid.iter().map(u64::to_string).collect::<Vec<_>>().join(",");
-        let ests =
-            self.estimators.iter().map(|k| format!("\"{}\"", esc(k))).collect::<Vec<_>>().join(",");
         let _ = writeln!(
             out,
-            "{{\"type\":\"meta\",\"epoch_grid\":[{grid}],\"estimators\":[{ests}],\
-             \"llc_shards\":{},\"sync_every\":{},\"train_mode\":\"{}\"}}",
-            self.llc_shards,
-            self.sync_every,
-            esc(self.train_mode)
+            "{{\"type\":\"meta\",\"epoch_grid\":[{grid}],\"llc_shards\":{},\"sync_every\":{}}}",
+            self.llc_shards, self.sync_every
         );
         for c in &self.cells {
             let metrics = c
@@ -506,25 +416,23 @@ impl FidelityReport {
             let _ = writeln!(
                 out,
                 "{{\"type\":\"cell\",\"figure\":\"{}\",\"case\":\"{}\",\"scheme\":\"{}\",\
-                 \"epoch_cycles\":{},\"estimator\":\"{}\",\"metrics\":[{metrics}]}}",
+                 \"epoch_cycles\":{},\"metrics\":[{metrics}]}}",
                 esc(&c.figure),
                 esc(&c.case),
                 esc(&c.scheme),
-                c.epoch_cycles,
-                esc(c.estimator)
+                c.epoch_cycles
             );
         }
         for f in &self.figures {
             let _ = writeln!(
                 out,
                 "{{\"type\":\"figure\",\"figure\":\"{}\",\"scheme\":\"{}\",\"metric\":\"{}\",\
-                 \"epoch_cycles\":{},\"estimator\":\"{}\",\"serial_geomean\":{},\
+                 \"epoch_cycles\":{},\"serial_geomean\":{},\
                  \"parallel_geomean\":{},\"rel_err\":{}}}",
                 esc(&f.figure),
                 esc(&f.scheme),
                 esc(f.metric),
                 f.epoch_cycles,
-                esc(f.estimator),
                 num(f.serial_geomean),
                 num(f.parallel_geomean),
                 num(f.rel_err)
@@ -533,14 +441,11 @@ impl FidelityReport {
         let maxima = self
             .epoch_grid
             .iter()
-            .flat_map(|&e| self.estimators.iter().map(move |&k| (e, k)))
-            .map(|(e, k)| {
+            .map(|&e| {
                 format!(
-                    "{{\"epoch_cycles\":{e},\"estimator\":\"{}\",\"max_cell_err\":{},\
-                     \"max_figure_err\":{}}}",
-                    esc(k),
-                    num(self.max_cell_err_for(e, k)),
-                    num(self.max_figure_err_for(e, k))
+                    "{{\"epoch_cycles\":{e},\"max_cell_err\":{},\"max_figure_err\":{}}}",
+                    num(self.max_cell_err(e)),
+                    num(self.max_figure_err(e))
                 )
             })
             .collect::<Vec<_>>()
@@ -551,13 +456,12 @@ impl FidelityReport {
 
     /// Parses [`FidelityReport::to_json_lines`] output back (summary lines
     /// are recomputed, not trusted). Unparseable lines are skipped, like
-    /// checkpoint loading.
+    /// checkpoint loading, and the retired `estimator(s)` / `train_mode`
+    /// fields of older reports are ignored.
     pub fn parse_json_lines(text: &str) -> Option<FidelityReport> {
         let mut epoch_grid = Vec::new();
-        let mut estimators: Vec<&'static str> = Vec::new();
         let mut llc_shards = 0usize;
         let mut sync_every = 1usize;
-        let mut train_mode = TrainMode::default().label();
         let mut cells = Vec::new();
         let mut figures = Vec::new();
         let mut saw_meta = false;
@@ -574,25 +478,12 @@ impl FidelityReport {
                         0 => 1,
                         k => k,
                     };
-                    // Reports written before the train-mode axis carry no
-                    // field: they were measured in the then-only
-                    // synchronous mode.
-                    train_mode = train_mode_name(&j.str_field("train_mode"));
                     if let Some(Json::Arr(v)) = j.get("epoch_grid") {
                         epoch_grid = v
                             .iter()
                             .filter_map(|e| match e {
                                 Json::UInt(n) => Some(*n),
                                 Json::Num(n) => Some(*n as u64),
-                                _ => None,
-                            })
-                            .collect();
-                    }
-                    if let Some(Json::Arr(v)) = j.get("estimators") {
-                        estimators = v
-                            .iter()
-                            .filter_map(|e| match e {
-                                Json::Str(s) => Some(estimator_name(s)),
                                 _ => None,
                             })
                             .collect();
@@ -616,7 +507,6 @@ impl FidelityReport {
                         case: j.str_field("case"),
                         scheme: j.str_field("scheme"),
                         epoch_cycles: j.u64_field("epoch_cycles"),
-                        estimator: estimator_name(&j.str_field("estimator")),
                         diff: RunDiff { metrics },
                     });
                 }
@@ -625,7 +515,6 @@ impl FidelityReport {
                     scheme: j.str_field("scheme"),
                     metric: metric_name(&j.str_field("metric")),
                     epoch_cycles: j.u64_field("epoch_cycles"),
-                    estimator: estimator_name(&j.str_field("estimator")),
                     serial_geomean: j.f64_field("serial_geomean"),
                     parallel_geomean: j.f64_field("parallel_geomean"),
                     rel_err: j.f64_field("rel_err"),
@@ -633,68 +522,50 @@ impl FidelityReport {
                 _ => {}
             }
         }
-        if estimators.is_empty() {
-            // Reports written before the estimator axis existed carry only
-            // the then-only optimistic estimator.
-            estimators = vec![EstimatorKind::Optimistic.label()];
-        }
-        saw_meta.then_some(FidelityReport {
-            epoch_grid,
-            estimators,
-            llc_shards,
-            sync_every,
-            train_mode,
-            cells,
-            figures,
-        })
+        saw_meta.then_some(FidelityReport { epoch_grid, llc_shards, sync_every, cells, figures })
     }
 
-    /// Renders the human-readable summary: one row per (epoch, estimator)
-    /// with the worst cell/figure errors, then the per-figure geomean
-    /// table.
+    /// Renders the human-readable summary: one row per epoch with the
+    /// worst cell/figure errors, then the per-figure geomean table.
     pub fn human_table(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "{:>12}  {:>10}  {:>14}  {:>16}  worst cell",
-            "epoch_cycles", "estimator", "max cell err", "max figure err"
+            "{:>12}  {:>14}  {:>16}  worst cell",
+            "epoch_cycles", "max cell err", "max figure err"
         );
         for &e in &self.epoch_grid {
-            for &k in &self.estimators {
-                let worst = self
-                    .cells
-                    .iter()
-                    .filter(|c| c.epoch_cycles == e && c.estimator == k)
-                    .max_by(|a, b| a.diff.max_rel_err().total_cmp(&b.diff.max_rel_err()));
-                let desc = worst
-                    .map(|c| {
-                        let m = c.diff.worst().map(|m| m.name).unwrap_or("-");
-                        format!("{}/{}/{} ({m})", c.figure, c.case, c.scheme)
-                    })
-                    .unwrap_or_default();
-                let _ = writeln!(
-                    out,
-                    "{:>12}  {:>10}  {:>13.4}%  {:>15.4}%  {desc}",
-                    e,
-                    k,
-                    self.max_cell_err_for(e, k) * 100.0,
-                    self.max_figure_err_for(e, k) * 100.0
-                );
-            }
+            let worst = self
+                .cells
+                .iter()
+                .filter(|c| c.epoch_cycles == e)
+                .max_by(|a, b| a.diff.max_rel_err().total_cmp(&b.diff.max_rel_err()));
+            let desc = worst
+                .map(|c| {
+                    let m = c.diff.worst().map(|m| m.name).unwrap_or("-");
+                    format!("{}/{}/{} ({m})", c.figure, c.case, c.scheme)
+                })
+                .unwrap_or_default();
+            let _ = writeln!(
+                out,
+                "{:>12}  {:>13.4}%  {:>15.4}%  {desc}",
+                e,
+                self.max_cell_err(e) * 100.0,
+                self.max_figure_err(e) * 100.0
+            );
         }
         let _ = writeln!(
             out,
-            "\n{:>6} {:>22} {:>12} {:>10} {:>10} {:>10} {:>9}",
-            "figure", "scheme", "epoch", "estimator", "serial", "parallel", "err"
+            "\n{:>6} {:>22} {:>12} {:>10} {:>10} {:>9}",
+            "figure", "scheme", "epoch", "serial", "parallel", "err"
         );
         for f in &self.figures {
             let _ = writeln!(
                 out,
-                "{:>6} {:>22} {:>12} {:>10} {:>10.4} {:>10.4} {:>8.4}%",
+                "{:>6} {:>22} {:>12} {:>10.4} {:>10.4} {:>8.4}%",
                 f.figure,
                 f.scheme,
                 f.epoch_cycles,
-                f.estimator,
                 f.serial_geomean,
                 f.parallel_geomean,
                 f.rel_err * 100.0
@@ -719,28 +590,6 @@ fn metric_name(name: &str) -> &'static str {
         "geomean_speedup",
     ];
     KNOWN.iter().find(|k| **k == name).copied().unwrap_or("unknown_metric")
-}
-
-/// Interns a parsed estimator label. Absent/empty fields (reports written
-/// before the estimator axis) mean the then-only optimistic estimator;
-/// any *other* unknown label maps to a sentinel rather than a real
-/// estimator, so rows from a newer build are never silently misattributed
-/// (mirrors [`metric_name`]'s `"unknown_metric"` convention).
-fn estimator_name(name: &str) -> &'static str {
-    if name.is_empty() {
-        return EstimatorKind::Optimistic.label();
-    }
-    EstimatorKind::ALL.iter().map(|k| k.label()).find(|l| *l == name).unwrap_or("unknown_estimator")
-}
-
-/// Interns a parsed train-mode label. Absent/empty fields (reports written
-/// before the train-mode axis) mean the then-only synchronous mode; any
-/// *other* unknown label maps to a sentinel (mirrors [`estimator_name`]).
-fn train_mode_name(name: &str) -> &'static str {
-    if name.is_empty() {
-        return TrainMode::Sync.label();
-    }
-    TrainMode::ALL.iter().map(|m| m.label()).find(|l| *l == name).unwrap_or("unknown_train_mode")
 }
 
 #[cfg(test)]
@@ -789,10 +638,8 @@ mod tests {
         FidelitySuite {
             scale,
             epoch_grid: vec![100, 200],
-            estimators: vec![EstimatorKind::Optimistic],
             llc_shards: 2,
             sync_every: 1,
-            train_mode: TrainMode::Sync,
             figure_metrics: vec![("fig12".into(), SpeedupMetric::HarmonicMeanIpc)],
             points: vec![
                 mk("a", LlcScheme::plain(PolicyKind::Lru)),
@@ -858,75 +705,17 @@ mod tests {
     }
 
     #[test]
-    fn unknown_estimator_labels_parse_to_a_sentinel_not_a_real_estimator() {
-        assert_eq!(estimator_name(""), "optimistic", "pre-axis reports are optimistic");
-        assert_eq!(estimator_name("ewma"), "ewma");
-        assert_eq!(estimator_name("bayes"), "unknown_estimator", "never misattribute");
-    }
-
-    #[test]
-    fn estimator_axis_separates_errors_and_informs_the_recommendation() {
-        let mut s = tiny_suite();
-        s.estimators = vec![EstimatorKind::Optimistic, EstimatorKind::Ewma];
-        s.epoch_grid = vec![100];
-        // Serial block, then optimistic (reads +2 %) then ewma (exact).
-        let serial = &tiny_results()[..4];
-        let opt = vec![
-            result(&[1.0, 1.0]),
-            result(&[1.122, 1.122]),
-            result(&[1.0, 1.0]),
-            result(&[1.122, 1.122]),
-        ];
-        let results = [serial.to_vec(), opt, serial.to_vec()].concat();
-
-        let jobs = s.jobs();
-        assert_eq!(jobs.len(), 4 * 3, "serial + one block per estimator");
-        assert!(jobs[4].key.contains("sharded-s2-e100/"), "optimistic keeps the bare tag");
-        assert!(jobs[8].key.contains("sharded-s2-e100-ewma/"), "ewma tag names the estimator");
-
-        let report = s.assemble(&results);
-        let e_opt = report.max_figure_err_for(100, "optimistic");
-        let e_ewma = report.max_figure_err_for(100, "ewma");
-        assert!((e_opt - 0.02).abs() < 1e-9, "{e_opt}");
-        assert!(e_ewma < 1e-12, "{e_ewma}");
-        assert!((report.max_figure_err(100) - 0.02).abs() < 1e-9, "max spans estimators");
-        assert_eq!(report.recommend(0.01), Some((100, "ewma")), "best estimator wins");
-        let table = report.human_table();
-        assert!(table.contains("ewma") && table.contains("optimistic"), "{table}");
-        // The estimator axis round-trips through the JSON-lines form.
-        let back = FidelityReport::parse_json_lines(&report.to_json_lines()).expect("parse");
-        assert_eq!(back, report);
-    }
-
-    #[test]
-    fn train_mode_axis_changes_keys_and_round_trips() {
-        let mut s = tiny_suite();
-        s.train_mode = TrainMode::Async;
-        let jobs = s.jobs();
-        assert!(jobs[..4].iter().all(|j| j.key.contains("/serial/")), "serial block unchanged");
-        assert!(
-            jobs[4..].iter().all(|j| j.key.contains("-async/")),
-            "async runs key under the -async engine tag: {}",
-            jobs[4].key
-        );
-        // Sync-mode keys are byte-identical to pre-axis keys.
-        let sync_jobs = tiny_suite().jobs();
-        assert!(!sync_jobs[4].key.contains("async"), "{}", sync_jobs[4].key);
-
-        let report = s.assemble(&tiny_results());
-        assert_eq!(report.train_mode, "async");
-        let back = FidelityReport::parse_json_lines(&report.to_json_lines()).expect("parse");
-        assert_eq!(back, report);
-        // Pre-axis reports (no train_mode field) parse as sync.
-        let stripped: String = report
-            .to_json_lines()
-            .replace(",\"train_mode\":\"async\"", "")
-            .lines()
-            .map(|l| format!("{l}\n"))
-            .collect();
-        let old = FidelityReport::parse_json_lines(&stripped).expect("parse");
-        assert_eq!(old.train_mode, "sync", "absent field means the pre-axis sync mode");
-        assert_eq!(train_mode_name("lazy"), "unknown_train_mode", "never misattribute");
+    fn reports_with_retired_axis_fields_still_parse() {
+        let report = tiny_suite().assemble(&tiny_results());
+        let text = report.to_json_lines();
+        // Older reports carry estimator and train-mode fields; the parser
+        // ignores them.
+        let old = text
+            .replace("\"llc_shards\"", "\"estimators\":[\"ewma\"],\"llc_shards\"")
+            .replace("\"sync_every\":1}", "\"sync_every\":1,\"train_mode\":\"sync\"}")
+            .replace("\"epoch_cycles\":100,", "\"epoch_cycles\":100,\"estimator\":\"ewma\",");
+        assert_ne!(old, text);
+        assert_eq!(FidelityReport::parse_json_lines(&old).expect("parse"), report);
     }
 
     #[test]

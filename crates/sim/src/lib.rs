@@ -41,7 +41,7 @@ pub use checkpoint::{CheckpointError, SalvageReport};
 pub use config::{EngineChoice, EngineConfig, LlcScheme, SystemConfig};
 pub use core_model::CpiStack;
 pub use energy::{EnergyModel, EnergyReport};
-pub use engine::estimate::{EstimatorKind, LatencyEstimator, TrainMode};
+pub use engine::estimate::{EstimatorKind, TrainMode};
 pub use engine::{EngineError, EngineStats, ParallelEngine};
 pub use experiment::{geomean, ExperimentScale, WeightedSpeedup};
 pub use fidelity::{FidelityReport, FidelitySuite};

@@ -55,11 +55,10 @@ impl SimRunner {
     ///
     /// Engine selection follows [`EngineChoice::from_env_or`] with a serial
     /// default: `GARIBALDI_ENGINE=serial|parallel` picks explicitly, a bare
-    /// `GARIBALDI_ESTIMATOR` or `GARIBALDI_WORKERS` routes through the
-    /// epoch-sharded parallel engine (see [`SimRunner::run_parallel`]) —
-    /// the forcing mechanisms the CI matrix legs use to exercise the full
-    /// suite on the new engine and its learned fidelity profile — and
-    /// with nothing set the serial min-clock engine runs. The benches
+    /// `GARIBALDI_WORKERS` routes through the epoch-sharded parallel
+    /// engine (see [`SimRunner::run_parallel`]) — the forcing mechanism
+    /// the CI `parallel-engine` job uses to exercise the full suite on it
+    /// — and with nothing set the serial min-clock engine runs. The benches
     /// default to the parallel engine instead via [`SimRunner::run_on`].
     pub fn run(&self, records: u64, warmup: u64) -> RunResult {
         self.run_on(records, warmup, EngineChoice::from_env_or(EngineChoice::Serial))

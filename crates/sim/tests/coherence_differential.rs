@@ -33,7 +33,7 @@ use garibaldi_sim::engine::shard::{DrainOut, LlcShard, ThresholdSnapshot};
 use garibaldi_sim::hierarchy::MemoryHierarchy;
 use garibaldi_sim::{
     checkpoint, EngineChoice, EngineConfig, ExperimentScale, LlcScheme, RunResult, SimRunner,
-    SystemConfig, TrainMode,
+    SystemConfig,
 };
 use garibaldi_trace::{random_shared_mixes, registry, WorkloadMix};
 use garibaldi_types::{CoreId, HitLevel, LineAddr, RwKind, VirtAddr};
@@ -279,17 +279,6 @@ fn battery_points() -> Vec<(String, WorkloadMix, LlcScheme)> {
         .collect()
 }
 
-/// The training mode the battery's parallel runs use: sync by default,
-/// `GARIBALDI_TRAIN_MODE=async` on the CI `async-train` leg — the
-/// privatized pair batches reorder commutative updates across shards, so
-/// the serial-vs-parallel gates below are exactly where a non-commutative
-/// leak would surface.
-fn env_train_mode() -> TrainMode {
-    TrainMode::parse("GARIBALDI_TRAIN_MODE", std::env::var("GARIBALDI_TRAIN_MODE").ok().as_deref())
-        .unwrap_or_else(|e| panic!("{e}"))
-        .unwrap_or_default()
-}
-
 fn run_point(mix: &WorkloadMix, scheme: LlcScheme, choice: EngineChoice) -> RunResult {
     let scale = gate_scale();
     let cfg = SystemConfig::scaled(&scale, scheme);
@@ -411,7 +400,7 @@ fn shared_family_parallel_within_gate_of_serial() {
             let (r, stats) = SimRunner::new(cfg, mix.clone(), 7).run_parallel_stats(
                 scale.records_per_core,
                 scale.warmup_per_core,
-                &EngineConfig { train_mode: env_train_mode(), ..EngineConfig::default() },
+                &EngineConfig::default(),
             );
             (k.clone(), r, stats.inval_cmds)
         })
@@ -505,7 +494,7 @@ proptest! {
         };
         let cfg = SystemConfig::scaled(&scale, scheme);
         let runner = SimRunner::new(cfg, mix, seed);
-        let eng = |w| EngineConfig { train_mode: env_train_mode(), ..EngineConfig::with_workers(w) };
+        let eng = EngineConfig::with_workers;
         let base = runner.run_parallel(
             scale.records_per_core,
             scale.warmup_per_core,

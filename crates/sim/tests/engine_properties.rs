@@ -5,11 +5,9 @@
 //! no calibrated profile would produce.
 
 use garibaldi_cache::PolicyKind;
-use garibaldi_sim::engine::estimate::{Ewma, LatencyEstimator, StreamClass};
+use garibaldi_sim::engine::estimate::{Ewma, StreamClass};
 use garibaldi_sim::engine::request::ReqOutcome;
-use garibaldi_sim::{
-    EngineConfig, EstimatorKind, ExperimentScale, LlcScheme, SimRunner, SystemConfig, TrainMode,
-};
+use garibaldi_sim::{EngineConfig, ExperimentScale, LlcScheme, SimRunner, SystemConfig};
 use garibaldi_trace::{TraceRecord, WorkloadMix};
 use garibaldi_types::{RwKind, VirtAddr};
 use proptest::prelude::*;
@@ -61,88 +59,39 @@ fn runner(scheme: LlcScheme) -> SimRunner {
 
 proptest! {
     /// Determinism contract on arbitrary inputs: for any trace set, any
-    /// fixed `epoch_cycles`, either issue-latency estimator, any
-    /// learned-sync cadence and either training mode, the worker count
-    /// never changes one byte of the result. The `Ewma` leg is the sharp
-    /// edge: its learned state must evolve identically no matter how
+    /// fixed `epoch_cycles` and any learned-sync cadence, the worker count
+    /// never changes one byte of the result. The ewma estimator is the
+    /// sharp edge: its learned state must evolve identically no matter how
     /// clusters are scheduled onto workers (it merges from drained
-    /// outcomes at barriers, in per-core sequence order), and both the
-    /// sync schedule — every `sync_every`-th barrier — and the async
-    /// install point — the next barrier's entry — are pure functions of
-    /// the simulated schedule, never of worker scheduling.
+    /// outcomes at barriers, in per-core sequence order), and the sync
+    /// schedule — every `sync_every`-th epoch — is a pure function of the
+    /// simulated schedule, never of worker scheduling.
     #[test]
     fn worker_count_never_changes_results(
         streams in arb_streams(),
         gi in 0usize..3,
-        ei in 0usize..2,
         ki in 0usize..3,
-        ti in 0usize..2,
     ) {
         let epoch = EPOCH_GRID[gi];
-        let estimator = EstimatorKind::ALL[ei];
         let sync_every = [1usize, 3, 16][ki];
-        let train_mode = TrainMode::ALL[ti];
         let r = runner(LlcScheme::mockingjay_garibaldi());
         let records = streams[0].len() as u64;
         let warmup = records / 4;
         let eng = |w| EngineConfig {
-            workers: w,
             epoch_cycles: epoch,
             llc_shards: 8,
-            estimator,
             sync_every,
-            train_mode,
+            ..EngineConfig::with_workers(w)
         };
         let base = r.run_parallel_replay(&streams, records, warmup, &eng(1));
         for workers in [2usize, 4] {
             let other = r.run_parallel_replay(&streams, records, warmup, &eng(workers));
             prop_assert_eq!(
                 &base, &other,
-                "workers={} epoch={} estimator={:?} sync_every={} train_mode={:?}",
-                workers, epoch, estimator, sync_every, train_mode
+                "workers={} epoch={} sync_every={}",
+                workers, epoch, sync_every
             );
         }
-        // Under Optimistic no sync ever runs, so the cadence must be
-        // invisible: byte-identical to the same engine at sync_every=1.
-        if estimator == EstimatorKind::Optimistic && sync_every != 1 {
-            let k1 = r.run_parallel_replay(
-                &streams,
-                records,
-                warmup,
-                &EngineConfig { sync_every: 1, ..eng(1) },
-            );
-            prop_assert_eq!(&base, &k1, "optimistic results moved with sync_every");
-        }
-    }
-
-    /// On a single LLC shard the privatized (async) training path must be
-    /// byte-identical to the synchronous one: with one shard there is one
-    /// peer, so the merged consensus equals the shard's own state (delta
-    /// policies fold `base + (export − base)`, Mockingjay averages one
-    /// peer) and the install is the identity; likewise the source-major
-    /// pair-command order over one source *is* the global key order. Any
-    /// divergence here means the delta representation lost information,
-    /// not that the model changed.
-    #[test]
-    fn async_training_is_inert_on_a_single_shard(
-        streams in arb_streams(),
-        gi in 0usize..3,
-        ki in 0usize..3,
-    ) {
-        let r = runner(LlcScheme::mockingjay_garibaldi());
-        let records = streams[0].len() as u64;
-        let warmup = records / 4;
-        let eng = |m| EngineConfig {
-            workers: 1,
-            epoch_cycles: EPOCH_GRID[gi],
-            llc_shards: 1,
-            estimator: EstimatorKind::Ewma,
-            sync_every: [1usize, 3, 16][ki],
-            train_mode: m,
-        };
-        let sync = r.run_parallel_replay(&streams, records, warmup, &eng(TrainMode::Sync));
-        let async_ = r.run_parallel_replay(&streams, records, warmup, &eng(TrainMode::Async));
-        prop_assert_eq!(&sync, &async_, "single-shard async diverged from sync");
     }
 
     /// On stationary synthetic outcome streams, the EWMA estimator's

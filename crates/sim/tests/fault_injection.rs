@@ -13,8 +13,8 @@ use garibaldi_mem::DramStats;
 use garibaldi_sim::fault::with_faults;
 use garibaldi_sim::metrics::{ConditionalMatrix, CoreResult};
 use garibaldi_sim::{
-    checkpoint, CpiStack, EngineConfig, EstimatorKind, ExperimentScale, LlcScheme, RunResult,
-    SimRunner, SystemConfig,
+    checkpoint, CpiStack, EngineConfig, ExperimentScale, LlcScheme, RunResult, SimRunner,
+    SystemConfig,
 };
 use garibaldi_trace::WorkloadMix;
 
@@ -152,13 +152,13 @@ fn drain_panic_is_contained_with_the_shard_index() {
 }
 
 /// Same containment for the learned-state merge (the pooled phase: no
-/// unit index). The ewma estimator at sync-every-barrier makes epoch 2
-/// a merging barrier.
+/// unit index). Syncing at every barrier makes epoch 2 a merging
+/// barrier.
 #[test]
 fn merge_panic_is_contained_without_a_unit_index() {
     let r = runner();
     let (rec, warm) = smoke();
-    let cfg = EngineConfig { estimator: EstimatorKind::Ewma, sync_every: 1, ..eng() };
+    let cfg = EngineConfig { sync_every: 1, ..eng() };
     let err = with_faults("panic.merge@epoch:2", || {
         r.try_run_parallel_stats(rec, warm, &cfg).expect_err("injected merge panic")
     });

@@ -44,114 +44,45 @@ fn parallel_engine_worker_count_invariance() {
     }
 }
 
-/// `sync_every` (the ewma learned-state sync cadence) is inert under the
-/// `Optimistic` estimator — no sync ever runs there, so results must be
-/// byte-identical for any cadence — and under `Ewma` every cadence keeps
-/// the worker-count byte-invariance contract.
+/// Every learned-state sync cadence keeps the worker-count
+/// byte-invariance contract, and the cadence is keyed off the epoch
+/// count: one sync per epoch at k=1, every third epoch at k=3, none at a
+/// cadence longer than the run.
 #[test]
-fn sync_every_is_inert_under_optimistic_and_deterministic_under_ewma() {
-    use garibaldi_sim::EstimatorKind;
+fn sync_every_is_deterministic_and_counts_epochs() {
     let s = ExperimentScale::smoke();
     let scheme = LlcScheme::mockingjay_garibaldi();
-    let at = |estimator, sync_every, workers| {
+    let at = |sync_every, workers| {
         runner(42, scheme.clone(), s.cores).run_parallel(
             s.records_per_core,
             s.warmup_per_core,
-            &EngineConfig { estimator, sync_every, workers, ..EngineConfig::default() },
+            &EngineConfig { sync_every, workers, ..EngineConfig::default() },
         )
     };
-    let opt_base = at(EstimatorKind::Optimistic, 1, 1);
-    for k in [2usize, 7, 1000] {
-        assert_eq!(opt_base, at(EstimatorKind::Optimistic, k, 1), "optimistic moved at k={k}");
-    }
     for k in [1usize, 4, 16] {
-        let base = at(EstimatorKind::Ewma, k, 1);
+        let base = at(k, 1);
         for workers in [2, 4] {
-            assert_eq!(base, at(EstimatorKind::Ewma, k, workers), "ewma k={k} workers={workers}");
+            assert_eq!(base, at(k, workers), "k={k} workers={workers}");
         }
     }
-    // The knob is actually wired: under ewma the engine reports one sync
-    // per barrier at k=1 and none at a cadence longer than the run, while
-    // under optimistic it never syncs at any cadence. (Smoke-scale runs
-    // are too short for the cadence to move figure metrics — the fidelity
-    // suite measures that at scale — so the wiring check reads the
-    // engine's own account instead of asserting metric movement.)
-    let syncs = |estimator, sync_every| {
+    // The knob is actually wired. (Smoke-scale runs are too short for the
+    // cadence to move figure metrics — the fidelity suite measures that at
+    // scale — so the wiring check reads the engine's own account instead
+    // of asserting metric movement.)
+    let syncs = |sync_every| {
         let (_, stats) = runner(42, scheme.clone(), s.cores).run_parallel_stats(
             s.records_per_core,
             s.warmup_per_core,
-            &EngineConfig { estimator, sync_every, ..EngineConfig::default() },
+            &EngineConfig { sync_every, ..EngineConfig::default() },
         );
-        (stats.learned_syncs, stats.barriers)
+        (stats.learned_syncs, stats.epochs)
     };
-    let (s1, barriers) = syncs(EstimatorKind::Ewma, 1);
-    assert_eq!(s1, barriers, "ewma k=1 syncs at every barrier");
-    assert_eq!(syncs(EstimatorKind::Ewma, 1_000_000).0, 0, "cadence beyond run ⇒ no sync");
-    let (s3, barriers3) = syncs(EstimatorKind::Ewma, 3);
-    assert_eq!(s3, barriers3 / 3, "every third barrier syncs");
-    assert_eq!(syncs(EstimatorKind::Optimistic, 1).0, 0, "optimistic never syncs");
-}
-
-/// Async training keeps every determinism contract: byte-identical
-/// reruns, worker-count invariance, and a publish schedule that is a
-/// pure function of the barrier count. The accounting proves the
-/// deferred path actually ran: each async sync installs at the next
-/// barrier's entry (`publish_lag` = 1 barrier per sync) and the sync
-/// count matches the sync-mode cadence — the deferral never skips or
-/// doubles a sync, except the final one when the run ends before its
-/// install barrier.
-#[test]
-fn async_training_is_deterministic_and_publishes_one_barrier_late() {
-    use garibaldi_sim::{EstimatorKind, TrainMode};
-    let s = ExperimentScale::smoke();
-    let scheme = LlcScheme::mockingjay_garibaldi();
-    let eng = |workers, sync_every, train_mode| EngineConfig {
-        estimator: EstimatorKind::Ewma,
-        sync_every,
-        workers,
-        train_mode,
-        ..EngineConfig::default()
-    };
-    for k in [1usize, 4] {
-        let base = runner(42, scheme.clone(), s.cores).run_parallel(
-            s.records_per_core,
-            s.warmup_per_core,
-            &eng(1, k, TrainMode::Async),
-        );
-        let again = runner(42, scheme.clone(), s.cores).run_parallel(
-            s.records_per_core,
-            s.warmup_per_core,
-            &eng(1, k, TrainMode::Async),
-        );
-        assert_eq!(base, again, "async k={k} must be reproducible");
-        for workers in [2, 4] {
-            let r = runner(42, scheme.clone(), s.cores).run_parallel(
-                s.records_per_core,
-                s.warmup_per_core,
-                &eng(workers, k, TrainMode::Async),
-            );
-            assert_eq!(base, r, "async k={k} workers={workers}");
-        }
-    }
-    let stats = |train_mode| {
-        let (_, st) = runner(42, scheme.clone(), s.cores).run_parallel_stats(
-            s.records_per_core,
-            s.warmup_per_core,
-            &eng(1, 1, train_mode),
-        );
-        st
-    };
-    let sync = stats(TrainMode::Sync);
-    let async_ = stats(TrainMode::Async);
-    assert_eq!(sync.publish_lag, 0, "sync mode installs at the exporting barrier");
-    assert_eq!(async_.publish_lag, async_.learned_syncs, "async lags one barrier per sync");
-    assert!(async_.learned_syncs > 0, "ewma k=1 must sync at smoke scale");
-    assert!(
-        sync.learned_syncs - async_.learned_syncs <= 1,
-        "deferral may only drop the final in-flight sync (sync {} vs async {})",
-        sync.learned_syncs,
-        async_.learned_syncs
-    );
+    let (s1, epochs) = syncs(1);
+    assert!(epochs > 3, "smoke run spans several epochs ({epochs})");
+    assert_eq!(s1, epochs, "k=1 syncs at every barrier");
+    assert_eq!(syncs(1_000_000).0, 0, "cadence beyond run ⇒ no sync");
+    let (s3, epochs3) = syncs(3);
+    assert_eq!(s3, epochs3 / 3, "every third barrier syncs");
 }
 
 /// Dumped record streams replay bit-identically on the sharded backend.

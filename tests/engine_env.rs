@@ -5,36 +5,35 @@
 //! other test binaries never read these variables while this one runs.
 
 use garibaldi_sim::{
-    EngineChoice, EngineConfig, EstimatorKind, ExperimentScale, LlcScheme, RunResult, SimRunner,
-    SystemConfig, TrainMode,
+    EngineChoice, EngineConfig, ExperimentScale, LlcScheme, RunResult, SimRunner, SystemConfig,
 };
 use garibaldi_trace::WorkloadMix;
 use std::sync::Mutex;
 
 static ENV_LOCK: Mutex<()> = Mutex::new(());
 
-const VARS: [&str; 8] = [
+/// Variables of engine axes that no longer exist (cleared like `VARS`).
+const RETIRED: [&str; 3] = ["GARIBALDI_ESTIMATOR", "GARIBALDI_TRAIN_MODE", "GARIBALDI_SYNC_EVERY"];
+
+const VARS: [&str; 5] = [
     "GARIBALDI_ENGINE",
     "GARIBALDI_WORKERS",
     "GARIBALDI_SHARDS",
     "GARIBALDI_EPOCH",
-    "GARIBALDI_ESTIMATOR",
-    "GARIBALDI_SYNC_EVERY",
-    "GARIBALDI_TRAIN_MODE",
     "GARIBALDI_BARRIER_TIMEOUT_S",
 ];
 
 /// Runs `f` with exactly `vars` set, restoring a clean slate after.
 fn with_env<T>(vars: &[(&str, &str)], f: impl FnOnce() -> T) -> T {
     let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    for v in VARS {
+    for v in VARS.iter().chain(&RETIRED) {
         std::env::remove_var(v);
     }
     for (k, v) in vars {
         std::env::set_var(k, v);
     }
     let out = f();
-    for v in VARS {
+    for v in VARS.iter().chain(&RETIRED) {
         std::env::remove_var(v);
     }
     out
@@ -85,107 +84,6 @@ fn engine_parallel_forces_parallel_engine() {
     assert_ne!(serial, reference, "engines must be distinguishable at smoke scale");
 }
 
-/// `GARIBALDI_ESTIMATOR` alone selects the parallel engine with that
-/// estimator (precedence step 2: the estimator is a parallel-engine
-/// model axis) — and reproduces the explicitly configured run exactly.
-#[test]
-fn estimator_alone_selects_parallel_with_that_estimator() {
-    let r = runner();
-    let s = ExperimentScale::smoke();
-    let eng = EngineConfig { estimator: EstimatorKind::Ewma, ..Default::default() };
-    let reference = r.run_parallel(s.records_per_core, s.warmup_per_core, &eng);
-    let forced = with_env(&[("GARIBALDI_ESTIMATOR", "ewma")], || smoke_run(&r));
-    assert_eq!(reference, forced);
-    // The estimator is a *model* axis: at smoke scale the ewma run must
-    // differ from the optimistic default (otherwise the test proves
-    // nothing about which estimator actually ran).
-    let optimistic =
-        r.run_parallel(s.records_per_core, s.warmup_per_core, &EngineConfig::default());
-    assert_ne!(optimistic, reference, "estimators must be distinguishable at smoke scale");
-    // `GARIBALDI_ENGINE=serial` still wins over the estimator
-    // (precedence step 1).
-    let serial_forced =
-        with_env(&[("GARIBALDI_ENGINE", "serial"), ("GARIBALDI_ESTIMATOR", "ewma")], || {
-            smoke_run(&r)
-        });
-    assert_eq!(serial_forced, r.run_serial(s.records_per_core, s.warmup_per_core));
-}
-
-/// `GARIBALDI_SYNC_EVERY` overrides the learned-sync cadence of an
-/// env-selected parallel engine and reproduces the explicitly configured
-/// run exactly; under the ewma profile the cadence is a real model knob.
-#[test]
-fn sync_every_env_overrides_the_cadence() {
-    let r = runner();
-    let s = ExperimentScale::smoke();
-    let eng =
-        EngineConfig { estimator: EstimatorKind::Ewma, sync_every: 3, ..EngineConfig::default() };
-    let reference = r.run_parallel(s.records_per_core, s.warmup_per_core, &eng);
-    let forced =
-        with_env(&[("GARIBALDI_ESTIMATOR", "ewma"), ("GARIBALDI_SYNC_EVERY", "3")], || {
-            smoke_run(&r)
-        });
-    assert_eq!(reference, forced);
-    // Alone (serial default, nothing selecting the parallel engine) the
-    // variable configures nothing — but it is still validated.
-    let serial = with_env(&[("GARIBALDI_SYNC_EVERY", "3")], || smoke_run(&r));
-    assert_eq!(serial, r.run_serial(s.records_per_core, s.warmup_per_core));
-}
-
-/// `GARIBALDI_TRAIN_MODE=async` overrides the learned-state training
-/// mode of an env-selected parallel engine and reproduces the explicitly
-/// configured run exactly. The mode cannot be told apart from sync by
-/// the *result* at smoke scale (the deferred install is byte-invisible
-/// by construction, and the privatized pair batches only reorder
-/// commutative updates here), so the proof that async actually ran is
-/// the engine's own accounting: every async sync publishes one barrier
-/// late (`publish_lag`), which sync mode never does.
-#[test]
-fn train_mode_env_overrides_the_mode() {
-    let r = runner();
-    let s = ExperimentScale::smoke();
-    let eng = EngineConfig {
-        estimator: EstimatorKind::Ewma,
-        sync_every: 1,
-        train_mode: TrainMode::Async,
-        ..EngineConfig::default()
-    };
-    let reference = r.run_parallel(s.records_per_core, s.warmup_per_core, &eng);
-    let forced = with_env(
-        &[
-            ("GARIBALDI_ESTIMATOR", "ewma"),
-            ("GARIBALDI_SYNC_EVERY", "1"),
-            ("GARIBALDI_TRAIN_MODE", "async"),
-        ],
-        || smoke_run(&r),
-    );
-    assert_eq!(reference, forced);
-    // The env-built config really carries the async mode…
-    let choice =
-        with_env(&[("GARIBALDI_ESTIMATOR", "ewma"), ("GARIBALDI_TRAIN_MODE", "async")], || {
-            EngineChoice::from_env_or(EngineChoice::Serial)
-        });
-    match choice {
-        EngineChoice::Parallel(c) => assert_eq!(c.train_mode, TrainMode::Async),
-        EngineChoice::Serial => panic!("estimator + train mode must select the parallel engine"),
-    }
-    // …and the async schedule really ran: syncs published one barrier
-    // late, where the sync mode's lag is identically zero.
-    let (_, st) = r.run_parallel_stats(s.records_per_core, s.warmup_per_core, &eng);
-    assert!(st.learned_syncs > 0, "ewma at sync_every=1 must sync");
-    assert_eq!(st.publish_lag, st.learned_syncs, "async publishes one barrier late per sync");
-    let (_, st_sync) = r.run_parallel_stats(
-        s.records_per_core,
-        s.warmup_per_core,
-        &EngineConfig { train_mode: TrainMode::Sync, ..eng },
-    );
-    assert_eq!(st_sync.publish_lag, 0, "sync mode installs at the exporting barrier");
-    // Alone (serial default, nothing selecting the parallel engine) the
-    // variable configures nothing — but it is still validated.
-    let serial = with_env(&[("GARIBALDI_TRAIN_MODE", "async")], || smoke_run(&r));
-    assert_eq!(serial, r.run_serial(s.records_per_core, s.warmup_per_core));
-}
-
 /// Bare `GARIBALDI_WORKERS` still flips to the parallel engine (the PR-2
 /// forcing mechanism CI's parallel-engine leg uses).
 #[test]
@@ -231,31 +129,53 @@ fn barrier_timeout_env_is_validated_and_result_invisible() {
     }
 }
 
+/// The panic message `EngineChoice::from_env_or` raises with exactly
+/// `vars` set.
+fn resolve_panic(vars: &[(&str, &str)]) -> String {
+    let err = with_env(vars, || {
+        std::panic::catch_unwind(|| EngineChoice::from_env_or(EngineChoice::Serial))
+            .expect_err(&format!("{vars:?} must panic"))
+    });
+    err.downcast_ref::<String>()
+        .cloned()
+        .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
+        .unwrap_or_default()
+}
+
 /// Every malformed value fails loudly instead of silently selecting an
 /// unintended engine or geometry.
 #[test]
 fn malformed_values_panic_with_the_variable_name() {
-    let cases: [(&str, &str); 9] = [
+    let cases: [(&str, &str); 5] = [
         ("GARIBALDI_ENGINE", "turbo"),
         ("GARIBALDI_WORKERS", "0"),
         ("GARIBALDI_WORKERS", "banana"),
         ("GARIBALDI_SHARDS", "-1"),
         ("GARIBALDI_EPOCH", "99999999999999999999999999"),
-        ("GARIBALDI_ESTIMATOR", "psychic"),
-        ("GARIBALDI_SYNC_EVERY", "0"),
-        ("GARIBALDI_SYNC_EVERY", "sometimes"),
-        ("GARIBALDI_TRAIN_MODE", "eventually"),
     ];
     for (var, val) in cases {
-        let err = with_env(&[(var, val)], || {
-            std::panic::catch_unwind(|| EngineChoice::from_env_or(EngineChoice::Serial))
-                .expect_err(&format!("{var}={val} must panic"))
-        });
-        let msg = err
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
-            .unwrap_or_default();
+        let msg = resolve_panic(&[(var, val)]);
         assert!(msg.contains(var), "panic for {var}={val} names the variable: {msg:?}");
+    }
+}
+
+/// A set retired variable fails loudly, naming itself as retired — with
+/// any value, even a formerly valid one, and even beside a serial
+/// engine choice — so a stale script asking for a retired mode never
+/// silently runs the one remaining profile.
+#[test]
+fn retired_variables_panic_naming_the_variable() {
+    for var in RETIRED {
+        for val in ["ewma", "async", "1", ""] {
+            for engine in [None, Some("serial"), Some("parallel")] {
+                let mut vars = vec![(var, val)];
+                vars.extend(engine.map(|e| ("GARIBALDI_ENGINE", e)));
+                let msg = resolve_panic(&vars);
+                assert!(
+                    msg.contains(var) && msg.contains("retired"),
+                    "panic for {vars:?} names the variable as retired: {msg:?}"
+                );
+            }
+        }
     }
 }

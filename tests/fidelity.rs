@@ -16,9 +16,7 @@
 
 use garibaldi_sim::experiment::run_mix_on;
 use garibaldi_sim::fidelity::{FidelityJob, FidelitySuite};
-use garibaldi_sim::{
-    checkpoint, EngineConfig, EstimatorKind, ExperimentScale, RunResult, TrainMode,
-};
+use garibaldi_sim::{checkpoint, EngineConfig, ExperimentScale, RunResult};
 use std::collections::HashMap;
 use std::path::PathBuf;
 
@@ -36,10 +34,10 @@ fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/fidelity_baselines.jsonl")
 }
 
-/// The gate suite over an explicit estimator axis: a trimmed
-/// mini-fig11/fig12 at a gate-sized scale — large enough that the default
-/// epoch window fits several times into a run, small enough for tier-1.
-fn gate_suite_with(estimators: Vec<EstimatorKind>) -> FidelitySuite {
+/// The gate suite: a trimmed mini-fig11/fig12 at a gate-sized scale —
+/// large enough that the default epoch window fits several times into a
+/// run, small enough for tier-1.
+fn gate_suite() -> FidelitySuite {
     let scale = ExperimentScale {
         factor: 0.25,
         cores: 4,
@@ -54,42 +52,7 @@ fn gate_suite_with(estimators: Vec<EstimatorKind>) -> FidelitySuite {
             grid.push(e as u64);
         }
     }
-    let mut suite = FidelitySuite::paper_figures(scale, 1, &["tpcc", "twitter"], grid);
-    suite.estimators = estimators;
-    // The sync_every axis (ewma learned-state sync cadence): default from
-    // the engine config; `GARIBALDI_SYNC_EVERY` overrides so manual
-    // sweeps can gate an off-default cadence too.
-    if let Some(k) = garibaldi_sim::config::env_positive("GARIBALDI_SYNC_EVERY") {
-        suite.sync_every = k;
-    }
-    // The train-mode axis: `GARIBALDI_TRAIN_MODE=async` runs the whole
-    // parallel block in async training (deferred learned-state install +
-    // privatized pair batches), which the CI `async-train` leg gates at
-    // the same hard tolerance as sync.
-    if let Some(m) = TrainMode::parse(
-        "GARIBALDI_TRAIN_MODE",
-        std::env::var("GARIBALDI_TRAIN_MODE").ok().as_deref(),
-    )
-    .unwrap_or_else(|e| panic!("{e}"))
-    {
-        suite.train_mode = m;
-    }
-    suite
-}
-
-/// The tolerance-gate suite: every estimator by default, or just the one
-/// `GARIBALDI_ESTIMATOR` names (the CI fidelity matrix runs one leg per
-/// estimator).
-fn gate_suite() -> FidelitySuite {
-    let est = EstimatorKind::parse(
-        "GARIBALDI_ESTIMATOR",
-        std::env::var("GARIBALDI_ESTIMATOR").ok().as_deref(),
-    )
-    .unwrap_or_else(|e| panic!("{e}"));
-    gate_suite_with(match est {
-        Some(k) => vec![k],
-        None => EstimatorKind::ALL.to_vec(),
-    })
+    FidelitySuite::paper_figures(scale, 1, &["tpcc", "twitter"], grid)
 }
 
 fn run_jobs(suite: &FidelitySuite, jobs: &[FidelityJob]) -> Vec<RunResult> {
@@ -121,17 +84,11 @@ fn load_goldens() -> HashMap<String, RunResult> {
 /// The serial engine still reproduces its committed golden metrics.
 ///
 /// The bless run (`GARIBALDI_BLESS=1`) also regenerates the
-/// parallel-engine block at the default `epoch_cycles` with the
-/// `Optimistic` estimator — the exact-match baselines
-/// `optimistic_parallel_matches_golden_baselines` gates on.
+/// parallel-engine block at the default `epoch_cycles` — the exact-match
+/// baselines `parallel_profile_matches_golden_baselines` gates on.
 #[test]
 fn serial_engine_matches_golden_baselines() {
-    // Estimator axis pinned to Optimistic and train mode pinned to Sync:
-    // the serial block is independent of both, and the blessed parallel
-    // block must always be the (default epoch, Optimistic, sync) one,
-    // whatever GARIBALDI_ESTIMATOR / GARIBALDI_TRAIN_MODE say.
-    let mut suite = gate_suite_with(vec![EstimatorKind::Optimistic]);
-    suite.train_mode = TrainMode::Sync;
+    let suite = gate_suite();
     let jobs = suite.jobs();
     let serial_jobs = &jobs[..suite.points.len()];
     let serial = run_jobs(&suite, serial_jobs);
@@ -179,21 +136,15 @@ fn serial_engine_matches_golden_baselines() {
     }
 }
 
-/// The `Optimistic` estimator reproduces the committed parallel-engine
-/// numbers exactly (float-noise tolerance): the issue-latency estimation
-/// refactor must never silently change the default parallel engine's
-/// simulated results.
+/// The parallel engine's one profile reproduces its committed numbers
+/// exactly (float-noise tolerance): an engine refactor must never silently
+/// change the default parallel engine's simulated results.
 #[test]
-fn optimistic_parallel_matches_golden_baselines() {
+fn parallel_profile_matches_golden_baselines() {
     if std::env::var("GARIBALDI_BLESS").as_deref() == Ok("1") {
         return; // blessing run: baselines are being rewritten.
     }
-    // Pinned to Optimistic and sync training regardless of
-    // GARIBALDI_ESTIMATOR / GARIBALDI_TRAIN_MODE: this test is the
-    // bit-compatibility backstop, so it must run the (Optimistic, sync)
-    // block even on the CI ewma and async-train matrix legs.
-    let mut suite = gate_suite_with(vec![EstimatorKind::Optimistic]);
-    suite.train_mode = TrainMode::Sync;
+    let suite = gate_suite();
     let jobs = suite.jobs();
     let n = suite.points.len();
     // The first parallel block is the default epoch window.
@@ -211,9 +162,9 @@ fn optimistic_parallel_matches_golden_baselines() {
         let diff = r.diff(golden);
         assert!(
             diff.within(GOLDEN_TOL),
-            "{}: Optimistic parallel engine moved beyond float noise from its golden: {:?}\n\
-             The Optimistic path must stay bit-compatible; if this movement is a deliberate \
-             model change, re-bless with GARIBALDI_BLESS=1 cargo test --test fidelity",
+            "{}: parallel engine moved beyond float noise from its golden: {:?}\n\
+             If this movement is a deliberate model change, re-bless with \
+             GARIBALDI_BLESS=1 cargo test --test fidelity",
             j.key,
             diff.violations(GOLDEN_TOL)
         );

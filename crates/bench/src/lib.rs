@@ -61,7 +61,7 @@ pub fn per_run_threads() -> usize {
     }
 }
 
-/// Identity of the simulation model the benches run under — `"serial"` or
+/// Identity of the simulation model the benches run under — `"serial-v2"` or
 /// `"sharded-s<shards>-e<epoch>-ewma-k<sync_every>"` (see [`EngineChoice::tag`]). Worker
 /// count is *not* part of the identity (it never changes results); shard
 /// count and epoch window are. Embed this in checkpoint keys so rows
@@ -366,7 +366,7 @@ mod tests {
             }
             std::env::set_var("GARIBALDI_ENGINE", "serial");
             assert_eq!(bench_engine(), EngineChoice::Serial, "the documented escape hatch");
-            assert_eq!(engine_tag(), "serial");
+            assert_eq!(engine_tag(), "serial-v2");
         });
     }
 

@@ -308,8 +308,8 @@ fn main() {
         // --workers only changes wall-clock, never the result.
         (Some(streams), _) => runner.run_parallel_replay(streams, args.records, args.warmup, &eng),
         // Interactive runs degrade gracefully: a contained engine failure
-        // retries once on the serial engine (byte-identical goldens make
-        // the swap safe) and is surfaced on stderr by `run_recover`.
+        // retries once on the serial engine (the same rule code, minus the
+        // threads) and is surfaced on stderr by `run_recover`.
         (None, true) => {
             let (r, err) = runner.run_recover(args.records, args.warmup, &eng);
             degraded = err.is_some();
@@ -327,7 +327,7 @@ fn main() {
 
     if let Some(path) = &ckpt {
         // The frame tag records the engine that actually produced the row —
-        // "serial" when the run degraded off the parallel engine.
+        // the serial tag when the run degraded off the parallel engine.
         let used_parallel = (parallel || replay_streams.is_some()) && !degraded;
         let tag = if used_parallel {
             EngineChoice::Parallel(eng).tag()

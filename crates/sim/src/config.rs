@@ -408,9 +408,12 @@ impl EngineChoice {
         Ok(Self::Parallel(cfg))
     }
 
-    /// Stable identity string for checkpoint keys and reports: `"serial"`
-    /// or `"sharded-s<shards>-e<epoch>-ewma[-k<sync_every>]"` (the sync
-    /// suffix only for `sync_every != 1`). The default profile's tag,
+    /// Stable identity string for checkpoint keys and reports:
+    /// `"serial-v2"` or `"sharded-s<shards>-e<epoch>-ewma[-k<sync_every>]"`
+    /// (the sync suffix only for `sync_every != 1`). The serial tag names
+    /// the min-clock schedule over the engine's tier and shard code; rows
+    /// minted under the bare `"serial"` tag came from an earlier serial
+    /// model and must never hit. The default parallel profile's tag,
     /// `sharded-s8-e20000-ewma-k8`, is the one earlier builds minted for
     /// the same model, so existing checkpoint rows keep hitting. Worker
     /// count is deliberately excluded — it never changes simulated results
@@ -418,7 +421,7 @@ impl EngineChoice {
     /// may share rows.
     pub fn tag(&self) -> String {
         match self {
-            Self::Serial => "serial".to_string(),
+            Self::Serial => "serial-v2".to_string(),
             Self::Parallel(e) => {
                 let mut t = format!("sharded-s{}-e{}-ewma", e.llc_shards, e.epoch_cycles);
                 if e.sync_every != 1 {
@@ -601,7 +604,8 @@ mod tests {
 
     #[test]
     fn engine_choice_tags() {
-        assert_eq!(EngineChoice::Serial.tag(), "serial");
+        // The serial model changed under the bare "serial" tag's rows.
+        assert_eq!(EngineChoice::Serial.tag(), "serial-v2");
         // The default profile keeps the tag earlier builds minted for it.
         let e = EngineConfig { workers: 9, ..EngineConfig::default() };
         assert_eq!(

@@ -12,12 +12,13 @@
 //!   in full and the remainder discounted by the MLP overlap factor
 //!   (out-of-order cores overlap independent misses);
 //! * **branch** — a fixed penalty per mispredicted record.
+//!
+//! The cores themselves are [`crate::engine::private::EpochCore`]s; this
+//! module holds the arithmetic they share.
 
 use crate::config::SystemConfig;
-use crate::hierarchy::MemoryHierarchy;
 use garibaldi_cache::{Prefetcher, TemporalPrefetcher};
-use garibaldi_trace::{SharedAddressSpace, TraceGenerator};
-use garibaldi_types::{CoreId, LineAddr, VirtAddr, LINE_BYTES};
+use garibaldi_types::{LineAddr, VirtAddr, LINE_BYTES};
 use serde::{Deserialize, Serialize};
 
 /// Sequential run-ahead depth of the frontend prefetch engine (FDIP-style).
@@ -85,7 +86,7 @@ impl CpiStack {
         }
     }
 
-    fn sub(&self, other: &CpiStack) -> CpiStack {
+    pub(crate) fn sub(&self, other: &CpiStack) -> CpiStack {
         CpiStack {
             base: self.base - other.base,
             ifetch: self.ifetch - other.ifetch,
@@ -98,8 +99,8 @@ impl CpiStack {
 /// Combines one record's per-reference memory stalls into its backend
 /// stall contribution: the longest stall is charged in full beyond the ROB
 /// shadow, the rest are discounted by the MLP overlap factor. Sorts
-/// `stalls` descending in place. Shared by the serial and the epoch-sharded
-/// engines so both charge identical timing.
+/// `stalls` descending in place. Used at issue and again at correction
+/// time, so a perfectly estimated record corrects by exactly zero.
 pub fn combine_data_stalls(stalls: &mut [f64], cfg: &SystemConfig) -> f64 {
     stalls.sort_unstable_by(|a, b| b.partial_cmp(a).expect("no NaN stalls"));
     let mut data_stall = 0.0;
@@ -113,136 +114,6 @@ pub fn combine_data_stalls(stalls: &mut [f64], cfg: &SystemConfig) -> f64 {
         };
     }
     data_stall
-}
-
-/// One simulated core: trace walk + address space + clock + CPI stack.
-pub struct CoreState<'p> {
-    /// Core identifier.
-    pub id: CoreId,
-    gen: TraceGenerator<'p>,
-    asp: SharedAddressSpace,
-    ipf: InstrPrefetchEngine,
-    ipf_out: Vec<VirtAddr>,
-    /// Local clock in cycles.
-    pub clock: f64,
-    stack: CpiStack,
-    instrs: u64,
-    records: u64,
-    // Snapshots taken when measurement starts (end of warmup).
-    snap_clock: f64,
-    snap_stack: CpiStack,
-    snap_instrs: u64,
-}
-
-impl<'p> CoreState<'p> {
-    /// Creates a core walking `gen` in address space `asp` (threads of one
-    /// server process pass clones of the same space, sharing translations).
-    ///
-    /// Both engines translate through the pure-hash [`SharedAddressSpace`],
-    /// so a serial and a parallel run of the same (config, mix, seed) see
-    /// identical physical layouts — the fidelity study (`docs/fidelity/`)
-    /// compares engines on epoch mechanics alone, not on accidental
-    /// differences in page placement.
-    pub fn new(id: CoreId, gen: TraceGenerator<'p>, asp: SharedAddressSpace) -> Self {
-        Self {
-            id,
-            gen,
-            asp,
-            ipf: InstrPrefetchEngine::default(),
-            ipf_out: Vec::with_capacity(8),
-            clock: 0.0,
-            stack: CpiStack::default(),
-            instrs: 0,
-            records: 0,
-            snap_clock: 0.0,
-            snap_stack: CpiStack::default(),
-            snap_instrs: 0,
-        }
-    }
-
-    /// Records processed so far (including warmup).
-    pub fn records(&self) -> u64 {
-        self.records
-    }
-
-    /// Marks the measurement start (end of warmup).
-    pub fn snapshot(&mut self) {
-        self.snap_clock = self.clock;
-        self.snap_stack = self.stack;
-        self.snap_instrs = self.instrs;
-    }
-
-    /// Instructions retired since the snapshot.
-    pub fn measured_instrs(&self) -> u64 {
-        self.instrs - self.snap_instrs
-    }
-
-    /// Cycles elapsed since the snapshot.
-    pub fn measured_cycles(&self) -> f64 {
-        self.clock - self.snap_clock
-    }
-
-    /// CPI stack accumulated since the snapshot.
-    pub fn measured_stack(&self) -> CpiStack {
-        self.stack.sub(&self.snap_stack)
-    }
-
-    /// IPC over the measured region.
-    pub fn ipc(&self) -> f64 {
-        let c = self.measured_cycles();
-        if c <= 0.0 {
-            0.0
-        } else {
-            self.measured_instrs() as f64 / c
-        }
-    }
-
-    /// Executes one trace record against the hierarchy.
-    pub fn step(&mut self, hier: &mut MemoryHierarchy, cfg: &SystemConfig) {
-        let rec = self.gen.next_record();
-        let now = self.clock as u64;
-        let il_pa = self.asp.translate_line(rec.pc);
-
-        // Frontend: fetch the instruction line.
-        let i_out = hier.access_instr(self.id, rec.pc, il_pa, now);
-        let ifetch_stall = i_out.latency.saturating_sub(cfg.l1_latency) as f64;
-        let i_llc_miss = i_out.llc_hit.map(|h| !h);
-
-        // The frontend prefetch engine reacts to L1I misses, issuing
-        // page-safe VA-space prefetches through normal translation.
-        if cfg.l1i_prefetcher && i_out.latency > cfg.l1_latency {
-            let mut out = std::mem::take(&mut self.ipf_out);
-            self.ipf.on_miss(rec.pc, &mut out);
-            for &va in &out {
-                let pa = self.asp.translate_line(va);
-                hier.prefetch_instr(self.id, va, pa, now);
-            }
-            self.ipf_out = out;
-        }
-
-        // Backend: serve the data references.
-        let mut stalls: [f64; garibaldi_trace::MAX_DATA_REFS] =
-            [0.0; garibaldi_trace::MAX_DATA_REFS];
-        let mut n = 0;
-        for d in rec.data_refs() {
-            let d_pa = self.asp.translate_line(d.va);
-            let out = hier.access_data(self.id, rec.pc, d_pa, d.rw, now, i_llc_miss);
-            stalls[n] = out.latency.saturating_sub(cfg.l1_latency) as f64;
-            n += 1;
-        }
-        let data_stall = combine_data_stalls(&mut stalls[..n], cfg);
-
-        let base = rec.instrs as f64 * cfg.base_cpi;
-        let branch = if rec.mispredict { cfg.branch_penalty as f64 } else { 0.0 };
-
-        self.clock += base + ifetch_stall + data_stall + branch;
-        self.stack.base += base;
-        self.stack.ifetch += ifetch_stall;
-        self.stack.data += data_stall;
-        self.stack.branch += branch;
-        self.instrs += rec.instrs as u64;
-        self.records += 1;
-    }
 }
 
 #[cfg(test)]

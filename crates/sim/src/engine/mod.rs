@@ -1,9 +1,12 @@
-//! The epoch-scheduled, set-sharded parallel simulation engine.
+//! The simulation engine: cluster-private tiers, set-sharded LLC, and the
+//! two schedules that run them.
 //!
-//! The serial engine ([`crate::system::SimRunner::run`]) interleaves every
-//! core's LLC accesses under global min-clock scheduling against one
-//! `MemoryHierarchy` — faithful, but single-threaded. This engine inverts
-//! the ownership model so a 40-core run can use the host's cores:
+//! One implementation of every fill, coherence and guard rule serves both
+//! schedules. The **epoch schedule** ([`ParallelEngine::run`]) lets a
+//! 40-core run use the host's cores; the **serial schedule**
+//! ([`ParallelEngine::run_serial`], the min-clock reference behind
+//! [`crate::system::SimRunner::run_serial`]) resolves every request as it
+//! is issued. Both run over the same state:
 //!
 //! 1. **Private tiers** ([`private::ClusterSim`]): each L2 cluster owns its
 //!    cores, L1s, L2, prefetchers and helper tables, and advances under
@@ -31,12 +34,18 @@
 //!    stable k-way merges of already-sorted runs ([`merge`]), never by
 //!    comparison sorts.
 //!
+//! The serial schedule ([`serial`]) is the same state with one shard
+//! spanning every LLC set: it steps the global min-clock core and resolves
+//! that core's requests before the next pick, so no estimate outlives its
+//! record.
+//!
 //! Every reduction and drain order is indexed by cluster/shard/core id —
 //! never by worker — so a run's `RunResult` is **bit-identical for any
 //! worker count** (`tests/determinism.rs`). Fidelity differences against
-//! the serial engine are bounded by the epoch window: LLC latency feedback,
-//! pair-table updates and remote invalidations land at the next barrier
-//! instead of instantly, and the threshold/color pair is frozen per epoch.
+//! the serial schedule are bounded by the epoch window: LLC latency
+//! feedback, pair-table updates and remote invalidations land at the next
+//! barrier instead of instantly, and the threshold/color pair is frozen
+//! per epoch.
 //!
 //! **Failure containment**: every parallel section runs its worker
 //! closures under `catch_unwind`; the first panic — or a barrier
@@ -51,6 +60,7 @@ pub mod estimate;
 pub mod merge;
 pub mod private;
 pub mod request;
+pub mod serial;
 pub mod shard;
 
 pub use contain::EngineError;
@@ -161,7 +171,9 @@ impl EngineStats {
     }
 }
 
-/// The assembled parallel engine for one run.
+/// The assembled engine for one run — clusters, LLC shards, threshold unit
+/// — driven by the epoch schedule ([`ParallelEngine::run`]) or the serial
+/// one ([`ParallelEngine::run_serial`]).
 pub struct ParallelEngine<'p> {
     cfg: SystemConfig,
     eng: EngineConfig,
@@ -210,17 +222,28 @@ impl<'p> ParallelEngine<'p> {
         cfg: &SystemConfig,
         eng: &EngineConfig,
         mix: WorkloadMix,
+        cores: Vec<(RecordSource<'p>, SharedAddressSpace)>,
+    ) -> Self {
+        // Resolve GARIBALDI_FAULTS here so a malformed plan fails loudly
+        // on the main thread, not inside a contained worker.
+        let _ = fault::active();
+        let watchdog = crate::config::env_positive("GARIBALDI_BARRIER_TIMEOUT_S")
+            .map(|secs| std::time::Duration::from_secs(secs as u64));
+        Self { watchdog, ..Self::assemble(cfg, eng, mix, cores) }
+    }
+
+    /// The clusters, shards and threshold unit of one run, shared by both
+    /// schedules; no fault plan or watchdog is consulted.
+    fn assemble(
+        cfg: &SystemConfig,
+        eng: &EngineConfig,
+        mix: WorkloadMix,
         mut cores: Vec<(RecordSource<'p>, SharedAddressSpace)>,
     ) -> Self {
         cfg.validate().expect("valid system configuration");
         eng.validate().expect("valid engine configuration");
         assert_eq!(cores.len(), cfg.cores, "one source per core");
         assert_eq!(mix.cores(), cfg.cores, "mix slots must equal core count");
-        // Resolve GARIBALDI_FAULTS here so a malformed plan fails loudly
-        // on the main thread, not inside a contained worker.
-        let _ = fault::active();
-        let watchdog = crate::config::env_positive("GARIBALDI_BARRIER_TIMEOUT_S")
-            .map(|secs| std::time::Duration::from_secs(secs as u64));
 
         let llc_sets = CacheConfig::from_capacity("llc", cfg.llc_bytes, cfg.llc_ways).sets;
         let n_shards = eng.llc_shards.min(llc_sets).max(1);
@@ -256,7 +279,7 @@ impl<'p> ParallelEngine<'p> {
             learned_merged: Vec::new(),
             stats: EngineStats::default(),
             fail: FailState::default(),
-            watchdog,
+            watchdog: None,
         }
     }
 
@@ -309,12 +332,7 @@ impl<'p> ParallelEngine<'p> {
     ) -> Result<(RunResult, EngineStats), EngineError> {
         let t0 = std::time::Instant::now();
         self.advance_to(warmup)?;
-        self.reset_stats();
-        for cl in &mut self.clusters {
-            for c in cl.cores.iter_mut() {
-                c.snapshot();
-            }
-        }
+        self.start_measurement();
         self.advance_to(warmup + records)?;
         let mut stats = self.stats.clone();
         stats.wall_s = t0.elapsed().as_secs_f64();
@@ -407,10 +425,7 @@ impl<'p> ParallelEngine<'p> {
         let epoch = self.stats.epochs;
         let timeout = self.watchdog;
 
-        let snap = ThresholdSnapshot {
-            color: self.threshold.as_ref().map(|t| t.color()).unwrap_or(0),
-            threshold: self.threshold.as_ref().map(|t| t.threshold()).unwrap_or(0),
-        };
+        let snap = self.threshold_snapshot();
 
         // Bucket requests by shard. Each core's buffer is key-sorted by
         // construction, so the scatter produces per-(shard, core) sorted
@@ -608,11 +623,21 @@ impl<'p> ParallelEngine<'p> {
         self.check()
     }
 
+    /// The live threshold unit's color and threshold, frozen for the next
+    /// batch of drained requests.
+    fn threshold_snapshot(&self) -> ThresholdSnapshot {
+        ThresholdSnapshot {
+            color: self.threshold.as_ref().map(|t| t.color()).unwrap_or(0),
+            threshold: self.threshold.as_ref().map(|t| t.threshold()).unwrap_or(0),
+        }
+    }
+
     /// Replays every demand access outcome into the threshold unit and the
-    /// conditional matrix, merged across cores in `(timestamp, core, seq)`
-    /// order — the same order the shards drained in. The matrix is pure
-    /// commutative counters, so when no threshold unit is configured the
-    /// merge is skipped and cores are walked directly.
+    /// conditional matrix ([`replay_demand`]), merged across cores in
+    /// `(timestamp, core, seq)` order — the same order the shards drained
+    /// in. The matrix is pure commutative counters, so when no threshold
+    /// unit is configured the merge is skipped and cores are walked
+    /// directly.
     fn replay_outcomes(&mut self) {
         let mut th = self.threshold.take();
         let mut cond = self.cond;
@@ -620,36 +645,10 @@ impl<'p> ParallelEngine<'p> {
         {
             let cores: Vec<&EpochCore<'_>> =
                 self.clusters.iter().flat_map(|cl| cl.cores.iter()).collect();
-            let mut visit = |c: &EpochCore<'_>, r: &LlcRequest, th: &mut Option<ThresholdUnit>| {
-                match r.kind {
-                    // The serial oracle path bypasses the module entirely.
-                    ReqKind::Instr { demand: true } if !i_oracle => {
-                        let o = c.outcomes[r.key.seq as usize];
-                        if let Some(t) = th.as_mut() {
-                            t.on_llc_access(o.llc_hit);
-                            if !o.llc_hit {
-                                t.record_instr_miss(ThreadId::new(r.key.core), r.pc);
-                            }
-                        }
-                    }
-                    ReqKind::Data { ifetch_seq, .. } => {
-                        let o = c.outcomes[r.key.seq as usize];
-                        if let Some(t) = th.as_mut() {
-                            t.on_llc_access(o.llc_hit);
-                            t.record_data_access(ThreadId::new(r.key.core), r.pc, o.llc_hit);
-                        }
-                        if let Some(fs) = ifetch_seq {
-                            let io = c.outcomes[fs as usize];
-                            cond.record(!io.llc_hit, o.llc_hit);
-                        }
-                    }
-                    _ => {}
-                }
-            };
             if th.is_none() {
                 for c in &cores {
                     for &idx in &c.demand_idx {
-                        visit(c, &c.reqs[idx as usize], &mut th);
+                        replay_demand(c, &c.reqs[idx as usize], &mut th, &mut cond, i_oracle);
                     }
                 }
             } else {
@@ -667,7 +666,7 @@ impl<'p> ParallelEngine<'p> {
                     if pos[i] < c.demand_idx.len() {
                         heap.push(Reverse((c.reqs[c.demand_idx[pos[i]] as usize].key, i)));
                     }
-                    visit(c, r, &mut th);
+                    replay_demand(c, r, &mut th, &mut cond, i_oracle);
                 }
             }
         }
@@ -675,12 +674,17 @@ impl<'p> ParallelEngine<'p> {
         self.cond = cond;
     }
 
-    fn reset_stats(&mut self) {
+    /// Warmup boundary: clears statistics (contents and learned state
+    /// stay) and snapshots every core's clock, stack and retired count.
+    fn start_measurement(&mut self) {
         for sh in &mut self.shards {
             sh.reset_stats();
         }
         for cl in &mut self.clusters {
             cl.tier.reset_stats();
+            for c in cl.cores.iter_mut() {
+                c.snapshot();
+            }
         }
         self.cond = ConditionalMatrix::default();
         self.invalidations = 0;
@@ -815,6 +819,42 @@ impl<'p> ParallelEngine<'p> {
             qbs_cycles,
             invalidations: self.invalidations,
         }
+    }
+}
+
+/// Replays one demand request's drained outcome into the threshold unit
+/// (LLC hit/miss, instruction misses, data accesses) and the Fig 4c
+/// conditional matrix. Both schedules call it in drain order.
+fn replay_demand(
+    c: &EpochCore<'_>,
+    r: &LlcRequest,
+    th: &mut Option<ThresholdUnit>,
+    cond: &mut ConditionalMatrix,
+    i_oracle: bool,
+) {
+    match r.kind {
+        // The oracle path bypasses the module entirely.
+        ReqKind::Instr { demand: true } if !i_oracle => {
+            let o = c.outcomes[r.key.seq as usize];
+            if let Some(t) = th.as_mut() {
+                t.on_llc_access(o.llc_hit);
+                if !o.llc_hit {
+                    t.record_instr_miss(ThreadId::new(r.key.core), r.pc);
+                }
+            }
+        }
+        ReqKind::Data { ifetch_seq, .. } => {
+            let o = c.outcomes[r.key.seq as usize];
+            if let Some(t) = th.as_mut() {
+                t.on_llc_access(o.llc_hit);
+                t.record_data_access(ThreadId::new(r.key.core), r.pc, o.llc_hit);
+            }
+            if let Some(fs) = ifetch_seq {
+                let io = c.outcomes[fs as usize];
+                cond.record(!io.llc_hit, o.llc_hit);
+            }
+        }
+        _ => {}
     }
 }
 

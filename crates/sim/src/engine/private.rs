@@ -8,11 +8,11 @@
 //! simulated interleaving is a pure function of the cluster's state and
 //! never of which worker thread runs it. Anything shared beyond the
 //! cluster is deferred as an [`LlcRequest`] and resolved at the epoch
-//! barrier; the latency gap between the issue-time estimate (produced by
-//! the core's [`Ewma`] estimator, see [`super::estimate`]) and the
-//! drained outcome is charged back through
-//! [`ClusterSim::apply_corrections`], which also feeds the outcomes back
-//! into the estimator's learned state.
+//! barrier (on the serial schedule, right after its record); the latency
+//! gap between the issue-time estimate (produced by the core's [`Ewma`]
+//! estimator, see [`super::estimate`]) and the drained outcome is charged
+//! back through [`ClusterSim::apply_corrections`], which also feeds the
+//! outcomes back into the estimator's learned state.
 
 use super::estimate::{
     correct_record, EstimatorStats, Ewma, PendingRecord, PendingRef, StreamClass,
@@ -20,7 +20,6 @@ use super::estimate::{
 use super::request::{InvalCmd, LlcRequest, ReqKey, ReqKind, ReqOutcome};
 use crate::config::SystemConfig;
 use crate::core_model::{combine_data_stalls, CpiStack, InstrPrefetchEngine};
-use crate::hierarchy::MemoryHierarchy;
 use crate::metrics::CoreResult;
 use garibaldi::HelperTable;
 use garibaldi_cache::{
@@ -116,12 +115,7 @@ impl<'p> EpochCore<'p> {
             instrs,
             cycles,
             ipc: if cycles <= 0.0 { 0.0 } else { instrs as f64 / cycles },
-            stack: CpiStack {
-                base: self.stack.base - self.snap_stack.base,
-                ifetch: self.stack.ifetch - self.snap_stack.ifetch,
-                data: self.stack.data - self.snap_stack.data,
-                branch: self.stack.branch - self.snap_stack.branch,
-            },
+            stack: self.stack.sub(&self.snap_stack),
         }
     }
 
@@ -147,6 +141,14 @@ impl<'p> EpochCore<'p> {
         });
         seq
     }
+}
+
+/// PC signature of replacement-policy context, mixing in the core id so
+/// distinct address spaces never alias in PC-indexed predictors.
+#[inline]
+fn sig(core: CoreId, pc: VirtAddr) -> u64 {
+    (pc.get() & !63).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+        ^ (core.get() as u64).wrapping_mul(0xc2b2_ae3d_27d4_eb4f)
 }
 
 /// Result of a private-tier access: resolved with a final latency, or
@@ -333,15 +335,15 @@ impl<'p> ClusterSim<'p> {
         }
     }
 
-    /// Executes one trace record for core `i`, resolving private-tier
-    /// traffic immediately and buffering LLC-bound work.
-    fn step_core(&mut self, i: usize) {
+    /// Executes one trace record for the cluster's core `i`, resolving
+    /// private-tier traffic immediately and buffering LLC-bound work.
+    pub(crate) fn step_core(&mut self, i: usize) {
         let cfg = &self.cfg;
         let tier = &mut self.tier;
         let c = &mut self.cores[i];
         let rec = c.src.next_record();
         let il_pa = c.asp.translate_line(rec.pc);
-        let sig = MemoryHierarchy::sig(c.id, rec.pc);
+        let sig = sig(c.id, rec.pc);
 
         // Frontend: fetch the instruction line through the private tier.
         let i_res = instr_access(tier, c, cfg, sig, il_pa, rec.pc);
@@ -467,8 +469,7 @@ impl<'p> ClusterSim<'p> {
     }
 }
 
-/// Instruction fetch through the private tier (mirrors
-/// `MemoryHierarchy::access_instr` down to the LLC boundary).
+/// Instruction fetch through the private tier, down to the LLC boundary.
 fn instr_access(
     tier: &mut ClusterTier,
     c: &mut EpochCore<'_>,
@@ -509,8 +510,7 @@ fn instr_access(
     TierRes::Pending { est: c.est.issue_estimate(StreamClass::Ifetch), seq }
 }
 
-/// Demand data access through the private tier (mirrors
-/// `MemoryHierarchy::access_data` down to the LLC boundary).
+/// Demand data access through the private tier, down to the LLC boundary.
 #[allow(clippy::too_many_arguments)] // mirrors the access path's natural arity
 fn data_access(
     tier: &mut ClusterTier,
@@ -637,7 +637,7 @@ fn prefetch_instr(
     if l1i_probe.resident() {
         return;
     }
-    let sig = MemoryHierarchy::sig(c.id, pc);
+    let sig = sig(c.id, pc);
     let ctx = AccessCtx { line, pc_sig: sig, is_instr: true, is_prefetch: true };
     let l2_probe = tier.l2.probe_fill(line);
     if l2_probe.resident() {
@@ -676,7 +676,7 @@ fn prefetch_fill_l1d(
     tier.l1d[li].fill_probed(probe, line, &ctx, false).way.map(|_| probe.set())
 }
 
-/// L2 GHB prefetch fill (evictions are dropped, as in the serial tier).
+/// L2 GHB prefetch fill (displaced lines are dropped, dirty or not).
 /// Returns the set a frame was actually filled into, for probe-staleness
 /// checks in the caller (`None` if the line was resident or bypassed).
 fn prefetch_fill_l2(

@@ -118,19 +118,9 @@ impl LlcShard {
             CacheConfig::shard(format!("llc.s{idx}"), total_sets, base, sets, cfg.llc_ways),
             cfg.scheme.policy,
         );
-        // Keep aggregate DRAM bandwidth equal to the unsharded model: each
-        // shard gets one channel whose per-line occupancy is scaled by
-        // shards / channels.
-        let dcfg = DramConfig {
-            channels: 1,
-            transfer_occupancy: (cfg.dram.transfer_occupancy * shards as u64
-                / cfg.dram.channels.max(1) as u64)
-                .max(1),
-            ..cfg.dram
-        };
         Self {
             cache,
-            dram: DramModel::new(dcfg),
+            dram: DramModel::new(shard_dram(&cfg.dram, shards)),
             gar: cfg.scheme.garibaldi.as_ref().map(|g| GarShard::new(g, shards)),
             oracle_seen: U64Set::new(),
             profiler: cfg.profile_reuse.then(|| ReuseProfiler::new(total_sets)),
@@ -448,15 +438,14 @@ impl LlcShard {
     }
 
     /// Write-upgrade under the **LLC-directory-scoped** coherence contract
-    /// (docs/ARCHITECTURE.md §"Coherence semantics", identical in the
-    /// serial engine's `MemoryHierarchy::invalidate_remote`): the
-    /// non-inclusive LLC's directory is the sole authority for write
-    /// propagation. A written line that is not LLC-resident has no
-    /// directory entry, so *no* invalidations are propagated — any stale
-    /// private-tier copies persist until natural eviction or a later
-    /// upgrade after the directory re-learns its sharers. The deliberately
-    /// "lost" upgrade is counted so the coherence differential battery can
-    /// observe the path on both engines.
+    /// (docs/ARCHITECTURE.md §"Coherence semantics"): the non-inclusive
+    /// LLC's directory is the sole authority for write propagation. A
+    /// written line that is not LLC-resident has no directory entry, so
+    /// *no* invalidations are propagated — any stale private-tier copies
+    /// persist until natural eviction or a later upgrade after the
+    /// directory re-learns its sharers. The deliberately "lost" upgrade is
+    /// counted so the coherence differential battery can observe the path
+    /// on both schedules.
     fn write_upgrade(&mut self, r: &LlcRequest, set: usize, out: &mut DrainOut) {
         let Some(m) = self.cache.peek_mut_at(set, r.line) else {
             self.lost_upgrades += 1;
@@ -488,9 +477,8 @@ impl LlcShard {
         out.invals.push((r.key, InvalCmd { line: r.line, others }));
     }
 
-    /// Guarded LLC insertion (QBS + way partitioning), mirroring
-    /// `MemoryHierarchy::insert_llc_guarded`, with the set precomputed by
-    /// the drain prologue. Returns the QBS latency and the filled way
+    /// Guarded LLC insertion (QBS + way partitioning, §4.2), with the set
+    /// precomputed by the drain prologue. Returns the QBS latency and the filled way
     /// (`None` when the fill was bypassed), so callers can update the
     /// frame's directory state without re-probing the tag row.
     fn insert_guarded_at(
@@ -643,6 +631,21 @@ impl LlcShard {
     }
 }
 
+/// The DRAM slice of one of `shards` shards: `max(1, channels / shards)`
+/// channels, each line's occupancy scaled by `shards × slice channels /
+/// channels` so aggregate bandwidth matches the unsharded model. One shard
+/// gets `dram` itself.
+fn shard_dram(dram: &DramConfig, shards: usize) -> DramConfig {
+    let channels = dram.channels.max(1);
+    let slice = (channels / shards).max(1);
+    DramConfig {
+        channels: slice,
+        transfer_occupancy: (dram.transfer_occupancy * (shards * slice) as u64 / channels as u64)
+            .max(1),
+        ..*dram
+    }
+}
+
 /// `(base, len)` of shard `idx` in an even contiguous split of `sets`.
 pub fn shard_range(sets: usize, shards: usize, idx: usize) -> (usize, usize) {
     let per = sets / shards;
@@ -661,5 +664,28 @@ pub fn shard_of_set(sets: usize, shards: usize, set: usize) -> usize {
         set / (per + 1)
     } else {
         rem + (set - boundary) / per.max(1)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::LlcScheme;
+    use garibaldi_cache::PolicyKind;
+
+    #[test]
+    fn dram_slices_keep_aggregate_bandwidth() {
+        let cfg = SystemConfig {
+            scheme: LlcScheme::plain(PolicyKind::Lru),
+            ..SystemConfig::paper_baseline()
+        };
+        assert_eq!((cfg.dram.channels, cfg.dram.transfer_occupancy), (2, 4));
+        // More shards than channels: one channel each, occupancy scaled by
+        // shards / channels.
+        let d = *LlcShard::new(&cfg, 3, 8, 64).dram().config();
+        assert_eq!((d.channels, d.transfer_occupancy), (1, 16));
+        assert_eq!(d.access_latency, cfg.dram.access_latency);
+        // One shard (the serial schedule) keeps the unsharded model.
+        assert_eq!(*LlcShard::new(&cfg, 0, 1, 64).dram().config(), cfg.dram);
     }
 }

@@ -32,7 +32,6 @@ pub mod engine;
 pub mod experiment;
 pub mod fault;
 pub mod fidelity;
-pub mod hierarchy;
 pub mod metrics;
 pub mod reuse;
 pub mod system;
@@ -45,7 +44,6 @@ pub use engine::estimate::{EstimatorKind, TrainMode};
 pub use engine::{EngineError, EngineStats, ParallelEngine};
 pub use experiment::{geomean, ExperimentScale, WeightedSpeedup};
 pub use fidelity::{FidelityReport, FidelitySuite};
-pub use hierarchy::MemoryHierarchy;
 pub use metrics::{ConditionalMatrix, CoreResult, RunResult};
 pub use reuse::ReuseProfiler;
 pub use system::SimRunner;

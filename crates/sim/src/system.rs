@@ -1,24 +1,22 @@
 //! The multi-core simulation driver.
 //!
-//! Cores advance under **min-clock scheduling**: at every step the core
-//! with the smallest local clock executes one trace record against the
-//! shared hierarchy. This interleaves LLC accesses in global time order —
-//! the property that creates the multi-core contention (and instruction
-//! victims) the paper studies — without the cost of cycle-by-cycle
-//! lock-step simulation.
+//! [`SimRunner`] builds the traces and address spaces of a run and hands
+//! them to one of the engine's two schedules. The serial reference uses
+//! **min-clock scheduling**: at every step the core with the smallest local
+//! clock executes one trace record, and its LLC-bound requests resolve
+//! before the next step. This interleaves LLC accesses in global time
+//! order — the property that creates the multi-core contention (and
+//! instruction victims) the paper studies — without the cost of
+//! cycle-by-cycle lock-step simulation.
 
 use crate::config::{EngineChoice, EngineConfig, SystemConfig};
-use crate::core_model::CoreState;
-use crate::energy::EnergyModel;
 use crate::engine::private::RecordSource;
 use crate::engine::ParallelEngine;
-use crate::hierarchy::MemoryHierarchy;
-use crate::metrics::{CoreResult, GaribaldiReport, ReuseSummary, RunResult};
+use crate::metrics::RunResult;
 use garibaldi_trace::{
     registry, PpnAllocator, SharedAddressSpace, SyntheticProgram, TraceGenerator, TraceRecord,
     WorkloadClass, WorkloadMix,
 };
-use garibaldi_types::CoreId;
 use std::collections::HashMap;
 
 /// A configured simulation ready to run.
@@ -72,95 +70,23 @@ impl SimRunner {
         }
     }
 
-    /// The serial min-clock reference engine.
+    /// The serial min-clock reference: the parallel engine's tier and
+    /// shard code under the global min-clock schedule
+    /// ([`ParallelEngine::run_serial`]), with every LLC-bound request
+    /// resolved before the next core steps.
     ///
     /// Shares trace construction and the pure-hash address-space mapping
     /// with the parallel engine (`build_parallel_cores`), so the two
-    /// engines differ only in epoch mechanics — the property the fidelity
-    /// study ([`crate::fidelity`]) relies on.
+    /// differ only in schedule — the property the fidelity study
+    /// ([`crate::fidelity`]) relies on.
     pub fn run_serial(&self, records: u64, warmup: u64) -> RunResult {
         let programs = self.build_programs();
-        let mut hier = MemoryHierarchy::new(&self.cfg);
-        let mut cores: Vec<CoreState<'_>> = self
-            .build_parallel_cores(&programs, None)
-            .into_iter()
-            .enumerate()
-            .map(|(i, (src, asp))| {
-                let gen = match src {
-                    RecordSource::Gen(gen) => gen,
-                    RecordSource::Replay { .. } => unreachable!("serial runs generate live"),
-                };
-                CoreState::new(CoreId::new(i as u16), gen, asp)
-            })
-            .collect();
-
-        // Warmup phase.
-        run_until(&mut cores, &mut hier, &self.cfg, warmup);
-        hier.reset_stats();
-        for c in cores.iter_mut() {
-            c.snapshot();
-        }
-
-        // Measured phase.
-        run_until(&mut cores, &mut hier, &self.cfg, warmup + records);
-
-        self.collect(cores, hier)
+        let cores = self.build_parallel_cores(&programs, None);
+        ParallelEngine::serial(&self.cfg, self.mix.clone(), cores).run_serial(records, warmup)
     }
 
-    fn collect(&self, cores: Vec<CoreState<'_>>, hier: MemoryHierarchy) -> RunResult {
-        let core_results: Vec<CoreResult> = cores
-            .iter()
-            .zip(&self.mix.slots)
-            .map(|(c, w)| CoreResult {
-                workload: w.clone(),
-                instrs: c.measured_instrs(),
-                cycles: c.measured_cycles(),
-                ipc: c.ipc(),
-                stack: c.measured_stack(),
-            })
-            .collect();
-        let wall = core_results.iter().map(|c| c.cycles).fold(0.0, f64::max);
-        let energy = EnergyModel::default().evaluate(&hier.energy_events(wall as u64));
-        let garibaldi = hier.garibaldi().map(|g| GaribaldiReport {
-            stats: *g.stats(),
-            final_threshold: g.threshold(),
-            color_ticks: g.threshold_unit().color_ticks(),
-            helper_hit_rate: g.helper_hit_rate(),
-        });
-        let reuse = hier.profiler().map(|p| {
-            let (apl_i, apl_d) = p.accesses_per_line();
-            ReuseSummary {
-                instr_mean_distance: p.instr_hist().mean(),
-                data_mean_distance: p.data_hist().mean(),
-                instr_within_assoc: p.instr_hist().within(self.cfg.llc_ways),
-                data_within_assoc: p.data_hist().within(self.cfg.llc_ways),
-                accesses_per_instr_line: apl_i,
-                accesses_per_data_line: apl_d,
-                shared_lifecycle_fraction: p.shared_lifecycle_fraction(),
-            }
-        });
-        RunResult {
-            scheme: self.cfg.scheme.label(),
-            cores: core_results,
-            l1: hier.l1_stats(),
-            l1i: hier.l1i_stats(),
-            l2: hier.l2_stats(),
-            llc: hier.llc_stats(),
-            dram: *hier.dram().stats(),
-            garibaldi,
-            conditional: *hier.conditional(),
-            reuse,
-            energy,
-            qbs_cycles: hier.qbs_cycles(),
-            invalidations: hier.invalidations(),
-        }
-    }
-}
-
-impl SimRunner {
     /// Builds one program per distinct workload (shared by its cores).
-    /// Seeding mirrors [`SimRunner::run_serial`] so both engines (and
-    /// dumped traces) walk identical record streams.
+    /// Both schedules (and dumped traces) walk identical record streams.
     fn build_programs(&self) -> HashMap<String, SyntheticProgram> {
         let mut programs = HashMap::new();
         for name in self.mix.distinct() {
@@ -175,10 +101,9 @@ impl SimRunner {
         programs
     }
 
-    /// Per-core `(source, space)` pairs for the parallel engine. Walk seeds
-    /// match the serial engine; address spaces use the pure shared mapping
-    /// (threads of one server process share one space, SPEC workloads get
-    /// private ones).
+    /// Per-core `(source, space)` pairs for either schedule. Address
+    /// spaces use the pure shared mapping (threads of one server process
+    /// share one space, SPEC workloads get private ones).
     fn build_parallel_cores<'p>(
         &self,
         programs: &'p HashMap<String, SyntheticProgram>,
@@ -280,9 +205,10 @@ impl SimRunner {
 
     /// Graceful degradation: run on the parallel engine, and if it fails
     /// with a contained [`crate::engine::EngineError`], deterministically
-    /// retry once on the serial engine (byte-identical goldens make the
-    /// fallback safe). Returns the result together with the parallel
-    /// failure, if one happened, so callers can surface it.
+    /// retry once on the serial schedule, which runs the same rule code
+    /// with no threads, containment sections or fault hooks. Returns the
+    /// result together with the parallel failure, if one happened, so
+    /// callers can surface it.
     ///
     /// Interactive/CLI entry point only: benches and fidelity gates call
     /// the parallel engine directly, so a degraded environment can never
@@ -336,30 +262,6 @@ impl SimRunner {
                 (0..total).map(|_| src.next_record()).collect()
             })
             .collect()
-    }
-}
-
-/// Advances cores under min-clock scheduling until each has processed
-/// `target` records.
-fn run_until(
-    cores: &mut [CoreState<'_>],
-    hier: &mut MemoryHierarchy,
-    cfg: &SystemConfig,
-    target: u64,
-) {
-    loop {
-        let mut best: Option<usize> = None;
-        let mut best_clock = f64::INFINITY;
-        for (i, c) in cores.iter().enumerate() {
-            if c.records() < target && c.clock < best_clock {
-                best_clock = c.clock;
-                best = Some(i);
-            }
-        }
-        match best {
-            Some(i) => cores[i].step(hier, cfg),
-            None => break,
-        }
     }
 }
 

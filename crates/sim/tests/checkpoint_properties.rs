@@ -8,7 +8,7 @@ use garibaldi_cache::CacheStats;
 use garibaldi_mem::DramStats;
 use garibaldi_sim::checkpoint;
 use garibaldi_sim::metrics::{ConditionalMatrix, CoreResult, GaribaldiReport, ReuseSummary};
-use garibaldi_sim::{CpiStack, RunResult};
+use garibaldi_sim::{CpiStack, EngineChoice, ExperimentScale, FidelitySuite, RunResult};
 use proptest::prelude::*;
 
 /// Finite floats with awkward shortest-representations (ratios of random
@@ -141,6 +141,29 @@ fn sample(ipc: f64) -> RunResult {
         qbs_cycles: 0,
         invalidations: 0,
     }
+}
+
+/// Rows minted by the earlier serial model, keyed under the bare `serial`
+/// engine tag, never answer for the current serial schedule: a resumed
+/// sweep re-runs them instead of silently mixing the two models.
+#[test]
+fn legacy_serial_rows_miss_the_current_serial_key() {
+    let dir = std::env::temp_dir().join("garibaldi-checkpoint-serial-tag");
+    let _ = std::fs::remove_dir_all(&dir);
+    let path = dir.join("runs.jsonl");
+    let scale = ExperimentScale { cores: 4, ..ExperimentScale::smoke() };
+    let suite = FidelitySuite::paper_figures(scale, 1, &["tpcc"], vec![20_000]);
+    let job = suite.jobs().into_iter().find(|j| j.engine == EngineChoice::Serial).unwrap();
+    let serial_tag = EngineChoice::Serial.tag();
+    let legacy_key = job.key.replace(&format!("/{serial_tag}/"), "/serial/");
+    assert_ne!(legacy_key, job.key, "the serial tag is part of the key");
+
+    checkpoint::append_tagged(&path, "serial", &legacy_key, &sample(1.0)).unwrap();
+    let (rows, rep) = checkpoint::load_report(&path).unwrap();
+    assert!(rep.is_clean());
+    assert!(rows.contains_key(&legacy_key), "the legacy row itself still loads");
+    assert!(!rows.contains_key(&job.key), "a legacy serial row must not hit");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A checkpoint file whose tail was cut mid-line (the crash/kill case)

@@ -8,11 +8,11 @@
 //! three directions:
 //!
 //! 1. **Directed two-cluster tests** — the write-upgrade miss path
-//!    (`LlcShard::write_upgrade` / `MemoryHierarchy::invalidate_remote`):
-//!    a write to a line with no LLC directory entry must propagate *no*
-//!    invalidations and count a lost upgrade, identically on both engines;
-//!    the resident path must invalidate exactly the other clusters named
-//!    by the sharer mask.
+//!    (`LlcShard::write_upgrade`), at the shard and end to end through the
+//!    private tiers on the serial schedule: a write to a line with no LLC
+//!    directory entry must propagate *no* invalidations and count a lost
+//!    upgrade, leaving remote private copies stale; the resident path must
+//!    invalidate exactly the other clusters named by the sharer mask.
 //! 2. **Fixed-seed serial-vs-parallel gate** — the shared profiles run on
 //!    both engines at the fidelity gate scale; serial results are
 //!    committed goldens (`tests/golden/coherence_baselines.jsonl`,
@@ -27,16 +27,18 @@
 //! Run with `PROPTEST_CASES=512` (the CI `coherence-differential` leg)
 //! for an elevated case count.
 
-use garibaldi_cache::{CacheStats, MesiState, PolicyKind};
+use garibaldi_cache::{CacheConfig, CacheStats, MesiState, PolicyKind};
+use garibaldi_sim::engine::private::RecordSource;
 use garibaldi_sim::engine::request::{LlcRequest, ReqKey, ReqKind};
 use garibaldi_sim::engine::shard::{DrainOut, LlcShard, ThresholdSnapshot};
-use garibaldi_sim::hierarchy::MemoryHierarchy;
 use garibaldi_sim::{
-    checkpoint, EngineChoice, EngineConfig, ExperimentScale, LlcScheme, RunResult, SimRunner,
-    SystemConfig,
+    checkpoint, EngineChoice, EngineConfig, ExperimentScale, LlcScheme, ParallelEngine, RunResult,
+    SimRunner, SystemConfig,
 };
-use garibaldi_trace::{random_shared_mixes, registry, WorkloadMix};
-use garibaldi_types::{CoreId, HitLevel, LineAddr, RwKind, VirtAddr};
+use garibaldi_trace::{
+    random_shared_mixes, registry, SharedAddressSpace, TraceRecord, WorkloadMix,
+};
+use garibaldi_types::{LineAddr, RwKind, VirtAddr};
 use proptest::prelude::*;
 use std::path::PathBuf;
 
@@ -113,18 +115,69 @@ fn shard_resident_write_upgrade_invalidates_exactly_the_other_sharers() {
 }
 
 // ---------------------------------------------------------------------------
-// 2. Directed two-cluster write-upgrade tests (serial hierarchy).
+// 2. Directed two-cluster write-upgrade tests (serial schedule).
 // ---------------------------------------------------------------------------
 
-/// Eight cores = two 4-core L2 clusters; prefetchers off so every fill in
-/// the test is a demand fill the assertions can reason about.
+/// Twelve cores = three 4-core L2 clusters (the third only streams LLC
+/// conflicts); prefetchers off so every fill in the test is a demand fill
+/// the assertions can reason about.
 fn serial_cfg() -> SystemConfig {
     let mut cfg = shard_cfg();
-    cfg.cores = 8;
+    cfg.cores = 12;
     cfg.l1d_prefetcher = false;
     cfg.l1i_prefetcher = false;
     cfg.l2_prefetcher = false;
     cfg
+}
+
+const PC: u64 = 0x40_0000;
+
+/// A record fetching [`PC`] and touching the data line at `va`.
+fn data_rec(va: u64, rw: RwKind) -> TraceRecord {
+    let mut r = TraceRecord::fetch_only(VirtAddr::new(PC), 8);
+    r.push_data(VirtAddr::new(va), rw);
+    r
+}
+
+/// The serial schedule over `streams` (one per core), every core in `asp`.
+fn serial_engine<'p>(
+    cfg: &SystemConfig,
+    asp: &SharedAddressSpace,
+    streams: &'p [Vec<TraceRecord>],
+) -> ParallelEngine<'p> {
+    let cores = streams
+        .iter()
+        .map(|s| (RecordSource::Replay { records: s, pos: 0 }, asp.clone()))
+        .collect();
+    ParallelEngine::serial(cfg, WorkloadMix::homogeneous("barnes", cfg.cores), cores)
+}
+
+/// `(L1 data hits, L2 data hits, LLC data hits)` summed over the engine.
+fn data_hits(e: &ParallelEngine<'_>) -> (u64, u64, u64) {
+    let (mut l1, mut l2) = (0, 0);
+    for cl in e.clusters() {
+        let (c1, _, c2) = cl.tier.stats();
+        l1 += c1.d_hits;
+        l2 += c2.d_hits;
+    }
+    (l1, l2, e.shards()[0].cache().stats().d_hits)
+}
+
+/// Steps `core` through one record; names the tier that served its data
+/// reference ("l1", "l2", "llc" or "dram").
+fn step_data(e: &mut ParallelEngine<'_>, core: usize) -> &'static str {
+    let before = data_hits(e);
+    e.step_serial(core);
+    let after = data_hits(e);
+    if after.0 > before.0 {
+        "l1"
+    } else if after.1 > before.1 {
+        "l2"
+    } else if after.2 > before.2 {
+        "llc"
+    } else {
+        "dram"
+    }
 }
 
 /// Serial mirror of the miss path: the upgrade of a line whose LLC entry
@@ -133,32 +186,46 @@ fn serial_cfg() -> SystemConfig {
 /// deliberately accepts on a non-inclusive LLC.
 #[test]
 fn serial_write_upgrade_on_llc_miss_leaves_remote_copies_stale() {
-    let mut h = MemoryHierarchy::new(&serial_cfg());
-    let line = LineAddr::new(0xbeef);
-    let pc = VirtAddr::new(0x40_0000);
+    let cfg = serial_cfg();
+    let asp = SharedAddressSpace::new(1);
+    let va = 0xbeef * 64;
+    let line = asp.translate_line(VirtAddr::new(va));
+    // Lines that share `line`'s LLC set, for core 8 (cluster 2) to stream
+    // through it: the non-inclusive LLC loses the line while both private
+    // copies stay.
+    let sets = CacheConfig::from_capacity("llc", cfg.llc_bytes, cfg.llc_ways).sets as u64;
+    let conflicts: Vec<TraceRecord> = (1u64..)
+        .map(|p| va + p * 4096)
+        .filter(|&v| asp.translate_line(VirtAddr::new(v)).get() % sets == line.get() % sets)
+        .take(cfg.llc_ways)
+        .map(|v| data_rec(v, RwKind::Read))
+        .collect();
+    let mut streams = vec![Vec::new(); cfg.cores];
+    streams[0] = vec![data_rec(va, RwKind::Read), data_rec(va, RwKind::Write)];
+    streams[4] = vec![data_rec(va, RwKind::Read); 2];
+    streams[5] = vec![data_rec(va, RwKind::Read)];
+    streams[8] = conflicts;
+    let mut e = serial_engine(&cfg, &asp, &streams);
 
     // Core 4 (cluster 1) then core 0 (cluster 0) read: both clusters on
     // the sharer mask, line resident everywhere.
-    h.access_data(CoreId::new(4), pc, line, RwKind::Read, 0, None);
-    h.access_data(CoreId::new(0), pc, line, RwKind::Read, 10, None);
+    e.step_serial(4);
+    e.step_serial(0);
+    for _ in 0..cfg.llc_ways {
+        e.step_serial(8);
+    }
+    assert!(e.shards()[0].cache().peek(line).is_none(), "the LLC lost the line");
 
-    // The non-inclusive LLC loses the line (capacity eviction stand-in):
-    // the directory entry — and only it — is gone.
-    h.llc_invalidate_for_test(line);
-
-    let inv_before = h.invalidations();
+    let inv_before = e.invalidations();
     // Core 0 writes. L1D hit → MESI upgrade → LLC directory miss.
-    let out = h.access_data(CoreId::new(0), pc, line, RwKind::Write, 20, None);
-    assert_eq!(out.level, HitLevel::L1);
-    assert_eq!(h.invalidations(), inv_before, "no directory entry → no invalidations");
-    assert_eq!(h.lost_upgrades(), 1, "the lost upgrade must be observable");
+    assert_eq!(step_data(&mut e, 0), "l1");
+    assert_eq!(e.invalidations(), inv_before, "no directory entry → no invalidations");
+    assert_eq!(e.shards()[0].lost_upgrades(), 1, "the lost upgrade must be observable");
 
-    // Cluster 1's copies are stale but alive: core 4 still hits privately.
-    let stale = h.access_data(CoreId::new(4), pc, line, RwKind::Read, 30, None);
-    assert_eq!(stale.level, HitLevel::L1, "stale L1 copy persists");
-    h.l1d_invalidate_for_test(4, line);
-    let stale = h.access_data(CoreId::new(4), pc, line, RwKind::Read, 40, None);
-    assert_eq!(stale.level, HitLevel::L2, "stale L2 copy persists");
+    // Cluster 1's copies are stale but alive: core 4 still hits its L1D,
+    // and core 5, which never held the line, hits the cluster's L2.
+    assert_eq!(step_data(&mut e, 4), "l1", "stale L1 copy persists");
+    assert_eq!(step_data(&mut e, 5), "l2", "stale L2 copy persists");
 }
 
 /// Serial mirror of the resident path: the same two-cluster sequence with
@@ -166,27 +233,30 @@ fn serial_write_upgrade_on_llc_miss_leaves_remote_copies_stale() {
 /// invalidation.
 #[test]
 fn serial_resident_write_upgrade_drops_the_remote_cluster() {
-    let mut h = MemoryHierarchy::new(&serial_cfg());
-    let line = LineAddr::new(0xbeef);
-    let pc = VirtAddr::new(0x40_0000);
+    let cfg = serial_cfg();
+    let asp = SharedAddressSpace::new(1);
+    let va = 0xbeef * 64;
+    let line = asp.translate_line(VirtAddr::new(va));
+    let mut streams = vec![Vec::new(); cfg.cores];
+    streams[0] = vec![data_rec(va, RwKind::Read), data_rec(va, RwKind::Write)];
+    streams[4] = vec![data_rec(va, RwKind::Read); 2];
+    let mut e = serial_engine(&cfg, &asp, &streams);
 
-    h.access_data(CoreId::new(4), pc, line, RwKind::Read, 0, None);
-    h.access_data(CoreId::new(0), pc, line, RwKind::Read, 10, None);
-    let m = h.llc().peek(line).expect("resident");
+    e.step_serial(4);
+    e.step_serial(0);
+    let m = e.shards()[0].cache().peek(line).expect("resident");
     assert_eq!(m.sharers, 0b11, "both clusters recorded");
     assert_eq!(m.state, MesiState::Shared);
 
-    let out = h.access_data(CoreId::new(0), pc, line, RwKind::Write, 20, None);
-    assert_eq!(out.level, HitLevel::L1);
-    assert_eq!(h.invalidations(), 1, "cluster 1's L2 copy dropped");
-    assert_eq!(h.lost_upgrades(), 0);
-    let m = h.llc().peek(line).expect("resident");
+    assert_eq!(step_data(&mut e, 0), "l1");
+    assert_eq!(e.invalidations(), 1, "cluster 1's L2 copy dropped");
+    assert_eq!(e.shards()[0].lost_upgrades(), 0);
+    let m = e.shards()[0].cache().peek(line).expect("resident");
     assert_eq!(m.sharers, 1 << 0, "mask collapses to the writer");
     assert_eq!(m.state, MesiState::Modified);
 
     // Cluster 1 lost every private copy: core 4's re-read goes to the LLC.
-    let refetch = h.access_data(CoreId::new(4), pc, line, RwKind::Read, 30, None);
-    assert_eq!(refetch.level, HitLevel::Llc, "remote copies were invalidated");
+    assert_eq!(step_data(&mut e, 4), "llc", "remote copies were invalidated");
 }
 
 // ---------------------------------------------------------------------------

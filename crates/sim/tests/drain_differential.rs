@@ -226,9 +226,8 @@ impl RefShard {
     }
 
     /// LLC-directory-scoped write upgrade (the contract of
-    /// `LlcShard::write_upgrade` and the serial `invalidate_remote`): an
-    /// LLC miss has no directory entry, so the upgrade is counted as lost
-    /// and propagates nothing.
+    /// `LlcShard::write_upgrade`): an LLC miss has no directory entry, so
+    /// the upgrade is counted as lost and propagates nothing.
     fn write_upgrade(&mut self, r: &LlcRequest, out: &mut DrainOut) {
         let Some(mut m) = self.cache.peek_mut(r.line) else {
             self.lost_upgrades += 1;

@@ -41,41 +41,6 @@ impl RwKind {
     }
 }
 
-/// The cache level that ultimately served a request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub enum HitLevel {
-    /// Served by the private L1 (I or D).
-    L1,
-    /// Served by the cluster-shared L2.
-    L2,
-    /// Served by the shared LLC.
-    Llc,
-    /// Missed everywhere; served by DRAM.
-    Memory,
-}
-
-impl HitLevel {
-    /// True if the request had to leave the chip.
-    #[inline]
-    pub const fn is_memory(self) -> bool {
-        matches!(self, HitLevel::Memory)
-    }
-}
-
-/// Outcome of one access as it traversed the hierarchy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct AccessOutcome {
-    /// Which level served the line.
-    pub level: HitLevel,
-    /// Total latency in core cycles, including queueing.
-    pub latency: u64,
-    /// Whether the LLC lookup (if one happened) hit.
-    pub llc_hit: Option<bool>,
-    /// Whether the line was found with its prefetched bit set at the serving
-    /// level (i.e. a prefetch covered this demand access).
-    pub covered_by_prefetch: bool,
-}
-
 /// A single memory request presented to the hierarchy.
 ///
 /// Every request carries the program counter of the triggering instruction —
@@ -118,15 +83,6 @@ mod tests {
         assert!(!AccessKind::Data.is_instr());
         assert!(RwKind::Write.is_write());
         assert!(!RwKind::Read.is_write());
-    }
-
-    #[test]
-    fn hit_level_ordering_tracks_distance_from_core() {
-        assert!(HitLevel::L1 < HitLevel::L2);
-        assert!(HitLevel::L2 < HitLevel::Llc);
-        assert!(HitLevel::Llc < HitLevel::Memory);
-        assert!(HitLevel::Memory.is_memory());
-        assert!(!HitLevel::Llc.is_memory());
     }
 
     #[test]

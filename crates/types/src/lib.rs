@@ -27,7 +27,7 @@ pub mod hint;
 pub mod ids;
 pub mod u64map;
 
-pub use access::{AccessKind, AccessOutcome, HitLevel, MemAccess, RwKind};
+pub use access::{AccessKind, MemAccess, RwKind};
 pub use addr::{
     LineAddr, PageNum, PhysAddr, VirtAddr, LINE_BYTES, LINE_OFFSET_BITS, PAGE_BYTES,
     PAGE_OFFSET_BITS, PHYS_ADDR_BITS,

@@ -6,7 +6,8 @@
 //! regenerates it and commits the result as `BENCH_<n>.json` at the repo
 //! root, so regressions show up as reviewable diffs instead of buried
 //! bench logs. The CI perf-smoke leg runs this target and prints the same
-//! breakdown into the job log.
+//! breakdown into the job log, plus a `workers=2` row beside the recorded
+//! `workers=1` one so the log shows what the worker pool buys.
 //!
 //! ```console
 //! $ cargo bench -p garibaldi-bench --bench perf_snapshot
@@ -47,13 +48,13 @@ fn reference_runner(records: u64, warmup: u64) -> (SimRunner, u64, u64) {
     (SimRunner::new(cfg, WorkloadMix { slots }, 42), records, warmup)
 }
 
-fn run_leg(runner: &SimRunner, records: u64, warmup: u64) -> EngineLeg {
-    let eng = EngineConfig::default();
+fn run_leg(runner: &SimRunner, records: u64, warmup: u64, workers: usize) -> EngineLeg {
+    let eng = EngineConfig::with_workers(workers);
     let tag = EngineChoice::Parallel(eng).tag();
     let (result, stats) = runner.run_parallel_stats(records, warmup, &eng);
     println!(
-        "[perf] {tag} wall={:.3}s step={:.3}s drain={:.3}s merge={:.3}s apply={:.3}s \
-         serial={:.3}s epochs={} syncs={} hmean-ipc={:.4}",
+        "[perf] {tag} workers={workers} wall={:.3}s step={:.3}s drain={:.3}s merge={:.3}s \
+         apply={:.3}s serial={:.3}s epochs={} syncs={} hmean-ipc={:.4}",
         stats.wall_s,
         stats.step_s,
         stats.drain_s,
@@ -435,7 +436,9 @@ fn main() {
     );
 
     let (runner, records, warmup) = reference_runner(records, warmup);
-    let leg = run_leg(&runner, records, warmup);
+    let leg = run_leg(&runner, records, warmup, 1);
+    // Log only: the snapshot records the one-worker leg.
+    run_leg(&runner, records, warmup, 2);
     let shared = shared_reference(records, warmup);
     let micro = micro_benches();
 

@@ -9,6 +9,7 @@
 use crate::line::{LineFlags, LineMeta, MesiState, PackedTag};
 use crate::policy::{build_policy, Lru, PolicyCtx, PolicyKind, ReplacementPolicy};
 use crate::stats::CacheStats;
+use garibaldi_types::fastdiv::FastDiv;
 use garibaldi_types::{hint, AccessKind, LineAddr, LINE_BYTES};
 
 /// Geometry and identity of a cache.
@@ -134,8 +135,9 @@ pub struct InsertOutcome {
 enum SetIndexFast {
     /// `sets`/`modulus` is a power of two: index = `line & mask`.
     Mask { mask: u64, base: u64 },
-    /// General case: index = `line % modulus - base`.
-    Mod { modulus: u64, base: u64 },
+    /// General case: index = `line % modulus - base`, the remainder taken
+    /// by multiplication.
+    Mod { modulus: FastDiv, base: u64 },
 }
 
 impl SetIndexFast {
@@ -147,7 +149,7 @@ impl SetIndexFast {
         if modulus.is_power_of_two() {
             Self::Mask { mask: modulus - 1, base }
         } else {
-            Self::Mod { modulus, base }
+            Self::Mod { modulus: FastDiv::new(modulus), base }
         }
     }
 
@@ -155,7 +157,7 @@ impl SetIndexFast {
     fn set_of(self, line: u64) -> usize {
         match self {
             Self::Mask { mask, base } => ((line & mask) - base) as usize,
-            Self::Mod { modulus, base } => ((line % modulus) - base) as usize,
+            Self::Mod { modulus, base } => (modulus.remainder(line) - base) as usize,
         }
     }
 }

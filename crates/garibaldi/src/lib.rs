@@ -52,4 +52,4 @@ pub use module::{GaribaldiModule, GaribaldiStats};
 pub use pair_table::{DlField, PairEntry, PairTable};
 pub use partition::instruction_way_mask;
 pub use storage::StorageReport;
-pub use threshold::ThresholdUnit;
+pub use threshold::{PeriodCounts, ThreadPmu, ThresholdState, ThresholdUnit};

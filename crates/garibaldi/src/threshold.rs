@@ -11,40 +11,89 @@
 //!   instruction misses is being served well → *decrease* the threshold
 //!   (protect more instructions);
 //! * **above** → protection is indiscriminate and hurting → *increase* it.
+//!
+//! The rings and the conditional counters belong to one thread each, and
+//! every counter commutes, so a period's PMU can also be replayed one
+//! thread at a time and merged at its boundary: [`ThreadPmu`] is one
+//! thread's ring, [`PeriodCounts`] a thread's share of a period's counters,
+//! and [`ThresholdState`] the timer and threshold register that closes a
+//! period from the summed shares. [`ThresholdUnit`] composes them into the
+//! sequential unit.
 
 use crate::config::{GaribaldiConfig, ThresholdMode};
 use garibaldi_types::{ThreadId, VirtAddr};
 
-/// Per-thread ring of recent instruction-miss PCs (64 B-aligned).
-#[derive(Debug, Clone)]
-struct PcRing {
+/// One hardware thread's slice of the PMU: its ring of recent
+/// instruction-miss PCs (64 B-aligned).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ThreadPmu {
     pcs: Vec<u64>,
     next: usize,
 }
 
-impl PcRing {
-    fn new(capacity: usize) -> Self {
-        Self { pcs: vec![u64::MAX; capacity], next: 0 }
+impl ThreadPmu {
+    /// An empty ring of `cfg.pmu_recent_pcs` entries.
+    pub fn new(cfg: &GaribaldiConfig) -> Self {
+        Self { pcs: vec![u64::MAX; cfg.pmu_recent_pcs.max(1)], next: 0 }
     }
 
-    fn record(&mut self, pc_line: u64) {
-        self.pcs[self.next] = pc_line;
+    /// Records an instruction miss PC.
+    pub fn record_instr_miss(&mut self, pc: VirtAddr) {
+        self.pcs[self.next] = pc.get() & !63;
         self.next = (self.next + 1) % self.pcs.len();
     }
 
-    fn contains(&self, pc_line: u64) -> bool {
-        self.pcs.contains(&pc_line)
+    /// Records a data access into `counts` when its PC matches a recent
+    /// instruction miss; returns whether it matched.
+    pub fn record_data_access(&self, pc: VirtAddr, hit: bool, counts: &mut PeriodCounts) -> bool {
+        if !self.pcs.contains(&(pc.get() & !63)) {
+            return false;
+        }
+        counts.cond_total += 1;
+        counts.cond_miss += u64::from(!hit);
+        true
     }
 
-    fn clear(&mut self) {
+    /// Empties the ring (every period boundary does, Fig 9b).
+    pub fn clear(&mut self) {
         self.pcs.fill(u64::MAX);
         self.next = 0;
     }
 }
 
-/// The threshold unit: coloring timer + PMU + threshold register.
-#[derive(Debug, Clone)]
-pub struct ThresholdUnit {
+/// The PMU counters of one color period, or one thread's share of them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PeriodCounts {
+    /// LLC accesses.
+    pub accesses: u64,
+    /// LLC misses.
+    pub misses: u64,
+    /// Data accesses whose PC matched a recent instruction miss.
+    pub cond_total: u64,
+    /// Matched data accesses that missed.
+    pub cond_miss: u64,
+}
+
+impl PeriodCounts {
+    /// Counts one LLC access.
+    pub fn count_access(&mut self, hit: bool) {
+        self.accesses += 1;
+        self.misses += u64::from(!hit);
+    }
+
+    /// Adds another share.
+    pub fn add(&mut self, o: &PeriodCounts) {
+        self.accesses += o.accesses;
+        self.misses += o.misses;
+        self.cond_total += o.cond_total;
+        self.cond_miss += o.cond_miss;
+    }
+}
+
+/// The unit minus its rings: coloring timer, threshold register and the
+/// open period's counters.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ThresholdState {
     mode: ThresholdMode,
     threshold: u32,
     margin: f64,
@@ -52,21 +101,16 @@ pub struct ThresholdUnit {
     color: u8,
     colors: u32,
     period: u64,
-    // Period-local counters.
-    accesses_in_period: u64,
-    misses_in_period: u64,
-    cond_total: u64,
-    cond_miss: u64,
-    rings: Vec<PcRing>,
+    open: PeriodCounts,
     // Lifetime diagnostics.
     color_ticks: u64,
     threshold_min: u32,
     threshold_max: u32,
 }
 
-impl ThresholdUnit {
-    /// Creates the unit for `n_threads` hardware threads.
-    pub fn new(cfg: &GaribaldiConfig, n_threads: usize) -> Self {
+impl ThresholdState {
+    /// The state at reset.
+    pub fn new(cfg: &GaribaldiConfig) -> Self {
         let threshold = match cfg.threshold_mode {
             ThresholdMode::Dynamic => cfg.init_threshold,
             ThresholdMode::Fixed(delta) => {
@@ -82,11 +126,7 @@ impl ThresholdUnit {
             color: 0,
             colors: cfg.colors(),
             period: cfg.color_period,
-            accesses_in_period: 0,
-            misses_in_period: 0,
-            cond_total: 0,
-            cond_miss: 0,
-            rings: vec![PcRing::new(cfg.pmu_recent_pcs.max(1)); n_threads.max(1)],
+            open: PeriodCounts::default(),
             color_ticks: 0,
             threshold_min: threshold,
             threshold_max: threshold,
@@ -113,46 +153,37 @@ impl ThresholdUnit {
         (self.threshold_min, self.threshold_max)
     }
 
-    /// Records an instruction miss PC into the requester thread's ring.
-    pub fn record_instr_miss(&mut self, thread: ThreadId, pc: VirtAddr) {
-        let n = self.rings.len();
-        self.rings[thread.index() % n].record(pc.get() & !63);
+    /// LLC accesses per color period.
+    pub fn period(&self) -> u64 {
+        self.period
     }
 
-    /// Records a data access; returns whether the PMU matched its PC
-    /// against a recent instruction miss (diagnostics).
-    pub fn record_data_access(&mut self, thread: ThreadId, pc: VirtAddr, hit: bool) -> bool {
-        let n = self.rings.len();
-        if self.rings[thread.index() % n].contains(pc.get() & !63) {
-            self.cond_total += 1;
-            if !hit {
-                self.cond_miss += 1;
-            }
-            true
-        } else {
-            false
-        }
+    /// Rank, counting the next LLC access as 1, of the access that closes
+    /// the open period.
+    pub fn accesses_to_close(&self) -> u64 {
+        self.period - self.open.accesses
     }
 
-    /// Registers one LLC access (any type) with its hit/miss outcome; at
-    /// each period boundary the threshold updates and the color advances.
-    /// Returns `true` when a color tick happened.
-    pub fn on_llc_access(&mut self, hit: bool) -> bool {
-        self.accesses_in_period += 1;
-        if !hit {
-            self.misses_in_period += 1;
-        }
-        if self.accesses_in_period < self.period {
-            return false;
-        }
+    /// Adds a share of the open period's counters.
+    pub fn add(&mut self, share: &PeriodCounts) {
+        self.open.add(share);
+        debug_assert!(self.open.accesses < self.period, "a full period must be closed");
+    }
+
+    /// Adds the last share of the open period, which must complete it, and
+    /// closes it: the threshold moves and the color advances. The caller
+    /// clears every thread's ring.
+    pub fn close(&mut self, share: &PeriodCounts) {
+        self.open.add(share);
+        debug_assert_eq!(self.open.accesses, self.period, "closing share completes the period");
         self.end_period();
-        true
     }
 
     fn end_period(&mut self) {
-        if self.mode == ThresholdMode::Dynamic && self.cond_total > 0 {
-            let p_cond = self.cond_miss as f64 / self.cond_total as f64;
-            let p_total = self.misses_in_period as f64 / self.accesses_in_period.max(1) as f64;
+        let o = self.open;
+        if self.mode == ThresholdMode::Dynamic && o.cond_total > 0 {
+            let p_cond = o.cond_miss as f64 / o.cond_total as f64;
+            let p_total = o.misses as f64 / o.accesses.max(1) as f64;
             if p_cond < p_total + self.margin {
                 self.threshold = self.threshold.saturating_sub(1);
             } else {
@@ -161,16 +192,86 @@ impl ThresholdUnit {
             self.threshold_min = self.threshold_min.min(self.threshold);
             self.threshold_max = self.threshold_max.max(self.threshold);
         }
-        // Advance the color and reset the PMU (Fig 9b).
+        // Advance the color and reset the PMU counters (Fig 9b).
         self.color = ((self.color as u32 + 1) % self.colors) as u8;
         self.color_ticks += 1;
-        self.accesses_in_period = 0;
-        self.misses_in_period = 0;
-        self.cond_total = 0;
-        self.cond_miss = 0;
-        for r in &mut self.rings {
+        self.open = PeriodCounts::default();
+    }
+}
+
+/// The threshold unit: coloring timer + PMU + threshold register, fed one
+/// LLC access at a time in global order.
+#[derive(Debug, Clone)]
+pub struct ThresholdUnit {
+    state: ThresholdState,
+    threads: Vec<ThreadPmu>,
+}
+
+impl ThresholdUnit {
+    /// Creates the unit for `n_threads` hardware threads.
+    pub fn new(cfg: &GaribaldiConfig, n_threads: usize) -> Self {
+        Self {
+            state: ThresholdState::new(cfg),
+            threads: vec![ThreadPmu::new(cfg); n_threads.max(1)],
+        }
+    }
+
+    /// Current protection threshold.
+    pub fn threshold(&self) -> u32 {
+        self.state.threshold
+    }
+
+    /// Current color of the l-bit timer.
+    pub fn color(&self) -> u8 {
+        self.state.color
+    }
+
+    /// Number of completed color periods.
+    pub fn color_ticks(&self) -> u64 {
+        self.state.color_ticks
+    }
+
+    /// (min, max) threshold observed over the run.
+    pub fn threshold_range(&self) -> (u32, u32) {
+        self.state.threshold_range()
+    }
+
+    /// Timer, threshold register and open-period counters.
+    pub fn state(&self) -> &ThresholdState {
+        &self.state
+    }
+
+    /// The PMU ring of `thread`.
+    pub fn thread(&self, thread: ThreadId) -> &ThreadPmu {
+        &self.threads[thread.index() % self.threads.len()]
+    }
+
+    /// Records an instruction miss PC into the requester thread's ring.
+    pub fn record_instr_miss(&mut self, thread: ThreadId, pc: VirtAddr) {
+        let n = self.threads.len();
+        self.threads[thread.index() % n].record_instr_miss(pc);
+    }
+
+    /// Records a data access; returns whether the PMU matched its PC
+    /// against a recent instruction miss (diagnostics).
+    pub fn record_data_access(&mut self, thread: ThreadId, pc: VirtAddr, hit: bool) -> bool {
+        let n = self.threads.len();
+        self.threads[thread.index() % n].record_data_access(pc, hit, &mut self.state.open)
+    }
+
+    /// Registers one LLC access (any type) with its hit/miss outcome; at
+    /// each period boundary the threshold updates and the color advances.
+    /// Returns `true` when a color tick happened.
+    pub fn on_llc_access(&mut self, hit: bool) -> bool {
+        self.state.open.count_access(hit);
+        if self.state.open.accesses < self.state.period {
+            return false;
+        }
+        self.state.end_period();
+        for r in &mut self.threads {
             r.clear();
         }
+        true
     }
 }
 

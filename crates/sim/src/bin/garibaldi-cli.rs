@@ -37,7 +37,11 @@
 //!                            findings — torn tail, garbage lines — are
 //!                            reported on stderr
 //!   --key NAME               checkpoint key for this run (default: a key
-//!                            derived from scheme/workloads/scale/seed)
+//!                            derived from scheme/workloads/scale/seed and
+//!                            the engine tag, so serial and parallel rows
+//!                            never answer for each other; a parallel run
+//!                            that degrades to serial is stored under the
+//!                            serial key)
 //!   --list                   list available workloads and exit
 //! ```
 //!
@@ -180,18 +184,19 @@ fn parse_args() -> Result<Args, String> {
     Ok(a)
 }
 
-/// Default checkpoint key: every knob that changes the result (the engine
-/// identity is carried separately, in the frame tag).
-fn default_key(args: &Args, scheme_label: &str) -> String {
+/// Default checkpoint key: every knob that changes the result, ending with
+/// the tag of the engine (`EngineChoice::tag`) that produces it.
+fn default_key(args: &Args, scheme_label: &str, engine: &EngineChoice) -> String {
     let mut key = format!(
-        "{}|{}|c{}|f{}|r{}+{}|seed{}",
+        "{}|{}|c{}|f{}|r{}+{}|seed{}|{}",
         scheme_label,
         args.workloads.join("+"),
         args.cores,
         args.factor,
         args.records,
         args.warmup,
-        args.seed
+        args.seed,
+        engine.tag()
     );
     if args.oracle {
         key.push_str("|oracle");
@@ -249,8 +254,27 @@ fn main() {
     // Durable checkpoint: a key already on disk reports the cached result
     // without simulating; salvage findings (torn tail, garbage lines,
     // legacy unframed records) go to stderr.
+    let parallel = args.workers > 0;
+    let eng = EngineConfig {
+        epoch_cycles: args.epoch,
+        llc_shards: args.shards,
+        ..EngineConfig::with_workers(args.workers)
+    };
+    // Replay always goes through the (deterministic) parallel engine;
+    // --workers only changes wall-clock, never the result.
+    let engine = |parallel: bool| {
+        if parallel {
+            EngineChoice::Parallel(eng)
+        } else {
+            EngineChoice::Serial
+        }
+    };
+    let requested = engine(parallel || args.replay.is_some());
+    let key_for = |e: &EngineChoice| {
+        args.key.clone().unwrap_or_else(|| default_key(&args, &cfg.scheme.label(), e))
+    };
     let ckpt = args.checkpoint.as_ref().map(std::path::PathBuf::from);
-    let key = args.key.clone().unwrap_or_else(|| default_key(&args, &cfg.scheme.label()));
+    let key = key_for(&requested);
     if let Some(path) = &ckpt {
         let (done, salvage) = match garibaldi_sim::checkpoint::load_report(path) {
             Ok(pair) => pair,
@@ -272,12 +296,6 @@ fn main() {
         }
     }
 
-    let parallel = args.workers > 0;
-    let eng = EngineConfig {
-        epoch_cycles: args.epoch,
-        llc_shards: args.shards,
-        ..EngineConfig::with_workers(args.workers)
-    };
     let replay_streams = args.replay.as_ref().map(|path| {
         let bytes = std::fs::read(path).unwrap_or_else(|e| {
             eprintln!("error: cannot read {path}: {e}");
@@ -304,8 +322,6 @@ fn main() {
     let t0 = std::time::Instant::now();
     let mut degraded = false;
     let r = match (&replay_streams, parallel) {
-        // Replay always goes through the (deterministic) parallel engine;
-        // --workers only changes wall-clock, never the result.
         (Some(streams), _) => runner.run_parallel_replay(streams, args.records, args.warmup, &eng),
         // Interactive runs degrade gracefully: a contained engine failure
         // retries once on the serial engine (the same rule code, minus the
@@ -326,15 +342,12 @@ fn main() {
     );
 
     if let Some(path) = &ckpt {
-        // The frame tag records the engine that actually produced the row —
-        // the serial tag when the run degraded off the parallel engine.
-        let used_parallel = (parallel || replay_streams.is_some()) && !degraded;
-        let tag = if used_parallel {
-            EngineChoice::Parallel(eng).tag()
-        } else {
-            EngineChoice::Serial.tag()
-        };
-        if let Err(e) = garibaldi_sim::checkpoint::append_retry(path, &tag, &key, &r, 3) {
+        // The frame tag and the default key name the engine that actually
+        // produced the row — the serial one when the run degraded off the
+        // parallel engine.
+        let used = if degraded { engine(false) } else { requested };
+        let key = key_for(&used);
+        if let Err(e) = garibaldi_sim::checkpoint::append_retry(path, &used.tag(), &key, &r, 3) {
             eprintln!("error: {e}");
             std::process::exit(1);
         }

@@ -1,14 +1,11 @@
 //! K-way merge of already-sorted event runs.
 //!
-//! The epoch barrier used to restore global `(timestamp, core, seq)` order
-//! with comparison sorts: each shard's request buffer (a concatenation of
-//! per-core runs that are sorted by construction) was `sort_unstable`d,
-//! and the cross-shard command/invalidation streams (each shard's output
-//! is in drain order) were globally sorted on the serial path. Every one
-//! of those inputs is a set of sorted runs, so an `O(n log k)` k-way merge
-//! replaces the `O(n log n)` sorts — and the command/invalidation merges
-//! come off the barrier's **serial** slice, the ~14 % wall-clock residual
-//! the `GARIBALDI_ENGINE_STATS=1` phase breakdown exposed.
+//! Every order the epoch barrier restores is a merge of runs that are
+//! sorted by construction: each shard merges its lanes from every core
+//! (each lane in issue order), each target shard merges the command runs
+//! of every source shard (each in drain order), and the calling thread
+//! merges the shards' invalidation runs. An `O(n log k)` k-way merge
+//! replaces the `O(n log n)` comparison sorts the barrier once used.
 //!
 //! The merge is stable across runs (ties go to the earlier run, each run's
 //! internal order is preserved). Barrier keys are unique per request —

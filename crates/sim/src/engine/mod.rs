@@ -12,27 +12,36 @@
 //!    cores, L1s, L2, prefetchers and helper tables, and advances under
 //!    min-clock scheduling *within the cluster* up to a bounded-lag epoch
 //!    horizon. Clusters are data-independent, so workers step them in
-//!    parallel.
+//!    parallel. Each core files every LLC-bound request, as it issues it,
+//!    into a lane per LLC shard, and lists its demand accesses for the
+//!    threshold replay.
 //! 2. **LLC shards** ([`shard::LlcShard`]): the LLC (plus its slice of the
 //!    Garibaldi pair/D_PPN state, the DRAM channels, the I-oracle and the
-//!    reuse profiler) is split into set-contiguous shards. LLC-bound
-//!    accesses are buffered per core during the epoch and drained at the
-//!    barrier, per shard in parallel, in ascending `(timestamp, core, seq)`
-//!    order.
-//! 3. **Barrier** ([`ParallelEngine`]): between the two parallel passes a
-//!    cheap serial pass replays LLC outcomes into the global threshold unit
-//!    and the Fig 4c conditional matrix in the same deterministic order;
-//!    cross-shard Garibaldi traffic (pair updates keyed by the instruction
-//!    line's shard, pairwise prefetch fills keyed by the data line's) is
-//!    key-merged and applied in a second parallel shard pass; coherence
-//!    invalidations flow back to the private tiers; every
-//!    [`EngineConfig::sync_every`]-th barrier the shards pool their
-//!    replacement-policy learned state (one merge, installed into every
-//!    shard); and every core's issue-time latency estimates are corrected
-//!    to the drained outcomes, which also train its [`estimate::Ewma`]
-//!    estimator. All barrier orders are restored by
-//!    stable k-way merges of already-sorted runs ([`merge`]), never by
-//!    comparison sorts.
+//!    reuse profiler) is split into set-contiguous shards. At the barrier
+//!    each shard k-way-merges its lanes from every core and drains them,
+//!    per shard in parallel, in ascending `(timestamp, core, seq)` order.
+//! 3. **Barrier** ([`ParallelEngine`]): every piece of barrier work that
+//!    touches one unit runs in a parallel section — the drains, which also
+//!    sort their outcomes by issuing core and their cross-shard Garibaldi
+//!    commands (pair updates keyed by the instruction line's shard,
+//!    pairwise prefetch fills keyed by the data line's) by target shard;
+//!    the per-shard command merge and apply; every
+//!    [`EngineConfig::sync_every`]-th barrier the learned-state install
+//!    (one pooled merge, installed into every shard); and the per-cluster
+//!    tail, which applies coherence invalidations, scatters the outcomes,
+//!    replays them into the §5.2 threshold unit and the Fig 4c conditional
+//!    matrix one core at a time ([`replay`]), and corrects every core's
+//!    issue-time latency estimates to the drained outcomes, which also
+//!    trains its [`estimate::Ewma`] estimator. Between sections the
+//!    calling thread only swaps vectors between units, merges the rare
+//!    invalidations, finds the keys where color periods end, and closes
+//!    those periods from the cores' summed shares. All barrier orders are
+//!    restored by stable k-way merges of already-sorted runs ([`merge`]),
+//!    never by comparison sorts.
+//!
+//! The sections run on one worker pool per run (`engine/contain.rs`): the
+//! calling thread plus `workers − 1` helper threads, each unit on the same
+//! worker for the whole run.
 //!
 //! The serial schedule ([`serial`]) is the same state with one shard
 //! spanning every LLC set: it steps the global min-clock core and resolves
@@ -59,6 +68,7 @@ mod contain;
 pub mod estimate;
 pub mod merge;
 pub mod private;
+pub mod replay;
 pub mod request;
 pub mod serial;
 pub mod shard;
@@ -70,36 +80,50 @@ use crate::energy::{EnergyEvents, EnergyModel};
 use crate::fault;
 use crate::metrics::{ConditionalMatrix, GaribaldiReport, ReuseSummary, RunResult};
 use crate::reuse::ReuseProfiler;
-use contain::{payload_str, FailState, SectionCtx};
+use contain::{lock, payload_str, FailState, Job, Pool};
 use estimate::EstimatorStats;
-use garibaldi::ThresholdUnit;
+use garibaldi::{PeriodCounts, ThresholdState};
 use garibaldi_cache::{CacheConfig, CacheStats};
 use garibaldi_mem::DramStats;
 use garibaldi_trace::{SharedAddressSpace, WorkloadMix};
-use garibaldi_types::{LineAddr, ThreadId};
 use merge::kway_merge_into;
-use private::{ClusterSim, EpochCore, RecordSource};
-use request::{InvalCmd, LlcRequest, ReqKey, ReqKind, ShardCmd};
-use shard::{shard_of_set, DrainOut, LlcShard, ThresholdSnapshot};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use private::{ClusterSim, RecordSource, Route};
+use replay::{close_periods, period_cuts, DemandReq};
+use request::{InvalCmd, LlcRequest, ReqKey, ReqOutcome, ShardCmd};
+use shard::{DrainOut, LlcShard, ThresholdSnapshot};
+use std::cell::Cell;
+use std::sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::time::Instant;
 
-/// Reusable per-shard epoch arena: per-core key-sorted request runs
-/// scattered during bucketing, the k-way-merged drain order, and the
-/// shard's drain output. Everything here is cleared and refilled at each
-/// barrier — never reallocated — so the steady-state engine issues no
-/// per-epoch allocations on the barrier path.
+/// Reusable per-shard epoch arena: what the shard's sections read and
+/// write, and the per-core and per-shard vectors the calling thread swaps
+/// between units (Vec headers only) so that no section reads another
+/// unit. Everything here is cleared and refilled at each barrier — never
+/// reallocated — so the steady-state engine issues no per-epoch
+/// allocations on the barrier path.
 #[derive(Default, Clone)]
 struct ShardBuf {
-    /// Concatenated per-core runs, each ascending in [`ReqKey`].
-    reqs: Vec<LlcRequest>,
-    /// End offset of each run within `reqs`.
-    run_ends: Vec<u32>,
+    /// Each core's lane for this shard (indexed by global core id),
+    /// swapped in from the cores after the step section and emptied by
+    /// the drain.
+    lanes: Vec<Vec<LlcRequest>>,
     /// Merged drain order (scratch, reused across barriers).
     merged: Vec<LlcRequest>,
     /// The shard's phase-A output (outcomes, cross-shard commands,
     /// invalidations), reused across barriers.
     out: DrainOut,
+    /// The drain's `(seq, outcome)`s per issuing core, swapped out to the
+    /// cores after the drain.
+    outcomes: Vec<Vec<(u32, ReqOutcome)>>,
+    /// The drain's cross-shard commands per target shard, in key order,
+    /// swapped into the targets' `inbox` after the drain.
+    outbox: Vec<Vec<(ReqKey, ShardCmd)>>,
+    /// The commands every source shard routed here.
+    inbox: Vec<Vec<(ReqKey, ShardCmd)>>,
+    /// `inbox` merged in key order.
+    cmds: Vec<(ReqKey, ShardCmd)>,
+    /// Seconds of this shard's last drain.
+    drain_s: f64,
 }
 
 /// Wall-clock phase breakdown of an engine run, accumulated across every
@@ -107,8 +131,10 @@ struct ShardBuf {
 /// `GARIBALDI_ENGINE_STATS=1` lines: `step` is the parallel cluster
 /// stepping, `drain` the parallel per-shard phase A, `merge` the
 /// learned-state merge/install work on the barrier path, `apply` the
-/// invalidation/correction tail, and `serial` the barrier remainder
-/// (outcome scatter, threshold replay, command routing).
+/// per-cluster tail (invalidations, threshold replay and corrections) with
+/// the invalidation merge that feeds it, and `serial` the barrier
+/// remainder (lane hand-off, outcome scatter, command routing and apply,
+/// the period-cut search and period closing).
 /// Collection is always on — a handful of `Instant` reads per barrier —
 /// so callers ([`crate::SimRunner::run_parallel_stats`], the perf
 /// snapshot bench) can read it without a profiling env var.
@@ -126,8 +152,9 @@ pub struct EngineStats {
     /// Learned-state export, pooled-consensus merge and per-shard install
     /// seconds on the barrier path.
     pub merge_s: f64,
-    /// Invalidation + correction seconds (barrier tail, minus the
-    /// learned-state work accounted in `merge_s`).
+    /// Invalidation merge plus the parallel per-cluster tail:
+    /// invalidations, threshold and conditional-matrix replay, latency
+    /// corrections.
     pub apply_s: f64,
     /// Serial barrier remainder seconds.
     pub serial_s: f64,
@@ -180,36 +207,207 @@ pub struct ParallelEngine<'p> {
     mix: WorkloadMix,
     clusters: Vec<ClusterSim<'p>>,
     shards: Vec<LlcShard>,
-    threshold: Option<ThresholdUnit>,
-    cond: ConditionalMatrix,
-    invalidations: u64,
-    llc_sets: usize,
-    /// Per-shard request buffers + drain outputs, reused across barriers.
+    /// Timer, threshold register and open-period counters of the §5.2
+    /// unit; its PMU rings live in the cores.
+    threshold: Option<ThresholdState>,
+    /// Which shard each line belongs to.
+    route: Route,
+    /// Per-shard lanes, drain outputs and command inboxes, reused across
+    /// barriers.
     shard_bufs: Vec<ShardBuf>,
-    /// Cross-shard command merge scratch, reused across barriers.
-    cmd_merged: Vec<(ReqKey, ShardCmd)>,
-    /// Per-target-shard command routing buffers, reused across barriers.
-    cmd_routed: Vec<Vec<(ReqKey, ShardCmd)>>,
-    /// Invalidation merge scratch, reused across barriers.
-    inval_merged: Vec<(ReqKey, InvalCmd)>,
-    /// Per-shard learned-state export buffers, reused across syncs (each
-    /// holds a predictor-table-sized snapshot — the largest per-barrier
-    /// allocation before these arenas existed).
-    learned_exports: Vec<Vec<u32>>,
-    /// Pooled learned-state consensus: merged once per sync from
-    /// `learned_exports` (baselines are identical on every shard, so one
-    /// consensus serves all) and installed into every shard. Reused
-    /// across syncs.
-    learned_merged: Vec<u32>,
+    /// Barrier scratch owned by the calling thread.
+    scratch: Scratch,
     /// Wall-clock phase account (always collected; printed under
     /// `GARIBALDI_ENGINE_STATS=1`, returned by `run_with_stats`).
     stats: EngineStats,
-    /// First-failure latch + cooperative cancel flag shared by every
-    /// parallel section (and polled by injected stalls).
-    fail: FailState,
     /// Barrier watchdog timeout (`GARIBALDI_BARRIER_TIMEOUT_S`); `None`
-    /// disables the watchdog and its per-section monitor thread.
+    /// disables the watchdog and its thread.
     watchdog: Option<std::time::Duration>,
+}
+
+/// Scratch buffers of the calling thread's barrier work, reused across
+/// barriers.
+#[derive(Default)]
+struct Scratch {
+    /// Keys of the accesses that close a color period (serial schedule).
+    cuts: Vec<ReqKey>,
+    /// Per-period sums of the cores' shares.
+    sums: Vec<PeriodCounts>,
+    /// Per-shard learned-state exports (each holds a predictor-table-sized
+    /// snapshot).
+    learned_exports: Vec<Vec<u32>>,
+}
+
+/// A parallel section of an epoch; [`Units::run`] runs one unit of it.
+#[derive(Debug, Clone, Copy)]
+enum Section {
+    /// Advance each cluster to the epoch horizon.
+    Step { epoch_end: f64, target: u64 },
+    /// Phase A: merge the shard's lanes, drain them, and sort the output
+    /// by issuing core and by target shard.
+    Drain { snap: ThresholdSnapshot },
+    /// Phase B′: merge the commands routed to the shard and apply them.
+    ApplyCmds { snap: ThresholdSnapshot },
+    /// Install the pooled learned-state consensus into the shard.
+    Install,
+    /// Per cluster: invalidations, outcome scatter, threshold and
+    /// conditional-matrix replay, latency corrections.
+    Tail,
+}
+
+impl Section {
+    fn phase(self) -> &'static str {
+        match self {
+            Section::Step { .. } => "step",
+            Section::Drain { .. } => "drain",
+            Section::ApplyCmds { .. } => "apply-cmds",
+            Section::Install => "install",
+            Section::Tail => "invals",
+        }
+    }
+
+    fn per_cluster(self) -> bool {
+        matches!(self, Section::Step { .. } | Section::Tail)
+    }
+}
+
+/// What every unit of the next section reads, written by the calling
+/// thread between sections.
+#[derive(Default)]
+struct Broadcast {
+    /// This barrier's invalidations, in key order.
+    invals: Vec<(ReqKey, InvalCmd)>,
+    /// Keys of the accesses that close a color period this epoch.
+    cuts: Vec<ReqKey>,
+    /// Pooled learned-state consensus.
+    learned: Vec<u32>,
+}
+
+/// A parallel run's units, each behind its own lock: a unit is locked by
+/// the one worker that owns it during a section, and by the calling
+/// thread between sections, so no lock is ever contended.
+struct Units<'p> {
+    clusters: Vec<Mutex<ClusterSim<'p>>>,
+    shards: Vec<Mutex<(LlcShard, ShardBuf)>>,
+    shared: RwLock<Broadcast>,
+    route: Route,
+}
+
+impl<'p> Units<'p> {
+    /// Runs unit `i` of `job`.
+    fn run(&self, job: &Job<Section>, i: usize, phase: &Cell<&'static str>, fail: &FailState) {
+        let epoch = job.epoch;
+        match job.section {
+            Section::Step { epoch_end, target } => {
+                let mut cl = lock(&self.clusters[i]);
+                fault::engine_hook(fault::Site::Step, epoch, i, fail.cancel_flag());
+                cl.step_epoch(epoch_end, target);
+            }
+            Section::Drain { snap } => {
+                let mut u = lock(&self.shards[i]);
+                fault::engine_hook(fault::Site::Drain, epoch, i, fail.cancel_flag());
+                let (sh, buf) = &mut *u;
+                let ts = Instant::now();
+                let runs: Vec<&[LlcRequest]> = buf.lanes.iter().map(Vec::as_slice).collect();
+                kway_merge_into(&runs, |r| r.key, &mut buf.merged);
+                for lane in buf.lanes.iter_mut() {
+                    lane.clear();
+                }
+                sh.drain(&buf.merged, snap, &mut buf.out);
+                for &(core, seq, o) in &buf.out.outcomes {
+                    buf.outcomes[core as usize].push((seq, o));
+                }
+                for &(k, cmd) in &buf.out.cmds {
+                    let target = match cmd {
+                        ShardCmd::PairUpdate { il, .. } => il,
+                        ShardCmd::PairwisePrefetch { dl, .. } => dl,
+                    };
+                    buf.outbox[self.route.shard_of(target)].push((k, cmd));
+                }
+                buf.drain_s = ts.elapsed().as_secs_f64();
+            }
+            Section::ApplyCmds { snap } => {
+                // Each source shard drained in key order, so its run is
+                // sorted; merging the runs restores the global order
+                // (same-key batches — several pairwise-prefetch candidates
+                // of one request — stay in their source's emission order).
+                let mut u = lock(&self.shards[i]);
+                let (sh, buf) = &mut *u;
+                let runs: Vec<&[(ReqKey, ShardCmd)]> =
+                    buf.inbox.iter().map(Vec::as_slice).collect();
+                kway_merge_into(&runs, |&(k, _)| k, &mut buf.cmds);
+                for run in buf.inbox.iter_mut() {
+                    run.clear();
+                }
+                sh.apply_cmds(&buf.cmds, snap);
+            }
+            Section::Install => {
+                let shared = self.read();
+                lock(&self.shards[i]).0.install_policy_learned(&shared.learned);
+            }
+            Section::Tail => {
+                let shared = self.read();
+                let mut cl = lock(&self.clusters[i]);
+                cl.apply_invals(&shared.invals);
+                phase.set("replay");
+                for c in cl.cores.iter_mut() {
+                    c.take_drained();
+                }
+                cl.replay(&shared.cuts);
+                phase.set("corrections");
+                cl.apply_corrections();
+            }
+        }
+    }
+
+    /// Swaps every core's lanes and outcome vectors with its slots in
+    /// every shard (Vec headers only). Before the drain this lends the
+    /// shards the requests and empty outcome vectors; after it, it returns
+    /// the emptied lanes and the filled outcomes. Each buffer has one
+    /// owner between barriers, so there is one set of them, not two.
+    fn swap_core_buffers(&self) {
+        let mut shards = self.shards();
+        for mut cl in self.clusters() {
+            for c in cl.cores.iter_mut() {
+                let g = c.id().index();
+                let lent = c.lanes.iter_mut().zip(c.drained.iter_mut());
+                for ((lane, drained), u) in lent.zip(shards.iter_mut()) {
+                    std::mem::swap(lane, &mut u.1.lanes[g]);
+                    std::mem::swap(drained, &mut u.1.outcomes[g]);
+                }
+            }
+        }
+    }
+
+    /// Swaps every shard's outgoing command run for each target with the
+    /// target's incoming slot for it: after the drain this delivers the
+    /// runs, after the apply it returns them emptied.
+    fn swap_cmd_runs(&self) {
+        let mut shards = self.shards();
+        let n = shards.len();
+        for src in 0..n {
+            for dst in 0..n {
+                let run = std::mem::take(&mut shards[src].1.outbox[dst]);
+                shards[src].1.outbox[dst] = std::mem::replace(&mut shards[dst].1.inbox[src], run);
+            }
+        }
+    }
+
+    fn clusters(&self) -> Vec<MutexGuard<'_, ClusterSim<'p>>> {
+        self.clusters.iter().map(lock).collect()
+    }
+
+    fn shards(&self) -> Vec<MutexGuard<'_, (LlcShard, ShardBuf)>> {
+        self.shards.iter().map(lock).collect()
+    }
+
+    fn read(&self) -> RwLockReadGuard<'_, Broadcast> {
+        self.shared.read().expect("the calling thread never panics holding the broadcast")
+    }
+
+    fn broadcast(&self) -> RwLockWriteGuard<'_, Broadcast> {
+        self.shared.write().expect("readers never poison an RwLock")
+    }
 }
 
 impl<'p> ParallelEngine<'p> {
@@ -249,36 +447,33 @@ impl<'p> ParallelEngine<'p> {
         let n_shards = eng.llc_shards.min(llc_sets).max(1);
         let shards = (0..n_shards).map(|i| LlcShard::new(cfg, i, n_shards, llc_sets)).collect();
 
+        let route = Route::new(llc_sets, n_shards, cfg.i_oracle);
         let mut clusters = Vec::with_capacity(cfg.clusters());
         for k in 0..cfg.clusters() {
             let lo = k * cfg.l2_cluster_size;
             let hi = (lo + cfg.l2_cluster_size).min(cfg.cores);
             let members: Vec<_> = cores.drain(..hi - lo).collect();
-            clusters.push(ClusterSim::new(cfg, k, lo, members));
+            clusters.push(ClusterSim::new(cfg, route, k, lo, members));
         }
 
+        let buf = ShardBuf {
+            lanes: vec![Vec::new(); cfg.cores],
+            outcomes: vec![Vec::new(); cfg.cores],
+            outbox: vec![Vec::new(); n_shards],
+            inbox: vec![Vec::new(); n_shards],
+            ..ShardBuf::default()
+        };
         Self {
-            threshold: cfg
-                .scheme
-                .garibaldi
-                .as_ref()
-                .map(|g| ThresholdUnit::new(g, cfg.cores.max(1))),
+            threshold: cfg.scheme.garibaldi.as_ref().map(ThresholdState::new),
             cfg: cfg.clone(),
             eng: *eng,
             mix,
             clusters,
             shards,
-            cond: ConditionalMatrix::default(),
-            invalidations: 0,
-            llc_sets,
-            shard_bufs: vec![ShardBuf::default(); n_shards],
-            cmd_merged: Vec::new(),
-            cmd_routed: vec![Vec::new(); n_shards],
-            inval_merged: Vec::new(),
-            learned_exports: vec![Vec::new(); n_shards],
-            learned_merged: Vec::new(),
+            route,
+            shard_bufs: vec![buf; n_shards],
+            scratch: Scratch { learned_exports: vec![Vec::new(); n_shards], ..Scratch::default() },
             stats: EngineStats::default(),
-            fail: FailState::default(),
             watchdog: None,
         }
     }
@@ -320,7 +515,8 @@ impl<'p> ParallelEngine<'p> {
     /// section, or a stuck barrier phase when the
     /// `GARIBALDI_BARRIER_TIMEOUT_S` watchdog is armed, cancels the run
     /// at the next section boundary and is returned with its epoch,
-    /// phase, and failed unit.
+    /// phase, and failed unit. Every worker thread has been joined when
+    /// this returns.
     ///
     /// # Errors
     ///
@@ -330,348 +526,50 @@ impl<'p> ParallelEngine<'p> {
         records: u64,
         warmup: u64,
     ) -> Result<(RunResult, EngineStats), EngineError> {
-        let t0 = std::time::Instant::now();
-        self.advance_to(warmup)?;
-        self.start_measurement();
-        self.advance_to(warmup + records)?;
+        let t0 = Instant::now();
+        let units = Units {
+            clusters: std::mem::take(&mut self.clusters).into_iter().map(Mutex::new).collect(),
+            shards: std::mem::take(&mut self.shards)
+                .into_iter()
+                .zip(std::mem::take(&mut self.shard_bufs))
+                .map(Mutex::new)
+                .collect(),
+            shared: RwLock::default(),
+            route: self.route,
+        };
+        let fail = FailState::default();
+        let body = |job: &Job<Section>, i: usize, phase: &Cell<&'static str>| {
+            units.run(job, i, phase, &fail);
+        };
+        let max_units = units.clusters.len().max(units.shards.len());
+        let workers = self.eng.workers.min(max_units).max(1);
+        let res = contain::with_pool(workers, max_units, &fail, self.watchdog, &body, |pool| {
+            let mut ep = Epochs {
+                eng: &self.eng,
+                units: &units,
+                pool,
+                fail: &fail,
+                threshold: &mut self.threshold,
+                stats: &mut self.stats,
+                scratch: &mut self.scratch,
+            };
+            ep.advance_to(warmup)?;
+            ep.start_measurement();
+            ep.advance_to(warmup + records)
+        });
+        res?;
+        self.clusters = units.clusters.into_iter().map(|m| m.into_inner().expect("unit")).collect();
+        (self.shards, self.shard_bufs) =
+            units.shards.into_iter().map(|m| m.into_inner().expect("unit")).unzip();
         let mut stats = self.stats.clone();
         stats.wall_s = t0.elapsed().as_secs_f64();
         Ok((self.collect(), stats))
     }
 
-    #[inline]
-    fn shard_of_line(llc_sets: usize, n_shards: usize, line: LineAddr) -> usize {
-        shard_of_set(llc_sets, n_shards, (line.get() % llc_sets as u64) as usize)
-    }
-
-    fn advance_to(&mut self, target: u64) -> Result<(), EngineError> {
-        let w = self.eng.epoch_cycles as f64;
-        let profile = std::env::var_os("GARIBALDI_ENGINE_STATS").is_some();
-        let before = self.stats.clone();
-        loop {
-            let min_clock = self
-                .clusters
-                .iter()
-                .filter_map(|cl| cl.min_unfinished_clock(target))
-                .min_by(|a, b| a.partial_cmp(b).expect("no NaN clocks"));
-            let Some(mc) = min_clock else { break };
-            let epoch_end = ((mc / w).floor() + 1.0) * w;
-            self.stats.epochs += 1;
-            let epoch = self.stats.epochs;
-
-            let t0 = std::time::Instant::now();
-            let workers = self.eng.workers.min(self.clusters.len()).max(1);
-            let (fail, timeout) = (&self.fail, self.watchdog);
-            let ctx = SectionCtx { fail, epoch, phase: "step", timeout };
-            run_per_cluster(&mut self.clusters, workers, &ctx, |i, cl| {
-                fault::engine_hook(fault::Site::Step, epoch, i, fail.cancel_flag());
-                cl.step_epoch(epoch_end, target);
-            });
-            let t1 = std::time::Instant::now();
-            self.stats.step_s += (t1 - t0).as_secs_f64();
-            self.check()?;
-            self.barrier()?;
-        }
-        if profile {
-            // The cluster-step phase and the two shard passes inside the
-            // barrier run on `workers` threads; only the threshold replay,
-            // routing and scatters are serial. This breakdown estimates the
-            // parallel fraction on hosts with more cores than this one.
-            let d = &self.stats;
-            eprintln!(
-                "[engine] target={target} epochs={} step={:.3}s barrier={:.3}s \
-                 (drain={:.3}s merge={:.3}s apply={:.3}s serial={:.3}s syncs={})",
-                d.epochs - before.epochs,
-                d.step_s - before.step_s,
-                d.barrier_s() - before.barrier_s(),
-                d.drain_s - before.drain_s,
-                d.merge_s - before.merge_s,
-                d.apply_s - before.apply_s,
-                d.serial_s - before.serial_s,
-                d.learned_syncs - before.learned_syncs,
-            );
-            if let Some((max, mean)) = d.drain_imbalance() {
-                eprintln!(
-                    "[engine] drain shards: n={} max={:.3}s mean={:.3}s imbalance={:.2}x \
-                     (cumulative; phase A finishes with the slowest shard)",
-                    d.shard_drain_s.len(),
-                    max,
-                    mean,
-                    if mean > 0.0 { max / mean } else { 1.0 },
-                );
-            }
-        }
-        Ok(())
-    }
-
-    /// Surface the first contained failure, aborting the run.
-    fn check(&self) -> Result<(), EngineError> {
-        match self.fail.take() {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-
-    /// Resolves every buffered request: the epoch barrier. Every
-    /// request-sized buffer used here is an engine-owned arena reused
-    /// across barriers; the only remaining per-barrier allocations are a
-    /// few shard-count-sized pointer vectors (the borrowed `runs` /
-    /// `cmd_runs` / `inval_runs` slice lists, which cannot outlive their
-    /// borrow and cost tens of words each).
-    fn barrier(&mut self) -> Result<(), EngineError> {
-        let t0 = std::time::Instant::now();
-        let n_shards = self.shards.len();
-        let workers = self.eng.workers.max(1);
-        let epoch = self.stats.epochs;
-        let timeout = self.watchdog;
-
-        let snap = self.threshold_snapshot();
-
-        // Bucket requests by shard. Each core's buffer is key-sorted by
-        // construction, so the scatter produces per-(shard, core) sorted
-        // runs; the per-shard interleave is restored by a k-way merge in
-        // the drain pass — no comparison sort.
-        for b in self.shard_bufs.iter_mut() {
-            b.reqs.clear();
-            b.run_ends.clear();
-        }
-        let llc_sets = self.llc_sets;
-        for cl in &self.clusters {
-            for c in cl.cores.iter() {
-                for r in &c.reqs {
-                    self.shard_bufs[Self::shard_of_line(llc_sets, n_shards, r.line)].reqs.push(*r);
-                }
-                for b in self.shard_bufs.iter_mut() {
-                    let end = b.reqs.len() as u32;
-                    if b.run_ends.last().copied().unwrap_or(0) != end {
-                        b.run_ends.push(end);
-                    }
-                }
-            }
-        }
-
-        // Phase A: parallel per-shard drain in key order, into each
-        // shard's arena-owned `DrainOut`. Each shard's merge+drain is
-        // timed individually (worker-independent: the clock spans exactly
-        // one shard's work) to feed the imbalance account.
-        let td = std::time::Instant::now();
-        let fail = &self.fail;
-        let drain_ctx = SectionCtx { fail, epoch, phase: "drain", timeout };
-        let shard_times: Vec<f64> = run_per_shard(
-            &mut self.shards,
-            &mut self.shard_bufs,
-            workers,
-            &drain_ctx,
-            |i, sh, buf| {
-                fault::engine_hook(fault::Site::Drain, epoch, i, fail.cancel_flag());
-                let ts = std::time::Instant::now();
-                let ShardBuf { reqs, run_ends, merged, out } = buf;
-                let mut runs: Vec<&[LlcRequest]> = Vec::with_capacity(run_ends.len());
-                let mut start = 0usize;
-                for &end in run_ends.iter() {
-                    runs.push(&reqs[start..end as usize]);
-                    start = end as usize;
-                }
-                kway_merge_into(&runs, |r| r.key, merged);
-                sh.drain(merged, snap, out);
-                ts.elapsed().as_secs_f64()
-            },
-        );
-        let t_drain = td.elapsed();
-        self.check()?;
-        if self.stats.shard_drain_s.len() != shard_times.len() {
-            self.stats.shard_drain_s = vec![0.0; shard_times.len()];
-        }
-        for (acc, t) in self.stats.shard_drain_s.iter_mut().zip(&shard_times) {
-            *acc += t;
-        }
-
-        // Scatter outcomes back to the issuing cores, hinting the target
-        // outcome slot a lookahead window ahead (the scatter walks each
-        // shard's outcomes in key order, so targets hop across cores and
-        // every store would otherwise be a cold row).
-        let csize = self.cfg.l2_cluster_size;
-        for cl in &mut self.clusters {
-            for c in cl.cores.iter_mut() {
-                c.prepare_outcomes();
-            }
-        }
-        for b in &self.shard_bufs {
-            let outs = &b.out.outcomes;
-            for (i, &(core, seq, out)) in outs.iter().enumerate() {
-                if let Some(&(acore, aseq, _)) = outs.get(i + shard::DRAIN_LOOKAHEAD) {
-                    let acl = acore as usize / csize;
-                    let acc = acore as usize % csize;
-                    garibaldi_types::hint::prefetch_index(
-                        &self.clusters[acl].cores[acc].outcomes,
-                        aseq as usize,
-                    );
-                }
-                let cl = core as usize / csize;
-                let cc = core as usize % csize;
-                self.clusters[cl].cores[cc].outcomes[seq as usize] = out;
-            }
-        }
-
-        // Serial replay: threshold unit + conditional matrix, global order.
-        self.replay_outcomes();
-
-        // Phase B′: cross-shard commands, routed by target. Each shard
-        // drained in key order, so its command stream is already sorted;
-        // a k-way merge of the per-shard runs restores the serial engine's
-        // global order (same-key batches — several pairwise-prefetch
-        // candidates of one request — stay in their shard's emission
-        // order).
-        for v in self.cmd_routed.iter_mut() {
-            v.clear();
-        }
-        let route = |cmd: &ShardCmd| match *cmd {
-            ShardCmd::PairUpdate { il, .. } => Self::shard_of_line(llc_sets, n_shards, il),
-            ShardCmd::PairwisePrefetch { dl, .. } => Self::shard_of_line(llc_sets, n_shards, dl),
-        };
-        let cmd_runs: Vec<&[(ReqKey, ShardCmd)]> =
-            self.shard_bufs.iter().map(|b| b.out.cmds.as_slice()).collect();
-        kway_merge_into(&cmd_runs, |&(k, _)| k, &mut self.cmd_merged);
-        for &(k, cmd) in &self.cmd_merged {
-            self.cmd_routed[route(&cmd)].push((k, cmd));
-        }
-        let cmds_ctx = SectionCtx { fail: &self.fail, epoch, phase: "apply-cmds", timeout };
-        let _: Vec<()> = run_per_shard(
-            &mut self.shards,
-            &mut self.cmd_routed,
-            workers,
-            &cmds_ctx,
-            |_, sh, buf| {
-                sh.apply_cmds(buf, snap);
-            },
-        );
-        self.check()?;
-
-        // Coherence invalidations flow back to the private tiers (also
-        // per-shard sorted runs; at most one invalidation per request, so
-        // keys are unique and the merge is exactly the old sorted order).
-        let ta = std::time::Instant::now();
-        let inval_runs: Vec<&[(ReqKey, InvalCmd)]> =
-            self.shard_bufs.iter().map(|b| b.out.invals.as_slice()).collect();
-        kway_merge_into(&inval_runs, |&(k, _)| k, &mut self.inval_merged);
-        let invals = &self.inval_merged;
-        self.stats.inval_cmds +=
-            invals.iter().map(|(_, c)| c.others.count_ones() as u64).sum::<u64>();
-        let invals_ctx = SectionCtx { fail: &self.fail, epoch, phase: "invals", timeout };
-        let dropped = run_per_cluster(&mut self.clusters, workers, &invals_ctx, |_, cl| {
-            cl.apply_invals(invals)
-        });
-        self.invalidations += dropped.iter().sum::<u64>();
-        self.check()?;
-
-        // Learned-state sync: every shard's replacement policy trained
-        // its slice of the PC-indexed predictor on 1/n of the samples; the
-        // shards export their privatized deltas, the deltas are merged
-        // once into a pooled consensus — the baselines are identical on
-        // every shard, so shard 0's consensus serves all — and every shard
-        // installs it, so the sharded policy tracks the serial engine's
-        // one globally-trained instance. Exports are indexed by shard and
-        // the merge is a pure function of them, and the sync runs every
-        // `sync_every`-th epoch, a pure function of the simulated schedule
-        // — worker-count invariant for every cadence.
-        let mut t_sync = std::time::Duration::ZERO;
-        if epoch % self.eng.sync_every.max(1) as u64 == 0 {
-            let tm = std::time::Instant::now();
-            for (sh, buf) in self.shards.iter().zip(self.learned_exports.iter_mut()) {
-                sh.export_policy_learned_into(buf);
-            }
-            if self.learned_exports.iter().any(|e| !e.is_empty()) {
-                let (shards, exports, merged, fail) =
-                    (&self.shards, &self.learned_exports, &mut self.learned_merged, &self.fail);
-                let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    fault::engine_hook(fault::Site::Merge, epoch, 0, fail.cancel_flag());
-                    shards[0].merge_policy_learned(exports, merged);
-                }));
-                if let Err(p) = res {
-                    fail.record(EngineError {
-                        epoch,
-                        shard: None,
-                        phase: "merge",
-                        payload: payload_str(p),
-                    });
-                }
-                self.check()?;
-                let merged = &self.learned_merged;
-                let ctx = SectionCtx { fail: &self.fail, epoch, phase: "install", timeout };
-                let _: Vec<()> = run_per_shard(
-                    &mut self.shards,
-                    &mut self.shard_bufs,
-                    workers,
-                    &ctx,
-                    |_, sh, _| sh.install_policy_learned(merged),
-                );
-                self.stats.learned_syncs += 1;
-                self.check()?;
-            }
-            t_sync = tm.elapsed();
-        }
-
-        // Latency corrections + epoch reset.
-        let corr_ctx = SectionCtx { fail: &self.fail, epoch, phase: "corrections", timeout };
-        run_per_cluster(&mut self.clusters, workers, &corr_ctx, |_, cl| cl.apply_corrections());
-        let t_apply = ta.elapsed() - t_sync;
-        let total = t0.elapsed();
-        self.stats.drain_s += t_drain.as_secs_f64();
-        self.stats.merge_s += t_sync.as_secs_f64();
-        self.stats.apply_s += t_apply.as_secs_f64();
-        self.stats.serial_s += (total - t_drain - t_apply - t_sync).as_secs_f64();
-        self.check()
-    }
-
     /// The live threshold unit's color and threshold, frozen for the next
     /// batch of drained requests.
     fn threshold_snapshot(&self) -> ThresholdSnapshot {
-        ThresholdSnapshot {
-            color: self.threshold.as_ref().map(|t| t.color()).unwrap_or(0),
-            threshold: self.threshold.as_ref().map(|t| t.threshold()).unwrap_or(0),
-        }
-    }
-
-    /// Replays every demand access outcome into the threshold unit and the
-    /// conditional matrix ([`replay_demand`]), merged across cores in
-    /// `(timestamp, core, seq)` order — the same order the shards drained
-    /// in. The matrix is pure commutative counters, so when no threshold
-    /// unit is configured the merge is skipped and cores are walked
-    /// directly.
-    fn replay_outcomes(&mut self) {
-        let mut th = self.threshold.take();
-        let mut cond = self.cond;
-        let i_oracle = self.cfg.i_oracle;
-        {
-            let cores: Vec<&EpochCore<'_>> =
-                self.clusters.iter().flat_map(|cl| cl.cores.iter()).collect();
-            if th.is_none() {
-                for c in &cores {
-                    for &idx in &c.demand_idx {
-                        replay_demand(c, &c.reqs[idx as usize], &mut th, &mut cond, i_oracle);
-                    }
-                }
-            } else {
-                let mut pos = vec![0usize; cores.len()];
-                let mut heap = BinaryHeap::new();
-                for (i, c) in cores.iter().enumerate() {
-                    if let Some(&idx) = c.demand_idx.first() {
-                        heap.push(Reverse((c.reqs[idx as usize].key, i)));
-                    }
-                }
-                while let Some(Reverse((_, i))) = heap.pop() {
-                    let c = cores[i];
-                    let r = &c.reqs[c.demand_idx[pos[i]] as usize];
-                    pos[i] += 1;
-                    if pos[i] < c.demand_idx.len() {
-                        heap.push(Reverse((c.reqs[c.demand_idx[pos[i]] as usize].key, i)));
-                    }
-                    replay_demand(c, r, &mut th, &mut cond, i_oracle);
-                }
-            }
-        }
-        self.threshold = th;
-        self.cond = cond;
+        snapshot(&self.threshold)
     }
 
     /// Warmup boundary: clears statistics (contents and learned state
@@ -681,13 +579,8 @@ impl<'p> ParallelEngine<'p> {
             sh.reset_stats();
         }
         for cl in &mut self.clusters {
-            cl.tier.reset_stats();
-            for c in cl.cores.iter_mut() {
-                c.snapshot();
-            }
+            cl.start_measurement();
         }
-        self.cond = ConditionalMatrix::default();
-        self.invalidations = 0;
         self.stats.inval_cmds = 0;
     }
 
@@ -722,6 +615,7 @@ impl<'p> ParallelEngine<'p> {
         let mut helper_hits = 0u64;
         let mut helper_lookups = 0u64;
         let mut helper_gar_misses = 0u64;
+        let mut conditional = ConditionalMatrix::default();
         for cl in &self.clusters {
             let (cl1, cl1i, cl2) = cl.tier.stats();
             l1.merge(&cl1);
@@ -731,6 +625,7 @@ impl<'p> ParallelEngine<'p> {
             helper_hits += h;
             helper_lookups += h + m;
             helper_gar_misses += cl.tier.helper_gar_misses;
+            conditional.merge(&cl.cond);
         }
 
         let mut llc = CacheStats::default();
@@ -813,77 +708,255 @@ impl<'p> ParallelEngine<'p> {
             llc,
             dram,
             garibaldi,
-            conditional: self.cond,
+            conditional,
             reuse,
             energy,
             qbs_cycles,
-            invalidations: self.invalidations,
+            invalidations: self.invalidations(),
         }
     }
 }
 
-/// Replays one demand request's drained outcome into the threshold unit
-/// (LLC hit/miss, instruction misses, data accesses) and the Fig 4c
-/// conditional matrix. Both schedules call it in drain order.
-fn replay_demand(
-    c: &EpochCore<'_>,
-    r: &LlcRequest,
-    th: &mut Option<ThresholdUnit>,
-    cond: &mut ConditionalMatrix,
-    i_oracle: bool,
-) {
-    match r.kind {
-        // The oracle path bypasses the module entirely.
-        ReqKind::Instr { demand: true } if !i_oracle => {
-            let o = c.outcomes[r.key.seq as usize];
-            if let Some(t) = th.as_mut() {
-                t.on_llc_access(o.llc_hit);
-                if !o.llc_hit {
-                    t.record_instr_miss(ThreadId::new(r.key.core), r.pc);
+/// The color and threshold of `threshold`, frozen for the next batch of
+/// drained requests.
+fn snapshot(threshold: &Option<ThresholdState>) -> ThresholdSnapshot {
+    ThresholdSnapshot {
+        color: threshold.as_ref().map(|t| t.color()).unwrap_or(0),
+        threshold: threshold.as_ref().map(|t| t.threshold()).unwrap_or(0),
+    }
+}
+
+/// The epoch schedule's calling thread: advances the units through epochs
+/// on the run's pool, doing the barrier's serial work between sections.
+struct Epochs<'a, 'p> {
+    eng: &'a EngineConfig,
+    units: &'a Units<'p>,
+    pool: &'a Pool<'a, Section>,
+    fail: &'a FailState,
+    threshold: &'a mut Option<ThresholdState>,
+    stats: &'a mut EngineStats,
+    scratch: &'a mut Scratch,
+}
+
+impl Epochs<'_, '_> {
+    /// Runs `section` over its units on the pool.
+    fn section(&self, section: Section, epoch: u64) {
+        let units =
+            if section.per_cluster() { self.units.clusters.len() } else { self.units.shards.len() };
+        self.pool.run(Job { section, epoch, phase: section.phase(), units });
+    }
+
+    /// Surface the first contained failure, aborting the run.
+    fn check(&self) -> Result<(), EngineError> {
+        match self.fail.take() {
+            Some(e) => Err(e),
+            None => Ok(()),
+        }
+    }
+
+    fn advance_to(&mut self, target: u64) -> Result<(), EngineError> {
+        let w = self.eng.epoch_cycles as f64;
+        let profile = std::env::var_os("GARIBALDI_ENGINE_STATS").is_some();
+        let before = self.stats.clone();
+        loop {
+            let min_clock = self
+                .units
+                .clusters
+                .iter()
+                .filter_map(|cl| lock(cl).min_unfinished_clock(target))
+                .min_by(|a, b| a.partial_cmp(b).expect("no NaN clocks"));
+            let Some(mc) = min_clock else { break };
+            let epoch_end = ((mc / w).floor() + 1.0) * w;
+            self.stats.epochs += 1;
+            let epoch = self.stats.epochs;
+
+            let t0 = Instant::now();
+            self.section(Section::Step { epoch_end, target }, epoch);
+            self.stats.step_s += t0.elapsed().as_secs_f64();
+            self.check()?;
+            self.barrier(epoch)?;
+        }
+        if profile {
+            // The cluster-step phase and the barrier's shard and cluster
+            // sections run on the pool; only the buffer swaps, the
+            // invalidation merge, the cut search and the period closing
+            // are serial. This breakdown estimates the parallel fraction
+            // on hosts with more cores than this one.
+            let d = &self.stats;
+            eprintln!(
+                "[engine] target={target} epochs={} step={:.3}s barrier={:.3}s \
+                 (drain={:.3}s merge={:.3}s apply={:.3}s serial={:.3}s syncs={})",
+                d.epochs - before.epochs,
+                d.step_s - before.step_s,
+                d.barrier_s() - before.barrier_s(),
+                d.drain_s - before.drain_s,
+                d.merge_s - before.merge_s,
+                d.apply_s - before.apply_s,
+                d.serial_s - before.serial_s,
+                d.learned_syncs - before.learned_syncs,
+            );
+            if let Some((max, mean)) = d.drain_imbalance() {
+                eprintln!(
+                    "[engine] drain shards: n={} max={:.3}s mean={:.3}s imbalance={:.2}x \
+                     (cumulative; phase A finishes with the slowest shard)",
+                    d.shard_drain_s.len(),
+                    max,
+                    mean,
+                    if mean > 0.0 { max / mean } else { 1.0 },
+                );
+            }
+        }
+        Ok(())
+    }
+
+    /// Warmup boundary: clears statistics (contents and learned state
+    /// stay) and snapshots every core's clock, stack and retired count.
+    fn start_measurement(&mut self) {
+        for mut u in self.units.shards() {
+            u.0.reset_stats();
+        }
+        for mut cl in self.units.clusters() {
+            cl.start_measurement();
+        }
+        self.stats.inval_cmds = 0;
+    }
+
+    /// Resolves every buffered request: the epoch barrier. Every
+    /// request-sized buffer used here is an arena reused across barriers;
+    /// the only remaining per-barrier allocations are a few unit-count-sized
+    /// vectors (lock guards and borrowed run lists).
+    fn barrier(&mut self, epoch: u64) -> Result<(), EngineError> {
+        let t0 = Instant::now();
+        let n_shards = self.units.shards.len();
+        let snap = snapshot(self.threshold);
+
+        // Lend every core's lanes (and empty outcome vectors) to the shards.
+        self.units.swap_core_buffers();
+
+        // Phase A: parallel per-shard merge and drain in key order, into
+        // each shard's arena-owned `DrainOut`. Each shard's merge+drain is
+        // timed individually (worker-independent: the clock spans exactly
+        // one shard's work) to feed the imbalance account.
+        let td = Instant::now();
+        self.section(Section::Drain { snap }, epoch);
+        let t_drain = td.elapsed();
+        self.check()?;
+
+        if self.stats.shard_drain_s.len() != n_shards {
+            self.stats.shard_drain_s = vec![0.0; n_shards];
+        }
+        for (acc, u) in self.stats.shard_drain_s.iter_mut().zip(self.units.shards()) {
+            *acc += u.1.drain_s;
+        }
+
+        // Return the emptied lanes and the filled outcome vectors to the
+        // cores; deliver each command run to its target shard.
+        self.units.swap_core_buffers();
+        self.units.swap_cmd_runs();
+        let clusters = self.units.clusters();
+
+        // The keys of the accesses that close a color period this epoch,
+        // for the tail's per-core threshold replay.
+        {
+            let mut shared = self.units.broadcast();
+            match self.threshold.as_ref() {
+                Some(t) => {
+                    let lists: Vec<&[DemandReq]> = clusters
+                        .iter()
+                        .flat_map(|cl| cl.cores.iter().map(|c| c.demand.as_slice()))
+                        .collect();
+                    period_cuts(&lists, t.accesses_to_close(), t.period(), &mut shared.cuts);
                 }
+                None => shared.cuts.clear(),
             }
         }
-        ReqKind::Data { ifetch_seq, .. } => {
-            let o = c.outcomes[r.key.seq as usize];
-            if let Some(t) = th.as_mut() {
-                t.on_llc_access(o.llc_hit);
-                t.record_data_access(ThreadId::new(r.key.core), r.pc, o.llc_hit);
-            }
-            if let Some(fs) = ifetch_seq {
-                let io = c.outcomes[fs as usize];
-                cond.record(!io.llc_hit, o.llc_hit);
-            }
+        drop(clusters);
+
+        // Phase B′: cross-shard commands, merged and applied per target;
+        // the emptied runs go back to their sources.
+        self.section(Section::ApplyCmds { snap }, epoch);
+        self.check()?;
+        self.units.swap_cmd_runs();
+
+        // Coherence invalidations flow back to the private tiers (also
+        // per-shard sorted runs; at most one invalidation per request, so
+        // keys are unique and the merge is exactly the old sorted order).
+        let ta = Instant::now();
+        {
+            let shards = self.units.shards();
+            let mut shared = self.units.broadcast();
+            let inval_runs: Vec<&[(ReqKey, InvalCmd)]> =
+                shards.iter().map(|u| u.1.out.invals.as_slice()).collect();
+            kway_merge_into(&inval_runs, |&(k, _)| k, &mut shared.invals);
+            self.stats.inval_cmds +=
+                shared.invals.iter().map(|(_, c)| c.others.count_ones() as u64).sum::<u64>();
         }
-        _ => {}
+
+        // Learned-state sync: every shard's replacement policy trained
+        // its slice of the PC-indexed predictor on 1/n of the samples; the
+        // shards export their privatized deltas, the deltas are merged
+        // once into a pooled consensus — the baselines are identical on
+        // every shard, so shard 0's consensus serves all — and every shard
+        // installs it, so the sharded policy tracks the serial engine's
+        // one globally-trained instance. Exports are indexed by shard and
+        // the merge is a pure function of them, and the sync runs every
+        // `sync_every`-th epoch, a pure function of the simulated schedule
+        // — worker-count invariant for every cadence.
+        let mut t_sync = std::time::Duration::ZERO;
+        if epoch % self.eng.sync_every.max(1) as u64 == 0 {
+            let tm = Instant::now();
+            let shards = self.units.shards();
+            let exports = &mut self.scratch.learned_exports;
+            for (u, buf) in shards.iter().zip(exports.iter_mut()) {
+                u.0.export_policy_learned_into(buf);
+            }
+            if exports.iter().any(|e| !e.is_empty()) {
+                let mut shared = self.units.broadcast();
+                let fail = self.fail;
+                let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    fault::engine_hook(fault::Site::Merge, epoch, 0, fail.cancel_flag());
+                    shards[0].0.merge_policy_learned(exports, &mut shared.learned);
+                }));
+                if let Err(p) = res {
+                    fail.record(EngineError {
+                        epoch,
+                        shard: None,
+                        phase: "merge",
+                        payload: payload_str(p),
+                    });
+                }
+                drop((shards, shared));
+                self.check()?;
+                self.section(Section::Install, epoch);
+                self.stats.learned_syncs += 1;
+                self.check()?;
+            }
+            t_sync = tm.elapsed();
+        }
+
+        // The per-cluster tail: invalidations, the threshold and
+        // conditional-matrix replay against this epoch's cuts, latency
+        // corrections and the epoch reset.
+        self.section(Section::Tail, epoch);
+        let t_apply = ta.elapsed() - t_sync;
+        self.check()?;
+
+        // Close the periods the cuts ended, from every core's shares.
+        if let Some(t) = self.threshold.as_mut() {
+            let n_cuts = self.units.read().cuts.len();
+            let clusters = self.units.clusters();
+            let shares =
+                clusters.iter().flat_map(|cl| cl.cores.iter().map(|c| c.shares.as_slice()));
+            close_periods(t, n_cuts, shares, &mut self.scratch.sums);
+        }
+
+        let total = t0.elapsed();
+        self.stats.drain_s += t_drain.as_secs_f64();
+        self.stats.merge_s += t_sync.as_secs_f64();
+        self.stats.apply_s += t_apply.as_secs_f64();
+        self.stats.serial_s += (total - t_drain - t_apply - t_sync).as_secs_f64();
+        Ok(())
     }
-}
-
-/// Runs `f` over `(index, shard, buffer)` triples through the contained
-/// section machinery ([`contain::run_units`]): parallel when `workers >
-/// 1`, panics converted to [`EngineError`]s in `ctx.fail`, watchdog
-/// armed when `ctx.timeout` is set. Results come back indexed by shard
-/// regardless of scheduling (failed/skipped slots are `T::default()`).
-fn run_per_shard<B: Send, T: Send + Default>(
-    shards: &mut [LlcShard],
-    bufs: &mut [B],
-    workers: usize,
-    ctx: &SectionCtx<'_>,
-    f: impl Fn(usize, &mut LlcShard, &mut B) -> T + Sync,
-) -> Vec<T> {
-    let items: Vec<(&mut LlcShard, &mut B)> = shards.iter_mut().zip(bufs.iter_mut()).collect();
-    contain::run_units(items, workers, ctx, |i, (sh, b)| f(i, sh, b))
-}
-
-/// Runs `f` over `(index, cluster)` pairs through the contained section
-/// machinery; see [`run_per_shard`].
-fn run_per_cluster<'p, T: Send + Default>(
-    clusters: &mut [ClusterSim<'p>],
-    workers: usize,
-    ctx: &SectionCtx<'_>,
-    f: impl Fn(usize, &mut ClusterSim<'p>) -> T + Sync,
-) -> Vec<T> {
-    let items: Vec<&mut ClusterSim<'p>> = clusters.iter_mut().collect();
-    contain::run_units(items, workers, ctx, f)
 }
 
 #[cfg(test)]
@@ -969,8 +1042,13 @@ mod tests {
 
     #[test]
     fn shard_range_math_is_total_and_contiguous() {
+        use super::private::Route;
         use super::shard::{shard_of_set, shard_range};
-        for (sets, shards) in [(341, 8), (64, 8), (7, 3), (100, 1)] {
+        use garibaldi_types::LineAddr;
+        for (sets, shards) in
+            [(341, 8), (64, 8), (7, 3), (100, 1), (8, 8), (40_960, 8), (40_960, 7)]
+        {
+            let route = Route::new(sets, shards, false);
             let mut covered = 0;
             for s in 0..shards {
                 let (base, len) = shard_range(sets, shards, s);
@@ -978,6 +1056,10 @@ mod tests {
                 covered += len;
                 for set in base..base + len {
                     assert_eq!(shard_of_set(sets, shards, set), s, "{sets}/{shards}/{set}");
+                    for lap in [0, 1, 12_345] {
+                        let line = LineAddr::new((lap * sets + set) as u64);
+                        assert_eq!(route.shard_of(line), s, "route {sets}/{shards}/{set}");
+                    }
                 }
             }
             assert_eq!(covered, sets, "total");

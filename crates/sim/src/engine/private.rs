@@ -17,16 +17,18 @@
 use super::estimate::{
     correct_record, EstimatorStats, Ewma, PendingRecord, PendingRef, StreamClass,
 };
+use super::replay::{replay_core, DemandKind, DemandReq};
 use super::request::{InvalCmd, LlcRequest, ReqKey, ReqKind, ReqOutcome};
 use crate::config::SystemConfig;
 use crate::core_model::{combine_data_stalls, CpiStack, InstrPrefetchEngine};
-use crate::metrics::CoreResult;
-use garibaldi::HelperTable;
+use crate::metrics::{ConditionalMatrix, CoreResult};
+use garibaldi::{HelperTable, PeriodCounts, ThreadPmu};
 use garibaldi_cache::{
     AccessCtx, AccessOutcome, CacheConfig, CacheStats, FillProbe, GhbPrefetcher,
     NextLinePrefetcher, PolicyKind, Prefetcher, SetAssocCache,
 };
 use garibaldi_trace::{SharedAddressSpace, TraceGenerator, TraceRecord, MAX_DATA_REFS};
+use garibaldi_types::fastdiv::FastDiv;
 use garibaldi_types::{CoreId, LineAddr, VirtAddr, LINE_BYTES};
 
 /// Where a core's records come from: a live synthetic walk or a replayed
@@ -58,6 +60,66 @@ impl RecordSource<'_> {
     }
 }
 
+/// Where a core files what it issues: the LLC shard of each request, and
+/// whether an instruction fetch feeds the threshold replay. Fixed per run.
+///
+/// Every request is routed when issued, so the shard split of
+/// [`super::shard::shard_of_set`] is taken apart into multiplications: the set of a line
+/// and the shard of a set divide by run constants.
+#[derive(Debug, Clone, Copy)]
+pub struct Route {
+    sets: FastDiv,
+    shards: usize,
+    /// The first `rem` shards own one set more than the rest; `boundary`
+    /// is the first set past them.
+    rem: u64,
+    boundary: u64,
+    long: FastDiv,
+    short: FastDiv,
+    /// The I-oracle bypasses the Garibaldi module, so its instruction
+    /// fetches stay out of the threshold replay.
+    pub i_oracle: bool,
+}
+
+impl Route {
+    /// Routes over `shards` even contiguous splits of `llc_sets` sets
+    /// (`1 ≤ shards ≤ llc_sets`).
+    pub fn new(llc_sets: usize, shards: usize, i_oracle: bool) -> Self {
+        assert!((1..=llc_sets).contains(&shards), "1 ≤ shards ≤ sets");
+        let (per, rem) = ((llc_sets / shards) as u64, (llc_sets % shards) as u64);
+        Self {
+            sets: FastDiv::new(llc_sets as u64),
+            shards,
+            rem,
+            boundary: rem * (per + 1),
+            long: FastDiv::new(per + 1),
+            short: FastDiv::new(per),
+            i_oracle,
+        }
+    }
+
+    /// LLC shards (one lane per shard).
+    pub fn shards(&self) -> usize {
+        self.shards
+    }
+
+    /// The shard owning `line`'s set: [`super::shard::shard_of_set`] of
+    /// `line % sets`.
+    #[inline]
+    pub fn shard_of(&self, line: LineAddr) -> usize {
+        if self.shards == 1 {
+            return 0;
+        }
+        let set = self.sets.remainder(line.get());
+        let shard = if set < self.boundary {
+            self.long.quotient(set)
+        } else {
+            self.rem + self.short.quotient(set - self.boundary)
+        };
+        shard as usize
+    }
+}
+
 /// One simulated core inside a [`ClusterSim`].
 pub struct EpochCore<'p> {
     id: CoreId,
@@ -74,14 +136,23 @@ pub struct EpochCore<'p> {
     snap_stack: CpiStack,
     snap_instrs: u64,
     seq: u32,
-    /// Requests buffered this epoch (sorted by construction: clocks are
+    route: Route,
+    /// Requests buffered this epoch, one lane per LLC shard, routed when
+    /// issued (each lane is sorted by construction: clocks are
     /// non-decreasing and seq increases).
-    pub reqs: Vec<LlcRequest>,
-    /// Positions in `reqs` of demand accesses (the only requests the
-    /// barrier's serial threshold replay must walk in global time order).
-    pub demand_idx: Vec<u32>,
+    pub lanes: Vec<Vec<LlcRequest>>,
+    /// This epoch's demand accesses in issue order, for the threshold and
+    /// conditional-matrix replay ([`super::replay`]).
+    pub demand: Vec<DemandReq>,
     /// Drain outcomes scattered back by the barrier, indexed by seq.
     pub outcomes: Vec<ReqOutcome>,
+    /// The epoch schedule's drained `(seq, outcome)`s, one vector per LLC
+    /// shard, handed over after the drain.
+    pub drained: Vec<Vec<(u32, ReqOutcome)>>,
+    /// The core's PMU ring, when a threshold unit is configured.
+    pub(crate) pmu: Option<ThreadPmu>,
+    /// The core's share of each color period its last replay spanned.
+    pub(crate) shares: Vec<PeriodCounts>,
     pending: Vec<PendingRecord>,
     /// Issue-latency estimator (frozen within an epoch, learns at
     /// barriers — see [`super::estimate`]).
@@ -94,6 +165,16 @@ impl<'p> EpochCore<'p> {
     /// Records processed so far (including warmup).
     pub fn records(&self) -> u64 {
         self.records
+    }
+
+    /// Global core id.
+    pub fn id(&self) -> CoreId {
+        self.id
+    }
+
+    /// Whether the core buffered any request since the last correction.
+    pub fn has_requests(&self) -> bool {
+        self.seq > 0
     }
 
     /// Marks the measurement start (end of warmup). The estimator's
@@ -125,14 +206,33 @@ impl<'p> EpochCore<'p> {
         self.outcomes.resize(self.seq as usize, ReqOutcome::default());
     }
 
+    /// Scatters the outcomes the shards handed over into the outcome table,
+    /// emptying the hand-over vectors.
+    pub fn take_drained(&mut self) {
+        self.prepare_outcomes();
+        for lane in self.drained.iter_mut() {
+            for &(seq, o) in lane.iter() {
+                self.outcomes[seq as usize] = o;
+            }
+            lane.clear();
+        }
+    }
+
+    #[inline(always)]
     fn emit(&mut self, line: LineAddr, pc: VirtAddr, sig: u64, cluster: u16, kind: ReqKind) -> u32 {
         let seq = self.seq;
         self.seq += 1;
-        if matches!(kind, ReqKind::Instr { demand: true } | ReqKind::Data { .. }) {
-            self.demand_idx.push(self.reqs.len() as u32);
+        let key = ReqKey { now: self.clock as u64, core: self.id.get(), seq };
+        let demand = match kind {
+            ReqKind::Instr { demand: true } if !self.route.i_oracle => Some(DemandKind::Instr),
+            ReqKind::Data { ifetch_seq, .. } => Some(DemandKind::Data { ifetch_seq }),
+            _ => None,
+        };
+        if let Some(kind) = demand {
+            self.demand.push(DemandReq { key, pc, kind });
         }
-        self.reqs.push(LlcRequest {
-            key: ReqKey { now: self.clock as u64, core: self.id.get(), seq },
+        self.lanes[self.route.shard_of(line)].push(LlcRequest {
+            key,
             line,
             pc,
             sig,
@@ -227,14 +327,20 @@ pub struct ClusterSim<'p> {
     pub tier: ClusterTier,
     /// The cluster's cores (global ids `core_base ..`).
     pub cores: Vec<EpochCore<'p>>,
+    /// The cluster's share of the Fig 4c conditional matrix.
+    pub cond: ConditionalMatrix,
+    /// Private L2 copies dropped by remote write upgrades.
+    pub invalidations: u64,
     cfg: SystemConfig,
 }
 
 impl<'p> ClusterSim<'p> {
     /// Builds cluster `cluster` with one `(source, space)` pair per core,
-    /// each issuing through a fresh [`Ewma`] latency estimator.
+    /// each issuing through a fresh [`Ewma`] latency estimator and filing
+    /// its LLC requests by `route`.
     pub fn new(
         cfg: &SystemConfig,
+        route: Route,
         cluster: usize,
         core_base: usize,
         cores: Vec<(RecordSource<'p>, SharedAddressSpace)>,
@@ -296,15 +402,30 @@ impl<'p> ClusterSim<'p> {
                 snap_stack: CpiStack::default(),
                 snap_instrs: 0,
                 seq: 0,
-                reqs: Vec::new(),
-                demand_idx: Vec::new(),
+                route,
+                lanes: vec![Vec::new(); route.shards()],
+                demand: Vec::new(),
                 outcomes: Vec::new(),
+                drained: vec![Vec::new(); route.shards()],
+                pmu: cfg.scheme.garibaldi.as_ref().map(ThreadPmu::new),
+                shares: Vec::new(),
                 pending: Vec::new(),
                 est: Ewma::new(cfg),
                 est_stats: EstimatorStats::default(),
             })
             .collect();
-        Self { tier, cores, cfg: cfg.clone() }
+        Self { tier, cores, cond: ConditionalMatrix::default(), invalidations: 0, cfg: cfg.clone() }
+    }
+
+    /// Marks the measurement start: clears the tier's and the cluster's
+    /// statistics (contents stay) and snapshots every core.
+    pub fn start_measurement(&mut self) {
+        self.tier.reset_stats();
+        for c in self.cores.iter_mut() {
+            c.snapshot();
+        }
+        self.cond = ConditionalMatrix::default();
+        self.invalidations = 0;
     }
 
     /// Smallest clock among cores still short of `target` records.
@@ -425,16 +546,15 @@ impl<'p> ClusterSim<'p> {
     }
 
     /// Applies the coherence invalidations this cluster is named in
-    /// (already key-sorted); returns the number of L2 copies dropped.
-    pub fn apply_invals(&mut self, invals: &[(ReqKey, InvalCmd)]) -> u64 {
+    /// (already key-sorted), counting the L2 copies dropped.
+    pub fn apply_invals(&mut self, invals: &[(ReqKey, InvalCmd)]) {
         let bit = 1u64 << self.tier.cluster;
-        let mut dropped = 0;
         for (_, cmd) in invals {
             if cmd.others & bit == 0 {
                 continue;
             }
             if self.tier.l2.invalidate(cmd.line).is_some() {
-                dropped += 1;
+                self.invalidations += 1;
             }
             for l1d in self.tier.l1d.iter_mut() {
                 l1d.invalidate(cmd.line);
@@ -443,7 +563,22 @@ impl<'p> ClusterSim<'p> {
                 l1i.invalidate(cmd.line);
             }
         }
-        dropped
+    }
+
+    /// Replays every core's drained demand outcomes into its PMU ring, its
+    /// period shares and the cluster's conditional matrix, against the
+    /// period `cuts` ([`replay_core`]).
+    pub fn replay(&mut self, cuts: &[ReqKey]) {
+        for c in self.cores.iter_mut() {
+            replay_core(
+                &c.demand,
+                &c.outcomes,
+                cuts,
+                c.pmu.as_mut(),
+                &mut c.shares,
+                &mut self.cond,
+            );
+        }
     }
 
     /// Replaces issue-time latency estimates with drained outcomes
@@ -461,8 +596,10 @@ impl<'p> ClusterSim<'p> {
                 c.stack.ifetch += d_if;
                 c.stack.data += d_data;
             }
-            c.reqs.clear();
-            c.demand_idx.clear();
+            for lane in c.lanes.iter_mut() {
+                lane.clear();
+            }
+            c.demand.clear();
             c.outcomes.clear();
             c.seq = 0;
         }

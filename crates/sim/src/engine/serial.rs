@@ -8,18 +8,21 @@
 //! the shard drains them and applies its pair updates and pairwise
 //! prefetch fills under a threshold snapshot read from the live unit; the
 //! demand outcomes replay into the threshold unit and the conditional
-//! matrix; write upgrades invalidate remote clusters; and the core's clock
-//! is corrected to the drained latencies. No estimate survives into the
-//! next pick, so LLC interleaving follows global time exactly.
+//! matrix through the epoch schedule's per-core replay ([`super::replay`],
+//! with the period cuts found in the record's own accesses); write
+//! upgrades invalidate remote clusters; and the core's clock is corrected
+//! to the drained latencies. No estimate survives into the next pick, so
+//! LLC interleaving follows global time exactly.
 //!
 //! The schedule has no epochs, worker threads, containment sections or
 //! fault hooks: [`crate::SimRunner::run_recover`] falls back to it when a
 //! parallel section fails, and it runs the same rule code by
 //! construction.
 
-use super::private::{ClusterSim, RecordSource};
+use super::private::{ClusterSim, EpochCore, RecordSource};
+use super::replay::{close_periods, period_cuts, replay_core};
 use super::shard::LlcShard;
-use super::{replay_demand, ParallelEngine};
+use super::ParallelEngine;
 use crate::config::{EngineConfig, SystemConfig};
 use crate::metrics::RunResult;
 use garibaldi_trace::{SharedAddressSpace, WorkloadMix};
@@ -51,21 +54,12 @@ impl<'p> ParallelEngine<'p> {
 
     fn advance_serial(&mut self, target: u64) {
         let csize = self.cfg.l2_cluster_size;
-        loop {
-            let mut best = None;
-            let mut best_clock = f64::INFINITY;
-            for (k, cl) in self.clusters.iter().enumerate() {
-                for (i, c) in cl.cores.iter().enumerate() {
-                    if c.records() < target && c.clock < best_clock {
-                        best_clock = c.clock;
-                        best = Some(k * csize + i);
-                    }
-                }
-            }
-            match best {
-                Some(core) => self.step_serial(core),
-                None => break,
-            }
+        let due = |c: &EpochCore<'_>| if c.records() < target { c.clock } else { f64::INFINITY };
+        let mut pick =
+            MinClock::new(self.clusters.iter().flat_map(|cl| cl.cores.iter().map(due)).collect());
+        while let Some(core) = pick.min() {
+            self.step_serial(core);
+            pick.set(core, due(&self.clusters[core / csize].cores[core % csize]));
         }
     }
 
@@ -76,26 +70,48 @@ impl<'p> ParallelEngine<'p> {
         let csize = self.cfg.l2_cluster_size;
         let (k, i) = (core / csize, core % csize);
         self.clusters[k].step_core(i);
-        if self.clusters[k].cores[i].reqs.is_empty() {
+        if !self.clusters[k].cores[i].has_requests() {
             return;
         }
         let snap = self.threshold_snapshot();
         let shard = &mut self.shards[0];
         let out = &mut self.shard_bufs[0].out;
-        let c = &mut self.clusters[k].cores[i];
-        shard.drain(&c.reqs, snap, out);
+        let cl = &mut self.clusters[k];
+        let c = &mut cl.cores[i];
+        shard.drain(&c.lanes[0], snap, out);
         shard.apply_cmds(&out.cmds, snap);
         c.prepare_outcomes();
         for &(_, seq, o) in &out.outcomes {
             c.outcomes[seq as usize] = o;
         }
-        for &idx in &c.demand_idx {
-            let r = &c.reqs[idx as usize];
-            replay_demand(c, r, &mut self.threshold, &mut self.cond, self.cfg.i_oracle);
+        let cuts = &mut self.scratch.cuts;
+        match self.threshold.as_ref() {
+            Some(t) => period_cuts(&[&c.demand], t.accesses_to_close(), t.period(), cuts),
+            None => cuts.clear(),
+        }
+        replay_core(&c.demand, &c.outcomes, cuts, c.pmu.as_mut(), &mut c.shares, &mut cl.cond);
+        if let Some(t) = self.threshold.as_mut() {
+            close_periods(
+                t,
+                cuts.len(),
+                std::iter::once(c.shares.as_slice()),
+                &mut self.scratch.sums,
+            );
+            if !cuts.is_empty() {
+                // A period boundary clears every ring; this core's was
+                // cleared at its cut.
+                for other in self.clusters.iter_mut().flat_map(|cl| cl.cores.iter_mut()) {
+                    if other.id().index() != core {
+                        if let Some(p) = other.pmu.as_mut() {
+                            p.clear();
+                        }
+                    }
+                }
+            }
         }
         if !out.invals.is_empty() {
             for cl in &mut self.clusters {
-                self.invalidations += cl.apply_invals(&out.invals);
+                cl.apply_invals(&out.invals);
             }
         }
         self.clusters[k].apply_corrections();
@@ -114,7 +130,55 @@ impl<'p> ParallelEngine<'p> {
     /// Remote L2 copies dropped by write upgrades since the last stats
     /// reset.
     pub fn invalidations(&self) -> u64 {
-        self.invalidations
+        self.clusters.iter().map(|cl| cl.invalidations).sum()
+    }
+}
+
+/// A tournament tree over the cores' clocks: [`MinClock::min`] is the core
+/// with the lowest clock, ties to the lower core id, and re-keying one core
+/// replays only its path to the root.
+struct MinClock {
+    /// Leaves start here (a power of two at least the core count).
+    leaves: usize,
+    /// `(clock, core)` of each node's winner; node 1 is the root, node
+    /// `k` has children `2k` and `2k + 1`. Finished cores and padding
+    /// leaves hold an infinite clock.
+    nodes: Vec<(f64, usize)>,
+}
+
+impl MinClock {
+    fn new(clocks: Vec<f64>) -> Self {
+        let leaves = clocks.len().next_power_of_two();
+        let mut nodes = vec![(f64::INFINITY, usize::MAX); 2 * leaves];
+        for (i, c) in clocks.into_iter().enumerate() {
+            nodes[leaves + i] = (c, i);
+        }
+        let mut t = Self { leaves, nodes };
+        for k in (1..leaves).rev() {
+            t.replay(k);
+        }
+        t
+    }
+
+    fn replay(&mut self, k: usize) {
+        let (a, b) = (self.nodes[2 * k], self.nodes[2 * k + 1]);
+        self.nodes[k] = if b.0 < a.0 || (b.0 == a.0 && b.1 < a.1) { b } else { a };
+    }
+
+    /// The unfinished core with the lowest clock.
+    fn min(&self) -> Option<usize> {
+        let (clock, core) = self.nodes[1];
+        (clock < f64::INFINITY).then_some(core)
+    }
+
+    /// Re-keys `core` (an infinite clock retires it).
+    fn set(&mut self, core: usize, clock: f64) {
+        let mut k = self.leaves + core;
+        self.nodes[k].0 = clock;
+        while k > 1 {
+            k /= 2;
+            self.replay(k);
+        }
     }
 }
 
@@ -146,5 +210,21 @@ mod tests {
         let line = asp.translate_line(VirtAddr::new(0x31 * 64));
         assert!(e.shards[0].cache().peek(line).is_some(), "contents survive the reset");
         assert_eq!(e.clusters[0].tier.stats().0.accesses(), 0);
+    }
+
+    #[test]
+    fn min_clock_picks_the_lowest_clock_then_the_lowest_core() {
+        let mut t = MinClock::new(vec![3.0, 1.0, 1.0, f64::INFINITY, 2.0]);
+        assert_eq!(t.min(), Some(1), "tie at 1.0 goes to the lower id");
+        t.set(1, 5.0);
+        assert_eq!(t.min(), Some(2));
+        t.set(2, f64::INFINITY);
+        assert_eq!(t.min(), Some(4));
+        t.set(4, 3.0);
+        assert_eq!(t.min(), Some(0), "tie at 3.0 goes to the lower id");
+        for c in [0, 1, 4] {
+            t.set(c, f64::INFINITY);
+        }
+        assert_eq!(t.min(), None, "every core finished");
     }
 }

@@ -39,8 +39,9 @@ impl GarShard {
     }
 }
 
-/// Epoch-frozen snapshot of the threshold unit consumed by shard drains;
-/// the unit itself is replayed serially between the two parallel passes.
+/// Epoch-frozen snapshot of the threshold unit consumed by shard drains and
+/// command applies; the unit itself replays the drained outcomes in the
+/// barrier's per-cluster tail ([`super::replay`]).
 #[derive(Debug, Clone, Copy)]
 pub struct ThresholdSnapshot {
     /// Current color of the l-bit timer.

@@ -13,7 +13,7 @@
 //! spec    := action ['.' site] '@' trigger
 //! action  := io_short_write | io_error | panic | stall
 //! site    := step | drain | merge            (engine actions only)
-//! trigger := uint | 'epoch:' uint
+//! trigger := uint | 'epoch:' uint ['/unit:' uint]
 //! ```
 //!
 //! * `io_short_write@3` — the 3rd checkpoint append writes only half of
@@ -23,6 +23,9 @@
 //! * `panic@epoch:7` — the first step-phase worker closure of epoch 7
 //!   panics (site defaults to `step`; `panic.drain@epoch:7` targets the
 //!   barrier's shard-drain phase instead).
+//! * `panic.drain@epoch:2/unit:3` — the drain closure of shard 3 in epoch
+//!   2 panics; a `/unit:` qualifier pins an epoch trigger to one unit (a
+//!   cluster in step phases, a shard in shard phases).
 //! * `stall@epoch:2` — a worker closure of epoch 2 blocks until the
 //!   engine's cancel flag is raised (site defaults to `drain`); this is
 //!   the stuck-barrier trigger for the `GARIBALDI_BARRIER_TIMEOUT_S`
@@ -31,7 +34,8 @@
 //!
 //! Bare `@N` triggers count *calls at that site* (1-based, process-wide
 //! per installed plan); `@epoch:N` triggers fire on the first hook call
-//! that observes engine epoch `N`. Each spec fires exactly once. A
+//! that observes engine epoch `N` (and unit `U`, when qualified). Each
+//! spec fires exactly once. A
 //! malformed `GARIBALDI_FAULTS` value panics with the offending spec —
 //! a fault campaign that silently no-ops is worse than a loud failure.
 //!
@@ -106,8 +110,9 @@ enum Action {
 enum Trigger {
     /// The n-th hook call at the spec's site (1-based).
     Call(u64),
-    /// The first hook call at the spec's site observing this engine epoch.
-    Epoch(u64),
+    /// The first hook call at the spec's site observing this engine epoch
+    /// (and this unit, when set).
+    Epoch(u64, Option<usize>),
 }
 
 #[derive(Debug)]
@@ -172,7 +177,11 @@ impl FaultPlan {
             if io_action {
                 return Err(err("I/O actions fire on call counts, not epochs"));
             }
-            Trigger::Epoch(n.parse::<u64>().map_err(|_| err("bad epoch number"))?)
+            let (n, unit) = match n.split_once("/unit:") {
+                Some((n, u)) => (n, Some(u.parse::<usize>().map_err(|_| err("bad unit number"))?)),
+                None => (n, None),
+            };
+            Trigger::Epoch(n.parse::<u64>().map_err(|_| err("bad epoch number"))?, unit)
         } else {
             let n: u64 = trig.parse().map_err(|_| err("bad call count"))?;
             if n == 0 {
@@ -183,9 +192,10 @@ impl FaultPlan {
         Ok(Spec { action, site, trigger, fired: AtomicBool::new(false) })
     }
 
-    /// Record a hook call at `site` and return the first unfired matching
-    /// action, marking its spec fired.
-    fn hit(&self, site: Site, epoch: Option<u64>) -> Option<Action> {
+    /// Record a hook call at `site` (by engine `unit`, when an engine
+    /// hook) and return the first unfired matching action, marking its
+    /// spec fired.
+    fn hit(&self, site: Site, epoch: Option<u64>, unit: Option<usize>) -> Option<Action> {
         let count = self.calls[site.index()].fetch_add(1, Ordering::SeqCst) + 1;
         for spec in &self.specs {
             if spec.site != site || spec.fired.load(Ordering::SeqCst) {
@@ -193,7 +203,7 @@ impl FaultPlan {
             }
             let matched = match spec.trigger {
                 Trigger::Call(n) => count == n,
-                Trigger::Epoch(n) => epoch == Some(n),
+                Trigger::Epoch(n, u) => epoch == Some(n) && (u.is_none() || u == unit),
             };
             if matched && !spec.fired.swap(true, Ordering::SeqCst) {
                 return Some(spec.action);
@@ -283,7 +293,7 @@ pub fn with_faults<T>(spec: &str, f: impl FnOnce() -> T) -> T {
 /// Checkpoint-append hook: returns the I/O fault to simulate, if any.
 pub fn io_hook() -> Option<IoFault> {
     let plan = current()?;
-    match plan.hit(Site::CkptWrite, None)? {
+    match plan.hit(Site::CkptWrite, None, None)? {
         Action::IoShortWrite => Some(IoFault::ShortWrite),
         Action::IoError => Some(IoFault::Error),
         // Parsing rejects engine actions on the I/O site.
@@ -298,7 +308,7 @@ pub fn io_hook() -> Option<IoFault> {
 /// can release the stalled worker.
 pub fn engine_hook(site: Site, epoch: u64, unit: usize, cancel: &AtomicBool) {
     let Some(plan) = current() else { return };
-    match plan.hit(site, Some(epoch)) {
+    match plan.hit(site, Some(epoch), Some(unit)) {
         Some(Action::Panic) => {
             panic!("injected fault: panic at {} epoch {epoch} unit {unit}", site.label())
         }
@@ -335,7 +345,7 @@ mod tests {
         assert_eq!(plan.specs[0].site, Site::CkptWrite);
         assert_eq!(plan.specs[0].trigger, Trigger::Call(3));
         assert_eq!(plan.specs[1].site, Site::Step);
-        assert_eq!(plan.specs[1].trigger, Trigger::Epoch(7));
+        assert_eq!(plan.specs[1].trigger, Trigger::Epoch(7, None));
     }
 
     #[test]
@@ -359,6 +369,9 @@ mod tests {
             "io_error@epoch:3",
             "io_short_write.drain@1",
             "panic@0",
+            "panic@epoch:3/unit:",
+            "panic@epoch:3/unit:x",
+            "io_error@epoch:3/unit:1",
             "",
         ] {
             assert!(FaultPlan::parse(bad).is_err(), "spec {bad:?} should be rejected");
@@ -368,21 +381,31 @@ mod tests {
     #[test]
     fn call_triggers_count_per_site_and_fire_once() {
         let plan = FaultPlan::parse("io_error@2").unwrap();
-        assert_eq!(plan.hit(Site::CkptWrite, None), None);
+        assert_eq!(plan.hit(Site::CkptWrite, None, None), None);
         // Calls at other sites do not advance the ckpt-write counter.
-        assert_eq!(plan.hit(Site::Step, Some(1)), None);
-        assert_eq!(plan.hit(Site::CkptWrite, None), Some(Action::IoError));
-        assert_eq!(plan.hit(Site::CkptWrite, None), None);
+        assert_eq!(plan.hit(Site::Step, Some(1), Some(0)), None);
+        assert_eq!(plan.hit(Site::CkptWrite, None, None), Some(Action::IoError));
+        assert_eq!(plan.hit(Site::CkptWrite, None, None), None);
     }
 
     #[test]
     fn epoch_triggers_fire_on_first_matching_call_only() {
         let plan = FaultPlan::parse("panic@epoch:3").unwrap();
-        assert_eq!(plan.hit(Site::Step, Some(2)), None);
-        assert_eq!(plan.hit(Site::Step, Some(3)), Some(Action::Panic));
-        assert_eq!(plan.hit(Site::Step, Some(3)), None);
+        assert_eq!(plan.hit(Site::Step, Some(2), Some(0)), None);
+        assert_eq!(plan.hit(Site::Step, Some(3), Some(0)), Some(Action::Panic));
+        assert_eq!(plan.hit(Site::Step, Some(3), Some(0)), None);
         // Same epoch at a different site never matches a step spec.
-        assert_eq!(plan.hit(Site::Drain, Some(3)), None);
+        assert_eq!(plan.hit(Site::Drain, Some(3), Some(0)), None);
+    }
+
+    #[test]
+    fn unit_qualified_epoch_triggers_wait_for_their_unit() {
+        let plan = FaultPlan::parse("panic.drain@epoch:3/unit:2").unwrap();
+        assert_eq!(plan.specs[0].trigger, Trigger::Epoch(3, Some(2)));
+        assert_eq!(plan.hit(Site::Drain, Some(3), Some(0)), None);
+        assert_eq!(plan.hit(Site::Drain, Some(2), Some(2)), None);
+        assert_eq!(plan.hit(Site::Drain, Some(3), Some(2)), Some(Action::Panic));
+        assert_eq!(plan.hit(Site::Drain, Some(3), Some(2)), None);
     }
 
     #[test]

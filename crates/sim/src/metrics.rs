@@ -38,6 +38,14 @@ impl ConditionalMatrix {
         }
     }
 
+    /// Adds another matrix's pairs.
+    pub fn merge(&mut self, o: &ConditionalMatrix) {
+        self.dhit_imiss += o.dhit_imiss;
+        self.dhit_total += o.dhit_total;
+        self.dmiss_imiss += o.dmiss_imiss;
+        self.dmiss_total += o.dmiss_total;
+    }
+
     /// `MissRate_DataHit`: P(instruction miss | data hit).
     pub fn miss_rate_data_hit(&self) -> f64 {
         ratio(self.dhit_imiss, self.dhit_total)

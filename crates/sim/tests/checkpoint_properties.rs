@@ -248,3 +248,60 @@ fn truncation_at_every_byte_offset_salvages_the_exact_prefix() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Runs `garibaldi-cli` on a tiny fixed point with `extra` flags against
+/// the checkpoint at `path`; returns its stderr.
+fn cli(path: &std::path::Path, extra: &[&str], faults: Option<&str>) -> String {
+    let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_garibaldi-cli"));
+    cmd.args(["--workload", "tpcc", "--cores", "2", "--records", "400", "--warmup", "100"])
+        .args(["--epoch", "2000", "--checkpoint"])
+        .arg(path)
+        .args(extra)
+        .env_remove("GARIBALDI_FAULTS");
+    if let Some(f) = faults {
+        cmd.env("GARIBALDI_FAULTS", f);
+    }
+    let out = cmd.output().expect("garibaldi-cli runs");
+    assert!(out.status.success(), "garibaldi-cli failed: {}", String::from_utf8_lossy(&out.stderr));
+    String::from_utf8(out.stderr).expect("utf-8 stderr")
+}
+
+fn served_from_cache(stderr: &str) -> bool {
+    stderr.contains("reporting the cached result")
+}
+
+/// The CLI's default checkpoint key names the engine: a serial row never
+/// answers a parallel run, nor the reverse, and each engine finds its own.
+#[test]
+fn cli_default_keys_keep_serial_and_parallel_rows_apart() {
+    let dir = std::env::temp_dir().join("garibaldi-checkpoint-cli-engines");
+    let _ = std::fs::remove_dir_all(&dir);
+    for (first, second) in [(&[][..], &["--workers", "2"][..]), (&["--workers", "2"][..], &[][..])]
+    {
+        let path = dir.join(format!("runs{}.jsonl", first.len()));
+        assert!(!served_from_cache(&cli(&path, first, None)));
+        assert!(
+            !served_from_cache(&cli(&path, second, None)),
+            "{first:?} row served to {second:?}"
+        );
+        assert!(served_from_cache(&cli(&path, first, None)));
+        assert!(served_from_cache(&cli(&path, second, None)));
+        assert_eq!(checkpoint::load_report(&path).unwrap().0.len(), 2);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A parallel run that degrades to the serial engine is stored under the
+/// serial key: a later serial run is served from it, a parallel one is not.
+#[test]
+fn cli_degraded_run_is_stored_under_the_serial_key() {
+    let dir = std::env::temp_dir().join("garibaldi-checkpoint-cli-degraded");
+    let _ = std::fs::remove_dir_all(&dir);
+    let path = dir.join("runs.jsonl");
+    let err = cli(&path, &["--workers", "2"], Some("panic@epoch:1"));
+    assert!(!served_from_cache(&err));
+    assert!(err.contains("serial-v2"), "appended under the serial key: {err}");
+    assert!(served_from_cache(&cli(&path, &[], None)), "the serial run finds the degraded row");
+    assert!(!served_from_cache(&cli(&path, &["--workers", "2"], None)));
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -4,12 +4,17 @@
 //! [`SimRunner::run_parallel_replay`], so the properties hold for inputs
 //! no calibrated profile would produce.
 
+use garibaldi::{GaribaldiConfig, ThreadPmu, ThresholdState, ThresholdUnit};
 use garibaldi_cache::PolicyKind;
 use garibaldi_sim::engine::estimate::{Ewma, StreamClass};
-use garibaldi_sim::engine::request::ReqOutcome;
+use garibaldi_sim::engine::replay::{
+    close_periods, period_cuts, replay_core, DemandKind, DemandReq,
+};
+use garibaldi_sim::engine::request::{ReqKey, ReqOutcome};
+use garibaldi_sim::metrics::ConditionalMatrix;
 use garibaldi_sim::{EngineConfig, ExperimentScale, LlcScheme, SimRunner, SystemConfig};
 use garibaldi_trace::{TraceRecord, WorkloadMix};
-use garibaldi_types::{RwKind, VirtAddr};
+use garibaldi_types::{RwKind, ThreadId, VirtAddr};
 use proptest::prelude::*;
 
 /// Epoch-window grid the properties sweep (cycles). Runs are a few
@@ -49,6 +54,23 @@ fn arb_record() -> impl Strategy<Value = TraceRecord> {
 
 fn arb_streams() -> impl Strategy<Value = Vec<Vec<TraceRecord>>> {
     prop::collection::vec(prop::collection::vec(arb_record(), 40..220), CORES..CORES + 1)
+}
+
+/// One demand access: the clock step before it, instruction or data, a PC
+/// line out of four, the LLC outcome, and (for data) whether it pairs with
+/// the core's last instruction access.
+type Access = (u64, bool, u64, bool, bool);
+
+/// One demand stream per core.
+fn arb_demand() -> impl Strategy<Value = Vec<Vec<Access>>> {
+    let access = (0u64..3, prop::bool::ANY, 0u64..4, prop::bool::ANY, prop::bool::ANY);
+    prop::collection::vec(prop::collection::vec(access, 0..60), 1..5)
+}
+
+/// Periods of 1, of a few accesses (several boundaries per epoch) and of
+/// more than one epoch's accesses.
+fn arb_period() -> impl Strategy<Value = u64> {
+    (0usize..3, 2u64..8, 45u64..90).prop_map(|(i, few, many)| [1, few, many][i])
 }
 
 fn runner(scheme: LlcScheme) -> SimRunner {
@@ -177,5 +199,103 @@ proptest! {
                 bad
             );
         }
+    }
+}
+
+/// Clock units per epoch in the replay property.
+const REPLAY_EPOCH: u64 = 10;
+
+proptest! {
+    /// Per-core threshold replay against period cuts, with the shares
+    /// merged at each boundary, equals the sequential unit fed every
+    /// access in global key order: threshold, color, color ticks, min/max
+    /// and open-period counters, every core's ring, and the conditional
+    /// matrix (summed per two-core cluster) — after every epoch.
+    #[test]
+    fn per_core_threshold_replay_equals_global_order(
+        streams in arb_demand(),
+        period in arb_period(),
+        ring in 1usize..4,
+    ) {
+        let cfg = GaribaldiConfig { color_period: period, pmu_recent_pcs: ring, ..Default::default() };
+        let n = streams.len();
+        // Keys, demand lists and outcomes per core.
+        let mut lists: Vec<Vec<DemandReq>> = vec![Vec::new(); n];
+        let mut outcomes: Vec<Vec<ReqOutcome>> = vec![Vec::new(); n];
+        for (c, stream) in streams.iter().enumerate() {
+            let (mut now, mut last_instr) = (0u64, None);
+            for (seq, &(dt, instr, pc, hit, paired)) in stream.iter().enumerate() {
+                now += dt;
+                let key = ReqKey { now, core: c as u16, seq: seq as u32 };
+                let kind = if instr {
+                    last_instr = Some(seq as u32);
+                    DemandKind::Instr
+                } else {
+                    DemandKind::Data { ifetch_seq: last_instr.filter(|_| paired) }
+                };
+                lists[c].push(DemandReq { key, pc: VirtAddr::new(0x40_0000 + pc * 64 + dt), kind });
+                outcomes[c].push(ReqOutcome { latency: 0, llc_hit: hit });
+            }
+        }
+        let mut global: Vec<DemandReq> = lists.iter().flatten().copied().collect();
+        global.sort_by_key(|d| d.key);
+
+        let mut unit = ThresholdUnit::new(&cfg, n);
+        let mut cond_seq = ConditionalMatrix::default();
+        let mut state = ThresholdState::new(&cfg);
+        let mut pmus = vec![ThreadPmu::new(&cfg); n];
+        let mut shares = vec![Vec::new(); n];
+        let mut conds = vec![ConditionalMatrix::default(); n.div_ceil(2)];
+        let (mut cuts, mut sums, mut next) = (Vec::new(), Vec::new(), 0usize);
+        let end = global.last().map_or(0, |d| d.key.now);
+        for epoch in 0..=end / REPLAY_EPOCH {
+            let horizon = (epoch + 1) * REPLAY_EPOCH;
+            // Sequential reference, up to the epoch's horizon.
+            while let Some(d) = global.get(next).filter(|d| d.key.now < horizon) {
+                next += 1;
+                let o = &outcomes[d.key.core as usize];
+                let hit = o[d.key.seq as usize].llc_hit;
+                let t = ThreadId::new(d.key.core);
+                unit.on_llc_access(hit);
+                match d.kind {
+                    DemandKind::Instr => {
+                        if !hit {
+                            unit.record_instr_miss(t, d.pc);
+                        }
+                    }
+                    DemandKind::Data { ifetch_seq } => {
+                        unit.record_data_access(t, d.pc, hit);
+                        if let Some(fs) = ifetch_seq {
+                            cond_seq.record(!o[fs as usize].llc_hit, hit);
+                        }
+                    }
+                }
+            }
+            // Per core against the epoch's cuts.
+            let batch: Vec<&[DemandReq]> = lists
+                .iter()
+                .map(|l| {
+                    let lo = l.partition_point(|d| d.key.now < horizon - REPLAY_EPOCH);
+                    let hi = l.partition_point(|d| d.key.now < horizon);
+                    &l[lo..hi]
+                })
+                .collect();
+            period_cuts(&batch, state.accesses_to_close(), state.period(), &mut cuts);
+            for c in 0..n {
+                replay_core(batch[c], &outcomes[c], &cuts, Some(&mut pmus[c]), &mut shares[c], &mut conds[c / 2]);
+            }
+            close_periods(&mut state, cuts.len(), shares.iter().map(Vec::as_slice), &mut sums);
+
+            prop_assert_eq!(unit.state(), &state, "epoch {}", epoch);
+            for (c, p) in pmus.iter().enumerate() {
+                prop_assert_eq!(unit.thread(ThreadId::new(c as u16)), p, "ring of core {} epoch {}", c, epoch);
+            }
+            let mut cond = ConditionalMatrix::default();
+            for k in &conds {
+                cond.merge(k);
+            }
+            prop_assert_eq!(cond, cond_seq, "epoch {}", epoch);
+        }
+        prop_assert_eq!(next, global.len());
     }
 }

@@ -108,9 +108,13 @@ fn persistent_io_error_exhausts_the_retry_budget() {
 }
 
 fn runner() -> SimRunner {
-    let s = ExperimentScale::smoke();
+    runner_with(ExperimentScale::smoke().cores)
+}
+
+fn runner_with(cores: usize) -> SimRunner {
+    let s = ExperimentScale { cores, ..ExperimentScale::smoke() };
     let cfg = SystemConfig::scaled(&s, LlcScheme::mockingjay_garibaldi());
-    SimRunner::new(cfg, WorkloadMix::homogeneous("twitter", s.cores), 42)
+    SimRunner::new(cfg, WorkloadMix::homogeneous("twitter", cores), 42)
 }
 
 /// Small epochs so low epoch ordinals exist even at smoke scale.
@@ -125,30 +129,52 @@ fn smoke() -> (u64, u64) {
 
 /// A worker panic in the step phase becomes a structured [`EngineError`]
 /// carrying the epoch, phase, and implicated unit — not a process abort.
+/// Eight cores make two clusters: with two workers, cluster 0 steps on the
+/// calling thread and cluster 1 on the pool's helper.
 #[test]
 fn step_panic_is_contained_as_a_structured_error() {
-    let r = runner();
+    let r = runner_with(8);
     let (rec, warm) = smoke();
-    let err = with_faults("panic@epoch:3", || {
-        r.try_run_parallel_stats(rec, warm, &eng()).expect_err("injected step panic")
-    });
-    assert_eq!(err.epoch, 3, "failure stamped with the faulted epoch: {err}");
-    assert_eq!(err.phase, "step");
-    assert!(err.shard.is_some(), "step failures implicate a cluster unit");
-    assert!(err.payload.contains("injected fault"), "payload preserved: {}", err.payload);
+    for (spec, unit) in [
+        ("panic@epoch:3", None),
+        ("panic@epoch:3/unit:0", Some(0)),
+        ("panic@epoch:3/unit:1", Some(1)),
+    ] {
+        let err = with_faults(spec, || {
+            r.try_run_parallel_stats(rec, warm, &eng()).expect_err("injected step panic")
+        });
+        assert_eq!(err.epoch, 3, "failure stamped with the faulted epoch: {err}");
+        assert_eq!(err.phase, "step");
+        assert!(err.shard.is_some(), "step failures implicate a cluster unit");
+        if unit.is_some() {
+            assert_eq!(err.shard, unit, "{spec}");
+        }
+        assert!(err.payload.contains("injected fault"), "payload preserved: {}", err.payload);
+    }
 }
 
-/// Same containment for the barrier's shard-drain phase.
+/// Same containment for the barrier's shard-drain phase. With four shards
+/// on two workers, shard 0 drains on the calling thread and shard 3 on
+/// the helper.
 #[test]
 fn drain_panic_is_contained_with_the_shard_index() {
     let r = runner();
     let (rec, warm) = smoke();
-    let err = with_faults("panic.drain@epoch:2", || {
-        r.try_run_parallel_stats(rec, warm, &eng()).expect_err("injected drain panic")
-    });
-    assert_eq!(err.epoch, 2);
-    assert_eq!(err.phase, "drain");
-    assert!(err.shard.is_some(), "drain failures implicate a shard");
+    for (spec, unit) in [
+        ("panic.drain@epoch:2", None),
+        ("panic.drain@epoch:2/unit:0", Some(0)),
+        ("panic.drain@epoch:2/unit:3", Some(3)),
+    ] {
+        let err = with_faults(spec, || {
+            r.try_run_parallel_stats(rec, warm, &eng()).expect_err("injected drain panic")
+        });
+        assert_eq!(err.epoch, 2);
+        assert_eq!(err.phase, "drain");
+        assert!(err.shard.is_some(), "drain failures implicate a shard");
+        if unit.is_some() {
+            assert_eq!(err.shard, unit, "{spec}");
+        }
+    }
 }
 
 /// Same containment for the learned-state merge (the pooled phase: no
@@ -189,24 +215,28 @@ fn run_recover_falls_back_to_the_serial_engine_byte_identically() {
 
 /// An injected stall (a worker stuck at the barrier) is broken by the
 /// `GARIBALDI_BARRIER_TIMEOUT_S` watchdog: the run ends in a structured
-/// timeout error carrying the per-worker state dump — it never hangs.
+/// timeout error carrying the per-worker state dump — it never hangs. The
+/// watchdog is its own thread, so it also breaks a stall on the calling
+/// thread (shard 0).
 #[test]
 fn stalled_drain_is_broken_by_the_barrier_watchdog() {
     let r = runner();
     let (rec, warm) = smoke();
-    let err = with_faults("stall@epoch:2", || {
-        // Set inside the fault scope: every engine-building test in this
-        // binary runs inside `with_faults`, which serializes on one lock,
-        // so no other engine can observe this 1 s timeout.
-        std::env::set_var("GARIBALDI_BARRIER_TIMEOUT_S", "1");
-        let out = r.try_run_parallel_stats(rec, warm, &eng());
-        std::env::remove_var("GARIBALDI_BARRIER_TIMEOUT_S");
-        out.expect_err("stalled barrier must time out")
-    });
-    assert_eq!(err.epoch, 2);
-    assert_eq!(err.phase, "drain");
-    assert!(err.payload.contains("watchdog timeout"), "{}", err.payload);
-    assert!(err.payload.contains("running"), "state dump embedded: {}", err.payload);
+    for spec in ["stall@epoch:2", "stall@epoch:2/unit:0"] {
+        let err = with_faults(spec, || {
+            // Set inside the fault scope: every engine-building test in this
+            // binary runs inside `with_faults`, which serializes on one lock,
+            // so no other engine can observe this 1 s timeout.
+            std::env::set_var("GARIBALDI_BARRIER_TIMEOUT_S", "1");
+            let out = r.try_run_parallel_stats(rec, warm, &eng());
+            std::env::remove_var("GARIBALDI_BARRIER_TIMEOUT_S");
+            out.expect_err("stalled barrier must time out")
+        });
+        assert_eq!(err.epoch, 2);
+        assert_eq!(err.phase, "drain");
+        assert!(err.payload.contains("watchdog timeout"), "{}", err.payload);
+        assert!(err.payload.contains("running"), "state dump embedded: {}", err.payload);
+    }
 }
 
 /// A malformed fault spec fails loudly (a campaign that silently no-ops

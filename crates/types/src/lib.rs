@@ -22,12 +22,13 @@
 pub mod access;
 pub mod addr;
 pub mod crc;
+pub mod fastdiv;
 pub mod fasthash;
 pub mod hint;
 pub mod ids;
 pub mod u64map;
 
-pub use access::{AccessKind, MemAccess, RwKind};
+pub use access::{AccessKind, RwKind};
 pub use addr::{
     LineAddr, PageNum, PhysAddr, VirtAddr, LINE_BYTES, LINE_OFFSET_BITS, PAGE_BYTES,
     PAGE_OFFSET_BITS, PHYS_ADDR_BITS,

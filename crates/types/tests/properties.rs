@@ -1,7 +1,9 @@
-//! Property-based tests for the hot-path hashing substrate: the
-//! open-addressed [`U64Table`]/[`U64Set`] against `std::collections`
-//! reference models under arbitrary operation streams.
+//! Property-based tests for the hot-path substrate: the open-addressed
+//! [`U64Table`]/[`U64Set`] against `std::collections` reference models
+//! under arbitrary operation streams, and [`FastDiv`] against the hardware
+//! divide.
 
+use garibaldi_types::fastdiv::FastDiv;
 use garibaldi_types::{U64Set, U64Table};
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
@@ -115,5 +117,24 @@ proptest! {
         let mut want: Vec<u64> = model.into_iter().collect();
         want.sort_unstable();
         prop_assert_eq!(got, want);
+    }
+}
+
+proptest! {
+    /// Multiply-based division agrees with `/` and `%` for any divisor and
+    /// dividend, small divisors (cache set counts) weighted in.
+    #[test]
+    fn fast_div_matches_the_hardware_divide(
+        x in 0u64..u64::MAX,
+        big in 1u64..u64::MAX,
+        small in 1u64..100_000,
+        pick_small in prop::bool::ANY,
+    ) {
+        let d = if pick_small { small } else { big };
+        let f = FastDiv::new(d);
+        prop_assert_eq!(f.quotient(x), x / d);
+        prop_assert_eq!(f.remainder(x), x % d);
+        let line = x >> 26; // a 38-bit line address
+        prop_assert_eq!(f.remainder(line), line % d);
     }
 }

@@ -32,7 +32,7 @@ fn parallel_engine_worker_count_invariance() {
                 s.warmup_per_core,
                 &EngineConfig::with_workers(1),
             );
-            for workers in [2, 4] {
+            for workers in [2, 3, 4] {
                 let r = runner(42, scheme.clone(), cores).run_parallel(
                     s.records_per_core,
                     s.warmup_per_core,
@@ -61,7 +61,7 @@ fn sync_every_is_deterministic_and_counts_epochs() {
     };
     for k in [1usize, 4, 16] {
         let base = at(k, 1);
-        for workers in [2, 4] {
+        for workers in [2, 3, 4] {
             assert_eq!(base, at(k, workers), "k={k} workers={workers}");
         }
     }

@@ -103,17 +103,16 @@ use std::time::Instant;
 /// allocations on the barrier path.
 #[derive(Default, Clone)]
 struct ShardBuf {
-    /// Each core's lane for this shard (indexed by global core id),
-    /// swapped in from the cores after the step section and emptied by
-    /// the drain.
+    /// Each core's lane for this shard (indexed by global core id), lent
+    /// by the cores for the drain, which empties them.
     lanes: Vec<Vec<LlcRequest>>,
     /// Merged drain order (scratch, reused across barriers).
     merged: Vec<LlcRequest>,
     /// The shard's phase-A output (outcomes, cross-shard commands,
     /// invalidations), reused across barriers.
     out: DrainOut,
-    /// The drain's `(seq, outcome)`s per issuing core, swapped out to the
-    /// cores after the drain.
+    /// The drain's `(seq, outcome)`s per issuing core, in vectors lent by
+    /// the cores for the drain.
     outcomes: Vec<Vec<(u32, ReqOutcome)>>,
     /// The drain's cross-shard commands per target shard, in key order,
     /// swapped into the targets' `inbox` after the drain.

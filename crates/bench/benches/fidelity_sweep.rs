@@ -9,43 +9,25 @@
 //! reports live in `docs/fidelity/`). Individual runs checkpoint through
 //! `fidelity_sweep.jsonl`, so an interrupted sweep resumes.
 //!
-//! Knobs:
-//! - `GARIBALDI_FID_GRID` — comma-separated `epoch_cycles` values
-//!   (default `5000,20000,50000,100000,250000`);
-//! - `GARIBALDI_FID_MIXES` — mini-Fig 11 mix count (default 3);
-//! - `GARIBALDI_FID_WORKLOADS` — mini-Fig 12 workload count (default 4);
-//! - `GARIBALDI_FULL=1` — sweep at the default figure scale instead of
-//!   the shortened fidelity scale (slow).
+//! The grid, mix count and workloads are those of the committed study
+//! (`docs/fidelity/README.md` §"Setup"), at
+//! `ExperimentScale::fidelity_small`; edit the constants to sweep another
+//! study.
 
 use garibaldi_bench::*;
 use garibaldi_sim::experiment::run_mix_on;
 use garibaldi_sim::fidelity::FidelitySuite;
-use garibaldi_trace::registry;
+
+/// `epoch_cycles` values swept on the parallel engine.
+const GRID: [u64; 5] = [5_000, 20_000, 50_000, 100_000, 250_000];
+/// Random server mixes of the mini Fig 11.
+const MIXES: usize = 3;
+/// Homogeneous workloads of the mini Fig 12.
+const WORKLOADS: [&str; 4] = ["tpcc", "twitter", "kafka", "verilator"];
 
 fn main() {
-    let scale = match std::env::var("GARIBALDI_FULL").as_deref() {
-        Ok("1") | Ok("true") => ExperimentScale::default_scaled(),
-        _ => ExperimentScale::fidelity_small(),
-    };
-    let grid: Vec<u64> = std::env::var("GARIBALDI_FID_GRID")
-        .ok()
-        .map(|v| {
-            v.split(',')
-                .map(|t| t.trim().parse().expect("GARIBALDI_FID_GRID: comma-separated integers"))
-                .collect()
-        })
-        .unwrap_or_else(|| vec![5_000, 20_000, 50_000, 100_000, 250_000]);
-    let n_mixes: usize =
-        std::env::var("GARIBALDI_FID_MIXES").ok().and_then(|v| v.parse().ok()).unwrap_or(3);
-    let n_workloads: usize =
-        std::env::var("GARIBALDI_FID_WORKLOADS").ok().and_then(|v| v.parse().ok()).unwrap_or(4);
-    let workloads: Vec<&str> =
-        ["tpcc", "twitter", "kafka", "verilator", "tomcat", "cassandra", "voter", "dotty"]
-            .into_iter()
-            .take(n_workloads.min(registry::SERVER_NAMES.len()))
-            .collect();
-
-    let suite = FidelitySuite::paper_figures(scale, n_mixes, &workloads, grid);
+    let scale = ExperimentScale::fidelity_small();
+    let suite = FidelitySuite::paper_figures(scale, MIXES, &WORKLOADS, GRID.to_vec());
     let jobs = suite.jobs();
     println!(
         "fidelity sweep: {} points × (serial + {} epoch values) = {} runs \
@@ -112,7 +94,7 @@ fn main() {
     } else {
         println!(
             "current EngineConfig::default().epoch_cycles = {current} is not in the sweep grid; \
-             add it via GARIBALDI_FID_GRID to validate it"
+             add it to GRID to validate it"
         );
     }
 }

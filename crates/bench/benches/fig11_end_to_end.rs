@@ -3,7 +3,7 @@
 //! Mockingjay+Garibaldi, each normalized to LRU and sorted by
 //! Mockingjay+Garibaldi's speedup (the paper's S-curve).
 //!
-//! `GARIBALDI_MIXES` overrides the mix count (default 20 scaled; paper: 60).
+//! Runs `MIXES` = 20 random server mixes (paper: 60).
 //!
 //! Runs checkpoint through `fig11_end_to_end.jsonl` in the results dir:
 //! an interrupted sweep resumes with only the missing (mix, scheme) cells.
@@ -12,12 +12,13 @@ use garibaldi_bench::*;
 use garibaldi_cache::PolicyKind;
 use garibaldi_trace::random_server_mixes;
 
+/// Random server mixes per run (the paper's figure has 60).
+const MIXES: usize = 20;
+
 fn main() {
     let scale = ExperimentScale::from_env();
     println!("[engine] {} (GARIBALDI_ENGINE=serial for the min-clock reference)", engine_tag());
-    let n_mixes: usize =
-        std::env::var("GARIBALDI_MIXES").ok().and_then(|v| v.parse().ok()).unwrap_or(20);
-    let mixes = random_server_mixes(n_mixes, scale.cores, 77);
+    let mixes = random_server_mixes(MIXES, scale.cores, 77);
 
     let schemes = [
         LlcScheme::plain(PolicyKind::Lru),

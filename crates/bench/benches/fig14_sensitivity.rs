@@ -7,12 +7,15 @@
 //! plus the protection-only / prefetch-only ablation called out in
 //! DESIGN.md §5.
 //!
-//! `GARIBALDI_MIXES` overrides the mix count (default 8 scaled; paper: 30).
+//! Runs `MIXES` = 8 random server mixes (paper: 30).
 
 use garibaldi::{GaribaldiConfig, ThresholdMode};
 use garibaldi_bench::*;
 use garibaldi_cache::PolicyKind;
 use garibaldi_trace::{random_server_mixes, WorkloadMix};
+
+/// Random server mixes per variant (the paper's figure has 30).
+const MIXES: usize = 8;
 
 fn garibaldi_with(f: impl FnOnce(&mut GaribaldiConfig)) -> LlcScheme {
     let mut g = GaribaldiConfig::default();
@@ -23,9 +26,7 @@ fn garibaldi_with(f: impl FnOnce(&mut GaribaldiConfig)) -> LlcScheme {
 fn main() {
     let scale = ExperimentScale::from_env();
     println!("[engine] {} (GARIBALDI_ENGINE=serial for the min-clock reference)", engine_tag());
-    let n_mixes: usize =
-        std::env::var("GARIBALDI_MIXES").ok().and_then(|v| v.parse().ok()).unwrap_or(8);
-    let mixes = random_server_mixes(n_mixes, scale.cores, 99);
+    let mixes = random_server_mixes(MIXES, scale.cores, 99);
 
     // (label, scheme, partition_ways)
     let mut variants: Vec<(String, LlcScheme, usize)> = vec![

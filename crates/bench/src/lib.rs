@@ -11,11 +11,10 @@
 //!
 //! Engine: since the fidelity study (`docs/fidelity/`, ARCHITECTURE.md
 //! §"Fidelity") every figure target defaults to the **epoch-sharded
-//! parallel engine**'s one profile ([`EngineConfig::default`]), with
-//! `GARIBALDI_INNER_WORKERS` threads per run. `GARIBALDI_ENGINE=serial`
-//! is the escape hatch back to the serial min-clock reference;
-//! `GARIBALDI_WORKERS` / `GARIBALDI_SHARDS` / `GARIBALDI_EPOCH` override
-//! the geometry (see [`bench_engine`]).
+//! parallel engine**'s one profile ([`EngineConfig::default`]).
+//! `GARIBALDI_ENGINE=serial` is the escape hatch back to the serial
+//! min-clock reference; `GARIBALDI_WORKERS` sets the threads per run (see
+//! [`bench_engine`] and `garibaldi_sim::knobs`).
 
 #![warn(missing_docs)]
 
@@ -30,25 +29,9 @@ pub use garibaldi_sim::{
 
 /// The engine every bench run uses: [`EngineChoice::from_env_or`] with a
 /// **parallel** default — the fidelity-validated [`EngineConfig::default`]
-/// profile with [`inner_workers`] threads per run. Set
-/// `GARIBALDI_ENGINE=serial` for the serial reference engine.
+/// profile. Set `GARIBALDI_ENGINE=serial` for the serial reference engine.
 pub fn bench_engine() -> EngineChoice {
-    EngineChoice::from_env_or(EngineChoice::Parallel(EngineConfig::with_workers(inner_workers())))
-}
-
-/// Per-run worker threads from `GARIBALDI_INNER_WORKERS` (default 1).
-/// This feeds [`bench_engine`]'s default geometry; note `GARIBALDI_WORKERS`
-/// (when set) overrides it at engine resolution, and [`parallel_runs`]
-/// divides the outer job pool by the *resolved* per-run thread count —
-/// whichever variable won — so outer jobs × engine workers never
-/// oversubscribes the host.
-///
-/// # Panics
-///
-/// Panics on an invalid value (0, garbage, overflow) — a typo must not
-/// silently serialize the sweep.
-pub fn inner_workers() -> usize {
-    garibaldi_sim::config::env_positive("GARIBALDI_INNER_WORKERS").unwrap_or(1)
+    EngineChoice::from_env_or(EngineChoice::Parallel(EngineConfig::default()))
 }
 
 /// Threads each bench run will actually use under the resolved engine
@@ -156,9 +139,8 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
 /// returns their results in input order.
 ///
 /// The outer pool is divided by [`per_run_threads`] — the thread count of
-/// the engine the environment actually resolves to, whether it came from
-/// `GARIBALDI_INNER_WORKERS` or a winning `GARIBALDI_WORKERS` — so
-/// outer × inner never oversubscribes the host. Use
+/// the engine the environment resolves to — so outer × inner never
+/// oversubscribes the host. Use
 /// [`parallel_runs_inner`] to pass the divisor explicitly.
 pub fn parallel_runs<T, F>(jobs: Vec<F>) -> Vec<T>
 where
@@ -289,8 +271,8 @@ mod tests {
     use super::*;
 
     /// Serializes tests that read or mutate the engine environment
-    /// variables (`parallel_runs`, [`inner_workers`], [`bench_engine`]) so
-    /// env-mutating cases cannot race env-reading ones.
+    /// variables (`parallel_runs`, [`bench_engine`]) so env-mutating cases
+    /// cannot race env-reading ones.
     static ENV_LOCK: Mutex<()> = Mutex::new(());
 
     fn env_lock() -> std::sync::MutexGuard<'static, ()> {
@@ -298,19 +280,15 @@ mod tests {
     }
 
     /// Runs `f` with the engine variables cleared, then restores whatever
-    /// was set before (the CI parallel-engine leg exports `GARIBALDI_*`
-    /// for the whole process — tests must not strip it from later tests).
+    /// was set before (the CI parallel-engine leg exports
+    /// `GARIBALDI_WORKERS` for the whole process — tests must not strip it
+    /// from later tests).
     fn with_clean_env<T>(f: impl FnOnce() -> T) -> T {
+        use garibaldi_sim::knobs::{ENGINE, WORKERS};
         let _guard = env_lock();
-        let vars = [
-            "GARIBALDI_ENGINE",
-            "GARIBALDI_WORKERS",
-            "GARIBALDI_SHARDS",
-            "GARIBALDI_EPOCH",
-            "GARIBALDI_INNER_WORKERS",
-        ];
-        let saved: Vec<_> = vars.iter().map(|v| (*v, std::env::var(v).ok())).collect();
-        for v in vars {
+        let saved =
+            [(ENGINE.name, ENGINE.text()), (WORKERS.name, WORKERS.count().map(|w| w.to_string()))];
+        for (v, _) in &saved {
             std::env::remove_var(v);
         }
         let out = f();
@@ -333,22 +311,6 @@ mod tests {
     }
 
     #[test]
-    fn inner_workers_defaults_and_rejects_garbage() {
-        with_clean_env(|| {
-            assert_eq!(inner_workers(), 1, "unset → documented default of 1");
-            std::env::set_var("GARIBALDI_INNER_WORKERS", "3");
-            assert_eq!(inner_workers(), 3);
-            for bad in ["0", "many", "9999999999999999999999"] {
-                std::env::set_var("GARIBALDI_INNER_WORKERS", bad);
-                let err = std::panic::catch_unwind(inner_workers)
-                    .expect_err("invalid GARIBALDI_INNER_WORKERS must fail loudly");
-                let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-                assert!(msg.contains("GARIBALDI_INNER_WORKERS"), "names the variable: {msg:?}");
-            }
-        });
-    }
-
-    #[test]
     fn bench_engine_defaults_to_parallel_with_serial_escape_hatch() {
         with_clean_env(|| {
             match bench_engine() {
@@ -357,13 +319,14 @@ mod tests {
                 }
                 EngineChoice::Serial => panic!("benches must default to the parallel engine"),
             }
-            std::env::set_var("GARIBALDI_INNER_WORKERS", "2");
+            std::env::set_var("GARIBALDI_WORKERS", "2");
             match bench_engine() {
                 EngineChoice::Parallel(c) => {
-                    assert_eq!(c.workers, 2, "inner workers feed the engine");
+                    assert_eq!(c.workers, 2, "workers feed the engine");
                 }
                 EngineChoice::Serial => panic!("still parallel"),
             }
+            assert_eq!(per_run_threads(), 2, "the job pool divides by the resolved workers");
             std::env::set_var("GARIBALDI_ENGINE", "serial");
             assert_eq!(bench_engine(), EngineChoice::Serial, "the documented escape hatch");
             assert_eq!(engine_tag(), "serial-v2");

@@ -181,6 +181,9 @@ fn parse_args() -> Result<Args, String> {
     if a.key.is_some() && a.checkpoint.is_none() {
         return Err("--key only makes sense together with --checkpoint".into());
     }
+    if !(a.factor.is_finite() && a.factor > 0.0) {
+        return Err(format!("--factor must be a positive number, got {}", a.factor));
+    }
     Ok(a)
 }
 
@@ -207,14 +210,13 @@ fn default_key(args: &Args, scheme_label: &str, engine: &EngineChoice) -> String
     key
 }
 
+fn usage_error(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2);
+}
+
 fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
+    let args = parse_args().unwrap_or_else(|e| usage_error(&e));
 
     let scheme = if args.garibaldi {
         LlcScheme::with_garibaldi(args.policy)
@@ -231,6 +233,14 @@ fn main() {
     let mut cfg = SystemConfig::scaled(&scale, scheme);
     cfg.i_oracle = args.oracle;
     cfg.partition_instr_ways = args.partition;
+    let eng = EngineConfig {
+        epoch_cycles: args.epoch,
+        llc_shards: args.shards,
+        ..EngineConfig::with_workers(args.workers)
+    };
+    if let Err(e) = cfg.validate().and_then(|()| eng.validate()) {
+        usage_error(&format!("invalid configuration: {e}"));
+    }
 
     let slots: Vec<String> =
         (0..args.cores).map(|i| args.workloads[i % args.workloads.len()].clone()).collect();
@@ -255,11 +265,6 @@ fn main() {
     // without simulating; salvage findings (torn tail, garbage lines,
     // legacy unframed records) go to stderr.
     let parallel = args.workers > 0;
-    let eng = EngineConfig {
-        epoch_cycles: args.epoch,
-        llc_shards: args.shards,
-        ..EngineConfig::with_workers(args.workers)
-    };
     // Replay always goes through the (deterministic) parallel engine;
     // --workers only changes wall-clock, never the result.
     let engine = |parallel: bool| {

@@ -2,6 +2,7 @@
 
 use crate::engine::estimate::{EstimatorKind, TrainMode};
 use crate::experiment::ExperimentScale;
+use crate::knobs;
 use garibaldi::GaribaldiConfig;
 use garibaldi_cache::PolicyKind;
 use garibaldi_mem::DramConfig;
@@ -287,12 +288,6 @@ impl EngineConfig {
     }
 }
 
-/// Environment variables that once selected engine axes which no longer
-/// exist. Setting one is an error, never a silent no-op: a script asking
-/// for a retired mode must not quietly run the one remaining profile.
-const RETIRED_ENGINE_VARS: [&str; 3] =
-    ["GARIBALDI_ESTIMATOR", "GARIBALDI_TRAIN_MODE", "GARIBALDI_SYNC_EVERY"];
-
 /// Which simulation engine a run uses (see `docs/ARCHITECTURE.md`
 /// §"Parallel sharded engine"): the serial min-clock reference, or the
 /// epoch-sharded parallel engine with a concrete [`EngineConfig`].
@@ -305,11 +300,10 @@ pub enum EngineChoice {
 }
 
 impl EngineChoice {
-    /// Resolves the engine from the environment, with `default` applying
-    /// when nothing relevant is set.
+    /// Resolves the engine from the environment ([`knobs::ENGINE`],
+    /// [`knobs::WORKERS`]), with `default` applying when neither is set.
     ///
-    /// **Resolution order** (each step wins over everything below it; the
-    /// same table lives in the README's environment section):
+    /// **Resolution order** (each step wins over everything below it):
     ///
     /// 1. `GARIBALDI_ENGINE=serial` forces the serial engine (the escape
     ///    hatch the benches document), even if `GARIBALDI_WORKERS` is set.
@@ -317,80 +311,48 @@ impl EngineChoice {
     ///    parallel engine.
     /// 2. `GARIBALDI_ENGINE` unset but `GARIBALDI_WORKERS` set: parallel
     ///    (the forcing mechanism the CI `parallel-engine` job uses).
-    /// 3. Nothing set: `default`. (`GARIBALDI_INNER_WORKERS` ranks below
-    ///    all of the above: it never selects an engine — it only feeds the
-    ///    bench harness's default parallel geometry, and a resolved
-    ///    `GARIBALDI_WORKERS` overrides it; see
-    ///    `garibaldi_bench::inner_workers`.)
+    /// 3. Nothing set: `default`.
     ///
-    /// Whenever the outcome is parallel, its geometry starts from the
-    /// caller's `default` when that is parallel (else
-    /// [`EngineConfig::default`]) and each of `GARIBALDI_WORKERS` /
-    /// `GARIBALDI_SHARDS` / `GARIBALDI_EPOCH` that is set overrides its
-    /// field — so e.g. `GARIBALDI_EPOCH=5000` alone re-windows a bench run
-    /// (the benches default to parallel). When the outcome is serial, the
-    /// geometry variables have nothing to configure and are only
-    /// validated.
+    /// Whenever the outcome is parallel, its geometry is the caller's
+    /// `default` when that is parallel (else [`EngineConfig::default`]),
+    /// with `GARIBALDI_WORKERS`, when set, as the worker count. When the
+    /// outcome is serial, `GARIBALDI_WORKERS` is only validated.
     ///
     /// # Panics
     ///
     /// Panics with a clear message on malformed values (unknown engine
-    /// name, zero/garbage/overflowing counts) and on any set retired
-    /// variable (`GARIBALDI_ESTIMATOR`, `GARIBALDI_TRAIN_MODE`,
-    /// `GARIBALDI_SYNC_EVERY`) — misconfiguration must never silently
-    /// select a different engine than intended. The pure, unit-tested
-    /// resolution is [`EngineChoice::resolve`].
+    /// name, zero/garbage/overflowing worker count) and on any set
+    /// `GARIBALDI_*` variable outside [`knobs::TABLE`] — misconfiguration
+    /// must never silently select a different engine than intended. The
+    /// pure, unit-tested resolution is [`EngineChoice::resolve`].
     pub fn from_env_or(default: Self) -> Self {
-        for var in RETIRED_ENGINE_VARS {
-            if std::env::var_os(var).is_some() {
-                panic!(
-                    "{var} was retired: the parallel engine has one profile \
-                     (ewma, sync training, sync_every 8); unset {var}"
-                );
-            }
-        }
-        Self::resolve(
-            env_raw("GARIBALDI_ENGINE").as_deref(),
-            env_raw("GARIBALDI_WORKERS").as_deref(),
-            env_raw("GARIBALDI_SHARDS").as_deref(),
-            env_raw("GARIBALDI_EPOCH").as_deref(),
-            default,
-        )
-        .unwrap_or_else(|e| panic!("{e}"))
+        Self::resolve(knobs::ENGINE.text().as_deref(), knobs::WORKERS.count(), default)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Pure form of [`EngineChoice::from_env_or`] over raw variable values.
+    /// Pure form of [`EngineChoice::from_env_or`] over the engine name and
+    /// worker count.
     ///
     /// # Errors
     ///
-    /// Returns a message naming the offending variable and value for an
-    /// unknown engine name or an invalid count.
+    /// Returns a message naming `GARIBALDI_ENGINE` and the value for an
+    /// unknown engine name.
     pub fn resolve(
         engine: Option<&str>,
-        workers: Option<&str>,
-        shards: Option<&str>,
-        epoch: Option<&str>,
+        workers: Option<usize>,
         default: Self,
     ) -> Result<Self, String> {
-        let workers = parse_positive("GARIBALDI_WORKERS", workers)?;
-        let shards = parse_positive("GARIBALDI_SHARDS", shards)?;
-        let epoch = parse_positive("GARIBALDI_EPOCH", epoch)?;
-        // Which engine, and from which base geometry?
         let base = match engine.map(str::trim) {
             Some("serial") => return Ok(Self::Serial),
             Some("parallel" | "sharded") => default,
             Some(other) => {
                 return Err(format!(
-                    "GARIBALDI_ENGINE must be \"serial\" or \"parallel\", got {other:?}"
+                    "{} must be \"serial\" or \"parallel\", got {other:?}",
+                    knobs::ENGINE.name
                 ))
             }
-            // A parallel default still takes the geometry overrides below
-            // (the benches' documented contract).
             None if workers.is_some() => default,
-            None => match default {
-                Self::Parallel(_) => default,
-                Self::Serial => return Ok(Self::Serial),
-            },
+            None => return Ok(default),
         };
         let mut cfg = match base {
             Self::Parallel(c) => c,
@@ -398,12 +360,6 @@ impl EngineChoice {
         };
         if let Some(w) = workers {
             cfg.workers = w;
-        }
-        if let Some(s) = shards {
-            cfg.llc_shards = s;
-        }
-        if let Some(e) = epoch {
-            cfg.epoch_cycles = e as u64;
         }
         Ok(Self::Parallel(cfg))
     }
@@ -431,42 +387,6 @@ impl EngineChoice {
             }
         }
     }
-}
-
-/// Parses an env-var value as a positive count. `Ok(None)` when unset.
-///
-/// # Errors
-///
-/// Rejects empty strings, garbage, overflow (> `usize::MAX`) and zero,
-/// naming `var` and the value — invalid values must fail loudly rather
-/// than silently selecting a default.
-pub fn parse_positive(var: &str, raw: Option<&str>) -> Result<Option<usize>, String> {
-    let Some(raw) = raw else {
-        return Ok(None);
-    };
-    let v: usize =
-        raw.trim().parse().map_err(|_| format!("{var} must be a positive integer, got {raw:?}"))?;
-    if v == 0 {
-        return Err(format!("{var} must be at least 1, got 0 (unset it to use the default)"));
-    }
-    Ok(Some(v))
-}
-
-/// Reads and validates a positive-count environment variable
-/// ([`parse_positive`] over the live environment); `None` when unset.
-/// The one definition of the read-validate-panic idiom the bench
-/// harness and test gates share.
-///
-/// # Panics
-///
-/// Panics on an invalid value (zero, garbage, overflow), naming the
-/// variable — misconfiguration must fail loudly.
-pub fn env_positive(var: &str) -> Option<usize> {
-    parse_positive(var, env_raw(var).as_deref()).unwrap_or_else(|e| panic!("{e}"))
-}
-
-fn env_raw(var: &str) -> Option<String> {
-    std::env::var(var).ok()
 }
 
 fn scale_bytes(bytes: u64, f: f64, min: u64) -> u64 {
@@ -516,27 +436,6 @@ mod tests {
         assert!(c.validate().is_err());
     }
 
-    // --- env hardening: every invalid value errs with the variable name ---
-
-    #[test]
-    fn parse_positive_accepts_counts_and_whitespace() {
-        assert_eq!(parse_positive("X", None).unwrap(), None);
-        assert_eq!(parse_positive("X", Some("4")).unwrap(), Some(4));
-        assert_eq!(parse_positive("X", Some(" 16 ")).unwrap(), Some(16));
-    }
-
-    #[test]
-    fn parse_positive_rejects_zero_garbage_and_overflow() {
-        for bad in ["0", "banana", "", "-3", "4.5", "99999999999999999999999999"] {
-            let err = parse_positive("GARIBALDI_WORKERS", Some(bad)).unwrap_err();
-            assert!(err.contains("GARIBALDI_WORKERS"), "error names the variable: {err}");
-            assert!(
-                bad.is_empty() || err.contains(bad.trim()),
-                "error shows the offending value: {err}"
-            );
-        }
-    }
-
     #[test]
     fn default_engine_config_is_the_one_parallel_profile() {
         assert_eq!(
@@ -561,45 +460,32 @@ mod tests {
             other => panic!("expected parallel, got {other:?}"),
         };
         // Nothing set → the caller's default.
-        assert_eq!(EngineChoice::resolve(None, None, None, None, Serial).unwrap(), Serial);
-        assert_eq!(
-            EngineChoice::resolve(None, None, None, None, default_par).unwrap(),
-            default_par
-        );
+        assert_eq!(EngineChoice::resolve(None, None, Serial).unwrap(), Serial);
+        assert_eq!(EngineChoice::resolve(None, None, default_par).unwrap(), default_par);
         // serial wins even over GARIBALDI_WORKERS.
-        assert_eq!(
-            EngineChoice::resolve(Some("serial"), Some("4"), None, None, default_par).unwrap(),
-            Serial
-        );
+        assert_eq!(EngineChoice::resolve(Some("serial"), Some(4), default_par).unwrap(), Serial);
         // Workers alone flips to parallel.
-        let c = parallel(EngineChoice::resolve(None, Some("3"), None, None, Serial));
+        let c = parallel(EngineChoice::resolve(None, Some(3), Serial));
         assert_eq!(c, EngineConfig::with_workers(3));
-        // parallel with a parallel default keeps its geometry, env overrides.
+        // parallel with a parallel default keeps its geometry; workers override.
         let tuned = EngineChoice::Parallel(EngineConfig {
             workers: 2,
             epoch_cycles: 77,
             llc_shards: 4,
             ..EngineConfig::default()
         });
-        let c = parallel(EngineChoice::resolve(Some("parallel"), None, None, Some("123"), tuned));
-        assert_eq!((c.workers, c.llc_shards, c.epoch_cycles), (2, 4, 123));
-        // Geometry overrides also apply when the *default* supplies the
-        // parallel engine (the benches' contract): GARIBALDI_EPOCH alone
-        // re-windows a bench run instead of being silently ignored.
-        let c = parallel(EngineChoice::resolve(None, None, Some("16"), Some("123"), tuned));
-        assert_eq!((c.workers, c.llc_shards, c.epoch_cycles), (2, 16, 123));
-        // With a serial default, geometry variables alone do not flip the
-        // engine — but they are still validated.
-        assert_eq!(EngineChoice::resolve(None, None, None, Some("123"), Serial).unwrap(), Serial);
-        assert!(EngineChoice::resolve(None, None, None, Some("0"), Serial).is_err());
+        assert_eq!(EngineChoice::resolve(Some("parallel"), None, tuned).unwrap(), tuned);
+        let c = parallel(EngineChoice::resolve(Some("sharded"), Some(5), tuned));
+        assert_eq!((c.workers, c.llc_shards, c.epoch_cycles), (5, 4, 77));
+        // A parallel default takes the worker override too (the benches).
+        let c = parallel(EngineChoice::resolve(None, Some(6), tuned));
+        assert_eq!((c.workers, c.llc_shards, c.epoch_cycles), (6, 4, 77));
+        // parallel with a serial default runs the one profile.
+        let c = parallel(EngineChoice::resolve(Some("parallel"), None, Serial));
+        assert_eq!(c, EngineConfig::default());
         // Unknown engine name is a hard error naming the value.
-        let err = EngineChoice::resolve(Some("turbo"), None, None, None, Serial).unwrap_err();
+        let err = EngineChoice::resolve(Some("turbo"), None, Serial).unwrap_err();
         assert!(err.contains("GARIBALDI_ENGINE") && err.contains("turbo"), "{err}");
-        // Invalid counts propagate even under an explicit engine name —
-        // including serial (validated, unused).
-        assert!(EngineChoice::resolve(Some("parallel"), Some("0"), None, None, Serial).is_err());
-        let err = EngineChoice::resolve(Some("serial"), None, Some("x"), None, Serial).unwrap_err();
-        assert!(err.contains("GARIBALDI_SHARDS") && err.contains('x'), "{err}");
     }
 
     #[test]

@@ -424,7 +424,8 @@ impl<'p> ParallelEngine<'p> {
         // Resolve GARIBALDI_FAULTS here so a malformed plan fails loudly
         // on the main thread, not inside a contained worker.
         let _ = fault::active();
-        let watchdog = crate::config::env_positive("GARIBALDI_BARRIER_TIMEOUT_S")
+        let watchdog = crate::knobs::BARRIER_TIMEOUT_S
+            .count()
             .map(|secs| std::time::Duration::from_secs(secs as u64));
         Self { watchdog, ..Self::assemble(cfg, eng, mix, cores) }
     }
@@ -584,7 +585,7 @@ impl<'p> ParallelEngine<'p> {
     }
 
     fn collect(mut self) -> RunResult {
-        if std::env::var_os("GARIBALDI_ENGINE_STATS").is_some() {
+        if crate::knobs::ENGINE_STATS.flag() {
             let mut est = EstimatorStats::default();
             for cl in &self.clusters {
                 for c in cl.cores.iter() {
@@ -755,7 +756,7 @@ impl Epochs<'_, '_> {
 
     fn advance_to(&mut self, target: u64) -> Result<(), EngineError> {
         let w = self.eng.epoch_cycles as f64;
-        let profile = std::env::var_os("GARIBALDI_ENGINE_STATS").is_some();
+        let profile = crate::knobs::ENGINE_STATS.flag();
         let before = self.stats.clone();
         loop {
             let min_clock = self

@@ -76,11 +76,13 @@ impl ExperimentScale {
         }
     }
 
-    /// Reads `GARIBALDI_FULL=1` to switch the harness to full scale.
+    /// [`ExperimentScale::full`] under [`crate::knobs::FULL`], else
+    /// [`ExperimentScale::default_scaled`].
     pub fn from_env() -> Self {
-        match std::env::var("GARIBALDI_FULL").as_deref() {
-            Ok("1") | Ok("true") => Self::full(),
-            _ => Self::default_scaled(),
+        if crate::knobs::FULL.flag() {
+            Self::full()
+        } else {
+            Self::default_scaled()
         }
     }
 }

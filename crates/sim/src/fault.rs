@@ -237,7 +237,7 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 
 fn current() -> Option<Arc<FaultPlan>> {
     ENV_INIT.get_or_init(|| {
-        if let Ok(spec) = std::env::var("GARIBALDI_FAULTS") {
+        if let Some(spec) = crate::knobs::FAULTS.text() {
             let plan = FaultPlan::parse(&spec).unwrap_or_else(|e| panic!("{e}"));
             *lock(&INSTALLED) = Some(Arc::new(plan));
             ACTIVE.store(true, Ordering::SeqCst);

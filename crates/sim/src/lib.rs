@@ -32,6 +32,7 @@ pub mod engine;
 pub mod experiment;
 pub mod fault;
 pub mod fidelity;
+pub mod knobs;
 pub mod metrics;
 pub mod reuse;
 pub mod system;

@@ -172,8 +172,8 @@ impl SimRunner {
 
     /// [`SimRunner::run_parallel`] plus the engine's wall-clock phase
     /// breakdown ([`crate::engine::EngineStats`]) — the machine-readable
-    /// form of the `GARIBALDI_ENGINE_STATS=1` lines, consumed by the
-    /// `perf_snapshot` bench (`BENCH_5.json`).
+    /// form of the `GARIBALDI_ENGINE_STATS=1` lines, consumed by
+    /// `perfbench/`.
     pub fn run_parallel_stats(
         &self,
         records: u64,

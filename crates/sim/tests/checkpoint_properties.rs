@@ -250,8 +250,12 @@ fn truncation_at_every_byte_offset_salvages_the_exact_prefix() {
 }
 
 /// Runs `garibaldi-cli` on a tiny fixed point with `extra` flags against
-/// the checkpoint at `path`; returns its stderr.
-fn cli(path: &std::path::Path, extra: &[&str], faults: Option<&str>) -> String {
+/// the checkpoint at `path`.
+fn cli_output(
+    path: &std::path::Path,
+    extra: &[&str],
+    faults: Option<&str>,
+) -> std::process::Output {
     let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_garibaldi-cli"));
     cmd.args(["--workload", "tpcc", "--cores", "2", "--records", "400", "--warmup", "100"])
         .args(["--epoch", "2000", "--checkpoint"])
@@ -261,7 +265,12 @@ fn cli(path: &std::path::Path, extra: &[&str], faults: Option<&str>) -> String {
     if let Some(f) = faults {
         cmd.env("GARIBALDI_FAULTS", f);
     }
-    let out = cmd.output().expect("garibaldi-cli runs");
+    cmd.output().expect("garibaldi-cli runs")
+}
+
+/// [`cli_output`] of a run that must succeed; returns its stderr.
+fn cli(path: &std::path::Path, extra: &[&str], faults: Option<&str>) -> String {
+    let out = cli_output(path, extra, faults);
     assert!(out.status.success(), "garibaldi-cli failed: {}", String::from_utf8_lossy(&out.stderr));
     String::from_utf8(out.stderr).expect("utf-8 stderr")
 }
@@ -272,6 +281,7 @@ fn served_from_cache(stderr: &str) -> bool {
 
 /// The CLI's default checkpoint key names the engine: a serial row never
 /// answers a parallel run, nor the reverse, and each engine finds its own.
+/// An invalid configuration is a usage error (exit 2) that appends nothing.
 #[test]
 fn cli_default_keys_keep_serial_and_parallel_rows_apart() {
     let dir = std::env::temp_dir().join("garibaldi-checkpoint-cli-engines");
@@ -288,6 +298,20 @@ fn cli_default_keys_keep_serial_and_parallel_rows_apart() {
         assert!(served_from_cache(&cli(&path, second, None)));
         assert_eq!(checkpoint::load_report(&path).unwrap().0.len(), 2);
     }
+    let path = dir.join("runs0.jsonl");
+    let invalid: [&[&str]; 4] = [
+        &["--workers", "1", "--shards", "0"],
+        &["--workers", "1", "--epoch", "0"],
+        &["--cores", "0"],
+        &["--factor", "-1"],
+    ];
+    for flags in invalid {
+        let out = cli_output(&path, flags, None);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flags:?} is a usage error: {err}");
+        assert!(err.starts_with("error: ") && err.lines().count() == 1, "{flags:?}: {err}");
+    }
+    assert_eq!(checkpoint::load_report(&path).unwrap().0.len(), 2);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

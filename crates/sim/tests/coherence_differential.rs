@@ -24,7 +24,7 @@
 //!    mixes the parallel engine's `RunResult` must be byte-identical
 //!    across worker counts.
 //!
-//! Run with `PROPTEST_CASES=512` (the CI `coherence-differential` leg)
+//! Run with `PROPTEST_CASES=512` (the CI `differential` job)
 //! for an elevated case count.
 
 use garibaldi_cache::{CacheConfig, CacheStats, MesiState, PolicyKind};
@@ -400,7 +400,7 @@ fn shared_family_serial_matches_golden_baselines() {
         assert!(r.invalidations > 0, "{k}: shared profile produced no invalidations");
     }
 
-    if std::env::var("GARIBALDI_BLESS").as_deref() == Ok("1") {
+    if garibaldi_sim::knobs::BLESS.flag() {
         let path = golden_path();
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
         let mut text = String::new();
@@ -454,7 +454,7 @@ fn shared_family_serial_matches_golden_baselines() {
 /// divergence is epoch *timing* only and must stay bounded.
 #[test]
 fn shared_family_parallel_within_gate_of_serial() {
-    if std::env::var("GARIBALDI_BLESS").as_deref() == Ok("1") {
+    if garibaldi_sim::knobs::BLESS.flag() {
         return; // blessing run: baselines are being rewritten.
     }
     let points = battery_points();

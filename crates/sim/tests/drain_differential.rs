@@ -10,7 +10,7 @@
 //! post-drain state pinpoints a bug in the batched prologue, the lookahead
 //! hint window, or the hoisted per-drain constants.
 //!
-//! Run with `PROPTEST_CASES=512` (the CI `drain-differential` leg) for an
+//! Run with `PROPTEST_CASES=512` (the CI `differential` job) for an
 //! elevated case count.
 
 use garibaldi::{instruction_way_mask, DppnTable, GaribaldiConfig, GaribaldiStats, PairTable};

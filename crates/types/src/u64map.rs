@@ -10,7 +10,7 @@
 //! SIMD-probing table's (hashbrown runs at 7/8): a scalar linear scan
 //! degrades sharply past ~60 % occupancy, and the hot tables here are
 //! small enough that doubling slot memory is the cheap side of the trade
-//! (measured in the `perf_snapshot` bench).
+//! (measured in the engine-level `BENCH_5.json` snapshot).
 //!
 //! Iteration ([`U64Table::iter`] and friends) walks slots in array order —
 //! **unordered**, but a pure function of the insertion/removal history, so

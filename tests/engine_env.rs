@@ -5,37 +5,47 @@
 //! other test binaries never read these variables while this one runs.
 
 use garibaldi_sim::{
-    EngineChoice, EngineConfig, ExperimentScale, LlcScheme, RunResult, SimRunner, SystemConfig,
+    knobs, EngineChoice, EngineConfig, ExperimentScale, LlcScheme, RunResult, SimRunner,
+    SystemConfig,
 };
 use garibaldi_trace::WorkloadMix;
 use std::sync::Mutex;
 
 static ENV_LOCK: Mutex<()> = Mutex::new(());
 
-/// Variables of engine axes that no longer exist (cleared like `VARS`).
-const RETIRED: [&str; 3] = ["GARIBALDI_ESTIMATOR", "GARIBALDI_TRAIN_MODE", "GARIBALDI_SYNC_EVERY"];
-
-const VARS: [&str; 5] = [
-    "GARIBALDI_ENGINE",
-    "GARIBALDI_WORKERS",
+/// Names that are not knobs: the nine deleted ones, then the three of
+/// engine axes retired earlier.
+const STALE: [&str; 12] = [
+    "GARIBALDI_INNER_WORKERS",
     "GARIBALDI_SHARDS",
     "GARIBALDI_EPOCH",
-    "GARIBALDI_BARRIER_TIMEOUT_S",
+    "GARIBALDI_MIXES",
+    "GARIBALDI_FID_GRID",
+    "GARIBALDI_FID_MIXES",
+    "GARIBALDI_FID_WORKLOADS",
+    "GARIBALDI_PERF_RECORDS",
+    "GARIBALDI_PERF_WARMUP",
+    "GARIBALDI_ESTIMATOR",
+    "GARIBALDI_TRAIN_MODE",
+    "GARIBALDI_SYNC_EVERY",
 ];
 
-/// Runs `f` with exactly `vars` set, restoring a clean slate after.
+/// Runs `f` with exactly `vars` set, restoring a clean slate after. Every
+/// simulation here runs inside it: a stale name set by one test would
+/// make a concurrent test's knob read panic.
 fn with_env<T>(vars: &[(&str, &str)], f: impl FnOnce() -> T) -> T {
     let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    for v in VARS.iter().chain(&RETIRED) {
-        std::env::remove_var(v);
-    }
+    let clear = || {
+        for v in knobs::TABLE.iter().map(|k| k.name).chain(STALE) {
+            std::env::remove_var(v);
+        }
+    };
+    clear();
     for (k, v) in vars {
         std::env::set_var(k, v);
     }
     let out = f();
-    for v in VARS.iter().chain(&RETIRED) {
-        std::env::remove_var(v);
-    }
+    clear();
     out
 }
 
@@ -57,7 +67,7 @@ fn smoke_run(r: &SimRunner) -> RunResult {
 fn engine_serial_reproduces_serial_engine() {
     let r = runner();
     let s = ExperimentScale::smoke();
-    let reference = r.run_serial(s.records_per_core, s.warmup_per_core);
+    let reference = with_env(&[], || r.run_serial(s.records_per_core, s.warmup_per_core));
     let forced =
         with_env(&[("GARIBALDI_ENGINE", "serial"), ("GARIBALDI_WORKERS", "2")], || smoke_run(&r));
     assert_eq!(reference, forced);
@@ -65,33 +75,34 @@ fn engine_serial_reproduces_serial_engine() {
     assert_eq!(reference, plain);
 }
 
-/// `GARIBALDI_ENGINE=parallel` routes through the epoch-sharded engine
-/// with env-overridable geometry.
+/// `GARIBALDI_ENGINE=parallel` routes through the epoch-sharded engine's
+/// one profile.
 #[test]
 fn engine_parallel_forces_parallel_engine() {
     let r = runner();
     let s = ExperimentScale::smoke();
-    let eng = EngineConfig { workers: 1, epoch_cycles: 7_000, llc_shards: 4, ..Default::default() };
-    let reference = r.run_parallel(s.records_per_core, s.warmup_per_core, &eng);
-    let forced = with_env(
-        &[("GARIBALDI_ENGINE", "parallel"), ("GARIBALDI_EPOCH", "7000"), ("GARIBALDI_SHARDS", "4")],
-        || smoke_run(&r),
-    );
+    let (reference, serial) = with_env(&[], || {
+        let eng = EngineConfig::default();
+        (
+            r.run_parallel(s.records_per_core, s.warmup_per_core, &eng),
+            r.run_serial(s.records_per_core, s.warmup_per_core),
+        )
+    });
+    let forced = with_env(&[("GARIBALDI_ENGINE", "parallel")], || smoke_run(&r));
     assert_eq!(reference, forced);
-    // Serial differs from the 7k-epoch parallel run on this workload
-    // (otherwise the two assertions above prove nothing).
-    let serial = r.run_serial(s.records_per_core, s.warmup_per_core);
+    // Serial differs from the parallel run on this workload (otherwise the
+    // assertion above proves nothing).
     assert_ne!(serial, reference, "engines must be distinguishable at smoke scale");
 }
 
-/// Bare `GARIBALDI_WORKERS` still flips to the parallel engine (the PR-2
+/// Bare `GARIBALDI_WORKERS` still flips to the parallel engine (the
 /// forcing mechanism CI's parallel-engine leg uses).
 #[test]
 fn bare_workers_still_selects_parallel() {
     let choice =
         with_env(&[("GARIBALDI_WORKERS", "3")], || EngineChoice::from_env_or(EngineChoice::Serial));
     match choice {
-        EngineChoice::Parallel(c) => assert_eq!(c.workers, 3),
+        EngineChoice::Parallel(c) => assert_eq!(c, EngineConfig::with_workers(3)),
         EngineChoice::Serial => panic!("GARIBALDI_WORKERS must select the parallel engine"),
     }
 }
@@ -105,7 +116,7 @@ fn barrier_timeout_env_is_validated_and_result_invisible() {
     let r = runner();
     let s = ExperimentScale::smoke();
     let eng = EngineConfig::default();
-    let reference = r.run_parallel(s.records_per_core, s.warmup_per_core, &eng);
+    let reference = with_env(&[], || r.run_parallel(s.records_per_core, s.warmup_per_core, &eng));
     let timed = with_env(&[("GARIBALDI_BARRIER_TIMEOUT_S", "120")], || {
         r.run_parallel(s.records_per_core, s.warmup_per_core, &eng)
     });
@@ -146,12 +157,13 @@ fn resolve_panic(vars: &[(&str, &str)]) -> String {
 /// unintended engine or geometry.
 #[test]
 fn malformed_values_panic_with_the_variable_name() {
-    let cases: [(&str, &str); 5] = [
+    let cases: [(&str, &str); 6] = [
         ("GARIBALDI_ENGINE", "turbo"),
+        ("GARIBALDI_ENGINE", ""),
         ("GARIBALDI_WORKERS", "0"),
         ("GARIBALDI_WORKERS", "banana"),
-        ("GARIBALDI_SHARDS", "-1"),
-        ("GARIBALDI_EPOCH", "99999999999999999999999999"),
+        ("GARIBALDI_WORKERS", "-1"),
+        ("GARIBALDI_WORKERS", "99999999999999999999999999"),
     ];
     for (var, val) in cases {
         let msg = resolve_panic(&[(var, val)]);
@@ -159,23 +171,36 @@ fn malformed_values_panic_with_the_variable_name() {
     }
 }
 
-/// A set retired variable fails loudly, naming itself as retired — with
-/// any value, even a formerly valid one, and even beside a serial
-/// engine choice — so a stale script asking for a retired mode never
-/// silently runs the one remaining profile.
+/// A set name outside the knob table — deleted, retired or misspelt —
+/// fails loudly, naming itself, with any value and beside any engine
+/// choice, so a stale script never silently runs something other than it
+/// asked for.
 #[test]
-fn retired_variables_panic_naming_the_variable() {
-    for var in RETIRED {
-        for val in ["ewma", "async", "1", ""] {
+fn stale_names_panic_naming_the_variable() {
+    for var in STALE.into_iter().chain(["GARIBALDI_WORKER"]) {
+        for val in ["ewma", "1", ""] {
             for engine in [None, Some("serial"), Some("parallel")] {
                 let mut vars = vec![(var, val)];
                 vars.extend(engine.map(|e| ("GARIBALDI_ENGINE", e)));
                 let msg = resolve_panic(&vars);
                 assert!(
-                    msg.contains(var) && msg.contains("retired"),
-                    "panic for {vars:?} names the variable as retired: {msg:?}"
+                    msg.starts_with(var) && msg.contains("not a GARIBALDI_* knob"),
+                    "panic for {vars:?} names the variable: {msg:?}"
                 );
             }
         }
     }
+}
+
+/// README's environment table mirrors the knob table row for row: name,
+/// kind, default and effect.
+#[test]
+fn readme_env_table_mirrors_the_knob_table() {
+    let readme = include_str!("../README.md");
+    let rows: Vec<&str> = readme.lines().filter(|l| l.starts_with("| `GARIBALDI_")).collect();
+    let want: Vec<String> = knobs::TABLE
+        .iter()
+        .map(|k| format!("| `{}` | {} | {} | {} |", k.name, k.kind.label(), k.default, k.doc))
+        .collect();
+    assert_eq!(rows, want, "README's environment table drifted from garibaldi_sim::knobs");
 }

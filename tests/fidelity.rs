@@ -47,7 +47,7 @@ fn gate_suite() -> FidelitySuite {
     };
     let default_epoch = EngineConfig::default().epoch_cycles;
     let mut grid = vec![default_epoch];
-    if let Some(e) = garibaldi_sim::config::env_positive("GARIBALDI_FIDELITY_EPOCH") {
+    if let Some(e) = garibaldi_sim::knobs::FIDELITY_EPOCH.count() {
         if e as u64 != default_epoch {
             grid.push(e as u64);
         }
@@ -93,7 +93,7 @@ fn serial_engine_matches_golden_baselines() {
     let serial_jobs = &jobs[..suite.points.len()];
     let serial = run_jobs(&suite, serial_jobs);
 
-    if std::env::var("GARIBALDI_BLESS").as_deref() == Ok("1") {
+    if garibaldi_sim::knobs::BLESS.flag() {
         // The first parallel block of `jobs()` is always the default
         // epoch window (the gate grid leads with it).
         let par_jobs = &jobs[suite.points.len()..2 * suite.points.len()];
@@ -141,7 +141,7 @@ fn serial_engine_matches_golden_baselines() {
 /// change the default parallel engine's simulated results.
 #[test]
 fn parallel_profile_matches_golden_baselines() {
-    if std::env::var("GARIBALDI_BLESS").as_deref() == Ok("1") {
+    if garibaldi_sim::knobs::BLESS.flag() {
         return; // blessing run: baselines are being rewritten.
     }
     let suite = gate_suite();
@@ -176,7 +176,7 @@ fn parallel_profile_matches_golden_baselines() {
 /// and at any `GARIBALDI_FIDELITY_EPOCH` override.
 #[test]
 fn parallel_engine_within_hard_gate_of_goldens() {
-    if std::env::var("GARIBALDI_BLESS").as_deref() == Ok("1") {
+    if garibaldi_sim::knobs::BLESS.flag() {
         return; // blessing run: baselines are being rewritten.
     }
     let suite = gate_suite();

@@ -389,6 +389,26 @@ impl EngineChoice {
     }
 }
 
+/// Parses a positive count (the reader of every [`knobs::Kind::Count`]
+/// knob). `Ok(None)` when unset.
+///
+/// # Errors
+///
+/// Rejects empty strings, garbage, overflow (> `usize::MAX`) and zero,
+/// naming `var` and the value — invalid values must fail loudly rather
+/// than silently selecting a default.
+pub fn parse_positive(var: &str, raw: Option<&str>) -> Result<Option<usize>, String> {
+    let Some(raw) = raw else {
+        return Ok(None);
+    };
+    let v: usize =
+        raw.trim().parse().map_err(|_| format!("{var} must be a positive integer, got {raw:?}"))?;
+    if v == 0 {
+        return Err(format!("{var} must be at least 1, got 0 (unset it to use the default)"));
+    }
+    Ok(Some(v))
+}
+
 fn scale_bytes(bytes: u64, f: f64, min: u64) -> u64 {
     (((bytes as f64 * f) as u64) / 4096 * 4096).max(min)
 }
@@ -434,6 +454,27 @@ mod tests {
         c.partition_instr_ways = 0;
         c.mlp_overlap = 1.5;
         assert!(c.validate().is_err());
+    }
+
+    // --- count knobs: every invalid value errs with the variable name ---
+
+    #[test]
+    fn parse_positive_accepts_counts_and_whitespace() {
+        assert_eq!(parse_positive("X", None).unwrap(), None);
+        assert_eq!(parse_positive("X", Some("4")).unwrap(), Some(4));
+        assert_eq!(parse_positive("X", Some(" 16 ")).unwrap(), Some(16));
+    }
+
+    #[test]
+    fn parse_positive_rejects_zero_garbage_and_overflow() {
+        for bad in ["0", "banana", "", "-3", "4.5", "99999999999999999999999999"] {
+            let err = parse_positive("GARIBALDI_WORKERS", Some(bad)).unwrap_err();
+            assert!(err.contains("GARIBALDI_WORKERS"), "error names the variable: {err}");
+            assert!(
+                bad.is_empty() || err.contains(bad.trim()),
+                "error shows the offending value: {err}"
+            );
+        }
     }
 
     #[test]

@@ -141,7 +141,7 @@ impl Knob {
     /// On zero, garbage or overflow, naming the variable, and on a set
     /// `GARIBALDI_*` variable that is not in [`TABLE`].
     pub fn count(&self) -> Option<usize> {
-        parse_positive(self.name, self.raw(Kind::Count).as_deref())
+        crate::config::parse_positive(self.name, self.raw(Kind::Count).as_deref())
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
@@ -204,25 +204,6 @@ fn parse_flag(var: &str, raw: Option<&str>) -> Result<bool, String> {
     }
 }
 
-/// Parses a positive count. `Ok(None)` when unset.
-///
-/// # Errors
-///
-/// Rejects empty strings, garbage, overflow (> `usize::MAX`) and zero,
-/// naming `var` and the value — invalid values must fail loudly rather
-/// than silently selecting a default.
-fn parse_positive(var: &str, raw: Option<&str>) -> Result<Option<usize>, String> {
-    let Some(raw) = raw else {
-        return Ok(None);
-    };
-    let v: usize =
-        raw.trim().parse().map_err(|_| format!("{var} must be a positive integer, got {raw:?}"))?;
-    if v == 0 {
-        return Err(format!("{var} must be at least 1, got 0 (unset it to use the default)"));
-    }
-    Ok(Some(v))
-}
-
 /// Checks a text value: set values must not be blank.
 ///
 /// # Errors
@@ -261,25 +242,6 @@ mod tests {
             let err = parse_flag("GARIBALDI_FULL", Some(bad)).unwrap_err();
             assert!(err.contains("GARIBALDI_FULL"), "error names the variable: {err}");
             assert!(err.contains(&format!("{bad:?}")), "error shows the value: {err}");
-        }
-    }
-
-    #[test]
-    fn counts_accept_positive_integers_and_whitespace() {
-        assert_eq!(parse_positive("X", None).unwrap(), None);
-        assert_eq!(parse_positive("X", Some("4")).unwrap(), Some(4));
-        assert_eq!(parse_positive("X", Some(" 16 ")).unwrap(), Some(16));
-    }
-
-    #[test]
-    fn counts_reject_zero_garbage_and_overflow() {
-        for bad in ["0", "banana", "", "-3", "4.5", "99999999999999999999999999"] {
-            let err = parse_positive("GARIBALDI_WORKERS", Some(bad)).unwrap_err();
-            assert!(err.contains("GARIBALDI_WORKERS"), "error names the variable: {err}");
-            assert!(
-                bad.is_empty() || err.contains(bad.trim()),
-                "error shows the offending value: {err}"
-            );
         }
     }
 

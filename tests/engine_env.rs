@@ -176,7 +176,7 @@ fn malformed_values_panic_with_the_variable_name() {
 /// choice, so a stale script never silently runs something other than it
 /// asked for.
 #[test]
-fn stale_names_panic_naming_the_variable() {
+fn retired_variables_panic_naming_the_variable() {
     for var in STALE.into_iter().chain(["GARIBALDI_WORKER"]) {
         for val in ["ewma", "1", ""] {
             for engine in [None, Some("serial"), Some("parallel")] {

@@ -20,13 +20,15 @@
 //!                            N worker threads (0 = serial engine; default).
 //!                            The parallel engine has one profile: ewma
 //!                            issue estimates, learned-state sync every 8
-//!                            barriers
-//!   --shards N               LLC shard count for the parallel engine (8)
-//!   --epoch N                epoch window in cycles (20000)
+//!                            barriers, 8 LLC shards and 20000-cycle
+//!                            epochs
 //!   --dump-trace PATH        write the per-core record streams to PATH and
-//!                            exit (replayable across schemes and engines)
+//!                            exit (replayable across schemes and engines;
+//!                            not combinable with --replay, --checkpoint or
+//!                            --key)
 //!   --replay PATH            replay streams dumped with --dump-trace
-//!                            instead of generating traces
+//!                            instead of generating traces (the dump must
+//!                            hold one non-empty stream per core)
 //!   --checkpoint PATH        durable JSON-lines checkpoint (see
 //!                            `garibaldi_sim::checkpoint`): if the run's
 //!                            key is already present the cached result is
@@ -84,8 +86,6 @@ struct Args {
     oracle: bool,
     partition: usize,
     workers: usize,
-    shards: usize,
-    epoch: u64,
     dump_trace: Option<String>,
     replay: Option<String>,
     checkpoint: Option<String>,
@@ -93,7 +93,6 @@ struct Args {
 }
 
 fn parse_args() -> Result<Args, String> {
-    let defaults = EngineConfig::default();
     let mut a = Args {
         workloads: vec!["tpcc".into()],
         policy: PolicyKind::Mockingjay,
@@ -106,8 +105,6 @@ fn parse_args() -> Result<Args, String> {
         oracle: false,
         partition: 0,
         workers: 0,
-        shards: defaults.llc_shards,
-        epoch: defaults.epoch_cycles,
         dump_trace: None,
         replay: None,
         checkpoint: None,
@@ -132,8 +129,6 @@ fn parse_args() -> Result<Args, String> {
                 a.partition = val("--partition")?.parse().map_err(|e| format!("{e}"))?
             }
             "--workers" => a.workers = val("--workers")?.parse().map_err(|e| format!("{e}"))?,
-            "--shards" => a.shards = val("--shards")?.parse().map_err(|e| format!("{e}"))?,
-            "--epoch" => a.epoch = val("--epoch")?.parse().map_err(|e| format!("{e}"))?,
             "--dump-trace" => a.dump_trace = Some(val("--dump-trace")?),
             "--replay" => a.replay = Some(val("--replay")?),
             "--checkpoint" => a.checkpoint = Some(val("--checkpoint")?),
@@ -177,6 +172,11 @@ fn parse_args() -> Result<Args, String> {
         if registry::by_name(w).is_none() {
             return Err(format!("unknown workload '{w}' (try --list)"));
         }
+    }
+    if a.dump_trace.is_some() && (a.replay.is_some() || a.checkpoint.is_some() || a.key.is_some()) {
+        return Err("--dump-trace writes the trace and exits; it does not combine with \
+                    --replay, --checkpoint or --key"
+            .into());
     }
     if a.key.is_some() && a.checkpoint.is_none() {
         return Err("--key only makes sense together with --checkpoint".into());
@@ -233,12 +233,8 @@ fn main() {
     let mut cfg = SystemConfig::scaled(&scale, scheme);
     cfg.i_oracle = args.oracle;
     cfg.partition_instr_ways = args.partition;
-    let eng = EngineConfig {
-        epoch_cycles: args.epoch,
-        llc_shards: args.shards,
-        ..EngineConfig::with_workers(args.workers)
-    };
-    if let Err(e) = cfg.validate().and_then(|()| eng.validate()) {
+    let eng = EngineConfig::with_workers(args.workers);
+    if let Err(e) = cfg.validate() {
         usage_error(&format!("invalid configuration: {e}"));
     }
 
@@ -306,10 +302,18 @@ fn main() {
             eprintln!("error: cannot read {path}: {e}");
             std::process::exit(1);
         });
-        serial::decode_multi(&bytes).unwrap_or_else(|e| {
+        let bad = |e: &dyn std::fmt::Display| -> ! {
             eprintln!("error: bad trace file {path}: {e}");
             std::process::exit(1);
-        })
+        };
+        let streams = serial::decode_multi(&bytes).unwrap_or_else(|e| bad(&e));
+        if streams.len() != args.cores {
+            bad(&format_args!("{} streams for --cores {}", streams.len(), args.cores));
+        }
+        if let Some(i) = streams.iter().position(Vec::is_empty) {
+            bad(&format_args!("stream {i} is empty"));
+        }
+        streams
     });
 
     eprintln!(

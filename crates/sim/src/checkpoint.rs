@@ -46,7 +46,7 @@ use std::path::{Path, PathBuf};
 
 // ---- writing ---------------------------------------------------------------
 
-pub(crate) fn esc(s: &str) -> String {
+fn esc(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {
@@ -64,7 +64,7 @@ pub(crate) fn esc(s: &str) -> String {
     out
 }
 
-pub(crate) fn num(v: f64) -> String {
+fn num(v: f64) -> String {
     if v.is_finite() {
         format!("{v}")
     } else if v.is_nan() {
@@ -204,12 +204,12 @@ pub fn to_json_line(key: &str, r: &RunResult) -> String {
 
 // ---- minimal JSON reader ---------------------------------------------------
 
-/// A parsed JSON value (just enough for checkpoint lines; also the reader
-/// behind `crate::fidelity`'s report format). Unsigned-integer tokens are
-/// kept exact in [`Json::UInt`] — routing them through `f64` would corrupt
-/// counters above 2^53 (caught by `tests/checkpoint_properties.rs`).
+/// A parsed JSON value (just enough for checkpoint lines). Unsigned-integer
+/// tokens are kept exact in [`Json::UInt`] — routing them through `f64`
+/// would corrupt counters above 2^53 (caught by
+/// `tests/checkpoint_properties.rs`).
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) enum Json {
+enum Json {
     Null,
     Bool(bool),
     Num(f64),
@@ -220,14 +220,14 @@ pub(crate) enum Json {
 }
 
 impl Json {
-    pub(crate) fn get(&self, key: &str) -> Option<&Json> {
+    fn get(&self, key: &str) -> Option<&Json> {
         match self {
             Json::Obj(m) => m.get(key),
             _ => None,
         }
     }
 
-    pub(crate) fn u64_field(&self, key: &str) -> u64 {
+    fn u64_field(&self, key: &str) -> u64 {
         match self.get(key) {
             Some(Json::UInt(n)) => *n,
             Some(Json::Num(n)) => *n as u64,
@@ -235,7 +235,7 @@ impl Json {
         }
     }
 
-    pub(crate) fn f64_field(&self, key: &str) -> f64 {
+    fn f64_field(&self, key: &str) -> f64 {
         match self.get(key) {
             Some(Json::UInt(n)) => *n as f64,
             Some(Json::Num(n)) => *n,
@@ -248,7 +248,7 @@ impl Json {
         }
     }
 
-    pub(crate) fn str_field(&self, key: &str) -> String {
+    fn str_field(&self, key: &str) -> String {
         match self.get(key) {
             Some(Json::Str(s)) => s.clone(),
             _ => String::new(),
@@ -256,8 +256,8 @@ impl Json {
     }
 }
 
-/// Parses one line of JSON (used by checkpoint lines and fidelity reports).
-pub(crate) fn parse_json(line: &str) -> Option<Json> {
+/// Parses one line of JSON.
+fn parse_json(line: &str) -> Option<Json> {
     let mut p = Parser { b: line.as_bytes(), i: 0 };
     p.value()
 }

@@ -50,21 +50,6 @@ impl ExperimentScale {
         }
     }
 
-    /// The fidelity-study scale (`docs/fidelity/`): the default figure
-    /// scale's 8-core half-size caches, but a shorter measured region so
-    /// the serial×parallel×epoch-grid cross product stays tractable on one
-    /// host. Runs ~8 epochs at the default window and ~2 at the largest
-    /// grid point, so the sweep still exercises barrier-frequency extremes.
-    pub fn fidelity_small() -> Self {
-        Self {
-            factor: 0.5,
-            cores: 8,
-            records_per_core: 60_000,
-            warmup_per_core: 15_000,
-            color_period: 10_000,
-        }
-    }
-
     /// The paper's full Table 1 configuration (slow: hours, not minutes).
     pub fn full() -> Self {
         Self {

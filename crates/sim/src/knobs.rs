@@ -77,14 +77,6 @@ pub const FULL: Knob = Knob {
     doc: "figure benches run the paper's 40-core Table 1 scale instead of the 8-core half scale",
 };
 
-/// Off-default epoch window for the fidelity gate (`tests/fidelity.rs`).
-pub const FIDELITY_EPOCH: Knob = Knob {
-    name: "GARIBALDI_FIDELITY_EPOCH",
-    kind: Kind::Count,
-    default: "unset",
-    doc: "`tests/fidelity.rs` also gates this `epoch_cycles` beside the default 20000",
-};
-
 /// Golden re-bless switch for the golden-file tests.
 pub const BLESS: Knob = Knob {
     name: "GARIBALDI_BLESS",
@@ -120,8 +112,8 @@ pub const FAULTS: Knob = Knob {
 
 /// Every live knob. A set `GARIBALDI_*` variable outside this table is an
 /// error at the first knob read.
-pub const TABLE: [Knob; 8] =
-    [ENGINE, WORKERS, FULL, FIDELITY_EPOCH, BLESS, ENGINE_STATS, BARRIER_TIMEOUT_S, FAULTS];
+pub const TABLE: [Knob; 7] =
+    [ENGINE, WORKERS, FULL, BLESS, ENGINE_STATS, BARRIER_TIMEOUT_S, FAULTS];
 
 impl Knob {
     /// Reads a [`Kind::Flag`] knob; unset is false.

@@ -152,7 +152,7 @@ fn legacy_serial_rows_miss_the_current_serial_key() {
     let _ = std::fs::remove_dir_all(&dir);
     let path = dir.join("runs.jsonl");
     let scale = ExperimentScale { cores: 4, ..ExperimentScale::smoke() };
-    let suite = FidelitySuite::paper_figures(scale, 1, &["tpcc"], vec![20_000]);
+    let suite = FidelitySuite::paper_figures(scale, 1, &["tpcc"]);
     let job = suite.jobs().into_iter().find(|j| j.engine == EngineChoice::Serial).unwrap();
     let serial_tag = EngineChoice::Serial.tag();
     let legacy_key = job.key.replace(&format!("/{serial_tag}/"), "/serial/");
@@ -258,7 +258,7 @@ fn cli_output(
 ) -> std::process::Output {
     let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_garibaldi-cli"));
     cmd.args(["--workload", "tpcc", "--cores", "2", "--records", "400", "--warmup", "100"])
-        .args(["--epoch", "2000", "--checkpoint"])
+        .arg("--checkpoint")
         .arg(path)
         .args(extra)
         .env_remove("GARIBALDI_FAULTS");
@@ -281,7 +281,8 @@ fn served_from_cache(stderr: &str) -> bool {
 
 /// The CLI's default checkpoint key names the engine: a serial row never
 /// answers a parallel run, nor the reverse, and each engine finds its own.
-/// An invalid configuration is a usage error (exit 2) that appends nothing.
+/// An invalid configuration is a usage error (exit 2) and a bad replay
+/// file an I/O error (exit 1); neither appends a row.
 #[test]
 fn cli_default_keys_keep_serial_and_parallel_rows_apart() {
     let dir = std::env::temp_dir().join("garibaldi-checkpoint-cli-engines");
@@ -299,11 +300,16 @@ fn cli_default_keys_keep_serial_and_parallel_rows_apart() {
         assert_eq!(checkpoint::load_report(&path).unwrap().0.len(), 2);
     }
     let path = dir.join("runs0.jsonl");
-    let invalid: [&[&str]; 4] = [
-        &["--workers", "1", "--shards", "0"],
-        &["--workers", "1", "--epoch", "0"],
+    let dump = dir.join("dump.bin");
+    let dump = dump.to_str().unwrap();
+    let invalid: [&[&str]; 6] = [
+        &["--workers", "1", "--shards", "8"],
+        &["--workers", "1", "--epoch", "20000"],
         &["--cores", "0"],
         &["--factor", "-1"],
+        &["--dump-trace", dump, "--replay", dump],
+        // `cli_output` always passes `--checkpoint`.
+        &["--dump-trace", dump],
     ];
     for flags in invalid {
         let out = cli_output(&path, flags, None);
@@ -311,6 +317,25 @@ fn cli_default_keys_keep_serial_and_parallel_rows_apart() {
         assert_eq!(out.status.code(), Some(2), "{flags:?} is a usage error: {err}");
         assert!(err.starts_with("error: ") && err.lines().count() == 1, "{flags:?}: {err}");
     }
+    // A dump of the wrong core count, and one of empty streams: the
+    // replay at `--cores 2` rejects either file. A replay's default key is
+    // the live parallel run's, which `path` already holds, so the replays
+    // get a checkpoint of their own.
+    let replayed = dir.join("replayed.jsonl");
+    for dump_flags in [&["--cores", "4"][..], &["--cores", "2", "--records", "0", "--warmup", "0"]]
+    {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_garibaldi-cli"))
+            .args(dump_flags)
+            .args(["--dump-trace", dump])
+            .output()
+            .expect("garibaldi-cli runs");
+        assert!(out.status.success(), "{dump_flags:?}: {}", String::from_utf8_lossy(&out.stderr));
+        let out = cli_output(&replayed, &["--replay", dump], None);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{dump_flags:?} replay is refused: {err}");
+        assert!(err.contains("error: bad trace file"), "{dump_flags:?}: {err}");
+    }
+    assert!(checkpoint::load_report(&replayed).unwrap().0.is_empty());
     assert_eq!(checkpoint::load_report(&path).unwrap().0.len(), 2);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -13,9 +13,11 @@ use std::sync::Mutex;
 
 static ENV_LOCK: Mutex<()> = Mutex::new(());
 
-/// Names that are not knobs: the nine deleted ones, then the three of
+/// Names that are not knobs: the retired fidelity-gate epoch override,
+/// the nine knobs deleted when the knob table came in, then the three of
 /// engine axes retired earlier.
-const STALE: [&str; 12] = [
+const STALE: [&str; 13] = [
+    "GARIBALDI_FIDELITY_EPOCH",
     "GARIBALDI_INNER_WORKERS",
     "GARIBALDI_SHARDS",
     "GARIBALDI_EPOCH",
@@ -32,12 +34,15 @@ const STALE: [&str; 12] = [
 
 /// Runs `f` with exactly `vars` set, restoring a clean slate after. Every
 /// simulation here runs inside it: a stale name set by one test would
-/// make a concurrent test's knob read panic.
+/// make a later test's knob read panic, so the slate is every
+/// `GARIBALDI_*` name in the environment, misspelt ones included.
 fn with_env<T>(vars: &[(&str, &str)], f: impl FnOnce() -> T) -> T {
     let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let clear = || {
-        for v in knobs::TABLE.iter().map(|k| k.name).chain(STALE) {
-            std::env::remove_var(v);
+        for (name, _) in std::env::vars_os() {
+            if name.to_string_lossy().starts_with("GARIBALDI_") {
+                std::env::remove_var(name);
+            }
         }
     };
     clear();

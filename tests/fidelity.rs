@@ -9,14 +9,14 @@
 //!    float-noise fails here, so figure drift is caught by tier-1 rather
 //!    than by a reviewer eyeballing bench output. Regenerate deliberately
 //!    with `GARIBALDI_BLESS=1 cargo test --test fidelity`.
-//! 2. **Parallel tolerance** — the parallel engine at the default
-//!    `epoch_cycles` (plus any `GARIBALDI_FIDELITY_EPOCH` off-default
-//!    point, which the CI `fidelity-gate` job exercises) must keep every
-//!    figure-level geomean within the hard gate of the serial goldens.
+//! 2. **Parallel tolerance** — the parallel engine's one profile
+//!    (`EngineConfig::default`) must exact-match its own committed block
+//!    and keep every figure-level geomean within the hard gate of the
+//!    serial goldens.
 
 use garibaldi_sim::experiment::run_mix_on;
 use garibaldi_sim::fidelity::{FidelityJob, FidelitySuite};
-use garibaldi_sim::{checkpoint, EngineConfig, ExperimentScale, RunResult};
+use garibaldi_sim::{checkpoint, ExperimentScale, RunResult};
 use std::collections::HashMap;
 use std::path::PathBuf;
 
@@ -45,14 +45,7 @@ fn gate_suite() -> FidelitySuite {
         warmup_per_core: 3_000,
         color_period: 4_000,
     };
-    let default_epoch = EngineConfig::default().epoch_cycles;
-    let mut grid = vec![default_epoch];
-    if let Some(e) = garibaldi_sim::knobs::FIDELITY_EPOCH.count() {
-        if e as u64 != default_epoch {
-            grid.push(e as u64);
-        }
-    }
-    FidelitySuite::paper_figures(scale, 1, &["tpcc", "twitter"], grid)
+    FidelitySuite::paper_figures(scale, 1, &["tpcc", "twitter"])
 }
 
 fn run_jobs(suite: &FidelitySuite, jobs: &[FidelityJob]) -> Vec<RunResult> {
@@ -84,19 +77,16 @@ fn load_goldens() -> HashMap<String, RunResult> {
 /// The serial engine still reproduces its committed golden metrics.
 ///
 /// The bless run (`GARIBALDI_BLESS=1`) also regenerates the
-/// parallel-engine block at the default `epoch_cycles` — the exact-match
-/// baselines `parallel_profile_matches_golden_baselines` gates on.
+/// parallel-engine block — the exact-match baselines
+/// `parallel_profile_matches_golden_baselines` gates on.
 #[test]
 fn serial_engine_matches_golden_baselines() {
     let suite = gate_suite();
     let jobs = suite.jobs();
-    let serial_jobs = &jobs[..suite.points.len()];
+    let (serial_jobs, par_jobs) = jobs.split_at(suite.points.len());
     let serial = run_jobs(&suite, serial_jobs);
 
     if garibaldi_sim::knobs::BLESS.flag() {
-        // The first parallel block of `jobs()` is always the default
-        // epoch window (the gate grid leads with it).
-        let par_jobs = &jobs[suite.points.len()..2 * suite.points.len()];
         let par = run_jobs(&suite, par_jobs);
         let path = golden_path();
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
@@ -146,9 +136,7 @@ fn parallel_profile_matches_golden_baselines() {
     }
     let suite = gate_suite();
     let jobs = suite.jobs();
-    let n = suite.points.len();
-    // The first parallel block is the default epoch window.
-    let par_jobs = &jobs[n..2 * n];
+    let par_jobs = &jobs[suite.points.len()..];
     let par = run_jobs(&suite, par_jobs);
     let goldens = load_goldens();
     for (j, r) in par_jobs.iter().zip(&par) {
@@ -172,8 +160,7 @@ fn parallel_profile_matches_golden_baselines() {
 }
 
 /// The parallel engine keeps every figure-level geomean within the hard
-/// gate of the committed serial goldens, at the default `epoch_cycles`
-/// and at any `GARIBALDI_FIDELITY_EPOCH` override.
+/// gate of the committed serial goldens.
 #[test]
 fn parallel_engine_within_hard_gate_of_goldens() {
     if garibaldi_sim::knobs::BLESS.flag() {
@@ -185,7 +172,7 @@ fn parallel_engine_within_hard_gate_of_goldens() {
     let goldens = load_goldens();
     // Serial block from the goldens (drift there is the other test's job —
     // gating the parallel engine against *committed* numbers keeps the two
-    // failure modes separable); parallel blocks run live.
+    // failure modes separable); the parallel block runs live.
     let mut results: Vec<RunResult> = jobs[..n]
         .iter()
         .map(|j| {
@@ -198,15 +185,12 @@ fn parallel_engine_within_hard_gate_of_goldens() {
     results.extend(run_jobs(&suite, &jobs[n..]));
 
     let report = suite.assemble(&results);
-    for &epoch in &suite.epoch_grid {
-        let err = report.max_figure_err(epoch);
-        assert!(
-            err <= HARD_GATE,
-            "figure-geomean error {:.4}% at epoch_cycles={epoch} exceeds the \
-             {:.1}% hard gate\n{}",
-            err * 100.0,
-            HARD_GATE * 100.0,
-            report.human_table()
-        );
-    }
+    let err = report.max_figure_err();
+    assert!(
+        err <= HARD_GATE,
+        "figure-geomean error {:.4}% exceeds the {:.1}% hard gate\n{}",
+        err * 100.0,
+        HARD_GATE * 100.0,
+        report.human_table()
+    );
 }

@@ -1,7 +1,13 @@
-//! Fig 11 — end-to-end weighted-speedup distribution over random
+//! Fig 11 — end-to-end throughput-speedup distribution over random
 //! multiprogrammed server mixes: Hawkeye, Hawkeye+Garibaldi, Mockingjay,
 //! Mockingjay+Garibaldi, each normalized to LRU and sorted by
 //! Mockingjay+Garibaldi's speedup (the paper's S-curve).
+//!
+//! The metric is IPC throughput: a scheme's Σ IPC over the mix's cores
+//! divided by LRU's Σ IPC on the same mix (`RunResult::ipc_sum`). This is
+//! not the paper's weighted speedup (Σ IPC_shared / IPC_single): the
+//! single-core IPCs do not cancel from that ratio unless they are all
+//! equal, so the two metrics differ in general.
 //!
 //! Runs `MIXES` = 20 random server mixes (paper: 60).
 //!
@@ -41,15 +47,7 @@ fn main() {
                 scale.factor,
                 scheme.label()
             );
-            jobs.push((
-                key,
-                Box::new(move || {
-                    // IPC throughput normalization happens against the LRU
-                    // run of the same mix, so per-workload single-core IPCs
-                    // cancel.
-                    run_mix(&scale, scheme, &mix, 42)
-                }),
-            ));
+            jobs.push((key, Box::new(move || run_mix(&scale, scheme, &mix, 42))));
         }
     }
     let flat: Vec<f64> = parallel_runs_checkpointed("fig11_end_to_end.jsonl", jobs)

@@ -22,7 +22,7 @@ use std::io::Write;
 use std::path::PathBuf;
 use std::sync::Mutex;
 
-pub use garibaldi_sim::experiment::{geomean, weighted_speedup};
+pub use garibaldi_sim::experiment::geomean;
 pub use garibaldi_sim::{
     EngineChoice, EngineConfig, ExperimentScale, LlcScheme, RunResult, SimRunner, SystemConfig,
 };
@@ -78,11 +78,6 @@ pub fn run_mix(
     seed: u64,
 ) -> RunResult {
     garibaldi_sim::experiment::run_mix_on(scale, scheme, mix, seed, bench_engine())
-}
-
-/// [`garibaldi_sim::experiment::ipc_single`] on the bench-default engine.
-pub fn ipc_single(scale: &ExperimentScale, scheme: LlcScheme, workload: &str, seed: u64) -> f64 {
-    garibaldi_sim::experiment::ipc_single_on(scale, scheme, workload, seed, bench_engine())
 }
 
 /// Directory where harness CSVs are written (the workspace-level

@@ -478,27 +478,14 @@ impl SetAssocCache {
     }
 
     /// Exports the policy's PC-indexed learned state (see
-    /// [`ReplacementPolicy::export_learned`]); empty for policies without
-    /// learned tables.
-    pub fn export_policy_learned(&self) -> Vec<u32> {
-        let mut out = Vec::new();
-        self.export_policy_learned_into(&mut out);
-        out
-    }
-
-    /// [`SetAssocCache::export_policy_learned`] into a caller-owned buffer
-    /// (cleared first) — the epoch barrier exports every shard's learned
-    /// state each sync, so the buffers are arena-reused across epochs
-    /// instead of reallocated.
+    /// [`ReplacementPolicy::export_learned`]) into a caller-owned buffer
+    /// (cleared first; left empty for policies without learned tables) —
+    /// the epoch barrier exports every shard's learned state each sync,
+    /// so the buffers are arena-reused across epochs instead of
+    /// reallocated.
     pub fn export_policy_learned_into(&self, out: &mut Vec<u32>) {
         out.clear();
         self.policy.as_dyn().export_learned(out);
-    }
-
-    /// Installs the deterministic consensus of same-policy `peers` exports
-    /// (see [`ReplacementPolicy::import_learned`]).
-    pub fn import_policy_learned(&mut self, peers: &[Vec<u32>]) {
-        self.policy.as_dyn_mut().import_learned(peers);
     }
 
     /// Computes the consensus of same-policy `peers` exports into `out`

@@ -9,13 +9,12 @@
 //!   mask for the LLC directory) in parallel arrays, driven by a boxed
 //!   [`ReplacementPolicy`].
 //! * The replacement policies the paper evaluates — LRU, DRRIP, Hawkeye and
-//!   Mockingjay — plus Random, SRRIP, BRRIP and SHiP as additional baselines.
+//!   Mockingjay.
 //! * Victim selection with an external *protection guard*
 //!   ([`SetAssocCache::insert_with_guard`]): the hook Garibaldi's query-based
 //!   selective instruction protection (QBS, §4.2) plugs into.
 //! * Prefetchers: next-line (L1D), GHB PC/delta correlation (L2, \[48\]) and a
 //!   temporal successor prefetcher standing in for I-SPY (L1I).
-//! * An MSHR/queueing model shared with the DRAM channel model.
 //!
 //! # Examples
 //!
@@ -34,7 +33,6 @@
 
 pub mod cache;
 pub mod line;
-pub mod mshr;
 pub mod opt;
 pub mod policy;
 pub mod prefetch;
@@ -46,7 +44,6 @@ pub use cache::{
     SetAssocCache, SetIndexing,
 };
 pub use line::{LineFlags, LineMeta, MesiState, PackedTag};
-pub use mshr::MshrQueue;
 pub use opt::{simulate_opt, OptResult};
 pub use policy::{build_policy, PolicyKind, ReplacementPolicy};
 pub use prefetch::{GhbPrefetcher, NextLinePrefetcher, Prefetcher, TemporalPrefetcher};

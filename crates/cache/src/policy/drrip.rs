@@ -27,7 +27,7 @@ pub struct Drrip {
     roles: Vec<SetRole>,
     psel: SatCounter,
     /// PSEL value as of the last learned-state sync (the shared baseline
-    /// the delta-sum merge in `import_learned` works from).
+    /// the delta-sum merge in `merge_learned` works from).
     synced: u32,
     fills: u64,
 }
@@ -201,15 +201,38 @@ mod tests {
         assert_eq!(export, vec![base], "export is the single PSEL value");
         // Peers trained +2, 0, −1 from the shared baseline.
         let peers = vec![vec![base + 2], vec![base], vec![base - 1]];
-        p.import_learned(&peers);
+        super::super::merge_and_install(&mut p, &peers);
         assert_eq!(p.psel.get(), base + 1, "base + (+2 + 0 − 1)");
         assert_eq!(p.synced, base + 1, "the merge result becomes the next baseline");
         // Saturation clamps: pile on more than the 10-bit counter holds.
         let max = p.psel.max();
         let peers = vec![vec![max]; 3];
-        p.import_learned(&peers);
+        super::super::merge_and_install(&mut p, &peers);
         assert_eq!(p.psel.get(), max, "clamped at the counter maximum");
         assert_eq!(p.synced, max);
+    }
+
+    #[test]
+    fn brrip_leader_mostly_inserts_distant() {
+        // Two sets: set 0 leads SRRIP, set 1 leads BRRIP.
+        let mut p = Drrip::new(2, 4);
+        assert_eq!(p.roles[1], SetRole::LeaderBrrip);
+        let mut long_inserts = 0;
+        for i in 0..(BRRIP_EPSILON * 4) {
+            p.on_insert(1, (i % 4) as usize, &ctx());
+            if p.table.get(1, (i % 4) as usize) == RRPV_LONG {
+                long_inserts += 1;
+            }
+        }
+        assert_eq!(long_inserts, 4, "exactly 1/{BRRIP_EPSILON} fills are long");
+    }
+
+    #[test]
+    fn reset_priority_zeroes_rrpv() {
+        let mut p = Drrip::new(1, 2);
+        p.on_insert(0, 0, &ctx());
+        p.reset_priority(0, 0);
+        assert_eq!(p.table.get(0, 0), 0);
     }
 
     #[test]

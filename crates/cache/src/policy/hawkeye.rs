@@ -47,7 +47,7 @@ pub struct Hawkeye {
     window: usize,
     predictor: Vec<SatCounter>,
     /// Predictor values as of the last learned-state sync (the shared
-    /// baseline the delta-sum merge in `import_learned` works from).
+    /// baseline the delta-sum merge in `merge_learned` works from).
     synced: Vec<u32>,
     /// Sampler state, indexed by `set / SAMPLE_STRIDE` (only multiples of
     /// the stride are sampled — a dense vector, not a map).
@@ -284,12 +284,12 @@ mod tests {
         let mut peers = vec![vec![4u32; n], vec![4u32; n]];
         peers[0][idx] = 7;
         peers[1][idx] = 2;
-        p.import_learned(&peers);
+        super::super::merge_and_install(&mut p, &peers);
         assert_eq!(p.predictor[idx].get(), 5, "4 + (+3 − 2)");
         assert_eq!(p.synced[idx], 5, "merge result becomes the next baseline");
         // Identical exports (nobody trained) leave the table unchanged.
         let peers = vec![vec![5u32; 1]; 2];
-        p.import_learned(&peers);
+        super::super::merge_and_install(&mut p, &peers);
         assert_eq!(p.predictor[idx].get(), 5, "short peer rows leave untouched entries alone");
     }
 

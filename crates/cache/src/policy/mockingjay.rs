@@ -328,11 +328,11 @@ mod tests {
         peers[0][idx] = 10;
         peers[1][idx] = 21;
         peers[2][idx] = SCAN_DISTANCE;
-        p.import_learned(&peers);
+        super::super::merge_and_install(&mut p, &peers);
         assert_eq!(p.rdp[idx], 16, "rounded average of the finite votes (scan is a minority)");
         // Scan majority wins.
         peers[1][idx] = SCAN_DISTANCE;
-        p.import_learned(&peers);
+        super::super::merge_and_install(&mut p, &peers);
         assert_eq!(p.rdp[idx], SCAN_DISTANCE);
         // Nowhere trained → local state untouched.
         assert_eq!(p.rdp[idx + 1], RDP_UNTRAINED);

@@ -17,17 +17,12 @@ mod drrip;
 mod hawkeye;
 mod lru;
 mod mockingjay;
-mod random;
 mod rrip;
-mod ship;
 
 pub use drrip::Drrip;
 pub use hawkeye::Hawkeye;
 pub use lru::Lru;
 pub use mockingjay::Mockingjay;
-pub use random::RandomPolicy;
-pub use rrip::{Brrip, Srrip};
-pub use ship::Ship;
 
 use garibaldi_types::LineAddr;
 use serde::{Deserialize, Serialize};
@@ -101,7 +96,7 @@ pub trait ReplacementPolicy: Send + Sync {
 
     /// Exports the policy's PC-indexed learned state — predictor tables
     /// whose meaning is independent of set geometry (Mockingjay's RDP,
-    /// SHiP's SHCT, Hawkeye's PC predictor) — by appending raw entries to
+    /// Hawkeye's PC predictor, DRRIP's PSEL) — by appending raw entries to
     /// `out`. Set-local state (ETR/RRPV, samplers) is *not* exported.
     /// Policies with no learned tables (the default) export nothing.
     ///
@@ -133,18 +128,6 @@ pub trait ReplacementPolicy: Send + Sync {
     /// default.
     fn install_learned(&mut self, _merged: &[u32]) {}
 
-    /// Merges `peers` and installs the result in one step — the PR 4
-    /// synchronous-sync entry point, kept as the
-    /// merge-then-install composition so a policy only implements the
-    /// two halves.
-    fn import_learned(&mut self, peers: &[Vec<u32>]) {
-        let mut merged = Vec::new();
-        self.merge_learned(peers, &mut merged);
-        if !merged.is_empty() {
-            self.install_learned(&merged);
-        }
-    }
-
     /// Policy name for reports.
     fn name(&self) -> &'static str;
 }
@@ -154,16 +137,8 @@ pub trait ReplacementPolicy: Send + Sync {
 pub enum PolicyKind {
     /// Least-recently-used (the paper's baseline).
     Lru,
-    /// Uniform random victim.
-    Random,
-    /// Static re-reference interval prediction.
-    Srrip,
-    /// Bimodal RRIP.
-    Brrip,
     /// Dynamic RRIP with set dueling (paper comparison point).
     Drrip,
-    /// Signature-based hit predictor (SHiP) on an RRIP backbone.
-    Ship,
     /// Hawkeye: OPTgen-trained PC classifier (paper comparison point).
     Hawkeye,
     /// Mockingjay: reuse-distance prediction + estimated-time-remaining
@@ -173,26 +148,14 @@ pub enum PolicyKind {
 
 impl PolicyKind {
     /// All kinds, for exhaustive tests/benches.
-    pub const ALL: [PolicyKind; 8] = [
-        PolicyKind::Lru,
-        PolicyKind::Random,
-        PolicyKind::Srrip,
-        PolicyKind::Brrip,
-        PolicyKind::Drrip,
-        PolicyKind::Ship,
-        PolicyKind::Hawkeye,
-        PolicyKind::Mockingjay,
-    ];
+    pub const ALL: [PolicyKind; 4] =
+        [PolicyKind::Lru, PolicyKind::Drrip, PolicyKind::Hawkeye, PolicyKind::Mockingjay];
 
     /// Display name matching the paper's figures.
     pub fn label(self) -> &'static str {
         match self {
             PolicyKind::Lru => "LRU",
-            PolicyKind::Random => "Random",
-            PolicyKind::Srrip => "SRRIP",
-            PolicyKind::Brrip => "BRRIP",
             PolicyKind::Drrip => "DRRIP",
-            PolicyKind::Ship => "SHiP",
             PolicyKind::Hawkeye => "Hawkeye",
             PolicyKind::Mockingjay => "Mockingjay",
         }
@@ -205,15 +168,20 @@ impl std::fmt::Display for PolicyKind {
     }
 }
 
+/// The engine's learned-state sync on one instance: merge the peers'
+/// exports, then install the consensus.
+#[cfg(test)]
+pub(crate) fn merge_and_install(p: &mut dyn ReplacementPolicy, peers: &[Vec<u32>]) {
+    let mut merged = Vec::new();
+    p.merge_learned(peers, &mut merged);
+    p.install_learned(&merged);
+}
+
 /// Builds a policy instance for a cache of `sets × ways`.
 pub fn build_policy(kind: PolicyKind, sets: usize, ways: usize) -> Box<dyn ReplacementPolicy> {
     match kind {
         PolicyKind::Lru => Box::new(Lru::new(sets, ways)),
-        PolicyKind::Random => Box::new(RandomPolicy::new(sets, ways)),
-        PolicyKind::Srrip => Box::new(Srrip::new(sets, ways)),
-        PolicyKind::Brrip => Box::new(Brrip::new(sets, ways)),
         PolicyKind::Drrip => Box::new(Drrip::new(sets, ways)),
-        PolicyKind::Ship => Box::new(Ship::new(sets, ways)),
         PolicyKind::Hawkeye => Box::new(Hawkeye::new(sets, ways)),
         PolicyKind::Mockingjay => Box::new(Mockingjay::new(sets, ways)),
     }
@@ -254,12 +222,8 @@ mod tests {
     #[test]
     fn reset_priority_defers_eviction_for_all_policies() {
         // After protecting a way, an immediate re-selection (with no
-        // exclusion) should prefer some other way for every deterministic
-        // policy. Random is exempt by construction.
+        // exclusion) should prefer some other way for every policy.
         for kind in PolicyKind::ALL {
-            if kind == PolicyKind::Random {
-                continue;
-            }
             let mut p = build_policy(kind, 2, 4);
             for way in 0..4 {
                 let ctx = PolicyCtx::data(LineAddr::new(100 + way as u64), way as u64);

@@ -5,7 +5,7 @@ use serde::{Deserialize, Serialize};
 /// An n-bit saturating counter (`0 ..= 2^bits - 1`).
 ///
 /// Used for the pair table's 6-bit miss cost, the DL_PA fields' 3-bit sctr,
-/// SHiP's SHCT, Hawkeye's PC predictor, and DRRIP's PSEL.
+/// Hawkeye's PC predictor, and DRRIP's PSEL.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct SatCounter {
     value: u32,

@@ -1,11 +1,11 @@
 //! Property-based tests for the cache substrate.
 
-use garibaldi_cache::{AccessCtx, CacheConfig, MshrQueue, PolicyKind, SatCounter, SetAssocCache};
+use garibaldi_cache::{AccessCtx, CacheConfig, PolicyKind, SatCounter, SetAssocCache};
 use garibaldi_types::LineAddr;
 use proptest::prelude::*;
 
 /// Drives `cache` through a seeded pseudo-random access/insert stream so
-/// its policy accumulates learned state (PSEL duels, SHCT/predictor PC
+/// its policy accumulates learned state (PSEL duels, predictor PC
 /// counters, RDP reuse samples). Deterministic in `seed`.
 fn train_policy(cache: &mut SetAssocCache, seed: u64, n: usize) {
     let mut state = seed | 1;
@@ -24,6 +24,13 @@ fn train_policy(cache: &mut SetAssocCache, seed: u64, n: usize) {
             cache.insert(la, &ctx, false);
         }
     }
+}
+
+/// The engine's barrier export of one shard's learned state.
+fn export(cache: &SetAssocCache) -> Vec<u32> {
+    let mut out = Vec::new();
+    cache.export_policy_learned_into(&mut out);
+    out
 }
 
 /// Seeded Fisher–Yates (the vendored proptest has no `prop_shuffle`).
@@ -106,23 +113,6 @@ proptest! {
         }
     }
 
-    /// The MSHR queue's completions are causally consistent: requests never
-    /// start before arrival and queueing only happens at capacity.
-    #[test]
-    fn mshr_admission_is_causal(
-        cap in 1usize..8,
-        arrivals in prop::collection::vec((0u64..1000, 1u64..100), 1..100),
-    ) {
-        let mut q = MshrQueue::new(cap);
-        let mut now = 0u64;
-        for (gap, service) in arrivals {
-            now += gap;
-            let (delay, completion) = q.admit(now, service);
-            prop_assert_eq!(completion, now + delay + service);
-            prop_assert!(q.in_flight(now) <= cap);
-        }
-    }
-
     /// Learned-state merges are commutative: the pooled consensus is
     /// byte-invariant under any permutation of the privatized per-shard
     /// exports, for every policy. Delta policies fold a sum over peer
@@ -146,12 +136,12 @@ proptest! {
                 c
             })
             .collect();
-        let exports: Vec<Vec<u32>> = caches.iter().map(|c| c.export_policy_learned()).collect();
+        let exports: Vec<Vec<u32>> = caches.iter().map(export).collect();
 
-        let before = caches[0].export_policy_learned();
+        let before = export(&caches[0]);
         let mut canonical = Vec::new();
         caches[0].merge_policy_learned(&exports, &mut canonical);
-        prop_assert_eq!(&caches[0].export_policy_learned(), &before, "{}: merge mutated state", kind);
+        prop_assert_eq!(&export(&caches[0]), &before, "{}: merge mutated state", kind);
 
         let mut order: Vec<usize> = (0..n_peers).collect();
         shuffle(&mut order, perm_seed);
@@ -173,9 +163,8 @@ proptest! {
 
     /// After every peer installs the same consensus, their exportable
     /// learned states are byte-identical — divergently-trained slices
-    /// reconverge at each sync, and `import_learned` (merge + install) is
-    /// indistinguishable from a separately computed merge followed by
-    /// `install_learned`.
+    /// reconverge at each sync. This is the engine's sync: export every
+    /// slice, merge once on the first, install the result everywhere.
     #[test]
     fn learned_install_reconverges_divergent_peers(
         policy_idx in 0usize..PolicyKind::ALL.len(),
@@ -190,19 +179,16 @@ proptest! {
                 c
             })
             .collect();
-        let exports: Vec<Vec<u32>> = caches.iter().map(|c| c.export_policy_learned()).collect();
+        let exports: Vec<Vec<u32>> = caches.iter().map(export).collect();
         let mut consensus = Vec::new();
         caches[0].merge_policy_learned(&exports, &mut consensus);
 
-        // Half the peers take the composed path, half the split path.
-        for (i, c) in caches.iter_mut().enumerate() {
-            if i % 2 == 0 {
-                c.import_policy_learned(&exports);
-            } else if !consensus.is_empty() {
+        if !consensus.is_empty() {
+            for c in caches.iter_mut() {
                 c.install_policy_learned(&consensus);
             }
         }
-        let after: Vec<Vec<u32>> = caches.iter().map(|c| c.export_policy_learned()).collect();
+        let after: Vec<Vec<u32>> = caches.iter().map(export).collect();
         for (i, a) in after.iter().enumerate().skip(1) {
             prop_assert_eq!(a, &after[0], "{}: peer {} did not reconverge", kind, i);
         }

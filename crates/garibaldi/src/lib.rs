@@ -17,6 +17,13 @@
 //! The module is host-policy agnostic: it plugs into any replacement policy
 //! via [`garibaldi_cache::SetAssocCache::insert_with_guard`].
 //!
+//! The structures are separate types so the simulator can slice them: each
+//! LLC shard of `garibaldi-sim` owns part of the [`PairTable`] and
+//! [`DppnTable`], and the private tiers own the per-core [`HelperTable`]s.
+//! [`GaribaldiModule`] assembles all of them into one single-instance
+//! model, which the example below, perfbench and the `micro_pair_table`
+//! bench drive.
+//!
 //! # Examples
 //!
 //! ```

@@ -1,4 +1,11 @@
-//! The Garibaldi module: the façade the LLC controller talks to (Fig 6).
+//! The Garibaldi module as one object (Fig 6): every structure of the
+//! mechanism behind three hooks.
+//!
+//! This is the single-instance model. The simulator does not run it: its
+//! LLC shards own slices of the pair and D_PPN tables and its private
+//! tiers own the helper tables (`garibaldi_sim::engine`). perfbench's
+//! `garibaldi` layer, the `pairwise_prefetch_demo` example and the
+//! `micro_pair_table` bench drive this module.
 
 use crate::config::GaribaldiConfig;
 use crate::dppn_table::DppnTable;
@@ -48,10 +55,10 @@ impl GaribaldiStats {
     }
 }
 
-/// The Garibaldi module attached to the LLC controller.
+/// The Garibaldi module attached to one shared LLC.
 ///
-/// One instance serves the whole (shared) LLC; helper tables are per core.
-/// The simulator drives it with three hooks mirroring Fig 6(b):
+/// One instance serves the whole LLC; helper tables are per core. Callers
+/// drive it with three hooks mirroring Fig 6(b):
 ///
 /// * [`GaribaldiModule::on_instr_access`] — every instruction access
 ///   reaching the LLC (returns pairwise-prefetch candidates on misses);
@@ -90,43 +97,14 @@ impl GaribaldiModule {
         }
     }
 
-    /// Configuration in use.
-    pub fn config(&self) -> &GaribaldiConfig {
-        &self.cfg
-    }
-
     /// Module statistics.
     pub fn stats(&self) -> &GaribaldiStats {
         &self.stats
     }
 
-    /// Pair-table statistics.
-    pub fn pair_stats(&self) -> &crate::pair_table::PairTableStats {
-        self.pair.stats()
-    }
-
     /// Current dynamic threshold.
     pub fn threshold(&self) -> u32 {
         self.threshold.threshold()
-    }
-
-    /// Threshold unit (diagnostics).
-    pub fn threshold_unit(&self) -> &ThresholdUnit {
-        &self.threshold
-    }
-
-    /// `QBS_MAX_ATTEMPTS`: how many victims one eviction may protect.
-    pub fn qbs_max_attempts(&self) -> u32 {
-        if self.cfg.enable_protection {
-            self.cfg.qbs_max_attempts
-        } else {
-            0
-        }
-    }
-
-    /// Extra miss-path latency in cycles for `n` protection queries.
-    pub fn qbs_latency(&self, queries: u32) -> u64 {
-        self.cfg.qbs_lookup_cost * queries as u64
     }
 
     /// Instruction access at the LLC (Fig 7 step 1 + §4.3).
@@ -212,19 +190,6 @@ impl GaribaldiModule {
         self.stats.pair_updates += 1;
     }
 
-    /// Stat-free protection probe: would the pair table defend `line`
-    /// right now? Used to suppress host-policy bypass of instruction fills
-    /// whose entries are protected (a defended line must be resident).
-    pub fn would_protect(&self, line: LineAddr) -> bool {
-        if !self.cfg.enable_protection {
-            return false;
-        }
-        match self.pair.lookup(line) {
-            Some(e) => self.pair.aged_cost(e, self.threshold.color()) > self.threshold.threshold(),
-            None => false,
-        }
-    }
-
     /// QBS protection query for an instruction-line victim (§4.2).
     pub fn should_protect(&mut self, victim: LineAddr) -> bool {
         if !self.cfg.enable_protection {
@@ -243,17 +208,6 @@ impl GaribaldiModule {
     /// Read access to the pair table (diagnostics, benches).
     pub fn pair_table(&self) -> &PairTable {
         &self.pair
-    }
-
-    /// Read access to the D_PPN table (diagnostics, benches).
-    pub fn dppn_table(&self) -> &DppnTable {
-        &self.dppn
-    }
-
-    /// Clears module statistics (end of warmup) while keeping all table
-    /// contents and the learned threshold.
-    pub fn reset_stats(&mut self) {
-        self.stats = GaribaldiStats::default();
     }
 
     /// Helper-table hit rate across all cores (diagnostics).
@@ -381,7 +335,6 @@ mod tests {
         }
         let il_deduced = LineAddr::from_page_parts(IL.ppn(), PC.line_page_offset() / LINE_BYTES);
         assert!(!g.should_protect(il_deduced));
-        assert_eq!(g.qbs_max_attempts(), 0);
     }
 
     #[test]
@@ -395,12 +348,5 @@ mod tests {
         }
         let il_deduced = LineAddr::from_page_parts(IL.ppn(), PC.line_page_offset() / LINE_BYTES);
         assert!(g.on_instr_access(core, PC, il_deduced, false, true).is_empty());
-    }
-
-    #[test]
-    fn qbs_latency_accounts_lookup_cost() {
-        let g = module();
-        assert_eq!(g.qbs_latency(0), 0);
-        assert_eq!(g.qbs_latency(2), 2);
     }
 }

@@ -7,7 +7,7 @@
 //!
 //! OPTIONS:
 //!   --workload NAME[,NAME…]  workloads, one per core, cycled (default tpcc)
-//!   --policy   NAME          lru|random|srrip|brrip|drrip|ship|hawkeye|mockingjay
+//!   --policy   NAME          lru|drrip|hawkeye|mockingjay (default mockingjay)
 //!   --garibaldi              attach the Garibaldi module
 //!   --cores N                core count (default 8)
 //!   --factor F               cache/footprint scale factor (default 0.5)
@@ -15,7 +15,8 @@
 //!   --warmup N               warmup records per core (default 50000)
 //!   --seed N                 experiment seed (default 42)
 //!   --oracle                 I-oracle mode (instructions hit after first touch)
-//!   --partition N            reserve N LLC ways for instruction lines
+//!   --partition N            reserve N LLC ways for instruction lines (not
+//!                            combinable with --garibaldi)
 //!   --workers N              run on the epoch-sharded parallel engine with
 //!                            N worker threads (0 = serial engine; default).
 //!                            The parallel engine has one profile: ewma
@@ -63,11 +64,7 @@ use garibaldi_trace::{registry, serial, WorkloadMix};
 fn parse_policy(s: &str) -> Result<PolicyKind, String> {
     Ok(match s.to_ascii_lowercase().as_str() {
         "lru" => PolicyKind::Lru,
-        "random" => PolicyKind::Random,
-        "srrip" => PolicyKind::Srrip,
-        "brrip" => PolicyKind::Brrip,
         "drrip" => PolicyKind::Drrip,
-        "ship" => PolicyKind::Ship,
         "hawkeye" => PolicyKind::Hawkeye,
         "mockingjay" => PolicyKind::Mockingjay,
         other => return Err(format!("unknown policy '{other}'")),

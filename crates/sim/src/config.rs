@@ -198,6 +198,11 @@ impl SystemConfig {
         if self.partition_instr_ways > self.llc_ways {
             return Err("cannot reserve more ways than the LLC has".into());
         }
+        if self.partition_instr_ways > 0 && self.scheme.garibaldi.is_some() {
+            // A partitioned fill never reaches the QBS guard, so the module
+            // would track pairs and prefetch but protect nothing.
+            return Err("way partitioning cannot be combined with Garibaldi".into());
+        }
         if !(0.0..=1.0).contains(&self.mlp_overlap) {
             return Err("mlp_overlap out of [0,1]".into());
         }
@@ -451,6 +456,11 @@ mod tests {
         let mut c = SystemConfig::paper_baseline();
         c.partition_instr_ways = 13;
         assert!(c.validate().is_err());
+        c.partition_instr_ways = 2;
+        c.validate().expect("partitioning a plain scheme is valid");
+        c.scheme = LlcScheme::mockingjay_garibaldi();
+        let err = c.validate().unwrap_err();
+        assert!(err.contains("Garibaldi"), "{err}");
         c.partition_instr_ways = 0;
         c.mlp_overlap = 1.5;
         assert!(c.validate().is_err());

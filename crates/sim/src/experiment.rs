@@ -1,4 +1,8 @@
-//! Experiment scaffolding: scales, weighted speedup, common sweeps.
+//! Experiment scaffolding: scales and the runs the figure benches sweep.
+//!
+//! The throughput figures (fig11, fig15) report each scheme's Σ IPC over
+//! a mix, normalised to LRU's Σ IPC on the same mix
+//! ([`RunResult::ipc_sum`]); no single-core runs are involved.
 
 use crate::config::{EngineChoice, LlcScheme, SystemConfig};
 use crate::metrics::RunResult;
@@ -72,11 +76,6 @@ impl ExperimentScale {
     }
 }
 
-/// Weighted speedup (§6): `Σ IPC_shared / IPC_single` over the mix's cores,
-/// each core's single-run IPC measured alone on the same hierarchy scale.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct WeightedSpeedup(pub f64);
-
 /// Runs a homogeneous workload on `scale.cores` cores under `scheme`.
 pub fn run_homogeneous(
     scale: &ExperimentScale,
@@ -132,44 +131,6 @@ pub fn run_mix_on(
     )
 }
 
-/// Single-core IPC of a workload (denominator of weighted speedup); uses
-/// the same per-core cache ratios with a 1-core LLC slice.
-pub fn ipc_single(scale: &ExperimentScale, scheme: LlcScheme, workload: &str, seed: u64) -> f64 {
-    let choice = EngineChoice::from_env_or(EngineChoice::Serial);
-    ipc_single_on(scale, scheme, workload, seed, choice)
-}
-
-/// [`ipc_single`] on an explicitly chosen engine.
-pub fn ipc_single_on(
-    scale: &ExperimentScale,
-    scheme: LlcScheme,
-    workload: &str,
-    seed: u64,
-    choice: EngineChoice,
-) -> f64 {
-    let single = ExperimentScale { cores: 1, ..*scale };
-    let cfg = SystemConfig::scaled(&single, scheme);
-    let r = SimRunner::new(cfg, WorkloadMix::homogeneous(workload, 1), seed).run_on(
-        scale.records_per_core.min(60_000),
-        scale.warmup_per_core.min(15_000),
-        choice,
-    );
-    r.cores[0].ipc
-}
-
-/// Weighted speedup of a mix result given per-workload single-core IPCs.
-pub fn weighted_speedup(
-    result: &RunResult,
-    singles: &std::collections::HashMap<String, f64>,
-) -> WeightedSpeedup {
-    let sum: f64 = result
-        .cores
-        .iter()
-        .map(|c| c.ipc / singles.get(&c.workload).copied().unwrap_or(1.0).max(1e-12))
-        .sum();
-    WeightedSpeedup(sum)
-}
-
 /// Geometric mean of a slice of positive values.
 ///
 /// # Panics
@@ -207,47 +168,6 @@ mod tests {
         assert!(scaled.records_per_core < full.records_per_core);
         assert!(smoke.cores <= scaled.cores && scaled.cores <= full.cores);
         assert_eq!(full.factor, 1.0);
-    }
-
-    #[test]
-    fn weighted_speedup_uses_singles() {
-        use crate::core_model::CpiStack;
-        use crate::metrics::CoreResult;
-        let result = RunResult {
-            scheme: "t".into(),
-            cores: vec![
-                CoreResult {
-                    workload: "a".into(),
-                    instrs: 1,
-                    cycles: 1.0,
-                    ipc: 0.5,
-                    stack: CpiStack::default(),
-                },
-                CoreResult {
-                    workload: "b".into(),
-                    instrs: 1,
-                    cycles: 1.0,
-                    ipc: 1.0,
-                    stack: CpiStack::default(),
-                },
-            ],
-            l1: Default::default(),
-            l1i: Default::default(),
-            l2: Default::default(),
-            llc: Default::default(),
-            dram: Default::default(),
-            garibaldi: None,
-            conditional: Default::default(),
-            reuse: None,
-            energy: Default::default(),
-            qbs_cycles: 0,
-            invalidations: 0,
-        };
-        let mut singles = std::collections::HashMap::new();
-        singles.insert("a".to_string(), 1.0);
-        singles.insert("b".to_string(), 2.0);
-        let ws = weighted_speedup(&result, &singles);
-        assert!((ws.0 - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub use core_model::CpiStack;
 pub use energy::{EnergyModel, EnergyReport};
 pub use engine::estimate::{EstimatorKind, TrainMode};
 pub use engine::{EngineError, EngineStats, ParallelEngine};
-pub use experiment::{geomean, ExperimentScale, WeightedSpeedup};
+pub use experiment::{geomean, ExperimentScale};
 pub use fidelity::{FidelityReport, FidelitySuite};
 pub use metrics::{ConditionalMatrix, CoreResult, RunResult};
 pub use reuse::ReuseProfiler;

@@ -302,11 +302,14 @@ fn cli_default_keys_keep_serial_and_parallel_rows_apart() {
     let path = dir.join("runs0.jsonl");
     let dump = dir.join("dump.bin");
     let dump = dump.to_str().unwrap();
-    let invalid: [&[&str]; 6] = [
+    let invalid: [&[&str]; 9] = [
         &["--workers", "1", "--shards", "8"],
         &["--workers", "1", "--epoch", "20000"],
         &["--cores", "0"],
         &["--factor", "-1"],
+        &["--policy", "random"],
+        &["--policy", "ship"],
+        &["--partition", "2", "--garibaldi"],
         &["--dump-trace", dump, "--replay", dump],
         // `cli_output` always passes `--checkpoint`.
         &["--dump-trace", dump],

@@ -1,23 +1,24 @@
 //! Virtual-memory page mapping.
 //!
 //! Each core runs its workload in a private address space (the paper's
-//! homogeneous multi-programmed setup: one process per core). Pages are
-//! allocated physical frames on first touch by a deterministic bump
-//! allocator, so a given (seed, workload, core) triple always produces the
-//! same physical layout — a requirement for reproducible experiments.
+//! homogeneous multi-programmed setup: one process per core), or shares its
+//! server process's space with the other cores of that process. A space
+//! maps each virtual page to a frame inside its own reserved range through
+//! a fixed hash, so a given (seed, workload, core) triple always produces
+//! the same physical layout — a requirement for reproducible experiments —
+//! whatever order the engine's workers touch the pages in.
 
 use garibaldi_types::{LineAddr, PageNum, PhysAddr, VirtAddr, PAGE_OFFSET_BITS, PHYS_ADDR_BITS};
-use std::collections::HashMap;
 
 /// Frames reserved per address space: 2^24 pages = 64 GiB of VA-to-PA churn,
 /// far beyond any modeled footprint.
 const SPACE_FRAME_BITS: u32 = 24;
 
-/// Deterministic physical-frame allocator shared by all address spaces.
+/// Deterministic address-space id allocator.
 ///
 /// Each space receives a disjoint frame range (`space_id << 24`), so two
-/// cores never map to the same physical page unless they explicitly share an
-/// [`AddressSpace`]. The 44-bit physical space fits 2^(44-12) = 4 M frames…
+/// cores never map to the same physical page unless they explicitly share a
+/// [`SharedAddressSpace`]. The 44-bit physical space fits 2^(44-12) = 4 M frames…
 /// far more than the 2^20 spaces×frames product used here.
 #[derive(Debug, Clone, Default)]
 pub struct PpnAllocator {
@@ -42,60 +43,11 @@ impl PpnAllocator {
     }
 }
 
-/// A per-process VPN → PPN mapping with first-touch allocation.
-#[derive(Debug, Clone)]
-pub struct AddressSpace {
-    space_id: u64,
-    map: HashMap<u64, u64>,
-    next_frame: u64,
-}
-
-impl AddressSpace {
-    /// Creates the address space with the given id (from [`PpnAllocator`]).
-    pub fn new(space_id: u64) -> Self {
-        Self { space_id, map: HashMap::new(), next_frame: 0 }
-    }
-
-    /// Identifier of this space.
-    pub fn space_id(&self) -> u64 {
-        self.space_id
-    }
-
-    /// Number of pages touched so far.
-    pub fn mapped_pages(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Translates a virtual address, allocating a frame on first touch.
-    pub fn translate(&mut self, va: VirtAddr) -> PhysAddr {
-        let ppn = self.translate_page(va.vpn());
-        PhysAddr::new(ppn.base_phys().get() | va.page_offset())
-    }
-
-    /// Translates a virtual page, allocating a frame on first touch.
-    pub fn translate_page(&mut self, vpn: PageNum) -> PageNum {
-        let space = self.space_id;
-        let next = &mut self.next_frame;
-        let frame = *self.map.entry(vpn.get()).or_insert_with(|| {
-            let f = *next;
-            *next += 1;
-            assert!(f < (1 << SPACE_FRAME_BITS), "address space {space} exhausted");
-            f
-        });
-        PageNum::new((space << SPACE_FRAME_BITS) | frame)
-    }
-
-    /// Translates a virtual address directly to its physical cache line.
-    pub fn translate_line(&mut self, va: VirtAddr) -> LineAddr {
-        self.translate(va).line()
-    }
-}
-
 /// A thread-safe address space with a *pure* VPN → PPN mapping.
 ///
 /// The sharded engine steps cores of one server process on different worker
-/// threads, so first-touch bump allocation (whose frame assignment depends
-/// on global touch order) cannot be used there: instead each VPN maps to a
+/// threads, so frame assignment must not depend on global touch order (as
+/// first-touch bump allocation would): instead each VPN maps to a
 /// pseudo-random frame inside the space's reserved range through a fixed
 /// 64-bit mixer. Translation needs no mutation, so the space is freely
 /// shareable (`&self`, `Sync`) and deterministic for any worker count or
@@ -146,39 +98,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn first_touch_is_stable() {
-        let mut asp = AddressSpace::new(0);
-        let a = asp.translate(VirtAddr::new(0x40_0000));
-        let b = asp.translate(VirtAddr::new(0x40_0008));
-        assert_eq!(a.ppn(), b.ppn());
-        let again = asp.translate(VirtAddr::new(0x40_0000));
-        assert_eq!(a, again);
-    }
-
-    #[test]
-    fn distinct_pages_get_distinct_frames() {
-        let mut asp = AddressSpace::new(1);
-        let a = asp.translate(VirtAddr::new(0x1000));
-        let b = asp.translate(VirtAddr::new(0x2000));
-        assert_ne!(a.ppn(), b.ppn());
-        assert_eq!(asp.mapped_pages(), 2);
-    }
-
-    #[test]
     fn spaces_are_disjoint() {
         let mut alloc = PpnAllocator::new();
-        let mut s0 = AddressSpace::new(alloc.alloc_space());
-        let mut s1 = AddressSpace::new(alloc.alloc_space());
-        let a = s0.translate(VirtAddr::new(0x1234));
-        let b = s1.translate(VirtAddr::new(0x1234));
-        assert_ne!(a.ppn(), b.ppn());
-    }
-
-    #[test]
-    fn offset_preserved_through_translation() {
-        let mut asp = AddressSpace::new(3);
-        let pa = asp.translate(VirtAddr::new(0x0dea_dbc0));
-        assert_eq!(pa.page_offset(), 0x0dea_dbc0 % 4096);
+        let s0 = SharedAddressSpace::new(alloc.alloc_space());
+        let s1 = SharedAddressSpace::new(alloc.alloc_space());
+        assert_ne!(s0.space_id(), s1.space_id());
+        // The same page in the two spaces lands in disjoint frame ranges.
+        for vpn in 0..1024u64 {
+            let a = s0.translate_page(PageNum::new(vpn)).get();
+            let b = s1.translate_page(PageNum::new(vpn)).get();
+            assert_eq!(a >> SPACE_FRAME_BITS, s0.space_id());
+            assert_eq!(b >> SPACE_FRAME_BITS, s1.space_id());
+        }
     }
 
     #[test]

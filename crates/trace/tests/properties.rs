@@ -1,11 +1,8 @@
 //! Property-based tests for the workload/trace substrate.
 
-use garibaldi_trace::{
-    registry, serial, AddressSpace, SyntheticProgram, TraceGenerator, TraceRecord, Zipf,
-};
+use garibaldi_trace::{registry, serial, SyntheticProgram, TraceGenerator, TraceRecord, Zipf};
 use garibaldi_types::{RwKind, VirtAddr};
 use proptest::prelude::*;
-use std::collections::HashMap;
 
 fn arb_record() -> impl Strategy<Value = TraceRecord> {
     (
@@ -75,23 +72,6 @@ proptest! {
             first as f64 + noise >= last as f64,
             "rank 0 ({first}) must not lose to rank n-1 ({last})"
         );
-    }
-
-    /// Address-space translation is functional (same VPN → same PPN) and
-    /// injective (distinct VPNs → distinct PPNs).
-    #[test]
-    fn address_space_is_injective(vpns in prop::collection::vec(0u64..1_000_000, 1..300)) {
-        let mut asp = AddressSpace::new(3);
-        let mut seen: HashMap<u64, u64> = HashMap::new();
-        for vpn in vpns {
-            let ppn = asp.translate_page(garibaldi_types::PageNum::new(vpn)).get();
-            if let Some(&prev) = seen.get(&vpn) {
-                prop_assert_eq!(prev, ppn, "translation must be stable");
-            } else {
-                prop_assert!(!seen.values().any(|&p| p == ppn), "PPN reused across VPNs");
-                seen.insert(vpn, ppn);
-            }
-        }
     }
 
     /// Profile scaling preserves validity and shrinks footprints.

@@ -1,6 +1,6 @@
-//! Exhaustive replacement-policy comparison on one workload: every policy
-//! in the crate (LRU, Random, SRRIP, BRRIP, DRRIP, SHiP, Hawkeye,
-//! Mockingjay), each with and without the Garibaldi module.
+//! Replacement-policy comparison on one workload: every policy the paper
+//! evaluates (LRU, DRRIP, Hawkeye, Mockingjay), each with and without the
+//! Garibaldi module.
 //!
 //! Run with: `cargo run --release -p garibaldi-sim --example policy_comparison [workload]`
 

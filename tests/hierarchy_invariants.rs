@@ -272,7 +272,7 @@ fn dirty_l2_evictions_write_back_to_llc_then_dram() {
 
 #[test]
 fn llc_occupancy_never_exceeds_capacity() {
-    let cfg = quiet_cfg(LlcScheme::plain(PolicyKind::Random));
+    let cfg = quiet_cfg(LlcScheme::plain(PolicyKind::Drrip));
     let asp = SharedAddressSpace::new(1);
     let n = 200_000u64;
     let streams: Vec<Vec<TraceRecord>> = (0..cfg.cores as u64)

@@ -4,8 +4,9 @@
 //! (types → cache → trace → garibaldi → sim), so a broken re-export or
 //! dependency edge fails here even if no behavioral suite happens to cross
 //! it. The `#[ignore]`d tests shell out to cargo and assert that *all*
-//! targets — including the 16 bench targets — still compile. CI runs the
-//! same two cargo commands as direct steps; locally, run
+//! targets — including the 16 bench targets — still compile. CI covers
+//! both: its Clippy step type-checks every target and a direct step runs
+//! `cargo bench --no-run`; locally, run
 //! `cargo test --test workspace_smoke -- --ignored`.
 
 use std::process::Command;
@@ -71,7 +72,8 @@ fn cargo(args: &[&str]) {
     );
 }
 
-/// `cargo check --workspace --all-targets` is clean (CI-run; slow).
+/// `cargo check --workspace --all-targets` is clean (CI's Clippy step
+/// type-checks the same targets; slow).
 #[test]
 #[ignore = "compiles the whole workspace; run via CI or --ignored"]
 fn all_targets_check() {

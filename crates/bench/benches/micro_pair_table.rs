@@ -1,39 +1,34 @@
-//! Criterion micro-benchmarks for the Garibaldi structures: pair-table
-//! allocate/update, protection queries, helper-table translation and
-//! D_PPN insertion — the operations on the LLC controller's critical path.
+//! Criterion micro-benchmarks for the Garibaldi structures: the LLC
+//! slice's pair update and QBS guard query (the rules each engine shard
+//! runs), helper-table translation and D_PPN insertion — the operations on
+//! the LLC controller's critical path.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use garibaldi::{DppnTable, GaribaldiConfig, GaribaldiModule, HelperTable, PairTable};
+use garibaldi::{DppnTable, GaribaldiConfig, GaribaldiModule, GaribaldiSlice, HelperTable};
 use garibaldi_types::{CoreId, LineAddr, PageNum, VirtAddr};
 use std::hint::black_box;
 
 fn bench_pair_table(c: &mut Criterion) {
     let cfg = GaribaldiConfig::default();
-    c.bench_function("pair_table_update", |b| {
-        let mut t = PairTable::new(&cfg);
+    c.bench_function("slice_pair_update", |b| {
+        let mut g = GaribaldiSlice::new(&cfg, 1);
         let mut i: u64 = 0;
         b.iter(|| {
             i = i.wrapping_add(1);
-            t.update_on_data(
-                LineAddr::new(i % 100_000),
-                i % 3 == 0,
-                (i % 8_192) as u16,
-                (i % 64) as u8,
-                (i % 8) as u8,
-                32,
-            );
-            black_box(t.stats().update_hits)
+            let dl = LineAddr::new(((i % 8_192) << 6) | (i % 64));
+            g.pair_update(LineAddr::new(i % 100_000), i % 3 == 0, dl, (i % 8) as u8, 32);
+            black_box(g.pair().stats().update_hits)
         });
     });
-    c.bench_function("pair_table_query", |b| {
-        let mut t = PairTable::new(&cfg);
+    c.bench_function("slice_guard_query", |b| {
+        let mut g = GaribaldiSlice::new(&cfg, 1);
         for i in 0..100_000u64 {
-            t.update_on_data(LineAddr::new(i), true, 0, 0, 0, 32);
+            g.pair_update(LineAddr::new(i), true, LineAddr::new(0), 0, 32);
         }
         let mut i: u64 = 0;
         b.iter(|| {
             i = i.wrapping_add(17);
-            black_box(t.query_protect(LineAddr::new(i % 100_000), 0, 32))
+            black_box(g.should_protect(LineAddr::new(i % 100_000), 0, 32))
         });
     });
 }

@@ -2,7 +2,7 @@
 //! replacement policy (the simulator's hottest path).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use garibaldi_cache::{AccessCtx, CacheConfig, PolicyKind, SetAssocCache};
+use garibaldi_cache::{AccessCtx, CacheConfig, Fill, PolicyKind, SetAssocCache};
 use garibaldi_types::LineAddr;
 use std::hint::black_box;
 
@@ -33,8 +33,10 @@ fn bench_guarded_insert(c: &mut Criterion) {
         let mut i: u64 = 0;
         b.iter(|| {
             i = i.wrapping_add(7919);
-            let ctx = AccessCtx::instr(LineAddr::new(i % 16_384), i);
-            cache.insert_with_guard(LineAddr::new(i % 16_384), &ctx, false, 2, |m| {
+            let line = LineAddr::new(i % 16_384);
+            let ctx = AccessCtx::instr(line, i);
+            let rule = Fill { max_protects: 2, ..Fill::PLAIN };
+            cache.fill(cache.probe_fill(line), line, &ctx, false, rule, |m| {
                 black_box(m.line.get()) % 3 == 0
             })
         });

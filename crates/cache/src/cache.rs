@@ -48,9 +48,10 @@ impl CacheConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `sets` or `ways` is zero.
+    /// Panics if `sets` or `ways` is zero, or `ways` exceeds 64 (every way
+    /// mask is a `u64`).
     pub fn new(name: impl Into<String>, sets: usize, ways: usize) -> Self {
-        assert!(sets > 0 && ways > 0, "degenerate cache geometry");
+        check_geometry(sets, ways);
         Self { name: name.into(), sets, ways, indexing: SetIndexing::Modulo }
     }
 
@@ -59,7 +60,8 @@ impl CacheConfig {
     ///
     /// # Panics
     ///
-    /// Panics on degenerate geometry or a range outside the parent cache.
+    /// Panics on the geometry [`CacheConfig::new`] rejects or a range
+    /// outside the parent cache.
     pub fn shard(
         name: impl Into<String>,
         modulus: usize,
@@ -67,7 +69,7 @@ impl CacheConfig {
         sets: usize,
         ways: usize,
     ) -> Self {
-        assert!(sets > 0 && ways > 0, "degenerate cache geometry");
+        check_geometry(sets, ways);
         assert!(base + sets <= modulus, "shard range exceeds parent sets");
         Self {
             name: name.into(),
@@ -104,23 +106,21 @@ impl CacheConfig {
     }
 }
 
+fn check_geometry(sets: usize, ways: usize) {
+    assert!(sets > 0 && ways > 0, "degenerate cache geometry");
+    assert!(ways <= 64, "{ways} ways exceed the 64-bit way masks");
+}
+
 /// Alias re-exported as the cache's access context.
 pub type AccessCtx = PolicyCtx;
-
-/// A line pushed out of the cache by a fill.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EvictedLine {
-    /// The victim's metadata at eviction time.
-    pub meta: LineMeta,
-}
 
 /// Result of a fill attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InsertOutcome {
     /// Way the line was placed in (`None` if the policy bypassed the fill).
     pub way: Option<usize>,
-    /// Valid line displaced by the fill, if any.
-    pub evicted: Option<EvictedLine>,
+    /// Metadata of the valid line displaced by the fill, if any.
+    pub evicted: Option<LineMeta>,
     /// Number of victim candidates protected by the guard before the final
     /// victim was chosen (0 when no guard ran or nothing was protected).
     pub protected: u32,
@@ -162,28 +162,42 @@ impl SetIndexFast {
     }
 }
 
-/// Result of the fused tag scan: hit way, or the set's first free way.
-#[derive(Debug, Clone, Copy)]
-enum ScanHit {
-    /// The probed line is resident in this way.
-    Way(usize),
-    /// Not resident; `Some(w)` is the lowest-index empty frame.
-    Free(Option<usize>),
+/// Placement rule of one [`SetAssocCache::fill`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fill {
+    /// Ways the fill may take, as a free frame or a victim (way
+    /// partitioning); bits at or above the associativity are ignored.
+    pub allowed: u64,
+    /// Whether a full set consults the policy's bypass decision.
+    pub bypass: bool,
+    /// Guard protections before the next victim is evicted
+    /// unconditionally (QBS_MAX_ATTEMPTS); 0 runs no guard.
+    pub max_protects: u32,
 }
 
-/// Findings of one [`SetAssocCache::probe_fill`] tag scan, as plain data
-/// (no borrow of the cache is held).
+impl Fill {
+    /// Any way, the policy's bypass honoured, no guard.
+    pub const PLAIN: Fill = Fill { allowed: u64::MAX, bypass: true, max_protects: 0 };
+
+    /// Way partitioning: only the `allowed` ways, no bypass, no guard.
+    pub const fn partition(allowed: u64) -> Fill {
+        Fill { allowed, bypass: false, max_protects: 0 }
+    }
+}
+
+/// Findings of one tag scan ([`SetAssocCache::probe_fill`],
+/// [`SetAssocCache::access_at`]) as plain data (no borrow of the cache is
+/// held): the way holding the line, and the set's empty frames.
 ///
-/// A non-resident probe can be redeemed with [`SetAssocCache::fill_probed`]
-/// to complete the fill without re-walking the tag row — but only while no
-/// intervening operation has filled or invalidated a frame of the same
-/// cache (the free-way finding would go stale). Reads (`lookup`, `peek`)
-/// and operations on *other* caches never invalidate a probe.
+/// [`SetAssocCache::fill`] redeems a probe without re-walking the tag row
+/// — but only while no intervening operation has filled or invalidated a
+/// frame of the same set (the findings would go stale). Reads (`lookup`,
+/// `peek`) and operations on *other* caches never invalidate a probe.
 #[derive(Debug, Clone, Copy)]
 pub struct FillProbe {
     set: usize,
     hit: Option<usize>,
-    free: Option<usize>,
+    empties: u64,
 }
 
 impl FillProbe {
@@ -201,14 +215,12 @@ impl FillProbe {
     }
 }
 
-/// Result of [`SetAssocCache::access_or_probe`].
+/// Result of [`SetAssocCache::access_at`].
 #[derive(Debug, Clone, Copy)]
 pub enum AccessOutcome {
-    /// Demand hit (stats and policy updated exactly as
-    /// [`SetAssocCache::access`] would).
-    Hit,
-    /// Demand miss; the probe carries the scan's free-way finding so the
-    /// follow-up fill can skip its residency re-scan.
+    /// Demand hit in this way.
+    Hit(usize),
+    /// Demand miss; the probe lets the follow-up fill skip its re-scan.
     Miss(FillProbe),
 }
 
@@ -472,11 +484,6 @@ impl SetAssocCache {
         &mut self.stats
     }
 
-    /// Replacement policy name.
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.as_dyn().name()
-    }
-
     /// Exports the policy's PC-indexed learned state (see
     /// [`ReplacementPolicy::export_learned`]) into a caller-owned buffer
     /// (cleared first; left empty for policies without learned tables) —
@@ -520,53 +527,32 @@ impl SetAssocCache {
         self.set_index.set_of(line.get())
     }
 
-    /// Way of `line` within its (precomputed) set: one pass over the set's
-    /// contiguous tag words, one equality compare per way (the valid bit is
-    /// folded into the word, so empty frames can never match), and one
-    /// definition of the tag-match predicate for every
-    /// lookup/access/insert/peek path.
+    /// The one tag scan behind every lookup, access and fill: one pass over
+    /// the set's contiguous tag words, one equality compare per way (the
+    /// valid bit is folded into the word, so empty frames never match).
     #[inline]
-    fn way_in(&self, set: usize, line: LineAddr) -> Option<usize> {
+    fn probe_at(&self, set: usize, line: LineAddr) -> FillProbe {
         let base = set * self.ways;
         let probe = PackedTag::new(line).raw();
-        // Branchless whole-row compare into a way bitmask: no early exit,
+        // Branchless whole-row compare into way bitmasks: no early exit,
         // so LLVM vectorizes the tag row (misses — the common case on the
         // bigger caches — always walk the full row anyway). At most one
         // way can match; lowest-index semantics kept via trailing_zeros.
-        let mut hits = 0u64;
-        for (w, &t) in self.tags[base..base + self.ways].iter().enumerate() {
-            hits |= ((t == probe) as u64) << w;
-        }
-        if hits != 0 {
-            Some(hits.trailing_zeros() as usize)
-        } else {
-            None
-        }
-    }
-
-    /// Fused scan for the insert paths: resolves hit way *and* first free
-    /// way in the same single pass over the set's tag words.
-    #[inline]
-    fn scan_for_insert(&self, set: usize, line: LineAddr) -> ScanHit {
-        let base = set * self.ways;
-        let probe = PackedTag::new(line).raw();
-        // Same branchless mask scan as `way_in`, with a second mask for
-        // empty frames; first-match / first-free-way semantics preserved
-        // via trailing_zeros.
         let mut hits = 0u64;
         let mut empties = 0u64;
         for (w, &t) in self.tags[base..base + self.ways].iter().enumerate() {
             hits |= ((t == probe) as u64) << w;
             empties |= ((t == PackedTag::EMPTY.raw()) as u64) << w;
         }
-        if hits != 0 {
-            return ScanHit::Way(hits.trailing_zeros() as usize);
-        }
-        if empties != 0 {
-            ScanHit::Free(Some(empties.trailing_zeros() as usize))
-        } else {
-            ScanHit::Free(None)
-        }
+        let hit = (hits != 0).then(|| hits.trailing_zeros() as usize);
+        FillProbe { set, hit, empties }
+    }
+
+    /// Way of `line` within its (precomputed) set. The empty-frame mask
+    /// of [`SetAssocCache::probe_at`] is dead here and compiles away.
+    #[inline]
+    fn way_in(&self, set: usize, line: LineAddr) -> Option<usize> {
+        self.probe_at(set, line).hit
     }
 
     /// Materializes the metadata of frame `(set, way)`
@@ -665,246 +651,123 @@ impl SetAssocCache {
     /// prefetch) and `dirty` is set for writes.
     #[inline]
     pub fn access(&mut self, ctx: &AccessCtx, is_write: bool) -> bool {
-        // Compute the set once; the tag scan reuses it (the index divide
-        // dominates small-cache access cost otherwise).
         let set = self.set_of(ctx.line);
-        self.access_way_at(set, ctx, is_write).is_some()
+        matches!(self.access_at(set, ctx, is_write), AccessOutcome::Hit(_))
     }
 
-    /// [`SetAssocCache::access`] with the set precomputed by the caller and
-    /// the hit way returned: a drain that resolved the set in a prologue
-    /// pass can update directory state on the returned frame
-    /// ([`SetAssocCache::frame_mut`]) without re-probing the tag row.
+    /// [`SetAssocCache::access`] with the set precomputed by the caller:
+    /// a hit returns its way (a drain can update directory state on it
+    /// through [`SetAssocCache::frame_mut`] without re-probing), a miss the
+    /// scan's [`FillProbe`] for the follow-up [`SetAssocCache::fill`].
     #[inline]
-    pub fn access_way_at(&mut self, set: usize, ctx: &AccessCtx, is_write: bool) -> Option<usize> {
+    pub fn access_at(&mut self, set: usize, ctx: &AccessCtx, is_write: bool) -> AccessOutcome {
         debug_assert_eq!(set, self.set_of(ctx.line));
         let kind = if ctx.is_instr { AccessKind::Instr } else { AccessKind::Data };
-        match self.way_in(set, ctx.line) {
-            Some(way) => {
-                self.stats.record_access(kind, true);
-                let i = set * self.ways + way;
-                let f = self.flags[i];
-                if f & LineFlags::PREFETCHED != 0 {
-                    self.stats.prefetch_useful += 1;
-                }
-                // One masked store, skipped when it would be a no-op (the
-                // common clean-read hit): consume the prefetched bit, set
-                // dirty on writes.
-                let nf = (f & !LineFlags::PREFETCHED) | ((is_write as u8) * LineFlags::DIRTY);
-                if nf != f {
-                    self.flags[i] = nf;
-                }
-                self.policy.on_hit(set, way, ctx);
-                Some(way)
-            }
-            None => {
-                self.stats.record_access(kind, false);
-                None
-            }
+        let probe = self.probe_at(set, ctx.line);
+        let Some(way) = probe.hit else {
+            self.stats.record_access(kind, false);
+            return AccessOutcome::Miss(probe);
+        };
+        self.stats.record_access(kind, true);
+        let i = set * self.ways + way;
+        let f = self.flags[i];
+        if f & LineFlags::PREFETCHED != 0 {
+            self.stats.prefetch_useful += 1;
         }
+        // One masked store, skipped when it would be a no-op (the common
+        // clean-read hit): consume the prefetched bit, set dirty on writes.
+        let nf = (f & !LineFlags::PREFETCHED) | ((is_write as u8) * LineFlags::DIRTY);
+        if nf != f {
+            self.flags[i] = nf;
+        }
+        self.policy.on_hit(set, way, ctx);
+        AccessOutcome::Hit(way)
     }
 
     /// Fills `line` with no eviction guard.
     #[inline]
     pub fn insert(&mut self, line: LineAddr, ctx: &AccessCtx, dirty: bool) -> InsertOutcome {
-        self.insert_with_guard_opts(line, ctx, dirty, 0, true, |_| false)
+        self.fill(self.probe_fill(line), line, ctx, dirty, Fill::PLAIN, |_| false)
     }
 
-    /// [`SetAssocCache::insert`] with the set precomputed by the caller.
-    #[inline]
-    pub fn insert_at(
-        &mut self,
-        set: usize,
-        line: LineAddr,
-        ctx: &AccessCtx,
-        dirty: bool,
-    ) -> InsertOutcome {
-        self.insert_with_guard_opts_at(set, line, ctx, dirty, 0, true, |_| false)
-    }
-
-    /// Single-scan residency probe for fill-if-absent paths (prefetch
-    /// fills): resolves the hit way *and* the first free frame in one pass.
-    /// Pure — no stats or policy update. See [`FillProbe`] for the
-    /// staleness contract on redeeming the probe.
+    /// Residency probe for fill-if-absent paths (prefetch fills). Pure —
+    /// no stats or policy update. See [`FillProbe`] for the staleness
+    /// contract on redeeming it with [`SetAssocCache::fill`].
     #[inline]
     pub fn probe_fill(&self, line: LineAddr) -> FillProbe {
-        let set = self.set_of(line);
-        match self.scan_for_insert(set, line) {
-            ScanHit::Way(w) => FillProbe { set, hit: Some(w), free: None },
-            ScanHit::Free(free) => FillProbe { set, hit: None, free },
-        }
+        self.probe_at(self.set_of(line), line)
     }
 
-    /// [`SetAssocCache::access`] fused with the fill probe: a hit behaves
-    /// exactly like `access` (stats, prefetched-bit consume, policy); a
-    /// miss records the miss and returns the scan's [`FillProbe`] so the
-    /// follow-up [`SetAssocCache::fill_probed`] skips its residency
-    /// re-scan.
-    #[inline]
-    pub fn access_or_probe(&mut self, ctx: &AccessCtx, is_write: bool) -> AccessOutcome {
-        let kind = if ctx.is_instr { AccessKind::Instr } else { AccessKind::Data };
-        let set = self.set_of(ctx.line);
-        match self.scan_for_insert(set, ctx.line) {
-            ScanHit::Way(way) => {
-                self.stats.record_access(kind, true);
-                let i = set * self.ways + way;
-                let f = self.flags[i];
-                if f & LineFlags::PREFETCHED != 0 {
-                    self.stats.prefetch_useful += 1;
-                }
-                // One masked store, skipped when it would be a no-op (the
-                // common clean-read hit): consume the prefetched bit, set
-                // dirty on writes.
-                let nf = (f & !LineFlags::PREFETCHED) | ((is_write as u8) * LineFlags::DIRTY);
-                if nf != f {
-                    self.flags[i] = nf;
-                }
-                self.policy.on_hit(set, way, ctx);
-                AccessOutcome::Hit
-            }
-            ScanHit::Free(free) => {
-                self.stats.record_access(kind, false);
-                AccessOutcome::Miss(FillProbe { set, hit: None, free })
-            }
-        }
-    }
-
-    /// Completes a fill whose residency scan was done by
-    /// [`SetAssocCache::probe_fill`] / [`SetAssocCache::access_or_probe`],
-    /// without re-walking the tag row. Semantically identical to
-    /// [`SetAssocCache::insert`] on a non-resident line: free-frame fill,
-    /// else policy bypass consult, else unguarded victim selection.
+    /// Fills `line` under `rule`, redeeming the fresh `probe` taken for it.
+    ///
+    /// * Resident line: a refresh — dirtiness accumulates, the instruction
+    ///   bit follows `ctx`, directory state and replacement state are kept.
+    /// * Otherwise the lowest free frame among `rule.allowed`; else, if
+    ///   `rule.bypass`, the policy may bypass the fill; else a victim.
+    /// * Victim selection is Garibaldi's QBS hook (§4.2): when the policy's
+    ///   choice is a valid instruction line, `guard(&victim_meta)` is asked
+    ///   whether to protect it. On protection the victim's priority is
+    ///   reset, the way is excluded and selection repeats — at most
+    ///   `rule.max_protects` times, and never excluding the last way.
     ///
     /// # Panics
     ///
-    /// Debug-asserts that the probe was non-resident and taken from this
-    /// cache for this `line`.
+    /// Panics if `rule.allowed` selects no way of the set. Debug-asserts
+    /// that the probe was taken from this cache for `line`.
     #[inline]
-    pub fn fill_probed(
+    pub fn fill(
         &mut self,
         probe: FillProbe,
         line: LineAddr,
         ctx: &AccessCtx,
         dirty: bool,
-    ) -> InsertOutcome {
-        debug_assert!(probe.hit.is_none(), "fill_probed on a resident probe");
-        let set = probe.set;
-        debug_assert_eq!(set, self.set_of(line), "probe taken for a different line");
-        if let Some(way) = probe.free {
-            self.fill_frame(set, way, line, ctx, dirty);
-            return InsertOutcome { way: Some(way), evicted: None, protected: 0 };
-        }
-        if self.policy.should_bypass(set, ctx) {
-            self.stats.bypasses += 1;
-            return InsertOutcome { way: None, evicted: None, protected: 0 };
-        }
-        let victim = self.policy.choose_victim(set, ctx, 0);
-        debug_assert!(victim < self.ways, "policy returned way {victim} of {}", self.ways);
-        let evicted = self.evict_frame(set, victim);
-        self.fill_frame(set, victim, line, ctx, dirty);
-        InsertOutcome { way: Some(victim), evicted, protected: 0 }
-    }
-
-    /// Fills `line`, consulting `guard` on instruction-line victims.
-    ///
-    /// This is Garibaldi's QBS hook (§4.2): when the policy's chosen victim
-    /// is a valid instruction line, `guard(&victim_meta)` is asked whether
-    /// to protect it. On protection the victim's priority is reset, the way
-    /// is excluded, and selection repeats — at most `max_protects` times
-    /// (QBS_MAX_ATTEMPTS); afterwards the next choice is evicted
-    /// unconditionally.
-    ///
-    /// If the line is already resident, the fill is a no-op refresh (the
-    /// prefetched bit may be set by a prefetch fill of a resident line).
-    pub fn insert_with_guard(
-        &mut self,
-        line: LineAddr,
-        ctx: &AccessCtx,
-        dirty: bool,
-        max_protects: u32,
-        guard: impl FnMut(&LineMeta) -> bool,
-    ) -> InsertOutcome {
-        self.insert_with_guard_opts(line, ctx, dirty, max_protects, true, guard)
-    }
-
-    /// [`SetAssocCache::insert_with_guard`] with explicit bypass control:
-    /// `allow_bypass = false` forces insertion even when the policy would
-    /// bypass the fill (used for Garibaldi-protected instruction lines —
-    /// a line the pair table would defend must be resident to be defended).
-    #[inline]
-    pub fn insert_with_guard_opts(
-        &mut self,
-        line: LineAddr,
-        ctx: &AccessCtx,
-        dirty: bool,
-        max_protects: u32,
-        allow_bypass: bool,
-        guard: impl FnMut(&LineMeta) -> bool,
-    ) -> InsertOutcome {
-        let set = self.set_of(line);
-        self.insert_with_guard_opts_at(set, line, ctx, dirty, max_protects, allow_bypass, guard)
-    }
-
-    /// [`SetAssocCache::insert_with_guard_opts`] with the set precomputed
-    /// by the caller.
-    #[inline]
-    #[allow(clippy::too_many_arguments)] // the wrapper's arity + the explicit set
-    pub fn insert_with_guard_opts_at(
-        &mut self,
-        set: usize,
-        line: LineAddr,
-        ctx: &AccessCtx,
-        dirty: bool,
-        max_protects: u32,
-        allow_bypass: bool,
+        rule: Fill,
         mut guard: impl FnMut(&LineMeta) -> bool,
     ) -> InsertOutcome {
-        debug_assert_eq!(set, self.set_of(line));
-
-        // One pass resolves both residency (races between prefetch and
-        // demand) and the first free frame.
-        let free = match self.scan_for_insert(set, line) {
-            ScanHit::Way(way) => {
-                let i = set * self.ways + way;
-                self.flags[i] |= (dirty as u8) * LineFlags::DIRTY;
-                let mut f = LineFlags::from_raw(self.flags[i]);
-                f.set_is_instr(ctx.is_instr);
-                self.flags[i] = f.raw();
-                return InsertOutcome { way: Some(way), evicted: None, protected: 0 };
-            }
-            ScanHit::Free(free) => free,
-        };
-
-        // Free frame? (bypass is only consulted for full sets)
-        if let Some(way) = free {
-            self.fill_frame(set, way, line, ctx, dirty);
+        let set = probe.set;
+        debug_assert_eq!(set, self.set_of(line), "probe taken for a different line");
+        let ways = self.ways;
+        if let Some(way) = probe.hit {
+            let i = set * ways + way;
+            let mut f = LineFlags::from_raw(self.flags[i] | ((dirty as u8) * LineFlags::DIRTY));
+            f.set_is_instr(ctx.is_instr);
+            self.flags[i] = f.raw();
             return InsertOutcome { way: Some(way), evicted: None, protected: 0 };
         }
 
-        if allow_bypass && self.policy.should_bypass(set, ctx) {
+        let full = u64::MAX >> (64 - ways);
+        let allowed = rule.allowed & full;
+        assert!(allowed != 0, "partition mask selects no way");
+        let free = probe.empties & allowed;
+        if free != 0 {
+            let way = free.trailing_zeros() as usize;
+            self.fill_frame(set, way, line, ctx, dirty);
+            return InsertOutcome { way: Some(way), evicted: None, protected: 0 };
+        }
+        if rule.bypass && self.policy.should_bypass(set, ctx) {
             self.stats.bypasses += 1;
             return InsertOutcome { way: None, evicted: None, protected: 0 };
         }
 
-        // Victim selection with the protection loop.
-        let mut excluded = 0u64;
+        let mut excluded = !allowed & full;
         let mut protected = 0u32;
-        let ways = self.ways;
         let victim = loop {
             let way = self.policy.choose_victim(set, ctx, excluded);
             debug_assert!(way < ways, "policy returned way {way} of {ways}");
-            let meta = self.frame_meta(set, way);
-            let may_protect = protected < max_protects && excluded.count_ones() + 1 < ways as u32;
-            if may_protect && meta.valid && meta.is_instr && guard(&meta) {
-                self.policy.reset_priority(set, way);
-                excluded |= 1 << way;
-                protected += 1;
-                self.stats.guarded_protections += 1;
-                continue;
+            // Checked before the victim's metadata is materialized, so an
+            // unguarded fill never pays for the guard.
+            if protected < rule.max_protects && excluded.count_ones() + 1 < ways as u32 {
+                let meta = self.frame_meta(set, way);
+                if meta.valid && meta.is_instr && guard(&meta) {
+                    self.policy.reset_priority(set, way);
+                    excluded |= 1 << way;
+                    protected += 1;
+                    self.stats.guarded_protections += 1;
+                    continue;
+                }
             }
             break way;
         };
-
         let evicted = self.evict_frame(set, victim);
         self.fill_frame(set, victim, line, ctx, dirty);
         InsertOutcome { way: Some(victim), evicted, protected }
@@ -914,7 +777,7 @@ impl SetAssocCache {
     /// stats, policy detraining, and the materialized victim metadata.
     /// Does not clear the frame — the caller overwrites it with the fill.
     #[inline]
-    fn evict_frame(&mut self, set: usize, victim: usize) -> Option<EvictedLine> {
+    fn evict_frame(&mut self, set: usize, victim: usize) -> Option<LineMeta> {
         let old = self.frame_meta(set, victim);
         if !old.valid {
             return None;
@@ -927,7 +790,7 @@ impl SetAssocCache {
             self.stats.writebacks += 1;
         }
         self.policy.on_evict(set, victim);
-        Some(EvictedLine { meta: old })
+        Some(old)
     }
 
     fn fill_frame(&mut self, set: usize, way: usize, line: LineAddr, ctx: &AccessCtx, dirty: bool) {
@@ -944,78 +807,10 @@ impl SetAssocCache {
         self.policy.on_insert(set, way, ctx);
     }
 
-    /// Fills `line` constrained to the ways set in `allowed_mask` (way
-    /// partitioning, e.g. reserving LLC ways for instruction lines).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `allowed_mask` selects no way of the set.
-    pub fn insert_restricted(
-        &mut self,
-        line: LineAddr,
-        ctx: &AccessCtx,
-        dirty: bool,
-        allowed_mask: u64,
-    ) -> InsertOutcome {
-        let set = self.set_of(line);
-        self.insert_restricted_at(set, line, ctx, dirty, allowed_mask)
-    }
-
-    /// [`SetAssocCache::insert_restricted`] with the set precomputed by
-    /// the caller.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `allowed_mask` selects no way of the set.
-    pub fn insert_restricted_at(
-        &mut self,
-        set: usize,
-        line: LineAddr,
-        ctx: &AccessCtx,
-        dirty: bool,
-        allowed_mask: u64,
-    ) -> InsertOutcome {
-        let ways = self.ways;
-        let full = if ways >= 64 { u64::MAX } else { (1u64 << ways) - 1 };
-        let allowed = allowed_mask & full;
-        assert!(allowed != 0, "partition mask selects no way");
-        debug_assert_eq!(set, self.set_of(line));
-
-        if let Some(way) = self.way_in(set, line) {
-            let i = set * ways + way;
-            self.flags[i] |= (dirty as u8) * LineFlags::DIRTY;
-            let mut f = LineFlags::from_raw(self.flags[i]);
-            f.set_is_instr(ctx.is_instr);
-            self.flags[i] = f.raw();
-            return InsertOutcome { way: Some(way), evicted: None, protected: 0 };
-        }
-
-        let base = set * ways;
-        if let Some(way) = (0..ways)
-            .find(|&w| allowed & (1 << w) != 0 && self.tags[base + w] == PackedTag::EMPTY.raw())
-        {
-            self.fill_frame(set, way, line, ctx, dirty);
-            return InsertOutcome { way: Some(way), evicted: None, protected: 0 };
-        }
-
-        let victim = self.policy.choose_victim(set, ctx, !allowed & full);
-        let evicted = self.evict_frame(set, victim);
-        self.fill_frame(set, victim, line, ctx, dirty);
-        InsertOutcome { way: Some(victim), evicted, protected: 0 }
-    }
-
-    /// Resets a resident line's eviction priority to the lowest level
-    /// (Garibaldi protection applied at fill time: a defended line enters
-    /// the cache as the least-likely victim).
-    pub fn protect_line(&mut self, line: LineAddr) {
-        if let Some(way) = self.lookup(line) {
-            let set = self.set_of(line);
-            self.policy.reset_priority(set, way);
-        }
-    }
-
-    /// [`SetAssocCache::protect_line`] for a frame whose way is already
-    /// known (e.g. the fill that just returned it) — no tag re-scan.
+    /// Resets the eviction priority of frame `(set, way)` — e.g. the way a
+    /// fill just returned — to the lowest level (Garibaldi protection
+    /// applied at fill time: a defended line enters as the least-likely
+    /// victim).
     #[inline]
     pub fn protect_frame(&mut self, set: usize, way: usize) {
         self.policy.reset_priority(set, way);
@@ -1061,6 +856,18 @@ mod tests {
 
     fn ictx(line: u64) -> AccessCtx {
         AccessCtx::instr(LineAddr::new(line), line ^ 0x55)
+    }
+
+    /// Clean data fill of `line` under a QBS-style guard.
+    fn guarded(
+        c: &mut SetAssocCache,
+        line: u64,
+        max_protects: u32,
+        guard: impl FnMut(&LineMeta) -> bool,
+    ) -> InsertOutcome {
+        let rule = Fill { max_protects, ..Fill::PLAIN };
+        let la = LineAddr::new(line);
+        c.fill(c.probe_fill(la), la, &dctx(line), false, rule, guard)
     }
 
     #[test]
@@ -1121,7 +928,7 @@ mod tests {
             assert_eq!(probe.resident(), fused.lookup(line).is_some());
             assert_eq!(probe.set(), x as usize % 4);
             if !probe.resident() {
-                let a = fused.fill_probed(probe, line, &ctx, x & 4 != 0);
+                let a = fused.fill(probe, line, &ctx, x & 4 != 0, Fill::PLAIN, |_| false);
                 let b = plain.insert(line, &ctx, x & 4 != 0);
                 assert_eq!(a, b);
             } else {
@@ -1137,7 +944,7 @@ mod tests {
     }
 
     #[test]
-    fn access_or_probe_matches_access() {
+    fn access_at_matches_access() {
         // Hit side: identical stats/flags/policy effect as plain access.
         // Miss side: the probe redeems into the same fill insert would do.
         let mut fused = cache(2, 2);
@@ -1150,11 +957,14 @@ mod tests {
             let line = LineAddr::new(x % 12);
             let ctx = dctx(line.get());
             let is_write = x & 1 != 0;
-            match fused.access_or_probe(&ctx, is_write) {
-                AccessOutcome::Hit => assert!(plain.access(&ctx, is_write)),
+            match fused.access_at(fused.set_of(line), &ctx, is_write) {
+                AccessOutcome::Hit(w) => {
+                    assert!(plain.access(&ctx, is_write));
+                    assert_eq!(plain.lookup(line), Some(w));
+                }
                 AccessOutcome::Miss(p) => {
                     assert!(!plain.access(&ctx, is_write));
-                    let a = fused.fill_probed(p, line, &ctx, is_write);
+                    let a = fused.fill(p, line, &ctx, is_write, Fill::PLAIN, |_| false);
                     let b = plain.insert(line, &ctx, is_write);
                     assert_eq!(a, b);
                 }
@@ -1171,16 +981,17 @@ mod tests {
     #[test]
     fn probe_consumes_free_way_before_victim() {
         let mut c = cache(1, 2);
-        let p1 = c.probe_fill(LineAddr::new(1));
-        assert!(!p1.resident());
-        assert_eq!(c.fill_probed(p1, LineAddr::new(1), &dctx(1), false).way, Some(0));
-        let p2 = c.probe_fill(LineAddr::new(3));
-        assert_eq!(c.fill_probed(p2, LineAddr::new(3), &dctx(3), false).way, Some(1));
+        let fill = |c: &mut SetAssocCache, line: u64| {
+            let p = c.probe_fill(LineAddr::new(line));
+            assert!(!p.resident());
+            c.fill(p, LineAddr::new(line), &dctx(line), false, Fill::PLAIN, |_| false)
+        };
+        assert_eq!(fill(&mut c, 1).way, Some(0));
+        assert_eq!(fill(&mut c, 3).way, Some(1));
         // Full set: the next probed fill must evict the LRU way.
-        let p3 = c.probe_fill(LineAddr::new(5));
-        let out = c.fill_probed(p3, LineAddr::new(5), &dctx(5), false);
+        let out = fill(&mut c, 5);
         assert_eq!(out.way, Some(0));
-        assert_eq!(out.evicted.unwrap().meta.line, LineAddr::new(1));
+        assert_eq!(out.evicted.unwrap().line, LineAddr::new(1));
     }
 
     #[test]
@@ -1191,10 +1002,9 @@ mod tests {
         // Touch the data line so the instruction line is the LRU victim.
         c.access(&dctx(4), false);
         // Guard protects all instruction lines: the data line must go.
-        let out = c.insert_with_guard(LineAddr::new(6), &dctx(6), false, 2, |m| m.is_instr);
+        let out = guarded(&mut c, 6, 2, |m| m.is_instr);
         assert_eq!(out.protected, 1);
-        let evicted = out.evicted.unwrap();
-        assert!(!evicted.meta.is_instr);
+        assert!(!out.evicted.unwrap().is_instr);
         assert!(c.peek(LineAddr::new(2)).is_some(), "instruction line survived");
         assert_eq!(c.stats().guarded_protections, 1);
     }
@@ -1208,7 +1018,7 @@ mod tests {
             c.insert(LineAddr::new(i), &ictx(i), false);
         }
         let mut asked = 0;
-        let out = c.insert_with_guard(LineAddr::new(9), &dctx(9), false, 2, |_| {
+        let out = guarded(&mut c, 9, 2, |_| {
             asked += 1;
             true
         });
@@ -1308,5 +1118,11 @@ mod tests {
         assert_eq!(m.state, MesiState::Modified);
         assert_eq!(m.line, LineAddr::new(6));
         assert_eq!(c.set_lines(set).count(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "65 ways exceed the 64-bit way masks")]
+    fn more_ways_than_a_way_mask_holds_panic() {
+        let _ = CacheConfig::new("x", 1, 65);
     }
 }

@@ -10,9 +10,11 @@
 //!   [`ReplacementPolicy`].
 //! * The replacement policies the paper evaluates — LRU, DRRIP, Hawkeye and
 //!   Mockingjay.
-//! * Victim selection with an external *protection guard*
-//!   ([`SetAssocCache::insert_with_guard`]): the hook Garibaldi's query-based
-//!   selective instruction protection (QBS, §4.2) plugs into.
+//! * One fill rule, [`SetAssocCache::fill`], whose victim selection takes
+//!   an external *protection guard*: the hook Garibaldi's query-based
+//!   selective instruction protection (QBS, §4.2) plugs into. A [`Fill`]
+//!   value sets the ways a fill may take, whether the policy may bypass
+//!   it, and how many victims the guard may defend.
 //! * Prefetchers: next-line (L1D), GHB PC/delta correlation (L2, \[48\]) and a
 //!   temporal successor prefetcher standing in for I-SPY (L1I).
 //!
@@ -40,8 +42,8 @@ pub mod sat;
 pub mod stats;
 
 pub use cache::{
-    AccessCtx, AccessOutcome, CacheConfig, EvictedLine, FillProbe, InsertOutcome, LineMut,
-    SetAssocCache, SetIndexing,
+    AccessCtx, AccessOutcome, CacheConfig, Fill, FillProbe, InsertOutcome, LineMut, SetAssocCache,
+    SetIndexing,
 };
 pub use line::{LineFlags, LineMeta, MesiState, PackedTag};
 pub use opt::{simulate_opt, OptResult};

@@ -7,14 +7,15 @@
 //!   change which victim is chosen later.
 //! * Coherence invalidation returns the line's full metadata and leaves
 //!   the frame empty; directory edits round-trip through invalidation.
-//! * `insert_with_guard_opts` consults the guard only for valid
-//!   instruction-line victims, bounds protections by `max_protects` and
-//!   the associativity, and `allow_bypass = false` overrides a bypassing
-//!   policy (Garibaldi-protected lines must be resident to be defended).
+//! * `fill` consults the guard only for valid instruction-line victims,
+//!   bounds protections by `Fill::max_protects` and the associativity,
+//!   and `Fill::bypass = false` overrides a bypassing policy
+//!   (Garibaldi-protected lines must be resident to be defended).
 
 use garibaldi_cache::policy::PolicyCtx;
 use garibaldi_cache::{
-    AccessCtx, CacheConfig, LineMeta, MesiState, PolicyKind, ReplacementPolicy, SetAssocCache,
+    AccessCtx, CacheConfig, Fill, InsertOutcome, LineMeta, MesiState, PolicyKind,
+    ReplacementPolicy, SetAssocCache,
 };
 use garibaldi_types::LineAddr;
 
@@ -24,6 +25,24 @@ fn dctx(line: u64) -> AccessCtx {
 
 fn ictx(line: u64) -> AccessCtx {
     AccessCtx::instr(LineAddr::new(line), line ^ 0x55)
+}
+
+/// One [`SetAssocCache::fill`] of `ctx.line` under `rule`, redeeming a
+/// fresh probe.
+fn fill(
+    c: &mut SetAssocCache,
+    ctx: &AccessCtx,
+    dirty: bool,
+    rule: Fill,
+    guard: impl FnMut(&LineMeta) -> bool,
+) -> InsertOutcome {
+    c.fill(c.probe_fill(ctx.line), ctx.line, ctx, dirty, rule, guard)
+}
+
+/// A fill any way of the set may take, under a guard allowed
+/// `max_protects` protections.
+fn guarded(max_protects: u32) -> Fill {
+    Fill { max_protects, ..Fill::PLAIN }
 }
 
 // ---------------------------------------------------------------------------
@@ -80,7 +99,7 @@ fn peek_does_not_promote_lru_line() {
         assert!(!m.dirty());
     }
     let out = c.insert(LineAddr::new(3), &dctx(3), false);
-    assert_eq!(out.evicted.unwrap().meta.line, LineAddr::new(1), "peeked LRU line was promoted");
+    assert_eq!(out.evicted.unwrap().line, LineAddr::new(1), "peeked LRU line was promoted");
 }
 
 /// `peek_mut` directory edits must not affect the demand-access counters
@@ -207,7 +226,7 @@ fn eviction_fill_does_not_inherit_the_victims_sharers() {
     }
     // Fill over the full set: line 3 is evicted and its frame reused.
     let out = c.insert(LineAddr::new(4), &dctx(4), false);
-    let victim = out.evicted.expect("full set must evict").meta;
+    let victim = out.evicted.expect("full set must evict");
     assert_eq!(victim.sharers, 0b1011, "eviction reports the victim's directory state");
     assert_eq!(victim.state, MesiState::Shared);
     let m = c.peek(LineAddr::new(4)).unwrap();
@@ -216,7 +235,7 @@ fn eviction_fill_does_not_inherit_the_victims_sharers() {
     assert!(!m.dirty, "dirty bit leaked across an eviction");
 }
 
-/// Same hygiene through the fused probe/fill miss path (the engine's
+/// Same hygiene through the probe-redeeming fill (the engine's
 /// batched-drain fill): a redeemed probe over an evicted frame starts from
 /// fresh directory state.
 #[test]
@@ -226,7 +245,7 @@ fn fill_probed_resets_the_sharer_mask() {
     c.peek_mut(LineAddr::new(7)).unwrap().set_sharers(0b110);
     let p = c.probe_fill(LineAddr::new(8));
     assert!(!p.resident());
-    c.fill_probed(p, LineAddr::new(8), &dctx(8), true);
+    c.fill(p, LineAddr::new(8), &dctx(8), true, Fill::PLAIN, |_| false);
     let m = c.peek(LineAddr::new(8)).unwrap();
     assert_eq!(m.sharers, 0, "probe fill must reset the directory mask");
     assert_eq!(m.state, MesiState::Modified, "dirty fill enters Modified");
@@ -250,8 +269,8 @@ fn resident_refresh_carries_the_directory_state() {
     assert_eq!(m.sharers, 0b101, "refresh clobbered the sharer mask");
     assert_eq!(m.state, MesiState::Shared, "refresh clobbered the MESI state");
     assert!(m.dirty, "refresh accumulates dirtiness");
-    // The restricted-fill resident branch keeps the same contract.
-    let out = c.insert_restricted(LineAddr::new(5), &dctx(5), false, 0b11);
+    // A partitioned fill of a resident line keeps the same contract.
+    let out = fill(&mut c, &dctx(5), false, Fill::partition(0b11), |_| false);
     assert!(out.evicted.is_none());
     let m = c.peek(LineAddr::new(5)).unwrap();
     assert_eq!(m.sharers, 0b101);
@@ -275,7 +294,7 @@ fn invalidate_zeroes_the_sharer_column() {
 }
 
 // ---------------------------------------------------------------------------
-// insert_with_guard_opts: guard, victim and bypass paths
+// fill: guard, victim and bypass paths
 // ---------------------------------------------------------------------------
 
 /// The guard is consulted only for valid *instruction* victims; data
@@ -287,7 +306,7 @@ fn guard_never_consulted_for_data_victims() {
         c.insert(LineAddr::new(l), &dctx(l), false);
     }
     let mut asked = 0;
-    let out = c.insert_with_guard(LineAddr::new(10), &dctx(10), false, 4, |_| {
+    let out = fill(&mut c, &dctx(10), false, guarded(4), |_| {
         asked += 1;
         true
     });
@@ -305,7 +324,7 @@ fn protection_leaves_at_least_one_victim() {
     for l in 0..4u64 {
         c.insert(LineAddr::new(l), &ictx(l), false);
     }
-    let out = c.insert_with_guard(LineAddr::new(10), &dctx(10), false, u32::MAX, |_| true);
+    let out = fill(&mut c, &dctx(10), false, guarded(u32::MAX), |_| true);
     assert_eq!(out.protected, 3, "ways - 1 protections at most");
     assert!(out.evicted.is_some());
     assert!(c.lookup(LineAddr::new(10)).is_some());
@@ -321,19 +340,14 @@ fn guard_decision_selects_the_victim() {
         c.insert(LineAddr::new(l), &ictx(l), false);
     }
     // LRU order: 2, 4, 6. Guard defends line 2 only.
-    let out =
-        c.insert_with_guard(LineAddr::new(8), &dctx(8), false, 2, |m| m.line == LineAddr::new(2));
+    let out = fill(&mut c, &dctx(8), false, guarded(2), |m| m.line == LineAddr::new(2));
     assert_eq!(out.protected, 1);
-    assert_eq!(
-        out.evicted.unwrap().meta.line,
-        LineAddr::new(4),
-        "next-LRU after the protected way"
-    );
+    assert_eq!(out.evicted.unwrap().line, LineAddr::new(4), "next-LRU after the protected way");
     assert!(c.lookup(LineAddr::new(2)).is_some(), "protected line evicted");
 }
 
 /// Test-only policy that always asks to bypass: exercises the
-/// `allow_bypass` override without depending on Mockingjay training.
+/// `Fill::bypass` override without depending on Mockingjay training.
 struct AlwaysBypass {
     next_victim: usize,
     ways: usize,
@@ -356,8 +370,8 @@ impl ReplacementPolicy for AlwaysBypass {
     }
 }
 
-/// `allow_bypass = false` forces residency even when the policy bypasses
-/// every fill; `allow_bypass = true` honors the policy and counts the
+/// `Fill::bypass = false` forces residency even when the policy bypasses
+/// every fill; `Fill::bypass = true` honors the policy and counts the
 /// bypass. Bypass is only consulted for full sets — fills into free
 /// frames always land.
 #[test]
@@ -380,8 +394,9 @@ fn allow_bypass_override_forces_insertion() {
     assert!(c.lookup(LineAddr::new(3)).is_none());
 
     // Full set, bypass overridden (the Garibaldi protected-fill path).
-    let out = c.insert_with_guard_opts(LineAddr::new(3), &dctx(3), false, 0, false, |_| false);
-    assert!(out.way.is_some(), "allow_bypass=false must force the fill");
+    let pinned = Fill { bypass: false, ..Fill::PLAIN };
+    let out = fill(&mut c, &dctx(3), false, pinned, |_| false);
+    assert!(out.way.is_some(), "bypass=false must force the fill");
     assert!(out.evicted.is_some());
     assert_eq!(c.stats().bypasses, 1, "no second bypass counted");
     assert!(c.lookup(LineAddr::new(3)).is_some());
@@ -395,7 +410,7 @@ fn guarded_insert_of_resident_line_refreshes() {
     c.insert(LineAddr::new(1), &ictx(1), false);
     c.insert(LineAddr::new(3), &ictx(3), false);
     let mut asked = 0;
-    let out = c.insert_with_guard(LineAddr::new(1), &ictx(1), true, 4, |_| {
+    let out = fill(&mut c, &ictx(1), true, guarded(4), |_| {
         asked += 1;
         true
     });

@@ -1,6 +1,6 @@
 //! Property-based tests for the cache substrate.
 
-use garibaldi_cache::{AccessCtx, CacheConfig, PolicyKind, SatCounter, SetAssocCache};
+use garibaldi_cache::{AccessCtx, CacheConfig, Fill, PolicyKind, SatCounter, SetAssocCache};
 use garibaldi_types::LineAddr;
 use proptest::prelude::*;
 
@@ -88,7 +88,7 @@ proptest! {
                 let out = cache.insert(la, &ctx, false);
                 if let (Some(ev), Some(mru)) = (out.evicted, last_touched) {
                     if mru != la {
-                        prop_assert_ne!(ev.meta.line, mru, "evicted the MRU line");
+                        prop_assert_ne!(ev.line, mru, "evicted the MRU line");
                     }
                 }
             }
@@ -214,7 +214,8 @@ proptest! {
         let allowed = !excl & 0b1111;
         prop_assume!(allowed != 0);
         let la = LineAddr::new(9999);
-        let out = cache.insert_restricted(la, &AccessCtx::data(la, 1), false, allowed);
+        let ctx = AccessCtx::data(la, 1);
+        let out = cache.fill(cache.probe_fill(la), la, &ctx, false, Fill::partition(allowed), |_| false);
         if let Some(w) = out.way {
             prop_assert!(allowed & (1 << w) != 0, "{kind}: landed outside the partition");
         }

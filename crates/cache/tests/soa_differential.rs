@@ -12,8 +12,8 @@
 //! case count.
 
 use garibaldi_cache::{
-    build_policy, AccessCtx, AccessOutcome, CacheConfig, CacheStats, EvictedLine, InsertOutcome,
-    LineMeta, MesiState, PolicyKind, ReplacementPolicy, SetAssocCache, SetIndexing,
+    build_policy, AccessCtx, AccessOutcome, CacheConfig, CacheStats, Fill, InsertOutcome, LineMeta,
+    MesiState, PolicyKind, ReplacementPolicy, SetAssocCache, SetIndexing,
 };
 use garibaldi_types::{AccessKind, LineAddr};
 use proptest::prelude::*;
@@ -162,7 +162,7 @@ impl RefCache {
         InsertOutcome { way: Some(victim), evicted, protected: 0 }
     }
 
-    fn evict(&mut self, set: usize, victim: usize) -> Option<EvictedLine> {
+    fn evict(&mut self, set: usize, victim: usize) -> Option<LineMeta> {
         let old = self.frames[self.idx(set, victim)];
         if !old.valid {
             return None;
@@ -175,7 +175,7 @@ impl RefCache {
             self.stats.writebacks += 1;
         }
         self.policy.on_evict(set, victim);
-        Some(EvictedLine { meta: old })
+        Some(old)
     }
 
     fn fill(&mut self, set: usize, way: usize, line: LineAddr, ctx: &AccessCtx, dirty: bool) {
@@ -223,6 +223,18 @@ fn ref_guard(m: &LineMeta) -> bool {
     m.line.get() % 3 == 0
 }
 
+/// The SoA side of a fill: one [`SetAssocCache::fill`] redeeming a fresh
+/// probe.
+fn soa_fill(
+    c: &mut SetAssocCache,
+    ctx: &AccessCtx,
+    dirty: bool,
+    rule: Fill,
+    guard: impl FnMut(&LineMeta) -> bool,
+) -> InsertOutcome {
+    c.fill(c.probe_fill(ctx.line), ctx.line, ctx, dirty, rule, guard)
+}
+
 /// One op of the differential script. `aux` packs the op's knobs:
 /// bit 0 instruction access, bit 1 write/dirty, bit 2 allow-bypass,
 /// remaining bits way-mask / sharer-cluster material.
@@ -254,9 +266,9 @@ fn run_differential(
                 prop_assert_eq!(a, b, "{}: access outcome diverged on {:?}", kind, line);
             }
             1 => {
-                let a = soa.insert(line, &ctx, dirty);
+                let a = soa_fill(&mut soa, &ctx, dirty, Fill::PLAIN, |_| false);
                 let b = rc.insert(line, &ctx, dirty);
-                prop_assert_eq!(a, b, "{}: insert outcome diverged on {:?}", kind, line);
+                prop_assert_eq!(a, b, "{}: plain fill diverged on {:?}", kind, line);
             }
             2 => {
                 let mut pctx = ctx;
@@ -266,20 +278,21 @@ fn run_differential(
                 prop_assert_eq!(a, b, "{}: prefetch fill diverged on {:?}", kind, line);
             }
             3 => {
-                let allow_bypass = aux & 4 != 0;
-                let a = soa.insert_with_guard_opts(line, &ctx, dirty, 2, allow_bypass, ref_guard);
-                let b = rc.insert_with_guard_opts(line, &ctx, dirty, 2, allow_bypass, ref_guard);
-                prop_assert_eq!(a, b, "{}: guarded insert diverged on {:?}", kind, line);
+                let bypass = aux & 4 != 0;
+                let rule = Fill { bypass, max_protects: 2, ..Fill::PLAIN };
+                let a = soa_fill(&mut soa, &ctx, dirty, rule, ref_guard);
+                let b = rc.insert_with_guard_opts(line, &ctx, dirty, 2, bypass, ref_guard);
+                prop_assert_eq!(a, b, "{}: guarded fill diverged on {:?}", kind, line);
             }
             4 => {
-                let full = if ways >= 64 { u64::MAX } else { (1u64 << ways) - 1 };
+                let full = u64::MAX >> (64 - ways);
                 let mask = match (aux >> 3) & full {
                     0 => full,
                     m => m,
                 };
-                let a = soa.insert_restricted(line, &ctx, dirty, mask);
+                let a = soa_fill(&mut soa, &ctx, dirty, Fill::partition(mask), |_| false);
                 let b = rc.insert_restricted(line, &ctx, dirty, mask);
-                prop_assert_eq!(a, b, "{}: restricted insert diverged on {:?}", kind, line);
+                prop_assert_eq!(a, b, "{}: partitioned fill diverged on {:?}", kind, line);
             }
             5 => {
                 let a = soa.invalidate(line);
@@ -287,13 +300,15 @@ fn run_differential(
                 prop_assert_eq!(a, b, "{}: invalidate diverged on {:?}", kind, line);
             }
             6 => {
-                soa.protect_line(line);
+                if let Some(way) = soa.lookup(line) {
+                    soa.protect_frame(soa.set_of(line), way);
+                }
                 rc.protect_line(line);
             }
             7 => {
-                // Fused probe/fill pair (the prefetch fill-if-absent path):
-                // probe residency once, redeem immediately on a miss. The
-                // reference model is the unfused lookup-early-out + insert.
+                // Probe-redeemed fill (the prefetch fill-if-absent path):
+                // probe residency once, redeem it whether or not the line
+                // is resident. The reference is lookup + insert.
                 let mut pctx = ctx;
                 pctx.is_prefetch = true;
                 let probe = soa.probe_fill(line);
@@ -305,33 +320,33 @@ fn run_differential(
                     kind,
                     line
                 );
-                if !resident {
-                    let a = soa.fill_probed(probe, line, &pctx, dirty);
-                    let b = rc.insert(line, &pctx, dirty);
-                    prop_assert_eq!(a, b, "{}: probed fill diverged on {:?}", kind, line);
-                }
+                let a = soa.fill(probe, line, &pctx, dirty, Fill::PLAIN, |_| false);
+                let b = rc.insert(line, &pctx, dirty);
+                prop_assert_eq!(a, b, "{}: probed fill diverged on {:?}", kind, line);
             }
             8 => {
-                // Fused demand access + probed fill (the L2 miss-and-fill
-                // path): a hit must match `access`, a miss must fill
+                // Demand access + probed fill (the miss-and-fill path): a
+                // hit must match `access` way for way, a miss must fill
                 // exactly as `insert` would.
-                match soa.access_or_probe(&ctx, dirty) {
-                    AccessOutcome::Hit => {
+                match soa.access_at(soa.set_of(line), &ctx, dirty) {
+                    AccessOutcome::Hit(way) => {
+                        let rway = rc.way_in(rc.set_of(line), line);
                         prop_assert!(
                             rc.access(&ctx, dirty),
-                            "{}: access_or_probe hit where reference missed on {:?}",
+                            "{}: access_at hit where reference missed on {:?}",
                             kind,
                             line
                         );
+                        prop_assert_eq!(Some(way), rway, "{}: hit way diverged", kind);
                     }
                     AccessOutcome::Miss(probe) => {
                         prop_assert!(
                             !rc.access(&ctx, dirty),
-                            "{}: access_or_probe missed where reference hit on {:?}",
+                            "{}: access_at missed where reference hit on {:?}",
                             kind,
                             line
                         );
-                        let a = soa.fill_probed(probe, line, &ctx, dirty);
+                        let a = soa.fill(probe, line, &ctx, dirty, Fill::PLAIN, |_| false);
                         let b = rc.insert(line, &ctx, dirty);
                         prop_assert_eq!(a, b, "{}: miss-path fill diverged on {:?}", kind, line);
                     }

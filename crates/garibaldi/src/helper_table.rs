@@ -7,7 +7,7 @@
 //! saturating-counter replacement.
 
 use garibaldi_cache::SatCounter;
-use garibaldi_types::PageNum;
+use garibaldi_types::{LineAddr, PageNum, VirtAddr, LINE_BYTES};
 
 #[derive(Debug, Clone, Copy)]
 struct HelperEntry {
@@ -97,19 +97,17 @@ impl HelperTable {
         None
     }
 
+    /// IL_PA deduction (Fig 8): the physical line of the instruction at
+    /// `pc` — its page frame, if tracked, joined with the PC's in-page
+    /// line. Counts as a [`HelperTable::lookup`].
+    pub fn instr_line(&mut self, pc: VirtAddr) -> Option<LineAddr> {
+        let i_ppn = self.lookup(pc.vpn())?;
+        Some(LineAddr::from_page_parts(i_ppn, pc.line_page_offset() / LINE_BYTES))
+    }
+
     /// (hits, misses) since construction.
     pub fn stats(&self) -> (u64, u64) {
         (self.hits, self.misses)
-    }
-
-    /// Hit rate of lookups.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
     }
 }
 

@@ -15,14 +15,15 @@
 //!    (§5.2, Fig 9).
 //!
 //! The module is host-policy agnostic: it plugs into any replacement policy
-//! via [`garibaldi_cache::SetAssocCache::insert_with_guard`].
+//! as the guard of [`garibaldi_cache::SetAssocCache::fill`].
 //!
-//! The structures are separate types so the simulator can slice them: each
-//! LLC shard of `garibaldi-sim` owns part of the [`PairTable`] and
-//! [`DppnTable`], and the private tiers own the per-core [`HelperTable`]s.
-//! [`GaribaldiModule`] assembles all of them into one single-instance
-//! model, which the example below, perfbench and the `micro_pair_table`
-//! bench drive.
+//! The structures are separate types so the simulator can slice them.
+//! A [`GaribaldiSlice`] holds a [`PairTable`] and a [`DppnTable`] and runs
+//! the LLC-side rules on them; each LLC shard of `garibaldi-sim` owns one
+//! slice, and the private tiers own the per-core [`HelperTable`]s.
+//! [`GaribaldiModule`] assembles a whole-table slice, the helper tables
+//! and the [`ThresholdUnit`] into one single-instance model, which the
+//! example below, perfbench and the `micro_pair_table` bench drive.
 //!
 //! # Examples
 //!
@@ -49,14 +50,16 @@ pub mod helper_table;
 pub mod module;
 pub mod pair_table;
 pub mod partition;
+pub mod slice;
 pub mod storage;
 pub mod threshold;
 
 pub use config::{GaribaldiConfig, ThresholdMode};
 pub use dppn_table::DppnTable;
 pub use helper_table::HelperTable;
-pub use module::{GaribaldiModule, GaribaldiStats};
+pub use module::GaribaldiModule;
 pub use pair_table::{DlField, PairEntry, PairTable};
 pub use partition::instruction_way_mask;
+pub use slice::{GaribaldiSlice, GaribaldiStats};
 pub use storage::StorageReport;
 pub use threshold::{PeriodCounts, ThreadPmu, ThresholdState, ThresholdUnit};

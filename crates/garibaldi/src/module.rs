@@ -1,59 +1,19 @@
 //! The Garibaldi module as one object (Fig 6): every structure of the
 //! mechanism behind three hooks.
 //!
-//! This is the single-instance model. The simulator does not run it: its
-//! LLC shards own slices of the pair and D_PPN tables and its private
-//! tiers own the helper tables (`garibaldi_sim::engine`). perfbench's
-//! `garibaldi` layer, the `pairwise_prefetch_demo` example and the
-//! `micro_pair_table` bench drive this module.
+//! This is the single-instance model: one [`GaribaldiSlice`] over the
+//! whole pair and D_PPN tables — the same rules each LLC shard of
+//! `garibaldi_sim::engine` runs over its share of them — plus the per-core
+//! helper tables and the threshold unit. perfbench's `garibaldi` layer,
+//! the `pairwise_prefetch_demo` example and the `micro_pair_table` bench
+//! drive this module.
 
 use crate::config::GaribaldiConfig;
-use crate::dppn_table::DppnTable;
 use crate::helper_table::HelperTable;
 use crate::pair_table::PairTable;
+use crate::slice::{GaribaldiSlice, GaribaldiStats};
 use crate::threshold::ThresholdUnit;
-use garibaldi_types::{CoreId, LineAddr, ThreadId, VirtAddr, LINE_BYTES};
-
-/// Module-level statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GaribaldiStats {
-    /// Instruction LLC accesses observed.
-    pub instr_accesses: u64,
-    /// Instruction LLC misses observed.
-    pub instr_misses: u64,
-    /// Data LLC accesses observed.
-    pub data_accesses: u64,
-    /// Data accesses whose triggering instruction line was deduced
-    /// (helper-table hit) and fed into the pair table.
-    pub pair_updates: u64,
-    /// Data accesses whose PC had no helper-table mapping.
-    pub helper_misses: u64,
-    /// Pairwise prefetches issued (§4.3).
-    pub prefetches_issued: u64,
-    /// Eviction queries answered "protect".
-    pub protections: u64,
-    /// Eviction queries answered "evict".
-    pub declines: u64,
-    /// Instruction misses that found a pair-table entry but were protected
-    /// (no prefetch issued: a protected line is expected to be cached).
-    pub protected_entry_misses: u64,
-}
-
-impl GaribaldiStats {
-    /// Accumulates counters from another module slice (per-shard Garibaldi
-    /// state in the sharded engine merges into one report).
-    pub fn merge(&mut self, other: &GaribaldiStats) {
-        self.instr_accesses += other.instr_accesses;
-        self.instr_misses += other.instr_misses;
-        self.data_accesses += other.data_accesses;
-        self.pair_updates += other.pair_updates;
-        self.helper_misses += other.helper_misses;
-        self.prefetches_issued += other.prefetches_issued;
-        self.protections += other.protections;
-        self.declines += other.declines;
-        self.protected_entry_misses += other.protected_entry_misses;
-    }
-}
+use garibaldi_types::{CoreId, LineAddr, ThreadId, VirtAddr};
 
 /// The Garibaldi module attached to one shared LLC.
 ///
@@ -68,12 +28,9 @@ impl GaribaldiStats {
 ///   selection.
 #[derive(Debug)]
 pub struct GaribaldiModule {
-    cfg: GaribaldiConfig,
-    pair: PairTable,
-    dppn: DppnTable,
+    slice: GaribaldiSlice,
     helpers: Vec<HelperTable>,
     threshold: ThresholdUnit,
-    stats: GaribaldiStats,
 }
 
 impl GaribaldiModule {
@@ -86,20 +43,17 @@ impl GaribaldiModule {
     pub fn new(cfg: GaribaldiConfig, n_cores: usize) -> Self {
         cfg.validate().expect("valid Garibaldi configuration");
         Self {
-            pair: PairTable::new(&cfg),
-            dppn: DppnTable::new(cfg.dppn_entries()),
+            slice: GaribaldiSlice::new(&cfg, 1),
             helpers: (0..n_cores.max(1))
                 .map(|_| HelperTable::new(cfg.helper_entries, cfg.helper_ways))
                 .collect(),
             threshold: ThresholdUnit::new(&cfg, n_cores.max(1)),
-            cfg,
-            stats: GaribaldiStats::default(),
         }
     }
 
     /// Module statistics.
     pub fn stats(&self) -> &GaribaldiStats {
-        &self.stats
+        self.slice.stats()
     }
 
     /// Current dynamic threshold.
@@ -125,38 +79,18 @@ impl GaribaldiModule {
         hit: bool,
         demand: bool,
     ) -> Vec<LineAddr> {
-        self.stats.instr_accesses += 1;
         if demand {
             self.threshold.on_llc_access(hit);
         }
         let n = self.helpers.len();
-        let helper = &mut self.helpers[core.index() % n];
-        helper.insert(pc.vpn(), il_line.ppn());
-
-        if hit || !demand {
-            return Vec::new();
+        self.helpers[core.index() % n].insert(pc.vpn(), il_line.ppn());
+        let demand_miss = demand && !hit;
+        if demand_miss {
+            self.threshold.record_instr_miss(ThreadId::from(core), pc);
         }
-        self.stats.instr_misses += 1;
-        self.threshold.record_instr_miss(ThreadId::from(core), pc);
-
         let mut prefetches = Vec::new();
-        if self.pair.lookup(il_line).is_some() {
-            let protected = self.pair.query_protect(
-                il_line,
-                self.threshold.color(),
-                self.threshold.threshold(),
-            );
-            if protected {
-                // A protected line missing is a tracking anomaly (it was
-                // evicted before protection could act, or aliased).
-                self.stats.protected_entry_misses += 1;
-            } else if self.cfg.enable_prefetch {
-                prefetches = self.pair.prefetch_candidates(il_line, &self.dppn);
-                self.stats.prefetches_issued += prefetches.len() as u64;
-            }
-        }
-        // Fig 10(b): the miss sets the old bits of the entry's DL fields.
-        self.pair.on_instr_miss(il_line);
+        let (color, threshold) = (self.threshold.color(), self.threshold.threshold());
+        self.slice.instr_access(il_line, demand_miss, color, threshold, &mut prefetches);
         prefetches
     }
 
@@ -166,48 +100,28 @@ impl GaribaldiModule {
     /// runs the pair-table allocate/update path. Prefetch fills must NOT be
     /// routed here (§5.3: prefetched data lines do not update the table).
     pub fn on_data_access(&mut self, core: CoreId, pc: VirtAddr, dl_line: LineAddr, hit: bool) {
-        self.stats.data_accesses += 1;
+        self.slice.stats_mut().data_accesses += 1;
         self.threshold.on_llc_access(hit);
         self.threshold.record_data_access(ThreadId::from(core), pc, hit);
 
         let n = self.helpers.len();
-        let helper = &mut self.helpers[core.index() % n];
-        let Some(i_ppn) = helper.lookup(pc.vpn()) else {
-            self.stats.helper_misses += 1;
+        let Some(il_line) = self.helpers[core.index() % n].instr_line(pc) else {
+            self.slice.stats_mut().helper_misses += 1;
             return;
         };
-        // IL_PA deduction (Fig 8): instruction frame + PC's in-page line.
-        let il_line = LineAddr::from_page_parts(i_ppn, pc.line_page_offset() / LINE_BYTES);
-        let dppn_idx = self.dppn.insert(dl_line.ppn());
-        self.pair.update_on_data(
-            il_line,
-            hit,
-            dppn_idx,
-            dl_line.line_in_page() as u8,
-            self.threshold.color(),
-            self.threshold.threshold(),
-        );
-        self.stats.pair_updates += 1;
+        let (color, threshold) = (self.threshold.color(), self.threshold.threshold());
+        self.slice.pair_update(il_line, hit, dl_line, color, threshold);
     }
 
     /// QBS protection query for an instruction-line victim (§4.2).
     pub fn should_protect(&mut self, victim: LineAddr) -> bool {
-        if !self.cfg.enable_protection {
-            return false;
-        }
-        let protect =
-            self.pair.query_protect(victim, self.threshold.color(), self.threshold.threshold());
-        if protect {
-            self.stats.protections += 1;
-        } else {
-            self.stats.declines += 1;
-        }
-        protect
+        let (color, threshold) = (self.threshold.color(), self.threshold.threshold());
+        self.slice.should_protect(victim, color, threshold)
     }
 
     /// Read access to the pair table (diagnostics, benches).
     pub fn pair_table(&self) -> &PairTable {
-        &self.pair
+        self.slice.pair()
     }
 
     /// Helper-table hit rate across all cores (diagnostics).
@@ -230,6 +144,7 @@ impl GaribaldiModule {
 mod tests {
     use super::*;
     use crate::config::ThresholdMode;
+    use garibaldi_types::LINE_BYTES;
 
     fn module() -> GaribaldiModule {
         GaribaldiModule::new(GaribaldiConfig { color_period: 1000, ..Default::default() }, 2)

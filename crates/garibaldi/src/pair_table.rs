@@ -330,20 +330,11 @@ impl PairTable {
         }
     }
 
-    /// Data lines to prefetch for instruction line `il` (§4.3): the valid
-    /// DL fields resolved through the D_PPN table. Fields whose D_PPN slot
-    /// was repointed resolve to the *current* frame (harmless mis-prefetch,
-    /// as in hardware).
-    pub fn prefetch_candidates(&self, il: LineAddr, dppn: &DppnTable) -> Vec<LineAddr> {
-        let mut out = Vec::new();
-        self.prefetch_candidates_into(il, dppn, &mut out);
-        out
-    }
-
-    /// [`PairTable::prefetch_candidates`] into a caller-owned buffer
-    /// (cleared first) — the LLC drain path queries candidates on every
-    /// unprotected instruction miss, so callers reuse one buffer instead
-    /// of allocating a `Vec` per miss.
+    /// Data lines to prefetch for instruction line `il` (§4.3), into a
+    /// caller-owned buffer (cleared first; the LLC drain reuses one): the
+    /// valid DL fields resolved through the D_PPN table. Fields whose
+    /// D_PPN slot was repointed resolve to the *current* frame (harmless
+    /// mis-prefetch, as in hardware).
     pub fn prefetch_candidates_into(
         &self,
         il: LineAddr,
@@ -541,13 +532,15 @@ mod tests {
         let mut dppn = DppnTable::new(64);
         let idx = dppn.insert(garibaldi_types::PageNum::new(0xdeedb));
         t.update_on_data(IL, false, idx, 7, 0, 32);
-        let cands = t.prefetch_candidates(IL, &dppn);
+        let mut cands = Vec::new();
+        t.prefetch_candidates_into(IL, &dppn, &mut cands);
         assert_eq!(
             cands,
             vec![LineAddr::from_page_parts(garibaldi_types::PageNum::new(0xdeedb), 7)]
         );
         // Unknown instruction line → empty.
-        assert!(t.prefetch_candidates(LineAddr::new(0x1), &dppn).is_empty());
+        t.prefetch_candidates_into(LineAddr::new(0x1), &dppn, &mut cands);
+        assert!(cands.is_empty());
     }
 
     #[test]
@@ -556,7 +549,9 @@ mod tests {
         let dppn = DppnTable::new(16);
         t.update_on_data(IL, true, 1, 1, 0, 32);
         assert!(t.entry_for(IL).dl.iter().all(|f| !f.valid));
-        assert!(t.prefetch_candidates(IL, &dppn).is_empty());
+        let mut cands = vec![IL];
+        t.prefetch_candidates_into(IL, &dppn, &mut cands);
+        assert!(cands.is_empty());
     }
 
     /// Golden check for the index mixing: the shared `fasthash::mul_index`
@@ -583,7 +578,8 @@ mod tests {
         t.update_on_data(IL, false, idx, 3, 0, 32);
         let mut buf = vec![LineAddr::new(999); 4];
         t.prefetch_candidates_into(IL, &dppn, &mut buf);
-        assert_eq!(buf, t.prefetch_candidates(IL, &dppn), "cleared, then refilled");
+        let expected = LineAddr::from_page_parts(garibaldi_types::PageNum::new(0x77), 3);
+        assert_eq!(buf, vec![expected], "cleared, then refilled");
         t.prefetch_candidates_into(LineAddr::new(0x1), &dppn, &mut buf);
         assert!(buf.is_empty(), "unknown line clears the buffer");
     }

@@ -4,8 +4,8 @@
 //! lines (with an Emissary-style criticality filter on pipeline events,
 //! approximated here as "instruction lines that missed at the LLC"), leaving
 //! the remaining ways to data. Implemented as *allowed-way masks* consumed
-//! by `SetAssocCache::insert_restricted` — partitioning constrains where a
-//! fill may land rather than how victims are ranked.
+//! by `SetAssocCache::fill` under `Fill::partition` — partitioning
+//! constrains where a fill may land rather than how victims are ranked.
 
 /// Returns `(instr_mask, data_mask)`: the ways an instruction line /
 /// data line may occupy when `reserved` ways are set aside for

@@ -192,8 +192,17 @@ impl SystemConfig {
         if self.l2_cluster_size == 0 {
             return Err("zero cluster size".into());
         }
-        if self.llc_ways == 0 || self.llc_ways > 64 {
-            return Err("LLC ways out of [1,64]".into());
+        if self.clusters() > 64 {
+            return Err(format!(
+                "{} L2 clusters exceed the LLC directory's 64-bit sharer mask",
+                self.clusters()
+            ));
+        }
+        // Every way mask of a cache is a `u64`.
+        for (level, ways) in [("L1", self.l1_ways), ("L2", self.l2_ways), ("LLC", self.llc_ways)] {
+            if !(1..=64).contains(&ways) {
+                return Err(format!("{level} ways out of [1,64]"));
+            }
         }
         if self.partition_instr_ways > self.llc_ways {
             return Err("cannot reserve more ways than the LLC has".into());
@@ -464,6 +473,17 @@ mod tests {
         c.partition_instr_ways = 0;
         c.mlp_overlap = 1.5;
         assert!(c.validate().is_err());
+
+        let mut c = SystemConfig::paper_baseline();
+        c.cores = 64 * c.l2_cluster_size;
+        c.validate().expect("64 clusters fit the sharer mask");
+        c.cores = 257;
+        let err = c.validate().unwrap_err();
+        assert!(err.contains("sharer mask"), "{err}");
+        let mut c = SystemConfig::paper_baseline();
+        c.l2_ways = 65;
+        let err = c.validate().unwrap_err();
+        assert!(err.contains("L2 ways"), "{err}");
     }
 
     // --- count knobs: every invalid value errs with the variable name ---

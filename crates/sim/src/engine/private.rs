@@ -24,12 +24,12 @@ use crate::core_model::{combine_data_stalls, CpiStack, InstrPrefetchEngine};
 use crate::metrics::{ConditionalMatrix, CoreResult};
 use garibaldi::{HelperTable, PeriodCounts, ThreadPmu};
 use garibaldi_cache::{
-    AccessCtx, AccessOutcome, CacheConfig, CacheStats, FillProbe, GhbPrefetcher,
-    NextLinePrefetcher, PolicyKind, Prefetcher, SetAssocCache,
+    AccessCtx, AccessOutcome, CacheConfig, CacheStats, Fill, FillProbe, GhbPrefetcher,
+    InsertOutcome, NextLinePrefetcher, PolicyKind, Prefetcher, SetAssocCache,
 };
 use garibaldi_trace::{SharedAddressSpace, TraceGenerator, TraceRecord, MAX_DATA_REFS};
 use garibaldi_types::fastdiv::FastDiv;
-use garibaldi_types::{CoreId, LineAddr, VirtAddr, LINE_BYTES};
+use garibaldi_types::{CoreId, LineAddr, VirtAddr};
 
 /// Where a core's records come from: a live synthetic walk or a replayed
 /// dump (`garibaldi-cli --replay`). Replay streams wrap around when the
@@ -620,13 +620,14 @@ fn instr_access(
     // The L1I miss probe stays valid down both fill paths below: nothing
     // in between fills this L1I (the frontend prefetch engine runs after
     // this function returns).
-    let l1i_probe = match tier.l1i[li].access_or_probe(&ctx, false) {
-        AccessOutcome::Hit => return TierRes::Done(cfg.l1_latency),
+    let l1i = &mut tier.l1i[li];
+    let l1i_probe = match l1i.access_at(l1i.set_of(line), &ctx, false) {
+        AccessOutcome::Hit(_) => return TierRes::Done(cfg.l1_latency),
         AccessOutcome::Miss(p) => p,
     };
-    let probe = match tier.l2.access_or_probe(&ctx, false) {
-        AccessOutcome::Hit => {
-            let _ = tier.l1i[li].fill_probed(l1i_probe, line, &ctx, false);
+    let probe = match tier.l2.access_at(tier.l2.set_of(line), &ctx, false) {
+        AccessOutcome::Hit(_) => {
+            fill(&mut tier.l1i[li], l1i_probe, &ctx, false);
             c.emit(line, pc, sig, tier.cluster, ReqKind::DirUpdate { record: true, write: false });
             return TierRes::Done(cfg.l1_latency + cfg.l2_latency);
         }
@@ -642,8 +643,8 @@ fn instr_access(
         }
     }
     let seq = c.emit(line, pc, sig, tier.cluster, ReqKind::Instr { demand: true });
-    fill_l2_probed(tier, c, probe, line, &ctx);
-    let _ = tier.l1i[li].fill_probed(l1i_probe, line, &ctx, false);
+    fill_l2(tier, c, Some(probe), &ctx);
+    fill(&mut tier.l1i[li], l1i_probe, &ctx, false);
     TierRes::Pending { est: c.est.issue_estimate(StreamClass::Ifetch), seq }
 }
 
@@ -661,8 +662,9 @@ fn data_access(
 ) -> TierRes {
     let ctx = AccessCtx::data(line, sig);
     let li = c.id.index() - tier.core_base;
-    let mut l1d_probe = match tier.l1d[li].access_or_probe(&ctx, is_write) {
-        AccessOutcome::Hit => {
+    let l1d = &mut tier.l1d[li];
+    let mut l1d_probe = match l1d.access_at(l1d.set_of(line), &ctx, is_write) {
+        AccessOutcome::Hit(_) => {
             if is_write {
                 // MESI upgrade: remote copies must go even on a private hit.
                 c.emit(
@@ -690,9 +692,9 @@ fn data_access(
         }
         tier.pf_buf = buf;
     }
-    let mut probe = match tier.l2.access_or_probe(&ctx, false) {
-        AccessOutcome::Hit => {
-            fill_l1d(tier, li, l1d_probe, line, &ctx, is_write);
+    let mut probe = match tier.l2.access_at(tier.l2.set_of(line), &ctx, false) {
+        AccessOutcome::Hit(_) => {
+            fill_l1d(&mut tier.l1d[li], l1d_probe, &ctx, is_write);
             c.emit(
                 line,
                 pc,
@@ -719,43 +721,38 @@ fn data_access(
     }
     // LLC-bound: deduce the triggering instruction line now (the helper
     // table is core-private state), resolve its outcome at the barrier.
-    let il_hint = match tier.helpers.as_mut() {
-        Some(h) => match h[li].lookup(pc.vpn()) {
-            Some(i_ppn) => {
-                Some(LineAddr::from_page_parts(i_ppn, pc.line_page_offset() / LINE_BYTES))
-            }
-            None => {
-                tier.helper_gar_misses += 1;
-                None
-            }
-        },
-        None => None,
-    };
+    let il_hint = tier.helpers.as_mut().and_then(|h| {
+        let il = h[li].instr_line(pc);
+        if il.is_none() {
+            tier.helper_gar_misses += 1;
+        }
+        il
+    });
     let seq = c.emit(line, pc, sig, tier.cluster, ReqKind::Data { is_write, il_hint, ifetch_seq });
-    match probe {
-        Some(p) => fill_l2_probed(tier, c, p, line, &ctx),
-        None => fill_l2(tier, c, line, &ctx),
-    }
-    fill_l1d(tier, li, l1d_probe, line, &ctx, is_write);
+    fill_l2(tier, c, probe, &ctx);
+    fill_l1d(&mut tier.l1d[li], l1d_probe, &ctx, is_write);
     TierRes::Pending { est: c.est.issue_estimate(StreamClass::Data), seq }
 }
 
-/// L1D demand fill after a miss: redeems the miss scan's probe when it is
-/// still fresh, falling back to a re-scanning insert when an intervening
-/// prefetch fill landed in the same set.
+/// Fill of `ctx.line` into one private cache, redeeming a fresh `probe`
+/// (the private tiers run no guard and no partitioning).
 #[inline]
-fn fill_l1d(
-    tier: &mut ClusterTier,
-    li: usize,
-    probe: Option<FillProbe>,
-    line: LineAddr,
+fn fill(
+    cache: &mut SetAssocCache,
+    probe: FillProbe,
     ctx: &AccessCtx,
-    is_write: bool,
-) {
-    let _ = match probe {
-        Some(p) => tier.l1d[li].fill_probed(p, line, ctx, is_write),
-        None => tier.l1d[li].insert(line, ctx, is_write),
-    };
+    dirty: bool,
+) -> InsertOutcome {
+    cache.fill(probe, ctx.line, ctx, dirty, Fill::PLAIN, |_| false)
+}
+
+/// L1D demand fill after a miss: redeems the miss scan's probe when it is
+/// still fresh, re-probing when an intervening prefetch fill landed in
+/// the same set.
+#[inline]
+fn fill_l1d(l1d: &mut SetAssocCache, probe: Option<FillProbe>, ctx: &AccessCtx, is_write: bool) {
+    let probe = probe.unwrap_or_else(|| l1d.probe_fill(ctx.line));
+    fill(l1d, probe, ctx, is_write);
 }
 
 /// Frontend instruction prefetch (the I-SPY/FDIP stand-in).
@@ -778,7 +775,7 @@ fn prefetch_instr(
     let ctx = AccessCtx { line, pc_sig: sig, is_instr: true, is_prefetch: true };
     let l2_probe = tier.l2.probe_fill(line);
     if l2_probe.resident() {
-        let _ = tier.l1i[li].fill_probed(l1i_probe, line, &ctx, false);
+        fill(&mut tier.l1i[li], l1i_probe, &ctx, false);
         return;
     }
     if !cfg.i_oracle {
@@ -787,8 +784,8 @@ fn prefetch_instr(
         }
     }
     c.emit(line, pc, sig, tier.cluster, ReqKind::Instr { demand: false });
-    fill_l2_probed(tier, c, l2_probe, line, &ctx);
-    let _ = tier.l1i[li].fill_probed(l1i_probe, line, &ctx, false);
+    fill_l2(tier, c, Some(l2_probe), &ctx);
+    fill(&mut tier.l1i[li], l1i_probe, &ctx, false);
 }
 
 /// L1D next-line prefetch fill; bandwidth for LLC-missing lines is charged
@@ -810,7 +807,7 @@ fn prefetch_fill_l1d(
     if tier.l2.lookup(line).is_none() {
         c.emit(line, pc, 0, tier.cluster, ReqKind::PfProbe);
     }
-    tier.l1d[li].fill_probed(probe, line, &ctx, false).way.map(|_| probe.set())
+    fill(&mut tier.l1d[li], probe, &ctx, false).way.map(|_| probe.set())
 }
 
 /// L2 GHB prefetch fill (displaced lines are dropped, dirty or not).
@@ -828,44 +825,27 @@ fn prefetch_fill_l2(
     }
     let ctx = AccessCtx { line, pc_sig: 0, is_instr: false, is_prefetch: true };
     c.emit(line, pc, 0, tier.cluster, ReqKind::PfProbe);
-    tier.l2.fill_probed(probe, line, &ctx, false).way.map(|_| probe.set())
+    fill(&mut tier.l2, probe, &ctx, false).way.map(|_| probe.set())
 }
 
-/// Demand fill into the cluster L2; displaced dirty lines become deferred
-/// non-inclusive writebacks to the LLC.
-fn fill_l2(tier: &mut ClusterTier, c: &mut EpochCore<'_>, line: LineAddr, ctx: &AccessCtx) {
-    let out = tier.l2.insert(line, ctx, false);
-    emit_l2_writeback(tier, c, ctx, out);
-}
-
-/// [`fill_l2`] redeeming an earlier residency scan's [`FillProbe`] instead
-/// of re-walking the tag row (the caller guarantees probe freshness).
-fn fill_l2_probed(
+/// Demand fill into the cluster L2, redeeming `probe` when it is still
+/// fresh; displaced dirty lines become deferred non-inclusive writebacks
+/// to the LLC.
+fn fill_l2(
     tier: &mut ClusterTier,
     c: &mut EpochCore<'_>,
-    probe: FillProbe,
-    line: LineAddr,
+    probe: Option<FillProbe>,
     ctx: &AccessCtx,
 ) {
-    let out = tier.l2.fill_probed(probe, line, ctx, false);
-    emit_l2_writeback(tier, c, ctx, out);
-}
-
-#[inline]
-fn emit_l2_writeback(
-    tier: &mut ClusterTier,
-    c: &mut EpochCore<'_>,
-    ctx: &AccessCtx,
-    out: garibaldi_cache::InsertOutcome,
-) {
-    if let Some(ev) = out.evicted {
-        if ev.meta.dirty {
+    let probe = probe.unwrap_or_else(|| tier.l2.probe_fill(ctx.line));
+    if let Some(ev) = fill(&mut tier.l2, probe, ctx, false).evicted {
+        if ev.dirty {
             c.emit(
-                ev.meta.line,
+                ev.line,
                 VirtAddr::new(0),
                 ctx.pc_sig,
                 tier.cluster,
-                ReqKind::Writeback { is_instr: ev.meta.is_instr },
+                ReqKind::Writeback { is_instr: ev.is_instr },
             );
         }
     }

@@ -14,30 +14,13 @@
 use super::request::{InvalCmd, LlcRequest, ReqKey, ReqKind, ReqOutcome, ShardCmd};
 use crate::config::SystemConfig;
 use crate::reuse::ReuseProfiler;
-use garibaldi::{instruction_way_mask, DppnTable, GaribaldiConfig, GaribaldiStats, PairTable};
-use garibaldi_cache::{AccessCtx, CacheConfig, LineMeta, LineMut, MesiState, SetAssocCache};
+use garibaldi::{instruction_way_mask, DppnTable, GaribaldiSlice, GaribaldiStats, PairTable};
+use garibaldi_cache::{
+    AccessCtx, AccessOutcome, CacheConfig, Fill, FillProbe, LineMeta, LineMut, MesiState,
+    SetAssocCache,
+};
 use garibaldi_mem::{DramConfig, DramModel};
 use garibaldi_types::{AccessKind, LineAddr, U64Set};
-
-/// The Garibaldi state sliced per shard: pair/D_PPN entries for lines whose
-/// LLC set falls in the shard's range, plus this slice's event counters.
-pub struct GarShard {
-    pair: PairTable,
-    dppn: DppnTable,
-    stats: GaribaldiStats,
-    cfg: GaribaldiConfig,
-}
-
-impl GarShard {
-    fn new(cfg: &GaribaldiConfig, shards: usize) -> Self {
-        Self {
-            pair: PairTable::with_entries(cfg, (cfg.pair_entries() / shards).max(64)),
-            dppn: DppnTable::new((cfg.dppn_entries() / shards).max(64)),
-            stats: GaribaldiStats::default(),
-            cfg: cfg.clone(),
-        }
-    }
-}
 
 /// Epoch-frozen snapshot of the threshold unit consumed by shard drains and
 /// command applies; the unit itself replays the drained outcomes in the
@@ -86,7 +69,9 @@ pub const DRAIN_LOOKAHEAD: usize = 8;
 pub struct LlcShard {
     cache: SetAssocCache,
     dram: DramModel,
-    gar: Option<GarShard>,
+    /// Garibaldi's pair/D_PPN entries for lines whose LLC set falls in the
+    /// shard's range, and the rules that use them.
+    gar: Option<GaribaldiSlice>,
     oracle_seen: U64Set,
     profiler: Option<ReuseProfiler>,
     qbs_cycles: u64,
@@ -105,7 +90,7 @@ pub struct LlcShard {
     /// loop (configuration-constant).
     hit_lat: u64,
     /// `(instruction, data)` way masks when way partitioning is on, hoisted
-    /// out of `insert_guarded` (configuration-constant).
+    /// out of `fill_guarded` (configuration-constant).
     part_masks: Option<(u64, u64)>,
     cfg: SystemConfig,
 }
@@ -122,7 +107,7 @@ impl LlcShard {
         Self {
             cache,
             dram: DramModel::new(shard_dram(&cfg.dram, shards)),
-            gar: cfg.scheme.garibaldi.as_ref().map(|g| GarShard::new(g, shards)),
+            gar: cfg.scheme.garibaldi.as_ref().map(|g| GaribaldiSlice::new(g, shards)),
             oracle_seen: U64Set::new(),
             profiler: cfg.profile_reuse.then(|| ReuseProfiler::new(total_sets)),
             qbs_cycles: 0,
@@ -171,7 +156,7 @@ impl LlcShard {
 
     /// Shard Garibaldi stats, if configured.
     pub fn garibaldi_stats(&self) -> Option<&GaribaldiStats> {
-        self.gar.as_ref().map(|g| &g.stats)
+        self.gar.as_ref().map(GaribaldiSlice::stats)
     }
 
     /// Shard reuse profiler, if enabled.
@@ -201,7 +186,7 @@ impl LlcShard {
         *self.cache.stats_mut() = Default::default();
         self.dram.reset_stats();
         if let Some(g) = self.gar.as_mut() {
-            g.stats = GaribaldiStats::default();
+            *g.stats_mut() = GaribaldiStats::default();
         }
         if self.profiler.is_some() {
             // The profiler samples by *global* set: size it with the parent
@@ -253,7 +238,8 @@ impl LlcShard {
                     } else {
                         let ctx =
                             AccessCtx { line: r.line, pc_sig: r.sig, is_instr, is_prefetch: false };
-                        self.insert_guarded_at(set, r.line, &ctx, true, snap);
+                        let probe = self.cache.probe_fill(r.line);
+                        self.fill_guarded(probe, &ctx, true, snap);
                     }
                 }
                 ReqKind::PfProbe => {
@@ -286,7 +272,7 @@ impl LlcShard {
                 if self.cfg.i_oracle {
                     self.oracle_seen.prefetch(r.line.get());
                 } else if let Some(g) = self.gar.as_ref() {
-                    g.pair.prefetch_entry(r.line);
+                    g.pair().prefetch_entry(r.line);
                 }
                 self.dram.prefetch_channel(r.line);
             }
@@ -327,45 +313,25 @@ impl LlcShard {
                 p.on_access(r.line, AccessKind::Instr, r.sig);
             }
         }
-        let hit_way = if demand {
-            self.cache.access_way_at(set, &ctx, false)
+        let access = if demand {
+            self.cache.access_at(set, &ctx, false)
         } else {
-            self.cache.lookup_at(set, r.line)
+            match self.cache.lookup_at(set, r.line) {
+                Some(way) => AccessOutcome::Hit(way),
+                None => AccessOutcome::Miss(self.cache.probe_fill(r.line)),
+            }
         };
-        let hit = hit_way.is_some();
+        let hit = matches!(access, AccessOutcome::Hit(_));
 
         if let Some(g) = self.gar.as_mut() {
-            g.stats.instr_accesses += 1;
-            if demand && !hit {
-                g.stats.instr_misses += 1;
-                // One fused slot probe instead of the scalar loop's
-                // lookup + query_protect + on_instr_miss triple.
-                let (tracked, protected) =
-                    g.pair.resolve_instr_miss(r.line, snap.color, snap.threshold);
-                if tracked {
-                    if protected {
-                        g.stats.protected_entry_misses += 1;
-                    } else if g.cfg.enable_prefetch {
-                        g.pair.prefetch_candidates_into(r.line, &g.dppn, &mut self.pf_cands);
-                        g.stats.prefetches_issued += self.pf_cands.len() as u64;
-                        for &dl in &self.pf_cands {
-                            out.cmds.push((
-                                r.key,
-                                ShardCmd::PairwisePrefetch { dl, sig: r.sig, now: r.key.now },
-                            ));
-                        }
-                    }
-                }
+            g.instr_access(r.line, demand && !hit, snap.color, snap.threshold, &mut self.pf_cands);
+            for &dl in &self.pf_cands {
+                out.cmds
+                    .push((r.key, ShardCmd::PairwisePrefetch { dl, sig: r.sig, now: r.key.now }));
             }
         }
 
-        let (latency, way) = if hit {
-            (self.hit_lat, hit_way)
-        } else {
-            let dram_lat = self.dram.access(r.line, r.key.now, false);
-            let (qbs, way) = self.insert_guarded_at(set, r.line, &ctx, false, snap);
-            (self.hit_lat + dram_lat + qbs, way)
-        };
+        let (latency, way) = self.resolve(r, access, &ctx, snap);
         if let Some(w) = way {
             self.record_sharer_frame(set, w, r.cluster as usize);
         }
@@ -387,22 +353,16 @@ impl LlcShard {
         if let Some(p) = self.profiler.as_mut() {
             p.on_access(r.line, AccessKind::Data, r.sig);
         }
-        let hit_way = self.cache.access_way_at(set, &ctx, is_write);
-        let hit = hit_way.is_some();
+        let access = self.cache.access_at(set, &ctx, is_write);
+        let hit = matches!(access, AccessOutcome::Hit(_));
         if let Some(g) = self.gar.as_mut() {
-            g.stats.data_accesses += 1;
+            g.stats_mut().data_accesses += 1;
             if let Some(il) = il_hint {
                 // Routed to (and counted at) the shard owning `il` in B′.
                 out.cmds.push((r.key, ShardCmd::PairUpdate { il, data_hit: hit, dl: r.line }));
             }
         }
-        let (latency, way) = if hit {
-            (self.hit_lat, hit_way)
-        } else {
-            let dram_lat = self.dram.access(r.line, r.key.now, false);
-            let (qbs, way) = self.insert_guarded_at(set, r.line, &ctx, false, snap);
-            (self.hit_lat + dram_lat + qbs, way)
-        };
+        let (latency, way) = self.resolve(r, access, &ctx, snap);
         if let Some(w) = way {
             self.record_sharer_frame(set, w, r.cluster as usize);
             if is_write {
@@ -478,75 +438,65 @@ impl LlcShard {
         out.invals.push((r.key, InvalCmd { line: r.line, others }));
     }
 
-    /// Guarded LLC insertion (QBS + way partitioning, §4.2), with the set
-    /// precomputed by the drain prologue. Returns the QBS latency and the filled way
-    /// (`None` when the fill was bypassed), so callers can update the
-    /// frame's directory state without re-probing the tag row.
-    fn insert_guarded_at(
+    /// Latency and frame of a resolved LLC access: a hit costs the tier
+    /// latencies; a miss adds DRAM and the guarded fill, which redeems the
+    /// access's probe (nothing between the two fills this cache).
+    fn resolve(
         &mut self,
-        set: usize,
-        line: LineAddr,
+        r: &LlcRequest,
+        access: AccessOutcome,
+        ctx: &AccessCtx,
+        snap: ThresholdSnapshot,
+    ) -> (u64, Option<usize>) {
+        match access {
+            AccessOutcome::Hit(way) => (self.hit_lat, Some(way)),
+            AccessOutcome::Miss(probe) => {
+                let dram_lat = self.dram.access(r.line, r.key.now, false);
+                let (qbs, way) = self.fill_guarded(probe, ctx, false, snap);
+                (self.hit_lat + dram_lat + qbs, way)
+            }
+        }
+    }
+
+    /// The LLC fill of `ctx.line` (way partitioning, or Garibaldi's QBS
+    /// guard and no-bypass pin, §4.2), redeeming a fresh `probe`. Returns
+    /// the QBS latency and the filled way (`None` when the fill was
+    /// bypassed), so callers can update the frame's directory state
+    /// without re-probing the tag row.
+    fn fill_guarded(
+        &mut self,
+        probe: FillProbe,
         ctx: &AccessCtx,
         dirty: bool,
         snap: ThresholdSnapshot,
     ) -> (u64, Option<usize>) {
-        if let Some((i_mask, d_mask)) = self.part_masks {
-            let mask = if ctx.is_instr { i_mask } else { d_mask };
-            let out = self.cache.insert_restricted_at(set, line, ctx, dirty, mask);
-            if let Some(ev) = out.evicted {
-                self.on_evict(ev.meta);
+        let line = ctx.line;
+        let (out, qbs_lat, pinned) = match (self.part_masks, self.gar.as_mut()) {
+            (Some((i_mask, d_mask)), _) => {
+                let rule = Fill::partition(if ctx.is_instr { i_mask } else { d_mask });
+                (self.cache.fill(probe, line, ctx, dirty, rule, |_| false), 0, false)
             }
-            return (0, out.way);
-        }
-
-        let Some(g) = self.gar.as_mut() else {
-            let out = self.cache.insert_at(set, line, ctx, dirty);
-            if let Some(ev) = out.evicted {
-                self.on_evict(ev.meta);
+            (None, None) => {
+                (self.cache.fill(probe, line, ctx, dirty, Fill::PLAIN, |_| false), 0, false)
             }
-            return (0, out.way);
+            (None, Some(g)) => {
+                let rule = g.fill_rule(line, ctx.is_instr, snap.color, snap.threshold);
+                let mut queries = 0u64;
+                let out = self.cache.fill(probe, line, ctx, dirty, rule, |meta: &LineMeta| {
+                    queries += 1;
+                    g.should_protect(meta.line, snap.color, snap.threshold)
+                });
+                (out, g.config().qbs_lookup_cost * queries, !rule.bypass)
+            }
         };
-
-        let enable_protection = g.cfg.enable_protection;
-        let qbs_lookup_cost = g.cfg.qbs_lookup_cost;
-        let max_protects = if enable_protection { g.cfg.qbs_max_attempts } else { 0 };
-        let no_bypass = ctx.is_instr
-            && enable_protection
-            && g.pair
-                .lookup(line)
-                .map(|e| g.pair.aged_cost(e, snap.color) > snap.threshold)
-                .unwrap_or(false);
-        let mut queries = 0u32;
-        let pair = &mut g.pair;
-        let stats = &mut g.stats;
-        let out = self.cache.insert_with_guard_opts_at(
-            set,
-            line,
-            ctx,
-            dirty,
-            max_protects,
-            !no_bypass,
-            |meta: &LineMeta| {
-                queries += 1;
-                let protect =
-                    enable_protection && pair.query_protect(meta.line, snap.color, snap.threshold);
-                if protect {
-                    stats.protections += 1;
-                } else {
-                    stats.declines += 1;
-                }
-                protect
-            },
-        );
-        let qbs_lat = qbs_lookup_cost * queries as u64;
         self.qbs_cycles += qbs_lat;
-        if no_bypass {
+        if pinned {
             if let Some(w) = out.way {
-                self.cache.protect_frame(set, w);
+                self.cache.protect_frame(probe.set(), w);
             }
         }
         if let Some(ev) = out.evicted {
-            self.on_evict(ev.meta);
+            self.on_evict(ev);
         }
         (qbs_lat, out.way)
     }
@@ -576,25 +526,16 @@ impl LlcShard {
             match *cmd {
                 ShardCmd::PairUpdate { il, data_hit, dl } => {
                     if let Some(g) = self.gar.as_mut() {
-                        let idx = g.dppn.insert(dl.ppn());
-                        g.pair.update_on_data(
-                            il,
-                            data_hit,
-                            idx,
-                            dl.line_in_page() as u8,
-                            snap.color,
-                            snap.threshold,
-                        );
-                        g.stats.pair_updates += 1;
+                        g.pair_update(il, data_hit, dl, snap.color, snap.threshold);
                     }
                 }
                 ShardCmd::PairwisePrefetch { dl, sig, now } => {
-                    let set = self.cache.set_of(dl);
-                    if self.cache.lookup_at(set, dl).is_none() {
+                    let probe = self.cache.probe_fill(dl);
+                    if !probe.resident() {
                         let ctx =
                             AccessCtx { line: dl, pc_sig: sig, is_instr: false, is_prefetch: true };
                         self.dram.access(dl, now, false);
-                        self.insert_guarded_at(set, dl, &ctx, false, snap);
+                        self.fill_guarded(probe, &ctx, false, snap);
                     }
                 }
             }
@@ -608,8 +549,8 @@ impl LlcShard {
         match cmd {
             ShardCmd::PairUpdate { il, dl, .. } => {
                 if let Some(g) = self.gar.as_ref() {
-                    g.dppn.prefetch_slot(dl.ppn());
-                    g.pair.prefetch_entry(il);
+                    g.dppn().prefetch_slot(dl.ppn());
+                    g.pair().prefetch_entry(il);
                 }
             }
             ShardCmd::PairwisePrefetch { dl, .. } => {
@@ -623,7 +564,7 @@ impl LlcShard {
     /// diagnostics and the drain differential battery's post-state
     /// comparison).
     pub fn garibaldi_tables(&self) -> Option<(&PairTable, &DppnTable)> {
-        self.gar.as_ref().map(|g| (&g.pair, &g.dppn))
+        self.gar.as_ref().map(|g| (g.pair(), g.dppn()))
     }
 
     /// I-oracle seen-set (read-only; differential battery post-state).

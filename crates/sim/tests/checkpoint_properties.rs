@@ -302,10 +302,11 @@ fn cli_default_keys_keep_serial_and_parallel_rows_apart() {
     let path = dir.join("runs0.jsonl");
     let dump = dir.join("dump.bin");
     let dump = dump.to_str().unwrap();
-    let invalid: [&[&str]; 9] = [
+    let invalid: [&[&str]; 10] = [
         &["--workers", "1", "--shards", "8"],
         &["--workers", "1", "--epoch", "20000"],
         &["--cores", "0"],
+        &["--cores", "257"],
         &["--factor", "-1"],
         &["--policy", "random"],
         &["--policy", "ship"],

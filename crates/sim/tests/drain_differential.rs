@@ -14,7 +14,9 @@
 //! elevated case count.
 
 use garibaldi::{instruction_way_mask, DppnTable, GaribaldiConfig, GaribaldiStats, PairTable};
-use garibaldi_cache::{AccessCtx, CacheConfig, LineMeta, MesiState, PolicyKind, SetAssocCache};
+use garibaldi_cache::{
+    AccessCtx, CacheConfig, Fill, LineMeta, MesiState, PolicyKind, SetAssocCache,
+};
 use garibaldi_mem::{DramConfig, DramModel};
 use garibaldi_sim::engine::request::{InvalCmd, LlcRequest, ReqKey, ReqKind, ReqOutcome, ShardCmd};
 use garibaldi_sim::engine::shard::{shard_range, DrainOut, LlcShard, ThresholdSnapshot};
@@ -255,10 +257,11 @@ impl RefShard {
         if self.cfg.partition_instr_ways > 0 {
             let (i_mask, d_mask) =
                 instruction_way_mask(self.cfg.llc_ways, self.cfg.partition_instr_ways);
-            let mask = if ctx.is_instr { i_mask } else { d_mask };
-            let out = self.cache.insert_restricted(line, ctx, dirty, mask);
+            let rule = Fill::partition(if ctx.is_instr { i_mask } else { d_mask });
+            let out =
+                self.cache.fill(self.cache.probe_fill(line), line, ctx, dirty, rule, |_| false);
             if let Some(ev) = out.evicted {
-                self.on_evict(ev.meta);
+                self.on_evict(ev);
             }
             return 0;
         }
@@ -266,7 +269,7 @@ impl RefShard {
         let Some(pair) = self.pair.as_mut() else {
             let out = self.cache.insert(line, ctx, dirty);
             if let Some(ev) = out.evicted {
-                self.on_evict(ev.meta);
+                self.on_evict(ev);
             }
             return 0;
         };
@@ -283,31 +286,28 @@ impl RefShard {
                 .unwrap_or(false);
         let mut queries = 0u32;
         let stats = &mut self.gstats;
-        let out = self.cache.insert_with_guard_opts(
-            line,
-            ctx,
-            dirty,
-            max_protects,
-            !no_bypass,
-            |meta: &LineMeta| {
-                queries += 1;
-                let protect =
-                    enable_protection && pair.query_protect(meta.line, snap.color, snap.threshold);
-                if protect {
-                    stats.protections += 1;
-                } else {
-                    stats.declines += 1;
-                }
-                protect
-            },
-        );
+        let rule = Fill { bypass: !no_bypass, max_protects, ..Fill::PLAIN };
+        let probe = self.cache.probe_fill(line);
+        let out = self.cache.fill(probe, line, ctx, dirty, rule, |meta: &LineMeta| {
+            queries += 1;
+            let protect =
+                enable_protection && pair.query_protect(meta.line, snap.color, snap.threshold);
+            if protect {
+                stats.protections += 1;
+            } else {
+                stats.declines += 1;
+            }
+            protect
+        });
         let qbs_lat = qbs_lookup_cost * queries as u64;
         self.qbs_cycles += qbs_lat;
-        if no_bypass && out.way.is_some() {
-            self.cache.protect_line(line);
+        if no_bypass {
+            if let Some(way) = self.cache.lookup(line) {
+                self.cache.protect_frame(self.cache.set_of(line), way);
+            }
         }
         if let Some(ev) = out.evicted {
-            self.on_evict(ev.meta);
+            self.on_evict(ev);
         }
         qbs_lat
     }
@@ -356,7 +356,7 @@ const GEOMETRIES: &[(usize, usize, usize, usize)] =
 
 /// Scheme axis: plain LRU, Mockingjay+Garibaldi (prefetch + protection),
 /// Garibaldi under the instruction oracle, and LRU with way partitioning
-/// (the `insert_restricted` path with the hoisted mask).
+/// (the partitioned `fill` with the hoisted mask).
 const SCHEMES: usize = 4;
 
 fn test_cfg(scheme_idx: usize, ways: usize) -> SystemConfig {

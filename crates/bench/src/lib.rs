@@ -56,7 +56,7 @@ pub fn engine_tag() -> String {
 /// Runs `runner` on the bench-default engine (see [`bench_engine`]) —
 /// the entry point every figure target's direct simulations go through.
 pub fn bench_run(runner: &SimRunner, records: u64, warmup: u64) -> RunResult {
-    runner.run_on(records, warmup, bench_engine())
+    runner.run_on(records, warmup, &bench_engine())
 }
 
 /// [`garibaldi_sim::experiment::run_homogeneous`] on the bench-default
@@ -67,7 +67,7 @@ pub fn run_homogeneous(
     workload: &str,
     seed: u64,
 ) -> RunResult {
-    garibaldi_sim::experiment::run_homogeneous_on(scale, scheme, workload, seed, bench_engine())
+    run_mix(scale, scheme, &garibaldi_trace::WorkloadMix::homogeneous(workload, scale.cores), seed)
 }
 
 /// [`garibaldi_sim::experiment::run_mix`] on the bench-default engine.
@@ -77,7 +77,8 @@ pub fn run_mix(
     mix: &garibaldi_trace::WorkloadMix,
     seed: u64,
 ) -> RunResult {
-    garibaldi_sim::experiment::run_mix_on(scale, scheme, mix, seed, bench_engine())
+    let runner = SimRunner::new(SystemConfig::scaled(scale, scheme), mix.clone(), seed);
+    bench_run(&runner, scale.records_per_core, scale.warmup_per_core)
 }
 
 /// Directory where harness CSVs are written (the workspace-level
@@ -148,7 +149,7 @@ where
 /// [`parallel_runs`] with an explicit inner-parallelism divisor: with
 /// `inner_workers = k`, at most `available_parallelism / k` jobs run
 /// concurrently, so each job may itself use `k` threads (e.g.
-/// `SimRunner::run_parallel` with `EngineConfig::with_workers(k)`) without
+/// `SimRunner::run_on` with `EngineConfig::with_workers(k)`) without
 /// oversubscription.
 pub fn parallel_runs_inner<T, F>(jobs: Vec<F>, inner_workers: usize) -> Vec<T>
 where

@@ -17,18 +17,19 @@
 //!   --oracle                 I-oracle mode (instructions hit after first touch)
 //!   --partition N            reserve N LLC ways for instruction lines (not
 //!                            combinable with --garibaldi)
-//!   --workers N              run on the epoch-sharded parallel engine with
-//!                            N worker threads (0 = serial engine; default).
-//!                            The parallel engine has one profile: ewma
+//!   --workers N              run the epoch-sharded parallel engine (ewma
 //!                            issue estimates, learned-state sync every 8
-//!                            barriers, 8 LLC shards and 20000-cycle
-//!                            epochs
+//!                            barriers, 8 LLC shards, 20000-cycle epochs)
+//!                            on N threads; without it, GARIBALDI_ENGINE
+//!                            and GARIBALDI_WORKERS pick the engine, and
+//!                            serial runs when neither is set. A failed
+//!                            parallel run retries once on the serial one
 //!   --dump-trace PATH        write the per-core record streams to PATH and
 //!                            exit (replayable across schemes and engines;
 //!                            not combinable with --replay, --checkpoint or
 //!                            --key)
-//!   --replay PATH            replay streams dumped with --dump-trace
-//!                            instead of generating traces (the dump must
+//!   --replay PATH            replay streams dumped with --dump-trace on
+//!                            the engine picked as above (the dump must
 //!                            hold one non-empty stream per core)
 //!   --checkpoint PATH        durable JSON-lines checkpoint (see
 //!                            `garibaldi_sim::checkpoint`): if the run's
@@ -39,12 +40,11 @@
 //!                            retried with bounded backoff). Salvage
 //!                            findings — torn tail, garbage lines — are
 //!                            reported on stderr
-//!   --key NAME               checkpoint key for this run (default: a key
-//!                            derived from scheme/workloads/scale/seed and
-//!                            the engine tag, so serial and parallel rows
-//!                            never answer for each other; a parallel run
-//!                            that degrades to serial is stored under the
-//!                            serial key)
+//!   --key NAME               checkpoint key for this run (default: derived
+//!                            from scheme/workloads/scale/seed and the tag
+//!                            of the engine that ran — serial for a
+//!                            degraded parallel run — so serial and
+//!                            parallel rows never answer for each other)
 //!   --list                   list available workloads and exit
 //! ```
 //!
@@ -69,6 +69,15 @@ fn parse_policy(s: &str) -> Result<PolicyKind, String> {
         "mockingjay" => PolicyKind::Mockingjay,
         other => return Err(format!("unknown policy '{other}'")),
     })
+}
+
+/// Parses `raw` as the value of the numeric flag `flag`; the error names
+/// both.
+fn number<T: std::str::FromStr>(flag: &str, raw: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    raw.parse().map_err(|e| format!("invalid value '{raw}' for {flag}: {e}"))
 }
 
 struct Args {
@@ -116,16 +125,14 @@ fn parse_args() -> Result<Args, String> {
             }
             "--policy" => a.policy = parse_policy(&val("--policy")?)?,
             "--garibaldi" => a.garibaldi = true,
-            "--cores" => a.cores = val("--cores")?.parse().map_err(|e| format!("{e}"))?,
-            "--factor" => a.factor = val("--factor")?.parse().map_err(|e| format!("{e}"))?,
-            "--records" => a.records = val("--records")?.parse().map_err(|e| format!("{e}"))?,
-            "--warmup" => a.warmup = val("--warmup")?.parse().map_err(|e| format!("{e}"))?,
-            "--seed" => a.seed = val("--seed")?.parse().map_err(|e| format!("{e}"))?,
+            "--cores" => a.cores = number("--cores", &val("--cores")?)?,
+            "--factor" => a.factor = number("--factor", &val("--factor")?)?,
+            "--records" => a.records = number("--records", &val("--records")?)?,
+            "--warmup" => a.warmup = number("--warmup", &val("--warmup")?)?,
+            "--seed" => a.seed = number("--seed", &val("--seed")?)?,
             "--oracle" => a.oracle = true,
-            "--partition" => {
-                a.partition = val("--partition")?.parse().map_err(|e| format!("{e}"))?
-            }
-            "--workers" => a.workers = val("--workers")?.parse().map_err(|e| format!("{e}"))?,
+            "--partition" => a.partition = number("--partition", &val("--partition")?)?,
+            "--workers" => a.workers = number("--workers", &val("--workers")?)?,
             "--dump-trace" => a.dump_trace = Some(val("--dump-trace")?),
             "--replay" => a.replay = Some(val("--replay")?),
             "--checkpoint" => a.checkpoint = Some(val("--checkpoint")?),
@@ -207,13 +214,14 @@ fn default_key(args: &Args, scheme_label: &str, engine: &EngineChoice) -> String
     key
 }
 
-fn usage_error(msg: &str) -> ! {
+/// Prints `error: msg` and exits with `code` (2: usage, 1: I/O).
+fn die(code: i32, msg: impl std::fmt::Display) -> ! {
     eprintln!("error: {msg}");
-    std::process::exit(2);
+    std::process::exit(code);
 }
 
 fn main() {
-    let args = parse_args().unwrap_or_else(|e| usage_error(&e));
+    let args = parse_args().unwrap_or_else(|e| die(2, e));
 
     let scheme = if args.garibaldi {
         LlcScheme::with_garibaldi(args.policy)
@@ -230,57 +238,47 @@ fn main() {
     let mut cfg = SystemConfig::scaled(&scale, scheme);
     cfg.i_oracle = args.oracle;
     cfg.partition_instr_ways = args.partition;
-    let eng = EngineConfig::with_workers(args.workers);
     if let Err(e) = cfg.validate() {
-        usage_error(&format!("invalid configuration: {e}"));
+        die(2, format_args!("invalid configuration: {e}"));
     }
 
     let slots: Vec<String> =
         (0..args.cores).map(|i| args.workloads[i % args.workloads.len()].clone()).collect();
     let mix = WorkloadMix { slots };
 
-    let runner = SimRunner::new(cfg.clone(), mix, args.seed);
+    let mut runner = SimRunner::new(cfg.clone(), mix, args.seed);
 
     if let Some(path) = &args.dump_trace {
         let total = args.records + args.warmup;
         eprintln!("dumping {} streams × {total} records to {path} …", args.cores);
         let streams = runner.generate_streams(total);
         let bytes = serial::encode_multi(&streams);
-        std::fs::write(path, &bytes).unwrap_or_else(|e| {
-            eprintln!("error: cannot write {path}: {e}");
-            std::process::exit(1);
-        });
+        std::fs::write(path, &bytes)
+            .unwrap_or_else(|e| die(1, format_args!("cannot write {path}: {e}")));
         eprintln!("[wrote {} bytes]", bytes.len());
         return;
     }
 
-    // Durable checkpoint: a key already on disk reports the cached result
-    // without simulating; salvage findings (torn tail, garbage lines,
-    // legacy unframed records) go to stderr.
-    let parallel = args.workers > 0;
-    // Replay always goes through the (deterministic) parallel engine;
-    // --workers only changes wall-clock, never the result.
-    let engine = |parallel: bool| {
-        if parallel {
-            EngineChoice::Parallel(eng)
-        } else {
-            EngineChoice::Serial
-        }
+    // One engine for the banner, the run, the default key and the frame
+    // tag: `--workers N` picks the parallel engine, otherwise the
+    // environment does, defaulting to serial.
+    let requested = if args.workers > 0 {
+        EngineChoice::Parallel(EngineConfig::with_workers(args.workers))
+    } else {
+        EngineChoice::from_env_or(EngineChoice::Serial)
     };
-    let requested = engine(parallel || args.replay.is_some());
     let key_for = |e: &EngineChoice| {
         args.key.clone().unwrap_or_else(|| default_key(&args, &cfg.scheme.label(), e))
     };
+
+    // Durable checkpoint: a key already on disk reports the cached result
+    // without simulating; salvage findings (torn tail, garbage lines,
+    // legacy unframed records) go to stderr.
     let ckpt = args.checkpoint.as_ref().map(std::path::PathBuf::from);
-    let key = key_for(&requested);
     if let Some(path) = &ckpt {
-        let (done, salvage) = match garibaldi_sim::checkpoint::load_report(path) {
-            Ok(pair) => pair,
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(1);
-            }
-        };
+        let key = key_for(&requested);
+        let (done, salvage) =
+            garibaldi_sim::checkpoint::load_report(path).unwrap_or_else(|e| die(1, e));
         if !salvage.is_clean() {
             eprintln!("[checkpoint] salvage from {}: {salvage}", path.display());
         }
@@ -294,15 +292,11 @@ fn main() {
         }
     }
 
-    let replay_streams = args.replay.as_ref().map(|path| {
-        let bytes = std::fs::read(path).unwrap_or_else(|e| {
-            eprintln!("error: cannot read {path}: {e}");
-            std::process::exit(1);
-        });
-        let bad = |e: &dyn std::fmt::Display| -> ! {
-            eprintln!("error: bad trace file {path}: {e}");
-            std::process::exit(1);
-        };
+    if let Some(path) = &args.replay {
+        let bytes =
+            std::fs::read(path).unwrap_or_else(|e| die(1, format_args!("cannot read {path}: {e}")));
+        let bad =
+            |e: &dyn std::fmt::Display| -> ! { die(1, format_args!("bad trace file {path}: {e}")) };
         let streams = serial::decode_multi(&bytes).unwrap_or_else(|e| bad(&e));
         if streams.len() != args.cores {
             bad(&format_args!("{} streams for --cores {}", streams.len(), args.cores));
@@ -310,8 +304,8 @@ fn main() {
         if let Some(i) = streams.iter().position(Vec::is_empty) {
             bad(&format_args!("stream {i} is empty"));
         }
-        streams
-    });
+        runner = runner.with_streams(streams);
+    }
 
     eprintln!(
         "simulating {} cores, {} + {} records/core, scheme {}{} …",
@@ -319,25 +313,24 @@ fn main() {
         args.warmup,
         args.records,
         cfg.scheme.label(),
-        if parallel {
-            format!(" [parallel engine: {} workers, {} shards]", eng.workers, eng.llc_shards)
-        } else {
-            String::new()
+        match requested {
+            EngineChoice::Parallel(eng) => {
+                format!(" [parallel engine: {} workers, {} shards]", eng.workers, eng.llc_shards)
+            }
+            EngineChoice::Serial => String::new(),
         }
     );
     let t0 = std::time::Instant::now();
-    let mut degraded = false;
-    let r = match (&replay_streams, parallel) {
-        (Some(streams), _) => runner.run_parallel_replay(streams, args.records, args.warmup, &eng),
-        // Interactive runs degrade gracefully: a contained engine failure
-        // retries once on the serial engine (the same rule code, minus the
-        // threads) and is surfaced on stderr by `run_recover`.
-        (None, true) => {
-            let (r, err) = runner.run_recover(args.records, args.warmup, &eng);
-            degraded = err.is_some();
-            r
+    // Interactive runs degrade gracefully: a contained parallel-engine
+    // failure retries once on the serial engine (the same rule code,
+    // minus the threads), and the row is filed under the engine that
+    // produced it.
+    let (r, used) = match runner.try_run_on(args.records, args.warmup, &requested) {
+        Ok(r) => (r, requested),
+        Err(e) => {
+            eprintln!("[engine] parallel run failed ({e}); retrying on the serial engine");
+            (runner.run_serial(args.records, args.warmup), EngineChoice::Serial)
         }
-        (None, false) => runner.run(args.records, args.warmup),
     };
     let dt = t0.elapsed();
 
@@ -348,15 +341,9 @@ fn main() {
     );
 
     if let Some(path) = &ckpt {
-        // The frame tag and the default key name the engine that actually
-        // produced the row — the serial one when the run degraded off the
-        // parallel engine.
-        let used = if degraded { engine(false) } else { requested };
         let key = key_for(&used);
-        if let Err(e) = garibaldi_sim::checkpoint::append_retry(path, &used.tag(), &key, &r, 3) {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
+        garibaldi_sim::checkpoint::append_retry(path, &used.tag(), &key, &r, 3)
+            .unwrap_or_else(|e| die(1, e));
         eprintln!("[checkpoint] appended key '{key}' to {}", path.display());
     }
 }

@@ -14,17 +14,17 @@
 //!
 //! # Durability
 //!
-//! [`append`] frames each record as
+//! [`append_tagged`] frames each record as
 //!
 //! ```text
 //! GCKP1 <engine-tag> <crc32-hex8> <json-payload>\n
 //! ```
 //!
-//! and fsyncs (`sync_data`) before returning, so a record that `append`
+//! and fsyncs (`sync_data`) before returning, so a record that `append_tagged`
 //! acknowledged survives a process crash or power cut. The trailing
 //! newline is the commit marker: [`load_report`] treats a final line
 //! without one as a *torn tail* — never parsed, flagged in
-//! [`SalvageReport::truncated_tail`] — and the next `append` isolates it
+//! [`SalvageReport::truncated_tail`] — and the next `append_tagged` isolates it
 //! behind an inserted newline, so a crash mid-append loses at most the
 //! record that was being written. The payload CRC32 ([`garibaldi_types::crc`])
 //! rejects bit rot and half-written frames that happen to end in a
@@ -720,23 +720,6 @@ pub fn load_report(
     Ok((map, report))
 }
 
-/// Loads every salvageable record, discarding the [`SalvageReport`].
-///
-/// Convenience wrapper over [`load_report`] for callers that treat an
-/// unreadable file the same as an empty checkpoint.
-pub fn load(path: &Path) -> HashMap<String, RunResult> {
-    load_report(path).map(|(map, _)| map).unwrap_or_default()
-}
-
-/// Appends one framed run record with a `-` engine tag. See [`append_tagged`].
-///
-/// # Errors
-///
-/// Returns [`CheckpointError::Io`] on any filesystem failure.
-pub fn append(path: &Path, key: &str, r: &RunResult) -> Result<(), CheckpointError> {
-    append_tagged(path, "-", key, r)
-}
-
 /// Appends one run to a checkpoint file (created on demand), durably.
 ///
 /// The record is framed ([`frame_line`]) and `sync_data` runs before
@@ -915,10 +898,10 @@ mod tests {
         let dir = std::env::temp_dir().join("garibaldi-checkpoint-test");
         let path = dir.join("runs.jsonl");
         let _ = std::fs::remove_file(&path);
-        append(&path, "a", &sample(false)).unwrap();
-        append(&path, "a", &sample(true)).unwrap();
-        append(&path, "b", &sample(false)).unwrap();
-        let m = load(&path);
+        append_tagged(&path, "-", "a", &sample(false)).unwrap();
+        append_tagged(&path, "-", "a", &sample(true)).unwrap();
+        append_tagged(&path, "-", "b", &sample(false)).unwrap();
+        let (m, _) = load_report(&path).unwrap();
         assert_eq!(m.len(), 2);
         assert!(m["a"].garibaldi.is_some(), "later line wins");
         assert!(m["b"].garibaldi.is_none());
@@ -1006,7 +989,7 @@ mod tests {
         let dir = std::env::temp_dir().join("garibaldi-checkpoint-error-test");
         std::fs::create_dir_all(&dir).unwrap();
         // Appending to a path that is a directory fails with a typed error.
-        let err = append(&dir, "k", &sample(false)).unwrap_err();
+        let err = append_tagged(&dir, "-", "k", &sample(false)).unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("checkpoint I/O"), "{msg}");
         assert!(msg.contains("garibaldi-checkpoint-error-test"), "{msg}");

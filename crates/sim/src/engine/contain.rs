@@ -23,6 +23,8 @@
 //! ([`crate::fault`]), which is what makes the watchdog path testable
 //! without a real deadlock. With one worker and no watchdog the pool
 //! spawns no thread: every section runs inline.
+//! Only the epoch schedule runs on a pool: an engine built for
+//! [`crate::EngineChoice::Serial`] never returns an [`EngineError`].
 
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -32,10 +34,10 @@ use std::time::{Duration, Instant};
 
 /// A contained failure inside the parallel engine.
 ///
-/// Returned by [`crate::ParallelEngine::try_run_with_stats`] (and
-/// surfaced by [`crate::SimRunner::run_recover`]'s serial fallback)
-/// instead of aborting the process when a worker panics or a barrier
-/// phase times out.
+/// Returned by [`crate::ParallelEngine::try_run`] and
+/// [`crate::SimRunner::try_run_on`] on the epoch schedule instead of
+/// aborting the process when a worker panics or a barrier phase times
+/// out (`garibaldi-cli` then retries on the serial schedule).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineError {
     /// Epoch ordinal (1-based, counted from run start including warmup)

@@ -2,11 +2,12 @@
 //! two schedules that run them.
 //!
 //! One implementation of every fill, coherence and guard rule serves both
-//! schedules. The **epoch schedule** ([`ParallelEngine::run`]) lets a
-//! 40-core run use the host's cores; the **serial schedule**
-//! ([`ParallelEngine::run_serial`], the min-clock reference behind
-//! [`crate::system::SimRunner::run_serial`]) resolves every request as it
-//! is issued. Both run over the same state:
+//! schedules. [`ParallelEngine::new`] builds the engine for one
+//! [`EngineChoice`], and [`ParallelEngine::try_run`] runs the schedule it
+//! was built for. The **epoch schedule** ([`EngineChoice::Parallel`]) lets
+//! a 40-core run use the host's cores; the **serial schedule**
+//! ([`EngineChoice::Serial`], the min-clock reference) resolves every
+//! request as it is issued. Both run over the same state:
 //!
 //! 1. **Private tiers** ([`private::ClusterSim`]): each L2 cluster owns its
 //!    cores, L1s, L2, prefetchers and helper tables, and advances under
@@ -46,7 +47,8 @@
 //! The serial schedule ([`serial`]) is the same state with one shard
 //! spanning every LLC set: it steps the global min-clock core and resolves
 //! that core's requests before the next pick, so no estimate outlives its
-//! record.
+//! record. [`ParallelEngine::step_serial`], its single step, refuses an
+//! engine built for the epoch schedule.
 //!
 //! Every reduction and drain order is indexed by cluster/shard/core id —
 //! never by worker — so a run's `RunResult` is **bit-identical for any
@@ -60,9 +62,9 @@
 //! closures under `catch_unwind`; the first panic — or a barrier
 //! watchdog timeout when `GARIBALDI_BARRIER_TIMEOUT_S` is set — cancels
 //! the run cooperatively and surfaces as a structured [`EngineError`]
-//! from [`ParallelEngine::try_run_with_stats`] instead of aborting the
-//! process or deadlocking the barrier (ARCHITECTURE.md §"Failure
-//! model"; fault hooks for the battery live in [`crate::fault`]).
+//! from [`ParallelEngine::try_run`] instead of aborting the process or
+//! deadlocking the barrier (ARCHITECTURE.md §"Failure model"; fault hooks
+//! for the battery live in [`crate::fault`]).
 
 mod contain;
 pub mod estimate;
@@ -75,7 +77,7 @@ pub mod shard;
 
 pub use contain::EngineError;
 
-use crate::config::{EngineConfig, SystemConfig};
+use crate::config::{EngineChoice, EngineConfig, SystemConfig};
 use crate::energy::{EnergyEvents, EnergyModel};
 use crate::fault;
 use crate::metrics::{ConditionalMatrix, GaribaldiReport, ReuseSummary, RunResult};
@@ -93,7 +95,7 @@ use request::{InvalCmd, LlcRequest, ReqKey, ReqOutcome, ShardCmd};
 use shard::{DrainOut, LlcShard, ThresholdSnapshot};
 use std::cell::Cell;
 use std::sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Reusable per-shard epoch arena: what the shard's sections read and
 /// write, and the per-core and per-shard vectors the calling thread swaps
@@ -198,11 +200,13 @@ impl EngineStats {
 }
 
 /// The assembled engine for one run — clusters, LLC shards, threshold unit
-/// — driven by the epoch schedule ([`ParallelEngine::run`]) or the serial
-/// one ([`ParallelEngine::run_serial`]).
+/// — built for the epoch schedule or the serial one, and run by
+/// [`ParallelEngine::try_run`].
 pub struct ParallelEngine<'p> {
     cfg: SystemConfig,
-    eng: EngineConfig,
+    /// The schedule the engine was built for: serial (one shard over
+    /// every set) or the epoch schedule's configuration.
+    schedule: EngineChoice,
     mix: WorkloadMix,
     clusters: Vec<ClusterSim<'p>>,
     shards: Vec<LlcShard>,
@@ -217,11 +221,11 @@ pub struct ParallelEngine<'p> {
     /// Barrier scratch owned by the calling thread.
     scratch: Scratch,
     /// Wall-clock phase account (always collected; printed under
-    /// `GARIBALDI_ENGINE_STATS=1`, returned by `run_with_stats`).
+    /// `GARIBALDI_ENGINE_STATS=1`, returned by `try_run`).
     stats: EngineStats,
     /// Barrier watchdog timeout (`GARIBALDI_BARRIER_TIMEOUT_S`); `None`
     /// disables the watchdog and its thread.
-    watchdog: Option<std::time::Duration>,
+    watchdog: Option<Duration>,
 }
 
 /// Scratch buffers of the calling thread's barrier work, reused across
@@ -410,41 +414,38 @@ impl<'p> Units<'p> {
 }
 
 impl<'p> ParallelEngine<'p> {
-    /// Builds the engine from one `(source, space)` pair per core of `mix`.
+    /// Builds the engine for `choice`'s schedule from one
+    /// `(source, space)` pair per core of `mix`. [`EngineChoice::Serial`]
+    /// builds one LLC shard over every set and consults no fault plan or
+    /// watchdog; [`EngineChoice::Parallel`] builds its configuration's
+    /// shards, resolves `GARIBALDI_FAULTS` and arms the
+    /// `GARIBALDI_BARRIER_TIMEOUT_S` watchdog.
     ///
     /// # Panics
     ///
-    /// Panics if `cfg`/`eng` are invalid or `cores` does not match the mix.
+    /// Panics if `cfg`/`choice` are invalid, if `cores` does not match
+    /// the mix, or on a malformed fault plan or watchdog timeout.
     pub fn new(
         cfg: &SystemConfig,
-        eng: &EngineConfig,
-        mix: WorkloadMix,
-        cores: Vec<(RecordSource<'p>, SharedAddressSpace)>,
-    ) -> Self {
-        // Resolve GARIBALDI_FAULTS here so a malformed plan fails loudly
-        // on the main thread, not inside a contained worker.
-        let _ = fault::active();
-        let watchdog = crate::knobs::BARRIER_TIMEOUT_S
-            .count()
-            .map(|secs| std::time::Duration::from_secs(secs as u64));
-        Self { watchdog, ..Self::assemble(cfg, eng, mix, cores) }
-    }
-
-    /// The clusters, shards and threshold unit of one run, shared by both
-    /// schedules; no fault plan or watchdog is consulted.
-    fn assemble(
-        cfg: &SystemConfig,
-        eng: &EngineConfig,
+        choice: &EngineChoice,
         mix: WorkloadMix,
         mut cores: Vec<(RecordSource<'p>, SharedAddressSpace)>,
     ) -> Self {
         cfg.validate().expect("valid system configuration");
-        eng.validate().expect("valid engine configuration");
         assert_eq!(cores.len(), cfg.cores, "one source per core");
         assert_eq!(mix.cores(), cfg.cores, "mix slots must equal core count");
-
         let llc_sets = CacheConfig::from_capacity("llc", cfg.llc_bytes, cfg.llc_ways).sets;
-        let n_shards = eng.llc_shards.min(llc_sets).max(1);
+        let (n_shards, watchdog) = match choice {
+            EngineChoice::Serial => (1, None),
+            EngineChoice::Parallel(eng) => {
+                eng.validate().expect("valid engine configuration");
+                // Resolve GARIBALDI_FAULTS here so a malformed plan fails
+                // loudly on the main thread, not inside a contained worker.
+                let _ = fault::active();
+                let secs = crate::knobs::BARRIER_TIMEOUT_S.count();
+                (eng.llc_shards.min(llc_sets).max(1), secs.map(|s| Duration::from_secs(s as u64)))
+            }
+        };
         let shards = (0..n_shards).map(|i| LlcShard::new(cfg, i, n_shards, llc_sets)).collect();
 
         let route = Route::new(llc_sets, n_shards, cfg.i_oracle);
@@ -466,7 +467,7 @@ impl<'p> ParallelEngine<'p> {
         Self {
             threshold: cfg.scheme.garibaldi.as_ref().map(ThresholdState::new),
             cfg: cfg.clone(),
-            eng: *eng,
+            schedule: *choice,
             mix,
             clusters,
             shards,
@@ -474,59 +475,48 @@ impl<'p> ParallelEngine<'p> {
             shard_bufs: vec![buf; n_shards],
             scratch: Scratch { learned_exports: vec![Vec::new(); n_shards], ..Scratch::default() },
             stats: EngineStats::default(),
-            watchdog: None,
+            watchdog,
         }
     }
 
-    /// Runs `warmup` + `records` records per core; returns the
-    /// measured-region result.
+    /// Runs `warmup` + `records` records per core on the schedule the
+    /// engine was built for; returns the measured-region result and the
+    /// wall-clock [`EngineStats`] of the whole run (warmup + measured).
+    /// The serial schedule sets only [`EngineStats::wall_s`].
     ///
-    /// # Panics
-    ///
-    /// Panics on a contained worker failure — use [`Self::try_run`] (or
-    /// [`crate::SimRunner::run_recover`]) for structured handling.
-    pub fn run(self, records: u64, warmup: u64) -> RunResult {
-        self.run_with_stats(records, warmup).0
-    }
-
-    /// [`ParallelEngine::run`] plus the wall-clock [`EngineStats`] phase
-    /// breakdown of the whole run (warmup + measured region).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a contained worker failure — use
-    /// [`Self::try_run_with_stats`] for structured handling.
-    pub fn run_with_stats(self, records: u64, warmup: u64) -> (RunResult, EngineStats) {
-        self.try_run_with_stats(records, warmup)
-            .unwrap_or_else(|e| panic!("parallel engine failed: {e}"))
-    }
-
-    /// [`Self::run`] with contained failures surfaced as [`EngineError`].
+    /// On the epoch schedule a worker panic in any parallel section, or a
+    /// stuck barrier phase when the `GARIBALDI_BARRIER_TIMEOUT_S` watchdog
+    /// is armed, cancels the run at the next section boundary and is
+    /// returned with its epoch, phase, and failed unit. Every worker
+    /// thread has been joined when this returns.
     ///
     /// # Errors
     ///
-    /// Returns the first worker panic or barrier-watchdog timeout.
-    pub fn try_run(self, records: u64, warmup: u64) -> Result<RunResult, EngineError> {
-        self.try_run_with_stats(records, warmup).map(|(r, _)| r)
-    }
-
-    /// [`Self::run_with_stats`] with contained failures surfaced as
-    /// [`EngineError`] instead of a panic: a worker panic in any parallel
-    /// section, or a stuck barrier phase when the
-    /// `GARIBALDI_BARRIER_TIMEOUT_S` watchdog is armed, cancels the run
-    /// at the next section boundary and is returned with its epoch,
-    /// phase, and failed unit. Every worker thread has been joined when
-    /// this returns.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first worker panic or barrier-watchdog timeout.
-    pub fn try_run_with_stats(
+    /// Returns the first worker panic or barrier-watchdog timeout; the
+    /// serial schedule never errs.
+    pub fn try_run(
         mut self,
         records: u64,
         warmup: u64,
     ) -> Result<(RunResult, EngineStats), EngineError> {
         let t0 = Instant::now();
+        match self.schedule {
+            EngineChoice::Serial => self.run_serial(records, warmup),
+            EngineChoice::Parallel(eng) => self.run_epochs(&eng, records, warmup)?,
+        }
+        let mut stats = std::mem::take(&mut self.stats);
+        stats.wall_s = t0.elapsed().as_secs_f64();
+        Ok((self.collect(), stats))
+    }
+
+    /// The epoch schedule: advances every unit through epochs on one
+    /// worker pool for the whole run.
+    fn run_epochs(
+        &mut self,
+        eng: &EngineConfig,
+        records: u64,
+        warmup: u64,
+    ) -> Result<(), EngineError> {
         let units = Units {
             clusters: std::mem::take(&mut self.clusters).into_iter().map(Mutex::new).collect(),
             shards: std::mem::take(&mut self.shards)
@@ -542,10 +532,10 @@ impl<'p> ParallelEngine<'p> {
             units.run(job, i, phase, &fail);
         };
         let max_units = units.clusters.len().max(units.shards.len());
-        let workers = self.eng.workers.min(max_units).max(1);
-        let res = contain::with_pool(workers, max_units, &fail, self.watchdog, &body, |pool| {
+        let workers = eng.workers.min(max_units).max(1);
+        contain::with_pool(workers, max_units, &fail, self.watchdog, &body, |pool| {
             let mut ep = Epochs {
-                eng: &self.eng,
+                eng,
                 units: &units,
                 pool,
                 fail: &fail,
@@ -556,20 +546,11 @@ impl<'p> ParallelEngine<'p> {
             ep.advance_to(warmup)?;
             ep.start_measurement();
             ep.advance_to(warmup + records)
-        });
-        res?;
+        })?;
         self.clusters = units.clusters.into_iter().map(|m| m.into_inner().expect("unit")).collect();
         (self.shards, self.shard_bufs) =
             units.shards.into_iter().map(|m| m.into_inner().expect("unit")).unzip();
-        let mut stats = self.stats.clone();
-        stats.wall_s = t0.elapsed().as_secs_f64();
-        Ok((self.collect(), stats))
-    }
-
-    /// The live threshold unit's color and threshold, frozen for the next
-    /// batch of drained requests.
-    fn threshold_snapshot(&self) -> ThresholdSnapshot {
-        snapshot(&self.threshold)
+        Ok(())
     }
 
     /// Warmup boundary: clears statistics (contents and learned state
@@ -902,7 +883,7 @@ impl Epochs<'_, '_> {
         // the merge is a pure function of them, and the sync runs every
         // `sync_every`-th epoch, a pure function of the simulated schedule
         // — worker-count invariant for every cadence.
-        let mut t_sync = std::time::Duration::ZERO;
+        let mut t_sync = Duration::ZERO;
         if epoch % self.eng.sync_every.max(1) as u64 == 0 {
             let tm = Instant::now();
             let shards = self.units.shards();
@@ -961,7 +942,7 @@ impl Epochs<'_, '_> {
 
 #[cfg(test)]
 mod tests {
-    use crate::config::{EngineConfig, LlcScheme};
+    use crate::config::{EngineChoice, EngineConfig, LlcScheme};
     use crate::experiment::ExperimentScale;
     use crate::system::SimRunner;
     use crate::SystemConfig;
@@ -974,12 +955,16 @@ mod tests {
         SimRunner::new(cfg, WorkloadMix::homogeneous("tpcc", scale.cores), 11)
     }
 
+    fn parallel(eng: EngineConfig) -> EngineChoice {
+        EngineChoice::Parallel(eng)
+    }
+
     #[test]
     fn parallel_run_produces_plausible_results() {
-        let r = runner(LlcScheme::plain(PolicyKind::Lru)).run_parallel(
+        let r = runner(LlcScheme::plain(PolicyKind::Lru)).run_on(
             2_000,
             500,
-            &EngineConfig::default(),
+            &parallel(EngineConfig::default()),
         );
         assert_eq!(r.cores.len(), ExperimentScale::smoke().cores);
         for c in &r.cores {
@@ -991,10 +976,10 @@ mod tests {
 
     #[test]
     fn parallel_garibaldi_runs_and_reports() {
-        let r = runner(LlcScheme::mockingjay_garibaldi()).run_parallel(
+        let r = runner(LlcScheme::mockingjay_garibaldi()).run_on(
             2_000,
             500,
-            &EngineConfig::default(),
+            &parallel(EngineConfig::default()),
         );
         let g = r.garibaldi.expect("garibaldi configured");
         assert!(g.stats.instr_accesses > 0, "module observed LLC traffic");
@@ -1010,21 +995,21 @@ mod tests {
     fn shard_count_is_a_model_parameter_but_workers_are_not() {
         // Different shard counts are *allowed* to differ (different pair
         // slices and DRAM interleave)…
-        let a = runner(LlcScheme::plain(PolicyKind::Lru)).run_parallel(
+        let a = runner(LlcScheme::plain(PolicyKind::Lru)).run_on(
             1_000,
             200,
-            &EngineConfig { llc_shards: 2, ..EngineConfig::default() },
+            &parallel(EngineConfig { llc_shards: 2, ..EngineConfig::default() }),
         );
-        let b = runner(LlcScheme::plain(PolicyKind::Lru)).run_parallel(
+        let b = runner(LlcScheme::plain(PolicyKind::Lru)).run_on(
             1_000,
             200,
-            &EngineConfig { llc_shards: 5, ..EngineConfig::default() },
+            &parallel(EngineConfig { llc_shards: 5, ..EngineConfig::default() }),
         );
         // …but each is individually reproducible.
-        let a2 = runner(LlcScheme::plain(PolicyKind::Lru)).run_parallel(
+        let a2 = runner(LlcScheme::plain(PolicyKind::Lru)).run_on(
             1_000,
             200,
-            &EngineConfig { llc_shards: 2, ..EngineConfig::default() },
+            &parallel(EngineConfig { llc_shards: 2, ..EngineConfig::default() }),
         );
         assert_eq!(a, a2);
         let _ = b;
@@ -1033,11 +1018,12 @@ mod tests {
     #[test]
     fn replayed_streams_reproduce_the_generated_run() {
         let r = runner(LlcScheme::plain(PolicyKind::Mockingjay));
-        let streams = r.generate_streams(1_200);
-        let eng = EngineConfig::default();
-        let live = r.run_parallel(1_000, 200, &eng);
-        let replayed = r.run_parallel_replay(&streams, 1_000, 200, &eng);
-        assert_eq!(live, replayed, "dump/replay must be invisible to the result");
+        let replaying = r.clone().with_streams(r.generate_streams(1_200));
+        for choice in [EngineChoice::Serial, parallel(EngineConfig::default())] {
+            let live = r.run_on(1_000, 200, &choice);
+            let replayed = replaying.run_on(1_000, 200, &choice);
+            assert_eq!(live, replayed, "dump/replay must be invisible to the result ({choice:?})");
+        }
     }
 
     #[test]

@@ -14,42 +14,26 @@
 //! to the drained latencies. No estimate survives into the next pick, so
 //! LLC interleaving follows global time exactly.
 //!
-//! The schedule has no epochs, worker threads, containment sections or
-//! fault hooks: [`crate::SimRunner::run_recover`] falls back to it when a
+//! [`ParallelEngine::new`] builds this schedule for
+//! [`EngineChoice::Serial`], and [`ParallelEngine::try_run`] then runs
+//! it. It has no epochs, worker threads, containment sections or fault
+//! hooks, so it never errs: `garibaldi-cli` falls back to it when a
 //! parallel section fails, and it runs the same rule code by
 //! construction.
 
-use super::private::{ClusterSim, EpochCore, RecordSource};
+use super::private::{ClusterSim, EpochCore};
 use super::replay::{close_periods, period_cuts, replay_core};
 use super::shard::LlcShard;
 use super::ParallelEngine;
-use crate::config::{EngineConfig, SystemConfig};
-use crate::metrics::RunResult;
-use garibaldi_trace::{SharedAddressSpace, WorkloadMix};
+use crate::config::EngineChoice;
 
 impl<'p> ParallelEngine<'p> {
-    /// Builds the serial schedule's engine: the clusters of
-    /// [`ParallelEngine::new`] and one LLC shard spanning every set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg` is invalid or `cores` does not match the mix.
-    pub fn serial(
-        cfg: &SystemConfig,
-        mix: WorkloadMix,
-        cores: Vec<(RecordSource<'p>, SharedAddressSpace)>,
-    ) -> Self {
-        let eng = EngineConfig { llc_shards: 1, ..EngineConfig::default() };
-        Self::assemble(cfg, &eng, mix, cores)
-    }
-
     /// Runs `warmup` + `records` records per core on the serial min-clock
-    /// schedule; returns the measured-region result.
-    pub fn run_serial(mut self, records: u64, warmup: u64) -> RunResult {
+    /// schedule, leaving the measured region's state for `collect`.
+    pub(super) fn run_serial(&mut self, records: u64, warmup: u64) {
         self.advance_serial(warmup);
         self.start_measurement();
         self.advance_serial(warmup + records);
-        self.collect()
     }
 
     fn advance_serial(&mut self, target: u64) {
@@ -66,14 +50,24 @@ impl<'p> ParallelEngine<'p> {
     /// One step of the serial schedule: core `core` (global id) executes
     /// its next record, and every request the record buffered is resolved
     /// before this returns.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an engine built for the epoch schedule: its LLC spans
+    /// several shards, and this step would drain only the first.
     pub fn step_serial(&mut self, core: usize) {
+        assert!(
+            matches!(self.schedule, EngineChoice::Serial),
+            "step_serial on an engine built for the epoch schedule; build it with \
+             EngineChoice::Serial"
+        );
         let csize = self.cfg.l2_cluster_size;
         let (k, i) = (core / csize, core % csize);
         self.clusters[k].step_core(i);
         if !self.clusters[k].cores[i].has_requests() {
             return;
         }
-        let snap = self.threshold_snapshot();
+        let snap = super::snapshot(&self.threshold);
         let shard = &mut self.shards[0];
         let out = &mut self.shard_bufs[0].out;
         let cl = &mut self.clusters[k];
@@ -185,14 +179,16 @@ impl MinClock {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::LlcScheme;
+    use crate::config::{EngineConfig, LlcScheme, SystemConfig};
+    use crate::engine::private::RecordSource;
     use crate::experiment::ExperimentScale;
     use garibaldi_cache::PolicyKind;
-    use garibaldi_trace::TraceRecord;
+    use garibaldi_trace::{SharedAddressSpace, TraceRecord, WorkloadMix};
     use garibaldi_types::{RwKind, VirtAddr};
 
-    #[test]
-    fn reset_stats_clears_counters_but_keeps_contents() {
+    /// Runs `f` on an engine built for `choice`, every core replaying one
+    /// record that fetches one instruction line and reads data line 0x31.
+    fn with_engine(choice: EngineChoice, f: impl FnOnce(ParallelEngine<'_>, &SharedAddressSpace)) {
         let cfg =
             SystemConfig::scaled(&ExperimentScale::smoke(), LlcScheme::plain(PolicyKind::Lru));
         let asp = SharedAddressSpace::new(1);
@@ -202,14 +198,28 @@ mod tests {
         let cores =
             streams.iter().map(|s| (RecordSource::Replay { records: s, pos: 0 }, asp.clone()));
         let mix = WorkloadMix::homogeneous("tpcc", cfg.cores);
-        let mut e = ParallelEngine::serial(&cfg, mix, cores.collect());
-        e.step_serial(0);
-        assert!(e.shards[0].cache().stats().accesses() > 0);
-        e.start_measurement();
-        assert_eq!(e.shards[0].cache().stats().accesses(), 0);
-        let line = asp.translate_line(VirtAddr::new(0x31 * 64));
-        assert!(e.shards[0].cache().peek(line).is_some(), "contents survive the reset");
-        assert_eq!(e.clusters[0].tier.stats().0.accesses(), 0);
+        f(ParallelEngine::new(&cfg, &choice, mix, cores.collect()), &asp);
+    }
+
+    #[test]
+    fn reset_stats_clears_counters_but_keeps_contents() {
+        with_engine(EngineChoice::Serial, |mut e, asp| {
+            e.step_serial(0);
+            assert!(e.shards[0].cache().stats().accesses() > 0);
+            e.start_measurement();
+            assert_eq!(e.shards[0].cache().stats().accesses(), 0);
+            let line = asp.translate_line(VirtAddr::new(0x31 * 64));
+            assert!(e.shards[0].cache().peek(line).is_some(), "contents survive the reset");
+            assert_eq!(e.clusters[0].tier.stats().0.accesses(), 0);
+        });
+    }
+
+    /// An engine built for the epoch schedule has several LLC shards; a
+    /// serial step would drain only shard 0 and silently drop the rest.
+    #[test]
+    #[should_panic(expected = "step_serial on an engine built for the epoch schedule")]
+    fn step_serial_on_an_epoch_engine_panics() {
+        with_engine(EngineChoice::Parallel(EngineConfig::default()), |mut e, _| e.step_serial(0));
     }
 
     #[test]

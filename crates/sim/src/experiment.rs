@@ -4,7 +4,7 @@
 //! a mix, normalised to LRU's Σ IPC on the same mix
 //! ([`RunResult::ipc_sum`]); no single-core runs are involved.
 
-use crate::config::{EngineChoice, LlcScheme, SystemConfig};
+use crate::config::{LlcScheme, SystemConfig};
 use crate::metrics::RunResult;
 use crate::system::SimRunner;
 use garibaldi_trace::WorkloadMix;
@@ -76,59 +76,27 @@ impl ExperimentScale {
     }
 }
 
-/// Runs a homogeneous workload on `scale.cores` cores under `scheme`.
+/// Runs a homogeneous workload on `scale.cores` cores under `scheme`, on
+/// the engine [`SimRunner::run`] resolves.
 pub fn run_homogeneous(
     scale: &ExperimentScale,
     scheme: LlcScheme,
     workload: &str,
     seed: u64,
 ) -> RunResult {
-    let choice = EngineChoice::from_env_or(EngineChoice::Serial);
-    run_homogeneous_on(scale, scheme, workload, seed, choice)
+    run_mix(scale, scheme, &WorkloadMix::homogeneous(workload, scale.cores), seed)
 }
 
-/// [`run_homogeneous`] on an explicitly chosen engine (the bench harness
-/// routes every figure target through this with its parallel default).
-pub fn run_homogeneous_on(
-    scale: &ExperimentScale,
-    scheme: LlcScheme,
-    workload: &str,
-    seed: u64,
-    choice: EngineChoice,
-) -> RunResult {
-    let cfg = SystemConfig::scaled(scale, scheme);
-    SimRunner::new(cfg, WorkloadMix::homogeneous(workload, scale.cores), seed).run_on(
-        scale.records_per_core,
-        scale.warmup_per_core,
-        choice,
-    )
-}
-
-/// Runs an arbitrary mix under `scheme`.
+/// Runs an arbitrary mix under `scheme`, on the engine [`SimRunner::run`]
+/// resolves.
 pub fn run_mix(
     scale: &ExperimentScale,
     scheme: LlcScheme,
     mix: &WorkloadMix,
     seed: u64,
 ) -> RunResult {
-    let choice = EngineChoice::from_env_or(EngineChoice::Serial);
-    run_mix_on(scale, scheme, mix, seed, choice)
-}
-
-/// [`run_mix`] on an explicitly chosen engine.
-pub fn run_mix_on(
-    scale: &ExperimentScale,
-    scheme: LlcScheme,
-    mix: &WorkloadMix,
-    seed: u64,
-    choice: EngineChoice,
-) -> RunResult {
     let cfg = SystemConfig::scaled(scale, scheme);
-    SimRunner::new(cfg, mix.clone(), seed).run_on(
-        scale.records_per_core,
-        scale.warmup_per_core,
-        choice,
-    )
+    SimRunner::new(cfg, mix.clone(), seed).run(scale.records_per_core, scale.warmup_per_core)
 }
 
 /// Geometric mean of a slice of positive values.

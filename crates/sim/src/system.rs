@@ -11,7 +11,7 @@
 
 use crate::config::{EngineChoice, EngineConfig, SystemConfig};
 use crate::engine::private::RecordSource;
-use crate::engine::ParallelEngine;
+use crate::engine::{EngineError, EngineStats, ParallelEngine};
 use crate::metrics::RunResult;
 use garibaldi_trace::{
     registry, PpnAllocator, SharedAddressSpace, SyntheticProgram, TraceGenerator, TraceRecord,
@@ -25,6 +25,9 @@ pub struct SimRunner {
     cfg: SystemConfig,
     mix: WorkloadMix,
     seed: u64,
+    /// Pre-recorded per-core streams to replay instead of generating
+    /// traces ([`SimRunner::with_streams`]).
+    streams: Option<Vec<Vec<TraceRecord>>>,
 }
 
 impl SimRunner {
@@ -40,7 +43,25 @@ impl SimRunner {
         for name in &mix.slots {
             assert!(registry::by_name(name).is_some(), "unknown workload {name}");
         }
-        Self { cfg, mix, seed }
+        Self { cfg, mix, seed, streams: None }
+    }
+
+    /// Replays pre-recorded per-core streams (from
+    /// [`SimRunner::generate_streams`] / `garibaldi-cli --dump-trace`)
+    /// instead of generating traces, on whichever engine a run picks;
+    /// streams shorter than the run wrap around.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the stream count does not match the core count or any
+    /// stream is empty.
+    pub fn with_streams(mut self, streams: Vec<Vec<TraceRecord>>) -> Self {
+        assert_eq!(streams.len(), self.cfg.cores, "one record stream per core");
+        if let Some(i) = streams.iter().position(Vec::is_empty) {
+            panic!("empty replay stream for core {i}");
+        }
+        self.streams = Some(streams);
+        self
     }
 
     /// System configuration.
@@ -48,47 +69,90 @@ impl SimRunner {
         &self.cfg
     }
 
-    /// Runs `warmup` + `records` trace records per core and returns the
-    /// measured-region result.
-    ///
-    /// Engine selection follows [`EngineChoice::from_env_or`] with a serial
-    /// default: `GARIBALDI_ENGINE=serial|parallel` picks explicitly, a bare
-    /// `GARIBALDI_WORKERS` routes through the epoch-sharded parallel
-    /// engine (see [`SimRunner::run_parallel`]) — the forcing mechanism
-    /// the CI `parallel-engine` job uses to exercise the full suite on it
-    /// — and with nothing set the serial min-clock engine runs. The benches
-    /// default to the parallel engine instead via [`SimRunner::run_on`].
+    /// Runs `warmup` + `records` trace records per core on the engine
+    /// [`EngineChoice::from_env_or`] resolves, serial by default, and
+    /// returns the measured-region result. A bare `GARIBALDI_WORKERS`
+    /// picks the parallel engine: the CI `parallel-engine` job runs the
+    /// whole suite on it that way.
     pub fn run(&self, records: u64, warmup: u64) -> RunResult {
-        self.run_on(records, warmup, EngineChoice::from_env_or(EngineChoice::Serial))
+        self.run_on(records, warmup, &EngineChoice::from_env_or(EngineChoice::Serial))
     }
 
     /// Runs on an explicitly chosen engine.
-    pub fn run_on(&self, records: u64, warmup: u64, choice: EngineChoice) -> RunResult {
-        match choice {
-            EngineChoice::Serial => self.run_serial(records, warmup),
-            EngineChoice::Parallel(eng) => self.run_parallel(records, warmup, &eng),
-        }
-    }
-
-    /// The serial min-clock reference: the parallel engine's tier and
-    /// shard code under the global min-clock schedule
-    /// ([`ParallelEngine::run_serial`]), with every LLC-bound request
-    /// resolved before the next core steps.
     ///
-    /// Shares trace construction and the pure-hash address-space mapping
-    /// with the parallel engine (`build_parallel_cores`), so the two
-    /// differ only in schedule — the property the fidelity study
-    /// ([`crate::fidelity`]) relies on.
-    pub fn run_serial(&self, records: u64, warmup: u64) -> RunResult {
-        let programs = self.build_programs();
-        let cores = self.build_parallel_cores(&programs, None);
-        ParallelEngine::serial(&self.cfg, self.mix.clone(), cores).run_serial(records, warmup)
+    /// # Panics
+    ///
+    /// Panics on a contained parallel-engine failure — use
+    /// [`SimRunner::try_run_on`] for structured handling.
+    pub fn run_on(&self, records: u64, warmup: u64, choice: &EngineChoice) -> RunResult {
+        self.try_run_on(records, warmup, choice)
+            .unwrap_or_else(|e| panic!("parallel engine failed: {e}"))
     }
 
-    /// Builds one program per distinct workload (shared by its cores).
-    /// Both schedules (and dumped traces) walk identical record streams.
+    /// [`SimRunner::run_on`] with contained parallel-engine failures
+    /// surfaced as [`EngineError`] instead of a panic.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first worker panic or barrier-watchdog timeout of the
+    /// epoch schedule; the serial engine never errs.
+    pub fn try_run_on(
+        &self,
+        records: u64,
+        warmup: u64,
+        choice: &EngineChoice,
+    ) -> Result<RunResult, EngineError> {
+        self.execute(records, warmup, choice).map(|(r, _)| r)
+    }
+
+    /// The serial min-clock reference: [`SimRunner::run_on`] with
+    /// [`EngineChoice::Serial`].
+    pub fn run_serial(&self, records: u64, warmup: u64) -> RunResult {
+        self.run_on(records, warmup, &EngineChoice::Serial)
+    }
+
+    /// The epoch-sharded parallel engine (`docs/ARCHITECTURE.md`
+    /// §"Parallel sharded engine") plus its wall-clock phase breakdown
+    /// ([`EngineStats`]) — the machine-readable form of the
+    /// `GARIBALDI_ENGINE_STATS=1` lines, consumed by `perfbench/`. The
+    /// result depends on `eng.epoch_cycles` and `eng.llc_shards` but never
+    /// on `eng.workers`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a contained engine failure.
+    pub fn run_parallel_stats(
+        &self,
+        records: u64,
+        warmup: u64,
+        eng: &EngineConfig,
+    ) -> (RunResult, EngineStats) {
+        self.execute(records, warmup, &EngineChoice::Parallel(*eng))
+            .unwrap_or_else(|e| panic!("parallel engine failed: {e}"))
+    }
+
+    /// Builds the run's record sources and address spaces and runs them
+    /// on the engine `choice` builds: both schedules see the same streams
+    /// and mapping, so they differ only in schedule ([`crate::fidelity`]).
+    fn execute(
+        &self,
+        records: u64,
+        warmup: u64,
+        choice: &EngineChoice,
+    ) -> Result<(RunResult, EngineStats), EngineError> {
+        let programs = self.build_programs();
+        let cores = self.build_cores(&programs);
+        ParallelEngine::new(&self.cfg, choice, self.mix.clone(), cores).try_run(records, warmup)
+    }
+
+    /// Builds one program per distinct workload (shared by its cores);
+    /// none when the runner replays streams. Both schedules (and dumped
+    /// traces) walk identical record streams.
     fn build_programs(&self) -> HashMap<String, SyntheticProgram> {
         let mut programs = HashMap::new();
+        if self.streams.is_some() {
+            return programs;
+        }
         for name in self.mix.distinct() {
             let profile =
                 registry::by_name(name).expect("validated").scaled(self.cfg.profile_scale);
@@ -101,13 +165,13 @@ impl SimRunner {
         programs
     }
 
-    /// Per-core `(source, space)` pairs for either schedule. Address
-    /// spaces use the pure shared mapping (threads of one server process
-    /// share one space, SPEC workloads get private ones).
-    fn build_parallel_cores<'p>(
-        &self,
+    /// Per-core `(source, space)` pairs for either schedule: the replayed
+    /// streams when the runner has them, else generators over `programs`.
+    /// Address spaces use the pure shared mapping (threads of one server
+    /// process share one space, SPEC workloads get private ones).
+    fn build_cores<'p>(
+        &'p self,
         programs: &'p HashMap<String, SyntheticProgram>,
-        replay: Option<&'p [Vec<TraceRecord>]>,
     ) -> Vec<(RecordSource<'p>, SharedAddressSpace)> {
         let mut alloc = PpnAllocator::new();
         let mut shared_spaces: HashMap<&str, SharedAddressSpace> = HashMap::new();
@@ -131,11 +195,8 @@ impl SimRunner {
                 } else {
                     (None, SharedAddressSpace::new(alloc.alloc_space()))
                 };
-                let src = match replay {
-                    Some(streams) => {
-                        assert!(!streams[i].is_empty(), "empty replay stream for core {i}");
-                        RecordSource::Replay { records: &streams[i], pos: 0 }
-                    }
+                let src = match &self.streams {
+                    Some(streams) => RecordSource::Replay { records: &streams[i], pos: 0 },
                     None => {
                         let program = &programs[name.as_str()];
                         let gen = match tid {
@@ -163,99 +224,13 @@ impl SimRunner {
             .collect()
     }
 
-    /// Runs on the epoch-sharded parallel engine (`docs/ARCHITECTURE.md`
-    /// §"Parallel sharded engine"). The result depends on `eng.epoch_cycles`
-    /// and `eng.llc_shards` but never on `eng.workers`.
-    pub fn run_parallel(&self, records: u64, warmup: u64, eng: &EngineConfig) -> RunResult {
-        self.run_parallel_stats(records, warmup, eng).0
-    }
-
-    /// [`SimRunner::run_parallel`] plus the engine's wall-clock phase
-    /// breakdown ([`crate::engine::EngineStats`]) — the machine-readable
-    /// form of the `GARIBALDI_ENGINE_STATS=1` lines, consumed by
-    /// `perfbench/`.
-    pub fn run_parallel_stats(
-        &self,
-        records: u64,
-        warmup: u64,
-        eng: &EngineConfig,
-    ) -> (RunResult, crate::engine::EngineStats) {
-        let programs = self.build_programs();
-        let cores = self.build_parallel_cores(&programs, None);
-        ParallelEngine::new(&self.cfg, eng, self.mix.clone(), cores).run_with_stats(records, warmup)
-    }
-
-    /// [`SimRunner::run_parallel_stats`] with contained engine failures
-    /// surfaced as [`crate::engine::EngineError`] instead of a panic.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first worker panic or barrier-watchdog timeout.
-    pub fn try_run_parallel_stats(
-        &self,
-        records: u64,
-        warmup: u64,
-        eng: &EngineConfig,
-    ) -> Result<(RunResult, crate::engine::EngineStats), crate::engine::EngineError> {
-        let programs = self.build_programs();
-        let cores = self.build_parallel_cores(&programs, None);
-        ParallelEngine::new(&self.cfg, eng, self.mix.clone(), cores)
-            .try_run_with_stats(records, warmup)
-    }
-
-    /// Graceful degradation: run on the parallel engine, and if it fails
-    /// with a contained [`crate::engine::EngineError`], deterministically
-    /// retry once on the serial schedule, which runs the same rule code
-    /// with no threads, containment sections or fault hooks. Returns the
-    /// result together with the parallel failure, if one happened, so
-    /// callers can surface it.
-    ///
-    /// Interactive/CLI entry point only: benches and fidelity gates call
-    /// the parallel engine directly, so a degraded environment can never
-    /// silently swap the engine under a measurement.
-    pub fn run_recover(
-        &self,
-        records: u64,
-        warmup: u64,
-        eng: &EngineConfig,
-    ) -> (RunResult, Option<crate::engine::EngineError>) {
-        match self.try_run_parallel_stats(records, warmup, eng) {
-            Ok((r, _)) => (r, None),
-            Err(e) => {
-                eprintln!("[engine] parallel run failed ({e}); retrying on the serial engine");
-                (self.run_serial(records, warmup), Some(e))
-            }
-        }
-    }
-
-    /// Replays pre-recorded per-core streams (from
-    /// [`SimRunner::generate_streams`] / `garibaldi-cli --dump-trace`) on
-    /// the parallel engine; streams shorter than the run wrap around.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the stream count does not match the core count or any
-    /// stream is empty.
-    pub fn run_parallel_replay(
-        &self,
-        streams: &[Vec<TraceRecord>],
-        records: u64,
-        warmup: u64,
-        eng: &EngineConfig,
-    ) -> RunResult {
-        assert_eq!(streams.len(), self.cfg.cores, "one record stream per core");
-        let programs = HashMap::new();
-        let cores = self.build_parallel_cores(&programs, Some(streams));
-        ParallelEngine::new(&self.cfg, eng, self.mix.clone(), cores).run(records, warmup)
-    }
-
     /// Generates the per-core record streams this runner would simulate
     /// (`total` records each) without touching a hierarchy — trace
     /// generation is independent of cache state, so a dump taken here
     /// replays bit-identically under any scheme or engine.
     pub fn generate_streams(&self, total: u64) -> Vec<Vec<TraceRecord>> {
         let programs = self.build_programs();
-        self.build_parallel_cores(&programs, None)
+        self.build_cores(&programs)
             .into_iter()
             .map(|(src, _)| {
                 let mut src = src;

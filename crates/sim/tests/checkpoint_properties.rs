@@ -174,9 +174,9 @@ fn truncated_file_resumes_from_last_good_record() {
     let _ = std::fs::remove_dir_all(&dir);
     let path = dir.join("runs.jsonl");
 
-    checkpoint::append(&path, "a", &sample(1.0)).unwrap();
-    checkpoint::append(&path, "b", &sample(2.0)).unwrap();
-    checkpoint::append(&path, "c", &sample(3.0)).unwrap();
+    checkpoint::append_tagged(&path, "-", "a", &sample(1.0)).unwrap();
+    checkpoint::append_tagged(&path, "-", "b", &sample(2.0)).unwrap();
+    checkpoint::append_tagged(&path, "-", "c", &sample(3.0)).unwrap();
 
     // Cut the file mid-way through the last line.
     let text = std::fs::read_to_string(&path).unwrap();
@@ -194,7 +194,7 @@ fn truncated_file_resumes_from_last_good_record() {
     // Resuming appends after the partial line; the file stays loadable.
     // The glue newline turns the torn frame into one complete-but-corrupt
     // line, which the CRC rejects as garbage on the next load.
-    checkpoint::append(&path, "c", &sample(3.0)).unwrap();
+    checkpoint::append_tagged(&path, "-", "c", &sample(3.0)).unwrap();
     let (m, rep) = checkpoint::load_report(&path).unwrap();
     assert_eq!(m.len(), 3, "re-run of the lost record resumes the sweep");
     assert!(!rep.truncated_tail, "the resumed file commits with a newline");
@@ -213,9 +213,9 @@ fn truncation_at_every_byte_offset_salvages_the_exact_prefix() {
     let _ = std::fs::remove_dir_all(&dir);
     let path = dir.join("runs.jsonl");
 
-    checkpoint::append(&path, "a", &sample(1.0)).unwrap();
-    checkpoint::append(&path, "b", &sample(2.0)).unwrap();
-    checkpoint::append(&path, "c", &sample(3.0)).unwrap();
+    checkpoint::append_tagged(&path, "-", "a", &sample(1.0)).unwrap();
+    checkpoint::append_tagged(&path, "-", "b", &sample(2.0)).unwrap();
+    checkpoint::append_tagged(&path, "-", "c", &sample(3.0)).unwrap();
 
     let full = std::fs::read(&path).unwrap();
     // Start of the final record = one past the second-to-last newline.
@@ -250,29 +250,42 @@ fn truncation_at_every_byte_offset_salvages_the_exact_prefix() {
 }
 
 /// Runs `garibaldi-cli` on a tiny fixed point with `extra` flags against
-/// the checkpoint at `path`.
-fn cli_output(
-    path: &std::path::Path,
-    extra: &[&str],
-    faults: Option<&str>,
-) -> std::process::Output {
+/// the checkpoint at `path`, with exactly the `GARIBALDI_*` variables in
+/// `env` set: the flag-less runs must stay on the serial engine even when
+/// the calling environment forces the parallel one.
+fn cli_env(path: &std::path::Path, extra: &[&str], env: &[(&str, &str)]) -> std::process::Output {
     let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_garibaldi-cli"));
     cmd.args(["--workload", "tpcc", "--cores", "2", "--records", "400", "--warmup", "100"])
         .arg("--checkpoint")
         .arg(path)
         .args(extra)
-        .env_remove("GARIBALDI_FAULTS");
-    if let Some(f) = faults {
-        cmd.env("GARIBALDI_FAULTS", f);
-    }
+        .env_remove("GARIBALDI_FAULTS")
+        .env_remove("GARIBALDI_ENGINE")
+        .env_remove("GARIBALDI_WORKERS")
+        .envs(env.iter().copied());
     cmd.output().expect("garibaldi-cli runs")
+}
+
+/// [`cli_env`] with `GARIBALDI_FAULTS` set to `faults`, if any.
+fn cli_output(
+    path: &std::path::Path,
+    extra: &[&str],
+    faults: Option<&str>,
+) -> std::process::Output {
+    let faults: Vec<_> = faults.map(|f| ("GARIBALDI_FAULTS", f)).into_iter().collect();
+    cli_env(path, extra, &faults)
+}
+
+/// Asserts `out` succeeded; returns its `(stdout, stderr)`.
+fn ok(out: std::process::Output) -> (String, String) {
+    assert!(out.status.success(), "garibaldi-cli failed: {}", String::from_utf8_lossy(&out.stderr));
+    let text = |b: Vec<u8>| String::from_utf8(b).expect("utf-8 output");
+    (text(out.stdout), text(out.stderr))
 }
 
 /// [`cli_output`] of a run that must succeed; returns its stderr.
 fn cli(path: &std::path::Path, extra: &[&str], faults: Option<&str>) -> String {
-    let out = cli_output(path, extra, faults);
-    assert!(out.status.success(), "garibaldi-cli failed: {}", String::from_utf8_lossy(&out.stderr));
-    String::from_utf8(out.stderr).expect("utf-8 stderr")
+    ok(cli_output(path, extra, faults)).1
 }
 
 fn served_from_cache(stderr: &str) -> bool {
@@ -302,7 +315,7 @@ fn cli_default_keys_keep_serial_and_parallel_rows_apart() {
     let path = dir.join("runs0.jsonl");
     let dump = dir.join("dump.bin");
     let dump = dump.to_str().unwrap();
-    let invalid: [&[&str]; 10] = [
+    let invalid: [&[&str]; 12] = [
         &["--workers", "1", "--shards", "8"],
         &["--workers", "1", "--epoch", "20000"],
         &["--cores", "0"],
@@ -314,6 +327,8 @@ fn cli_default_keys_keep_serial_and_parallel_rows_apart() {
         &["--dump-trace", dump, "--replay", dump],
         // `cli_output` always passes `--checkpoint`.
         &["--dump-trace", dump],
+        &["--seed", "-1"],
+        &["--cores", "x"],
     ];
     for flags in invalid {
         let out = cli_output(&path, flags, None);
@@ -321,10 +336,15 @@ fn cli_default_keys_keep_serial_and_parallel_rows_apart() {
         assert_eq!(out.status.code(), Some(2), "{flags:?} is a usage error: {err}");
         assert!(err.starts_with("error: ") && err.lines().count() == 1, "{flags:?}: {err}");
     }
+    for flag in ["--seed", "--cores"] {
+        let value = if flag == "--seed" { "-1" } else { "x" };
+        let err = String::from_utf8(cli_output(&path, &[flag, value], None).stderr).unwrap();
+        assert!(err.contains(flag) && err.contains(value), "names {flag} and {value}: {err}");
+    }
     // A dump of the wrong core count, and one of empty streams: the
     // replay at `--cores 2` rejects either file. A replay's default key is
-    // the live parallel run's, which `path` already holds, so the replays
-    // get a checkpoint of their own.
+    // the live run's on the same engine, which `path` already holds, so
+    // the replays get a checkpoint of their own.
     let replayed = dir.join("replayed.jsonl");
     for dump_flags in [&["--cores", "4"][..], &["--cores", "2", "--records", "0", "--warmup", "0"]]
     {
@@ -345,16 +365,38 @@ fn cli_default_keys_keep_serial_and_parallel_rows_apart() {
 }
 
 /// A parallel run that degrades to the serial engine is stored under the
-/// serial key: a later serial run is served from it, a parallel one is not.
+/// serial key: a later serial run is served from it, a parallel one is
+/// not, and it reports exactly what a fresh serial run reports.
 #[test]
 fn cli_degraded_run_is_stored_under_the_serial_key() {
     let dir = std::env::temp_dir().join("garibaldi-checkpoint-cli-degraded");
     let _ = std::fs::remove_dir_all(&dir);
     let path = dir.join("runs.jsonl");
-    let err = cli(&path, &["--workers", "2"], Some("panic@epoch:1"));
+    let (degraded, err) = ok(cli_output(&path, &["--workers", "2"], Some("panic@epoch:1")));
     assert!(!served_from_cache(&err));
     assert!(err.contains("serial-v2"), "appended under the serial key: {err}");
+    let (serial, err) = ok(cli_output(&dir.join("fresh.jsonl"), &[], None));
+    assert!(!served_from_cache(&err));
+    assert_eq!(degraded, serial, "the degraded run reports the serial engine's result");
     assert!(served_from_cache(&cli(&path, &[], None)), "the serial run finds the degraded row");
     assert!(!served_from_cache(&cli(&path, &["--workers", "2"], None)));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The engine the environment picks is the engine the row is filed under:
+/// with `GARIBALDI_WORKERS=2` and no `--workers`, the CLI runs the
+/// parallel engine and appends a `sharded-…` key, which a later serial
+/// run in a clean environment must not be served.
+#[test]
+fn cli_env_selected_engine_names_the_checkpoint_key() {
+    let dir = std::env::temp_dir().join("garibaldi-checkpoint-cli-env");
+    let _ = std::fs::remove_dir_all(&dir);
+    let path = dir.join("runs.jsonl");
+    let (_, err) = ok(cli_env(&path, &[], &[("GARIBALDI_WORKERS", "2")]));
+    assert!(err.contains("parallel engine: 2 workers"), "the parallel engine ran: {err}");
+    assert!(err.contains("|sharded-"), "appended under the parallel key: {err}");
+    assert!(!err.contains("serial-v2"), "not under the serial key: {err}");
+    assert!(!served_from_cache(&cli(&path, &[], None)), "a serial run misses the parallel row");
+    assert!(served_from_cache(&cli(&path, &["--workers", "2"], None)));
     let _ = std::fs::remove_dir_all(&dir);
 }

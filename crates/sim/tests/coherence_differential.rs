@@ -149,7 +149,8 @@ fn serial_engine<'p>(
         .iter()
         .map(|s| (RecordSource::Replay { records: s, pos: 0 }, asp.clone()))
         .collect();
-    ParallelEngine::serial(cfg, WorkloadMix::homogeneous("barnes", cfg.cores), cores)
+    let mix = WorkloadMix::homogeneous("barnes", cfg.cores);
+    ParallelEngine::new(cfg, &EngineChoice::Serial, mix, cores)
 }
 
 /// `(L1 data hits, L2 data hits, LLC data hits)` summed over the engine.
@@ -355,7 +356,7 @@ fn run_point(mix: &WorkloadMix, scheme: LlcScheme, choice: EngineChoice) -> RunR
     SimRunner::new(cfg, mix.clone(), 7).run_on(
         scale.records_per_core,
         scale.warmup_per_core,
-        choice,
+        &choice,
     )
 }
 
@@ -564,13 +565,13 @@ proptest! {
         };
         let cfg = SystemConfig::scaled(&scale, scheme);
         let runner = SimRunner::new(cfg, mix, seed);
-        let eng = EngineConfig::with_workers;
-        let base = runner.run_parallel(
+        let eng = |w| EngineChoice::Parallel(EngineConfig::with_workers(w));
+        let base = runner.run_on(
             scale.records_per_core,
             scale.warmup_per_core,
             &eng(1),
         );
-        let other = runner.run_parallel(
+        let other = runner.run_on(
             scale.records_per_core,
             scale.warmup_per_core,
             &eng(workers),

@@ -1,8 +1,8 @@
 //! Property tests for the epoch-sharded engine over arbitrary traces.
 //!
 //! Streams are generated records (not registry workloads), replayed with
-//! [`SimRunner::run_parallel_replay`], so the properties hold for inputs
-//! no calibrated profile would produce.
+//! [`SimRunner::with_streams`], so the properties hold for inputs no
+//! calibrated profile would produce.
 
 use garibaldi::{GaribaldiConfig, ThreadPmu, ThresholdState, ThresholdUnit};
 use garibaldi_cache::PolicyKind;
@@ -12,7 +12,9 @@ use garibaldi_sim::engine::replay::{
 };
 use garibaldi_sim::engine::request::{ReqKey, ReqOutcome};
 use garibaldi_sim::metrics::ConditionalMatrix;
-use garibaldi_sim::{EngineConfig, ExperimentScale, LlcScheme, SimRunner, SystemConfig};
+use garibaldi_sim::{
+    EngineChoice, EngineConfig, ExperimentScale, LlcScheme, SimRunner, SystemConfig,
+};
 use garibaldi_trace::{TraceRecord, WorkloadMix};
 use garibaldi_types::{RwKind, ThreadId, VirtAddr};
 use proptest::prelude::*;
@@ -96,18 +98,18 @@ proptest! {
     ) {
         let epoch = EPOCH_GRID[gi];
         let sync_every = [1usize, 3, 16][ki];
-        let r = runner(LlcScheme::mockingjay_garibaldi());
         let records = streams[0].len() as u64;
         let warmup = records / 4;
-        let eng = |w| EngineConfig {
+        let r = runner(LlcScheme::mockingjay_garibaldi()).with_streams(streams);
+        let eng = |w| EngineChoice::Parallel(EngineConfig {
             epoch_cycles: epoch,
             llc_shards: 8,
             sync_every,
             ..EngineConfig::with_workers(w)
-        };
-        let base = r.run_parallel_replay(&streams, records, warmup, &eng(1));
+        });
+        let base = r.run_on(records, warmup, &eng(1));
         for workers in [2usize, 4] {
-            let other = r.run_parallel_replay(&streams, records, warmup, &eng(workers));
+            let other = r.run_on(records, warmup, &eng(workers));
             prop_assert_eq!(
                 &base, &other,
                 "workers={} epoch={} sync_every={}",
@@ -174,14 +176,14 @@ proptest! {
     /// figure-bearing metrics stay within tolerance across the grid.
     #[test]
     fn epoch_window_changes_metrics_only_within_tolerance(streams in arb_streams()) {
-        let r = runner(LlcScheme::plain(PolicyKind::Mockingjay));
         let records = streams[0].len() as u64;
         let warmup = records / 4;
+        let r = runner(LlcScheme::plain(PolicyKind::Mockingjay)).with_streams(streams);
         let runs: Vec<_> = EPOCH_GRID
             .iter()
             .map(|&e| {
                 let eng = EngineConfig { workers: 1, epoch_cycles: e, ..EngineConfig::default() };
-                r.run_parallel_replay(&streams, records, warmup, &eng)
+                r.run_on(records, warmup, &EngineChoice::Parallel(eng))
             })
             .collect();
         for (i, run) in runs.iter().enumerate().skip(1) {

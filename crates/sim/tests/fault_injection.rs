@@ -13,8 +13,8 @@ use garibaldi_mem::DramStats;
 use garibaldi_sim::fault::with_faults;
 use garibaldi_sim::metrics::{ConditionalMatrix, CoreResult};
 use garibaldi_sim::{
-    checkpoint, CpiStack, EngineConfig, ExperimentScale, LlcScheme, RunResult, SimRunner,
-    SystemConfig,
+    checkpoint, CpiStack, EngineChoice, EngineConfig, ExperimentScale, LlcScheme, RunResult,
+    SimRunner, SystemConfig,
 };
 use garibaldi_trace::WorkloadMix;
 
@@ -55,10 +55,10 @@ fn temp_ckpt(name: &str) -> std::path::PathBuf {
 fn short_write_tears_the_tail_and_resume_salvages_it() {
     let path = temp_ckpt("short_write.jsonl");
     with_faults("io_short_write@2", || {
-        checkpoint::append(&path, "a", &sample(1.0)).unwrap();
+        checkpoint::append_tagged(&path, "-", "a", &sample(1.0)).unwrap();
         // The "crashing" append writes half a frame and reports success —
         // exactly what a caller sees when the process dies mid-write.
-        checkpoint::append(&path, "b", &sample(2.0)).unwrap();
+        checkpoint::append_tagged(&path, "-", "b", &sample(2.0)).unwrap();
     });
 
     let (m, rep) = checkpoint::load_report(&path).unwrap();
@@ -69,7 +69,7 @@ fn short_write_tears_the_tail_and_resume_salvages_it() {
 
     // Resume: re-run the lost record. The glue newline seals the torn
     // frame into a complete line whose CRC then fails — garbage, counted.
-    checkpoint::append(&path, "b", &sample(2.0)).unwrap();
+    checkpoint::append_tagged(&path, "-", "b", &sample(2.0)).unwrap();
     let (m, rep) = checkpoint::load_report(&path).unwrap();
     assert_eq!(m.len(), 2, "the sweep resumed");
     assert!((m["b"].cores[0].ipc - 2.0).abs() < 1e-12);
@@ -122,6 +122,11 @@ fn eng() -> EngineConfig {
     EngineConfig { workers: 2, epoch_cycles: 2_000, llc_shards: 4, ..Default::default() }
 }
 
+/// [`eng`] as the engine a run picks.
+fn parallel() -> EngineChoice {
+    EngineChoice::Parallel(eng())
+}
+
 fn smoke() -> (u64, u64) {
     let s = ExperimentScale::smoke();
     (s.records_per_core, s.warmup_per_core)
@@ -141,7 +146,7 @@ fn step_panic_is_contained_as_a_structured_error() {
         ("panic@epoch:3/unit:1", Some(1)),
     ] {
         let err = with_faults(spec, || {
-            r.try_run_parallel_stats(rec, warm, &eng()).expect_err("injected step panic")
+            r.try_run_on(rec, warm, &parallel()).expect_err("injected step panic")
         });
         assert_eq!(err.epoch, 3, "failure stamped with the faulted epoch: {err}");
         assert_eq!(err.phase, "step");
@@ -166,7 +171,7 @@ fn drain_panic_is_contained_with_the_shard_index() {
         ("panic.drain@epoch:2/unit:3", Some(3)),
     ] {
         let err = with_faults(spec, || {
-            r.try_run_parallel_stats(rec, warm, &eng()).expect_err("injected drain panic")
+            r.try_run_on(rec, warm, &parallel()).expect_err("injected drain panic")
         });
         assert_eq!(err.epoch, 2);
         assert_eq!(err.phase, "drain");
@@ -186,31 +191,33 @@ fn merge_panic_is_contained_without_a_unit_index() {
     let (rec, warm) = smoke();
     let cfg = EngineConfig { sync_every: 1, ..eng() };
     let err = with_faults("panic.merge@epoch:2", || {
-        r.try_run_parallel_stats(rec, warm, &cfg).expect_err("injected merge panic")
+        r.try_run_on(rec, warm, &EngineChoice::Parallel(cfg)).expect_err("injected merge panic")
     });
     assert_eq!(err.phase, "merge");
     assert_eq!(err.shard, None, "the pooled merge implicates no single unit");
 }
 
-/// Graceful degradation: a contained parallel failure retries once on the
-/// serial engine and recovers the byte-identical result.
+/// Graceful degradation, first half: a contained parallel failure comes
+/// back as an error the caller can fall back on, stamped with its phase.
 #[test]
-fn run_recover_falls_back_to_the_serial_engine_byte_identically() {
+fn failed_parallel_run_returns_the_error_to_fall_back_on() {
+    let r = runner();
+    let (rec, warm) = smoke();
+    let err = with_faults("panic@epoch:2", || r.try_run_on(rec, warm, &parallel()))
+        .expect_err("the parallel attempt failed");
+    assert_eq!(err.phase, "step");
+}
+
+/// Graceful degradation, second half: the serial fallback runs no fault
+/// hook, so under the same fault plan it reproduces the clean serial run
+/// byte for byte.
+#[test]
+fn serial_fallback_under_a_fault_plan_matches_the_clean_serial_run() {
     let r = runner();
     let (rec, warm) = smoke();
     let reference = r.run_serial(rec, warm);
-    let (got, err) = with_faults("panic@epoch:2", || r.run_recover(rec, warm, &eng()));
-    let err = err.expect("the parallel attempt failed");
-    assert_eq!(err.phase, "step");
+    let got = with_faults("panic@epoch:2", || r.run_on(rec, warm, &EngineChoice::Serial));
     assert_eq!(got, reference, "serial fallback reproduces the golden result exactly");
-    // Without a firing fault, recovery never engages. (A never-matching
-    // spec keeps this engine construction inside the serialized fault
-    // scope, away from the watchdog test's environment mutation.)
-    let (clean, parallel) = with_faults("panic@epoch:4000000000", || {
-        (r.run_recover(rec, warm, &eng()), r.run_parallel(rec, warm, &eng()))
-    });
-    assert!(clean.1.is_none());
-    assert_eq!(clean.0, parallel);
 }
 
 /// An injected stall (a worker stuck at the barrier) is broken by the
@@ -228,7 +235,7 @@ fn stalled_drain_is_broken_by_the_barrier_watchdog() {
             // binary runs inside `with_faults`, which serializes on one lock,
             // so no other engine can observe this 1 s timeout.
             std::env::set_var("GARIBALDI_BARRIER_TIMEOUT_S", "1");
-            let out = r.try_run_parallel_stats(rec, warm, &eng());
+            let out = r.try_run_on(rec, warm, &parallel());
             std::env::remove_var("GARIBALDI_BARRIER_TIMEOUT_S");
             out.expect_err("stalled barrier must time out")
         });

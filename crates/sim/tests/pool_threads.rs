@@ -4,7 +4,9 @@
 //! process's thread count while it is read.
 
 use garibaldi_sim::fault::with_faults;
-use garibaldi_sim::{EngineConfig, ExperimentScale, LlcScheme, SimRunner, SystemConfig};
+use garibaldi_sim::{
+    EngineChoice, EngineConfig, ExperimentScale, LlcScheme, SimRunner, SystemConfig,
+};
 use garibaldi_trace::WorkloadMix;
 
 /// The `Threads:` line of `/proc/self/status`.
@@ -33,11 +35,12 @@ fn runs_leave_no_threads_behind() {
     let cfg = SystemConfig::scaled(&s, LlcScheme::mockingjay_garibaldi());
     let r = SimRunner::new(cfg, WorkloadMix::homogeneous("twitter", s.cores), 42);
     let eng = EngineConfig { workers: 2, epoch_cycles: 2_000, llc_shards: 4, ..Default::default() };
+    let eng = EngineChoice::Parallel(eng);
     let start = threads();
-    r.run_parallel(s.records_per_core, s.warmup_per_core, &eng);
+    r.run_on(s.records_per_core, s.warmup_per_core, &eng);
     assert_eq!(settled_threads(start), start, "a w2 run joins its helper");
     let err = with_faults("panic.drain@epoch:2/unit:3", || {
-        r.try_run_parallel_stats(s.records_per_core, s.warmup_per_core, &eng)
+        r.try_run_on(s.records_per_core, s.warmup_per_core, &eng)
     });
     assert_eq!(err.expect_err("injected drain panic").shard, Some(3));
     assert_eq!(settled_threads(start), start, "a failed w2 run joins its helper");

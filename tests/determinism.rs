@@ -2,7 +2,9 @@
 //! identical results; different seeds differ.
 
 use garibaldi_cache::PolicyKind;
-use garibaldi_sim::{EngineConfig, ExperimentScale, LlcScheme, SimRunner, SystemConfig};
+use garibaldi_sim::{
+    EngineChoice, EngineConfig, ExperimentScale, LlcScheme, SimRunner, SystemConfig,
+};
 use garibaldi_trace::WorkloadMix;
 
 fn run(seed: u64, scheme: LlcScheme) -> garibaldi_sim::RunResult {
@@ -27,16 +29,16 @@ fn parallel_engine_worker_count_invariance() {
     let s = ExperimentScale::smoke();
     for scheme in [LlcScheme::plain(PolicyKind::Mockingjay), LlcScheme::mockingjay_garibaldi()] {
         for cores in [s.cores, 6] {
-            let base = runner(42, scheme.clone(), cores).run_parallel(
+            let base = runner(42, scheme.clone(), cores).run_on(
                 s.records_per_core,
                 s.warmup_per_core,
-                &EngineConfig::with_workers(1),
+                &EngineChoice::Parallel(EngineConfig::with_workers(1)),
             );
             for workers in [2, 3, 4] {
-                let r = runner(42, scheme.clone(), cores).run_parallel(
+                let r = runner(42, scheme.clone(), cores).run_on(
                     s.records_per_core,
                     s.warmup_per_core,
-                    &EngineConfig::with_workers(workers),
+                    &EngineChoice::Parallel(EngineConfig::with_workers(workers)),
                 );
                 assert_eq!(base, r, "{} cores={cores} workers={workers}", scheme.label());
             }
@@ -53,10 +55,14 @@ fn sync_every_is_deterministic_and_counts_epochs() {
     let s = ExperimentScale::smoke();
     let scheme = LlcScheme::mockingjay_garibaldi();
     let at = |sync_every, workers| {
-        runner(42, scheme.clone(), s.cores).run_parallel(
+        runner(42, scheme.clone(), s.cores).run_on(
             s.records_per_core,
             s.warmup_per_core,
-            &EngineConfig { sync_every, workers, ..EngineConfig::default() },
+            &EngineChoice::Parallel(EngineConfig {
+                sync_every,
+                workers,
+                ..EngineConfig::default()
+            }),
         )
     };
     for k in [1usize, 4, 16] {
@@ -85,16 +91,19 @@ fn sync_every_is_deterministic_and_counts_epochs() {
     assert_eq!(s3, epochs3 / 3, "every third barrier syncs");
 }
 
-/// Dumped record streams replay bit-identically on the sharded backend.
+/// Dumped record streams replay bit-identically, on the sharded backend
+/// and on the serial one.
 #[test]
 fn parallel_engine_replay_matches_live_generation() {
     let s = ExperimentScale::smoke();
     let r = runner(42, LlcScheme::mockingjay_garibaldi(), s.cores);
     let streams = r.generate_streams(s.records_per_core + s.warmup_per_core);
-    let eng = EngineConfig::with_workers(2);
-    let live = r.run_parallel(s.records_per_core, s.warmup_per_core, &eng);
-    let replayed = r.run_parallel_replay(&streams, s.records_per_core, s.warmup_per_core, &eng);
-    assert_eq!(live, replayed);
+    let replaying = r.clone().with_streams(streams);
+    for choice in [EngineChoice::Serial, EngineChoice::Parallel(EngineConfig::with_workers(2))] {
+        let live = r.run_on(s.records_per_core, s.warmup_per_core, &choice);
+        let replayed = replaying.run_on(s.records_per_core, s.warmup_per_core, &choice);
+        assert_eq!(live, replayed, "{choice:?}");
+    }
 }
 
 #[test]

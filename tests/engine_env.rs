@@ -87,9 +87,9 @@ fn engine_parallel_forces_parallel_engine() {
     let r = runner();
     let s = ExperimentScale::smoke();
     let (reference, serial) = with_env(&[], || {
-        let eng = EngineConfig::default();
+        let eng = EngineChoice::Parallel(EngineConfig::default());
         (
-            r.run_parallel(s.records_per_core, s.warmup_per_core, &eng),
+            r.run_on(s.records_per_core, s.warmup_per_core, &eng),
             r.run_serial(s.records_per_core, s.warmup_per_core),
         )
     });
@@ -120,16 +120,16 @@ fn bare_workers_still_selects_parallel() {
 fn barrier_timeout_env_is_validated_and_result_invisible() {
     let r = runner();
     let s = ExperimentScale::smoke();
-    let eng = EngineConfig::default();
-    let reference = with_env(&[], || r.run_parallel(s.records_per_core, s.warmup_per_core, &eng));
+    let eng = EngineChoice::Parallel(EngineConfig::default());
+    let reference = with_env(&[], || r.run_on(s.records_per_core, s.warmup_per_core, &eng));
     let timed = with_env(&[("GARIBALDI_BARRIER_TIMEOUT_S", "120")], || {
-        r.run_parallel(s.records_per_core, s.warmup_per_core, &eng)
+        r.run_on(s.records_per_core, s.warmup_per_core, &eng)
     });
     assert_eq!(reference, timed, "an armed (idle) watchdog never changes results");
     for bad in ["0", "soon", "-5"] {
         let err = with_env(&[("GARIBALDI_BARRIER_TIMEOUT_S", bad)], || {
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                r.run_parallel(s.records_per_core, s.warmup_per_core, &eng)
+                r.run_on(s.records_per_core, s.warmup_per_core, &eng)
             }))
             .expect_err(&format!("GARIBALDI_BARRIER_TIMEOUT_S={bad} must panic"))
         });

@@ -14,9 +14,8 @@
 //!    and keep every figure-level geomean within the hard gate of the
 //!    serial goldens.
 
-use garibaldi_sim::experiment::run_mix_on;
 use garibaldi_sim::fidelity::{FidelityJob, FidelitySuite};
-use garibaldi_sim::{checkpoint, ExperimentScale, RunResult};
+use garibaldi_sim::{checkpoint, ExperimentScale, RunResult, SimRunner, SystemConfig};
 use std::collections::HashMap;
 use std::path::PathBuf;
 
@@ -52,7 +51,12 @@ fn run_jobs(suite: &FidelitySuite, jobs: &[FidelityJob]) -> Vec<RunResult> {
     jobs.iter()
         .map(|j| {
             let p = &suite.points[j.point];
-            run_mix_on(&suite.scale, p.scheme.clone(), &p.mix, p.seed, j.engine)
+            let cfg = SystemConfig::scaled(&suite.scale, p.scheme.clone());
+            SimRunner::new(cfg, p.mix.clone(), p.seed).run_on(
+                suite.scale.records_per_core,
+                suite.scale.warmup_per_core,
+                &j.engine,
+            )
         })
         .collect()
 }

@@ -2,7 +2,7 @@
 //! directory, the Garibaldi hooks, oracle semantics, partitioning,
 //! coherence, and the non-inclusive LLC's behaviour.
 //!
-//! Directed tests drive the serial schedule ([`ParallelEngine::serial`])
+//! Directed tests drive the serial schedule ([`EngineChoice::Serial`])
 //! one scripted record at a time; every core translates through one shared
 //! address space, so a virtual line names the same physical line on every
 //! core.
@@ -11,7 +11,9 @@ use garibaldi_cache::{CacheConfig, CacheStats, MesiState, PolicyKind};
 use garibaldi_sim::engine::private::RecordSource;
 use garibaldi_sim::engine::request::{LlcRequest, ReqKey, ReqKind};
 use garibaldi_sim::engine::shard::{DrainOut, LlcShard, ThresholdSnapshot};
-use garibaldi_sim::{ExperimentScale, LlcScheme, ParallelEngine, SimRunner, SystemConfig};
+use garibaldi_sim::{
+    EngineChoice, ExperimentScale, LlcScheme, ParallelEngine, SimRunner, SystemConfig,
+};
 use garibaldi_trace::{SharedAddressSpace, TraceRecord, WorkloadMix};
 use garibaldi_types::{LineAddr, RwKind, VirtAddr};
 
@@ -52,7 +54,12 @@ fn serial<'p>(
         .iter()
         .map(|s| (RecordSource::Replay { records: s, pos: 0 }, asp.clone()))
         .collect();
-    ParallelEngine::serial(cfg, WorkloadMix::homogeneous("tpcc", cfg.cores), cores)
+    ParallelEngine::new(
+        cfg,
+        &EngineChoice::Serial,
+        WorkloadMix::homogeneous("tpcc", cfg.cores),
+        cores,
+    )
 }
 
 /// Private-tier `(L1, L2)` stats summed over every cluster.

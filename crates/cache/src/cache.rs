@@ -389,7 +389,7 @@ impl PolicySlot {
     }
 
     /// Perf-only host-CPU prefetch of the policy's per-set state row
-    /// (stamps, RRPVs, ETRs — whatever the policy reads on every event).
+    /// (recency ranks, RRPVs, ETRs — whatever the policy reads on every event).
     #[inline]
     fn prefetch_row(&self, set: usize) {
         match self {

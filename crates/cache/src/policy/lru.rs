@@ -2,41 +2,51 @@
 
 use super::{PolicyCtx, ReplacementPolicy};
 
-/// True LRU via a monotone use-stamp per frame.
+/// True LRU via per-set recency ranks: each set's ranks are a permutation
+/// of `0..ways`, 0 the most recent way and `ways − 1` the victim. One byte
+/// per frame (a global use-stamp per frame took eight).
+///
+/// A fresh set ranks way 0 oldest (`ways − 1 − w`), so every victim choice
+/// is the one a stamp-per-frame LRU makes with all stamps starting at 0 and
+/// ties going to the lowest way.
 #[derive(Debug)]
 pub struct Lru {
     ways: usize,
-    stamp: u64,
-    last_use: Vec<u64>,
+    rank: Vec<u8>,
 }
 
 impl Lru {
     /// Creates LRU state for a `sets × ways` cache.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ways` exceeds 64 (victim exclusion masks are `u64`, as
+    /// are the cache's way masks).
     pub fn new(sets: usize, ways: usize) -> Self {
-        Self { ways, stamp: 0, last_use: vec![0; sets * ways] }
+        assert!(ways <= 64, "{ways} ways exceed the 64-bit way masks");
+        let row = (0..ways).map(|w| (ways - 1 - w) as u8);
+        Self { ways, rank: row.cycle().take(sets * ways).collect() }
     }
 
-    #[inline]
-    fn idx(&self, set: usize, way: usize) -> usize {
-        set * self.ways + way
-    }
-
-    /// Hints the host CPU to pull this set's stamp row into its cache
+    /// Hints the host CPU to pull this set's rank row into its cache
     /// (perf-only; no effect on replacement decisions).
     #[inline]
     pub(crate) fn prefetch_row(&self, set: usize) {
         let base = set * self.ways;
-        garibaldi_types::hint::prefetch_index(&self.last_use, base);
-        if self.ways > 8 {
-            garibaldi_types::hint::prefetch_index(&self.last_use, base + 8);
-        }
+        garibaldi_types::hint::prefetch_index(&self.rank, base);
+        garibaldi_types::hint::prefetch_index(&self.rank, base + self.ways.max(1) - 1);
     }
 
+    /// Makes `way` the most recent: every way more recent than it ages by
+    /// one.
     #[inline]
     fn touch(&mut self, set: usize, way: usize) {
-        self.stamp += 1;
-        let i = self.idx(set, way);
-        self.last_use[i] = self.stamp;
+        let row = &mut self.rank[set * self.ways..(set + 1) * self.ways];
+        let old = row[way];
+        for r in row.iter_mut() {
+            *r += u8::from(*r < old);
+        }
+        row[way] = 0;
     }
 }
 
@@ -53,28 +63,12 @@ impl ReplacementPolicy for Lru {
 
     #[inline]
     fn choose_victim(&mut self, set: usize, _ctx: &PolicyCtx, excluded: u64) -> usize {
-        // Single pass over the set's contiguous stamp row; ties keep the
-        // lowest way index (same as `min_by_key` over ascending ways).
-        let base = set * self.ways;
-        let row = &self.last_use[base..base + self.ways];
-        if excluded == 0 {
-            // Common case (no QBS exclusions): mask-free first-minimum scan.
-            let (mut best_w, mut best_s) = (0, row[0]);
-            for (w, &stamp) in row.iter().enumerate().skip(1) {
-                if stamp < best_s {
-                    best_w = w;
-                    best_s = stamp;
-                }
-            }
-            return best_w;
-        }
-        let mut best: Option<(usize, u64)> = None;
-        for (w, &stamp) in row.iter().enumerate() {
-            if excluded & (1 << w) != 0 {
-                continue;
-            }
-            if best.is_none_or(|(_, s)| stamp < s) {
-                best = Some((w, stamp));
+        // The oldest allowed way: ranks are distinct, so there are no ties.
+        let row = &self.rank[set * self.ways..(set + 1) * self.ways];
+        let mut best: Option<(usize, u8)> = None;
+        for (w, &r) in row.iter().enumerate() {
+            if excluded & (1 << w) == 0 && best.is_none_or(|(_, b)| r > b) {
+                best = Some((w, r));
             }
         }
         best.expect("exclusion mask never covers all ways").0
@@ -94,6 +88,7 @@ impl ReplacementPolicy for Lru {
 mod tests {
     use super::*;
     use garibaldi_types::LineAddr;
+    use proptest::prelude::*;
 
     fn ctx() -> PolicyCtx {
         PolicyCtx::data(LineAddr::new(0), 0)
@@ -131,6 +126,15 @@ mod tests {
     }
 
     #[test]
+    fn a_fresh_set_evicts_the_lowest_way_first() {
+        let mut p = Lru::new(2, 4);
+        assert_eq!(p.choose_victim(1, &ctx(), 0), 0);
+        assert_eq!(p.choose_victim(1, &ctx(), 0b0011), 2);
+        p.on_insert(1, 0, &ctx());
+        assert_eq!(p.choose_victim(1, &ctx(), 0), 1);
+    }
+
+    #[test]
     fn sets_are_independent() {
         let mut p = Lru::new(2, 2);
         p.on_insert(0, 0, &ctx());
@@ -139,5 +143,69 @@ mod tests {
         p.on_insert(1, 0, &ctx());
         assert_eq!(p.choose_victim(0, &ctx(), 0), 0);
         assert_eq!(p.choose_victim(1, &ctx(), 0), 1);
+    }
+
+    /// The stamp-per-frame LRU the byte ranks replace: a global use stamp
+    /// per frame, victim the lowest stamp, ties to the lowest way.
+    struct StampLru {
+        ways: usize,
+        stamp: u64,
+        last_use: Vec<u64>,
+    }
+
+    impl StampLru {
+        fn touch(&mut self, set: usize, way: usize) {
+            self.stamp += 1;
+            self.last_use[set * self.ways + way] = self.stamp;
+        }
+
+        fn victim(&self, set: usize, excluded: u64) -> usize {
+            (0..self.ways)
+                .filter(|w| excluded & (1 << w) == 0)
+                .min_by_key(|&w| (self.last_use[set * self.ways + w], w))
+                .expect("exclusion mask never covers all ways")
+        }
+    }
+
+    proptest! {
+        /// Random insert / hit / `reset_priority` / `choose_victim(excluded)`
+        /// sequences choose the same victims as the stamp model.
+        #[test]
+        fn byte_ranks_match_a_stamp_lru(
+            sets in 1usize..4,
+            ways in 1usize..20,
+            ops in prop::collection::vec((0u8..4, 0usize..64, 0usize..64, 0u64..u64::MAX), 1..300),
+        ) {
+            let mut p = Lru::new(sets, ways);
+            let mut m = StampLru { ways, stamp: 0, last_use: vec![0; sets * ways] };
+            for (op, set, way, mask) in ops {
+                let (set, way) = (set % sets, way % ways);
+                match op {
+                    0 => {
+                        p.on_insert(set, way, &ctx());
+                        m.touch(set, way);
+                    }
+                    1 => {
+                        p.on_hit(set, way, &ctx());
+                        m.touch(set, way);
+                    }
+                    2 => {
+                        p.reset_priority(set, way);
+                        m.touch(set, way);
+                    }
+                    _ => {
+                        // Keep one way allowed, as the cache guarantees.
+                        let excluded = mask & ((1u64 << ways) - 1) & !(1 << way);
+                        prop_assert_eq!(
+                            p.choose_victim(set, &ctx(), excluded),
+                            m.victim(set, excluded)
+                        );
+                    }
+                }
+                for s in 0..sets {
+                    prop_assert_eq!(p.choose_victim(s, &ctx(), 0), m.victim(s, 0));
+                }
+            }
+        }
     }
 }

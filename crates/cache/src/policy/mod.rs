@@ -7,7 +7,7 @@
 //! §4.2). Victim selection receives an exclusion mask so a protected way is
 //! not immediately re-chosen within the same eviction.
 //!
-//! Policies keep their per-frame state (stamps, RRPVs, ETRs) in flat
+//! Policies keep their per-frame state (recency ranks, RRPVs, ETRs) in flat
 //! `sets × ways` arrays mirroring the cache's structure-of-arrays tag
 //! store; victim scans walk one contiguous per-set row, and tie-breaking
 //! order (first minimum / first maximum by way index) is part of each

@@ -1,4 +1,4 @@
-//! K-way merge of already-sorted event runs.
+//! K-way merge order of already-sorted event runs.
 //!
 //! Every order the epoch barrier restores is a merge of runs that are
 //! sorted by construction: each shard merges its lanes from every core
@@ -7,143 +7,161 @@
 //! merges the shards' invalidation runs. An `O(n log k)` k-way merge
 //! replaces the `O(n log n)` comparison sorts the barrier once used.
 //!
+//! The merge writes an *order*, not a copy: one 8-byte [`Pos`] per element,
+//! naming the run and the index in it, so the consumer reads every element
+//! where its producer left it. The order comes from a loser tree over one
+//! packed integer key per run head ([`super::request::ReqKey::packed`]):
+//! each output replays one leaf-to-root path of `⌈log₂ k⌉` integer
+//! comparisons.
+//!
 //! The merge is stable across runs (ties go to the earlier run, each run's
 //! internal order is preserved). Barrier keys are unique per request —
 //! `(timestamp, core, seq)` — so stability is only observable for
 //! same-request command batches, which were emitted adjacently by one
 //! shard and stay adjacent here.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+/// One element of a merge order: `(run, index in the run)`.
+pub type Pos = (u32, u32);
 
-/// Merges `runs` — each already sorted ascending by `key` — into `out`
-/// (cleared first). Stable across runs: equal keys drain in run order.
-pub fn kway_merge_into<T: Copy, K: Ord>(runs: &[&[T]], key: impl Fn(&T) -> K, out: &mut Vec<T>) {
+/// Key of an exhausted run (and of the padding leaves). Packed request keys
+/// use 112 bits, so no element carries it.
+const DONE: u128 = u128::MAX;
+
+/// Writes into `out` (cleared first) the positions of every element of
+/// `runs` — each already sorted ascending by `key` — in merged order.
+/// Stable across runs: equal keys drain in run order, each run in its own
+/// order. `key` must never return `u128::MAX`.
+pub fn kway_merge_order<T, R: AsRef<[T]>>(
+    runs: &[R],
+    key: impl Fn(&T) -> u128,
+    out: &mut Vec<Pos>,
+) {
     out.clear();
-    out.reserve(runs.iter().map(|r| r.len()).sum());
-    match runs.len() {
-        0 => {}
-        1 => out.extend_from_slice(runs[0]),
-        2 => {
-            // The common two-run case skips the heap entirely.
-            let (mut a, mut b) = (runs[0].iter(), runs[1].iter());
-            let (mut x, mut y) = (a.next(), b.next());
-            loop {
-                match (x, y) {
-                    (Some(&xa), Some(&yb)) => {
-                        if key(&xa) <= key(&yb) {
-                            out.push(xa);
-                            x = a.next();
-                        } else {
-                            out.push(yb);
-                            y = b.next();
-                        }
-                    }
-                    (Some(&xa), None) => {
-                        out.push(xa);
-                        out.extend(a.copied());
-                        break;
-                    }
-                    (None, Some(&yb)) => {
-                        out.push(yb);
-                        out.extend(b.copied());
-                        break;
-                    }
-                    (None, None) => break,
-                }
+    let total: usize = runs.iter().map(|r| r.as_ref().len()).sum();
+    out.reserve(total);
+    // Leaves `[leaves, 2 * leaves)` of an implicit binary tree hold the
+    // run heads (padding leaves are exhausted runs); internal node `n`
+    // keeps the loser of the match played there, and the overall winner is
+    // the smallest `(head key, run)`.
+    let leaves = runs.len().next_power_of_two();
+    let head_of =
+        |r: usize, i: usize| runs.get(r).and_then(|run| run.as_ref().get(i)).map_or(DONE, &key);
+    let mut head: Vec<u128> = (0..leaves).map(|r| head_of(r, 0)).collect();
+    let mut next = vec![0u32; runs.len()];
+    let beats = |head: &[u128], a: u32, b: u32| (head[a as usize], a) < (head[b as usize], b);
+    let mut loser = vec![0u32; leaves];
+    let mut winner = vec![0u32; 2 * leaves];
+    for (leaf, w) in winner[leaves..].iter_mut().enumerate() {
+        *w = leaf as u32;
+    }
+    for n in (1..leaves).rev() {
+        let (a, b) = (winner[2 * n], winner[2 * n + 1]);
+        (winner[n], loser[n]) = if beats(&head, a, b) { (a, b) } else { (b, a) };
+    }
+    let mut w = winner[1];
+    for _ in 0..total {
+        let r = w as usize;
+        out.push((w, next[r]));
+        next[r] += 1;
+        head[r] = head_of(r, next[r] as usize);
+        let mut n = (leaves + r) / 2;
+        while n > 0 {
+            if beats(&head, loser[n], w) {
+                std::mem::swap(&mut loser[n], &mut w);
             }
-        }
-        _ => {
-            // Heap of (key, run index): ties resolve to the earlier run.
-            let mut pos = vec![0usize; runs.len()];
-            let mut heap = BinaryHeap::with_capacity(runs.len());
-            for (i, r) in runs.iter().enumerate() {
-                if let Some(first) = r.first() {
-                    heap.push(Reverse((key(first), i)));
-                }
-            }
-            while let Some(Reverse((_, i))) = heap.pop() {
-                let item = runs[i][pos[i]];
-                out.push(item);
-                pos[i] += 1;
-                if pos[i] < runs[i].len() {
-                    heap.push(Reverse((key(&runs[i][pos[i]]), i)));
-                }
-            }
+            n /= 2;
         }
     }
+}
+
+/// The element `pos` names in `runs`.
+#[inline]
+pub fn at<T, R: AsRef<[T]>>(runs: &[R], (run, i): Pos) -> &T {
+    &runs[run as usize].as_ref()[i as usize]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn merged(runs: &[&[u32]]) -> Vec<u32> {
-        let mut out = Vec::new();
-        kway_merge_into(runs, |&x| x, &mut out);
-        out
+    /// `(key, run, index)` of every element in merge order.
+    fn merged(runs: &[Vec<u32>]) -> Vec<(u32, u32, u32)> {
+        let mut order = Vec::new();
+        kway_merge_order(runs, |&x| x as u128, &mut order);
+        order.iter().map(|&p| (*at(runs, p), p.0, p.1)).collect()
+    }
+
+    /// The same triples from a stable sort of the concatenated runs.
+    fn stable_sorted(runs: &[Vec<u32>]) -> Vec<(u32, u32, u32)> {
+        let mut all: Vec<(u32, u32, u32)> = runs
+            .iter()
+            .enumerate()
+            .flat_map(|(r, run)| run.iter().enumerate().map(move |(i, &x)| (x, r as u32, i as u32)))
+            .collect();
+        all.sort_by_key(|t| t.0);
+        all
+    }
+
+    /// Deterministic xorshift; no external randomness in tests.
+    fn rng(mut state: u64) -> impl FnMut() -> u64 {
+        move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        }
     }
 
     #[test]
     fn merges_zero_one_two_and_many_runs() {
-        assert_eq!(merged(&[]), Vec::<u32>::new());
-        assert_eq!(merged(&[&[1, 3, 5]]), vec![1, 3, 5]);
-        assert_eq!(merged(&[&[1, 4, 9], &[2, 3, 10]]), vec![1, 2, 3, 4, 9, 10]);
-        assert_eq!(merged(&[&[], &[2], &[]]), vec![2]);
+        let keys = |runs: &[Vec<u32>]| merged(runs).into_iter().map(|t| t.0).collect::<Vec<_>>();
+        assert_eq!(keys(&[]), Vec::<u32>::new());
+        assert_eq!(keys(&[vec![1, 3, 5]]), vec![1, 3, 5]);
+        assert_eq!(keys(&[vec![1, 4, 9], vec![2, 3, 10]]), vec![1, 2, 3, 4, 9, 10]);
+        assert_eq!(keys(&[vec![], vec![2], vec![]]), vec![2]);
+        assert_eq!(keys(&[vec![], vec![]]), Vec::<u32>::new());
         assert_eq!(
-            merged(&[&[5, 6], &[1, 9], &[0, 7, 8], &[2, 3, 4]]),
+            keys(&[vec![5, 6], vec![1, 9], vec![0, 7, 8], vec![2, 3, 4]]),
             vec![0, 1, 2, 3, 4, 5, 6, 7, 8, 9]
         );
     }
 
     #[test]
     fn equals_a_sort_on_random_runs() {
-        // Deterministic xorshift; no external randomness in tests.
-        let mut state = 0x9e3779b97f4a7c15u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for trial in 0..50 {
-            let k = 1 + (trial % 7);
-            let runs: Vec<Vec<u64>> = (0..k)
+        let mut next = rng(0x9e37_79b9_7f4a_7c15);
+        for (trial, k) in [0usize, 1, 2, 3, 5, 7, 8, 9, 40].iter().cycle().take(90).enumerate() {
+            // Few distinct keys, so cross-run ties are common; about one
+            // run in four is empty.
+            let runs: Vec<Vec<u32>> = (0..*k)
                 .map(|_| {
-                    let len = (next() % 40) as usize;
-                    let mut v: Vec<u64> = (0..len).map(|_| next() % 1000).collect();
+                    let len = if next() % 4 == 0 { 0 } else { (next() % 40) as usize };
+                    let mut v: Vec<u32> = (0..len).map(|_| (next() % 50) as u32).collect();
                     v.sort_unstable();
                     v
                 })
                 .collect();
-            let slices: Vec<&[u64]> = runs.iter().map(|r| r.as_slice()).collect();
-            let mut out = Vec::new();
-            kway_merge_into(&slices, |&x| x, &mut out);
-            let mut want: Vec<u64> = runs.iter().flatten().copied().collect();
-            want.sort_unstable();
-            assert_eq!(out, want, "trial {trial}");
+            assert_eq!(merged(&runs), stable_sorted(&runs), "trial {trial}, k = {k}");
         }
     }
 
     #[test]
     fn ties_resolve_to_the_earlier_run_preserving_run_order() {
-        // Key on .0 only; .1 identifies origin.
-        let a = [(1u32, 'a'), (2, 'b'), (2, 'c')];
-        let b = [(2u32, 'd'), (3, 'e')];
-        let c = [(2u32, 'f')];
-        let mut out = Vec::new();
-        kway_merge_into(&[&a, &b, &c], |t| t.0, &mut out);
+        let runs = [vec![1, 2, 2], vec![2, 3], vec![2]];
         assert_eq!(
-            out,
-            vec![(1, 'a'), (2, 'b'), (2, 'c'), (2, 'd'), (2, 'f'), (3, 'e')],
+            merged(&runs),
+            vec![(1, 0, 0), (2, 0, 1), (2, 0, 2), (2, 1, 0), (2, 2, 0), (3, 1, 1)],
             "equal keys drain earlier-run first, in-run order intact"
         );
     }
 
     #[test]
     fn reuses_the_output_buffer() {
-        let mut out = vec![99u32; 8];
-        kway_merge_into(&[&[1u32, 2][..], &[0][..]], |&x| x, &mut out);
-        assert_eq!(out, vec![0, 1, 2], "buffer cleared before merging");
+        let mut order = vec![(9, 9); 8];
+        order.reserve(64);
+        let cap = order.capacity();
+        let ptr = order.as_ptr();
+        kway_merge_order(&[vec![1u32, 2], vec![0]], |&x| x as u128, &mut order);
+        assert_eq!(order, vec![(1, 0), (0, 0), (0, 1)], "buffer cleared before merging");
+        assert_eq!((order.capacity(), order.as_ptr()), (cap, ptr), "no reallocation");
     }
 }

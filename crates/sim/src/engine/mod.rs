@@ -19,14 +19,14 @@
 //! 2. **LLC shards** ([`shard::LlcShard`]): the LLC (plus its slice of the
 //!    Garibaldi pair/D_PPN state, the DRAM channels, the I-oracle and the
 //!    reuse profiler) is split into set-contiguous shards. At the barrier
-//!    each shard k-way-merges its lanes from every core and drains them,
-//!    per shard in parallel, in ascending `(timestamp, core, seq)` order.
+//!    each shard drains its lanes from every core where they lie, per
+//!    shard in parallel, in their merged `(timestamp, core, seq)` order.
 //! 3. **Barrier** ([`ParallelEngine`]): every piece of barrier work that
-//!    touches one unit runs in a parallel section — the drains, which also
-//!    sort their outcomes by issuing core and their cross-shard Garibaldi
-//!    commands (pair updates keyed by the instruction line's shard,
-//!    pairwise prefetch fills keyed by the data line's) by target shard;
-//!    the per-shard command merge and apply; every
+//!    touches one unit runs in a parallel section — the drains, which file
+//!    each outcome under its issuing core and each cross-shard Garibaldi
+//!    command (pair updates keyed by the instruction line's shard,
+//!    pairwise prefetch fills keyed by the data line's) under its target
+//!    shard as they resolve it; the per-shard command apply; every
 //!    [`EngineConfig::sync_every`]-th barrier the learned-state install
 //!    (one pooled merge, installed into every shard); and the per-cluster
 //!    tail, which applies coherence invalidations, scatters the outcomes,
@@ -37,8 +37,8 @@
 //!    calling thread only swaps vectors between units, merges the rare
 //!    invalidations, finds the keys where color periods end, and closes
 //!    those periods from the cores' summed shares. All barrier orders are
-//!    restored by stable k-way merges of already-sorted runs ([`merge`]),
-//!    never by comparison sorts.
+//!    restored by stable k-way merge orders over already-sorted runs
+//!    ([`merge`]), never by comparison sorts, and read in place.
 //!
 //! The sections run on one worker pool per run (`engine/contain.rs`): the
 //! calling thread plus `workers − 1` helper threads, each unit on the same
@@ -88,11 +88,11 @@ use garibaldi::{PeriodCounts, ThresholdState};
 use garibaldi_cache::{CacheConfig, CacheStats};
 use garibaldi_mem::DramStats;
 use garibaldi_trace::{SharedAddressSpace, WorkloadMix};
-use merge::kway_merge_into;
+use merge::{kway_merge_order, Pos};
 use private::{ClusterSim, RecordSource, Route};
 use replay::{close_periods, period_cuts, DemandReq};
 use request::{InvalCmd, LlcRequest, ReqKey, ReqOutcome, ShardCmd};
-use shard::{DrainOut, LlcShard, ThresholdSnapshot};
+use shard::{DrainOut, DrainSink, LlcShard, ThresholdSnapshot};
 use std::cell::Cell;
 use std::sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
@@ -106,23 +106,22 @@ use std::time::{Duration, Instant};
 #[derive(Default, Clone)]
 struct ShardBuf {
     /// Each core's lane for this shard (indexed by global core id), lent
-    /// by the cores for the drain, which empties them.
+    /// by the cores for the drain, which reads them in place and empties
+    /// them.
     lanes: Vec<Vec<LlcRequest>>,
-    /// Merged drain order (scratch, reused across barriers).
-    merged: Vec<LlcRequest>,
-    /// The shard's phase-A output (outcomes, cross-shard commands,
-    /// invalidations), reused across barriers.
-    out: DrainOut,
+    /// Merge order of `lanes` for the drain, then of `inbox` for the
+    /// command apply (8 bytes per entry; scratch reused across barriers).
+    order: Vec<Pos>,
     /// The drain's `(seq, outcome)`s per issuing core, in vectors lent by
     /// the cores for the drain.
     outcomes: Vec<Vec<(u32, ReqOutcome)>>,
     /// The drain's cross-shard commands per target shard, in key order,
     /// swapped into the targets' `inbox` after the drain.
     outbox: Vec<Vec<(ReqKey, ShardCmd)>>,
-    /// The commands every source shard routed here.
+    /// The commands every source shard routed here, applied in place.
     inbox: Vec<Vec<(ReqKey, ShardCmd)>>,
-    /// `inbox` merged in key order.
-    cmds: Vec<(ReqKey, ShardCmd)>,
+    /// The drain's remote-copy invalidations, in key order.
+    invals: Vec<(ReqKey, InvalCmd)>,
     /// Seconds of this shard's last drain.
     drain_s: f64,
 }
@@ -134,8 +133,8 @@ struct ShardBuf {
 /// learned-state merge/install work on the barrier path, `apply` the
 /// per-cluster tail (invalidations, threshold replay and corrections) with
 /// the invalidation merge that feeds it, and `serial` the barrier
-/// remainder (lane hand-off, outcome scatter, command routing and apply,
-/// the period-cut search and period closing).
+/// remainder (lane and command-run hand-offs, the command apply, the
+/// period-cut search and period closing).
 /// Collection is always on — a handful of `Instant` reads per barrier —
 /// so callers ([`crate::SimRunner::run_parallel_stats`], the perf
 /// snapshot bench) can read it without a profiling env var.
@@ -232,6 +231,10 @@ pub struct ParallelEngine<'p> {
 /// barriers.
 #[derive(Default)]
 struct Scratch {
+    /// The serial schedule's drain output (one record's requests).
+    out: DrainOut,
+    /// Merge order of the shards' invalidation runs.
+    order: Vec<Pos>,
     /// Keys of the accesses that close a color period (serial schedule).
     cuts: Vec<ReqKey>,
     /// Per-period sums of the cores' shares.
@@ -246,10 +249,12 @@ struct Scratch {
 enum Section {
     /// Advance each cluster to the epoch horizon.
     Step { epoch_end: f64, target: u64 },
-    /// Phase A: merge the shard's lanes, drain them, and sort the output
-    /// by issuing core and by target shard.
+    /// Phase A: drain the shard's lanes in merged key order, filing each
+    /// outcome under its issuing core and each command under its target
+    /// shard.
     Drain { snap: ThresholdSnapshot },
-    /// Phase B′: merge the commands routed to the shard and apply them.
+    /// Phase B′: apply the commands routed to the shard in merged key
+    /// order.
     ApplyCmds { snap: ThresholdSnapshot },
     /// Install the pooled learned-state consensus into the shard.
     Install,
@@ -311,38 +316,28 @@ impl<'p> Units<'p> {
                 fault::engine_hook(fault::Site::Drain, epoch, i, fail.cancel_flag());
                 let (sh, buf) = &mut *u;
                 let ts = Instant::now();
-                let runs: Vec<&[LlcRequest]> = buf.lanes.iter().map(Vec::as_slice).collect();
-                kway_merge_into(&runs, |r| r.key, &mut buf.merged);
+                buf.invals.clear();
+                let mut sink = EpochSink {
+                    route: self.route,
+                    outcomes: &mut buf.outcomes,
+                    outbox: &mut buf.outbox,
+                    invals: &mut buf.invals,
+                };
+                sh.drain_runs(&buf.lanes, &mut buf.order, snap, &mut sink);
                 for lane in buf.lanes.iter_mut() {
                     lane.clear();
-                }
-                sh.drain(&buf.merged, snap, &mut buf.out);
-                for &(core, seq, o) in &buf.out.outcomes {
-                    buf.outcomes[core as usize].push((seq, o));
-                }
-                for &(k, cmd) in &buf.out.cmds {
-                    let target = match cmd {
-                        ShardCmd::PairUpdate { il, .. } => il,
-                        ShardCmd::PairwisePrefetch { dl, .. } => dl,
-                    };
-                    buf.outbox[self.route.shard_of(target)].push((k, cmd));
                 }
                 buf.drain_s = ts.elapsed().as_secs_f64();
             }
             Section::ApplyCmds { snap } => {
                 // Each source shard drained in key order, so its run is
-                // sorted; merging the runs restores the global order
-                // (same-key batches — several pairwise-prefetch candidates
-                // of one request — stay in their source's emission order).
+                // sorted; the merge order restores the global order.
                 let mut u = lock(&self.shards[i]);
                 let (sh, buf) = &mut *u;
-                let runs: Vec<&[(ReqKey, ShardCmd)]> =
-                    buf.inbox.iter().map(Vec::as_slice).collect();
-                kway_merge_into(&runs, |&(k, _)| k, &mut buf.cmds);
+                sh.apply_cmd_runs(&buf.inbox, &mut buf.order, snap);
                 for run in buf.inbox.iter_mut() {
                     run.clear();
                 }
-                sh.apply_cmds(&buf.cmds, snap);
             }
             Section::Install => {
                 let shared = self.read();
@@ -410,6 +405,37 @@ impl<'p> Units<'p> {
 
     fn broadcast(&self) -> RwLockWriteGuard<'_, Broadcast> {
         self.shared.write().expect("readers never poison an RwLock")
+    }
+}
+
+/// The epoch schedule's drain sink: each outcome goes straight into its
+/// issuing core's hand-over vector, each command into its target shard's
+/// outbox, each invalidation into the shard's run.
+struct EpochSink<'a> {
+    route: Route,
+    outcomes: &'a mut [Vec<(u32, ReqOutcome)>],
+    outbox: &'a mut [Vec<(ReqKey, ShardCmd)>],
+    invals: &'a mut Vec<(ReqKey, InvalCmd)>,
+}
+
+impl DrainSink for EpochSink<'_> {
+    #[inline]
+    fn outcome(&mut self, key: ReqKey, outcome: ReqOutcome) {
+        self.outcomes[key.core as usize].push((key.seq, outcome));
+    }
+
+    #[inline]
+    fn cmd(&mut self, key: ReqKey, cmd: ShardCmd) {
+        let target = match cmd {
+            ShardCmd::PairUpdate { il, .. } => il,
+            ShardCmd::PairwisePrefetch { dl, .. } => dl,
+        };
+        self.outbox[self.route.shard_of(target)].push((key, cmd));
+    }
+
+    #[inline]
+    fn inval(&mut self, key: ReqKey, inval: InvalCmd) {
+        self.invals.push((key, inval));
     }
 }
 
@@ -805,7 +831,8 @@ impl Epochs<'_, '_> {
     /// Resolves every buffered request: the epoch barrier. Every
     /// request-sized buffer used here is an arena reused across barriers;
     /// the only remaining per-barrier allocations are a few unit-count-sized
-    /// vectors (lock guards and borrowed run lists).
+    /// vectors (lock guards, borrowed run lists and the merges' loser
+    /// trees).
     fn barrier(&mut self, epoch: u64) -> Result<(), EngineError> {
         let t0 = Instant::now();
         let n_shards = self.units.shards.len();
@@ -814,10 +841,11 @@ impl Epochs<'_, '_> {
         // Lend every core's lanes (and empty outcome vectors) to the shards.
         self.units.swap_core_buffers();
 
-        // Phase A: parallel per-shard merge and drain in key order, into
-        // each shard's arena-owned `DrainOut`. Each shard's merge+drain is
-        // timed individually (worker-independent: the clock spans exactly
-        // one shard's work) to feed the imbalance account.
+        // Phase A: parallel per-shard drain of the lent lanes in merged key
+        // order, straight into the cores' hand-over vectors and the target
+        // shards' outboxes. Each shard's merge+drain is timed individually
+        // (worker-independent: the clock spans exactly one shard's work) to
+        // feed the imbalance account.
         let td = Instant::now();
         self.section(Section::Drain { snap }, epoch);
         let t_drain = td.elapsed();
@@ -867,8 +895,11 @@ impl Epochs<'_, '_> {
             let shards = self.units.shards();
             let mut shared = self.units.broadcast();
             let inval_runs: Vec<&[(ReqKey, InvalCmd)]> =
-                shards.iter().map(|u| u.1.out.invals.as_slice()).collect();
-            kway_merge_into(&inval_runs, |&(k, _)| k, &mut shared.invals);
+                shards.iter().map(|u| u.1.invals.as_slice()).collect();
+            let order = &mut self.scratch.order;
+            kway_merge_order(&inval_runs, |(k, _): &(ReqKey, InvalCmd)| k.packed(), order);
+            shared.invals.clear();
+            shared.invals.extend(order.iter().map(|&p| *merge::at(&inval_runs, p)));
             self.stats.inval_cmds +=
                 shared.invals.iter().map(|(_, c)| c.others.count_ones() as u64).sum::<u64>();
         }

@@ -21,6 +21,16 @@ pub struct ReqKey {
     pub seq: u32,
 }
 
+impl ReqKey {
+    /// The key as one integer with the same order: `now`, `core` and `seq`
+    /// packed high to low into 112 bits (the barrier's merge key, see
+    /// [`super::merge`]).
+    #[inline]
+    pub fn packed(self) -> u128 {
+        (self.now as u128) << 48 | (self.core as u128) << 32 | self.seq as u128
+    }
+}
+
 /// What kind of shared-state work a request carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReqKind {

@@ -69,7 +69,7 @@ impl<'p> ParallelEngine<'p> {
         }
         let snap = super::snapshot(&self.threshold);
         let shard = &mut self.shards[0];
-        let out = &mut self.shard_bufs[0].out;
+        let out = &mut self.scratch.out;
         let cl = &mut self.clusters[k];
         let c = &mut cl.cores[i];
         shard.drain(&c.lanes[0], snap, out);

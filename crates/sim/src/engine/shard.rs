@@ -11,6 +11,7 @@
 //! emitted as [`ShardCmd`]s and applied in a second parallel pass; remote
 //! private-tier invalidations are emitted as [`InvalCmd`]s.
 
+use super::merge::{self, kway_merge_order, Pos};
 use super::request::{InvalCmd, LlcRequest, ReqKey, ReqKind, ReqOutcome, ShardCmd};
 use crate::config::SystemConfig;
 use crate::reuse::ReuseProfiler;
@@ -55,14 +56,47 @@ impl DrainOut {
     }
 }
 
-/// Lookahead distance of the software-pipelined drain: while request `i`
-/// resolves, the host-CPU rows request `i + DRAIN_LOOKAHEAD` will touch
-/// (LLC tag/flag/stamp row, pair-table bucket, D_PPN slot, oracle seen
-/// slot, DRAM channel occupancy head) are already being pulled toward L1,
-/// so row misses overlap instead of serializing. Eight lines of lookahead
-/// covers a load-to-use of a few hundred cycles at the drain's per-request
-/// cost without thrashing the L1 (same window as the step-phase batching
-/// in `private.rs`).
+/// Where a drain puts what it produces, each item as the drain resolves
+/// it (so in key order): [`DrainOut`] collects all three kinds, and the
+/// epoch schedule files outcomes and commands straight into the vectors
+/// that hand them on.
+pub trait DrainSink {
+    /// The outcome of the request keyed `key`.
+    fn outcome(&mut self, key: ReqKey, outcome: ReqOutcome);
+    /// A cross-shard command emitted by the request keyed `key`.
+    fn cmd(&mut self, key: ReqKey, cmd: ShardCmd);
+    /// A remote-copy invalidation emitted by the request keyed `key`.
+    fn inval(&mut self, key: ReqKey, inval: InvalCmd);
+}
+
+impl DrainSink for DrainOut {
+    #[inline]
+    fn outcome(&mut self, key: ReqKey, outcome: ReqOutcome) {
+        self.outcomes.push((key.core, key.seq, outcome));
+    }
+
+    #[inline]
+    fn cmd(&mut self, key: ReqKey, cmd: ShardCmd) {
+        self.cmds.push((key, cmd));
+    }
+
+    #[inline]
+    fn inval(&mut self, key: ReqKey, inval: InvalCmd) {
+        self.invals.push((key, inval));
+    }
+}
+
+/// Lookahead distance of the software-pipelined drain: the first
+/// `DRAIN_LOOKAHEAD` entries of a run are hinted before the loop starts,
+/// and while entry `i` resolves, the host-CPU rows entry
+/// `i + DRAIN_LOOKAHEAD` will touch (LLC tag/flag/recency row, pair-table
+/// bucket, D_PPN slot, oracle seen slot, DRAM channel occupancy head) are
+/// already being pulled toward L1, so row misses overlap instead of
+/// serializing. Eight entries of lookahead covers a load-to-use of a few
+/// hundred cycles at the drain's per-request cost without thrashing the L1
+/// (same window as the step-phase batching in `private.rs`); a run shorter
+/// than the window — every drain of the serial schedule — is hinted whole
+/// up front.
 pub const DRAIN_LOOKAHEAD: usize = 8;
 
 /// One LLC shard.
@@ -203,29 +237,62 @@ impl LlcShard {
 
     /// Phase A: drains `reqs` (already sorted by key, all targeting this
     /// shard) against the shard state, into the engine-owned `out` arena
-    /// (cleared first).
+    /// (cleared first). The one-run form of [`LlcShard::drain_runs`], with
+    /// no merge order to build.
+    pub fn drain(&mut self, reqs: &[LlcRequest], snap: ThresholdSnapshot, out: &mut DrainOut) {
+        out.clear();
+        self.drain_by(reqs.len(), |i| &reqs[i], snap, out);
+    }
+
+    /// Phase A over several runs (each sorted by key, all targeting this
+    /// shard): writes their merge into `order` ([`kway_merge_order`]) and
+    /// drains the requests in that order where they lie, appending what
+    /// the drain produces to `sink`. Draining the runs' materialized merge
+    /// with [`LlcShard::drain`] gives the same outcomes, commands,
+    /// invalidations and state (pinned by `tests/drain_differential.rs`).
+    pub fn drain_runs<R: AsRef<[LlcRequest]>>(
+        &mut self,
+        runs: &[R],
+        order: &mut Vec<Pos>,
+        snap: ThresholdSnapshot,
+        sink: &mut impl DrainSink,
+    ) {
+        kway_merge_order(runs, |r: &LlcRequest| r.key.packed(), order);
+        let order = order.as_slice();
+        self.drain_by(order.len(), |i| merge::at(runs, order[i]), snap, sink);
+    }
+
+    /// The drain of `n` requests, the `i`-th in key order being `req(i)`.
     ///
     /// Software-pipelined: a prologue pass batch-computes every request's
     /// shard-local set (a multiply/mask each under `SetIndexFast`), then
-    /// the resolution pass walks the run in its original order with a
+    /// the resolution pass walks the requests in order with a
     /// [`DRAIN_LOOKAHEAD`]-request window of host-CPU row hints in flight
     /// ahead of the resolution point. Hints are architecturally inert, so
     /// outcomes, commands, invalidations and stats are bit-identical to
     /// the scalar loop (pinned by `tests/drain_differential.rs` and the
     /// committed goldens).
-    pub fn drain(&mut self, reqs: &[LlcRequest], snap: ThresholdSnapshot, out: &mut DrainOut) {
-        out.clear();
+    fn drain_by<'r>(
+        &mut self,
+        n: usize,
+        req: impl Fn(usize) -> &'r LlcRequest,
+        snap: ThresholdSnapshot,
+        out: &mut impl DrainSink,
+    ) {
         self.set_scratch.clear();
-        self.set_scratch.reserve(reqs.len());
-        for r in reqs {
-            self.set_scratch.push(self.cache.set_of(r.line) as u32);
+        self.set_scratch.reserve(n);
+        for i in 0..n {
+            self.set_scratch.push(self.cache.set_of(req(i).line) as u32);
         }
-        for i in 0..reqs.len() {
-            if let Some(a) = reqs.get(i + DRAIN_LOOKAHEAD) {
-                let aset = self.set_scratch[i + DRAIN_LOOKAHEAD] as usize;
-                self.hint_request(a, aset);
+        for i in 0..n.min(DRAIN_LOOKAHEAD) {
+            self.hint_request(req(i), self.set_scratch[i] as usize);
+        }
+        for i in 0..n {
+            let ahead = i + DRAIN_LOOKAHEAD;
+            if ahead < n {
+                self.hint_request(req(ahead), self.set_scratch[ahead] as usize);
             }
-            let r = &reqs[i];
+            let r = req(i);
             let set = self.set_scratch[i] as usize;
             match r.kind {
                 ReqKind::Instr { demand } => self.drain_instr(r, set, demand, snap, out),
@@ -260,7 +327,7 @@ impl LlcShard {
     }
 
     /// Hints every host-CPU row request `r` (at shard-local set `set`) can
-    /// touch when it resolves: the LLC tag/flag/stamp rows always, plus
+    /// touch when it resolves: the LLC tag/flag/recency rows always, plus
     /// the structures its kind dispatches into — the oracle seen slot or
     /// pair-table bucket for instruction fetches and the DRAM channel
     /// occupancy head for anything that can miss to memory. Perf-only.
@@ -287,7 +354,7 @@ impl LlcShard {
         set: usize,
         demand: bool,
         snap: ThresholdSnapshot,
-        out: &mut DrainOut,
+        out: &mut impl DrainSink,
     ) {
         let ctx = AccessCtx { line: r.line, pc_sig: r.sig, is_instr: true, is_prefetch: !demand };
 
@@ -304,7 +371,7 @@ impl LlcShard {
             } else {
                 self.hit_lat + self.dram.access(r.line, r.key.now, false)
             };
-            out.outcomes.push((r.key.core, r.key.seq, ReqOutcome { latency, llc_hit: seen }));
+            out.outcome(r.key, ReqOutcome { latency, llc_hit: seen });
             return;
         }
 
@@ -326,8 +393,7 @@ impl LlcShard {
         if let Some(g) = self.gar.as_mut() {
             g.instr_access(r.line, demand && !hit, snap.color, snap.threshold, &mut self.pf_cands);
             for &dl in &self.pf_cands {
-                out.cmds
-                    .push((r.key, ShardCmd::PairwisePrefetch { dl, sig: r.sig, now: r.key.now }));
+                out.cmd(r.key, ShardCmd::PairwisePrefetch { dl, sig: r.sig, now: r.key.now });
             }
         }
 
@@ -336,7 +402,7 @@ impl LlcShard {
             self.record_sharer_frame(set, w, r.cluster as usize);
         }
         if demand {
-            out.outcomes.push((r.key.core, r.key.seq, ReqOutcome { latency, llc_hit: hit }));
+            out.outcome(r.key, ReqOutcome { latency, llc_hit: hit });
         }
     }
 
@@ -347,7 +413,7 @@ impl LlcShard {
         is_write: bool,
         il_hint: Option<LineAddr>,
         snap: ThresholdSnapshot,
-        out: &mut DrainOut,
+        out: &mut impl DrainSink,
     ) {
         let ctx = AccessCtx { line: r.line, pc_sig: r.sig, is_instr: false, is_prefetch: false };
         if let Some(p) = self.profiler.as_mut() {
@@ -359,7 +425,7 @@ impl LlcShard {
             g.stats_mut().data_accesses += 1;
             if let Some(il) = il_hint {
                 // Routed to (and counted at) the shard owning `il` in B′.
-                out.cmds.push((r.key, ShardCmd::PairUpdate { il, data_hit: hit, dl: r.line }));
+                out.cmd(r.key, ShardCmd::PairUpdate { il, data_hit: hit, dl: r.line });
             }
         }
         let (latency, way) = self.resolve(r, access, &ctx, snap);
@@ -369,7 +435,7 @@ impl LlcShard {
                 self.write_upgrade_frame(set, w, r, out);
             }
         }
-        out.outcomes.push((r.key.core, r.key.seq, ReqOutcome { latency, llc_hit: hit }));
+        out.outcome(r.key, ReqOutcome { latency, llc_hit: hit });
     }
 
     /// Directory update on a frame whose way the caller just resolved
@@ -407,7 +473,7 @@ impl LlcShard {
     /// directory re-learns its sharers. The deliberately "lost" upgrade is
     /// counted so the coherence differential battery can observe the path
     /// on both schedules.
-    fn write_upgrade(&mut self, r: &LlcRequest, set: usize, out: &mut DrainOut) {
+    fn write_upgrade(&mut self, r: &LlcRequest, set: usize, out: &mut impl DrainSink) {
         let Some(m) = self.cache.peek_mut_at(set, r.line) else {
             self.lost_upgrades += 1;
             return;
@@ -418,7 +484,13 @@ impl LlcShard {
     /// [`LlcShard::write_upgrade`] on a frame whose way the caller just
     /// resolved — no tag re-scan (the fill re-established the directory
     /// entry, so this path never loses the upgrade).
-    fn write_upgrade_frame(&mut self, set: usize, way: usize, r: &LlcRequest, out: &mut DrainOut) {
+    fn write_upgrade_frame(
+        &mut self,
+        set: usize,
+        way: usize,
+        r: &LlcRequest,
+        out: &mut impl DrainSink,
+    ) {
         let m = self.cache.frame_mut(set, way);
         Self::upgrade_frame(m, r, out);
     }
@@ -427,7 +499,7 @@ impl LlcShard {
     /// the sharer mask, move the line to Modified, and emit one
     /// [`InvalCmd`] carrying the displaced sharers (flowed back to the
     /// private tiers at the barrier).
-    fn upgrade_frame(mut m: LineMut<'_>, r: &LlcRequest, out: &mut DrainOut) {
+    fn upgrade_frame(mut m: LineMut<'_>, r: &LlcRequest, out: &mut impl DrainSink) {
         let others = m.sharers() & !(1 << r.cluster);
         if others == 0 {
             m.set_state(MesiState::Modified);
@@ -435,7 +507,7 @@ impl LlcShard {
         }
         m.set_sharers(1 << r.cluster);
         m.set_state(MesiState::Modified);
-        out.invals.push((r.key, InvalCmd { line: r.line, others }));
+        out.inval(r.key, InvalCmd { line: r.line, others });
     }
 
     /// Latency and frame of a resolved LLC access: a hit costs the tier
@@ -511,19 +583,48 @@ impl LlcShard {
     }
 
     /// Phase B′: applies cross-shard commands routed to this shard, in key
-    /// order, under the same epoch-frozen threshold snapshot.
+    /// order, under the same epoch-frozen threshold snapshot. The one-run
+    /// form of [`LlcShard::apply_cmd_runs`].
+    pub fn apply_cmds(&mut self, cmds: &[(ReqKey, ShardCmd)], snap: ThresholdSnapshot) {
+        self.apply_by(cmds.len(), |i| &cmds[i].1, snap);
+    }
+
+    /// Phase B′ over the command runs of every source shard (each sorted
+    /// by key): writes their merge into `order` and applies the commands
+    /// in that order where they lie. Same-key batches — several
+    /// pairwise-prefetch candidates of one request — come from one source
+    /// and keep its emission order.
+    pub fn apply_cmd_runs<R: AsRef<[(ReqKey, ShardCmd)]>>(
+        &mut self,
+        runs: &[R],
+        order: &mut Vec<Pos>,
+        snap: ThresholdSnapshot,
+    ) {
+        kway_merge_order(runs, |(k, _): &(ReqKey, ShardCmd)| k.packed(), order);
+        let order = order.as_slice();
+        self.apply_by(order.len(), |i| &merge::at(runs, order[i]).1, snap);
+    }
+
+    /// Applies `n` commands, the `i`-th in key order being `cmd(i)`.
     ///
     /// Pipelined like [`LlcShard::drain`]: a [`DRAIN_LOOKAHEAD`]-command
     /// window keeps the pair-table bucket and D_PPN slot of upcoming
     /// `PairUpdate`s — and the LLC row and DRAM channel head of upcoming
     /// `PairwisePrefetch`es — in flight ahead of the application point.
-    pub fn apply_cmds(&mut self, cmds: &[(ReqKey, ShardCmd)], snap: ThresholdSnapshot) {
-        for i in 0..cmds.len() {
-            if let Some(&(_, ahead)) = cmds.get(i + DRAIN_LOOKAHEAD) {
-                self.hint_cmd(ahead);
+    fn apply_by<'c>(
+        &mut self,
+        n: usize,
+        cmd: impl Fn(usize) -> &'c ShardCmd,
+        snap: ThresholdSnapshot,
+    ) {
+        for i in 0..n.min(DRAIN_LOOKAHEAD) {
+            self.hint_cmd(*cmd(i));
+        }
+        for i in 0..n {
+            if i + DRAIN_LOOKAHEAD < n {
+                self.hint_cmd(*cmd(i + DRAIN_LOOKAHEAD));
             }
-            let (_, cmd) = &cmds[i];
-            match *cmd {
+            match *cmd(i) {
                 ShardCmd::PairUpdate { il, data_hit, dl } => {
                     if let Some(g) = self.gar.as_mut() {
                         g.pair_update(il, data_hit, dl, snap.color, snap.threshold);

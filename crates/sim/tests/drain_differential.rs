@@ -10,6 +10,10 @@
 //! post-drain state pinpoints a bug in the batched prologue, the lookahead
 //! hint window, or the hoisted per-drain constants.
 //!
+//! A second property drains several key-sorted lanes in place through
+//! `LlcShard::drain_runs` (the epoch barrier's merge-order drain) and
+//! checks it against draining their materialized merge.
+//!
 //! Run with `PROPTEST_CASES=512` (the CI `differential` job) for an
 //! elevated case count.
 
@@ -25,7 +29,7 @@ use garibaldi_types::{AccessKind, LineAddr, U64Set, VirtAddr};
 use proptest::prelude::*;
 
 /// Scalar reference shard: same public components (`SetAssocCache` shard
-/// view, `PairTable`/`DppnTable` slices, one scaled `DramModel` channel,
+/// view, `PairTable`/`DppnTable` slices, the scaled `DramModel` slice,
 /// `U64Set` oracle), resolved one request at a time exactly as the
 /// pre-batching drain did.
 struct RefShard {
@@ -51,10 +55,12 @@ impl RefShard {
             CacheConfig::shard(format!("llc.s{idx}"), total_sets, base, sets, cfg.llc_ways),
             cfg.scheme.policy,
         );
+        let channels = cfg.dram.channels.max(1);
+        let slice = (channels / shards).max(1);
         let dcfg = DramConfig {
-            channels: 1,
-            transfer_occupancy: (cfg.dram.transfer_occupancy * shards as u64
-                / cfg.dram.channels.max(1) as u64)
+            channels: slice,
+            transfer_occupancy: (cfg.dram.transfer_occupancy * (shards * slice) as u64
+                / channels as u64)
                 .max(1),
             ..cfg.dram
         };
@@ -522,6 +528,90 @@ fn run_case(
     Ok(())
 }
 
+/// Deals the requests of `ops` into `k` lanes, lane `l` issuing as core
+/// `l` with its own clock (ties across lanes are common) and sequence, so
+/// each lane is key-sorted by construction. Returns the lanes and their
+/// materialized merge.
+fn build_lanes(
+    ops: &[Op],
+    k: usize,
+    total_sets: usize,
+    base: usize,
+    sets: usize,
+) -> (Vec<Vec<LlcRequest>>, Vec<LlcRequest>) {
+    let mut lanes = vec![Vec::new(); k];
+    if k == 0 {
+        return (lanes, Vec::new());
+    }
+    let mut clock = vec![0u64; k];
+    let reqs = build_requests(ops, total_sets, base, sets);
+    for (mut r, &(_, raw, aux)) in reqs.into_iter().zip(ops) {
+        let l = (raw as usize / 7 + aux as usize) % k;
+        clock[l] += aux % 3;
+        r.key = ReqKey { now: clock[l], core: l as u16, seq: lanes[l].len() as u32 };
+        lanes[l].push(r);
+    }
+    let mut merged: Vec<LlcRequest> = lanes.iter().flatten().copied().collect();
+    merged.sort_by_key(|r| r.key);
+    (lanes, merged)
+}
+
+/// Drains `k` lanes through `drain_runs` and their materialized merge
+/// through `drain` (and the scalar reference): outputs and post-state must
+/// agree. On whole-LLC geometries the drain's commands, dealt back into
+/// per-lane runs, go through `apply_cmd_runs` against `apply_cmds` of the
+/// merged stream.
+fn run_lanes_case(
+    scheme_idx: usize,
+    geom_idx: usize,
+    snap: ThresholdSnapshot,
+    ops: &[Op],
+    k: usize,
+) -> Result<(), TestCaseError> {
+    let (total_sets, shards, idx, ways) = GEOMETRIES[geom_idx % GEOMETRIES.len()];
+    let cfg = test_cfg(scheme_idx, ways);
+    let (base, sets) = shard_range(total_sets, shards, idx);
+    let (lanes, merged) = build_lanes(ops, k, total_sets, base, sets);
+
+    let mut touched: Vec<LineAddr> = merged.iter().map(|r| r.line).collect();
+    for r in &merged {
+        if let ReqKind::Data { il_hint: Some(il), .. } = r.kind {
+            touched.push(il);
+        }
+    }
+
+    let mut sh = LlcShard::new(&cfg, idx, shards, total_sets);
+    let mut flat = LlcShard::new(&cfg, idx, shards, total_sets);
+    let mut rf = RefShard::new(&cfg, idx, shards, total_sets);
+    let (mut out, mut flat_out, mut rout) =
+        (DrainOut::default(), DrainOut::default(), DrainOut::default());
+    let mut order = vec![(7, 7); 3];
+    sh.drain_runs(&lanes, &mut order, snap, &mut out);
+    flat.drain(&merged, snap, &mut flat_out);
+    rf.drain(&merged, snap, &mut rout);
+
+    prop_assert_eq!(order.len(), merged.len(), "one order entry per request");
+    prop_assert_eq!(&out.outcomes, &flat_out.outcomes, "merge-order outcomes diverged");
+    prop_assert_eq!(&out.cmds, &flat_out.cmds, "merge-order cmds diverged");
+    prop_assert_eq!(&out.invals, &flat_out.invals, "merge-order invals diverged");
+    prop_assert_eq!(&out.outcomes, &rout.outcomes, "reference outcomes diverged");
+    assert_same_state(&sh, &rf, &touched)?;
+    assert_same_state(&flat, &rf, &touched)?;
+
+    if shards == 1 {
+        let mut runs = vec![Vec::new(); k.max(1)];
+        for &(key, cmd) in &out.cmds {
+            let (ShardCmd::PairwisePrefetch { dl, .. } | ShardCmd::PairUpdate { il: dl, .. }) = cmd;
+            touched.push(dl);
+            runs[key.core as usize].push((key, cmd));
+        }
+        sh.apply_cmd_runs(&runs, &mut order, snap);
+        rf.apply_cmds(&rout.cmds, snap);
+        assert_same_state(&sh, &rf, &touched)?;
+    }
+    Ok(())
+}
+
 proptest! {
     /// Random request soups across schemes × geometries × epoch snapshots.
     #[test]
@@ -533,6 +623,20 @@ proptest! {
         threshold in 0u32..64,
     ) {
         run_case(scheme_idx, geom_idx, ThresholdSnapshot { color, threshold }, &ops)?;
+    }
+
+    /// Several key-sorted lanes drained in place through the merge order
+    /// match draining their materialized merge.
+    #[test]
+    fn merge_order_drain_matches_materialized_merge(
+        ops in prop::collection::vec((0u8..8, 0u64..512, 0u64..1024), 1..400),
+        k in 0usize..12,
+        scheme_idx in 0usize..SCHEMES,
+        geom_idx in 0usize..GEOMETRIES.len(),
+        color in 0u8..8,
+        threshold in 0u32..64,
+    ) {
+        run_lanes_case(scheme_idx, geom_idx, ThresholdSnapshot { color, threshold }, &ops, k)?;
     }
 
     /// Synthetic command soups through `apply_cmds` on a whole-LLC view:
@@ -591,6 +695,9 @@ fn batched_drain_matches_reference_fixed_sequence() {
         for geom_idx in 0..GEOMETRIES.len() {
             let snap = ThresholdSnapshot { color: (geom_idx % 8) as u8, threshold: 24 };
             run_case(scheme_idx, geom_idx, snap, &ops).unwrap();
+            for k in [0, 1, 2, 5, 40] {
+                run_lanes_case(scheme_idx, geom_idx, snap, &ops, k).unwrap();
+            }
         }
     }
 }

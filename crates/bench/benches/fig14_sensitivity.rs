@@ -4,8 +4,7 @@
 //! (b) protection threshold {Mockingjay-only, AllProtect, −16, +0, +16, dynamic};
 //! (c) pair-table entries {2⁶, 2¹⁰, 2¹⁴, 2¹⁸};
 //! (d) instruction way-partitioning {0..8 ways} vs Garibaldi;
-//! plus the protection-only / prefetch-only ablation called out in
-//! DESIGN.md §5.
+//! plus a protection-only / prefetch-only ablation (not a paper panel).
 //!
 //! Runs `MIXES` = 8 random server mixes (paper: 30).
 

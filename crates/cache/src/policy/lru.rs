@@ -24,8 +24,8 @@ impl Lru {
     /// are the cache's way masks).
     pub fn new(sets: usize, ways: usize) -> Self {
         assert!(ways <= 64, "{ways} ways exceed the 64-bit way masks");
-        let row = (0..ways).map(|w| (ways - 1 - w) as u8);
-        Self { ways, rank: row.cycle().take(sets * ways).collect() }
+        let row: Vec<u8> = (0..ways).map(|w| (ways - 1 - w) as u8).collect();
+        Self { ways, rank: row.repeat(sets) }
     }
 
     /// Hints the host CPU to pull this set's rank row into its cache

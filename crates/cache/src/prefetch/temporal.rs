@@ -30,6 +30,9 @@ pub struct TemporalPrefetcher {
 }
 
 impl TemporalPrefetcher {
+    /// Most lines one miss predicts (the successors remembered per line).
+    pub const SUCCESSORS: usize = SUCCESSORS;
+
     /// Creates an empty temporal prefetcher.
     pub fn new() -> Self {
         Self { table: U64Table::new(), last_miss: None }

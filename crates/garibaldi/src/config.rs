@@ -59,7 +59,7 @@ pub struct GaribaldiConfig {
     /// Miss-cost increment applied per paired data *hit* (paper: 1).
     /// Scaled experiments use 2 to compensate for their ~30× lower
     /// per-entry update density versus the paper's 3.2 B-instruction runs;
-    /// see DESIGN.md §5.
+    /// see `docs/ARCHITECTURE.md` "Fidelity notes".
     pub cost_hit_step: u32,
     /// Miss-cost decrement applied per paired data *miss* (paper: 1).
     pub cost_miss_step: u32,

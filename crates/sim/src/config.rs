@@ -160,7 +160,8 @@ impl SystemConfig {
         if let Some(g) = scheme.garibaldi.as_mut() {
             g.color_period = scale.color_period;
             // Scaled runs are ~30× shorter than the paper's: compensate the
-            // pair table's per-entry update density (DESIGN.md §5).
+            // pair table's per-entry update density (docs/ARCHITECTURE.md
+            // "Fidelity notes" gives the reason and what it moves).
             if scale.factor < 1.0 {
                 g.cost_hit_step = 2;
             }
@@ -379,16 +380,19 @@ impl EngineChoice {
     }
 
     /// Stable identity string for checkpoint keys and reports:
-    /// `"serial-v2"` or `"sharded-s<shards>-e<epoch>-ewma[-k<sync_every>]"`
-    /// (the sync suffix only for `sync_every != 1`). The serial tag names
-    /// the min-clock schedule over the engine's tier and shard code; rows
-    /// minted under the bare `"serial"` tag came from an earlier serial
-    /// model and must never hit. The default parallel profile's tag,
-    /// `sharded-s8-e20000-ewma-k8`, is the one earlier builds minted for
-    /// the same model, so existing checkpoint rows keep hitting. Worker
-    /// count is deliberately excluded — it never changes simulated results
-    /// (the determinism contract), so runs under different worker counts
-    /// may share rows.
+    /// `"serial-v2"` or
+    /// `"sharded-s<shards>-e<epoch>-ewma[-k<sync_every>]-b<budget>"` (the
+    /// sync suffix only for `sync_every != 1`; the budget is
+    /// [`crate::engine::private::EPOCH_REQUEST_BUDGET`]). The serial tag
+    /// names the min-clock schedule over the engine's tier and shard code;
+    /// rows minted under the bare `"serial"` tag came from an earlier
+    /// serial model and must never hit. Likewise rows minted under a
+    /// parallel tag without the budget suffix (the default profile's
+    /// `sharded-s8-e20000-ewma-k8`) came from the epoch schedule before it
+    /// capped each core's requests per epoch, and must never hit either.
+    /// Worker count is deliberately excluded — it never changes simulated
+    /// results (the determinism contract), so runs under different worker
+    /// counts may share rows.
     pub fn tag(&self) -> String {
         match self {
             Self::Serial => "serial-v2".to_string(),
@@ -397,6 +401,7 @@ impl EngineChoice {
                 if e.sync_every != 1 {
                     t.push_str(&format!("-k{}", e.sync_every));
                 }
+                t.push_str(&format!("-b{}", crate::engine::private::EPOCH_REQUEST_BUDGET));
                 t
             }
         }
@@ -563,16 +568,17 @@ mod tests {
     fn engine_choice_tags() {
         // The serial model changed under the bare "serial" tag's rows.
         assert_eq!(EngineChoice::Serial.tag(), "serial-v2");
-        // The default profile keeps the tag earlier builds minted for it.
+        // The request budget changed the epoch schedule under the
+        // unsuffixed parallel tags' rows.
         let e = EngineConfig { workers: 9, ..EngineConfig::default() };
         assert_eq!(
             EngineChoice::Parallel(e).tag(),
-            "sharded-s8-e20000-ewma-k8",
+            "sharded-s8-e20000-ewma-k8-b1024",
             "workers excluded"
         );
         let e = EngineConfig { epoch_cycles: 50_000, sync_every: 1, ..e };
-        assert_eq!(EngineChoice::Parallel(e).tag(), "sharded-s8-e50000-ewma");
+        assert_eq!(EngineChoice::Parallel(e).tag(), "sharded-s8-e50000-ewma-b1024");
         let e = EngineConfig { llc_shards: 2, sync_every: 3, ..e };
-        assert_eq!(EngineChoice::Parallel(e).tag(), "sharded-s2-e50000-ewma-k3");
+        assert_eq!(EngineChoice::Parallel(e).tag(), "sharded-s2-e50000-ewma-k3-b1024");
     }
 }

@@ -35,6 +35,10 @@ pub struct InstrPrefetchEngine {
 }
 
 impl InstrPrefetchEngine {
+    /// Most candidates one [`InstrPrefetchEngine::on_miss`] returns: the
+    /// temporal successors plus the sequential run-ahead.
+    pub const MAX_CANDIDATES: usize = TemporalPrefetcher::SUCCESSORS + IPF_RUNAHEAD as usize;
+
     /// Candidate VAs to prefetch after an L1I miss at `pc`.
     pub fn on_miss(&mut self, pc: VirtAddr, out: &mut Vec<VirtAddr>) {
         let vline = LineAddr::new(pc.get() / LINE_BYTES);

@@ -176,6 +176,11 @@ pub struct EngineStats {
     /// first one already removed. Unlike the wall-clock fields this is
     /// reset at the warmup boundary, like the simulated-outcome stats.
     pub inval_cmds: u64,
+    /// The most requests one barrier drained, warmup included. The epoch
+    /// schedule bounds it by `cores × (EPOCH_REQUEST_BUDGET +
+    /// RECORD_REQUEST_CEILING)` ([`private::EPOCH_REQUEST_BUDGET`]), and
+    /// every barrier buffer is sized by it.
+    pub peak_barrier_requests: u64,
 }
 
 impl EngineStats {
@@ -363,18 +368,23 @@ impl<'p> Units<'p> {
     /// shards the requests and empty outcome vectors; after it, it returns
     /// the emptied lanes and the filled outcomes. Each buffer has one
     /// owner between barriers, so there is one set of them, not two.
-    fn swap_core_buffers(&self) {
+    /// Returns the number of requests the cores' lanes held (0 on the
+    /// return swap).
+    fn swap_core_buffers(&self) -> u64 {
         let mut shards = self.shards();
+        let mut requests = 0;
         for mut cl in self.clusters() {
             for c in cl.cores.iter_mut() {
                 let g = c.id().index();
                 let lent = c.lanes.iter_mut().zip(c.drained.iter_mut());
                 for ((lane, drained), u) in lent.zip(shards.iter_mut()) {
+                    requests += lane.len() as u64;
                     std::mem::swap(lane, &mut u.1.lanes[g]);
                     std::mem::swap(drained, &mut u.1.outcomes[g]);
                 }
             }
         }
+        requests
     }
 
     /// Swaps every shard's outgoing command run for each target with the
@@ -792,7 +802,8 @@ impl Epochs<'_, '_> {
             let d = &self.stats;
             eprintln!(
                 "[engine] target={target} epochs={} step={:.3}s barrier={:.3}s \
-                 (drain={:.3}s merge={:.3}s apply={:.3}s serial={:.3}s syncs={})",
+                 (drain={:.3}s merge={:.3}s apply={:.3}s serial={:.3}s syncs={}) \
+                 peak_barrier_requests={}",
                 d.epochs - before.epochs,
                 d.step_s - before.step_s,
                 d.barrier_s() - before.barrier_s(),
@@ -801,6 +812,7 @@ impl Epochs<'_, '_> {
                 d.apply_s - before.apply_s,
                 d.serial_s - before.serial_s,
                 d.learned_syncs - before.learned_syncs,
+                d.peak_barrier_requests,
             );
             if let Some((max, mean)) = d.drain_imbalance() {
                 eprintln!(
@@ -839,7 +851,8 @@ impl Epochs<'_, '_> {
         let snap = snapshot(self.threshold);
 
         // Lend every core's lanes (and empty outcome vectors) to the shards.
-        self.units.swap_core_buffers();
+        let requests = self.units.swap_core_buffers();
+        self.stats.peak_barrier_requests = self.stats.peak_barrier_requests.max(requests);
 
         // Phase A: parallel per-shard drain of the lent lanes in merged key
         // order, straight into the cores' hand-over vectors and the target

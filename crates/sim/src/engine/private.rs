@@ -31,6 +31,41 @@ use garibaldi_trace::{SharedAddressSpace, TraceGenerator, TraceRecord, MAX_DATA_
 use garibaldi_types::fastdiv::FastDiv;
 use garibaldi_types::{CoreId, LineAddr, VirtAddr};
 
+/// Requests a core may buffer between two barriers on the epoch schedule.
+/// [`ClusterSim::step_epoch`] stops stepping a core once it has issued this
+/// many since its last correction; the core finishes its window in the
+/// next epoch, whose horizon `advance_to` recomputes from the smallest
+/// unfinished clock. Until the first barrier every core charges the cold
+/// LLC-hit estimate, so without the budget a core could buffer thousands of
+/// requests in one epoch; with it a barrier holds at most
+/// `cores × (EPOCH_REQUEST_BUDGET + RECORD_REQUEST_CEILING)` requests, which
+/// bounds every lane, outcome, outbox and merge-order buffer. The rule is a
+/// function of the simulated state only, so it keeps worker-count
+/// invariance. The serial schedule never buffers across records and
+/// ignores it.
+pub const EPOCH_REQUEST_BUDGET: u32 = 1024;
+
+/// Prefetch degree of each core's L1D next-line prefetcher.
+const L1D_PF_DEGREE: u32 = 2;
+
+/// Prefetch degree of each cluster's L2 GHB prefetcher.
+const L2_PF_DEGREE: u32 = 2;
+
+/// Most LLC requests one record can issue, counted over
+/// `ClusterSim::step_core`'s emit sites:
+/// - the instruction fetch: the demand request (or the L2-hit directory
+///   update) plus the dirty writeback of the L2 line its fill displaces;
+/// - each frontend prefetch candidate: its request plus that writeback;
+/// - each data reference: one probe per L1D and per L2 prefetch
+///   candidate, then the demand request (or a directory update) plus the
+///   writeback.
+pub const RECORD_REQUEST_CEILING: u32 = {
+    let ifetch = 2;
+    let frontend = 2 * InstrPrefetchEngine::MAX_CANDIDATES as u32;
+    let data = L1D_PF_DEGREE + L2_PF_DEGREE + 2;
+    ifetch + frontend + MAX_DATA_REFS as u32 * data
+};
+
 /// Where a core's records come from: a live synthetic walk or a replayed
 /// dump (`garibaldi-cli --replay`). Replay streams wrap around when the
 /// run is longer than the dump.
@@ -377,8 +412,10 @@ impl<'p> ClusterSim<'p> {
                 CacheConfig::from_capacity(format!("l2c{cluster}"), cfg.l2_bytes, cfg.l2_ways),
                 PolicyKind::Lru,
             ),
-            l1d_pf: (0..n).map(|_| NextLinePrefetcher::new(2).trigger_on_hits()).collect(),
-            l2_pf: GhbPrefetcher::new(2),
+            l1d_pf: (0..n)
+                .map(|_| NextLinePrefetcher::new(L1D_PF_DEGREE).trigger_on_hits())
+                .collect(),
+            l2_pf: GhbPrefetcher::new(L2_PF_DEGREE),
             helpers: cfg.scheme.garibaldi.as_ref().map(|g| {
                 (0..n).map(|_| HelperTable::new(g.helper_entries, g.helper_ways)).collect()
             }),
@@ -438,13 +475,16 @@ impl<'p> ClusterSim<'p> {
     }
 
     /// Advances the cluster's cores under min-clock scheduling until every
-    /// core has either reached `target` records or the epoch horizon.
+    /// core has reached `target` records, the epoch horizon or its
+    /// [`EPOCH_REQUEST_BUDGET`].
     pub fn step_epoch(&mut self, epoch_end: f64, target: u64) {
         loop {
             let mut best: Option<usize> = None;
             let mut best_clock = f64::INFINITY;
             for (i, c) in self.cores.iter().enumerate() {
-                if c.records < target && c.clock < epoch_end && c.clock < best_clock {
+                let eligible =
+                    c.records < target && c.clock < epoch_end && c.seq < EPOCH_REQUEST_BUDGET;
+                if eligible && c.clock < best_clock {
                     best_clock = c.clock;
                     best = Some(i);
                 }
@@ -462,6 +502,7 @@ impl<'p> ClusterSim<'p> {
         let cfg = &self.cfg;
         let tier = &mut self.tier;
         let c = &mut self.cores[i];
+        let seq0 = c.seq;
         let rec = c.src.next_record();
         let il_pa = c.asp.translate_line(rec.pc);
         let sig = sig(c.id, rec.pc);
@@ -481,7 +522,7 @@ impl<'p> ClusterSim<'p> {
         if cfg.l1i_prefetcher && est_lat > cfg.l1_latency {
             let mut out = std::mem::take(&mut c.ipf_out);
             c.ipf.on_miss(rec.pc, &mut out);
-            let mut pas = [LineAddr::new(0); 8];
+            let mut pas = [LineAddr::new(0); InstrPrefetchEngine::MAX_CANDIDATES];
             let npf = out.len().min(pas.len());
             for (slot, &va) in pas.iter_mut().zip(out.iter()) {
                 *slot = c.asp.translate_line(va);
@@ -533,6 +574,11 @@ impl<'p> ClusterSim<'p> {
         c.stack.branch += branch;
         c.instrs += rec.instrs as u64;
         c.records += 1;
+        debug_assert!(
+            c.seq - seq0 <= RECORD_REQUEST_CEILING,
+            "one record issued {} LLC requests",
+            c.seq - seq0
+        );
 
         if ifetch_seq.is_some() || refs[..n].iter().any(|r| r.seq.is_some()) {
             c.pending.push(PendingRecord {

@@ -413,7 +413,7 @@ mod tests {
         assert!(jobs[..4].iter().all(|j| j.engine == EngineChoice::Serial));
         let default = EngineChoice::Parallel(EngineConfig::default());
         assert!(jobs[4..].iter().all(|j| j.engine == default));
-        assert_eq!(jobs[4].key, "fidelity/sharded-s8-e20000-ewma-k8/c2r4000f0.1/fig12/a/LRU");
+        assert_eq!(jobs[4].key, "fidelity/sharded-s8-e20000-ewma-k8-b1024/c2r4000f0.1/fig12/a/LRU");
         let mut keys: Vec<&str> = jobs.iter().map(|j| j.key.as_str()).collect();
         keys.sort_unstable();
         keys.dedup();

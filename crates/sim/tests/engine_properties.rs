@@ -7,6 +7,7 @@
 use garibaldi::{GaribaldiConfig, ThreadPmu, ThresholdState, ThresholdUnit};
 use garibaldi_cache::PolicyKind;
 use garibaldi_sim::engine::estimate::{Ewma, StreamClass};
+use garibaldi_sim::engine::private::{EPOCH_REQUEST_BUDGET, RECORD_REQUEST_CEILING};
 use garibaldi_sim::engine::replay::{
     close_periods, period_cuts, replay_core, DemandKind, DemandReq,
 };
@@ -15,6 +16,7 @@ use garibaldi_sim::metrics::ConditionalMatrix;
 use garibaldi_sim::{
     EngineChoice, EngineConfig, ExperimentScale, LlcScheme, SimRunner, SystemConfig,
 };
+use garibaldi_trace::registry::SPEC_NAMES;
 use garibaldi_trace::{TraceRecord, WorkloadMix};
 use garibaldi_types::{RwKind, ThreadId, VirtAddr};
 use proptest::prelude::*;
@@ -75,6 +77,26 @@ fn arb_period() -> impl Strategy<Value = u64> {
     (0usize..3, 2u64..8, 45u64..90).prop_map(|(i, few, many)| [1, few, many][i])
 }
 
+/// Registry profiles the barrier-bound property draws its mixes from:
+/// the SPEC profiles, whose cold first epoch buffers the most requests,
+/// then a server and a shared-data profile.
+fn mix_profiles() -> Vec<&'static str> {
+    SPEC_NAMES.iter().copied().chain(["tpcc", "barnes"]).collect()
+}
+
+/// Random registry mixes of 2–5 cores, mostly SPEC: each core takes a SPEC
+/// profile, or with probability one half any profile of [`mix_profiles`].
+fn arb_mix() -> impl Strategy<Value = Vec<String>> {
+    let n = mix_profiles().len();
+    prop::collection::vec((0..SPEC_NAMES.len(), 0..n, prop::bool::ANY), 2..6).prop_map(|picks| {
+        let names = mix_profiles();
+        picks
+            .into_iter()
+            .map(|(spec, any, odd)| names[if odd { any } else { spec }].to_string())
+            .collect()
+    })
+}
+
 fn runner(scheme: LlcScheme) -> SimRunner {
     let scale = ExperimentScale { cores: CORES, ..ExperimentScale::smoke() };
     let cfg = SystemConfig::scaled(&scale, scheme);
@@ -115,6 +137,35 @@ proptest! {
                 "workers={} epoch={} sync_every={}",
                 workers, epoch, sync_every
             );
+        }
+    }
+
+    /// The request budget bounds every barrier: over random registry mixes
+    /// no barrier drains more than `cores × (EPOCH_REQUEST_BUDGET +
+    /// RECORD_REQUEST_CEILING)` requests, warmup included, whatever the
+    /// worker count, and the budget keeps results byte-identical across
+    /// worker counts. The warmup is long enough that without the budget a
+    /// SPEC core's first epoch, charged the cold LLC-hit estimate, would
+    /// buffer well past it.
+    #[test]
+    fn barrier_requests_stay_within_the_budget_bound(mix in arb_mix(), seed in 0u64..1_000) {
+        let cores = mix.len();
+        let scale = ExperimentScale { cores, ..ExperimentScale::smoke() };
+        let cfg = SystemConfig::scaled(&scale, LlcScheme::mockingjay_garibaldi());
+        let r = SimRunner::new(cfg, WorkloadMix { slots: mix.clone() }, seed);
+        let bound = cores as u64 * u64::from(EPOCH_REQUEST_BUDGET + RECORD_REQUEST_CEILING);
+        let run = |w| r.run_parallel_stats(400, 1_600, &EngineConfig::with_workers(w));
+        let (base, stats) = run(1);
+        prop_assert!(stats.peak_barrier_requests > 0, "{:?}: no barrier drained", mix);
+        prop_assert!(
+            stats.peak_barrier_requests <= bound,
+            "{:?}: a barrier drained {} requests, bound {}",
+            mix, stats.peak_barrier_requests, bound
+        );
+        for workers in [2usize, 3] {
+            let (other, s) = run(workers);
+            prop_assert_eq!(&base, &other, "{:?} workers={}", mix, workers);
+            prop_assert_eq!(s.peak_barrier_requests, stats.peak_barrier_requests);
         }
     }
 

@@ -8,8 +8,8 @@
 //! the **many-to-few** instruction/data access pattern of server workloads
 //! (many cold instruction lines each triggering a few hot, shared data lines)
 //! and the **few-to-many** pattern of SPEC (a few hot instruction lines
-//! streaming over many data lines). See DESIGN.md §1 for the substitution
-//! argument.
+//! streaming over many data lines). `docs/ARCHITECTURE.md` §"Fidelity notes
+//! (vs the paper)" states what the substitution keeps and what it gives up.
 //!
 //! # Examples
 //!

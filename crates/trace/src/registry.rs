@@ -1,8 +1,9 @@
 //! Registry of named workload profiles (paper Table 3 + SPEC comparators).
 //!
 //! Parameter values are calibrated so that the *population statistics* of
-//! generated traces reproduce the paper's Fig 3 aggregates — see
-//! EXPERIMENTS.md for paper-vs-measured numbers. Highlights:
+//! generated traces reproduce the paper's Fig 3 aggregates — the
+//! `calibrate` binary (`cargo run --release -p garibaldi-sim --bin
+//! calibrate`) prints the paper-vs-measured numbers. Highlights:
 //!
 //! * `verilator` — very large, flat instruction footprint over a small, very
 //!   hot data set: the strongest instruction-victim case (65 % speedup with

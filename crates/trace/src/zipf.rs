@@ -8,12 +8,19 @@ use rand::Rng;
 
 /// A Zipf(α) sampler over ranks `0..n` using a precomputed CDF.
 ///
-/// Sampling is O(log n) via binary search; construction is O(n). For the
-/// footprints used here (≤ a few hundred thousand items) this is both fast
-/// and exact, which keeps trace generation deterministic across platforms.
+/// A draw is the first rank whose CDF reaches a uniform `u`, found through
+/// a guide table (Chen and Asau's indexed search): `m` buckets, `m` the
+/// largest power of two ≤ max(n / 4, 1), where `guide[j]` is the first rank
+/// whose CDF reaches `j / m`. `u` falls in each bucket with probability
+/// `1 / m`, so a draw binary-searches fewer than 8 ranks on average instead
+/// of all n, and returns exactly the rank a search of the whole CDF
+/// returns. The guide adds about one byte per rank to the CDF's eight.
+/// Construction is O(n). The search is exact, which keeps trace generation
+/// deterministic across platforms.
 #[derive(Debug, Clone)]
 pub struct Zipf {
     cdf: Vec<f64>,
+    guide: Vec<u32>,
 }
 
 impl Zipf {
@@ -41,7 +48,20 @@ impl Zipf {
         if let Some(last) = cdf.last_mut() {
             *last = 1.0;
         }
-        Self { cdf }
+        // A power-of-two count makes every `j / m` and `u * m` exact, so
+        // the bucket of `u` always brackets its rank.
+        let m = 1usize << (n / 4).max(1).ilog2();
+        let mut guide = Vec::with_capacity(m + 1);
+        let mut rank = 0;
+        for j in 0..=m {
+            let edge = j as f64 / m as f64;
+            // The last CDF entry is 1.0 ≥ every edge, so `rank` stays < n.
+            while cdf[rank] < edge {
+                rank += 1;
+            }
+            guide.push(u32::try_from(rank).expect("zipf ranks fit in u32"));
+        }
+        Self { cdf, guide }
     }
 
     /// Number of ranks.
@@ -58,9 +78,17 @@ impl Zipf {
 
     /// Draws a rank in `0..len()`; rank 0 is the most popular.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        let u: f64 = rng.gen();
-        // partition_point returns the first index with cdf > u.
-        self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1)
+        self.rank_of(rng.gen())
+    }
+
+    /// The first rank whose CDF reaches `u ∈ [0, 1)`: the same rank as
+    /// `cdf.partition_point(|&c| c < u)`, searched within `u`'s bucket.
+    #[inline]
+    fn rank_of(&self, u: f64) -> usize {
+        let m = self.guide.len() - 1;
+        let j = (u * m as f64) as usize;
+        let (lo, hi) = (self.guide[j] as usize, self.guide[j + 1] as usize);
+        lo + self.cdf[lo..hi].partition_point(|&c| c < u)
     }
 }
 
@@ -103,6 +131,26 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(3);
         for _ in 0..1000 {
             assert!(z.sample(&mut rng) < 7);
+        }
+    }
+
+    #[test]
+    fn guide_search_equals_a_full_cdf_search() {
+        let mut rng = SmallRng::seed_from_u64(5);
+        for alpha in [0.0, 0.4, 1.0, 1.4] {
+            for n in [1, 2, 7, 1000, 120_000] {
+                let z = Zipf::new(n, alpha);
+                let m = z.guide.len() - 1;
+                assert!(m.is_power_of_two() && m <= n, "n={n}: {m} buckets");
+                let full = |u: f64| z.cdf.partition_point(|&c| c < u);
+                // Every bucket edge, and the largest value below each.
+                let edges = (0..m).map(|j| j as f64 / m as f64);
+                let below = (1..=m).map(|j| (j as f64 / m as f64).next_down());
+                let random = (0..20_000).map(|_| rng.gen::<f64>());
+                for u in edges.chain(below).chain(random) {
+                    assert_eq!(z.rank_of(u), full(u), "alpha={alpha} n={n} u={u}");
+                }
+            }
         }
     }
 

@@ -13,7 +13,7 @@ type Job = Box<dyn FnOnce() -> (String, usize, garibaldi_sim::CpiStack) + Send>;
 
 fn main() {
     let scale = ExperimentScale::from_env();
-    println!("[engine] {} (GARIBALDI_ENGINE=serial for the min-clock reference)", engine_tag());
+    println!("[engine] {} (GARIBALDI_ENGINE=parallel for the epoch-sharded engine)", engine_tag());
     let spec = ["gcc", "gobmk", "bwaves", "lbm", "cam4", "wrf"];
     let server = ["noop", "tpcc", "cassandra", "kafka", "tomcat", "verilator", "dotty", "xalan"];
 

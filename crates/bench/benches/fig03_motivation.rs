@@ -34,7 +34,7 @@ fn oracle(scale: &ExperimentScale, w: &str) -> RunResult {
 
 fn main() {
     let scale = ExperimentScale::from_env();
-    println!("[engine] {} (GARIBALDI_ENGINE=serial for the min-clock reference)", engine_tag());
+    println!("[engine] {} (GARIBALDI_ENGINE=parallel for the epoch-sharded engine)", engine_tag());
     let spec = ["gcc", "gobmk", "bwaves", "lbm"];
     let server = ["noop", "tpcc", "cassandra", "kafka", "verilator", "xalan", "dotty", "tomcat"];
 

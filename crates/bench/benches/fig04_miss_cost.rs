@@ -9,7 +9,7 @@ use garibaldi_trace::{registry, WorkloadMix};
 
 fn main() {
     let scale = ExperimentScale::from_env();
-    println!("[engine] {} (GARIBALDI_ENGINE=serial for the min-clock reference)", engine_tag());
+    println!("[engine] {} (GARIBALDI_ENGINE=parallel for the epoch-sharded engine)", engine_tag());
     let jobs: Vec<Box<dyn FnOnce() -> (String, RunResult) + Send>> = registry::SERVER_NAMES
         .iter()
         .map(|&w| {

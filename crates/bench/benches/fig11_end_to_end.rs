@@ -23,7 +23,7 @@ const MIXES: usize = 20;
 
 fn main() {
     let scale = ExperimentScale::from_env();
-    println!("[engine] {} (GARIBALDI_ENGINE=serial for the min-clock reference)", engine_tag());
+    println!("[engine] {} (GARIBALDI_ENGINE=parallel for the epoch-sharded engine)", engine_tag());
     let mixes = random_server_mixes(MIXES, scale.cores, 77);
 
     let schemes = [

@@ -24,7 +24,7 @@ fn garibaldi_with(f: impl FnOnce(&mut GaribaldiConfig)) -> LlcScheme {
 
 fn main() {
     let scale = ExperimentScale::from_env();
-    println!("[engine] {} (GARIBALDI_ENGINE=serial for the min-clock reference)", engine_tag());
+    println!("[engine] {} (GARIBALDI_ENGINE=parallel for the epoch-sharded engine)", engine_tag());
     let mixes = random_server_mixes(MIXES, scale.cores, 99);
 
     // (label, scheme, partition_ways)

@@ -8,7 +8,7 @@ use garibaldi_trace::server_spec_mix;
 
 fn main() {
     let scale = ExperimentScale::from_env();
-    println!("[engine] {} (GARIBALDI_ENGINE=serial for the min-clock reference)", engine_tag());
+    println!("[engine] {} (GARIBALDI_ENGINE=parallel for the epoch-sharded engine)", engine_tag());
 
     // (a) server percentage sweep.
     let pcts = [0u32, 25, 50, 75, 100];

@@ -9,7 +9,7 @@ use garibaldi_trace::WorkloadMix;
 
 fn main() {
     let scale = ExperimentScale::from_env();
-    println!("[engine] {} (GARIBALDI_ENGINE=serial for the min-clock reference)", engine_tag());
+    println!("[engine] {} (GARIBALDI_ENGINE=parallel for the epoch-sharded engine)", engine_tag());
     let server8 =
         ["noop", "smallbank", "tpcc", "voter", "kafka", "verilator", "finagle-http", "tomcat"];
     let factors = [0.5f64, 1.0, 1.25, 1.5, 2.0];

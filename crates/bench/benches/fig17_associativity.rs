@@ -7,7 +7,7 @@ use garibaldi_trace::WorkloadMix;
 
 fn main() {
     let scale = ExperimentScale::from_env();
-    println!("[engine] {} (GARIBALDI_ENGINE=serial for the min-clock reference)", engine_tag());
+    println!("[engine] {} (GARIBALDI_ENGINE=parallel for the epoch-sharded engine)", engine_tag());
     let server8 =
         ["noop", "sibench", "twitter", "voter", "finagle-http", "tomcat", "verilator", "tpcc"];
     let ways = [6usize, 12, 24, 48];

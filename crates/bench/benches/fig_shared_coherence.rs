@@ -15,7 +15,7 @@ use garibaldi_trace::registry;
 
 fn main() {
     let scale = ExperimentScale::from_env();
-    println!("[engine] {} (GARIBALDI_ENGINE=serial for the min-clock reference)", engine_tag());
+    println!("[engine] {} (GARIBALDI_ENGINE=parallel for the epoch-sharded engine)", engine_tag());
     let schemes = [
         LlcScheme::plain(PolicyKind::Lru),
         LlcScheme::plain(PolicyKind::Drrip),

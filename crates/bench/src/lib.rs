@@ -9,12 +9,14 @@
 //! half-size 8-core configuration — and switch to the paper's full Table 1
 //! system under `GARIBALDI_FULL=1`.
 //!
-//! Engine: since the fidelity study (`docs/fidelity/`, ARCHITECTURE.md
-//! §"Fidelity") every figure target defaults to the **epoch-sharded
-//! parallel engine**'s one profile ([`EngineConfig::default`]).
-//! `GARIBALDI_ENGINE=serial` is the escape hatch back to the serial
-//! min-clock reference; `GARIBALDI_WORKERS` sets the threads per run (see
-//! [`bench_engine`] and `garibaldi_sim::knobs`).
+//! Engine: every figure target defaults to the **serial min-clock
+//! reference** engine, so each figure shows the reference model's sign: the
+//! epoch-sharded engine's error (≤ 2 %, `docs/fidelity/`) is larger than
+//! Garibaldi's whole effect, and at one worker it runs no faster than the
+//! serial engine. `GARIBALDI_ENGINE=parallel` opts into the parallel
+//! engine's one profile ([`EngineConfig::default`]), and `GARIBALDI_WORKERS`
+//! selects it with that many threads per run (see [`bench_engine`] and
+//! `garibaldi_sim::knobs`).
 
 #![warn(missing_docs)]
 
@@ -28,10 +30,11 @@ pub use garibaldi_sim::{
 };
 
 /// The engine every bench run uses: [`EngineChoice::from_env_or`] with a
-/// **parallel** default — the fidelity-validated [`EngineConfig::default`]
-/// profile. Set `GARIBALDI_ENGINE=serial` for the serial reference engine.
+/// **serial** default — the min-clock reference engine. Set
+/// `GARIBALDI_ENGINE=parallel` (or `GARIBALDI_WORKERS`) for the
+/// fidelity-validated [`EngineConfig::default`] parallel profile.
 pub fn bench_engine() -> EngineChoice {
-    EngineChoice::from_env_or(EngineChoice::Parallel(EngineConfig::default()))
+    EngineChoice::from_env_or(EngineChoice::Serial)
 }
 
 /// Threads each bench run will actually use under the resolved engine
@@ -307,25 +310,29 @@ mod tests {
     }
 
     #[test]
-    fn bench_engine_defaults_to_parallel_with_serial_escape_hatch() {
+    fn bench_engine_defaults_to_serial_with_parallel_opt_in() {
         with_clean_env(|| {
+            assert_eq!(bench_engine(), EngineChoice::Serial, "benches default to the reference");
+            assert_eq!(engine_tag(), "serial-v2");
+            assert_eq!(per_run_threads(), 1, "one thread per serial run");
+            std::env::set_var("GARIBALDI_ENGINE", "parallel");
             match bench_engine() {
                 EngineChoice::Parallel(c) => {
                     assert_eq!(c, EngineConfig::default(), "the one validated parallel profile");
                 }
-                EngineChoice::Serial => panic!("benches must default to the parallel engine"),
+                EngineChoice::Serial => panic!("GARIBALDI_ENGINE=parallel is the opt-in"),
             }
+            std::env::remove_var("GARIBALDI_ENGINE");
             std::env::set_var("GARIBALDI_WORKERS", "2");
             match bench_engine() {
                 EngineChoice::Parallel(c) => {
                     assert_eq!(c.workers, 2, "workers feed the engine");
                 }
-                EngineChoice::Serial => panic!("still parallel"),
+                EngineChoice::Serial => panic!("GARIBALDI_WORKERS selects the parallel engine"),
             }
             assert_eq!(per_run_threads(), 2, "the job pool divides by the resolved workers");
             std::env::set_var("GARIBALDI_ENGINE", "serial");
-            assert_eq!(bench_engine(), EngineChoice::Serial, "the documented escape hatch");
-            assert_eq!(engine_tag(), "serial-v2");
+            assert_eq!(bench_engine(), EngineChoice::Serial, "GARIBALDI_ENGINE wins over workers");
         });
     }
 

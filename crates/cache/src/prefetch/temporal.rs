@@ -16,6 +16,8 @@ use garibaldi_types::{LineAddr, U64Table};
 const SUCCESSORS: usize = 2;
 /// Table capacity (miss lines tracked).
 const TABLE_CAP: usize = 64 * 1024;
+/// An empty successor entry.
+const NO_SUCCESSOR: u32 = u32::MAX;
 
 /// Temporal next-miss prefetcher.
 ///
@@ -23,9 +25,14 @@ const TABLE_CAP: usize = 64 * 1024;
 /// every L1I miss — one of the hottest lookups in the whole simulator —
 /// and, unlike a SipHash `HashMap`, its (deterministic) slot order makes
 /// the capacity-eviction pick below reproducible across runs.
+///
+/// Successors are stored as `u32` lines, so a slot is 16 bytes: the
+/// prefetcher runs on the virtual text-line miss stream, whose lines lie
+/// below 2³² (text VAs below 256 GiB). Storing a line at or above
+/// `u32::MAX` panics rather than alias.
 #[derive(Debug)]
 pub struct TemporalPrefetcher {
-    table: U64Table<[u64; SUCCESSORS]>,
+    table: U64Table<[u32; SUCCESSORS]>,
     last_miss: Option<u64>,
 }
 
@@ -69,10 +76,11 @@ impl Prefetcher for TemporalPrefetcher {
                         self.table.remove(k);
                     }
                 }
-                let succ = self.table.get_or_insert_with(prev, || [u64::MAX; SUCCESSORS]);
-                if !succ.contains(&cur) {
+                let line = successor(cur);
+                let succ = self.table.get_or_insert_with(prev, || [NO_SUCCESSOR; SUCCESSORS]);
+                if !succ.contains(&line) {
                     succ.rotate_right(1);
-                    succ[0] = cur;
+                    succ[0] = line;
                 }
             }
         }
@@ -80,14 +88,26 @@ impl Prefetcher for TemporalPrefetcher {
 
         // Predict: prefetch this line's remembered successors.
         if let Some(succ) = self.table.get(cur) {
-            for &s in succ.iter().filter(|&&s| s != u64::MAX) {
-                out.push(LineAddr::new(s));
+            for &s in succ.iter().filter(|&&s| s != NO_SUCCESSOR) {
+                out.push(LineAddr::new(u64::from(s)));
             }
         }
     }
 
     fn name(&self) -> &'static str {
         "temporal(i-spy)"
+    }
+}
+
+/// `line` as a stored successor.
+///
+/// # Panics
+///
+/// Panics when `line` does not fit below [`NO_SUCCESSOR`].
+fn successor(line: u64) -> u32 {
+    match u32::try_from(line) {
+        Ok(s) if s != NO_SUCCESSOR => s,
+        _ => panic!("temporal prefetcher: line {line:#x} is not a text line below 2^32 - 1"),
     }
 }
 
@@ -145,5 +165,24 @@ mod tests {
         }
         let succ = p.table.get(10).unwrap();
         assert_eq!(succ.iter().filter(|&&s| s == 20).count(), 1);
+    }
+
+    #[test]
+    fn successors_round_trip_through_u32() {
+        let top = u64::from(NO_SUCCESSOR) - 1;
+        for (a, b) in [(0, 1), (1 << 20, top), (top, 0)] {
+            let mut p = TemporalPrefetcher::new();
+            miss(&mut p, a);
+            miss(&mut p, b);
+            assert_eq!(miss(&mut p, a), vec![LineAddr::new(b)], "{a:#x} -> {b:#x}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "is not a text line below 2^32 - 1")]
+    fn lines_past_u32_panic() {
+        let mut p = TemporalPrefetcher::new();
+        miss(&mut p, 1);
+        miss(&mut p, u64::from(u32::MAX));
     }
 }

@@ -59,7 +59,7 @@ use garibaldi_cache::PolicyKind;
 use garibaldi_sim::{
     EngineChoice, EngineConfig, ExperimentScale, LlcScheme, RunResult, SimRunner, SystemConfig,
 };
-use garibaldi_trace::{registry, serial, WorkloadMix};
+use garibaldi_trace::{registry, serial, TraceRecord, WorkloadMix, PC_LIMIT};
 
 fn parse_policy(s: &str) -> Result<PolicyKind, String> {
     Ok(match s.to_ascii_lowercase().as_str() {
@@ -303,6 +303,10 @@ fn main() {
         }
         if let Some(i) = streams.iter().position(Vec::is_empty) {
             bad(&format_args!("stream {i} is empty"));
+        }
+        let past_limit = |s: &Vec<TraceRecord>| s.iter().any(|r| r.pc.get() >= PC_LIMIT);
+        if let Some(i) = streams.iter().position(past_limit) {
+            bad(&format_args!("stream {i} has a PC at or past {PC_LIMIT:#x}"));
         }
         runner = runner.with_streams(streams);
     }

@@ -320,8 +320,8 @@ impl EngineChoice {
     ///
     /// **Resolution order** (each step wins over everything below it):
     ///
-    /// 1. `GARIBALDI_ENGINE=serial` forces the serial engine (the escape
-    ///    hatch the benches document), even if `GARIBALDI_WORKERS` is set.
+    /// 1. `GARIBALDI_ENGINE=serial` forces the serial engine, even if
+    ///    `GARIBALDI_WORKERS` is set.
     ///    `GARIBALDI_ENGINE=parallel` (alias `sharded`) forces the
     ///    parallel engine.
     /// 2. `GARIBALDI_ENGINE` unset but `GARIBALDI_WORKERS` set: parallel

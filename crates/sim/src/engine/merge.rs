@@ -2,17 +2,20 @@
 //!
 //! Every order the epoch barrier restores is a merge of runs that are
 //! sorted by construction: each shard merges its lanes from every core
-//! (each lane in issue order), each target shard merges the command runs
-//! of every source shard (each in drain order), and the calling thread
-//! merges the shards' invalidation runs. An `O(n log k)` k-way merge
-//! replaces the `O(n log n)` comparison sorts the barrier once used.
+//! (each lane the seqs of that core's requests for the shard, in issue
+//! order), each target shard merges the command runs of every source shard
+//! (each in drain order), and the calling thread merges the shards'
+//! invalidation runs. An `O(n log k)` k-way merge replaces the
+//! `O(n log n)` comparison sorts the barrier once used.
 //!
 //! The merge writes an *order*, not a copy: one 8-byte [`Pos`] per element,
 //! naming the run and the index in it, so the consumer reads every element
 //! where its producer left it. The order comes from a loser tree over one
 //! packed integer key per run head ([`super::request::ReqKey::packed`]):
 //! each output replays one leaf-to-root path of `⌈log₂ k⌉` integer
-//! comparisons.
+//! comparisons. The key function sees the run index with the element, so
+//! a lane of seqs can key each seq by the request it names in its core's
+//! run.
 //!
 //! The merge is stable across runs (ties go to the earlier run, each run's
 //! internal order is preserved). Barrier keys are unique per request —
@@ -28,12 +31,12 @@ pub type Pos = (u32, u32);
 const DONE: u128 = u128::MAX;
 
 /// Writes into `out` (cleared first) the positions of every element of
-/// `runs` — each already sorted ascending by `key` — in merged order.
-/// Stable across runs: equal keys drain in run order, each run in its own
-/// order. `key` must never return `u128::MAX`.
+/// `runs` — each already sorted ascending by `key(run index, element)` —
+/// in merged order. Stable across runs: equal keys drain in run order,
+/// each run in its own order. `key` must never return `u128::MAX`.
 pub fn kway_merge_order<T, R: AsRef<[T]>>(
     runs: &[R],
-    key: impl Fn(&T) -> u128,
+    key: impl Fn(usize, &T) -> u128,
     out: &mut Vec<Pos>,
 ) {
     out.clear();
@@ -44,8 +47,9 @@ pub fn kway_merge_order<T, R: AsRef<[T]>>(
     // keeps the loser of the match played there, and the overall winner is
     // the smallest `(head key, run)`.
     let leaves = runs.len().next_power_of_two();
-    let head_of =
-        |r: usize, i: usize| runs.get(r).and_then(|run| run.as_ref().get(i)).map_or(DONE, &key);
+    let head_of = |r: usize, i: usize| {
+        runs.get(r).and_then(|run| run.as_ref().get(i)).map_or(DONE, |x| key(r, x))
+    };
     let mut head: Vec<u128> = (0..leaves).map(|r| head_of(r, 0)).collect();
     let mut next = vec![0u32; runs.len()];
     let beats = |head: &[u128], a: u32, b: u32| (head[a as usize], a) < (head[b as usize], b);
@@ -87,7 +91,7 @@ mod tests {
     /// `(key, run, index)` of every element in merge order.
     fn merged(runs: &[Vec<u32>]) -> Vec<(u32, u32, u32)> {
         let mut order = Vec::new();
-        kway_merge_order(runs, |&x| x as u128, &mut order);
+        kway_merge_order(runs, |_, &x| x as u128, &mut order);
         order.iter().map(|&p| (*at(runs, p), p.0, p.1)).collect()
     }
 
@@ -154,13 +158,29 @@ mod tests {
         );
     }
 
+    /// Runs of indices keyed through a table the key function reads with
+    /// the run index, as a shard keys its lanes of seqs by the requests
+    /// they name.
+    #[test]
+    fn keys_see_the_run_index() {
+        let table = [vec![10u32, 40, 50], vec![5, 20, 45]];
+        let lanes = [vec![0u16, 2], vec![0, 1, 2]];
+        let mut order = Vec::new();
+        kway_merge_order(&lanes, |r, &i| table[r][i as usize] as u128, &mut order);
+        let keys: Vec<u32> = order
+            .iter()
+            .map(|&(r, j)| table[r as usize][lanes[r as usize][j as usize] as usize])
+            .collect();
+        assert_eq!(keys, vec![5, 10, 20, 45, 50]);
+    }
+
     #[test]
     fn reuses_the_output_buffer() {
         let mut order = vec![(9, 9); 8];
         order.reserve(64);
         let cap = order.capacity();
         let ptr = order.as_ptr();
-        kway_merge_order(&[vec![1u32, 2], vec![0]], |&x| x as u128, &mut order);
+        kway_merge_order(&[vec![1u32, 2], vec![0]], |_, &x| x as u128, &mut order);
         assert_eq!(order, vec![(1, 0), (0, 0), (0, 1)], "buffer cleared before merging");
         assert_eq!((order.capacity(), order.as_ptr()), (cap, ptr), "no reallocation");
     }

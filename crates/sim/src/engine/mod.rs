@@ -13,14 +13,16 @@
 //!    cores, L1s, L2, prefetchers and helper tables, and advances under
 //!    min-clock scheduling *within the cluster* up to a bounded-lag epoch
 //!    horizon. Clusters are data-independent, so workers step them in
-//!    parallel. Each core files every LLC-bound request, as it issues it,
-//!    into a lane per LLC shard, and lists its demand accesses for the
-//!    threshold replay.
+//!    parallel. Each core appends every LLC-bound request, as it issues it,
+//!    to its one request run, files the request's seq into a lane per LLC
+//!    shard, and lists its demand accesses for the threshold replay.
 //! 2. **LLC shards** ([`shard::LlcShard`]): the LLC (plus its slice of the
 //!    Garibaldi pair/D_PPN state, the DRAM channels, the I-oracle and the
 //!    reuse profiler) is split into set-contiguous shards. At the barrier
-//!    each shard drains its lanes from every core where they lie, per
-//!    shard in parallel, in their merged `(timestamp, core, seq)` order.
+//!    the cores lend their runs to every shard at once (read-shared), and
+//!    each shard, in parallel, merges its lanes from every core into
+//!    `(timestamp, core, seq)` order and drains the requests they name
+//!    where they lie in the runs.
 //! 3. **Barrier** ([`ParallelEngine`]): every piece of barrier work that
 //!    touches one unit runs in a parallel section — the drains, which file
 //!    each outcome under its issuing core and each cross-shard Garibaldi
@@ -47,8 +49,9 @@
 //! The serial schedule ([`serial`]) is the same state with one shard
 //! spanning every LLC set: it steps the global min-clock core and resolves
 //! that core's requests before the next pick, so no estimate outlives its
-//! record. [`ParallelEngine::step_serial`], its single step, refuses an
-//! engine built for the epoch schedule.
+//! record. With one shard the run is the lane, so the shard drains the run
+//! directly and the cores file no lanes. [`ParallelEngine::step_serial`],
+//! its single step, refuses an engine built for the epoch schedule.
 //!
 //! Every reduction and drain order is indexed by cluster/shard/core id —
 //! never by worker — so a run's `RunResult` is **bit-identical for any
@@ -105,10 +108,10 @@ use std::time::{Duration, Instant};
 /// allocations on the barrier path.
 #[derive(Default, Clone)]
 struct ShardBuf {
-    /// Each core's lane for this shard (indexed by global core id), lent
-    /// by the cores for the drain, which reads them in place and empties
-    /// them.
-    lanes: Vec<Vec<LlcRequest>>,
+    /// Each core's lane for this shard (indexed by global core id): the
+    /// seqs of its requests in the core's run, lent by the cores for the
+    /// drain, which empties them.
+    lanes: Vec<Vec<u16>>,
     /// Merge order of `lanes` for the drain, then of `inbox` for the
     /// command apply (8 bytes per entry; scratch reused across barriers).
     order: Vec<Pos>,
@@ -181,6 +184,12 @@ pub struct EngineStats {
     /// RECORD_REQUEST_CEILING)` ([`private::EPOCH_REQUEST_BUDGET`]), and
     /// every barrier buffer is sized by it.
     pub peak_barrier_requests: u64,
+    /// Each core's request-run capacity at the end of the run, indexed by
+    /// global core id (both schedules). A run is allocated once at its
+    /// schedule's bound ([`private::EPOCH_RUN_BOUND`] or
+    /// [`private::RECORD_REQUEST_CEILING`]), so any other value means it
+    /// was regrown.
+    pub run_capacity: Vec<usize>,
 }
 
 impl EngineStats {
@@ -288,6 +297,9 @@ impl Section {
 /// thread between sections.
 #[derive(Default)]
 struct Broadcast {
+    /// Every core's request run (indexed by global core id), lent by the
+    /// cores for the drain: each shard reads the requests its lanes name.
+    runs: Vec<Vec<LlcRequest>>,
     /// This barrier's invalidations, in key order.
     invals: Vec<(ReqKey, InvalCmd)>,
     /// Keys of the accesses that close a color period this epoch.
@@ -320,6 +332,7 @@ impl<'p> Units<'p> {
                 let mut u = lock(&self.shards[i]);
                 fault::engine_hook(fault::Site::Drain, epoch, i, fail.cancel_flag());
                 let (sh, buf) = &mut *u;
+                let shared = self.read();
                 let ts = Instant::now();
                 buf.invals.clear();
                 let mut sink = EpochSink {
@@ -328,7 +341,7 @@ impl<'p> Units<'p> {
                     outbox: &mut buf.outbox,
                     invals: &mut buf.invals,
                 };
-                sh.drain_runs(&buf.lanes, &mut buf.order, snap, &mut sink);
+                sh.drain_lanes(&shared.runs, &buf.lanes, &mut buf.order, snap, &mut sink);
                 for lane in buf.lanes.iter_mut() {
                     lane.clear();
                 }
@@ -363,22 +376,25 @@ impl<'p> Units<'p> {
         }
     }
 
-    /// Swaps every core's lanes and outcome vectors with its slots in
-    /// every shard (Vec headers only). Before the drain this lends the
-    /// shards the requests and empty outcome vectors; after it, it returns
-    /// the emptied lanes and the filled outcomes. Each buffer has one
-    /// owner between barriers, so there is one set of them, not two.
-    /// Returns the number of requests the cores' lanes held (0 on the
+    /// Swaps every core's run with its slot in the broadcast, and its
+    /// lanes and outcome vectors with its slots in every shard (Vec headers
+    /// only). Before the drain this lends the shards the requests, the
+    /// lanes naming them and empty outcome vectors; after it, it returns
+    /// the runs, the emptied lanes and the filled outcomes. Each buffer has
+    /// one owner between barriers, so there is one set of them, not two.
+    /// Returns the number of requests the cores' runs held (0 on the
     /// return swap).
     fn swap_core_buffers(&self) -> u64 {
         let mut shards = self.shards();
+        let mut shared = self.broadcast();
         let mut requests = 0;
         for mut cl in self.clusters() {
             for c in cl.cores.iter_mut() {
                 let g = c.id().index();
+                requests += c.run.len() as u64;
+                std::mem::swap(&mut c.run, &mut shared.runs[g]);
                 let lent = c.lanes.iter_mut().zip(c.drained.iter_mut());
                 for ((lane, drained), u) in lent.zip(shards.iter_mut()) {
-                    requests += lane.len() as u64;
                     std::mem::swap(lane, &mut u.1.lanes[g]);
                     std::mem::swap(drained, &mut u.1.outcomes[g]);
                 }
@@ -490,7 +506,7 @@ impl<'p> ParallelEngine<'p> {
             let lo = k * cfg.l2_cluster_size;
             let hi = (lo + cfg.l2_cluster_size).min(cfg.cores);
             let members: Vec<_> = cores.drain(..hi - lo).collect();
-            clusters.push(ClusterSim::new(cfg, route, k, lo, members));
+            clusters.push(ClusterSim::new(cfg, route, choice, k, lo, members));
         }
 
         let buf = ShardBuf {
@@ -518,7 +534,8 @@ impl<'p> ParallelEngine<'p> {
     /// Runs `warmup` + `records` records per core on the schedule the
     /// engine was built for; returns the measured-region result and the
     /// wall-clock [`EngineStats`] of the whole run (warmup + measured).
-    /// The serial schedule sets only [`EngineStats::wall_s`].
+    /// The serial schedule sets only [`EngineStats::wall_s`] and
+    /// [`EngineStats::run_capacity`].
     ///
     /// On the epoch schedule a worker panic in any parallel section, or a
     /// stuck barrier phase when the `GARIBALDI_BARRIER_TIMEOUT_S` watchdog
@@ -542,6 +559,8 @@ impl<'p> ParallelEngine<'p> {
         }
         let mut stats = std::mem::take(&mut self.stats);
         stats.wall_s = t0.elapsed().as_secs_f64();
+        stats.run_capacity =
+            self.clusters.iter().flat_map(|cl| cl.cores.iter().map(|c| c.run.capacity())).collect();
         Ok((self.collect(), stats))
     }
 
@@ -560,7 +579,10 @@ impl<'p> ParallelEngine<'p> {
                 .zip(std::mem::take(&mut self.shard_bufs))
                 .map(Mutex::new)
                 .collect(),
-            shared: RwLock::default(),
+            shared: RwLock::new(Broadcast {
+                runs: vec![Vec::new(); self.cfg.cores],
+                ..Broadcast::default()
+            }),
             route: self.route,
         };
         let fail = FailState::default();
@@ -850,15 +872,16 @@ impl Epochs<'_, '_> {
         let n_shards = self.units.shards.len();
         let snap = snapshot(self.threshold);
 
-        // Lend every core's lanes (and empty outcome vectors) to the shards.
+        // Lend every core's run, lanes and empty outcome vectors to the
+        // shards.
         let requests = self.units.swap_core_buffers();
         self.stats.peak_barrier_requests = self.stats.peak_barrier_requests.max(requests);
 
-        // Phase A: parallel per-shard drain of the lent lanes in merged key
-        // order, straight into the cores' hand-over vectors and the target
-        // shards' outboxes. Each shard's merge+drain is timed individually
-        // (worker-independent: the clock spans exactly one shard's work) to
-        // feed the imbalance account.
+        // Phase A: parallel per-shard drain of the requests the lent lanes
+        // name, in merged key order, straight into the cores' hand-over
+        // vectors and the target shards' outboxes. Each shard's merge+drain
+        // is timed individually (worker-independent: the clock spans
+        // exactly one shard's work) to feed the imbalance account.
         let td = Instant::now();
         self.section(Section::Drain { snap }, epoch);
         let t_drain = td.elapsed();
@@ -871,8 +894,8 @@ impl Epochs<'_, '_> {
             *acc += u.1.drain_s;
         }
 
-        // Return the emptied lanes and the filled outcome vectors to the
-        // cores; deliver each command run to its target shard.
+        // Return the runs, the emptied lanes and the filled outcome vectors
+        // to the cores; deliver each command run to its target shard.
         self.units.swap_core_buffers();
         self.units.swap_cmd_runs();
         let clusters = self.units.clusters();
@@ -910,7 +933,7 @@ impl Epochs<'_, '_> {
             let inval_runs: Vec<&[(ReqKey, InvalCmd)]> =
                 shards.iter().map(|u| u.1.invals.as_slice()).collect();
             let order = &mut self.scratch.order;
-            kway_merge_order(&inval_runs, |(k, _): &(ReqKey, InvalCmd)| k.packed(), order);
+            kway_merge_order(&inval_runs, |_, (k, _): &(ReqKey, InvalCmd)| k.packed(), order);
             shared.invals.clear();
             shared.invals.extend(order.iter().map(|&p| *merge::at(&inval_runs, p)));
             self.stats.inval_cmds +=

@@ -19,7 +19,7 @@ use super::estimate::{
 };
 use super::replay::{replay_core, DemandKind, DemandReq};
 use super::request::{InvalCmd, LlcRequest, ReqKey, ReqKind, ReqOutcome};
-use crate::config::SystemConfig;
+use crate::config::{EngineChoice, SystemConfig};
 use crate::core_model::{combine_data_stalls, CpiStack, InstrPrefetchEngine};
 use crate::metrics::{ConditionalMatrix, CoreResult};
 use garibaldi::{HelperTable, PeriodCounts, ThreadPmu};
@@ -44,6 +44,14 @@ use garibaldi_types::{CoreId, LineAddr, VirtAddr};
 /// invariance. The serial schedule never buffers across records and
 /// ignores it.
 pub const EPOCH_REQUEST_BUDGET: u32 = 1024;
+
+/// Most requests a core's run holds on the epoch schedule: the record that
+/// reaches [`EPOCH_REQUEST_BUDGET`] adds at most [`RECORD_REQUEST_CEILING`].
+/// Each run is allocated once at this size and never regrows.
+pub const EPOCH_RUN_BOUND: u32 = EPOCH_REQUEST_BUDGET + RECORD_REQUEST_CEILING;
+
+// A lane names the requests of a run by their `u16` seqs.
+const _: () = assert!(EPOCH_RUN_BOUND <= u16::MAX as u32 + 1, "run seqs must fit in u16");
 
 /// Prefetch degree of each core's L1D next-line prefetcher.
 const L1D_PF_DEGREE: u32 = 2;
@@ -170,12 +178,17 @@ pub struct EpochCore<'p> {
     snap_clock: f64,
     snap_stack: CpiStack,
     snap_instrs: u64,
-    seq: u32,
     route: Route,
-    /// Requests buffered this epoch, one lane per LLC shard, routed when
-    /// issued (each lane is sorted by construction: clocks are
-    /// non-decreasing and seq increases).
-    pub lanes: Vec<Vec<LlcRequest>>,
+    /// Requests buffered since the last correction, in issue order: the
+    /// request at index `i` has seq `i`. Allocated once at the schedule's
+    /// bound ([`EPOCH_RUN_BOUND`] on the epoch schedule,
+    /// [`RECORD_REQUEST_CEILING`] on the serial one) and never regrown.
+    pub(crate) run: Vec<LlcRequest>,
+    /// On the epoch schedule, the seqs of the run's requests for each LLC
+    /// shard, filed when issued (each lane is key-sorted by construction:
+    /// clocks are non-decreasing and seq increases). None on the serial
+    /// schedule, whose one shard drains the run itself.
+    pub(crate) lanes: Vec<Vec<u16>>,
     /// This epoch's demand accesses in issue order, for the threshold and
     /// conditional-matrix replay ([`super::replay`]).
     pub demand: Vec<DemandReq>,
@@ -209,7 +222,7 @@ impl<'p> EpochCore<'p> {
 
     /// Whether the core buffered any request since the last correction.
     pub fn has_requests(&self) -> bool {
-        self.seq > 0
+        !self.run.is_empty()
     }
 
     /// Marks the measurement start (end of warmup). The estimator's
@@ -238,7 +251,7 @@ impl<'p> EpochCore<'p> {
     /// Sizes the outcome table for this epoch's requests (barrier scatter).
     pub fn prepare_outcomes(&mut self) {
         self.outcomes.clear();
-        self.outcomes.resize(self.seq as usize, ReqOutcome::default());
+        self.outcomes.resize(self.run.len(), ReqOutcome::default());
     }
 
     /// Scatters the outcomes the shards handed over into the outcome table,
@@ -255,8 +268,8 @@ impl<'p> EpochCore<'p> {
 
     #[inline(always)]
     fn emit(&mut self, line: LineAddr, pc: VirtAddr, sig: u64, cluster: u16, kind: ReqKind) -> u32 {
-        let seq = self.seq;
-        self.seq += 1;
+        debug_assert!(self.run.len() < self.run.capacity(), "a core's run never regrows");
+        let seq = self.run.len() as u32;
         let key = ReqKey { now: self.clock as u64, core: self.id.get(), seq };
         let demand = match kind {
             ReqKind::Instr { demand: true } if !self.route.i_oracle => Some(DemandKind::Instr),
@@ -266,14 +279,10 @@ impl<'p> EpochCore<'p> {
         if let Some(kind) = demand {
             self.demand.push(DemandReq { key, pc, kind });
         }
-        self.lanes[self.route.shard_of(line)].push(LlcRequest {
-            key,
-            line,
-            pc,
-            sig,
-            cluster,
-            kind,
-        });
+        if let Some(lane) = self.lanes.get_mut(self.route.shard_of(line)) {
+            lane.push(seq as u16);
+        }
+        self.run.push(LlcRequest { key, line, pc, sig, cluster, kind });
         seq
     }
 }
@@ -370,17 +379,23 @@ pub struct ClusterSim<'p> {
 }
 
 impl<'p> ClusterSim<'p> {
-    /// Builds cluster `cluster` with one `(source, space)` pair per core,
-    /// each issuing through a fresh [`Ewma`] latency estimator and filing
-    /// its LLC requests by `route`.
+    /// Builds cluster `cluster` for `schedule` with one `(source, space)`
+    /// pair per core, each issuing through a fresh [`Ewma`] latency
+    /// estimator into a run sized for the schedule, and (on the epoch
+    /// schedule) filing its LLC requests into lanes by `route`.
     pub fn new(
         cfg: &SystemConfig,
         route: Route,
+        schedule: &EngineChoice,
         cluster: usize,
         core_base: usize,
         cores: Vec<(RecordSource<'p>, SharedAddressSpace)>,
     ) -> Self {
         let n = cores.len();
+        let (run_bound, lanes) = match schedule {
+            EngineChoice::Serial => (RECORD_REQUEST_CEILING, 0),
+            EngineChoice::Parallel(_) => (EPOCH_RUN_BOUND, route.shards()),
+        };
         let tier = ClusterTier {
             cluster: cluster as u16,
             core_base,
@@ -438,9 +453,9 @@ impl<'p> ClusterSim<'p> {
                 snap_clock: 0.0,
                 snap_stack: CpiStack::default(),
                 snap_instrs: 0,
-                seq: 0,
                 route,
-                lanes: vec![Vec::new(); route.shards()],
+                run: Vec::with_capacity(run_bound as usize),
+                lanes: vec![Vec::new(); lanes],
                 demand: Vec::new(),
                 outcomes: Vec::new(),
                 drained: vec![Vec::new(); route.shards()],
@@ -482,8 +497,9 @@ impl<'p> ClusterSim<'p> {
             let mut best: Option<usize> = None;
             let mut best_clock = f64::INFINITY;
             for (i, c) in self.cores.iter().enumerate() {
-                let eligible =
-                    c.records < target && c.clock < epoch_end && c.seq < EPOCH_REQUEST_BUDGET;
+                let eligible = c.records < target
+                    && c.clock < epoch_end
+                    && c.run.len() < EPOCH_REQUEST_BUDGET as usize;
                 if eligible && c.clock < best_clock {
                     best_clock = c.clock;
                     best = Some(i);
@@ -502,7 +518,7 @@ impl<'p> ClusterSim<'p> {
         let cfg = &self.cfg;
         let tier = &mut self.tier;
         let c = &mut self.cores[i];
-        let seq0 = c.seq;
+        let issued = c.run.len();
         let rec = c.src.next_record();
         let il_pa = c.asp.translate_line(rec.pc);
         let sig = sig(c.id, rec.pc);
@@ -575,9 +591,9 @@ impl<'p> ClusterSim<'p> {
         c.instrs += rec.instrs as u64;
         c.records += 1;
         debug_assert!(
-            c.seq - seq0 <= RECORD_REQUEST_CEILING,
+            c.run.len() - issued <= RECORD_REQUEST_CEILING as usize,
             "one record issued {} LLC requests",
-            c.seq - seq0
+            c.run.len() - issued
         );
 
         if ifetch_seq.is_some() || refs[..n].iter().any(|r| r.seq.is_some()) {
@@ -642,12 +658,12 @@ impl<'p> ClusterSim<'p> {
                 c.stack.ifetch += d_if;
                 c.stack.data += d_data;
             }
+            c.run.clear();
             for lane in c.lanes.iter_mut() {
                 lane.clear();
             }
             c.demand.clear();
             c.outcomes.clear();
-            c.seq = 0;
         }
     }
 }

@@ -72,7 +72,7 @@ impl<'p> ParallelEngine<'p> {
         let out = &mut self.scratch.out;
         let cl = &mut self.clusters[k];
         let c = &mut cl.cores[i];
-        shard.drain(&c.lanes[0], snap, out);
+        shard.drain(&c.run, snap, out);
         shard.apply_cmds(&out.cmds, snap);
         c.prepare_outcomes();
         for &(_, seq, o) in &out.outcomes {

@@ -237,29 +237,36 @@ impl LlcShard {
 
     /// Phase A: drains `reqs` (already sorted by key, all targeting this
     /// shard) against the shard state, into the engine-owned `out` arena
-    /// (cleared first). The one-run form of [`LlcShard::drain_runs`], with
-    /// no merge order to build.
+    /// (cleared first). The one-run form of [`LlcShard::drain_lanes`]: with
+    /// one shard a core's run is its lane, so the serial schedule drains
+    /// the run directly.
     pub fn drain(&mut self, reqs: &[LlcRequest], snap: ThresholdSnapshot, out: &mut DrainOut) {
         out.clear();
         self.drain_by(reqs.len(), |i| &reqs[i], snap, out);
     }
 
-    /// Phase A over several runs (each sorted by key, all targeting this
-    /// shard): writes their merge into `order` ([`kway_merge_order`]) and
-    /// drains the requests in that order where they lie, appending what
-    /// the drain produces to `sink`. Draining the runs' materialized merge
-    /// with [`LlcShard::drain`] gives the same outcomes, commands,
-    /// invalidations and state (pinned by `tests/drain_differential.rs`).
-    pub fn drain_runs<R: AsRef<[LlcRequest]>>(
+    /// Phase A over the request runs of several cores: `lanes[c]` lists,
+    /// in issue order, the seqs of the requests in `runs[c]` that target
+    /// this shard. Writes the lanes' merge into `order`
+    /// ([`kway_merge_order`], keyed by the request each seq names) and
+    /// drains the named requests in that order where they lie in the runs,
+    /// appending what the drain produces to `sink`. Draining the
+    /// materialized merge with [`LlcShard::drain`] gives the same outcomes,
+    /// commands, invalidations and state (pinned by
+    /// `tests/drain_differential.rs`).
+    pub fn drain_lanes<R: AsRef<[LlcRequest]>, L: AsRef<[u16]>>(
         &mut self,
         runs: &[R],
+        lanes: &[L],
         order: &mut Vec<Pos>,
         snap: ThresholdSnapshot,
         sink: &mut impl DrainSink,
     ) {
-        kway_merge_order(runs, |r: &LlcRequest| r.key.packed(), order);
+        let req = |c: usize, seq: u16| &runs[c].as_ref()[seq as usize];
+        kway_merge_order(lanes, |c, &seq| req(c, seq).key.packed(), order);
         let order = order.as_slice();
-        self.drain_by(order.len(), |i| merge::at(runs, order[i]), snap, sink);
+        let named = |i: usize| req(order[i].0 as usize, *merge::at(lanes, order[i]));
+        self.drain_by(order.len(), named, snap, sink);
     }
 
     /// The drain of `n` requests, the `i`-th in key order being `req(i)`.
@@ -600,7 +607,7 @@ impl LlcShard {
         order: &mut Vec<Pos>,
         snap: ThresholdSnapshot,
     ) {
-        kway_merge_order(runs, |(k, _): &(ReqKey, ShardCmd)| k.packed(), order);
+        kway_merge_order(runs, |_, (k, _): &(ReqKey, ShardCmd)| k.packed(), order);
         let order = order.as_slice();
         self.apply_by(order.len(), |i| &merge::at(runs, order[i]).1, snap);
     }

@@ -58,8 +58,8 @@ pub const ENGINE: Knob = Knob {
     kind: Kind::Text,
     default: "per caller",
     doc: "`serial` or `parallel` (alias `sharded`) picks the engine and wins over \
-          `GARIBALDI_WORKERS`; unset, the library and the CLI without `--workers` (a `--replay` \
-          included) run serial and the benches parallel",
+          `GARIBALDI_WORKERS`; unset, the library, the benches and the CLI without `--workers` \
+          (a `--replay` included) run serial",
 };
 
 /// Parallel-engine worker threads (see `EngineChoice::from_env_or`).

@@ -9,6 +9,8 @@ use garibaldi_mem::DramStats;
 use garibaldi_sim::checkpoint;
 use garibaldi_sim::metrics::{ConditionalMatrix, CoreResult, GaribaldiReport, ReuseSummary};
 use garibaldi_sim::{CpiStack, EngineChoice, ExperimentScale, FidelitySuite, RunResult};
+use garibaldi_trace::{serial, TraceRecord};
+use garibaldi_types::VirtAddr;
 use proptest::prelude::*;
 
 /// Finite floats with awkward shortest-representations (ratios of random
@@ -359,6 +361,13 @@ fn cli_default_keys_keep_serial_and_parallel_rows_apart() {
         assert_eq!(out.status.code(), Some(1), "{dump_flags:?} replay is refused: {err}");
         assert!(err.contains("error: bad trace file"), "{dump_flags:?}: {err}");
     }
+    // A PC past the text-line bound the frontend's prefetcher can store.
+    let far = TraceRecord::fetch_only(VirtAddr::new(garibaldi_trace::PC_LIMIT), 8);
+    std::fs::write(dump, serial::encode_multi(&[vec![far], vec![far]])).unwrap();
+    let out = cli_output(&replayed, &["--replay", dump], None);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "a PC past the limit is refused: {err}");
+    assert!(err.contains("error: bad trace file") && err.contains("PC"), "{err}");
     assert!(checkpoint::load_report(&replayed).unwrap().0.is_empty());
     assert_eq!(checkpoint::load_report(&path).unwrap().0.len(), 2);
     let _ = std::fs::remove_dir_all(&dir);

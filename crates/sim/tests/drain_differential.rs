@@ -10,9 +10,10 @@
 //! post-drain state pinpoints a bug in the batched prologue, the lookahead
 //! hint window, or the hoisted per-drain constants.
 //!
-//! A second property drains several key-sorted lanes in place through
-//! `LlcShard::drain_runs` (the epoch barrier's merge-order drain) and
-//! checks it against draining their materialized merge.
+//! A second property drains several cores' request runs in place through
+//! `LlcShard::drain_lanes` (the epoch barrier's drain: each core's lane
+//! lists the seqs of its run's requests for the shard) and checks it
+//! against draining the materialized merge of the named requests.
 //!
 //! Run with `PROPTEST_CASES=512` (the CI `differential` job) for an
 //! elevated case count.
@@ -528,39 +529,44 @@ fn run_case(
     Ok(())
 }
 
-/// Deals the requests of `ops` into `k` lanes, lane `l` issuing as core
-/// `l` with its own clock (ties across lanes are common) and sequence, so
-/// each lane is key-sorted by construction. Returns the lanes and their
-/// materialized merge.
-fn build_lanes(
-    ops: &[Op],
-    k: usize,
-    total_sets: usize,
-    base: usize,
-    sets: usize,
-) -> (Vec<Vec<LlcRequest>>, Vec<LlcRequest>) {
-    let mut lanes = vec![Vec::new(); k];
+/// The request runs of `k` cores and each core's lane of seqs, with the
+/// materialized merge of the requests the lanes name.
+type Lanes = (Vec<Vec<LlcRequest>>, Vec<Vec<u16>>, Vec<LlcRequest>);
+
+/// Deals the requests of `ops` into the runs of `k` cores, core `l`
+/// issuing with its own clock (ties across cores are common) and sequence,
+/// so each run is key-sorted by construction. About one request in five
+/// stays out of its core's lane, as a request for another shard would, so
+/// the drain must read only the seqs a lane names. Returns the runs, the
+/// lanes and the materialized merge of the requests the lanes name.
+fn build_lanes(ops: &[Op], k: usize, total_sets: usize, base: usize, sets: usize) -> Lanes {
+    let (mut runs, mut lanes) = (vec![Vec::new(); k], vec![Vec::new(); k]);
     if k == 0 {
-        return (lanes, Vec::new());
+        return (runs, lanes, Vec::new());
     }
     let mut clock = vec![0u64; k];
+    let mut merged = Vec::new();
     let reqs = build_requests(ops, total_sets, base, sets);
     for (mut r, &(_, raw, aux)) in reqs.into_iter().zip(ops) {
         let l = (raw as usize / 7 + aux as usize) % k;
         clock[l] += aux % 3;
-        r.key = ReqKey { now: clock[l], core: l as u16, seq: lanes[l].len() as u32 };
-        lanes[l].push(r);
+        let seq = runs[l].len();
+        r.key = ReqKey { now: clock[l], core: l as u16, seq: seq as u32 };
+        runs[l].push(r);
+        if (raw ^ aux) % 5 != 4 {
+            lanes[l].push(seq as u16);
+            merged.push(r);
+        }
     }
-    let mut merged: Vec<LlcRequest> = lanes.iter().flatten().copied().collect();
     merged.sort_by_key(|r| r.key);
-    (lanes, merged)
+    (runs, lanes, merged)
 }
 
-/// Drains `k` lanes through `drain_runs` and their materialized merge
-/// through `drain` (and the scalar reference): outputs and post-state must
-/// agree. On whole-LLC geometries the drain's commands, dealt back into
-/// per-lane runs, go through `apply_cmd_runs` against `apply_cmds` of the
-/// merged stream.
+/// Drains `k` cores' runs through `drain_lanes` and the materialized merge
+/// of the requests their lanes name through `drain` (and the scalar
+/// reference): outputs and post-state must agree. On whole-LLC geometries
+/// the drain's commands, dealt back into per-core runs, go through
+/// `apply_cmd_runs` against `apply_cmds` of the merged stream.
 fn run_lanes_case(
     scheme_idx: usize,
     geom_idx: usize,
@@ -571,7 +577,7 @@ fn run_lanes_case(
     let (total_sets, shards, idx, ways) = GEOMETRIES[geom_idx % GEOMETRIES.len()];
     let cfg = test_cfg(scheme_idx, ways);
     let (base, sets) = shard_range(total_sets, shards, idx);
-    let (lanes, merged) = build_lanes(ops, k, total_sets, base, sets);
+    let (runs, lanes, merged) = build_lanes(ops, k, total_sets, base, sets);
 
     let mut touched: Vec<LineAddr> = merged.iter().map(|r| r.line).collect();
     for r in &merged {
@@ -586,7 +592,7 @@ fn run_lanes_case(
     let (mut out, mut flat_out, mut rout) =
         (DrainOut::default(), DrainOut::default(), DrainOut::default());
     let mut order = vec![(7, 7); 3];
-    sh.drain_runs(&lanes, &mut order, snap, &mut out);
+    sh.drain_lanes(&runs, &lanes, &mut order, snap, &mut out);
     flat.drain(&merged, snap, &mut flat_out);
     rf.drain(&merged, snap, &mut rout);
 
@@ -599,13 +605,13 @@ fn run_lanes_case(
     assert_same_state(&flat, &rf, &touched)?;
 
     if shards == 1 {
-        let mut runs = vec![Vec::new(); k.max(1)];
+        let mut cmd_runs = vec![Vec::new(); k.max(1)];
         for &(key, cmd) in &out.cmds {
             let (ShardCmd::PairwisePrefetch { dl, .. } | ShardCmd::PairUpdate { il: dl, .. }) = cmd;
             touched.push(dl);
-            runs[key.core as usize].push((key, cmd));
+            cmd_runs[key.core as usize].push((key, cmd));
         }
-        sh.apply_cmd_runs(&runs, &mut order, snap);
+        sh.apply_cmd_runs(&cmd_runs, &mut order, snap);
         rf.apply_cmds(&rout.cmds, snap);
         assert_same_state(&sh, &rf, &touched)?;
     }
@@ -625,8 +631,8 @@ proptest! {
         run_case(scheme_idx, geom_idx, ThresholdSnapshot { color, threshold }, &ops)?;
     }
 
-    /// Several key-sorted lanes drained in place through the merge order
-    /// match draining their materialized merge.
+    /// Several cores' runs drained in place through their lanes' merge
+    /// order match draining the materialized merge of the named requests.
     #[test]
     fn merge_order_drain_matches_materialized_merge(
         ops in prop::collection::vec((0u8..8, 0u64..512, 0u64..1024), 1..400),

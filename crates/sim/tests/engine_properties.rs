@@ -7,17 +7,19 @@
 use garibaldi::{GaribaldiConfig, ThreadPmu, ThresholdState, ThresholdUnit};
 use garibaldi_cache::PolicyKind;
 use garibaldi_sim::engine::estimate::{Ewma, StreamClass};
-use garibaldi_sim::engine::private::{EPOCH_REQUEST_BUDGET, RECORD_REQUEST_CEILING};
+use garibaldi_sim::engine::private::{
+    RecordSource, EPOCH_REQUEST_BUDGET, EPOCH_RUN_BOUND, RECORD_REQUEST_CEILING,
+};
 use garibaldi_sim::engine::replay::{
     close_periods, period_cuts, replay_core, DemandKind, DemandReq,
 };
 use garibaldi_sim::engine::request::{ReqKey, ReqOutcome};
 use garibaldi_sim::metrics::ConditionalMatrix;
 use garibaldi_sim::{
-    EngineChoice, EngineConfig, ExperimentScale, LlcScheme, SimRunner, SystemConfig,
+    EngineChoice, EngineConfig, ExperimentScale, LlcScheme, ParallelEngine, SimRunner, SystemConfig,
 };
 use garibaldi_trace::registry::SPEC_NAMES;
-use garibaldi_trace::{TraceRecord, WorkloadMix};
+use garibaldi_trace::{SharedAddressSpace, TraceRecord, WorkloadMix};
 use garibaldi_types::{RwKind, ThreadId, VirtAddr};
 use proptest::prelude::*;
 
@@ -167,6 +169,41 @@ proptest! {
             prop_assert_eq!(&base, &other, "{:?} workers={}", mix, workers);
             prop_assert_eq!(s.peak_barrier_requests, stats.peak_barrier_requests);
         }
+    }
+
+    /// Each core's request run is allocated once at its schedule's bound
+    /// and never regrown: over random SPEC-heavy registry mixes at 1–3
+    /// workers every core ends the epoch schedule with a run of
+    /// `EPOCH_RUN_BOUND` requests' capacity, and the serial schedule with
+    /// one of `RECORD_REQUEST_CEILING`.
+    #[test]
+    fn request_runs_keep_their_build_time_capacity(
+        mix in arb_mix(),
+        seed in 0u64..1_000,
+        workers in 1usize..4,
+    ) {
+        let cores = mix.len();
+        let scale = ExperimentScale { cores, ..ExperimentScale::smoke() };
+        let cfg = SystemConfig::scaled(&scale, LlcScheme::mockingjay_garibaldi());
+        let mix = WorkloadMix { slots: mix };
+        let r = SimRunner::new(cfg.clone(), mix.clone(), seed);
+        let (_, epoch) = r.run_parallel_stats(400, 1_600, &EngineConfig::with_workers(workers));
+        prop_assert_eq!(&epoch.run_capacity, &vec![EPOCH_RUN_BOUND as usize; cores], "{:?}", mix);
+
+        let streams = r.generate_streams(2_000);
+        let sources = streams
+            .iter()
+            .enumerate()
+            .map(|(i, s)| (RecordSource::Replay { records: s, pos: 0 }, SharedAddressSpace::new(i as u64)))
+            .collect();
+        let engine = ParallelEngine::new(&cfg, &EngineChoice::Serial, mix.clone(), sources);
+        let (_, serial) = engine.try_run(400, 1_600).expect("the serial schedule never errs");
+        prop_assert_eq!(
+            &serial.run_capacity,
+            &vec![RECORD_REQUEST_CEILING as usize; cores],
+            "{:?}",
+            mix
+        );
     }
 
     /// On stationary synthetic outcome streams, the EWMA estimator's

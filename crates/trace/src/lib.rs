@@ -39,6 +39,6 @@ pub use generator::TraceGenerator;
 pub use mix::{random_server_mixes, random_shared_mixes, server_spec_mix, WorkloadMix};
 pub use profiles::{WorkloadClass, WorkloadProfile};
 pub use program::SyntheticProgram;
-pub use record::{DataRef, TraceRecord, MAX_DATA_REFS};
+pub use record::{DataRef, TraceRecord, MAX_DATA_REFS, PC_LIMIT};
 pub use vm::{PpnAllocator, SharedAddressSpace};
 pub use zipf::Zipf;

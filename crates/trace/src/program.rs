@@ -74,12 +74,15 @@ impl SyntheticProgram {
         let hot_zipf = Zipf::new(profile.hot_data_lines as usize, profile.hot_zipf);
         let n_funcs = profile.n_funcs as usize;
 
+        // ±25 % body-size variance keeps set-index pressure irregular.
+        let base = profile.lines_per_func as i64;
+        let delta = (base / 4).max(1);
         let mut funcs = Vec::with_capacity(n_funcs);
-        let mut behaviors = Vec::new();
+        // Room for every function at its largest body, so the table never
+        // doubles past its size (several programs lay out more than 2^16
+        // lines); the untouched tail goes back after the layout.
+        let mut behaviors = Vec::with_capacity(n_funcs * (base + delta).max(2) as usize);
         for fi in 0..n_funcs {
-            // ±25 % body-size variance keeps set-index pressure irregular.
-            let base = profile.lines_per_func as i64;
-            let delta = (base / 4).max(1);
             let n_lines = (base + rng.gen_range(-delta..=delta)).max(2) as u32;
             let first_line = behaviors.len() as u32;
 
@@ -110,6 +113,7 @@ impl SyntheticProgram {
             funcs.push(Function { first_line, n_lines });
         }
 
+        behaviors.shrink_to_fit();
         let func_zipf = Zipf::new(n_funcs, profile.func_zipf);
         Self { profile: profile.clone(), funcs, behaviors, func_zipf, hot_zipf }
     }

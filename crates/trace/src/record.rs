@@ -1,7 +1,14 @@
 //! Trace records: the unit of work consumed by the core model.
 
-use garibaldi_types::{RwKind, VirtAddr};
+use garibaldi_types::{RwKind, VirtAddr, LINE_BYTES};
 use serde::{Deserialize, Serialize};
+
+/// Exclusive upper bound of a record's PC, about 256 GiB: the frontend's
+/// temporal prefetcher (`garibaldi_cache::TemporalPrefetcher`) stores
+/// instruction lines as `u32`, so a PC's line must lie below `u32::MAX`.
+/// Generated programs lay their text out far below it, and
+/// `garibaldi-cli --replay` refuses a dump with a record past it.
+pub const PC_LIMIT: u64 = u32::MAX as u64 * LINE_BYTES;
 
 /// Maximum data references carried by one record.
 ///

@@ -12,22 +12,48 @@
 //! small enough that doubling slot memory is the cheap side of the trade
 //! (measured in the engine-level `BENCH_5.json` snapshot).
 //!
-//! Iteration ([`U64Table::iter`] and friends) walks slots in array order —
-//! **unordered**, but a pure function of the insertion/removal history, so
-//! simulated results that consume it stay deterministic and worker-count
-//! invariant. Callers that need a canonical order sort the drained pairs
-//! (the proptest suite checks sorted-iteration equivalence against
-//! `HashMap`).
+//! A slot costs exactly what it holds, `size_of::<(u64, T)>()`: 8 bytes in
+//! a [`U64Set`], 16 for a `u64` or `[u32; 2]` value, 24 for a
+//! Hawkeye/Mockingjay sampler's `(u64, u32)`. Each key is stored
+//! complemented in a `NonZeroU64`, so an empty slot is the all-zero key
+//! and `Option` needs no discriminant. `u64::MAX`, the one key whose
+//! complement is zero, lives in a side slot beside the array; it counts
+//! toward the load bound like any key, so hashing (of the key itself),
+//! probe sequences, growth points and slot order are those of a table that
+//! stored every key in the array. Every `u64` stays a valid key.
+//!
+//! Iteration ([`U64Table::iter`] and friends) walks slots in array order,
+//! then the side slot — **unordered**, but a pure function of the
+//! insertion/removal history, so simulated results that consume it stay
+//! deterministic and worker-count invariant. Callers that need a canonical
+//! order sort the drained pairs (the proptest suite checks
+//! sorted-iteration equivalence against `HashMap`).
 
 use crate::fasthash::mix64;
+use std::num::NonZeroU64;
 
 /// Minimum non-empty capacity (power of two).
 const MIN_CAP: usize = 8;
 
+/// One slot: the key stored complemented, so a live slot's key is never
+/// zero and `None` needs no discriminant of its own (the slot is exactly
+/// `size_of::<(u64, T)>()`).
+type Slot<T> = Option<(NonZeroU64, T)>;
+
+/// The stored form of `key` (any key but `u64::MAX`).
+#[inline]
+fn enc(key: u64) -> NonZeroU64 {
+    NonZeroU64::new(!key).expect("u64::MAX lives in the side slot")
+}
+
 /// An open-addressed hash table from `u64` keys to `T`.
 #[derive(Debug, Clone)]
 pub struct U64Table<T> {
-    slots: Vec<Option<(u64, T)>>,
+    slots: Vec<Slot<T>>,
+    /// The value of key `u64::MAX`, the one key whose complement is zero.
+    max: Option<T>,
+    /// Entries, the side slot's included (so growth points are those of a
+    /// table holding every key in the array).
     len: usize,
     /// `slots.len() - 1` when allocated (capacity is a power of two).
     mask: usize,
@@ -42,7 +68,7 @@ impl<T> Default for U64Table<T> {
 impl<T> U64Table<T> {
     /// An empty table (no allocation until the first insert).
     pub fn new() -> Self {
-        Self { slots: Vec::new(), len: 0, mask: 0 }
+        Self { slots: Vec::new(), max: None, len: 0, mask: 0 }
     }
 
     /// An empty table pre-sized for at least `n` entries.
@@ -71,6 +97,7 @@ impl<T> U64Table<T> {
         for s in &mut self.slots {
             *s = None;
         }
+        self.max = None;
         self.len = 0;
     }
 
@@ -79,48 +106,58 @@ impl<T> U64Table<T> {
         mix64(key) as usize & self.mask
     }
 
-    /// Slot of `key`: `Ok(i)` when present at `i`, `Err(i)` when absent
-    /// with `i` the insertion slot. Requires a non-empty slot array.
+    /// Slot of `key` (not `u64::MAX`): `Ok(i)` when present at `i`,
+    /// `Err(i)` when absent with `i` the insertion slot. Requires a
+    /// non-empty slot array.
     #[inline]
     fn probe(&self, key: u64) -> Result<usize, usize> {
+        let stored = !key;
         let mut i = self.home(key);
         loop {
             match &self.slots[i] {
-                Some((k, _)) if *k == key => return Ok(i),
+                Some((k, _)) if k.get() == stored => return Ok(i),
                 Some(_) => i = (i + 1) & self.mask,
                 None => return Err(i),
             }
         }
     }
 
+    /// Slot index of `key` (not `u64::MAX`) when present.
+    #[inline]
+    fn find(&self, key: u64) -> Option<usize> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        self.probe(key).ok()
+    }
+
     /// Reference to the value for `key`.
     #[inline]
     pub fn get(&self, key: u64) -> Option<&T> {
-        if self.len == 0 {
-            return None;
+        if key == u64::MAX {
+            return self.max.as_ref();
         }
-        match self.probe(key) {
-            Ok(i) => self.slots[i].as_ref().map(|(_, v)| v),
-            Err(_) => None,
-        }
+        let i = self.find(key)?;
+        self.slots[i].as_ref().map(|(_, v)| v)
     }
 
     /// Mutable reference to the value for `key`.
     #[inline]
     pub fn get_mut(&mut self, key: u64) -> Option<&mut T> {
-        if self.len == 0 {
-            return None;
+        if key == u64::MAX {
+            return self.max.as_mut();
         }
-        match self.probe(key) {
-            Ok(i) => self.slots[i].as_mut().map(|(_, v)| v),
-            Err(_) => None,
-        }
+        let i = self.find(key)?;
+        self.slots[i].as_mut().map(|(_, v)| v)
     }
 
     /// True when `key` is present.
     #[inline]
     pub fn contains_key(&self, key: u64) -> bool {
-        self.len != 0 && self.probe(key).is_ok()
+        if key == u64::MAX {
+            return self.max.is_some();
+        }
+        self.find(key).is_some()
     }
 
     /// Perf-only host-CPU hint for `key`'s home slot (see [`crate::hint`]).
@@ -135,10 +172,10 @@ impl<T> U64Table<T> {
         }
     }
 
-    /// Slot for `key` with growth on demand: `Ok(i)` when present at `i`
-    /// (no growth — updates of resident keys must never trigger a
-    /// spurious rehash, the samplers' dominant pattern), `Err(i)` when
-    /// absent with `i` an empty slot valid under the load bound.
+    /// Slot for `key` (not `u64::MAX`) with growth on demand: `Ok(i)` when
+    /// present at `i` (no growth — updates of resident keys must never
+    /// trigger a spurious rehash, the samplers' dominant pattern), `Err(i)`
+    /// when absent with `i` an empty slot valid under the load bound.
     #[inline]
     fn slot_for_insert(&mut self, key: u64) -> Result<usize, usize> {
         if self.slots.is_empty() {
@@ -164,13 +201,18 @@ impl<T> U64Table<T> {
     /// Inserts `key → value`, returning the previous value if any.
     #[inline]
     pub fn insert(&mut self, key: u64, value: T) -> Option<T> {
+        if key == u64::MAX {
+            let old = self.max.replace(value);
+            self.len += usize::from(old.is_none());
+            return old;
+        }
         match self.slot_for_insert(key) {
             Ok(i) => {
-                let old = self.slots[i].replace((key, value));
+                let old = self.slots[i].replace((enc(key), value));
                 old.map(|(_, v)| v)
             }
             Err(i) => {
-                self.slots[i] = Some((key, value));
+                self.slots[i] = Some((enc(key), value));
                 self.len += 1;
                 None
             }
@@ -181,10 +223,16 @@ impl<T> U64Table<T> {
     /// when absent (the `entry(key).or_insert_with(make)` shape).
     #[inline]
     pub fn get_or_insert_with(&mut self, key: u64, make: impl FnOnce() -> T) -> &mut T {
+        if key == u64::MAX {
+            if self.max.is_none() {
+                self.len += 1;
+            }
+            return self.max.get_or_insert_with(make);
+        }
         let i = match self.slot_for_insert(key) {
             Ok(i) => i,
             Err(i) => {
-                self.slots[i] = Some((key, make()));
+                self.slots[i] = Some((enc(key), make()));
                 self.len += 1;
                 i
             }
@@ -195,13 +243,12 @@ impl<T> U64Table<T> {
     /// Removes `key`, returning its value. Backward-shift deletion: later
     /// displaced entries slide into the hole, so no tombstones accumulate.
     pub fn remove(&mut self, key: u64) -> Option<T> {
-        if self.len == 0 {
-            return None;
+        if key == u64::MAX {
+            let old = self.max.take();
+            self.len -= usize::from(old.is_some());
+            return old;
         }
-        let mut hole = match self.probe(key) {
-            Ok(i) => i,
-            Err(_) => return None,
-        };
+        let mut hole = self.find(key)?;
         let (_, value) = self.slots[hole].take().expect("probed occupied");
         self.len -= 1;
         // Slide the probe chain left over the hole.
@@ -209,7 +256,7 @@ impl<T> U64Table<T> {
         loop {
             j = (j + 1) & self.mask;
             let Some((kj, _)) = &self.slots[j] else { break };
-            let h = self.home(*kj);
+            let h = self.home(!kj.get());
             // `j`'s entry may fill the hole iff its home lies outside the
             // cyclic interval (hole, j] — i.e. probing from `h` would have
             // visited `hole` before `j`.
@@ -221,25 +268,27 @@ impl<T> U64Table<T> {
         Some(value)
     }
 
-    /// Iterates `(key, &value)` in slot order (unordered; deterministic
-    /// for a given operation history).
+    /// Iterates `(key, &value)` in slot order, the side slot last
+    /// (unordered; deterministic for a given operation history).
     pub fn iter(&self) -> impl Iterator<Item = (u64, &T)> {
-        self.slots.iter().filter_map(|s| s.as_ref().map(|(k, v)| (*k, v)))
+        let slots = self.slots.iter().filter_map(|s| s.as_ref().map(|(k, v)| (!k.get(), v)));
+        slots.chain(self.max.as_ref().map(|v| (u64::MAX, v)))
     }
 
-    /// Iterates `(key, &mut value)` in slot order.
+    /// Iterates `(key, &mut value)` in slot order, the side slot last.
     pub fn iter_mut(&mut self) -> impl Iterator<Item = (u64, &mut T)> {
-        self.slots.iter_mut().filter_map(|s| s.as_mut().map(|(k, v)| (*k, v)))
+        let slots = self.slots.iter_mut().filter_map(|s| s.as_mut().map(|(k, v)| (!k.get(), v)));
+        slots.chain(self.max.as_mut().map(|v| (u64::MAX, v)))
     }
 
-    /// Iterates values in slot order.
+    /// Iterates values in slot order, the side slot last.
     pub fn values(&self) -> impl Iterator<Item = &T> {
-        self.slots.iter().filter_map(|s| s.as_ref().map(|(_, v)| v))
+        self.iter().map(|(_, v)| v)
     }
 
-    /// Iterates keys in slot order.
+    /// Iterates keys in slot order, the side slot last.
     pub fn keys(&self) -> impl Iterator<Item = u64> + '_ {
-        self.slots.iter().filter_map(|s| s.as_ref().map(|(k, _)| *k))
+        self.iter().map(|(k, _)| k)
     }
 
     fn grow_to(&mut self, cap: usize) {
@@ -249,7 +298,7 @@ impl<T> U64Table<T> {
         self.mask = cap - 1;
         for (k, v) in old.into_iter().flatten() {
             // Direct re-probe: all slots fit (no recursive growth).
-            match self.probe(k) {
+            match self.probe(!k.get()) {
                 Ok(_) => unreachable!("duplicate key during rehash"),
                 Err(i) => self.slots[i] = Some((k, v)),
             }
@@ -257,13 +306,23 @@ impl<T> U64Table<T> {
     }
 }
 
+/// Consuming iterator of a [`U64Table`]: slot order, the side slot last.
+type IntoIter<T> = std::iter::Chain<
+    std::iter::Map<
+        std::iter::Flatten<std::vec::IntoIter<Option<(NonZeroU64, T)>>>,
+        fn((NonZeroU64, T)) -> (u64, T),
+    >,
+    std::option::IntoIter<(u64, T)>,
+>;
+
 impl<T> IntoIterator for U64Table<T> {
     type Item = (u64, T);
-    type IntoIter = std::iter::Flatten<std::vec::IntoIter<Option<(u64, T)>>>;
+    type IntoIter = IntoIter<T>;
 
     /// Consumes the table, yielding `(key, value)` pairs in slot order.
     fn into_iter(self) -> Self::IntoIter {
-        self.slots.into_iter().flatten()
+        let decode: fn((NonZeroU64, T)) -> (u64, T) = |(k, v)| (!k.get(), v);
+        self.slots.into_iter().flatten().map(decode).chain(self.max.map(|v| (u64::MAX, v)))
     }
 }
 
@@ -372,6 +431,73 @@ mod tests {
         assert_eq!(t.get(u64::MAX), Some(&20));
         assert_eq!(t.remove(0), Some(10));
         assert_eq!(t.get(u64::MAX), Some(&20));
+    }
+
+    /// Every caller's slot holds its key and value and nothing else.
+    #[test]
+    fn slots_cost_the_size_of_key_and_value() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<Slot<()>>(), size_of::<(u64, ())>());
+        assert_eq!(size_of::<Slot<u64>>(), size_of::<(u64, u64)>());
+        assert_eq!(size_of::<Slot<[u32; 2]>>(), size_of::<(u64, [u32; 2])>());
+        assert_eq!(size_of::<Slot<(u64, u32)>>(), size_of::<(u64, (u64, u32))>());
+        assert_eq!(
+            (size_of::<Slot<()>>(), size_of::<Slot<[u32; 2]>>(), size_of::<Slot<(u64, u32)>>()),
+            (8, 16, 24)
+        );
+    }
+
+    /// `u64::MAX` lives in the side slot and behaves like any other key
+    /// through insert, get, update, remove and iteration.
+    #[test]
+    fn side_slot_round_trips_u64_max() {
+        let mut t = U64Table::new();
+        assert_eq!(t.insert(u64::MAX, 1), None);
+        assert!(t.slots.is_empty(), "the side slot needs no array");
+        assert_eq!((t.len(), t.get(u64::MAX), t.contains_key(u64::MAX)), (1, Some(&1), true));
+        assert_eq!(t.insert(u64::MAX, 2), Some(1));
+        *t.get_mut(u64::MAX).unwrap() += 1;
+        *t.get_or_insert_with(u64::MAX, || panic!("present: not called")) += 1;
+        for k in 0..5 {
+            t.insert(k, 10 + k);
+        }
+        assert_eq!(t.len(), 6);
+        let mut all: Vec<_> = t.iter().map(|(k, v)| (k, *v)).collect();
+        assert_eq!(all.last(), Some(&(u64::MAX, 4)), "the side slot iterates last");
+        all.sort_unstable();
+        assert_eq!(all, vec![(0, 10), (1, 11), (2, 12), (3, 13), (4, 14), (u64::MAX, 4)]);
+        assert_eq!(t.keys().last(), Some(u64::MAX));
+        assert_eq!(t.values().last(), Some(&4));
+        for (k, v) in t.iter_mut() {
+            *v += k & 1;
+        }
+        assert_eq!(t.get(u64::MAX), Some(&5));
+        assert_eq!(t.clone().into_iter().last(), Some((u64::MAX, 5)));
+        assert_eq!(t.remove(u64::MAX), Some(5));
+        assert_eq!((t.remove(u64::MAX), t.get(u64::MAX), t.len()), (None, None, 5));
+        *t.get_or_insert_with(u64::MAX, || 7) += 1;
+        assert_eq!((t.get(u64::MAX), t.len()), (Some(&8), 6));
+        t.clear();
+        assert!(t.is_empty() && !t.contains_key(u64::MAX));
+        let mut s = U64Set::new();
+        assert!(s.insert(u64::MAX) && !s.insert(u64::MAX) && s.contains(u64::MAX));
+        assert_eq!(s.iter().collect::<Vec<_>>(), vec![u64::MAX]);
+        assert!(s.remove(u64::MAX) && s.is_empty());
+    }
+
+    /// The side slot counts toward the load bound: a table holding
+    /// `u64::MAX` grows at the same insert as one whose array held it.
+    #[test]
+    fn side_slot_counts_toward_growth() {
+        let mut a = U64Table::new();
+        let mut b = U64Table::new();
+        a.insert(u64::MAX, 0);
+        b.insert(u64::MAX - 1, 0);
+        for k in 0..100 {
+            a.insert(k, k);
+            b.insert(k, k);
+            assert_eq!(a.slots.len(), b.slots.len(), "after key {k}");
+        }
     }
 
     #[test]

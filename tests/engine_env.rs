@@ -66,8 +66,7 @@ fn smoke_run(r: &SimRunner) -> RunResult {
 }
 
 /// `GARIBALDI_ENGINE=serial` reproduces the serial engine exactly — even
-/// when `GARIBALDI_WORKERS` would otherwise force the parallel one (the
-/// escape hatch the benches' parallel-default flip documents).
+/// when `GARIBALDI_WORKERS` would otherwise force the parallel one.
 #[test]
 fn engine_serial_reproduces_serial_engine() {
     let r = runner();

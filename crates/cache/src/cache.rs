@@ -4,7 +4,9 @@
 //! packed tag words ([`PackedTag`]: valid bit folded into the line address)
 //! scanned in a single branch-light pass per lookup, with the per-line
 //! metadata ([`LineFlags`] byte, sharer mask) in parallel arrays touched
-//! only on hit or victim selection. See ARCHITECTURE.md §"SoA tag arrays".
+//! only on hit or victim selection. The sharer mask is stored at the width
+//! the directory needs, [`CacheConfig::directory_bytes`] bytes per frame.
+//! See ARCHITECTURE.md §"SoA tag arrays".
 
 use crate::line::{LineFlags, LineMeta, MesiState, PackedTag};
 use crate::policy::{build_policy, Lru, PolicyCtx, PolicyKind, ReplacementPolicy};
@@ -24,7 +26,14 @@ pub struct CacheConfig {
     /// Set-indexing scheme: whole cache (`line % sets`) or a shard view
     /// owning a contiguous range of a larger cache's index space.
     pub indexing: SetIndexing,
+    /// Bytes of directory sharer mask per frame (1..=8): one presence bit
+    /// per sharer cluster, see [`CacheConfig::with_directory_clusters`].
+    dir_bytes: u8,
 }
+
+/// Directory width of a cache that does not say how many clusters share it:
+/// the full 64-cluster `u64` mask.
+const DIR_BYTES_MAX: u8 = 8;
 
 /// How a line address maps to a set of this cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,7 +61,13 @@ impl CacheConfig {
     /// mask is a `u64`).
     pub fn new(name: impl Into<String>, sets: usize, ways: usize) -> Self {
         check_geometry(sets, ways);
-        Self { name: name.into(), sets, ways, indexing: SetIndexing::Modulo }
+        Self {
+            name: name.into(),
+            sets,
+            ways,
+            indexing: SetIndexing::Modulo,
+            dir_bytes: DIR_BYTES_MAX,
+        }
     }
 
     /// Creates a shard view owning global sets `[base, base + sets)` of a
@@ -76,7 +91,27 @@ impl CacheConfig {
             sets,
             ways,
             indexing: SetIndexing::Shard { modulus: modulus as u64, base: base as u64 },
+            dir_bytes: DIR_BYTES_MAX,
         }
+    }
+
+    /// This geometry with a directory sized for `clusters` sharer
+    /// clusters: `ceil(clusters / 8)` bytes of sharer mask per frame
+    /// instead of the default 8. Sharer masks keep their `u64` API; a
+    /// cluster index must stay below `clusters` rounded up to whole bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `clusters` is zero or exceeds 64 (the `u64` mask).
+    pub fn with_directory_clusters(mut self, clusters: usize) -> Self {
+        assert!((1..=64).contains(&clusters), "{clusters} sharer clusters out of [1,64]");
+        self.dir_bytes = clusters.div_ceil(8) as u8;
+        self
+    }
+
+    /// Bytes of directory sharer mask per frame.
+    pub fn directory_bytes(&self) -> usize {
+        self.dir_bytes as usize
     }
 
     /// Global set index of `line` under this config's indexing (for shard
@@ -207,6 +242,12 @@ impl FillProbe {
         self.hit.is_some()
     }
 
+    /// Way holding the probed line at probe time (`None` on a miss).
+    #[inline]
+    pub fn way(&self) -> Option<usize> {
+        self.hit
+    }
+
     /// Set the probed line maps to (for staleness checks by callers that
     /// interleave other fills before redeeming the probe).
     #[inline]
@@ -234,7 +275,14 @@ pub enum AccessOutcome {
 /// view never perturbs the replacement policy.
 pub struct LineMut<'a> {
     flags: &'a mut u8,
-    sharers: &'a mut u64,
+    /// The frame's sharer mask, little-endian, at the directory's width.
+    sharers: &'a mut [u8],
+}
+
+/// A sharer mask stored little-endian in `bytes` (at most 8).
+#[inline]
+fn load_mask(bytes: &[u8]) -> u64 {
+    bytes.iter().enumerate().fold(0, |m, (k, &b)| m | (b as u64) << (8 * k))
 }
 
 impl LineMut<'_> {
@@ -284,25 +332,36 @@ impl LineMut<'_> {
     /// Sharer-cluster bitmask (LLC directory).
     #[inline]
     pub fn sharers(&self) -> u64 {
-        *self.sharers
+        load_mask(self.sharers)
     }
 
     /// Replaces the sharer mask.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mask` names a cluster beyond the directory's width.
     #[inline]
     pub fn set_sharers(&mut self, mask: u64) {
-        *self.sharers = mask;
+        let le = mask.to_le_bytes();
+        let (kept, dropped) = le.split_at(self.sharers.len());
+        assert!(dropped.iter().all(|&b| b == 0), "sharer mask {mask:#x} exceeds the directory");
+        self.sharers.copy_from_slice(kept);
     }
 
     /// Adds one sharer cluster to the directory mask.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cluster` is beyond the directory's width.
     #[inline]
     pub fn add_sharer(&mut self, cluster: usize) {
-        *self.sharers |= 1 << cluster;
+        self.sharers[cluster / 8] |= 1 << (cluster % 8);
     }
 
     /// Number of sharer clusters recorded in the directory mask.
     #[inline]
     pub fn sharer_count(&self) -> u32 {
-        self.sharers.count_ones()
+        self.sharers.iter().map(|b| b.count_ones()).sum()
     }
 }
 
@@ -405,14 +464,16 @@ impl PolicySlot {
 /// Storage is structure-of-arrays: `tags` holds one [`PackedTag`] word per
 /// frame (`set * ways + way`), scanned in a single pass per lookup;
 /// `flags`/`sharers` hold the per-line metadata and are only touched on
-/// hit, fill, or victim selection.
+/// hit, fill, or victim selection. `sharers` holds `dir_bytes` bytes per
+/// frame.
 pub struct SetAssocCache {
     config: CacheConfig,
     set_index: SetIndexFast,
     ways: usize,
+    dir_bytes: usize,
     tags: Vec<u64>,
     flags: Vec<u8>,
-    sharers: Vec<u64>,
+    sharers: Vec<u8>,
     policy: PolicySlot,
     stats: CacheStats,
 }
@@ -447,6 +508,7 @@ impl SetAssocCache {
         let set_index = SetIndexFast::new(&config);
         Self {
             ways: config.ways,
+            dir_bytes: config.directory_bytes(),
             config,
             set_index,
             tags: vec![PackedTag::EMPTY.raw(); frames],
@@ -454,19 +516,41 @@ impl SetAssocCache {
             // Allocated on first `peek_mut`: only the LLC shards run
             // directory updates, so private L1/L2 caches never pay the
             // column's memory footprint or the cold-line store every fill
-            // would otherwise make (`sharers[i] = 0` on an untouched column
-            // is the only writer, so an unallocated column is all-zero by
-            // construction).
+            // would otherwise make (clearing a frame's mask on an untouched
+            // column is the only writer, so an unallocated column is
+            // all-zero by construction).
             sharers: Vec::new(),
             policy,
             stats: CacheStats::default(),
         }
     }
 
+    /// Byte range of frame `i`'s sharer mask in the directory column.
+    #[inline]
+    fn dir_range(&self, i: usize) -> std::ops::Range<usize> {
+        i * self.dir_bytes..(i + 1) * self.dir_bytes
+    }
+
     /// Sharer mask of frame `i` (0 while the column is unallocated).
     #[inline]
     fn sharers_at(&self, i: usize) -> u64 {
-        self.sharers.get(i).copied().unwrap_or(0)
+        self.sharers.get(self.dir_range(i)).map_or(0, load_mask)
+    }
+
+    /// Clears frame `i`'s sharer mask (a no-op while the column is
+    /// unallocated).
+    #[inline]
+    fn clear_sharers(&mut self, i: usize) {
+        let r = self.dir_range(i);
+        if let Some(s) = self.sharers.get_mut(r) {
+            s.fill(0);
+        }
+    }
+
+    /// Bytes the directory column holds: 0 until the first directory edit,
+    /// then [`CacheConfig::directory_bytes`] per frame.
+    pub fn directory_heap_bytes(&self) -> usize {
+        self.sharers.len()
     }
 
     /// Cache geometry.
@@ -601,13 +685,6 @@ impl SetAssocCache {
         self.way_in(self.set_of(line), line)
     }
 
-    /// [`SetAssocCache::lookup`] with the set precomputed by the caller.
-    #[inline]
-    pub fn lookup_at(&self, set: usize, line: LineAddr) -> Option<usize> {
-        debug_assert_eq!(set, self.set_of(line));
-        self.way_in(set, line)
-    }
-
     /// Metadata of a resident line. Pure: no policy or stats update.
     pub fn peek(&self, line: LineAddr) -> Option<LineMeta> {
         let set = self.set_of(line);
@@ -638,9 +715,10 @@ impl SetAssocCache {
         let i = set * self.ways + way;
         if self.sharers.is_empty() {
             // First directory edit: materialize the (all-zero) column.
-            self.sharers = vec![0; self.tags.len()];
+            self.sharers = vec![0; self.tags.len() * self.dir_bytes];
         }
-        LineMut { flags: &mut self.flags[i], sharers: &mut self.sharers[i] }
+        let r = self.dir_range(i);
+        LineMut { flags: &mut self.flags[i], sharers: &mut self.sharers[r] }
     }
 
     /// Demand access: returns `true` on hit (recording stats and updating
@@ -696,6 +774,15 @@ impl SetAssocCache {
     #[inline]
     pub fn probe_fill(&self, line: LineAddr) -> FillProbe {
         self.probe_at(self.set_of(line), line)
+    }
+
+    /// [`SetAssocCache::probe_fill`] with the set precomputed by the
+    /// caller: one tag scan answers residency (with the hit way) and, on a
+    /// miss, feeds the follow-up [`SetAssocCache::fill`].
+    #[inline]
+    pub fn probe_fill_at(&self, set: usize, line: LineAddr) -> FillProbe {
+        debug_assert_eq!(set, self.set_of(line));
+        self.probe_at(set, line)
     }
 
     /// Fills `line` under `rule`, redeeming the fresh `probe` taken for it.
@@ -798,9 +885,7 @@ impl SetAssocCache {
         let state = if dirty { MesiState::Modified } else { MesiState::Exclusive };
         self.tags[i] = PackedTag::new(line).raw();
         self.flags[i] = LineFlags::new(dirty, ctx.is_prefetch, ctx.is_instr, state).raw();
-        if let Some(s) = self.sharers.get_mut(i) {
-            *s = 0;
-        }
+        self.clear_sharers(i);
         if ctx.is_prefetch {
             self.stats.prefetch_fills += 1;
         }
@@ -824,9 +909,7 @@ impl SetAssocCache {
         let meta = self.frame_meta(set, way);
         self.tags[i] = PackedTag::EMPTY.raw();
         self.flags[i] = LineFlags::EMPTY.raw();
-        if let Some(s) = self.sharers.get_mut(i) {
-            *s = 0;
-        }
+        self.clear_sharers(i);
         self.stats.invalidations += 1;
         Some(meta)
     }

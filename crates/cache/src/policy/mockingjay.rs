@@ -19,20 +19,24 @@ const SAMPLE_STRIDE: usize = 8;
 /// log2 of RDP entries.
 const RDP_BITS: u32 = 14;
 /// ETR magnitude clamp. The paper's hardware uses 5-bit signed counters
-/// with a coarse aging granularity; the simulator keeps full resolution
-/// (the clamp only bounds saturation) because the quantisation is a
-/// hardware-cost tradeoff, not part of the algorithm.
-const ETR_MAX: i32 = 1 << 14;
+/// with a coarse aging granularity; the simulator ages by one unit per set
+/// access and keeps full resolution (the clamp only bounds saturation)
+/// because the quantisation is a hardware-cost tradeoff, not part of the
+/// algorithm. ±2¹⁴ fits an `i16` exactly.
+const ETR_MAX: i16 = 1 << 14;
 /// Reuse distance recorded for lines that age out of the sampler.
 const SCAN_DISTANCE: u32 = u32::MAX;
 
 #[derive(Debug, Default, Clone)]
 struct SampledSet {
-    /// line → (last access time, rdp index). Open-addressed: this map is
+    /// line → (last access stamp, rdp index). Open-addressed: this map is
     /// probed on every access to a sampled set — the simulator's hottest
     /// policy path (see `garibaldi_types::u64map`).
-    last: U64Table<(u64, u32)>,
-    time: u64,
+    last: U64Table<(u32, u32)>,
+    /// Access stamp of the set, wrapping at 2³². Stamp differences are
+    /// taken modulo 2³², which is exact while fewer than 2³² accesses to
+    /// the set separate two touches of a line.
+    time: u32,
 }
 
 /// Mockingjay replacement policy.
@@ -40,8 +44,6 @@ struct SampledSet {
 pub struct Mockingjay {
     ways: usize,
     window: u32,
-    /// ETR granularity: one ETR unit = `granularity` set accesses.
-    granularity: u32,
     /// RDP: predicted reuse distance per signature (`u32::MAX` = scan,
     /// `0xFFFF_FFFE` = untrained).
     rdp: Vec<u32>,
@@ -52,9 +54,9 @@ pub struct Mockingjay {
     /// collected before removal (reused across calls, no per-access
     /// allocation).
     stale: Vec<(u64, u32)>,
-    etr: Vec<i32>,
-    /// Per-set access countdown for the aging clock.
-    clock: Vec<u32>,
+    /// Estimated time remaining per frame, in set accesses, within
+    /// ±[`ETR_MAX`].
+    etr: Vec<i16>,
 }
 
 /// RDP value meaning "no information yet".
@@ -64,16 +66,13 @@ impl Mockingjay {
     /// Creates Mockingjay state for a `sets × ways` cache.
     pub fn new(sets: usize, ways: usize) -> Self {
         let window = (WINDOW_ASSOC_MULT * ways) as u32;
-        let granularity = 1;
         Self {
             ways,
             window,
-            granularity,
             rdp: vec![RDP_UNTRAINED; 1 << RDP_BITS],
             sampled: vec![SampledSet::default(); sets.div_ceil(SAMPLE_STRIDE)],
             stale: Vec::new(),
             etr: vec![0; sets * ways],
-            clock: vec![0; sets],
         }
     }
 
@@ -100,9 +99,9 @@ impl Mockingjay {
         }
     }
 
-    fn predict_etr(&self, ctx: &PolicyCtx) -> i32 {
+    fn predict_etr(&self, ctx: &PolicyCtx) -> i16 {
         match self.predict(ctx) {
-            Some(d) => ((d / self.granularity) as i32).min(ETR_MAX),
+            Some(d) => d.min(ETR_MAX as u32) as i16,
             None => ETR_MAX,
         }
     }
@@ -114,21 +113,25 @@ impl Mockingjay {
         }
         let ss = &mut self.sampled[set / SAMPLE_STRIDE];
         let now = ss.time;
-        ss.time += 1;
+        ss.time = now.wrapping_add(1);
         let line = ctx.line.get();
         if let Some(&(t_prev, idx)) = ss.last.get(line) {
-            let observed = ((now - t_prev) as u32).min(window * 2);
+            let observed = now.wrapping_sub(t_prev).min(window * 2);
             update_rdp(&mut self.rdp[idx as usize], observed);
         }
         ss.last.insert(line, (now, Self::rdp_idx(ctx) as u32));
         // Lines that age out of the window were effectively scans. Collect
         // then remove (every aged-out entry maps to the same SCAN write,
-        // so collection order is immaterial).
+        // so collection order is immaterial). An entry is stale once more
+        // than `window` accesses separate it from `now`; no stamp is newer
+        // than `now`, so the wrapping age is the true age.
         if ss.last.len() > window as usize {
-            let cutoff = now.saturating_sub(window as u64);
             self.stale.clear();
             self.stale.extend(
-                ss.last.iter().filter(|&(_, &(t, _))| t < cutoff).map(|(l, &(_, idx))| (l, idx)),
+                ss.last
+                    .iter()
+                    .filter(|&(_, &(t, _))| now.wrapping_sub(t) > window)
+                    .map(|(l, &(_, idx))| (l, idx)),
             );
             for &(l, idx) in &self.stale {
                 ss.last.remove(l);
@@ -137,16 +140,12 @@ impl Mockingjay {
         }
     }
 
-    /// Ages the set's ETRs: one tick per `granularity` set accesses.
+    /// Ages the set's ETRs by one unit (one per set access).
     fn tick(&mut self, set: usize) {
-        self.clock[set] += 1;
-        if self.clock[set] >= self.granularity {
-            self.clock[set] = 0;
-            // One slice → one bounds check; the decrement loop vectorizes.
-            let base = set * self.ways;
-            for e in &mut self.etr[base..base + self.ways] {
-                *e = (*e - 1).max(-ETR_MAX);
-            }
+        // One slice → one bounds check; the decrement loop vectorizes.
+        let base = set * self.ways;
+        for e in &mut self.etr[base..base + self.ways] {
+            *e = (*e - 1).max(-ETR_MAX);
         }
     }
 }
@@ -187,8 +186,8 @@ impl ReplacementPolicy for Mockingjay {
         let base = set * self.ways;
         let row = &self.etr[base..base + self.ways];
         let mut best = usize::MAX;
-        let mut best_mag = -1i32;
-        let mut best_etr = 0i32;
+        let mut best_mag = -1i16;
+        let mut best_etr = 0i16;
         for (w, &e) in row.iter().enumerate() {
             if excluded & (1 << w) != 0 {
                 continue;
@@ -226,10 +225,8 @@ impl ReplacementPolicy for Mockingjay {
 
     fn prefetch_row(&self, set: usize) {
         // Victim selection and aging walk the set's contiguous ETR row
-        // (4 bytes per way — 16 ways fit one cache line); the aging clock
-        // is a separate per-set counter touched on every event.
+        // (2 bytes per way — 32 ways fit one cache line).
         garibaldi_types::hint::prefetch_index(&self.etr, set * self.ways);
-        garibaldi_types::hint::prefetch_index(&self.clock, set);
     }
 
     fn export_learned(&self, out: &mut Vec<u32>) {
@@ -388,11 +385,87 @@ mod tests {
         let mut m = Mockingjay::new(8, 2);
         let __i = m.fidx(0, 0);
         m.etr[__i] = 5;
-        let g = m.granularity;
-        for _ in 0..g {
+        m.tick(0);
+        assert_eq!(m.etr[m.fidx(0, 0)], 4);
+    }
+
+    /// Drives accesses to sampled set 0, the sampler's stamp starting at
+    /// `start`: line 1 under `pc_a`, then `others` distinct lines under
+    /// `pc_b`, then (when `retouch`) line 1 again.
+    fn run_sampler(start: u32, others: u64, retouch: bool, pc_a: u64, pc_b: u64) -> Mockingjay {
+        let mut m = Mockingjay::new(8, 2);
+        m.sampled[0].time = start;
+        m.on_insert(0, 0, &ctx(1, pc_a));
+        for l in 0..others {
+            m.on_insert(0, 1, &ctx(100 + l, pc_b));
+        }
+        if retouch {
+            m.on_hit(0, 0, &ctx(1, pc_a));
+        }
+        m
+    }
+
+    /// Two PCs whose RDP entries differ.
+    fn distinct_pcs() -> (u64, u64) {
+        let idx = |pc| Mockingjay::rdp_idx(&ctx(0, pc));
+        let b = (0x43..).find(|&b| idx(b) != idx(0x42)).unwrap();
+        (0x42, b)
+    }
+
+    #[test]
+    fn sampler_distance_is_exact_across_the_stamp_wrap() {
+        let (pc_a, pc_b) = distinct_pcs();
+        let a = Mockingjay::rdp_idx(&ctx(1, pc_a));
+        // Stamps u32::MAX - 2 .. 1: the second touch of line 1 comes four
+        // accesses after the first, two of them past the wrap.
+        let wrapped = run_sampler(u32::MAX - 2, 3, true, pc_a, pc_b);
+        assert_eq!(wrapped.sampled[0].time, 2);
+        assert_eq!(wrapped.rdp[a], 4);
+        let plain = run_sampler(0, 3, true, pc_a, pc_b);
+        assert_eq!(wrapped.rdp, plain.rdp);
+    }
+
+    #[test]
+    fn sampler_purges_stale_entries_across_the_stamp_wrap() {
+        let (pc_a, pc_b) = distinct_pcs();
+        let a = Mockingjay::rdp_idx(&ctx(1, pc_a));
+        let window = Mockingjay::new(8, 2).window as u64;
+        for start in [u32::MAX - 5, u32::MAX, 0] {
+            // `window` later accesses: line 1 is exactly `window` old, so it
+            // stays; one more ages it out as a scan.
+            let kept = run_sampler(start, window, false, pc_a, pc_b);
+            assert!(kept.sampled[0].last.get(1).is_some(), "start {start}");
+            assert_eq!(kept.rdp[a], RDP_UNTRAINED);
+            let purged = run_sampler(start, window + 1, false, pc_a, pc_b);
+            assert!(purged.sampled[0].last.get(1).is_none(), "start {start}");
+            assert_eq!(purged.rdp[a], SCAN_DISTANCE);
+            assert_eq!(purged.sampled[0].last.len(), window as usize + 1);
+            assert_eq!(purged.rdp, run_sampler(0, window + 1, false, pc_a, pc_b).rdp);
+        }
+    }
+
+    #[test]
+    fn etr_saturates_at_the_clamp() {
+        assert_eq!((ETR_MAX, -ETR_MAX), (16_384, -16_384));
+        let mut m = Mockingjay::new(8, 2);
+        let c = ctx(0x7, 0x99);
+        m.rdp[Mockingjay::rdp_idx(&c)] = 1 << 20;
+        assert_eq!(m.predict_etr(&c), ETR_MAX, "a long distance clamps");
+        m.rdp[Mockingjay::rdp_idx(&c)] = SCAN_DISTANCE;
+        assert_eq!(m.predict_etr(&c), ETR_MAX, "a scan predicts the clamp");
+        m.rdp[Mockingjay::rdp_idx(&c)] = ETR_MAX as u32 - 1;
+        assert_eq!(m.predict_etr(&c), ETR_MAX - 1, "below the clamp is exact");
+        // Aging stops at -ETR_MAX.
+        let i = m.fidx(0, 1);
+        m.etr[i] = -ETR_MAX + 2;
+        for _ in 0..5 {
             m.tick(0);
         }
-        assert_eq!(m.etr[m.fidx(0, 0)], 4);
+        assert_eq!(m.etr[i], -ETR_MAX);
+        m.rdp[Mockingjay::rdp_idx(&c)] = SCAN_DISTANCE;
+        m.on_insert(0, 0, &ctx(0x8, 0x99));
+        assert_eq!(m.etr[m.fidx(0, 0)], ETR_MAX);
+        assert_eq!(m.choose_victim(0, &c, 0), 1, "overdue wins the tie at the clamp");
     }
 
     #[test]

@@ -235,6 +235,100 @@ fn eviction_fill_does_not_inherit_the_victims_sharers() {
     assert!(!m.dirty, "dirty bit leaked across an eviction");
 }
 
+/// The same report from a directory sized for 10 clusters (2 bytes per
+/// frame, the 40-core LLC's) and for 8 clusters (1 byte): the evicted
+/// metadata carries the whole mask, top cluster included.
+#[test]
+fn eviction_reports_the_victims_directory_state_at_a_narrow_width() {
+    for (clusters, mask) in [(10, 0b10_0000_1011u64), (8, 0b1000_0011)] {
+        let cfg = CacheConfig::new("m", 1, 1).with_directory_clusters(clusters);
+        let mut c = SetAssocCache::new(cfg, PolicyKind::Lru);
+        c.insert(LineAddr::new(3), &dctx(3), false);
+        {
+            let mut m = c.peek_mut(LineAddr::new(3)).unwrap();
+            m.set_sharers(mask);
+            m.set_state(MesiState::Shared);
+        }
+        let out = c.insert(LineAddr::new(4), &dctx(4), false);
+        let victim = out.evicted.expect("full set must evict");
+        assert_eq!(victim.sharers, mask, "eviction reports the victim's directory state");
+        assert_eq!(victim.state, MesiState::Shared);
+        assert_eq!(c.peek(LineAddr::new(4)).unwrap().sharers, 0, "mask leaked across an eviction");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Directory widths
+// ---------------------------------------------------------------------------
+
+/// Every cluster a directory is sized for is recorded, counted, read back
+/// and cleared at 1-, 2- and 8-byte widths, cluster 63 at 64 clusters
+/// included; the column costs its width per frame once touched.
+#[test]
+fn directory_widths_hold_every_cluster() {
+    for (clusters, width) in [(1, 1), (8, 1), (9, 2), (10, 2), (16, 2), (17, 3), (64, 8)] {
+        let cfg = CacheConfig::new("d", 2, 2).with_directory_clusters(clusters);
+        assert_eq!(cfg.directory_bytes(), width, "{clusters} clusters");
+        let mut c = SetAssocCache::new(cfg, PolicyKind::Lru);
+        c.insert(LineAddr::new(1), &dctx(1), false);
+        assert_eq!(c.directory_heap_bytes(), 0, "untouched directory allocated");
+        {
+            let mut m = c.peek_mut(LineAddr::new(1)).unwrap();
+            for k in 0..clusters {
+                m.add_sharer(k);
+                assert_eq!(m.sharer_count(), k as u32 + 1);
+            }
+        }
+        assert_eq!(c.directory_heap_bytes(), 4 * width);
+        let all = u64::MAX >> (64 - clusters);
+        assert_eq!(c.peek(LineAddr::new(1)).unwrap().sharers, all);
+        let top = 1u64 << (clusters - 1);
+        c.peek_mut(LineAddr::new(1)).unwrap().set_sharers(top);
+        let m = c.peek_mut(LineAddr::new(1)).unwrap();
+        assert_eq!((m.sharers(), m.sharer_count()), (top, 1));
+        // A neighbouring frame's mask is its own.
+        c.insert(LineAddr::new(3), &dctx(3), false);
+        assert_eq!(c.peek(LineAddr::new(3)).unwrap().sharers, 0);
+        c.peek_mut(LineAddr::new(3)).unwrap().add_sharer(0);
+        assert_eq!(c.peek(LineAddr::new(1)).unwrap().sharers, top);
+        c.invalidate(LineAddr::new(1));
+        c.insert(LineAddr::new(1), &dctx(1), false);
+        assert_eq!(c.peek(LineAddr::new(1)).unwrap().sharers, 0, "mask survived invalidation");
+        assert_eq!(c.peek(LineAddr::new(3)).unwrap().sharers, 1);
+    }
+    // The default directory is the full 64-cluster mask.
+    let mut c = SetAssocCache::new(CacheConfig::new("d", 1, 1), PolicyKind::Lru);
+    assert_eq!(c.config().directory_bytes(), 8);
+    c.insert(LineAddr::new(1), &dctx(1), false);
+    c.peek_mut(LineAddr::new(1)).unwrap().add_sharer(63);
+    assert_eq!(c.peek(LineAddr::new(1)).unwrap().sharers, 1 << 63);
+    assert_eq!(c.directory_heap_bytes(), 8);
+}
+
+#[test]
+#[should_panic]
+fn a_cluster_beyond_the_directory_width_panics() {
+    let cfg = CacheConfig::new("d", 1, 1).with_directory_clusters(8);
+    let mut c = SetAssocCache::new(cfg, PolicyKind::Lru);
+    c.insert(LineAddr::new(1), &dctx(1), false);
+    c.peek_mut(LineAddr::new(1)).unwrap().add_sharer(8);
+}
+
+#[test]
+#[should_panic(expected = "exceeds the directory")]
+fn a_mask_beyond_the_directory_width_panics() {
+    let cfg = CacheConfig::new("d", 1, 1).with_directory_clusters(10);
+    let mut c = SetAssocCache::new(cfg, PolicyKind::Lru);
+    c.insert(LineAddr::new(1), &dctx(1), false);
+    c.peek_mut(LineAddr::new(1)).unwrap().set_sharers(1 << 16);
+}
+
+#[test]
+#[should_panic(expected = "65 sharer clusters out of [1,64]")]
+fn more_clusters_than_a_u64_mask_holds_panic() {
+    let _ = CacheConfig::new("d", 1, 1).with_directory_clusters(65);
+}
+
 /// Same hygiene through the probe-redeeming fill (the engine's
 /// batched-drain fill): a redeemed probe over an evicted frame starts from
 /// fresh directory state.

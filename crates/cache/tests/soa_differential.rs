@@ -356,7 +356,7 @@ fn run_differential(
                 // Directory edits through peek_mut, mirrored field-by-field.
                 let set = rc.set_of(line);
                 let rway = rc.way_in(set, line);
-                let cluster = (aux % 8) as usize;
+                let cluster = (aux % (8 * cfg.directory_bytes() as u64)) as usize;
                 if let Some(mut m) = soa.peek_mut(line) {
                     m.set_dirty();
                     m.add_sharer(cluster);
@@ -412,6 +412,11 @@ fn run_differential(
 const GEOMETRIES: &[(usize, usize)] =
     &[(1, 1), (1, 4), (8, 2), (16, 4), (5, 2), (7, 4), (12, 3), (40, 2)];
 
+/// Directory sizes (sharer clusters): the default 8-byte mask, and the
+/// 2- and 1-byte masks of 10 and 8 clusters. The reference model keeps a
+/// full `u64` mask per frame whatever the width.
+const DIRECTORY_CLUSTERS: &[usize] = &[64, 10, 8];
+
 proptest! {
     /// Arbitrary op interleavings on whole-cache (Modulo) indexing, every
     /// policy, pow2 and non-pow2 set counts.
@@ -420,10 +425,12 @@ proptest! {
         ops in prop::collection::vec((0u8..10, 0u64..512, 0u64..256), 1..300),
         policy_idx in 0usize..PolicyKind::ALL.len(),
         geom_idx in 0usize..GEOMETRIES.len(),
+        dir_idx in 0usize..DIRECTORY_CLUSTERS.len(),
     ) {
         let kind = PolicyKind::ALL[policy_idx];
         let (sets, ways) = GEOMETRIES[geom_idx];
-        let cfg = CacheConfig::new("diff", sets, ways);
+        let cfg = CacheConfig::new("diff", sets, ways)
+            .with_directory_clusters(DIRECTORY_CLUSTERS[dir_idx]);
         run_differential(&cfg, kind, &ops, |raw| raw)?;
     }
 
@@ -437,11 +444,13 @@ proptest! {
         sets in 1usize..6,
         base in 0usize..8,
         extra in 0usize..9,
+        dir_idx in 0usize..DIRECTORY_CLUSTERS.len(),
     ) {
         let kind = PolicyKind::ALL[policy_idx];
         let modulus = base + sets + extra;
         let ways = 3usize;
-        let cfg = CacheConfig::shard("diff.shard", modulus, base, sets, ways);
+        let cfg = CacheConfig::shard("diff.shard", modulus, base, sets, ways)
+            .with_directory_clusters(DIRECTORY_CLUSTERS[dir_idx]);
         let (m, b, s) = (modulus as u64, base as u64, sets as u64);
         // Fold the raw value into the shard's owned global sets:
         // global set = base + (raw % sets), tag material = raw / sets.
@@ -463,8 +472,10 @@ fn soa_matches_reference_fixed_sequence() {
     let ops: Vec<Op> = (0..600).map(|_| (next() as u8, next() % 96, next() % 256)).collect();
     for kind in PolicyKind::ALL {
         for &(sets, ways) in &[(8usize, 4usize), (6, 3)] {
-            let cfg = CacheConfig::new("fixed", sets, ways);
-            run_differential(&cfg, kind, &ops, |raw| raw).unwrap();
+            for &clusters in DIRECTORY_CLUSTERS {
+                let cfg = CacheConfig::new("fixed", sets, ways).with_directory_clusters(clusters);
+                run_differential(&cfg, kind, &ops, |raw| raw).unwrap();
+            }
         }
         let cfg = CacheConfig::shard("fixed.shard", 12, 4, 4, 4);
         run_differential(&cfg, kind, &ops, |raw| (raw / 4 % 16) * 12 + 4 + raw % 4).unwrap();

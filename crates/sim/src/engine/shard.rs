@@ -134,10 +134,10 @@ impl LlcShard {
     /// `[base, base + sets)` of a `total_sets`-set LLC.
     pub fn new(cfg: &SystemConfig, idx: usize, shards: usize, total_sets: usize) -> Self {
         let (base, sets) = shard_range(total_sets, shards, idx);
-        let cache = SetAssocCache::new(
-            CacheConfig::shard(format!("llc.s{idx}"), total_sets, base, sets, cfg.llc_ways),
-            cfg.scheme.policy,
-        );
+        let geometry =
+            CacheConfig::shard(format!("llc.s{idx}"), total_sets, base, sets, cfg.llc_ways)
+                .with_directory_clusters(cfg.clusters());
+        let cache = SetAssocCache::new(geometry, cfg.scheme.policy);
         Self {
             cache,
             dram: DramModel::new(shard_dram(&cfg.dram, shards)),
@@ -307,17 +307,17 @@ impl LlcShard {
                     self.drain_data(r, set, is_write, il_hint, snap, out);
                 }
                 ReqKind::Writeback { is_instr } => {
-                    if let Some(mut m) = self.cache.peek_mut_at(set, r.line) {
-                        m.set_dirty();
+                    let probe = self.cache.probe_fill_at(set, r.line);
+                    if let Some(way) = probe.way() {
+                        self.cache.frame_mut(set, way).set_dirty();
                     } else {
                         let ctx =
                             AccessCtx { line: r.line, pc_sig: r.sig, is_instr, is_prefetch: false };
-                        let probe = self.cache.probe_fill(r.line);
                         self.fill_guarded(probe, &ctx, true, snap);
                     }
                 }
                 ReqKind::PfProbe => {
-                    if self.cache.lookup_at(set, r.line).is_none() {
+                    if !self.cache.probe_fill_at(set, r.line).resident() {
                         self.dram.access(r.line, r.key.now, false);
                     }
                 }
@@ -390,9 +390,10 @@ impl LlcShard {
         let access = if demand {
             self.cache.access_at(set, &ctx, false)
         } else {
-            match self.cache.lookup_at(set, r.line) {
+            let probe = self.cache.probe_fill_at(set, r.line);
+            match probe.way() {
                 Some(way) => AccessOutcome::Hit(way),
-                None => AccessOutcome::Miss(self.cache.probe_fill(r.line)),
+                None => AccessOutcome::Miss(probe),
             }
         };
         let hit = matches!(access, AccessOutcome::Hit(_));
@@ -737,5 +738,41 @@ mod tests {
         assert_eq!(d.access_latency, cfg.dram.access_latency);
         // One shard (the serial schedule) keeps the unsharded model.
         assert_eq!(*LlcShard::new(&cfg, 0, 1, 64).dram().config(), cfg.dram);
+    }
+
+    /// A demand data request from `cluster` to `line` (drain-order key `now`).
+    fn data_request(now: u64, line: u64, cluster: u16) -> LlcRequest {
+        LlcRequest {
+            key: super::super::request::ReqKey { now, core: 0, seq: now as u32 },
+            line: LineAddr::new(line),
+            pc: garibaldi_types::VirtAddr::new(0x400),
+            sig: 0x400,
+            cluster,
+            kind: ReqKind::Data { is_write: false, il_hint: None, ifetch_seq: None },
+        }
+    }
+
+    #[test]
+    fn directory_costs_its_cluster_width_per_frame() {
+        let snap = ThresholdSnapshot { color: 0, threshold: 0 };
+        let mut out = DrainOut::default();
+        // 40 cores in clusters of 4: 10 sharer clusters, 2 bytes a frame.
+        let cfg = SystemConfig::paper_baseline();
+        assert_eq!(cfg.clusters(), 10);
+        let mut sh = LlcShard::new(&cfg, 0, 1, 64);
+        assert_eq!(sh.cache().config().directory_bytes(), 2);
+        assert_eq!(sh.cache().directory_heap_bytes(), 0, "untouched directory allocated");
+        sh.drain(&[data_request(1, 5, 9), data_request(2, 5, 3)], snap, &mut out);
+        let frames = 64 * cfg.llc_ways;
+        assert_eq!(sh.cache().directory_heap_bytes(), 2 * frames);
+        assert_eq!(sh.cache().peek(LineAddr::new(5)).unwrap().sharers, 1 << 9 | 1 << 3);
+        // 64 clusters keep the full mask, cluster 63 included.
+        let mut wide = SystemConfig::paper_baseline();
+        wide.cores = 64 * wide.l2_cluster_size;
+        wide.validate().expect("64 clusters fit the sharer mask");
+        let mut sh = LlcShard::new(&wide, 0, 1, 64);
+        sh.drain(&[data_request(1, 5, 63)], snap, &mut out);
+        assert_eq!(sh.cache().directory_heap_bytes(), 8 * frames);
+        assert_eq!(sh.cache().peek(LineAddr::new(5)).unwrap().sharers, 1 << 63);
     }
 }

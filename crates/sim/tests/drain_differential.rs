@@ -49,7 +49,9 @@ struct RefShard {
 
 impl RefShard {
     /// Mirrors `LlcShard::new`'s shard scaling (same set range, same pair
-    /// and D_PPN slice sizing, same DRAM channel occupancy scaling).
+    /// and D_PPN slice sizing, same DRAM channel occupancy scaling). The
+    /// directory keeps the default full `u64` mask per frame, so the
+    /// shard's cluster-sized directory is checked against it.
     fn new(cfg: &SystemConfig, idx: usize, shards: usize, total_sets: usize) -> Self {
         let (base, sets) = shard_range(total_sets, shards, idx);
         let cache = SetAssocCache::new(

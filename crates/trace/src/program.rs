@@ -51,13 +51,22 @@ pub struct Function {
     pub n_lines: u32,
 }
 
+/// Text-line entry of a cold line (any other value is a hot-line index).
+const COLD_LINE: u32 = u32::MAX;
+
 /// A fully built synthetic program, shared (immutably) by all cores that run
 /// the same workload.
 #[derive(Debug, Clone)]
 pub struct SyntheticProgram {
     profile: WorkloadProfile,
     funcs: Vec<Function>,
-    behaviors: Vec<LineBehavior>,
+    /// One entry per text line: the line's index among the hot lines, or
+    /// [`COLD_LINE`].
+    lines: Vec<u32>,
+    /// Bound hot data-line indices, `pairs` per hot line, in hot-line order.
+    hot_pairs: Vec<u32>,
+    /// Bound hot data lines per hot line (`pairs_per_line`, at most 4).
+    pairs: u8,
     func_zipf: Zipf,
     hot_zipf: Zipf,
 }
@@ -81,10 +90,12 @@ impl SyntheticProgram {
         // Room for every function at its largest body, so the table never
         // doubles past its size (several programs lay out more than 2^16
         // lines); the untouched tail goes back after the layout.
-        let mut behaviors = Vec::with_capacity(n_funcs * (base + delta).max(2) as usize);
+        let mut lines = Vec::with_capacity(n_funcs * (base + delta).max(2) as usize);
+        let mut hot_pairs = Vec::new();
+        let pairs = profile.pairs_per_line.min(4);
         for fi in 0..n_funcs {
             let n_lines = (base + rng.gen_range(-delta..=delta)).max(2) as u32;
-            let first_line = behaviors.len() as u32;
+            let first_line = lines.len() as u32;
 
             // Popularity rank of this function, 0.0 (hottest) .. 1.0.
             let rank = fi as f64 / n_funcs.max(1) as f64;
@@ -98,24 +109,22 @@ impl SyntheticProgram {
             };
 
             for _ in 0..n_lines {
-                let behavior = if rng.gen::<f64>() < hot_p {
-                    let mut pairs = [0u32; 4];
-                    let n = profile.pairs_per_line.min(4);
-                    for p in pairs.iter_mut().take(n as usize) {
-                        *p = hot_zipf.sample(&mut rng) as u32;
+                if rng.gen::<f64>() < hot_p {
+                    lines.push((hot_pairs.len() / pairs as usize) as u32);
+                    for _ in 0..pairs {
+                        hot_pairs.push(hot_zipf.sample(&mut rng) as u32);
                     }
-                    LineBehavior::Hot { pairs, n }
                 } else {
-                    LineBehavior::Cold
-                };
-                behaviors.push(behavior);
+                    lines.push(COLD_LINE);
+                }
             }
             funcs.push(Function { first_line, n_lines });
         }
 
-        behaviors.shrink_to_fit();
+        lines.shrink_to_fit();
+        hot_pairs.shrink_to_fit();
         let func_zipf = Zipf::new(n_funcs, profile.func_zipf);
-        Self { profile: profile.clone(), funcs, behaviors, func_zipf, hot_zipf }
+        Self { profile: profile.clone(), funcs, lines, hot_pairs, pairs, func_zipf, hot_zipf }
     }
 
     /// The profile this program was built from.
@@ -135,12 +144,19 @@ impl SyntheticProgram {
 
     /// Total instruction lines actually laid out (after body variance).
     pub fn text_lines(&self) -> usize {
-        self.behaviors.len()
+        self.lines.len()
     }
 
     /// Behaviour of a text line.
     pub fn behavior(&self, line_idx: u32) -> LineBehavior {
-        self.behaviors[line_idx as usize]
+        let hot = self.lines[line_idx as usize];
+        if hot == COLD_LINE {
+            return LineBehavior::Cold;
+        }
+        let n = self.pairs as usize;
+        let mut pairs = [0u32; 4];
+        pairs[..n].copy_from_slice(&self.hot_pairs[hot as usize * n..][..n]);
+        LineBehavior::Hot { pairs, n: self.pairs }
     }
 
     /// Virtual address of a text line.
@@ -170,11 +186,11 @@ impl SyntheticProgram {
 
     /// Fraction of text lines with hot behaviour (diagnostic).
     pub fn hot_line_fraction(&self) -> f64 {
-        if self.behaviors.is_empty() {
+        if self.lines.is_empty() {
             return 0.0;
         }
-        let hot = self.behaviors.iter().filter(|b| matches!(b, LineBehavior::Hot { .. })).count();
-        hot as f64 / self.behaviors.len() as f64
+        let hot = self.lines.iter().filter(|&&l| l != COLD_LINE).count();
+        hot as f64 / self.lines.len() as f64
     }
 }
 

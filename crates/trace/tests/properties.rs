@@ -1,6 +1,9 @@
 //! Property-based tests for the workload/trace substrate.
 
-use garibaldi_trace::{registry, serial, SyntheticProgram, TraceGenerator, TraceRecord, Zipf};
+use garibaldi_trace::program::LineBehavior;
+use garibaldi_trace::{
+    registry, serial, SyntheticProgram, TraceGenerator, TraceRecord, WorkloadProfile, Zipf,
+};
 use garibaldi_types::{RwKind, VirtAddr};
 use proptest::prelude::*;
 
@@ -97,5 +100,70 @@ proptest! {
             prop_assert!(rec.data_refs().len() <= 4);
             prop_assert!(rec.instrs > 0);
         }
+    }
+}
+
+/// The per-line `[u32; 4]` builder that `SyntheticProgram`'s flat text
+/// layout replaced, kept as a reference model: the same RNG draws in the
+/// same order, one `LineBehavior` per text line, plus the function table.
+fn reference_layout(profile: &WorkloadProfile, seed: u64) -> (Vec<(u32, u32)>, Vec<LineBehavior>) {
+    use rand::{rngs::SmallRng, Rng, SeedableRng};
+    let mut rng = SmallRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
+    let hot_zipf = Zipf::new(profile.hot_data_lines as usize, profile.hot_zipf);
+    let n_funcs = profile.n_funcs as usize;
+    let base = profile.lines_per_func as i64;
+    let delta = (base / 4).max(1);
+    let mut funcs = Vec::new();
+    let mut behaviors = Vec::new();
+    for fi in 0..n_funcs {
+        let n_lines = (base + rng.gen_range(-delta..=delta)).max(2) as u32;
+        funcs.push((behaviors.len() as u32, n_lines));
+        let rank = fi as f64 / n_funcs.max(1) as f64;
+        let hot_p = if profile.correlate_hot {
+            (profile.hot_frac * 2.0 * (1.0 - rank)).min(1.0)
+        } else {
+            profile.hot_frac
+        };
+        for _ in 0..n_lines {
+            let behavior = if rng.gen::<f64>() < hot_p {
+                let mut pairs = [0u32; 4];
+                let n = profile.pairs_per_line.min(4);
+                for p in pairs.iter_mut().take(n as usize) {
+                    *p = hot_zipf.sample(&mut rng) as u32;
+                }
+                LineBehavior::Hot { pairs, n }
+            } else {
+                LineBehavior::Cold
+            };
+            behaviors.push(behavior);
+        }
+    }
+    (funcs, behaviors)
+}
+
+proptest! {
+    /// The flat text layout (one `u32` per line, hot pairs pooled) gives
+    /// every registry profile, at any seed and scale, the functions, line
+    /// behaviours, text size and hot-line fraction of the per-line builder.
+    #[test]
+    fn program_layout_matches_the_per_line_builder(
+        idx in 0usize..registry::all_workloads().len(),
+        seed in 0u64..u64::MAX,
+        f in 0.05f64..1.0,
+    ) {
+        let profile = registry::all_workloads()[idx].scaled(f);
+        let program = SyntheticProgram::build(&profile, seed);
+        let (funcs, behaviors) = reference_layout(&profile, seed);
+        prop_assert_eq!(program.n_funcs(), funcs.len());
+        for (i, &(first_line, n_lines)) in funcs.iter().enumerate() {
+            let func = program.func(i);
+            prop_assert_eq!((func.first_line, func.n_lines), (first_line, n_lines));
+        }
+        prop_assert_eq!(program.text_lines(), behaviors.len());
+        for (i, &b) in behaviors.iter().enumerate() {
+            prop_assert_eq!(program.behavior(i as u32), b, "line {}", i);
+        }
+        let hot = behaviors.iter().filter(|b| matches!(b, LineBehavior::Hot { .. })).count();
+        prop_assert_eq!(program.hot_line_fraction(), hot as f64 / behaviors.len() as f64);
     }
 }

@@ -13,14 +13,14 @@
 //! (measured in the engine-level `BENCH_5.json` snapshot).
 //!
 //! A slot costs exactly what it holds, `size_of::<(u64, T)>()`: 8 bytes in
-//! a [`U64Set`], 16 for a `u64` or `[u32; 2]` value, 24 for a
-//! Hawkeye/Mockingjay sampler's `(u64, u32)`. Each key is stored
-//! complemented in a `NonZeroU64`, so an empty slot is the all-zero key
-//! and `Option` needs no discriminant. `u64::MAX`, the one key whose
-//! complement is zero, lives in a side slot beside the array; it counts
-//! toward the load bound like any key, so hashing (of the key itself),
-//! probe sequences, growth points and slot order are those of a table that
-//! stored every key in the array. Every `u64` stays a valid key.
+//! a [`U64Set`], 16 for a `u64` or `[u32; 2]` value or a Mockingjay
+//! sampler's `(u32, u32)`, 24 for a Hawkeye sampler's `(u64, u32)`. Each
+//! key is stored complemented in a `NonZeroU64`, so an empty slot is the
+//! all-zero key and `Option` needs no discriminant. `u64::MAX`, the one
+//! key whose complement is zero, lives in a side slot beside the array; it
+//! counts toward the load bound like any key, so hashing (of the key
+//! itself), probe sequences, growth points and slot order are those of a
+//! table that stored every key in the array. Every `u64` stays a valid key.
 //!
 //! Iteration ([`U64Table::iter`] and friends) walks slots in array order,
 //! then the side slot — **unordered**, but a pure function of the

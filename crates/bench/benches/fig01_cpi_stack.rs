@@ -8,12 +8,13 @@
 
 use garibaldi_bench::*;
 use garibaldi_cache::PolicyKind;
+use garibaldi_sim::experiment::run_homogeneous;
 
 type Job = Box<dyn FnOnce() -> (String, usize, garibaldi_sim::CpiStack) + Send>;
 
 fn main() {
     let scale = ExperimentScale::from_env();
-    println!("[engine] {} (GARIBALDI_ENGINE=parallel for the epoch-sharded engine)", engine_tag());
+    println!("[engine] {} (GARIBALDI_WORKERS=N for the epoch-sharded engine)", engine_tag());
     let spec = ["gcc", "gobmk", "bwaves", "lbm", "cam4", "wrf"];
     let server = ["noop", "tpcc", "cassandra", "kafka", "tomcat", "verilator", "dotty", "xalan"];
 

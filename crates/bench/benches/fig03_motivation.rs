@@ -8,6 +8,7 @@
 
 use garibaldi_bench::*;
 use garibaldi_cache::PolicyKind;
+use garibaldi_sim::experiment::run_homogeneous;
 use garibaldi_trace::WorkloadMix;
 
 /// A deferred run producing one labeled result row.
@@ -22,19 +23,19 @@ fn profiled(scale: &ExperimentScale, scheme: LlcScheme, w: &str, cores: usize) -
     let mut cfg = SystemConfig::scaled(&s, scheme);
     cfg.profile_reuse = true;
     let runner = SimRunner::new(cfg, WorkloadMix::homogeneous(w, cores), 42);
-    bench_run(&runner, s.records_per_core, s.warmup_per_core)
+    runner.run(s.records_per_core, s.warmup_per_core)
 }
 
 fn oracle(scale: &ExperimentScale, w: &str) -> RunResult {
     let mut cfg = SystemConfig::scaled(scale, LlcScheme::plain(PolicyKind::Mockingjay));
     cfg.i_oracle = true;
     let runner = SimRunner::new(cfg, WorkloadMix::homogeneous(w, scale.cores), 42);
-    bench_run(&runner, scale.records_per_core, scale.warmup_per_core)
+    runner.run(scale.records_per_core, scale.warmup_per_core)
 }
 
 fn main() {
     let scale = ExperimentScale::from_env();
-    println!("[engine] {} (GARIBALDI_ENGINE=parallel for the epoch-sharded engine)", engine_tag());
+    println!("[engine] {} (GARIBALDI_WORKERS=N for the epoch-sharded engine)", engine_tag());
     let spec = ["gcc", "gobmk", "bwaves", "lbm"];
     let server = ["noop", "tpcc", "cassandra", "kafka", "verilator", "xalan", "dotty", "tomcat"];
 

@@ -9,7 +9,7 @@ use garibaldi_trace::{registry, WorkloadMix};
 
 fn main() {
     let scale = ExperimentScale::from_env();
-    println!("[engine] {} (GARIBALDI_ENGINE=parallel for the epoch-sharded engine)", engine_tag());
+    println!("[engine] {} (GARIBALDI_WORKERS=N for the epoch-sharded engine)", engine_tag());
     let jobs: Vec<Box<dyn FnOnce() -> (String, RunResult) + Send>> = registry::SERVER_NAMES
         .iter()
         .map(|&w| {
@@ -18,7 +18,7 @@ fn main() {
                     SystemConfig::scaled(&scale, LlcScheme::plain(PolicyKind::Mockingjay));
                 cfg.profile_reuse = true;
                 let runner = SimRunner::new(cfg, WorkloadMix::homogeneous(w, scale.cores), 42);
-                let r = bench_run(&runner, scale.records_per_core, scale.warmup_per_core);
+                let r = runner.run(scale.records_per_core, scale.warmup_per_core);
                 (w.to_string(), r)
             }) as _
         })

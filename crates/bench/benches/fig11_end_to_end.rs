@@ -16,6 +16,7 @@
 
 use garibaldi_bench::*;
 use garibaldi_cache::PolicyKind;
+use garibaldi_sim::experiment::run_mix;
 use garibaldi_trace::random_server_mixes;
 
 /// Random server mixes per run (the paper's figure has 60).
@@ -23,7 +24,7 @@ const MIXES: usize = 20;
 
 fn main() {
     let scale = ExperimentScale::from_env();
-    println!("[engine] {} (GARIBALDI_ENGINE=parallel for the epoch-sharded engine)", engine_tag());
+    println!("[engine] {} (GARIBALDI_WORKERS=N for the epoch-sharded engine)", engine_tag());
     let mixes = random_server_mixes(MIXES, scale.cores, 77);
 
     let schemes = [

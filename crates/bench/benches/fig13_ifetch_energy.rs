@@ -4,11 +4,12 @@
 
 use garibaldi_bench::*;
 use garibaldi_cache::PolicyKind;
+use garibaldi_sim::experiment::run_homogeneous;
 use garibaldi_trace::registry;
 
 fn main() {
     let scale = ExperimentScale::from_env();
-    println!("[engine] {} (GARIBALDI_ENGINE=parallel for the epoch-sharded engine)", engine_tag());
+    println!("[engine] {} (GARIBALDI_WORKERS=N for the epoch-sharded engine)", engine_tag());
     let schemes = [
         LlcScheme::plain(PolicyKind::Lru),
         LlcScheme::plain(PolicyKind::Drrip),

@@ -24,7 +24,7 @@ fn garibaldi_with(f: impl FnOnce(&mut GaribaldiConfig)) -> LlcScheme {
 
 fn main() {
     let scale = ExperimentScale::from_env();
-    println!("[engine] {} (GARIBALDI_ENGINE=parallel for the epoch-sharded engine)", engine_tag());
+    println!("[engine] {} (GARIBALDI_WORKERS=N for the epoch-sharded engine)", engine_tag());
     let mixes = random_server_mixes(MIXES, scale.cores, 99);
 
     // (label, scheme, partition_ways)
@@ -75,7 +75,7 @@ fn main() {
                 let mut cfg = SystemConfig::scaled(&scale, scheme);
                 cfg.partition_instr_ways = part;
                 let runner = SimRunner::new(cfg, mix, 42);
-                bench_run(&runner, scale.records_per_core, scale.warmup_per_core).ipc_sum()
+                runner.run(scale.records_per_core, scale.warmup_per_core).ipc_sum()
             }));
         }
     }

@@ -4,11 +4,12 @@
 
 use garibaldi_bench::*;
 use garibaldi_cache::PolicyKind;
+use garibaldi_sim::experiment::{run_homogeneous, run_mix};
 use garibaldi_trace::server_spec_mix;
 
 fn main() {
     let scale = ExperimentScale::from_env();
-    println!("[engine] {} (GARIBALDI_ENGINE=parallel for the epoch-sharded engine)", engine_tag());
+    println!("[engine] {} (GARIBALDI_WORKERS=N for the epoch-sharded engine)", engine_tag());
 
     // (a) server percentage sweep.
     let pcts = [0u32, 25, 50, 75, 100];
@@ -75,8 +76,7 @@ fn main() {
                     garibaldi_trace::WorkloadMix::homogeneous(w, scale.cores),
                     42,
                 );
-                bench_run(&runner, scale.records_per_core, scale.warmup_per_core)
-                    .harmonic_mean_ipc()
+                runner.run(scale.records_per_core, scale.warmup_per_core).harmonic_mean_ipc()
             }));
         }
     }

@@ -9,7 +9,7 @@ use garibaldi_trace::WorkloadMix;
 
 fn main() {
     let scale = ExperimentScale::from_env();
-    println!("[engine] {} (GARIBALDI_ENGINE=parallel for the epoch-sharded engine)", engine_tag());
+    println!("[engine] {} (GARIBALDI_WORKERS=N for the epoch-sharded engine)", engine_tag());
     let server8 =
         ["noop", "smallbank", "tpcc", "voter", "kafka", "verilator", "finagle-http", "tomcat"];
     let factors = [0.5f64, 1.0, 1.25, 1.5, 2.0];
@@ -28,8 +28,7 @@ fn main() {
                     let mut cfg = SystemConfig::scaled(&scale, scheme);
                     cfg.llc_bytes = (cfg.llc_bytes as f64 * f) as u64 / 4096 * 4096;
                     let runner = SimRunner::new(cfg, WorkloadMix::homogeneous(w, scale.cores), 42);
-                    bench_run(&runner, scale.records_per_core, scale.warmup_per_core)
-                        .harmonic_mean_ipc()
+                    runner.run(scale.records_per_core, scale.warmup_per_core).harmonic_mean_ipc()
                 }));
             }
         }

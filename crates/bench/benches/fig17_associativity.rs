@@ -7,7 +7,7 @@ use garibaldi_trace::WorkloadMix;
 
 fn main() {
     let scale = ExperimentScale::from_env();
-    println!("[engine] {} (GARIBALDI_ENGINE=parallel for the epoch-sharded engine)", engine_tag());
+    println!("[engine] {} (GARIBALDI_WORKERS=N for the epoch-sharded engine)", engine_tag());
     let server8 =
         ["noop", "sibench", "twitter", "voter", "finagle-http", "tomcat", "verilator", "tpcc"];
     let ways = [6usize, 12, 24, 48];
@@ -26,8 +26,7 @@ fn main() {
                     let mut cfg = SystemConfig::scaled(&scale, scheme);
                     cfg.llc_ways = a;
                     let runner = SimRunner::new(cfg, WorkloadMix::homogeneous(w, scale.cores), 42);
-                    bench_run(&runner, scale.records_per_core, scale.warmup_per_core)
-                        .harmonic_mean_ipc()
+                    runner.run(scale.records_per_core, scale.warmup_per_core).harmonic_mean_ipc()
                 }));
             }
         }

@@ -13,10 +13,11 @@
 //! reference** engine, so each figure shows the reference model's sign: the
 //! epoch-sharded engine's error (≤ 2 %, `docs/fidelity/`) is larger than
 //! Garibaldi's whole effect, and at one worker it runs no faster than the
-//! serial engine. `GARIBALDI_ENGINE=parallel` opts into the parallel
-//! engine's one profile ([`EngineConfig::default`]), and `GARIBALDI_WORKERS`
-//! selects it with that many threads per run (see [`bench_engine`] and
-//! `garibaldi_sim::knobs`).
+//! serial engine. `GARIBALDI_WORKERS=N` opts into the parallel engine's
+//! one profile on N threads per run ([`EngineChoice::from_env`]): the
+//! targets run through [`SimRunner::run`] and
+//! `garibaldi_sim::experiment::{run_homogeneous, run_mix}`, which take the
+//! engine from the environment.
 
 #![warn(missing_docs)]
 
@@ -29,59 +30,24 @@ pub use garibaldi_sim::{
     EngineChoice, EngineConfig, ExperimentScale, LlcScheme, RunResult, SimRunner, SystemConfig,
 };
 
-/// The engine every bench run uses: [`EngineChoice::from_env_or`] with a
-/// **serial** default — the min-clock reference engine. Set
-/// `GARIBALDI_ENGINE=parallel` (or `GARIBALDI_WORKERS`) for the
-/// fidelity-validated [`EngineConfig::default`] parallel profile.
-pub fn bench_engine() -> EngineChoice {
-    EngineChoice::from_env_or(EngineChoice::Serial)
-}
-
-/// Threads each bench run will actually use under the resolved engine
-/// (the pool divisor for [`parallel_runs`]): the parallel engine's worker
-/// count, or 1 for the serial engine.
+/// Threads each bench run will actually use under the engine
+/// [`EngineChoice::from_env`] picks (the pool divisor for
+/// [`parallel_runs`]): the parallel engine's worker count, or 1 for the
+/// serial engine.
 pub fn per_run_threads() -> usize {
-    match bench_engine() {
+    match EngineChoice::from_env() {
         EngineChoice::Parallel(c) => c.workers,
         EngineChoice::Serial => 1,
     }
 }
 
-/// Identity of the simulation model the benches run under — `"serial-v2"` or
-/// `"sharded-s<shards>-e<epoch>-ewma-k<sync_every>"` (see [`EngineChoice::tag`]). Worker
-/// count is *not* part of the identity (it never changes results); shard
-/// count and epoch window are. Embed this in checkpoint keys so rows
-/// produced under different engines are never silently mixed.
+/// Identity of the simulation model the benches run under: the
+/// [`EngineChoice::tag`] of [`EngineChoice::from_env`]. Worker count is
+/// *not* part of the identity (it never changes results). Embed this in
+/// checkpoint keys so rows produced under different engines are never
+/// silently mixed.
 pub fn engine_tag() -> String {
-    bench_engine().tag()
-}
-
-/// Runs `runner` on the bench-default engine (see [`bench_engine`]) —
-/// the entry point every figure target's direct simulations go through.
-pub fn bench_run(runner: &SimRunner, records: u64, warmup: u64) -> RunResult {
-    runner.run_on(records, warmup, &bench_engine())
-}
-
-/// [`garibaldi_sim::experiment::run_homogeneous`] on the bench-default
-/// engine.
-pub fn run_homogeneous(
-    scale: &ExperimentScale,
-    scheme: LlcScheme,
-    workload: &str,
-    seed: u64,
-) -> RunResult {
-    run_mix(scale, scheme, &garibaldi_trace::WorkloadMix::homogeneous(workload, scale.cores), seed)
-}
-
-/// [`garibaldi_sim::experiment::run_mix`] on the bench-default engine.
-pub fn run_mix(
-    scale: &ExperimentScale,
-    scheme: LlcScheme,
-    mix: &garibaldi_trace::WorkloadMix,
-    seed: u64,
-) -> RunResult {
-    let runner = SimRunner::new(SystemConfig::scaled(scale, scheme), mix.clone(), seed);
-    bench_run(&runner, scale.records_per_core, scale.warmup_per_core)
+    EngineChoice::from_env().tag()
 }
 
 /// Directory where harness CSVs are written (the workspace-level
@@ -270,7 +236,7 @@ mod tests {
     use super::*;
 
     /// Serializes tests that read or mutate the engine environment
-    /// variables (`parallel_runs`, [`bench_engine`]) so env-mutating cases
+    /// variable (`parallel_runs`, [`engine_tag`]) so env-mutating cases
     /// cannot race env-reading ones.
     static ENV_LOCK: Mutex<()> = Mutex::new(());
 
@@ -278,24 +244,18 @@ mod tests {
         ENV_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// Runs `f` with the engine variables cleared, then restores whatever
-    /// was set before (the CI parallel-engine leg exports
-    /// `GARIBALDI_WORKERS` for the whole process — tests must not strip it
-    /// from later tests).
+    /// Runs `f` with `GARIBALDI_WORKERS` cleared, then restores whatever
+    /// was set before (the CI parallel-engine leg exports it for the whole
+    /// process — tests must not strip it from later tests).
     fn with_clean_env<T>(f: impl FnOnce() -> T) -> T {
-        use garibaldi_sim::knobs::{ENGINE, WORKERS};
+        let name = garibaldi_sim::knobs::WORKERS.name;
         let _guard = env_lock();
-        let saved =
-            [(ENGINE.name, ENGINE.text()), (WORKERS.name, WORKERS.count().map(|w| w.to_string()))];
-        for (v, _) in &saved {
-            std::env::remove_var(v);
-        }
+        let saved = std::env::var(name).ok();
+        std::env::remove_var(name);
         let out = f();
-        for (v, val) in saved {
-            match val {
-                Some(val) => std::env::set_var(v, val),
-                None => std::env::remove_var(v),
-            }
+        match saved {
+            Some(val) => std::env::set_var(name, val),
+            None => std::env::remove_var(name),
         }
         out
     }
@@ -310,29 +270,18 @@ mod tests {
     }
 
     #[test]
-    fn bench_engine_defaults_to_serial_with_parallel_opt_in() {
+    fn benches_default_to_serial_with_workers_opt_in() {
         with_clean_env(|| {
-            assert_eq!(bench_engine(), EngineChoice::Serial, "benches default to the reference");
-            assert_eq!(engine_tag(), "serial-v2");
+            assert_eq!(engine_tag(), "serial-v2", "benches default to the reference");
             assert_eq!(per_run_threads(), 1, "one thread per serial run");
-            std::env::set_var("GARIBALDI_ENGINE", "parallel");
-            match bench_engine() {
-                EngineChoice::Parallel(c) => {
-                    assert_eq!(c, EngineConfig::default(), "the one validated parallel profile");
-                }
-                EngineChoice::Serial => panic!("GARIBALDI_ENGINE=parallel is the opt-in"),
-            }
-            std::env::remove_var("GARIBALDI_ENGINE");
             std::env::set_var("GARIBALDI_WORKERS", "2");
-            match bench_engine() {
-                EngineChoice::Parallel(c) => {
-                    assert_eq!(c.workers, 2, "workers feed the engine");
-                }
-                EngineChoice::Serial => panic!("GARIBALDI_WORKERS selects the parallel engine"),
-            }
-            assert_eq!(per_run_threads(), 2, "the job pool divides by the resolved workers");
-            std::env::set_var("GARIBALDI_ENGINE", "serial");
-            assert_eq!(bench_engine(), EngineChoice::Serial, "GARIBALDI_ENGINE wins over workers");
+            assert_eq!(
+                engine_tag(),
+                EngineChoice::Parallel(EngineConfig::default()).tag(),
+                "the one validated parallel profile"
+            );
+            assert_eq!(engine_tag(), "sharded-s8-e20000-ewma-k8-b1024");
+            assert_eq!(per_run_threads(), 2, "the job pool divides by the workers");
         });
     }
 

@@ -20,10 +20,11 @@
 //!   --workers N              run the epoch-sharded parallel engine (ewma
 //!                            issue estimates, learned-state sync every 8
 //!                            barriers, 8 LLC shards, 20000-cycle epochs)
-//!                            on N threads; without it, GARIBALDI_ENGINE
-//!                            and GARIBALDI_WORKERS pick the engine, and
-//!                            serial runs when neither is set. A failed
-//!                            parallel run retries once on the serial one
+//!                            on N threads; without it,
+//!                            GARIBALDI_WORKERS=N does the same, and serial
+//!                            runs when it is unset. A parallel run prints
+//!                            its engine summary on stderr; a failed one
+//!                            retries once on the serial engine
 //!   --dump-trace PATH        write the per-core record streams to PATH and
 //!                            exit (replayable across schemes and engines;
 //!                            not combinable with --replay, --checkpoint or
@@ -265,7 +266,7 @@ fn main() {
     let requested = if args.workers > 0 {
         EngineChoice::Parallel(EngineConfig::with_workers(args.workers))
     } else {
-        EngineChoice::from_env_or(EngineChoice::Serial)
+        EngineChoice::from_env()
     };
     let key_for = |e: &EngineChoice| {
         args.key.clone().unwrap_or_else(|| default_key(&args, &cfg.scheme.label(), e))
@@ -330,7 +331,12 @@ fn main() {
     // minus the threads), and the row is filed under the engine that
     // produced it.
     let (r, used) = match runner.try_run_on(args.records, args.warmup, &requested) {
-        Ok(r) => (r, requested),
+        Ok((r, stats)) => {
+            if let EngineChoice::Parallel(_) = requested {
+                eprintln!("[engine] {stats}");
+            }
+            (r, requested)
+        }
         Err(e) => {
             eprintln!("[engine] parallel run failed ({e}); retrying on the serial engine");
             (runner.run_serial(args.records, args.warmup), EngineChoice::Serial)

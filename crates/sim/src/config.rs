@@ -315,68 +315,22 @@ pub enum EngineChoice {
 }
 
 impl EngineChoice {
-    /// Resolves the engine from the environment ([`knobs::ENGINE`],
-    /// [`knobs::WORKERS`]), with `default` applying when neither is set.
-    ///
-    /// **Resolution order** (each step wins over everything below it):
-    ///
-    /// 1. `GARIBALDI_ENGINE=serial` forces the serial engine, even if
-    ///    `GARIBALDI_WORKERS` is set.
-    ///    `GARIBALDI_ENGINE=parallel` (alias `sharded`) forces the
-    ///    parallel engine.
-    /// 2. `GARIBALDI_ENGINE` unset but `GARIBALDI_WORKERS` set: parallel
-    ///    (the forcing mechanism the CI `parallel-engine` job uses).
-    /// 3. Nothing set: `default`.
-    ///
-    /// Whenever the outcome is parallel, its geometry is the caller's
-    /// `default` when that is parallel (else [`EngineConfig::default`]),
-    /// with `GARIBALDI_WORKERS`, when set, as the worker count. When the
-    /// outcome is serial, `GARIBALDI_WORKERS` is only validated.
+    /// The engine the environment picks: [`EngineChoice::Serial`] when
+    /// [`knobs::WORKERS`] is unset, else the one parallel profile
+    /// ([`EngineConfig::with_workers`]) on that many threads — the switch
+    /// the CI `parallel-engine` job runs the whole suite through.
     ///
     /// # Panics
     ///
-    /// Panics with a clear message on malformed values (unknown engine
-    /// name, zero/garbage/overflowing worker count) and on any set
-    /// `GARIBALDI_*` variable outside [`knobs::TABLE`] — misconfiguration
-    /// must never silently select a different engine than intended. The
-    /// pure, unit-tested resolution is [`EngineChoice::resolve`].
-    pub fn from_env_or(default: Self) -> Self {
-        Self::resolve(knobs::ENGINE.text().as_deref(), knobs::WORKERS.count(), default)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Pure form of [`EngineChoice::from_env_or`] over the engine name and
-    /// worker count.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming `GARIBALDI_ENGINE` and the value for an
-    /// unknown engine name.
-    pub fn resolve(
-        engine: Option<&str>,
-        workers: Option<usize>,
-        default: Self,
-    ) -> Result<Self, String> {
-        let base = match engine.map(str::trim) {
-            Some("serial") => return Ok(Self::Serial),
-            Some("parallel" | "sharded") => default,
-            Some(other) => {
-                return Err(format!(
-                    "{} must be \"serial\" or \"parallel\", got {other:?}",
-                    knobs::ENGINE.name
-                ))
-            }
-            None if workers.is_some() => default,
-            None => return Ok(default),
-        };
-        let mut cfg = match base {
-            Self::Parallel(c) => c,
-            Self::Serial => EngineConfig::default(),
-        };
-        if let Some(w) = workers {
-            cfg.workers = w;
+    /// Panics, naming the variable, on a zero, garbage or overflowing
+    /// worker count and on any set `GARIBALDI_*` variable outside
+    /// [`knobs::TABLE`]: misconfiguration must never silently select a
+    /// different engine than intended.
+    pub fn from_env() -> Self {
+        match knobs::WORKERS.count() {
+            None => Self::Serial,
+            Some(n) => Self::Parallel(EngineConfig::with_workers(n)),
         }
-        Ok(Self::Parallel(cfg))
     }
 
     /// Stable identity string for checkpoint keys and reports:
@@ -525,43 +479,6 @@ mod tests {
                 train_mode: TrainMode::Sync,
             }
         );
-    }
-
-    #[test]
-    fn engine_choice_resolution_precedence() {
-        use EngineChoice::Serial;
-        let default_par = EngineChoice::Parallel(EngineConfig::default());
-        let parallel = |r: Result<EngineChoice, String>| match r.unwrap() {
-            EngineChoice::Parallel(c) => c,
-            other => panic!("expected parallel, got {other:?}"),
-        };
-        // Nothing set → the caller's default.
-        assert_eq!(EngineChoice::resolve(None, None, Serial).unwrap(), Serial);
-        assert_eq!(EngineChoice::resolve(None, None, default_par).unwrap(), default_par);
-        // serial wins even over GARIBALDI_WORKERS.
-        assert_eq!(EngineChoice::resolve(Some("serial"), Some(4), default_par).unwrap(), Serial);
-        // Workers alone flips to parallel.
-        let c = parallel(EngineChoice::resolve(None, Some(3), Serial));
-        assert_eq!(c, EngineConfig::with_workers(3));
-        // parallel with a parallel default keeps its geometry; workers override.
-        let tuned = EngineChoice::Parallel(EngineConfig {
-            workers: 2,
-            epoch_cycles: 77,
-            llc_shards: 4,
-            ..EngineConfig::default()
-        });
-        assert_eq!(EngineChoice::resolve(Some("parallel"), None, tuned).unwrap(), tuned);
-        let c = parallel(EngineChoice::resolve(Some("sharded"), Some(5), tuned));
-        assert_eq!((c.workers, c.llc_shards, c.epoch_cycles), (5, 4, 77));
-        // A parallel default takes the worker override too (the benches).
-        let c = parallel(EngineChoice::resolve(None, Some(6), tuned));
-        assert_eq!((c.workers, c.llc_shards, c.epoch_cycles), (6, 4, 77));
-        // parallel with a serial default runs the one profile.
-        let c = parallel(EngineChoice::resolve(Some("parallel"), None, Serial));
-        assert_eq!(c, EngineConfig::default());
-        // Unknown engine name is a hard error naming the value.
-        let err = EngineChoice::resolve(Some("turbo"), None, Serial).unwrap_err();
-        assert!(err.contains("GARIBALDI_ENGINE") && err.contains("turbo"), "{err}");
     }
 
     #[test]

@@ -159,10 +159,10 @@ impl Ewma {
     }
 }
 
-/// Running estimate-vs-outcome error account: feeds the
-/// `GARIBALDI_ENGINE_STATS=1` estimator line (bias and RMS error of the
-/// issue-time estimates against the drained latencies).
-#[derive(Debug, Clone, Copy, Default)]
+/// Running estimate-vs-outcome error account: the bias and RMS error of
+/// the issue-time estimates against the drained latencies
+/// ([`crate::EngineStats::estimator`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EstimatorStats {
     /// Observed (estimate, outcome) pairs.
     pub samples: u64,

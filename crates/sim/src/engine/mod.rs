@@ -130,17 +130,16 @@ struct ShardBuf {
 }
 
 /// Wall-clock phase breakdown of an engine run, accumulated across every
-/// epoch (warmup + measured). The phase boundaries match the historical
-/// `GARIBALDI_ENGINE_STATS=1` lines: `step` is the parallel cluster
-/// stepping, `drain` the parallel per-shard phase A, `merge` the
-/// learned-state merge/install work on the barrier path, `apply` the
-/// per-cluster tail (invalidations, threshold replay and corrections) with
-/// the invalidation merge that feeds it, and `serial` the barrier
-/// remainder (lane and command-run hand-offs, the command apply, the
-/// period-cut search and period closing).
-/// Collection is always on — a handful of `Instant` reads per barrier —
-/// so callers ([`crate::SimRunner::run_parallel_stats`], the perf
-/// snapshot bench) can read it without a profiling env var.
+/// epoch (warmup + measured): `step` is the parallel cluster stepping,
+/// `drain` the parallel per-shard phase A, `merge` the learned-state
+/// merge/install work on the barrier path, `apply` the per-cluster tail
+/// (invalidations, threshold replay and corrections) with the
+/// invalidation merge that feeds it, and `serial` the barrier remainder
+/// (lane and command-run hand-offs, the command apply, the period-cut
+/// search and period closing). Collection is always on — a handful of
+/// `Instant` reads per barrier — and the engine prints nothing: callers
+/// ([`crate::SimRunner::try_run_on`], `garibaldi-cli`, `perfbench/`) read
+/// the fields or print the one-line summary of its `Display`.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct EngineStats {
     /// Epochs executed (one barrier each).
@@ -190,6 +189,9 @@ pub struct EngineStats {
     /// [`private::RECORD_REQUEST_CEILING`]), so any other value means it
     /// was regrown.
     pub run_capacity: Vec<usize>,
+    /// Every core's issue-time latency estimates against the drained
+    /// latencies, merged across cores (measured region only).
+    pub estimator: EstimatorStats,
 }
 
 impl EngineStats {
@@ -209,6 +211,35 @@ impl EngineStats {
         let max = self.shard_drain_s.iter().copied().fold(0.0f64, f64::max);
         let mean = self.shard_drain_s.iter().sum::<f64>() / self.shard_drain_s.len() as f64;
         Some((max, mean))
+    }
+}
+
+/// The one-line run summary `garibaldi-cli` prints after a parallel run:
+/// phase seconds, syncs, the largest barrier, the drain imbalance and
+/// the estimator's error (issue estimate − drained latency, in cycles).
+impl std::fmt::Display for EngineStats {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "epochs={} wall={:.3}s step={:.3}s barrier={:.3}s (drain={:.3}s merge={:.3}s \
+             apply={:.3}s serial={:.3}s) syncs={} peak_barrier_requests={}",
+            self.epochs,
+            self.wall_s,
+            self.step_s,
+            self.barrier_s(),
+            self.drain_s,
+            self.merge_s,
+            self.apply_s,
+            self.serial_s,
+            self.learned_syncs,
+            self.peak_barrier_requests,
+        )?;
+        if let Some((max, mean)) = self.drain_imbalance() {
+            let factor = if mean > 0.0 { max / mean } else { 1.0 };
+            write!(f, " drain_shards={} imbalance={factor:.2}x", self.shard_drain_s.len())?;
+        }
+        let e = &self.estimator;
+        write!(f, " estimator samples={} bias={:+.2} rms={:.2}", e.samples, e.bias(), e.rms())
     }
 }
 
@@ -233,8 +264,8 @@ pub struct ParallelEngine<'p> {
     shard_bufs: Vec<ShardBuf>,
     /// Barrier scratch owned by the calling thread.
     scratch: Scratch,
-    /// Wall-clock phase account (always collected; printed under
-    /// `GARIBALDI_ENGINE_STATS=1`, returned by `try_run`).
+    /// Wall-clock phase account (always collected; returned by
+    /// `try_run`).
     stats: EngineStats,
     /// Barrier watchdog timeout (`GARIBALDI_BARRIER_TIMEOUT_S`); `None`
     /// disables the watchdog and its thread.
@@ -534,8 +565,8 @@ impl<'p> ParallelEngine<'p> {
     /// Runs `warmup` + `records` records per core on the schedule the
     /// engine was built for; returns the measured-region result and the
     /// wall-clock [`EngineStats`] of the whole run (warmup + measured).
-    /// The serial schedule sets only [`EngineStats::wall_s`] and
-    /// [`EngineStats::run_capacity`].
+    /// The serial schedule sets only [`EngineStats::wall_s`],
+    /// [`EngineStats::run_capacity`] and [`EngineStats::estimator`].
     ///
     /// On the epoch schedule a worker panic in any parallel section, or a
     /// stuck barrier phase when the `GARIBALDI_BARRIER_TIMEOUT_S` watchdog
@@ -559,8 +590,11 @@ impl<'p> ParallelEngine<'p> {
         }
         let mut stats = std::mem::take(&mut self.stats);
         stats.wall_s = t0.elapsed().as_secs_f64();
-        stats.run_capacity =
-            self.clusters.iter().flat_map(|cl| cl.cores.iter().map(|c| c.run.capacity())).collect();
+        let cores = || self.clusters.iter().flat_map(|cl| cl.cores.iter());
+        stats.run_capacity = cores().map(|c| c.run.capacity()).collect();
+        for c in cores() {
+            stats.estimator.merge(&c.est_stats);
+        }
         Ok((self.collect(), stats))
     }
 
@@ -624,21 +658,6 @@ impl<'p> ParallelEngine<'p> {
     }
 
     fn collect(mut self) -> RunResult {
-        if crate::knobs::ENGINE_STATS.flag() {
-            let mut est = EstimatorStats::default();
-            for cl in &self.clusters {
-                for c in cl.cores.iter() {
-                    est.merge(&c.est_stats);
-                }
-            }
-            eprintln!(
-                "[engine] estimator=ewma samples={} bias={:+.2} rms={:.2} \
-                 (issue estimate − drained latency, cycles, measured region)",
-                est.samples,
-                est.bias(),
-                est.rms(),
-            );
-        }
         let core_results: Vec<_> = self
             .clusters
             .iter()
@@ -795,8 +814,6 @@ impl Epochs<'_, '_> {
 
     fn advance_to(&mut self, target: u64) -> Result<(), EngineError> {
         let w = self.eng.epoch_cycles as f64;
-        let profile = crate::knobs::ENGINE_STATS.flag();
-        let before = self.stats.clone();
         loop {
             let min_clock = self
                 .units
@@ -814,38 +831,6 @@ impl Epochs<'_, '_> {
             self.stats.step_s += t0.elapsed().as_secs_f64();
             self.check()?;
             self.barrier(epoch)?;
-        }
-        if profile {
-            // The cluster-step phase and the barrier's shard and cluster
-            // sections run on the pool; only the buffer swaps, the
-            // invalidation merge, the cut search and the period closing
-            // are serial. This breakdown estimates the parallel fraction
-            // on hosts with more cores than this one.
-            let d = &self.stats;
-            eprintln!(
-                "[engine] target={target} epochs={} step={:.3}s barrier={:.3}s \
-                 (drain={:.3}s merge={:.3}s apply={:.3}s serial={:.3}s syncs={}) \
-                 peak_barrier_requests={}",
-                d.epochs - before.epochs,
-                d.step_s - before.step_s,
-                d.barrier_s() - before.barrier_s(),
-                d.drain_s - before.drain_s,
-                d.merge_s - before.merge_s,
-                d.apply_s - before.apply_s,
-                d.serial_s - before.serial_s,
-                d.learned_syncs - before.learned_syncs,
-                d.peak_barrier_requests,
-            );
-            if let Some((max, mean)) = d.drain_imbalance() {
-                eprintln!(
-                    "[engine] drain shards: n={} max={:.3}s mean={:.3}s imbalance={:.2}x \
-                     (cumulative; phase A finishes with the slowest shard)",
-                    d.shard_drain_s.len(),
-                    max,
-                    mean,
-                    if mean > 0.0 { max / mean } else { 1.0 },
-                );
-            }
         }
         Ok(())
     }

@@ -11,7 +11,7 @@
 //! - a [`Kind::Count`] is a positive integer, surrounding whitespace
 //!   allowed;
 //! - a [`Kind::Text`] is any non-empty UTF-8 string, validated by the
-//!   code that consumes it (engine names, fault specs).
+//!   code that consumes it (fault specs).
 //!
 //! A set `GARIBALDI_*` variable that is not a row of the table — a
 //! retired knob or a typo — makes every knob read panic, naming it, so a
@@ -52,22 +52,15 @@ pub struct Knob {
     pub doc: &'static str,
 }
 
-/// Engine choice (see `EngineChoice::from_env_or`).
-pub const ENGINE: Knob = Knob {
-    name: "GARIBALDI_ENGINE",
-    kind: Kind::Text,
-    default: "per caller",
-    doc: "`serial` or `parallel` (alias `sharded`) picks the engine and wins over \
-          `GARIBALDI_WORKERS`; unset, the library, the benches and the CLI without `--workers` \
-          (a `--replay` included) run serial",
-};
-
-/// Parallel-engine worker threads (see `EngineChoice::from_env_or`).
+/// Engine choice: the parallel engine's worker threads (see
+/// `EngineChoice::from_env`).
 pub const WORKERS: Knob = Knob {
     name: "GARIBALDI_WORKERS",
     kind: Kind::Count,
     default: "unset",
-    doc: "selects the parallel engine with N worker threads; the bench job pool divides by N",
+    doc: "selects the parallel engine with N worker threads; unset, the library, the benches and \
+          the CLI without `--workers` (a `--replay` included) run serial; the bench job pool \
+          divides by N",
 };
 
 /// Paper-scale switch (see `ExperimentScale::from_env`).
@@ -84,14 +77,6 @@ pub const BLESS: Knob = Knob {
     kind: Kind::Flag,
     default: "0",
     doc: "the fidelity and coherence golden tests rewrite their goldens instead of comparing",
-};
-
-/// Parallel-engine phase report on stderr.
-pub const ENGINE_STATS: Knob = Knob {
-    name: "GARIBALDI_ENGINE_STATS",
-    kind: Kind::Flag,
-    default: "0",
-    doc: "the parallel engine prints `[engine]` phase-timing and estimator lines to stderr",
 };
 
 /// Barrier watchdog timeout in seconds.
@@ -113,8 +98,7 @@ pub const FAULTS: Knob = Knob {
 
 /// Every live knob. A set `GARIBALDI_*` variable outside this table is an
 /// error at the first knob read.
-pub const TABLE: [Knob; 7] =
-    [ENGINE, WORKERS, FULL, BLESS, ENGINE_STATS, BARRIER_TIMEOUT_S, FAULTS];
+pub const TABLE: [Knob; 5] = [WORKERS, FULL, BLESS, BARRIER_TIMEOUT_S, FAULTS];
 
 impl Knob {
     /// Reads a [`Kind::Flag`] knob; unset is false.

@@ -70,12 +70,10 @@ impl SimRunner {
     }
 
     /// Runs `warmup` + `records` trace records per core on the engine
-    /// [`EngineChoice::from_env_or`] resolves, serial by default, and
-    /// returns the measured-region result. A bare `GARIBALDI_WORKERS`
-    /// picks the parallel engine: the CI `parallel-engine` job runs the
-    /// whole suite on it that way.
+    /// [`EngineChoice::from_env`] picks, serial unless `GARIBALDI_WORKERS`
+    /// is set, and returns the measured-region result.
     pub fn run(&self, records: u64, warmup: u64) -> RunResult {
-        self.run_on(records, warmup, &EngineChoice::from_env_or(EngineChoice::Serial))
+        self.run_on(records, warmup, &EngineChoice::from_env())
     }
 
     /// Runs on an explicitly chosen engine.
@@ -87,10 +85,13 @@ impl SimRunner {
     pub fn run_on(&self, records: u64, warmup: u64, choice: &EngineChoice) -> RunResult {
         self.try_run_on(records, warmup, choice)
             .unwrap_or_else(|e| panic!("parallel engine failed: {e}"))
+            .0
     }
 
-    /// [`SimRunner::run_on`] with contained parallel-engine failures
-    /// surfaced as [`EngineError`] instead of a panic.
+    /// Runs on an explicitly chosen engine and returns the measured-region
+    /// result with the run's [`EngineStats`]. Both schedules see the same
+    /// streams and mapping, so they differ only in schedule
+    /// ([`crate::fidelity`]).
     ///
     /// # Errors
     ///
@@ -101,8 +102,10 @@ impl SimRunner {
         records: u64,
         warmup: u64,
         choice: &EngineChoice,
-    ) -> Result<RunResult, EngineError> {
-        self.execute(records, warmup, choice).map(|(r, _)| r)
+    ) -> Result<(RunResult, EngineStats), EngineError> {
+        let programs = self.build_programs();
+        let cores = self.build_cores(&programs);
+        ParallelEngine::new(&self.cfg, choice, self.mix.clone(), cores).try_run(records, warmup)
     }
 
     /// The serial min-clock reference: [`SimRunner::run_on`] with
@@ -112,11 +115,9 @@ impl SimRunner {
     }
 
     /// The epoch-sharded parallel engine (`docs/ARCHITECTURE.md`
-    /// §"Parallel sharded engine") plus its wall-clock phase breakdown
-    /// ([`EngineStats`]) — the machine-readable form of the
-    /// `GARIBALDI_ENGINE_STATS=1` lines, consumed by `perfbench/`. The
-    /// result depends on `eng.epoch_cycles` and `eng.llc_shards` but never
-    /// on `eng.workers`.
+    /// §"Parallel sharded engine") plus its [`EngineStats`]: phase
+    /// seconds, barrier sizes and estimator error. The result depends on
+    /// `eng.epoch_cycles` and `eng.llc_shards` but never on `eng.workers`.
     ///
     /// # Panics
     ///
@@ -127,22 +128,8 @@ impl SimRunner {
         warmup: u64,
         eng: &EngineConfig,
     ) -> (RunResult, EngineStats) {
-        self.execute(records, warmup, &EngineChoice::Parallel(*eng))
+        self.try_run_on(records, warmup, &EngineChoice::Parallel(*eng))
             .unwrap_or_else(|e| panic!("parallel engine failed: {e}"))
-    }
-
-    /// Builds the run's record sources and address spaces and runs them
-    /// on the engine `choice` builds: both schedules see the same streams
-    /// and mapping, so they differ only in schedule ([`crate::fidelity`]).
-    fn execute(
-        &self,
-        records: u64,
-        warmup: u64,
-        choice: &EngineChoice,
-    ) -> Result<(RunResult, EngineStats), EngineError> {
-        let programs = self.build_programs();
-        let cores = self.build_cores(&programs);
-        ParallelEngine::new(&self.cfg, choice, self.mix.clone(), cores).try_run(records, warmup)
     }
 
     /// Builds one program per distinct workload (shared by its cores);

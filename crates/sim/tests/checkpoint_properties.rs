@@ -262,7 +262,6 @@ fn cli_env(path: &std::path::Path, extra: &[&str], env: &[(&str, &str)]) -> std:
         .arg(path)
         .args(extra)
         .env_remove("GARIBALDI_FAULTS")
-        .env_remove("GARIBALDI_ENGINE")
         .env_remove("GARIBALDI_WORKERS")
         .envs(env.iter().copied());
     cmd.output().expect("garibaldi-cli runs")
@@ -407,5 +406,26 @@ fn cli_env_selected_engine_names_the_checkpoint_key() {
     assert!(!err.contains("serial-v2"), "not under the serial key: {err}");
     assert!(!served_from_cache(&cli(&path, &[], None)), "a serial run misses the parallel row");
     assert!(served_from_cache(&cli(&path, &["--workers", "2"], None)));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A parallel run prints the engine's one-line summary on stderr exactly
+/// once, with the largest barrier and the estimator's sample count; a
+/// serial run prints none.
+#[test]
+fn cli_parallel_run_prints_the_engine_summary_once() {
+    let dir = std::env::temp_dir().join("garibaldi-checkpoint-cli-summary");
+    let _ = std::fs::remove_dir_all(&dir);
+    let (_, err) = ok(cli_env(&dir.join("parallel.jsonl"), &["--workers", "1"], &[]));
+    assert_eq!(err.matches("[engine] ").count(), 1, "one summary: {err}");
+    assert_eq!(err.matches("peak_barrier_requests=").count(), 1, "{err}");
+    let samples = err
+        .split("estimator samples=")
+        .nth(1)
+        .and_then(|rest| rest.split_whitespace().next())
+        .and_then(|n| n.parse::<u64>().ok());
+    assert!(samples.is_some_and(|n| n > 0), "the summary counts estimator samples: {err}");
+    let (_, err) = ok(cli_env(&dir.join("serial.jsonl"), &[], &[]));
+    assert!(!err.contains("[engine]") && !err.contains("peak_barrier_requests"), "{err}");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -208,7 +208,7 @@ proptest! {
 
     /// On stationary synthetic outcome streams, the EWMA estimator's
     /// absolute estimation error — |mean(estimate − outcome)|, the bias
-    /// the `GARIBALDI_ENGINE_STATS=1` line reports — is non-increasing in
+    /// `EngineStats`'s summary reports — is non-increasing in
     /// trace length: the second half of a long stream is no worse than
     /// the first (which contains the cold start), up to sampling noise.
     /// (Per-outcome |error| has an irreducible floor set by the stream's

@@ -14,9 +14,11 @@ use std::sync::Mutex;
 static ENV_LOCK: Mutex<()> = Mutex::new(());
 
 /// Names that are not knobs: the retired fidelity-gate epoch override,
-/// the nine knobs deleted when the knob table came in, then the three of
-/// engine axes retired earlier.
-const STALE: [&str; 13] = [
+/// the nine knobs deleted when the knob table came in, the three of
+/// engine axes retired earlier, then the engine name (`GARIBALDI_WORKERS`
+/// alone picks the engine) and the stats flag (`EngineStats` prints
+/// itself).
+const STALE: [&str; 15] = [
     "GARIBALDI_FIDELITY_EPOCH",
     "GARIBALDI_INNER_WORKERS",
     "GARIBALDI_SHARDS",
@@ -30,6 +32,8 @@ const STALE: [&str; 13] = [
     "GARIBALDI_ESTIMATOR",
     "GARIBALDI_TRAIN_MODE",
     "GARIBALDI_SYNC_EVERY",
+    "GARIBALDI_ENGINE",
+    "GARIBALDI_ENGINE_STATS",
 ];
 
 /// Runs `f` with exactly `vars` set, restoring a clean slate after. Every
@@ -65,22 +69,19 @@ fn smoke_run(r: &SimRunner) -> RunResult {
     r.run(s.records_per_core, s.warmup_per_core)
 }
 
-/// `GARIBALDI_ENGINE=serial` reproduces the serial engine exactly — even
-/// when `GARIBALDI_WORKERS` would otherwise force the parallel one.
+/// With `GARIBALDI_WORKERS` unset, `SimRunner::run` is the serial
+/// engine exactly.
 #[test]
 fn engine_serial_reproduces_serial_engine() {
     let r = runner();
     let s = ExperimentScale::smoke();
-    let reference = with_env(&[], || r.run_serial(s.records_per_core, s.warmup_per_core));
-    let forced =
-        with_env(&[("GARIBALDI_ENGINE", "serial"), ("GARIBALDI_WORKERS", "2")], || smoke_run(&r));
-    assert_eq!(reference, forced);
-    let plain = with_env(&[("GARIBALDI_ENGINE", "serial")], || smoke_run(&r));
+    let (reference, plain) =
+        with_env(&[], || (r.run_serial(s.records_per_core, s.warmup_per_core), smoke_run(&r)));
     assert_eq!(reference, plain);
 }
 
-/// `GARIBALDI_ENGINE=parallel` routes through the epoch-sharded engine's
-/// one profile.
+/// `GARIBALDI_WORKERS=1` routes through the epoch-sharded engine's one
+/// profile.
 #[test]
 fn engine_parallel_forces_parallel_engine() {
     let r = runner();
@@ -92,7 +93,7 @@ fn engine_parallel_forces_parallel_engine() {
             r.run_serial(s.records_per_core, s.warmup_per_core),
         )
     });
-    let forced = with_env(&[("GARIBALDI_ENGINE", "parallel")], || smoke_run(&r));
+    let forced = with_env(&[("GARIBALDI_WORKERS", "1")], || smoke_run(&r));
     assert_eq!(reference, forced);
     // Serial differs from the parallel run on this workload (otherwise the
     // assertion above proves nothing).
@@ -103,8 +104,7 @@ fn engine_parallel_forces_parallel_engine() {
 /// forcing mechanism CI's parallel-engine leg uses).
 #[test]
 fn bare_workers_still_selects_parallel() {
-    let choice =
-        with_env(&[("GARIBALDI_WORKERS", "3")], || EngineChoice::from_env_or(EngineChoice::Serial));
+    let choice = with_env(&[("GARIBALDI_WORKERS", "3")], EngineChoice::from_env);
     match choice {
         EngineChoice::Parallel(c) => assert_eq!(c, EngineConfig::with_workers(3)),
         EngineChoice::Serial => panic!("GARIBALDI_WORKERS must select the parallel engine"),
@@ -144,12 +144,11 @@ fn barrier_timeout_env_is_validated_and_result_invisible() {
     }
 }
 
-/// The panic message `EngineChoice::from_env_or` raises with exactly
-/// `vars` set.
+/// The panic message `EngineChoice::from_env` raises with exactly `vars`
+/// set.
 fn resolve_panic(vars: &[(&str, &str)]) -> String {
     let err = with_env(vars, || {
-        std::panic::catch_unwind(|| EngineChoice::from_env_or(EngineChoice::Serial))
-            .expect_err(&format!("{vars:?} must panic"))
+        std::panic::catch_unwind(EngineChoice::from_env).expect_err(&format!("{vars:?} must panic"))
     });
     err.downcast_ref::<String>()
         .cloned()
@@ -161,9 +160,7 @@ fn resolve_panic(vars: &[(&str, &str)]) -> String {
 /// unintended engine or geometry.
 #[test]
 fn malformed_values_panic_with_the_variable_name() {
-    let cases: [(&str, &str); 6] = [
-        ("GARIBALDI_ENGINE", "turbo"),
-        ("GARIBALDI_ENGINE", ""),
+    let cases: [(&str, &str); 4] = [
         ("GARIBALDI_WORKERS", "0"),
         ("GARIBALDI_WORKERS", "banana"),
         ("GARIBALDI_WORKERS", "-1"),
@@ -176,16 +173,16 @@ fn malformed_values_panic_with_the_variable_name() {
 }
 
 /// A set name outside the knob table — deleted, retired or misspelt —
-/// fails loudly, naming itself, with any value and beside any engine
+/// fails loudly, naming itself, with any value and beside either engine
 /// choice, so a stale script never silently runs something other than it
 /// asked for.
 #[test]
 fn retired_variables_panic_naming_the_variable() {
     for var in STALE.into_iter().chain(["GARIBALDI_WORKER"]) {
         for val in ["ewma", "1", ""] {
-            for engine in [None, Some("serial"), Some("parallel")] {
+            for workers in [None, Some("2")] {
                 let mut vars = vec![(var, val)];
-                vars.extend(engine.map(|e| ("GARIBALDI_ENGINE", e)));
+                vars.extend(workers.map(|w| ("GARIBALDI_WORKERS", w)));
                 let msg = resolve_panic(&vars);
                 assert!(
                     msg.starts_with(var) && msg.contains("not a GARIBALDI_* knob"),

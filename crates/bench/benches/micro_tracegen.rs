@@ -1,6 +1,7 @@
 //! Criterion micro-benchmark: trace-generation throughput (records/s) for
 //! a server and a SPEC profile — generation must stay far cheaper than the
-//! cache simulation consuming it.
+//! cache simulation consuming it — and what a run pays for its programs: a
+//! fresh build against a hit in the process-wide shared table.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use garibaldi_trace::{registry, SyntheticProgram, TraceGenerator};
@@ -27,6 +28,12 @@ fn bench_program_build(c: &mut Criterion) {
             seed += 1;
             black_box(SyntheticProgram::build(profile, seed).text_lines())
         });
+    });
+    c.bench_function("program_shared_tpcc", |b| {
+        let profile = registry::by_name("tpcc").unwrap();
+        // The held program keeps every lookup below a warm hit.
+        let _held = SyntheticProgram::shared(profile, 1);
+        b.iter(|| black_box(SyntheticProgram::shared(profile, 1).text_lines()));
     });
 }
 

@@ -10,7 +10,7 @@
 //! instruction stream (§1).
 
 use super::Prefetcher;
-use garibaldi_types::{LineAddr, U64Table};
+use garibaldi_types::{FrontCursor, LineAddr, U64Table};
 
 /// Successors remembered per miss line.
 const SUCCESSORS: usize = 2;
@@ -33,6 +33,9 @@ const NO_SUCCESSOR: u32 = u32::MAX;
 #[derive(Debug)]
 pub struct TemporalPrefetcher {
     table: U64Table<[u32; SUCCESSORS]>,
+    /// Where the capacity-eviction scan for the first slot resumes; every
+    /// new line goes in through it.
+    front: FrontCursor,
     last_miss: Option<u64>,
 }
 
@@ -42,7 +45,7 @@ impl TemporalPrefetcher {
 
     /// Creates an empty temporal prefetcher.
     pub fn new() -> Self {
-        Self { table: U64Table::new(), last_miss: None }
+        Self { table: U64Table::new(), front: FrontCursor::new(), last_miss: None }
     }
 
     /// Number of miss lines currently tracked.
@@ -70,14 +73,18 @@ impl Prefetcher for TemporalPrefetcher {
                 if self.table.len() >= TABLE_CAP && !self.table.contains_key(prev) {
                     // Table full: drop an arbitrary cold entry (cheap
                     // approximation of LRU replacement; first slot in
-                    // probe order — deterministic).
-                    let victim = self.table.keys().next();
+                    // probe order — deterministic). The cursor finds it
+                    // without rescanning the empty prefix earlier
+                    // evictions leave.
+                    let victim = self.front.first_key(&self.table);
                     if let Some(k) = victim {
                         self.table.remove(k);
                     }
                 }
                 let line = successor(cur);
-                let succ = self.table.get_or_insert_with(prev, || [NO_SUCCESSOR; SUCCESSORS]);
+                let succ = self
+                    .front
+                    .get_or_insert_with(&mut self.table, prev, || [NO_SUCCESSOR; SUCCESSORS]);
                 if !succ.contains(&line) {
                     succ.rotate_right(1);
                     succ[0] = line;
@@ -165,6 +172,30 @@ mod tests {
         }
         let succ = p.table.get(10).unwrap();
         assert_eq!(succ.iter().filter(|&&s| s == 20).count(), 1);
+    }
+
+    /// Past the cap every miss of an untracked line evicts the key a scan
+    /// of the slots from index 0 meets first, and the table stays at the
+    /// cap.
+    #[test]
+    fn evictions_past_the_cap_take_the_first_slot() {
+        let mut p = TemporalPrefetcher::new();
+        // Distinct, spread-out lines: each miss records a new `prev`.
+        let line = |i: u64| (i.wrapping_mul(0x9e37_79b9) >> 7) & 0x3fff_ffff;
+        for i in 0..TABLE_CAP as u64 + 1 {
+            miss(&mut p, line(i));
+        }
+        assert_eq!(p.tracked(), TABLE_CAP);
+        for i in TABLE_CAP as u64 + 1..TABLE_CAP as u64 + 3_001 {
+            let prev = p.last_miss.unwrap();
+            let victim = (!p.table.contains_key(prev)).then(|| p.table.keys().next().unwrap());
+            miss(&mut p, line(i));
+            if let Some(v) = victim {
+                assert!(!p.table.contains_key(v), "miss {i} kept the old rule's victim {v:#x}");
+            }
+            assert!(p.table.contains_key(prev));
+            assert_eq!(p.tracked(), TABLE_CAP);
+        }
     }
 
     #[test]

@@ -17,10 +17,15 @@ use garibaldi_trace::{
     registry, PpnAllocator, SharedAddressSpace, SyntheticProgram, TraceGenerator, TraceRecord,
     WorkloadClass, WorkloadMix,
 };
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::fmt;
+use std::sync::{Arc, OnceLock};
+
+/// The mix's programs, one per distinct workload, keyed by name.
+type Programs = BTreeMap<String, Arc<SyntheticProgram>>;
 
 /// A configured simulation ready to run.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct SimRunner {
     cfg: SystemConfig,
     mix: WorkloadMix,
@@ -28,6 +33,24 @@ pub struct SimRunner {
     /// Pre-recorded per-core streams to replay instead of generating
     /// traces ([`SimRunner::with_streams`]).
     streams: Option<Vec<Vec<TraceRecord>>>,
+    /// The mix's programs, fetched through [`SyntheticProgram::shared`] on
+    /// the first run or stream dump and held for the runner's lifetime, so
+    /// later runs, and other runners with equal keys, build none.
+    programs: OnceLock<Programs>,
+}
+
+/// Names the programs a runner holds, not their tables.
+impl fmt::Debug for SimRunner {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let programs: Option<Vec<&String>> = self.programs.get().map(|p| p.keys().collect());
+        f.debug_struct("SimRunner")
+            .field("cfg", &self.cfg)
+            .field("mix", &self.mix)
+            .field("seed", &self.seed)
+            .field("replay_streams", &self.streams.as_ref().map(Vec::len))
+            .field("programs", &programs)
+            .finish()
+    }
 }
 
 impl SimRunner {
@@ -43,7 +66,7 @@ impl SimRunner {
         for name in &mix.slots {
             assert!(registry::by_name(name).is_some(), "unknown workload {name}");
         }
-        Self { cfg, mix, seed, streams: None }
+        Self { cfg, mix, seed, streams: None, programs: OnceLock::new() }
     }
 
     /// Replays pre-recorded per-core streams (from
@@ -61,6 +84,7 @@ impl SimRunner {
             panic!("empty replay stream for core {i}");
         }
         self.streams = Some(streams);
+        self.programs = OnceLock::new();
         self
     }
 
@@ -103,8 +127,7 @@ impl SimRunner {
         warmup: u64,
         choice: &EngineChoice,
     ) -> Result<(RunResult, EngineStats), EngineError> {
-        let programs = self.build_programs();
-        let cores = self.build_cores(&programs);
+        let cores = self.build_cores();
         ParallelEngine::new(&self.cfg, choice, self.mix.clone(), cores).try_run(records, warmup)
     }
 
@@ -132,34 +155,29 @@ impl SimRunner {
             .unwrap_or_else(|e| panic!("parallel engine failed: {e}"))
     }
 
-    /// Builds one program per distinct workload (shared by its cores);
-    /// none when the runner replays streams. Both schedules (and dumped
-    /// traces) walk identical record streams.
-    fn build_programs(&self) -> HashMap<String, SyntheticProgram> {
-        let mut programs = HashMap::new();
-        if self.streams.is_some() {
-            return programs;
-        }
-        for name in self.mix.distinct() {
-            let profile =
-                registry::by_name(name).expect("validated").scaled(self.cfg.profile_scale);
-            let pseed = self.seed ^ fxhash(name.as_bytes());
-            programs.insert(
-                registry::by_name(name).unwrap().name.clone(),
-                SyntheticProgram::build(&profile, pseed),
-            );
-        }
-        programs
+    /// One program per distinct workload (shared by its cores), fetched on
+    /// first use; a runner that replays streams never calls this. Both
+    /// schedules (and dumped traces) walk identical record streams.
+    fn programs(&self) -> &Programs {
+        self.programs.get_or_init(|| {
+            self.mix
+                .distinct()
+                .into_iter()
+                .map(|name| {
+                    let profile =
+                        registry::by_name(name).expect("validated").scaled(self.cfg.profile_scale);
+                    let pseed = self.seed ^ fxhash(name.as_bytes());
+                    (name.to_string(), SyntheticProgram::shared(&profile, pseed))
+                })
+                .collect()
+        })
     }
 
     /// Per-core `(source, space)` pairs for either schedule: the replayed
-    /// streams when the runner has them, else generators over `programs`.
+    /// streams when the runner has them, else generators over its programs.
     /// Address spaces use the pure shared mapping (threads of one server
     /// process share one space, SPEC workloads get private ones).
-    fn build_cores<'p>(
-        &'p self,
-        programs: &'p HashMap<String, SyntheticProgram>,
-    ) -> Vec<(RecordSource<'p>, SharedAddressSpace)> {
+    fn build_cores(&self) -> Vec<(RecordSource<'_>, SharedAddressSpace)> {
         let mut alloc = PpnAllocator::new();
         let mut shared_spaces: HashMap<&str, SharedAddressSpace> = HashMap::new();
         let mut thread_index: HashMap<&str, u64> = HashMap::new();
@@ -185,7 +203,7 @@ impl SimRunner {
                 let src = match &self.streams {
                     Some(streams) => RecordSource::Replay { records: &streams[i], pos: 0 },
                     None => {
-                        let program = &programs[name.as_str()];
+                        let program = &self.programs()[name.as_str()];
                         let gen = match tid {
                             Some(t) => {
                                 // Sharing degree k > 0 partitions the
@@ -216,8 +234,7 @@ impl SimRunner {
     /// generation is independent of cache state, so a dump taken here
     /// replays bit-identically under any scheme or engine.
     pub fn generate_streams(&self, total: u64) -> Vec<Vec<TraceRecord>> {
-        let programs = self.build_programs();
-        self.build_cores(&programs)
+        self.build_cores()
             .into_iter()
             .map(|(src, _)| {
                 let mut src = src;
@@ -275,6 +292,73 @@ mod tests {
         let g = r.garibaldi.expect("garibaldi configured");
         assert!(g.stats.instr_accesses > 0, "module observed LLC traffic");
         assert!(r.scheme.contains("Garibaldi"));
+    }
+
+    fn mixed_runner_seeded(seed: u64) -> SimRunner {
+        let scale = ExperimentScale::smoke();
+        let cfg = SystemConfig::scaled(&scale, LlcScheme::mockingjay_garibaldi());
+        let slots = ["tpcc", "lbm"].iter().cycle().take(scale.cores).map(|s| s.to_string());
+        SimRunner::new(cfg, WorkloadMix { slots: slots.collect() }, seed)
+    }
+
+    fn mixed_runner() -> SimRunner {
+        mixed_runner_seeded(7)
+    }
+
+    /// A runner keeps its programs between runs: a second run on it, and
+    /// a run on a fresh runner that builds its programs again, give the
+    /// first run's result byte for byte on either engine. The seed is one
+    /// no other test uses, so no other holder keeps the programs alive.
+    #[test]
+    fn reused_and_fresh_runners_agree() {
+        const SEED: u64 = 0x5eed_f2e5;
+        for choice in [EngineChoice::Serial, EngineChoice::Parallel(EngineConfig::with_workers(1))]
+        {
+            let (first, again, held) = {
+                let runner = mixed_runner_seeded(SEED);
+                let first = format!("{:?}", runner.run_on(800, 200, &choice));
+                assert!(runner.programs.get().is_some(), "the first run fetched the programs");
+                let again = format!("{:?}", runner.run_on(800, 200, &choice));
+                (first, again, Arc::downgrade(&runner.programs()["tpcc"]))
+            };
+            assert!(held.upgrade().is_none(), "dropping the runner freed its programs");
+            let fresh = format!("{:?}", mixed_runner_seeded(SEED).run_on(800, 200, &choice));
+            assert_eq!(first, again, "{choice:?}: second run on one runner");
+            assert_eq!(first, fresh, "{choice:?}: fresh runner");
+        }
+    }
+
+    #[test]
+    fn streams_do_not_change_across_runs() {
+        let runner = mixed_runner();
+        let before = runner.generate_streams(300);
+        runner.run_serial(300, 100);
+        assert_eq!(before, runner.generate_streams(300));
+        assert_eq!(before, mixed_runner().generate_streams(300));
+    }
+
+    #[test]
+    fn replaying_runners_build_no_program() {
+        let streams = mixed_runner().generate_streams(400);
+        let replay = mixed_runner().with_streams(streams);
+        replay.run_serial(300, 100);
+        replay.run_on(300, 100, &EngineChoice::Parallel(EngineConfig::with_workers(1)));
+        assert!(replay.programs.get().is_none());
+        let used = mixed_runner();
+        used.run_serial(100, 0);
+        let dropped = used.with_streams(mixed_runner().generate_streams(100));
+        assert!(dropped.programs.get().is_none(), "with_streams lets go of built programs");
+    }
+
+    /// `Debug` names a runner's programs, never their line tables.
+    #[test]
+    fn debug_skips_program_tables() {
+        let runner = mixed_runner();
+        runner.run_serial(100, 0);
+        let text = format!("{runner:?}");
+        assert!(text.contains(r#"programs: Some(["lbm", "tpcc"])"#), "{text}");
+        assert!(!text.contains("hot_pairs") && !text.contains("func_zipf"), "{text}");
+        assert!(text.len() < 20_000, "{} bytes", text.len());
     }
 
     #[test]

@@ -20,6 +20,7 @@ use crate::profiles::WorkloadProfile;
 use crate::zipf::Zipf;
 use garibaldi_types::{VirtAddr, LINE_BYTES};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
+use std::sync::{Arc, Mutex, Weak};
 
 /// Base virtual address of the text segment.
 pub const TEXT_BASE: u64 = 0x0040_0000;
@@ -53,6 +54,13 @@ pub struct Function {
 
 /// Text-line entry of a cold line (any other value is a hot-line index).
 const COLD_LINE: u32 = u32::MAX;
+
+/// Programs handed out by [`SyntheticProgram::shared`], keyed by the whole
+/// input of [`SyntheticProgram::build`]: the scaled profile and the seed.
+/// The table holds only `Weak`s, so it keeps no program alive by itself.
+type SharedTable = Vec<(WorkloadProfile, u64, Weak<SyntheticProgram>)>;
+
+static SHARED: Mutex<SharedTable> = Mutex::new(Vec::new());
 
 /// A fully built synthetic program, shared (immutably) by all cores that run
 /// the same workload.
@@ -125,6 +133,39 @@ impl SyntheticProgram {
         hot_pairs.shrink_to_fit();
         let func_zipf = Zipf::new(n_funcs, profile.func_zipf);
         Self { profile: profile.clone(), funcs, lines, hot_pairs, pairs, func_zipf, hot_zipf }
+    }
+
+    /// The program [`SyntheticProgram::build`] makes from `profile` and
+    /// `seed`, shared process-wide: while any holder keeps a program with an
+    /// equal profile (`==`) and seed alive, this returns that same `Arc`
+    /// instead of building again. `build` is pure, so a shared program is
+    /// indistinguishable from a fresh one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the profile fails [`WorkloadProfile::validate`].
+    pub fn shared(profile: &WorkloadProfile, seed: u64) -> Arc<Self> {
+        let lookup = |table: &mut SharedTable| {
+            table.retain(|(_, _, w)| w.strong_count() > 0);
+            table
+                .iter()
+                .find(|(p, s, _)| *s == seed && p == profile)
+                .and_then(|(_, _, w)| w.upgrade())
+        };
+        let lock = || SHARED.lock().expect("nothing panics while holding the program table");
+        if let Some(p) = lookup(&mut lock()) {
+            return p;
+        }
+        // Build outside the lock so runners of other programs never wait
+        // on this one; a racing builder of the same key wins, and this
+        // copy drops, so equal keys still share one program.
+        let built = Arc::new(Self::build(profile, seed));
+        let mut table = lock();
+        if let Some(p) = lookup(&mut table) {
+            return p;
+        }
+        table.push((profile.clone(), seed, Arc::downgrade(&built)));
+        built
     }
 
     /// The profile this program was built from.
@@ -212,6 +253,39 @@ mod tests {
         for i in 0..a.text_lines() as u32 {
             assert_eq!(a.behavior(i), b.behavior(i));
         }
+    }
+
+    #[test]
+    fn equal_keys_share_one_program() {
+        let p = registry::by_name("kafka").unwrap();
+        let a = SyntheticProgram::shared(p, 0x5eed_0001);
+        let b = SyntheticProgram::shared(&p.clone(), 0x5eed_0001);
+        assert!(Arc::ptr_eq(&a, &b));
+    }
+
+    #[test]
+    fn other_seeds_and_scales_get_their_own_program() {
+        let p = registry::by_name("kafka").unwrap();
+        let a = SyntheticProgram::shared(p, 0x5eed_0002);
+        let other_seed = SyntheticProgram::shared(p, 0x5eed_0003);
+        let half = SyntheticProgram::shared(&p.scaled(0.5), 0x5eed_0002);
+        assert!(!Arc::ptr_eq(&a, &other_seed) && !Arc::ptr_eq(&a, &half));
+        assert!(half.text_lines() < a.text_lines());
+        assert_eq!(half.profile(), &p.scaled(0.5));
+    }
+
+    #[test]
+    fn the_table_keeps_no_program_alive() {
+        let p = registry::by_name("noop").unwrap();
+        let a = SyntheticProgram::shared(p, 0x5eed_0004);
+        let b = SyntheticProgram::shared(p, 0x5eed_0004);
+        let weak = Arc::downgrade(&a);
+        drop(a);
+        assert!(weak.upgrade().is_some(), "the second holder keeps it");
+        drop(b);
+        assert!(weak.upgrade().is_none(), "no holder left");
+        let again = SyntheticProgram::shared(p, 0x5eed_0004);
+        assert!(!std::ptr::eq(weak.as_ptr(), Arc::as_ptr(&again)), "a later call builds anew");
     }
 
     #[test]

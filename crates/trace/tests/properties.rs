@@ -167,3 +167,28 @@ proptest! {
         prop_assert_eq!(program.hot_line_fraction(), hot as f64 / behaviors.len() as f64);
     }
 }
+
+proptest! {
+    /// A shared program is the program `build` makes from the same key:
+    /// the same functions, text size and behaviour on every line, for any
+    /// registry profile, seed and scale.
+    #[test]
+    fn shared_programs_equal_built_ones(
+        idx in 0usize..registry::all_workloads().len(),
+        seed in 0u64..u64::MAX,
+        f in 0.05f64..1.0,
+    ) {
+        let profile = registry::all_workloads()[idx].scaled(f);
+        let shared = SyntheticProgram::shared(&profile, seed);
+        let built = SyntheticProgram::build(&profile, seed);
+        prop_assert_eq!(shared.profile(), built.profile());
+        prop_assert_eq!(shared.n_funcs(), built.n_funcs());
+        for i in 0..built.n_funcs() {
+            prop_assert_eq!(shared.func(i), built.func(i));
+        }
+        prop_assert_eq!(shared.text_lines(), built.text_lines());
+        for i in 0..built.text_lines() as u32 {
+            prop_assert_eq!(shared.behavior(i), built.behavior(i), "line {}", i);
+        }
+    }
+}

@@ -35,4 +35,4 @@ pub use addr::{
 };
 pub use fasthash::{FastHashMap, FastHashSet, FxBuildHasher, FxHasher};
 pub use ids::{CoreId, ThreadId};
-pub use u64map::{U64Set, U64Table};
+pub use u64map::{FrontCursor, U64Set, U64Table};

@@ -27,7 +27,9 @@
 //! insertion/removal history, so simulated results that consume it stay
 //! deterministic and worker-count invariant. Callers that need a canonical
 //! order sort the drained pairs (the proptest suite checks
-//! sorted-iteration equivalence against `HashMap`).
+//! sorted-iteration equivalence against `HashMap`). A caller that keeps
+//! evicting the first key of that order holds a [`FrontCursor`], so the
+//! scan for it skips the empty front that those evictions leave.
 
 use crate::fasthash::mix64;
 use std::num::NonZeroU64;
@@ -229,15 +231,20 @@ impl<T> U64Table<T> {
             }
             return self.max.get_or_insert_with(make);
         }
-        let i = match self.slot_for_insert(key) {
-            Ok(i) => i,
-            Err(i) => {
-                self.slots[i] = Some((enc(key), make()));
-                self.len += 1;
-                i
-            }
-        };
+        let i = self.slot_or_insert_with(key, make).unwrap_or_else(|i| i);
         self.slots[i].as_mut().map(|(_, v)| v).expect("occupied slot")
+    }
+
+    /// The slot of `key` (not `u64::MAX`) once `make()` is inserted for it
+    /// when absent: `Ok(i)` when it was present, `Err(i)` when it is new.
+    #[inline]
+    fn slot_or_insert_with(&mut self, key: u64, make: impl FnOnce() -> T) -> Result<usize, usize> {
+        let slot = self.slot_for_insert(key);
+        if let Err(i) = slot {
+            self.slots[i] = Some((enc(key), make()));
+            self.len += 1;
+        }
+        slot
     }
 
     /// Removes `key`, returning its value. Backward-shift deletion: later
@@ -340,6 +347,105 @@ impl<T> FromIterator<(u64, T)> for U64Table<T> {
 /// Smallest power-of-two capacity holding `n` entries under the load bound.
 fn cap_for(n: usize) -> usize {
     (5 * n).div_ceil(2).next_power_of_two().max(MIN_CAP)
+}
+
+/// A caller's bounds on the empty front of a [`U64Table`]'s slot array,
+/// for a full cache that evicts the key [`U64Table::keys`] yields first
+/// each time it takes a new one.
+///
+/// Every such eviction empties the front further, so `keys().next()`
+/// rescans a prefix that grows with each call. The cursor knows that every
+/// slot below `first` is empty, and so is every slot strictly between
+/// `first` and `skip`: [`FrontCursor::first_key`] scans from there and
+/// records where it stopped. New keys must go in through
+/// [`FrontCursor::get_or_insert_with`], which moves the bounds when a key
+/// lands below them. Removals may go straight to the table: backward-shift
+/// deletion only moves entries into slots that were occupied, so it never
+/// fills an empty one. Growth (a new slot count) resets the bounds. The
+/// table keeps none of this, so its other users pay nothing.
+#[derive(Debug, Clone, Default)]
+pub struct FrontCursor {
+    first: usize,
+    skip: usize,
+    /// The slot count the bounds describe.
+    slots: usize,
+}
+
+impl FrontCursor {
+    /// Bounds that claim nothing (valid for any table).
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// `table.get_or_insert_with(key, make)`, keeping the bounds valid
+    /// when `key` is new.
+    #[inline]
+    pub fn get_or_insert_with<'t, T>(
+        &mut self,
+        table: &'t mut U64Table<T>,
+        key: u64,
+        make: impl FnOnce() -> T,
+    ) -> &'t mut T {
+        if key == u64::MAX {
+            return table.get_or_insert_with(key, make);
+        }
+        let i = match table.slot_or_insert_with(key, make) {
+            Ok(i) => i,
+            Err(i) => {
+                self.note_insert(table, i);
+                i
+            }
+        };
+        table.slots[i].as_mut().map(|(_, v)| v).expect("occupied slot")
+    }
+
+    /// The key `table.keys().next()` yields: the first occupied slot's,
+    /// else `u64::MAX` from the side slot. A caller that keeps removing it
+    /// passes each empty slot about once, not once per call.
+    pub fn first_key<T>(&mut self, table: &U64Table<T>) -> Option<u64> {
+        let n = self.sync(table);
+        let mut i = self.first;
+        if table.slots.get(i).is_some_and(Option::is_none) {
+            i = self.skip.clamp(i + 1, n);
+            i += table.slots[i..].iter().take_while(|s| s.is_none()).count();
+        }
+        self.first = i;
+        match table.slots.get(i) {
+            Some(Some((k, _))) => Some(!k.get()),
+            _ => table.max.is_some().then_some(u64::MAX),
+        }
+    }
+
+    /// Resets the bounds when `table` has a new slot count; returns it.
+    fn sync<T>(&mut self, table: &U64Table<T>) -> usize {
+        let n = table.slots.len();
+        if n != self.slots {
+            *self = Self { first: 0, skip: 0, slots: n };
+        }
+        n
+    }
+
+    /// Keeps `first` and `skip` valid after a new key lands in empty slot
+    /// `i`.
+    fn note_insert<T>(&mut self, table: &U64Table<T>, i: usize) {
+        self.sync(table);
+        if i >= self.first.max(self.skip) {
+            return;
+        }
+        let first_empty = table.slots.get(self.first).is_none_or(Option::is_none);
+        if i < self.first {
+            // Slots `i + 1 .. first` were empty; when slot `first` was too,
+            // the run past it joins on.
+            self.skip = if first_empty { self.skip.max(self.first + 1) } else { self.first };
+            self.first = i;
+        } else if first_empty {
+            // `i` splits the run past an empty `first`: every slot below
+            // `i` is empty, and the rest of the run stays known.
+            self.first = i;
+        } else {
+            self.skip = i;
+        }
+    }
 }
 
 /// An open-addressed set of `u64`s (a [`U64Table`] without values).
@@ -498,6 +604,50 @@ mod tests {
             b.insert(k, k);
             assert_eq!(a.slots.len(), b.slots.len(), "after key {k}");
         }
+    }
+
+    /// A `FrontCursor` names the key `keys().next()` does while a caller
+    /// evicts from the front, reinserts below the bounds, grows and clears.
+    #[test]
+    fn front_cursor_tracks_the_first_slot() {
+        let mut t = U64Table::new();
+        let mut c = FrontCursor::new();
+        assert_eq!(c.first_key(&t), None);
+        c.get_or_insert_with(&mut t, u64::MAX, || 0);
+        assert_eq!(c.first_key(&t), Some(u64::MAX), "the side slot comes last");
+        for k in 0..1_000u64 {
+            c.get_or_insert_with(&mut t, k * 64, || k);
+        }
+        for round in 0..600u64 {
+            let want = t.keys().next();
+            assert_eq!(c.first_key(&t), want, "eviction {round}");
+            t.remove(want.unwrap());
+            if round % 7 == 0 {
+                c.get_or_insert_with(&mut t, round * 64, || round); // may land below the bounds
+            }
+        }
+        // A full cache: each new key evicts the first one. New keys land
+        // in the emptied front as often as behind it.
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for round in 0..5_000u64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let want = t.keys().next();
+            assert_eq!(c.first_key(&t), want, "cache eviction {round}");
+            t.remove(want.unwrap());
+            c.get_or_insert_with(&mut t, x, || round);
+        }
+        let slots = t.slots.len();
+        for k in 5_000..8_000u64 {
+            c.get_or_insert_with(&mut t, k, || k);
+            assert_eq!(c.first_key(&t), t.keys().next(), "insert {k}");
+        }
+        assert!(t.slots.len() > slots, "the inserts grew the table");
+        t.clear();
+        assert_eq!(c.first_key(&t), None);
+        c.get_or_insert_with(&mut t, 3, || 3);
+        assert_eq!(c.first_key(&t), Some(3));
     }
 
     #[test]

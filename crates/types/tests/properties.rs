@@ -4,7 +4,7 @@
 //! divide.
 
 use garibaldi_types::fastdiv::FastDiv;
-use garibaldi_types::{U64Set, U64Table};
+use garibaldi_types::{FrontCursor, U64Set, U64Table};
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
 
@@ -83,6 +83,52 @@ proptest! {
         let mut drained: Vec<(u64, u64)> = table.into_iter().collect();
         drained.sort_unstable();
         prop_assert_eq!(drained, want);
+    }
+
+    /// A [`FrontCursor`] names the key `keys().next()` does after random
+    /// runs of cursor inserts, removals, front evictions and capped-cache
+    /// inserts (evict the first key, then insert), on both key spaces. The
+    /// check is its own op, so runs of inserts between two checks leave
+    /// the bounds in every state they can reach.
+    #[test]
+    fn front_cursor_names_the_first_key(
+        ops in prop::collection::vec((0u8..5, 0u64..u64::MAX), 1..800),
+        fold in prop::bool::ANY,
+        cap in 1usize..200,
+    ) {
+        let mut table: U64Table<u64> = U64Table::new();
+        let mut cursor = FrontCursor::new();
+        for (op, raw_key) in ops {
+            let key = if fold { fold_key(raw_key, 397) } else { raw_key };
+            match op {
+                0 => {
+                    cursor.get_or_insert_with(&mut table, key, || key);
+                }
+                1 => {
+                    table.remove(key);
+                }
+                2 => {
+                    let first = table.keys().next();
+                    if let Some(k) = first {
+                        table.remove(k);
+                    }
+                }
+                3 => {
+                    if table.len() >= cap && !table.contains_key(key) {
+                        let victim = cursor.first_key(&table);
+                        prop_assert_eq!(victim, table.keys().next());
+                        table.remove(victim.unwrap());
+                    }
+                    cursor.get_or_insert_with(&mut table, key, || key);
+                }
+                _ => {
+                    let first = table.keys().next();
+                    prop_assert_eq!(cursor.first_key(&table), first);
+                }
+            }
+        }
+        let first = table.keys().next();
+        prop_assert_eq!(cursor.first_key(&table), first);
     }
 
     /// Slot iteration order is a pure function of the operation history:

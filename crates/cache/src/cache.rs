@@ -1,18 +1,19 @@
 //! The set-associative cache structure.
 //!
 //! Frames are stored in structure-of-arrays form: one contiguous array of
-//! packed tag words ([`PackedTag`]: valid bit folded into the line address)
-//! scanned in a single branch-light pass per lookup, with the per-line
-//! metadata ([`LineFlags`] byte, sharer mask) in parallel arrays touched
-//! only on hit or victim selection. The sharer mask is stored at the width
-//! the directory needs, [`CacheConfig::directory_bytes`] bytes per frame.
-//! See ARCHITECTURE.md §"SoA tag arrays".
+//! 32-bit tag words (the line address with its set index stripped, see
+//! [`SetAssocCache`]) scanned in a single branch-light pass per lookup,
+//! with the per-line metadata ([`LineFlags`] byte, sharer mask) in
+//! parallel arrays touched only on hit or victim selection. The sharer
+//! mask is stored at the width the directory needs,
+//! [`CacheConfig::directory_bytes`] bytes per frame. See ARCHITECTURE.md
+//! §"SoA tag arrays".
 
-use crate::line::{LineFlags, LineMeta, MesiState, PackedTag};
+use crate::line::{LineFlags, LineMeta, MesiState};
 use crate::policy::{build_policy, Lru, PolicyCtx, PolicyKind, ReplacementPolicy};
 use crate::stats::CacheStats;
 use garibaldi_types::fastdiv::FastDiv;
-use garibaldi_types::{hint, AccessKind, LineAddr, LINE_BYTES};
+use garibaldi_types::{hint, AccessKind, LineAddr, LINE_BYTES, LINE_OFFSET_BITS, PHYS_ADDR_BITS};
 
 /// Geometry and identity of a cache.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -161,17 +162,19 @@ pub struct InsertOutcome {
     pub protected: u32,
 }
 
-/// Precomputed set-index arithmetic: `line % sets` costs a hardware
-/// divide per access, which the hot path pays three-plus times per
-/// record (L1, L2, LLC). Power-of-two set counts — every L1/L2 geometry
-/// `from_capacity` produces — reduce to a mask; the non-power-of-two LLC
-/// keeps the modulo. Bit-identical to the modulo in every case.
+/// Precomputed set-index and tag arithmetic: `line % sets` and
+/// `line / sets` cost a hardware divide each, which the hot path would pay
+/// three-plus times per record (L1, L2, LLC). Power-of-two set counts —
+/// every L1/L2 geometry `from_capacity` produces — reduce to a mask and a
+/// shift; the non-power-of-two LLC divides by multiplication. Bit-identical
+/// to the modulo and the divide in every case.
 #[derive(Debug, Clone, Copy)]
 enum SetIndexFast {
-    /// `sets`/`modulus` is a power of two: index = `line & mask`.
-    Mask { mask: u64, base: u64 },
-    /// General case: index = `line % modulus - base`, the remainder taken
-    /// by multiplication.
+    /// `sets`/`modulus` is a power of two: index = `line & mask`,
+    /// quotient = `line >> shift`.
+    Mask { mask: u64, shift: u32, base: u64 },
+    /// General case: index = `line % modulus - base`, quotient =
+    /// `line / modulus`, both by multiplication.
     Mod { modulus: FastDiv, base: u64 },
 }
 
@@ -182,7 +185,7 @@ impl SetIndexFast {
             SetIndexing::Shard { modulus, base } => (modulus, base),
         };
         if modulus.is_power_of_two() {
-            Self::Mask { mask: modulus - 1, base }
+            Self::Mask { mask: modulus - 1, shift: modulus.trailing_zeros(), base }
         } else {
             Self::Mod { modulus: FastDiv::new(modulus), base }
         }
@@ -191,10 +194,68 @@ impl SetIndexFast {
     #[inline]
     fn set_of(self, line: u64) -> usize {
         match self {
-            Self::Mask { mask, base } => ((line & mask) - base) as usize,
+            Self::Mask { mask, base, .. } => ((line & mask) - base) as usize,
             Self::Mod { modulus, base } => (modulus.remainder(line) - base) as usize,
         }
     }
+
+    /// `line / modulus`: the part of the line address its set does not
+    /// name.
+    #[inline]
+    fn quotient(self, line: u64) -> u64 {
+        match self {
+            Self::Mask { shift, .. } => line >> shift,
+            Self::Mod { modulus, .. } => modulus.quotient(line),
+        }
+    }
+
+    /// Whether a physical line (below `2^38`) can have quotient
+    /// `2^32 − 1`: only under a modulus of at most 64 sets.
+    fn reaches_top_quotient(self) -> bool {
+        let modulus = match self {
+            Self::Mask { shift, .. } => 1 << shift,
+            Self::Mod { modulus, .. } => modulus.divisor(),
+        };
+        (TAG_QUOTIENTS - 1).saturating_mul(modulus) >> (PHYS_ADDR_BITS - LINE_OFFSET_BITS) == 0
+    }
+
+    /// The line whose local set is `set` and whose quotient is `q`.
+    #[inline]
+    fn line_of(self, set: usize, q: u64) -> u64 {
+        match self {
+            Self::Mask { shift, base, .. } => (q << shift) | (base + set as u64),
+            Self::Mod { modulus, base } => q * modulus.divisor() + base + set as u64,
+        }
+    }
+}
+
+/// Width of a frame's tag word: a cache stores a line as its quotient
+/// `line / sets`, which must be below `2^TAG_WORD_BITS`.
+pub const TAG_WORD_BITS: u32 = u32::BITS;
+
+/// Quotients a tag word can hold: `[0, 2^32)`.
+const TAG_QUOTIENTS: u64 = 1 << TAG_WORD_BITS;
+
+/// Tag word of quotient `q < 2^32`: `(q + 1) mod 2^32`. Word 0 is an empty
+/// frame, or a frame holding the one quotient that wraps to it, `2^32 − 1`
+/// — the frame's flags byte tells the two apart (an occupied frame's byte
+/// is never zero, see [`LineFlags`]). Only a cache that
+/// [wraps](SetAssocCache) stores that quotient.
+#[inline]
+fn tag_word(q: u64) -> u32 {
+    (q as u32).wrapping_add(1)
+}
+
+/// Quotient of an occupied frame's tag word (inverse of [`tag_word`]).
+#[inline]
+fn tag_quotient(word: u32) -> u64 {
+    u64::from(word.wrapping_sub(1))
+}
+
+#[cold]
+#[inline(never)]
+fn tag_overflow(cache: &str, line: LineAddr) -> ! {
+    panic!("cache {cache}: line {:#x} is past its 32-bit tag words", line.get())
 }
 
 /// Placement rule of one [`SetAssocCache::fill`].
@@ -461,17 +522,31 @@ impl PolicySlot {
 /// A set-associative cache with pluggable replacement and an optional
 /// eviction guard (the Garibaldi QBS hook).
 ///
-/// Storage is structure-of-arrays: `tags` holds one [`PackedTag`] word per
-/// frame (`set * ways + way`), scanned in a single pass per lookup;
+/// Storage is structure-of-arrays: `tags` holds one 32-bit word per frame
+/// (`set * ways + way`), scanned in a single pass per lookup;
 /// `flags`/`sharers` hold the per-line metadata and are only touched on
 /// hit, fill, or victim selection. `sharers` holds `dir_bytes` bytes per
 /// frame.
+///
+/// A frame's tag word is `(line / modulus + 1) mod 2^32`, where `modulus`
+/// is the set count (a shard view's: its parent's): the set index is not
+/// stored, and [`SetAssocCache::frame_meta`] rebuilds the line as
+/// `quotient × modulus + global set`. A cache of at most 64 sets *wraps*:
+/// it stores all `2^32` quotients, the top one as word 0, which only the
+/// frame's flags byte tells from an empty frame. Any larger cache stores
+/// quotients below `2^32 − 1` — every line of the 44-bit physical space —
+/// so its occupied frames never hold word 0 and its scans never read the
+/// flags row. Filling a line past the cache's quotients panics naming the
+/// cache; the simulator's `SystemConfig::validate` keeps every
+/// configuration it runs below that bound.
 pub struct SetAssocCache {
     config: CacheConfig,
     set_index: SetIndexFast,
     ways: usize,
     dir_bytes: usize,
-    tags: Vec<u64>,
+    tags: Vec<u32>,
+    /// Whether an occupied frame may hold tag word 0 (see the type docs).
+    wraps: bool,
     flags: Vec<u8>,
     sharers: Vec<u8>,
     policy: PolicySlot,
@@ -511,7 +586,8 @@ impl SetAssocCache {
             dir_bytes: config.directory_bytes(),
             config,
             set_index,
-            tags: vec![PackedTag::EMPTY.raw(); frames],
+            tags: vec![0; frames],
+            wraps: set_index.reaches_top_quotient(),
             flags: vec![LineFlags::EMPTY.raw(); frames],
             // Allocated on first `peek_mut`: only the LLC shards run
             // directory updates, so private L1/L2 caches never pay the
@@ -611,32 +687,75 @@ impl SetAssocCache {
         self.set_index.set_of(line.get())
     }
 
-    /// The one tag scan behind every lookup, access and fill: one pass over
-    /// the set's contiguous tag words, one equality compare per way (the
-    /// valid bit is folded into the word, so empty frames never match).
+    /// Tag word of `line`. Lines past the tag range never reach a scan
+    /// (their fill panics); debug builds assert it here too.
+    #[inline]
+    fn word_of(&self, line: LineAddr) -> u32 {
+        let q = self.set_index.quotient(line.get());
+        if cfg!(debug_assertions) && q >= TAG_QUOTIENTS {
+            tag_overflow(&self.config.name, line);
+        }
+        tag_word(q)
+    }
+
+    /// One pass over the set's contiguous tag words, one equality compare
+    /// per way: the ways whose word is `word`, and the ways whose word is 0.
+    /// Branchless into way bitmasks, with no early exit, so LLVM vectorizes
+    /// the row (misses — the common case on the bigger caches — walk the
+    /// full row anyway).
+    #[inline]
+    fn scan(&self, base: usize, word: u32) -> (u64, u64) {
+        let mut hits = 0u64;
+        let mut zeros = 0u64;
+        for (w, &t) in self.tags[base..base + self.ways].iter().enumerate() {
+            hits |= ((t == word) as u64) << w;
+            zeros |= ((t == 0) as u64) << w;
+        }
+        (hits, zeros)
+    }
+
+    /// The ways of the set at `base` whose frame is occupied, read from
+    /// the flags row (only needed where the tag row holds a zero word and
+    /// the cache wraps).
+    #[inline]
+    fn occupied(&self, base: usize) -> u64 {
+        let mut occupied = 0u64;
+        for (w, &f) in self.flags[base..base + self.ways].iter().enumerate() {
+            occupied |= ((f != 0) as u64) << w;
+        }
+        occupied
+    }
+
+    /// The one tag scan behind every access and fill. At most one way can
+    /// match; lowest-index semantics are kept via `trailing_zeros`. Only a
+    /// wrapping cache reads the flags row, and only when the tag row holds
+    /// a zero word (an empty frame, or the one occupied quotient that wraps
+    /// to 0), so a full set in steady state never reads it.
     #[inline]
     fn probe_at(&self, set: usize, line: LineAddr) -> FillProbe {
         let base = set * self.ways;
-        let probe = PackedTag::new(line).raw();
-        // Branchless whole-row compare into way bitmasks: no early exit,
-        // so LLVM vectorizes the tag row (misses — the common case on the
-        // bigger caches — always walk the full row anyway). At most one
-        // way can match; lowest-index semantics kept via trailing_zeros.
-        let mut hits = 0u64;
-        let mut empties = 0u64;
-        for (w, &t) in self.tags[base..base + self.ways].iter().enumerate() {
-            hits |= ((t == probe) as u64) << w;
-            empties |= ((t == PackedTag::EMPTY.raw()) as u64) << w;
+        let (mut hits, zeros) = self.scan(base, self.word_of(line));
+        let mut empties = zeros;
+        if self.wraps && zeros != 0 {
+            empties &= !self.occupied(base);
         }
+        hits &= !empties;
         let hit = (hits != 0).then(|| hits.trailing_zeros() as usize);
         FillProbe { set, hit, empties }
     }
 
-    /// Way of `line` within its (precomputed) set. The empty-frame mask
-    /// of [`SetAssocCache::probe_at`] is dead here and compiles away.
+    /// Way of `line` within its (precomputed) set: [`SetAssocCache::probe_at`]
+    /// without the empty-frame mask, so only a probe whose own word is 0
+    /// reads the flags row.
     #[inline]
     fn way_in(&self, set: usize, line: LineAddr) -> Option<usize> {
-        self.probe_at(set, line).hit
+        let base = set * self.ways;
+        let word = self.word_of(line);
+        let (mut hits, _) = self.scan(base, word);
+        if word == 0 && hits != 0 {
+            hits &= self.occupied(base);
+        }
+        (hits != 0).then(|| hits.trailing_zeros() as usize)
     }
 
     /// Materializes the metadata of frame `(set, way)`
@@ -645,11 +764,19 @@ impl SetAssocCache {
     #[inline]
     pub fn frame_meta(&self, set: usize, way: usize) -> LineMeta {
         let i = set * self.ways + way;
-        LineMeta::unpack(
-            PackedTag::from_raw(self.tags[i]),
-            LineFlags::from_raw(self.flags[i]),
-            self.sharers_at(i),
-        )
+        let f = LineFlags::from_raw(self.flags[i]);
+        if !f.valid() {
+            return LineMeta::empty();
+        }
+        LineMeta {
+            line: LineAddr::new(self.set_index.line_of(set, tag_quotient(self.tags[i]))),
+            valid: true,
+            dirty: f.dirty(),
+            prefetched: f.prefetched(),
+            is_instr: f.is_instr(),
+            state: f.state(),
+            sharers: self.sharers_at(i),
+        }
     }
 
     /// Hints the host CPU to pull `line`'s tag/flag/replacement rows into
@@ -670,11 +797,10 @@ impl SetAssocCache {
     #[inline]
     pub fn prefetch_row_set(&self, set: usize) {
         let base = set * self.ways;
-        // Tag row: 8 bytes per way, one cache line per 8 ways.
+        // Tag row: 4 bytes per way. Its first and last words name every
+        // host line a row of up to 16 ways touches, aligned or not.
         hint::prefetch_index(&self.tags, base);
-        if self.ways > 8 {
-            hint::prefetch_index(&self.tags, base + 8);
-        }
+        hint::prefetch_index(&self.tags, base + self.ways - 1);
         hint::prefetch_index(&self.flags, base);
         self.policy.prefetch_row(set);
     }
@@ -883,7 +1009,11 @@ impl SetAssocCache {
     fn fill_frame(&mut self, set: usize, way: usize, line: LineAddr, ctx: &AccessCtx, dirty: bool) {
         let i = set * self.ways + way;
         let state = if dirty { MesiState::Modified } else { MesiState::Exclusive };
-        self.tags[i] = PackedTag::new(line).raw();
+        let q = self.set_index.quotient(line.get());
+        if q >= TAG_QUOTIENTS - u64::from(!self.wraps) {
+            tag_overflow(&self.config.name, line);
+        }
+        self.tags[i] = tag_word(q);
         self.flags[i] = LineFlags::new(dirty, ctx.is_prefetch, ctx.is_instr, state).raw();
         self.clear_sharers(i);
         if ctx.is_prefetch {
@@ -907,7 +1037,7 @@ impl SetAssocCache {
         let way = self.way_in(set, line)?;
         let i = set * self.ways + way;
         let meta = self.frame_meta(set, way);
-        self.tags[i] = PackedTag::EMPTY.raw();
+        self.tags[i] = 0;
         self.flags[i] = LineFlags::EMPTY.raw();
         self.clear_sharers(i);
         self.stats.invalidations += 1;
@@ -921,7 +1051,7 @@ impl SetAssocCache {
 
     /// Number of valid lines in the whole cache (O(size); diagnostics).
     pub fn occupancy(&self) -> usize {
-        self.tags.iter().filter(|&&t| t != PackedTag::EMPTY.raw()).count()
+        self.flags.iter().filter(|&&f| f != 0).count()
     }
 }
 
@@ -1201,6 +1331,46 @@ mod tests {
         assert_eq!(m.state, MesiState::Modified);
         assert_eq!(m.line, LineAddr::new(6));
         assert_eq!(c.set_lines(set).count(), 1);
+    }
+
+    #[test]
+    fn top_quotient_wraps_to_word_zero_and_stays_resident() {
+        // 64 sets: quotient 2^32 − 1 is the line (2^32 − 1) × 64 + set,
+        // whose tag word wraps to the empty frame's 0.
+        let mut c = cache(64, 2);
+        let top = LineAddr::new(((1 << 32) - 1) * 64 + 3);
+        let low = LineAddr::new(3);
+        assert!(c.lookup(top).is_none(), "an empty frame never matches word 0");
+        c.insert(top, &ictx(top.get()), true);
+        let way = c.lookup(top).expect("resident");
+        assert_eq!(c.frame_meta(3, way).line, top);
+        assert!(c.lookup(low).is_none());
+        // The occupied word-0 frame is not free: the next fill takes the other way.
+        let out = c.insert(low, &dctx(3), false);
+        assert_eq!(out.way, Some(1 - way));
+        assert_eq!(c.occupancy(), 2);
+        assert_eq!(c.invalidate(top).map(|m| m.line), Some(top));
+        assert!(c.lookup(top).is_none());
+        assert_eq!(c.occupancy(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "cache l1d7: line 0x4000000000 is past its 32-bit tag words")]
+    fn a_line_past_the_tag_words_names_the_cache() {
+        // 64 sets hold quotients below 2^32: lines below 2^38.
+        let mut c = SetAssocCache::new(CacheConfig::new("l1d7", 64, 8), PolicyKind::Lru);
+        c.insert(LineAddr::new(1 << 38), &dctx(1 << 38), false);
+    }
+
+    #[test]
+    #[should_panic(expected = "cache llc: line 0x40ffffffbf is past its 32-bit tag words")]
+    fn a_cache_of_more_than_64_sets_stores_no_word_zero() {
+        // Quotient 2^32 − 1 of 65 sets lies past the 38-bit line space.
+        let mut c = SetAssocCache::new(CacheConfig::new("llc", 65, 2), PolicyKind::Lru);
+        let top = ((1 << 32) - 1) * 65;
+        c.insert(LineAddr::new(top - 65), &dctx(top - 65), false);
+        assert!(c.lookup(LineAddr::new(top)).is_none());
+        c.insert(LineAddr::new(top), &dctx(top), false);
     }
 
     #[test]

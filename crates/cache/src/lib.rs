@@ -4,7 +4,7 @@
 //! provides:
 //!
 //! * [`SetAssocCache`] — a set-associative cache in structure-of-arrays
-//!   form: packed tag words scanned in a single pass, with per-line
+//!   form: 32-bit tag words scanned in a single pass, with per-line
 //!   metadata (dirty/prefetched/instruction bits, MESI state and sharer
 //!   mask for the LLC directory) in parallel arrays, driven by a boxed
 //!   [`ReplacementPolicy`].
@@ -43,9 +43,9 @@ pub mod stats;
 
 pub use cache::{
     AccessCtx, AccessOutcome, CacheConfig, Fill, FillProbe, InsertOutcome, LineMut, SetAssocCache,
-    SetIndexing,
+    SetIndexing, TAG_WORD_BITS,
 };
-pub use line::{LineFlags, LineMeta, MesiState, PackedTag};
+pub use line::{LineFlags, LineMeta, MesiState};
 pub use opt::{simulate_opt, OptResult};
 pub use policy::{build_policy, PolicyKind, ReplacementPolicy};
 pub use prefetch::{GhbPrefetcher, NextLinePrefetcher, Prefetcher, TemporalPrefetcher};

@@ -1,11 +1,9 @@
 //! Per-line cache metadata.
 //!
 //! The cache stores line state in structure-of-arrays form (see
-//! `SetAssocCache`): a packed tag word per frame ([`PackedTag`]), a packed
-//! flag byte ([`LineFlags`]) and a sharer mask. [`LineMeta`] is the
-//! materialized view of one frame — the type evictions, guards and peeks
-//! trade in — and [`LineMeta::unpack`]/[`LineMeta::pack`] convert between
-//! the two representations losslessly.
+//! `SetAssocCache`): a 32-bit tag word per frame, a packed flag byte
+//! ([`LineFlags`]) and a sharer mask. [`LineMeta`] is the materialized
+//! view of one frame — the type evictions, guards and peeks trade in.
 
 use garibaldi_types::LineAddr;
 use serde::{Deserialize, Serialize};
@@ -48,58 +46,12 @@ impl MesiState {
     }
 }
 
-/// One frame's tag word: the line address and the valid bit folded into a
-/// single `u64` (`(line << 1) | 1`; `0` = empty), so a way scan is one
-/// equality compare per frame over a contiguous array — no struct walk,
-/// no separate valid check.
-///
-/// Folding costs the top address bit: line addresses must stay below
-/// 2^63, which every byte address shifted by the 6 line-offset bits does
-/// (a 64-bit physical address yields line numbers < 2^58). Debug builds
-/// assert the invariant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PackedTag(u64);
-
-impl PackedTag {
-    /// The empty (invalid) frame. Matches no probe: every valid tag word
-    /// has its low bit set.
-    pub const EMPTY: PackedTag = PackedTag(0);
-
-    /// Packs a valid line into a tag word.
-    #[inline]
-    pub const fn new(line: LineAddr) -> Self {
-        debug_assert!(line.get() < (1 << 63), "line address overflows the packed tag");
-        Self((line.get() << 1) | 1)
-    }
-
-    /// Raw tag word (the scan's compare operand).
-    #[inline]
-    pub const fn raw(self) -> u64 {
-        self.0
-    }
-
-    /// Rebuilds a tag from its raw word.
-    #[inline]
-    pub const fn from_raw(raw: u64) -> Self {
-        Self(raw)
-    }
-
-    /// Frame holds a valid line.
-    #[inline]
-    pub const fn valid(self) -> bool {
-        self.0 != 0
-    }
-
-    /// The packed line address (meaningful only when valid).
-    #[inline]
-    pub const fn line(self) -> LineAddr {
-        LineAddr::new(self.0 >> 1)
-    }
-}
-
 /// One frame's boolean metadata and MESI state packed into a byte:
 /// bit 0 dirty, bit 1 prefetched, bit 2 is-instr, bits 3–4 the
-/// [`MesiState`] encoding. An empty frame is all zeroes.
+/// [`MesiState`] encoding, bit 5 valid. An empty frame is all zeroes;
+/// every byte [`LineFlags::new`] builds has the valid bit, so an occupied
+/// frame's byte is never zero whatever its state (the cache tells an
+/// occupied frame whose tag word is 0 from an empty one by this byte).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LineFlags(u8);
 
@@ -111,15 +63,19 @@ impl LineFlags {
     /// Instruction bit: the request originated at an L1I.
     pub const IS_INSTR: u8 = 1 << 2;
     const STATE_SHIFT: u8 = 3;
+    /// Valid bit: the frame holds a line.
+    const VALID: u8 = 1 << 5;
 
     /// All-clear flags (the empty frame).
     pub const EMPTY: LineFlags = LineFlags(0);
 
-    /// Packs the metadata booleans and coherence state.
+    /// Packs an occupied frame's metadata booleans and coherence state
+    /// (the valid bit set).
     #[inline]
     pub const fn new(dirty: bool, prefetched: bool, is_instr: bool, state: MesiState) -> Self {
         Self(
-            ((dirty as u8) * Self::DIRTY)
+            Self::VALID
+                | ((dirty as u8) * Self::DIRTY)
                 | ((prefetched as u8) * Self::PREFETCHED)
                 | ((is_instr as u8) * Self::IS_INSTR)
                 | (state.to_bits() << Self::STATE_SHIFT),
@@ -136,6 +92,12 @@ impl LineFlags {
     #[inline]
     pub const fn from_raw(raw: u8) -> Self {
         Self(raw)
+    }
+
+    /// Valid bit: the frame holds a line.
+    #[inline]
+    pub const fn valid(self) -> bool {
+        self.0 & Self::VALID != 0
     }
 
     /// Dirty bit.
@@ -188,7 +150,7 @@ impl LineFlags {
 }
 
 /// Metadata of one cache line frame (the materialized, caller-facing view;
-/// the cache itself stores frames as [`PackedTag`] + [`LineFlags`] +
+/// the cache itself stores frames as tag-word + [`LineFlags`] +
 /// sharer-mask parallel arrays).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LineMeta {
@@ -234,38 +196,6 @@ impl LineMeta {
     pub fn sharer_count(&self) -> u32 {
         self.sharers.count_ones()
     }
-
-    /// Materializes a frame from its structure-of-arrays columns. An empty
-    /// tag yields [`LineMeta::empty`] regardless of the other columns.
-    #[inline]
-    pub fn unpack(tag: PackedTag, flags: LineFlags, sharers: u64) -> Self {
-        if !tag.valid() {
-            return Self::empty();
-        }
-        Self {
-            line: tag.line(),
-            valid: true,
-            dirty: flags.dirty(),
-            prefetched: flags.prefetched(),
-            is_instr: flags.is_instr(),
-            state: flags.state(),
-            sharers,
-        }
-    }
-
-    /// Splits the frame into its structure-of-arrays columns
-    /// (inverse of [`LineMeta::unpack`] for in-range line addresses).
-    #[inline]
-    pub fn pack(&self) -> (PackedTag, LineFlags, u64) {
-        if !self.valid {
-            return (PackedTag::EMPTY, LineFlags::EMPTY, 0);
-        }
-        (
-            PackedTag::new(self.line),
-            LineFlags::new(self.dirty, self.prefetched, self.is_instr, self.state),
-            self.sharers,
-        )
-    }
 }
 
 impl Default for LineMeta {
@@ -298,18 +228,6 @@ mod tests {
     }
 
     #[test]
-    fn packed_tag_roundtrip_and_empty() {
-        assert!(!PackedTag::EMPTY.valid());
-        for l in [0u64, 1, 0xdead_beef, (1 << 58) - 1, (1 << 62) | 12345] {
-            let t = PackedTag::new(LineAddr::new(l));
-            assert!(t.valid());
-            assert_eq!(t.line(), LineAddr::new(l));
-            assert_ne!(t.raw(), 0, "valid tags never collide with EMPTY");
-            assert_eq!(PackedTag::from_raw(t.raw()), t);
-        }
-    }
-
-    #[test]
     fn mesi_bits_roundtrip() {
         for s in [MesiState::Modified, MesiState::Exclusive, MesiState::Shared, MesiState::Invalid]
         {
@@ -325,6 +243,7 @@ mod tests {
             {
                 let (d, p, i) = (bits & 1 != 0, bits & 2 != 0, bits & 4 != 0);
                 let f = LineFlags::new(d, p, i, s);
+                assert!(f.valid(), "an occupied frame's byte is never zero");
                 assert_eq!(f.dirty(), d);
                 assert_eq!(f.prefetched(), p);
                 assert_eq!(f.is_instr(), i);
@@ -347,23 +266,10 @@ mod tests {
         f.set_state(MesiState::Modified);
         assert!(!f.dirty() && f.prefetched() && f.is_instr());
         assert_eq!(f.state(), MesiState::Modified);
-    }
-
-    #[test]
-    fn meta_pack_unpack_roundtrip() {
-        let m = LineMeta {
-            line: LineAddr::new(0xabc_def0),
-            valid: true,
-            dirty: true,
-            prefetched: false,
-            is_instr: true,
-            state: MesiState::Shared,
-            sharers: 0b1011,
-        };
-        let (t, f, s) = m.pack();
-        assert_eq!(LineMeta::unpack(t, f, s), m);
-        // Empty roundtrips to empty whatever the stale columns say.
-        assert_eq!(LineMeta::unpack(PackedTag::EMPTY, f, s), LineMeta::empty());
-        assert_eq!(LineMeta::empty().pack(), (PackedTag::EMPTY, LineFlags::EMPTY, 0));
+        // An occupied frame stays non-zero in every state.
+        let mut f = LineFlags::new(false, false, false, MesiState::Exclusive);
+        f.set_state(MesiState::Invalid);
+        assert!(f.valid() && f.raw() != 0);
+        assert!(!LineFlags::EMPTY.valid());
     }
 }

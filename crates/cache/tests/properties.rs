@@ -220,6 +220,52 @@ proptest! {
             prop_assert!(allowed & (1 << w) != 0, "{kind}: landed outside the partition");
         }
     }
+
+    /// A stored line reads back exactly from its 32-bit tag word — through
+    /// lookups, `frame_meta` and eviction victims — for any set count,
+    /// whole cache or shard view, and any quotient `line / modulus` the
+    /// cache stores: below 2^32 for a modulus of at most 64 sets, below
+    /// 2^32 − 1 above. Half the lines sit at the top quotients; under a
+    /// small modulus the last one is stored as word 0.
+    #[test]
+    fn tag_words_round_trip_every_quotient(
+        modulus in 1u64..200,
+        shard_at in 0u64..400,
+        ways in 1usize..9,
+        picks in prop::collection::vec((0u64..(1 << 33), 0u64..1024), 1..64),
+    ) {
+        // Even `shard_at`: the whole `modulus`-set cache; odd: a shard view
+        // owning sets `[base, base + sets)` of it.
+        let (cfg, base, sets) = if shard_at % 2 == 0 {
+            (CacheConfig::new("rt", modulus as usize, ways), 0, modulus)
+        } else {
+            let base = shard_at / 2 % modulus;
+            let sets = 1 + shard_at / 2 % (modulus - base);
+            let cfg = CacheConfig::shard("rt.shard", modulus as usize, base as usize, sets as usize, ways);
+            (cfg, base, sets)
+        };
+        let mut cache = SetAssocCache::new(cfg, PolicyKind::Lru);
+        let mut stored = std::collections::HashSet::new();
+        for (q, s) in picks {
+            let quotients: u64 = if modulus <= 64 { 1 << 32 } else { (1 << 32) - 1 };
+            let q = if q < quotients { q } else { quotients - 1 - (q & 3) };
+            let line = LineAddr::new(q * modulus + base + s % sets);
+            let out = cache.insert(line, &AccessCtx::instr(line, q), false);
+            if let Some(victim) = out.evicted {
+                prop_assert!(stored.remove(&victim.line), "evicted {:?}, never stored", victim.line);
+                prop_assert!(cache.lookup(victim.line).is_none());
+            }
+            stored.insert(line);
+            let way = cache.lookup(line);
+            prop_assert_eq!(way, out.way, "{:?} not found where it was filled", line);
+            let meta = cache.frame_meta(cache.set_of(line), way.unwrap());
+            prop_assert_eq!(meta.line, line);
+        }
+        prop_assert_eq!(cache.occupancy(), stored.len());
+        for &line in &stored {
+            prop_assert!(cache.peek(line).is_some_and(|m| m.line == line), "{:?} lost", line);
+        }
+    }
 }
 
 mod opt_bound {

@@ -458,6 +458,49 @@ proptest! {
     }
 }
 
+/// Caches at the tag-width edge: 64 sets (the largest set count whose
+/// lines reach quotient `2^32 − 1` below 2^38), 16 sets, a shard view of
+/// a non-power-of-two parent with a non-zero base, and 100 sets, whose top
+/// quotient is `2^32 − 2`.
+fn edge_geometries() -> [CacheConfig; 4] {
+    [
+        CacheConfig::new("edge64", 64, 4),
+        CacheConfig::new("edge16", 16, 3),
+        CacheConfig::shard("edge.shard", 24, 5, 6, 4),
+        CacheConfig::new("edge100", 100, 2),
+    ]
+}
+
+/// Folds `raw` into four of `cfg`'s sets at quotients (`line / modulus`,
+/// stored as `q + 1`) at both ends of the 32-bit tag word: 0 and its
+/// neighbours, the middle, and the cache's top quotient with its
+/// neighbours — `2^32 − 1`, whose word wraps to the empty frame's 0, for
+/// a modulus of at most 64 sets. Eight lines per set, so the sets fill,
+/// evict and mix the words at both ends.
+fn edge_line(cfg: &CacheConfig, raw: u64) -> u64 {
+    let (modulus, base) = match cfg.indexing {
+        SetIndexing::Modulo => (cfg.sets as u64, 0),
+        SetIndexing::Shard { modulus, base } => (modulus, base),
+    };
+    let top = if modulus <= 64 { (1 << 32) - 1 } else { (1 << 32) - 2 };
+    let q = [0, 1, 2, 1 << 31, top - 3, top - 2, top - 1, top][(raw / 4 % 8) as usize];
+    q * modulus + base + raw % 4
+}
+
+proptest! {
+    /// The battery on lines whose tag words sit at both ends of 32 bits.
+    #[test]
+    fn soa_matches_reference_at_the_tag_edge(
+        ops in prop::collection::vec((0u8..10, 0u64..512, 0u64..256), 1..300),
+        policy_idx in 0usize..PolicyKind::ALL.len(),
+        geom_idx in 0usize..4,
+    ) {
+        let kind = PolicyKind::ALL[policy_idx];
+        let cfg = &edge_geometries()[geom_idx];
+        run_differential(cfg, kind, &ops, |raw| edge_line(cfg, raw))?;
+    }
+}
+
 /// Deterministic smoke sequence so plain `cargo test` exercises every op
 /// and policy even at a proptest case count of 1.
 #[test]
@@ -479,5 +522,8 @@ fn soa_matches_reference_fixed_sequence() {
         }
         let cfg = CacheConfig::shard("fixed.shard", 12, 4, 4, 4);
         run_differential(&cfg, kind, &ops, |raw| (raw / 4 % 16) * 12 + 4 + raw % 4).unwrap();
+        for cfg in &edge_geometries() {
+            run_differential(cfg, kind, &ops, |raw| edge_line(cfg, raw)).unwrap();
+        }
     }
 }

@@ -9,7 +9,10 @@
 //!   --workload NAME[,NAME…]  workloads, one per core, cycled (default tpcc)
 //!   --policy   NAME          lru|drrip|hawkeye|mockingjay (default mockingjay)
 //!   --garibaldi              attach the Garibaldi module
-//!   --cores N                core count (default 8)
+//!   --cores N                core count (default 8); at most 4 per set of
+//!                            the smallest cache (32-bit tag words: 128 at
+//!                            factor 0.5, 256 at 1.0) and at most 64 L2
+//!                            clusters (256 cores)
 //!   --factor F               cache/footprint scale factor (default 0.5)
 //!   --records N              measured records per core (default 200000)
 //!   --warmup N               warmup records per core (default 50000)

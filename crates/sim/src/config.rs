@@ -4,8 +4,10 @@ use crate::engine::estimate::{EstimatorKind, TrainMode};
 use crate::experiment::ExperimentScale;
 use crate::knobs;
 use garibaldi::GaribaldiConfig;
-use garibaldi_cache::PolicyKind;
+use garibaldi_cache::{CacheConfig, PolicyKind, TAG_WORD_BITS};
 use garibaldi_mem::DramConfig;
+use garibaldi_trace::SPACE_LINE_BITS;
+use garibaldi_types::LineAddr;
 use serde::{Deserialize, Serialize};
 
 /// Which LLC management runs: a host replacement policy plus, optionally,
@@ -181,6 +183,31 @@ impl SystemConfig {
         self.cores.div_ceil(self.l2_cluster_size)
     }
 
+    /// The cache level with the fewest sets, by name (L1I, L1D, L2 or
+    /// LLC; an LLC shard indexes the whole LLC's sets), and its set count.
+    fn fewest_sets(&self) -> (&'static str, usize) {
+        let sets = |bytes, ways| CacheConfig::from_capacity("", bytes, ways).sets;
+        [
+            ("L1I", sets(self.l1i_bytes, self.l1_ways)),
+            ("L1D", sets(self.l1d_bytes, self.l1_ways)),
+            ("L2", sets(self.l2_bytes, self.l2_ways)),
+            ("LLC", sets(self.llc_bytes, self.llc_ways)),
+        ]
+        .into_iter()
+        .min_by_key(|&(_, sets)| sets)
+        .expect("four levels")
+    }
+
+    /// Whether `line` lies in the physical lines this system's address
+    /// spaces map: at most one space per core, each
+    /// [`SPACE_LINE_BITS`] lines wide. A prefetcher's arithmetic candidate
+    /// (next line, GHB delta) can step past the last space; such a line
+    /// is never stored, so every cache's tag bound holds.
+    #[inline]
+    pub fn maps_line(&self, line: LineAddr) -> bool {
+        line.get() >> SPACE_LINE_BITS < self.cores as u64
+    }
+
     /// Validates structural invariants.
     ///
     /// # Errors
@@ -204,6 +231,20 @@ impl SystemConfig {
             if !(1..=64).contains(&ways) {
                 return Err(format!("{level} ways out of [1,64]"));
             }
+        }
+        // Every cache stores a line as its 32-bit quotient `line / sets`.
+        // Every line is below `cores << SPACE_LINE_BITS` (`maps_line`), so
+        // the quotient fits while `cores ≤ 2^(32 − 30) = 4 ×` the fewest
+        // sets of any level.
+        let cores_per_set = 1u64 << (TAG_WORD_BITS - SPACE_LINE_BITS);
+        let (level, sets) = self.fewest_sets();
+        if self.cores as u64 > cores_per_set * sets as u64 {
+            return Err(format!(
+                "{} cores exceed the {level}'s {TAG_WORD_BITS}-bit tags: its {sets} sets hold \
+                 lines of at most {} cores",
+                self.cores,
+                cores_per_set * sets as u64
+            ));
         }
         if self.partition_instr_ways > self.llc_ways {
             return Err("cannot reserve more ways than the LLC has".into());
@@ -443,6 +484,32 @@ mod tests {
         c.l2_ways = 65;
         let err = c.validate().unwrap_err();
         assert!(err.contains("L2 ways"), "{err}");
+    }
+
+    #[test]
+    fn core_count_is_bounded_by_the_fewest_sets_tag_width() {
+        // Factor 0.5: a 16 KiB 8-way L1D, the fewest sets (32).
+        let mut c = SystemConfig::scaled(
+            &ExperimentScale::default_scaled(),
+            LlcScheme::plain(PolicyKind::Lru),
+        );
+        assert_eq!(c.fewest_sets(), ("L1D", 32));
+        c.cores = 128;
+        c.validate().expect("4 cores per set of the smallest cache fit");
+        c.cores = 129;
+        let err = c.validate().unwrap_err();
+        assert!(err.contains("L1D's 32-bit tags"), "{err}");
+        assert!(err.contains("at most 128 cores"), "{err}");
+        // The paper baseline's 64-set L1D holds 256 cores, the 64-cluster
+        // sharer-mask bound.
+        let mut c = SystemConfig::paper_baseline();
+        assert_eq!(c.fewest_sets(), ("L1D", 64));
+        c.cores = 256;
+        c.validate().expect("256 cores fit both bounds");
+        // The bound holds for every line the address spaces map; a
+        // prefetch candidate past the last space is not one of them.
+        assert!(c.maps_line(LineAddr::new((256 << 30) - 1)));
+        assert!(!c.maps_line(LineAddr::new(256 << 30)));
     }
 
     // --- count knobs: every invalid value errs with the variable name ---

@@ -611,10 +611,17 @@ impl<'p> ClusterSim<'p> {
     /// (already key-sorted), counting the L2 copies dropped.
     pub fn apply_invals(&mut self, invals: &[(ReqKey, InvalCmd)]) {
         let bit = 1u64 << self.tier.cluster;
-        for (_, cmd) in invals {
-            if cmd.others & bit == 0 {
-                continue;
+        let named = || invals.iter().map(|(_, cmd)| cmd).filter(move |cmd| cmd.others & bit != 0);
+        // Another cluster wrote these lines, so their rows here are cold:
+        // hint every row first so the L2 and L1 scans of each line overlap
+        // their misses instead of each waiting for its own.
+        for cmd in named() {
+            self.tier.l2.prefetch_row(cmd.line);
+            for l1 in self.tier.l1d.iter().chain(&self.tier.l1i) {
+                l1.prefetch_row(cmd.line);
             }
+        }
+        for cmd in named() {
             if self.tier.l2.invalidate(cmd.line).is_some() {
                 self.invalidations += 1;
             }
@@ -745,7 +752,7 @@ fn data_access(
         let mut buf = std::mem::take(&mut tier.pf_buf);
         buf.clear();
         tier.l1d_pf[li].on_access(line, sig, false, &mut buf);
-        for cand in buf.drain(..) {
+        for cand in buf.drain(..).filter(|&l| cfg.maps_line(l)) {
             // A prefetch fill landing in the demand line's L1D set
             // invalidates the probe's free-way finding.
             if prefetch_fill_l1d(tier, c, cand, pc) == l1d_probe.map(|p| p.set()) {
@@ -772,7 +779,7 @@ fn data_access(
         let mut buf = std::mem::take(&mut tier.pf_buf);
         buf.clear();
         tier.l2_pf.on_access(line, sig, false, &mut buf);
-        for cand in buf.drain(..) {
+        for cand in buf.drain(..).filter(|&l| cfg.maps_line(l)) {
             // A prefetch fill landing in the demand line's set invalidates
             // the probe's free-way finding; fall back to a fresh scan then.
             if prefetch_fill_l2(tier, c, cand, pc) == probe.map(|p| p.set()) {

@@ -40,5 +40,5 @@ pub use mix::{random_server_mixes, random_shared_mixes, server_spec_mix, Workloa
 pub use profiles::{WorkloadClass, WorkloadProfile};
 pub use program::SyntheticProgram;
 pub use record::{DataRef, TraceRecord, MAX_DATA_REFS, PC_LIMIT};
-pub use vm::{PpnAllocator, SharedAddressSpace};
+pub use vm::{PpnAllocator, SharedAddressSpace, SPACE_LINE_BITS};
 pub use zipf::Zipf;

@@ -8,11 +8,19 @@
 //! the same physical layout — a requirement for reproducible experiments —
 //! whatever order the engine's workers touch the pages in.
 
-use garibaldi_types::{LineAddr, PageNum, PhysAddr, VirtAddr, PAGE_OFFSET_BITS, PHYS_ADDR_BITS};
+use garibaldi_types::{
+    LineAddr, PageNum, PhysAddr, VirtAddr, LINE_OFFSET_BITS, PAGE_OFFSET_BITS, PHYS_ADDR_BITS,
+};
 
 /// Frames reserved per address space: 2^24 pages = 64 GiB of VA-to-PA churn,
 /// far beyond any modeled footprint.
 const SPACE_FRAME_BITS: u32 = 24;
+
+/// Lines per address space, as a power of two: space `s` translates into
+/// the physical lines `[s << 30, (s + 1) << 30)`, so a run of `n` spaces
+/// (ids `0..n` from one [`PpnAllocator`]) touches only lines below
+/// `n << 30`.
+pub const SPACE_LINE_BITS: u32 = SPACE_FRAME_BITS + PAGE_OFFSET_BITS - LINE_OFFSET_BITS;
 
 /// Deterministic address-space id allocator.
 ///
@@ -109,6 +117,8 @@ mod tests {
             let b = s1.translate_page(PageNum::new(vpn)).get();
             assert_eq!(a >> SPACE_FRAME_BITS, s0.space_id());
             assert_eq!(b >> SPACE_FRAME_BITS, s1.space_id());
+            let line = s1.translate_line(VirtAddr::new(vpn << PAGE_OFFSET_BITS | 0xfc0));
+            assert_eq!(line.get() >> SPACE_LINE_BITS, s1.space_id());
         }
     }
 

@@ -35,6 +35,12 @@ impl FastDiv {
         Self { d, m }
     }
 
+    /// The divisor `d`.
+    #[inline]
+    pub fn divisor(self) -> u64 {
+        self.d
+    }
+
     /// `x / d`.
     #[inline]
     pub fn quotient(self, x: u64) -> u64 {

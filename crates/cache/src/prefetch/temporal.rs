@@ -10,7 +10,7 @@
 //! instruction stream (§1).
 
 use super::Prefetcher;
-use garibaldi_types::{FrontCursor, LineAddr, U64Table};
+use garibaldi_types::{LineAddr, U64Table};
 
 /// Successors remembered per miss line.
 const SUCCESSORS: usize = 2;
@@ -24,7 +24,10 @@ const NO_SUCCESSOR: u32 = u32::MAX;
 /// The successor table is open-addressed ([`U64Table`]): it is probed on
 /// every L1I miss — one of the hottest lookups in the whole simulator —
 /// and, unlike a SipHash `HashMap`, its (deterministic) slot order makes
-/// the capacity-eviction pick below reproducible across runs.
+/// the capacity-eviction pick below reproducible across runs. Once the
+/// table is full, a clock hand sweeps the slot array: each new line evicts
+/// the first key at or after the hand, and the hand moves past it, so a
+/// tracked line stays until the hand comes round to it.
 ///
 /// Successors are stored as `u32` lines, so a slot is 16 bytes: the
 /// prefetcher runs on the virtual text-line miss stream, whose lines lie
@@ -33,9 +36,8 @@ const NO_SUCCESSOR: u32 = u32::MAX;
 #[derive(Debug)]
 pub struct TemporalPrefetcher {
     table: U64Table<[u32; SUCCESSORS]>,
-    /// Where the capacity-eviction scan for the first slot resumes; every
-    /// new line goes in through it.
-    front: FrontCursor,
+    /// The slot the next capacity eviction scans from.
+    hand: usize,
     last_miss: Option<u64>,
 }
 
@@ -45,7 +47,7 @@ impl TemporalPrefetcher {
 
     /// Creates an empty temporal prefetcher.
     pub fn new() -> Self {
-        Self { table: U64Table::new(), front: FrontCursor::new(), last_miss: None }
+        Self { table: U64Table::new(), hand: 0, last_miss: None }
     }
 
     /// Number of miss lines currently tracked.
@@ -71,20 +73,15 @@ impl Prefetcher for TemporalPrefetcher {
         if let Some(prev) = self.last_miss {
             if prev != cur {
                 if self.table.len() >= TABLE_CAP && !self.table.contains_key(prev) {
-                    // Table full: drop an arbitrary cold entry (cheap
-                    // approximation of LRU replacement; first slot in
-                    // probe order — deterministic). The cursor finds it
-                    // without rescanning the empty prefix earlier
-                    // evictions leave.
-                    let victim = self.front.first_key(&self.table);
-                    if let Some(k) = victim {
-                        self.table.remove(k);
+                    // Table full: the clock hand names the victim (a
+                    // cheap, deterministic stand-in for LRU).
+                    if let Some((victim, hand)) = self.table.key_from(self.hand) {
+                        self.table.remove(victim);
+                        self.hand = hand;
                     }
                 }
                 let line = successor(cur);
-                let succ = self
-                    .front
-                    .get_or_insert_with(&mut self.table, prev, || [NO_SUCCESSOR; SUCCESSORS]);
+                let succ = self.table.get_or_insert_with(prev, || [NO_SUCCESSOR; SUCCESSORS]);
                 if !succ.contains(&line) {
                     succ.rotate_right(1);
                     succ[0] = line;
@@ -174,11 +171,10 @@ mod tests {
         assert_eq!(succ.iter().filter(|&&s| s == 20).count(), 1);
     }
 
-    /// Past the cap every miss of an untracked line evicts the key a scan
-    /// of the slots from index 0 meets first, and the table stays at the
-    /// cap.
+    /// Past the cap every miss of an untracked line evicts the key the
+    /// clock hand names, and the table stays at the cap.
     #[test]
-    fn evictions_past_the_cap_take_the_first_slot() {
+    fn evictions_past_the_cap_follow_the_clock_hand() {
         let mut p = TemporalPrefetcher::new();
         // Distinct, spread-out lines: each miss records a new `prev`.
         let line = |i: u64| (i.wrapping_mul(0x9e37_79b9) >> 7) & 0x3fff_ffff;
@@ -188,14 +184,36 @@ mod tests {
         assert_eq!(p.tracked(), TABLE_CAP);
         for i in TABLE_CAP as u64 + 1..TABLE_CAP as u64 + 3_001 {
             let prev = p.last_miss.unwrap();
-            let victim = (!p.table.contains_key(prev)).then(|| p.table.keys().next().unwrap());
+            let victim = (!p.table.contains_key(prev)).then(|| p.table.key_from(p.hand).unwrap());
             miss(&mut p, line(i));
-            if let Some(v) = victim {
-                assert!(!p.table.contains_key(v), "miss {i} kept the old rule's victim {v:#x}");
+            if let Some((v, hand)) = victim {
+                assert!(!p.table.contains_key(v), "miss {i} kept the hand's victim {v:#x}");
+                assert_eq!(p.hand, hand);
             }
             assert!(p.table.contains_key(prev));
             assert_eq!(p.tracked(), TABLE_CAP);
         }
+    }
+
+    /// A pair learned in a full table survives the next eviction: under
+    /// the first-slot rule a new line landed in the front the evictions
+    /// had emptied and was the very next victim.
+    #[test]
+    fn a_fresh_pair_survives_the_next_eviction_in_a_full_table() {
+        let mut p = TemporalPrefetcher::new();
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..400_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            miss(&mut p, x % 105_600);
+        }
+        assert_eq!(p.tracked(), TABLE_CAP);
+        let (a, b) = (1 << 20, (1 << 20) + 1);
+        miss(&mut p, a);
+        miss(&mut p, b);
+        miss(&mut p, (1 << 20) + 2);
+        assert_eq!(miss(&mut p, a), vec![LineAddr::new(b)]);
     }
 
     #[test]

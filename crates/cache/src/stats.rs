@@ -32,6 +32,21 @@ pub struct CacheStats {
     pub i_evictions: u64,
 }
 
+garibaldi_types::fields!(CacheStats {
+    i_accesses,
+    i_hits,
+    d_accesses,
+    d_hits,
+    evictions,
+    writebacks,
+    prefetch_fills,
+    prefetch_useful,
+    bypasses,
+    guarded_protections,
+    invalidations,
+    i_evictions,
+});
+
 impl CacheStats {
     /// Records a demand access outcome.
     #[inline]
@@ -94,22 +109,6 @@ impl CacheStats {
     pub fn instr_access_ratio(&self) -> f64 {
         ratio(self.i_accesses, self.accesses())
     }
-
-    /// Merges counters from another cache (for cluster/system aggregation).
-    pub fn merge(&mut self, other: &CacheStats) {
-        self.i_accesses += other.i_accesses;
-        self.i_hits += other.i_hits;
-        self.d_accesses += other.d_accesses;
-        self.d_hits += other.d_hits;
-        self.evictions += other.evictions;
-        self.writebacks += other.writebacks;
-        self.prefetch_fills += other.prefetch_fills;
-        self.prefetch_useful += other.prefetch_useful;
-        self.bypasses += other.bypasses;
-        self.guarded_protections += other.guarded_protections;
-        self.invalidations += other.invalidations;
-        self.i_evictions += other.i_evictions;
-    }
 }
 
 fn ratio(num: u64, den: u64) -> f64 {
@@ -123,6 +122,7 @@ fn ratio(num: u64, den: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use garibaldi_types::Fields;
 
     #[test]
     fn rates() {

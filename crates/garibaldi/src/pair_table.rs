@@ -86,18 +86,6 @@ pub struct PairTableStats {
     pub declines: u64,
 }
 
-impl PairTableStats {
-    /// Accumulates counters from another slice of the table (shard merge).
-    pub fn merge(&mut self, other: &PairTableStats) {
-        self.update_hits += other.update_hits;
-        self.update_conflicts += other.update_conflicts;
-        self.replacements += other.replacements;
-        self.preservations += other.preservations;
-        self.protects += other.protects;
-        self.declines += other.declines;
-    }
-}
-
 /// The direct-mapped pair table.
 #[derive(Debug, Clone)]
 pub struct PairTable {

@@ -40,21 +40,17 @@ pub struct GaribaldiStats {
     pub protected_entry_misses: u64,
 }
 
-impl GaribaldiStats {
-    /// Accumulates counters from another module slice (per-shard Garibaldi
-    /// state in the sharded engine merges into one report).
-    pub fn merge(&mut self, other: &GaribaldiStats) {
-        self.instr_accesses += other.instr_accesses;
-        self.instr_misses += other.instr_misses;
-        self.data_accesses += other.data_accesses;
-        self.pair_updates += other.pair_updates;
-        self.helper_misses += other.helper_misses;
-        self.prefetches_issued += other.prefetches_issued;
-        self.protections += other.protections;
-        self.declines += other.declines;
-        self.protected_entry_misses += other.protected_entry_misses;
-    }
-}
+garibaldi_types::fields!(GaribaldiStats {
+    instr_accesses,
+    instr_misses,
+    data_accesses,
+    pair_updates,
+    helper_misses,
+    prefetches_issued,
+    protections,
+    declines,
+    protected_entry_misses,
+});
 
 /// Pair and D_PPN tables of one LLC slice, with the rules that use them.
 #[derive(Debug, Clone)]

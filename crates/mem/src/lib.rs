@@ -57,6 +57,8 @@ pub struct DramStats {
     pub queued_requests: u64,
 }
 
+garibaldi_types::fields!(DramStats { reads, writes, queue_delay, queued_requests });
+
 impl DramStats {
     /// Total lines transferred.
     pub fn accesses(&self) -> u64 {

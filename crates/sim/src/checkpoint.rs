@@ -1,12 +1,17 @@
 //! JSON-lines run checkpoints: one line per completed run.
 //!
-//! The `#[serde(skip)]` markers in [`crate::metrics`] are aspirational —
-//! the workspace's vendored `serde` is a no-op stand-in — so this module
-//! serializes [`RunResult`] by hand, *including* every skipped field
-//! (cache/DRAM/Garibaldi stats), and parses it back with a small built-in
-//! JSON reader. The bench harness keys each run by a caller-chosen string
-//! and skips runs already present in the checkpoint file, which makes long
-//! figure sweeps resumable (`garibaldi_bench::parallel_runs_checkpointed`).
+//! The workspace's vendored `serde` is a no-op stand-in, so this module
+//! writes [`RunResult`] by hand and parses it back with a small built-in
+//! JSON reader. The stored schema is the field list of each counter record
+//! (cache, DRAM and Garibaldi stats, the conditional matrix, CPI stack,
+//! reuse summary and energy report), declared once beside its struct with
+//! [`garibaldi_types::fields!`]: one generic writer emits a record's fields
+//! in list order and one generic reader fills them back, a missing field
+//! reading as 0. Only [`CoreResult`], [`GaribaldiReport`]'s scalars and the
+//! top-level keys are named here. The bench harness keys each run by a
+//! caller-chosen string and skips runs already present in the checkpoint
+//! file, which makes long figure sweeps resumable
+//! (`garibaldi_bench::parallel_runs_checkpointed`).
 //!
 //! Floats are written in Rust's shortest round-trip form (non-finite
 //! values as tagged `"NaN"`/`"inf"`/`"-inf"` strings), so a parsed result
@@ -32,14 +37,10 @@
 //! (counted in [`SalvageReport::version_mismatches`]); framed lines with
 //! an unknown version are skipped, not guessed at.
 
-use crate::core_model::CpiStack;
-use crate::energy::EnergyReport;
 use crate::fault;
-use crate::metrics::{ConditionalMatrix, CoreResult, GaribaldiReport, ReuseSummary, RunResult};
-use garibaldi::GaribaldiStats;
-use garibaldi_cache::CacheStats;
-use garibaldi_mem::DramStats;
+use crate::metrics::{CoreResult, GaribaldiReport, RunResult};
 use garibaldi_types::crc::crc32;
+use garibaldi_types::{Field, Fields};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -78,34 +79,27 @@ fn num(v: f64) -> String {
     }
 }
 
-fn cache_stats_json(s: &CacheStats) -> String {
-    format!(
-        "{{\"i_accesses\":{},\"i_hits\":{},\"d_accesses\":{},\"d_hits\":{},\"evictions\":{},\
-         \"writebacks\":{},\"prefetch_fills\":{},\"prefetch_useful\":{},\"bypasses\":{},\
-         \"guarded_protections\":{},\"invalidations\":{},\"i_evictions\":{}}}",
-        s.i_accesses,
-        s.i_hits,
-        s.d_accesses,
-        s.d_hits,
-        s.evictions,
-        s.writebacks,
-        s.prefetch_fills,
-        s.prefetch_useful,
-        s.bypasses,
-        s.guarded_protections,
-        s.invalidations,
-        s.i_evictions,
-    )
+/// Appends `rec` as a JSON object of its fields in declaration order.
+fn record_json(s: &mut String, mut rec: impl Fields) {
+    let mut sep = '{';
+    rec.each(|name, f| {
+        s.push(sep);
+        sep = ',';
+        let _ = match f {
+            Field::U64(v) => write!(s, "\"{name}\":{v}"),
+            Field::F64(v) => write!(s, "\"{name}\":{}", num(*v)),
+        };
+    });
+    s.push('}');
 }
 
-fn stack_json(s: &CpiStack) -> String {
-    format!(
-        "{{\"base\":{},\"ifetch\":{},\"data\":{},\"branch\":{}}}",
-        num(s.base),
-        num(s.ifetch),
-        num(s.data),
-        num(s.branch)
-    )
+/// Appends `,"name":` and `rec` as a JSON object, or `null` when absent.
+fn member(s: &mut String, name: &str, rec: Option<impl Fields>) {
+    let _ = write!(s, ",\"{name}\":");
+    match rec {
+        Some(rec) => record_json(s, rec),
+        None => s.push_str("null"),
+    }
 }
 
 /// Serializes `result` under `key` as one JSON line (no trailing newline).
@@ -118,87 +112,38 @@ pub fn to_json_line(key: &str, r: &RunResult) -> String {
         }
         let _ = write!(
             s,
-            "{{\"workload\":\"{}\",\"instrs\":{},\"cycles\":{},\"ipc\":{},\"stack\":{}}}",
+            "{{\"workload\":\"{}\",\"instrs\":{},\"cycles\":{},\"ipc\":{},\"stack\":",
             esc(&c.workload),
             c.instrs,
             num(c.cycles),
             num(c.ipc),
-            stack_json(&c.stack)
         );
+        record_json(&mut s, c.stack);
+        s.push('}');
     }
-    let _ = write!(
-        s,
-        "],\"l1\":{},\"l1i\":{},\"l2\":{},\"llc\":{},",
-        cache_stats_json(&r.l1),
-        cache_stats_json(&r.l1i),
-        cache_stats_json(&r.l2),
-        cache_stats_json(&r.llc)
-    );
-    let _ = write!(
-        s,
-        "\"dram\":{{\"reads\":{},\"writes\":{},\"queue_delay\":{},\"queued_requests\":{}}},",
-        r.dram.reads, r.dram.writes, r.dram.queue_delay, r.dram.queued_requests
-    );
+    s.push(']');
+    for (name, stats) in [("l1", r.l1), ("l1i", r.l1i), ("l2", r.l2), ("llc", r.llc)] {
+        member(&mut s, name, Some(stats));
+    }
+    member(&mut s, "dram", Some(r.dram));
     match &r.garibaldi {
         Some(g) => {
-            let st = &g.stats;
+            s.push_str(",\"garibaldi\":{\"stats\":");
+            record_json(&mut s, g.stats);
             let _ = write!(
                 s,
-                "\"garibaldi\":{{\"stats\":{{\"instr_accesses\":{},\"instr_misses\":{},\
-                 \"data_accesses\":{},\"pair_updates\":{},\"helper_misses\":{},\
-                 \"prefetches_issued\":{},\"protections\":{},\"declines\":{},\
-                 \"protected_entry_misses\":{}}},\"final_threshold\":{},\"color_ticks\":{},\
-                 \"helper_hit_rate\":{}}},",
-                st.instr_accesses,
-                st.instr_misses,
-                st.data_accesses,
-                st.pair_updates,
-                st.helper_misses,
-                st.prefetches_issued,
-                st.protections,
-                st.declines,
-                st.protected_entry_misses,
+                ",\"final_threshold\":{},\"color_ticks\":{},\"helper_hit_rate\":{}}}",
                 g.final_threshold,
                 g.color_ticks,
                 num(g.helper_hit_rate)
             );
         }
-        None => s.push_str("\"garibaldi\":null,"),
+        None => s.push_str(",\"garibaldi\":null"),
     }
-    let c = &r.conditional;
-    let _ = write!(
-        s,
-        "\"conditional\":{{\"dhit_imiss\":{},\"dhit_total\":{},\"dmiss_imiss\":{},\
-         \"dmiss_total\":{}}},",
-        c.dhit_imiss, c.dhit_total, c.dmiss_imiss, c.dmiss_total
-    );
-    match &r.reuse {
-        Some(u) => {
-            let _ = write!(
-                s,
-                "\"reuse\":{{\"instr_mean_distance\":{},\"data_mean_distance\":{},\
-                 \"instr_within_assoc\":{},\"data_within_assoc\":{},\
-                 \"accesses_per_instr_line\":{},\"accesses_per_data_line\":{},\
-                 \"shared_lifecycle_fraction\":{}}},",
-                num(u.instr_mean_distance),
-                num(u.data_mean_distance),
-                num(u.instr_within_assoc),
-                num(u.data_within_assoc),
-                num(u.accesses_per_instr_line),
-                num(u.accesses_per_data_line),
-                num(u.shared_lifecycle_fraction)
-            );
-        }
-        None => s.push_str("\"reuse\":null,"),
-    }
-    let _ = write!(
-        s,
-        "\"energy\":{{\"dynamic_j\":{},\"static_j\":{}}},\"qbs_cycles\":{},\"invalidations\":{}}}",
-        num(r.energy.dynamic_j),
-        num(r.energy.static_j),
-        r.qbs_cycles,
-        r.invalidations
-    );
+    member(&mut s, "conditional", Some(r.conditional));
+    member(&mut s, "reuse", r.reuse);
+    member(&mut s, "energy", Some(r.energy));
+    let _ = write!(s, ",\"qbs_cycles\":{},\"invalidations\":{}}}", r.qbs_cycles, r.invalidations);
     s
 }
 
@@ -274,14 +219,10 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn eat(&mut self, c: u8) -> Option<()> {
+    /// Skips whitespace, then consumes `token` if it comes next.
+    fn eat(&mut self, token: &[u8]) -> Option<()> {
         self.ws();
-        if self.b.get(self.i) == Some(&c) {
-            self.i += 1;
-            Some(())
-        } else {
-            None
-        }
+        self.b[self.i..].starts_with(token).then(|| self.i += token.len())
     }
 
     fn peek(&mut self) -> Option<u8> {
@@ -294,72 +235,60 @@ impl<'a> Parser<'a> {
             b'{' => self.object(),
             b'[' => self.array(),
             b'"' => self.string().map(Json::Str),
-            b't' => self.lit("true").map(|_| Json::Bool(true)),
-            b'f' => self.lit("false").map(|_| Json::Bool(false)),
-            b'n' => self.lit("null").map(|_| Json::Null),
+            b't' => self.eat(b"true").map(|_| Json::Bool(true)),
+            b'f' => self.eat(b"false").map(|_| Json::Bool(false)),
+            b'n' => self.eat(b"null").map(|_| Json::Null),
             _ => self.number(),
         }
     }
 
-    fn lit(&mut self, s: &str) -> Option<()> {
-        self.ws();
-        if self.b[self.i..].starts_with(s.as_bytes()) {
-            self.i += s.len();
-            Some(())
-        } else {
-            None
+    /// `open item (, item)* close`, or `open close`; `item` parses one.
+    fn seq(
+        &mut self,
+        open: u8,
+        close: u8,
+        mut item: impl FnMut(&mut Self) -> Option<()>,
+    ) -> Option<()> {
+        self.eat(&[open])?;
+        if self.peek() == Some(close) {
+            self.i += 1;
+            return Some(());
+        }
+        loop {
+            item(self)?;
+            match self.peek()? {
+                b',' => self.i += 1,
+                c if c == close => {
+                    self.i += 1;
+                    return Some(());
+                }
+                _ => return None,
+            }
         }
     }
 
     fn object(&mut self) -> Option<Json> {
-        self.eat(b'{')?;
         let mut m = HashMap::new();
-        if self.peek() == Some(b'}') {
-            self.i += 1;
-            return Some(Json::Obj(m));
-        }
-        loop {
-            let k = self.string()?;
-            self.eat(b':')?;
-            let v = self.value()?;
-            m.insert(k, v);
-            match self.peek()? {
-                b',' => {
-                    self.i += 1;
-                }
-                b'}' => {
-                    self.i += 1;
-                    return Some(Json::Obj(m));
-                }
-                _ => return None,
-            }
-        }
+        self.seq(b'{', b'}', |p| {
+            let k = p.string()?;
+            p.eat(b":")?;
+            m.insert(k, p.value()?);
+            Some(())
+        })?;
+        Some(Json::Obj(m))
     }
 
     fn array(&mut self) -> Option<Json> {
-        self.eat(b'[')?;
         let mut v = Vec::new();
-        if self.peek() == Some(b']') {
-            self.i += 1;
-            return Some(Json::Arr(v));
-        }
-        loop {
-            v.push(self.value()?);
-            match self.peek()? {
-                b',' => {
-                    self.i += 1;
-                }
-                b']' => {
-                    self.i += 1;
-                    return Some(Json::Arr(v));
-                }
-                _ => return None,
-            }
-        }
+        self.seq(b'[', b']', |p| {
+            v.push(p.value()?);
+            Some(())
+        })?;
+        Some(Json::Arr(v))
     }
 
     fn string(&mut self) -> Option<String> {
-        self.eat(b'"')?;
+        self.eat(b"\"")?;
         let mut s = String::new();
         loop {
             let c = *self.b.get(self.i)?;
@@ -431,30 +360,15 @@ impl<'a> Parser<'a> {
 
 // ---- reading ---------------------------------------------------------------
 
-fn cache_stats_from(j: &Json) -> CacheStats {
-    CacheStats {
-        i_accesses: j.u64_field("i_accesses"),
-        i_hits: j.u64_field("i_hits"),
-        d_accesses: j.u64_field("d_accesses"),
-        d_hits: j.u64_field("d_hits"),
-        evictions: j.u64_field("evictions"),
-        writebacks: j.u64_field("writebacks"),
-        prefetch_fills: j.u64_field("prefetch_fills"),
-        prefetch_useful: j.u64_field("prefetch_useful"),
-        bypasses: j.u64_field("bypasses"),
-        guarded_protections: j.u64_field("guarded_protections"),
-        invalidations: j.u64_field("invalidations"),
-        i_evictions: j.u64_field("i_evictions"),
-    }
-}
-
-fn stack_from(j: &Json) -> CpiStack {
-    CpiStack {
-        base: j.f64_field("base"),
-        ifetch: j.f64_field("ifetch"),
-        data: j.f64_field("data"),
-        branch: j.f64_field("branch"),
-    }
+/// Reads a record's fields back from JSON object `j`; a missing field
+/// reads as 0.
+fn record_from<T: Fields + Default>(j: &Json) -> T {
+    let mut rec = T::default();
+    rec.each(|name, f| match f {
+        Field::U64(v) => *v = j.u64_field(name),
+        Field::F64(v) => *v = j.f64_field(name),
+    });
+    rec
 }
 
 /// Parses one checkpoint line back into `(key, RunResult)`.
@@ -469,27 +383,14 @@ pub fn parse_json_line(line: &str) -> Option<(String, RunResult)> {
                 instrs: c.u64_field("instrs"),
                 cycles: c.f64_field("cycles"),
                 ipc: c.f64_field("ipc"),
-                stack: c.get("stack").map(stack_from).unwrap_or_default(),
+                stack: c.get("stack").map(record_from).unwrap_or_default(),
             })
             .collect(),
         _ => return None,
     };
     let garibaldi = match j.get("garibaldi") {
         Some(g @ Json::Obj(_)) => Some(GaribaldiReport {
-            stats: g
-                .get("stats")
-                .map(|s| GaribaldiStats {
-                    instr_accesses: s.u64_field("instr_accesses"),
-                    instr_misses: s.u64_field("instr_misses"),
-                    data_accesses: s.u64_field("data_accesses"),
-                    pair_updates: s.u64_field("pair_updates"),
-                    helper_misses: s.u64_field("helper_misses"),
-                    prefetches_issued: s.u64_field("prefetches_issued"),
-                    protections: s.u64_field("protections"),
-                    declines: s.u64_field("declines"),
-                    protected_entry_misses: s.u64_field("protected_entry_misses"),
-                })
-                .unwrap_or_default(),
+            stats: g.get("stats").map(record_from).unwrap_or_default(),
             final_threshold: g.u64_field("final_threshold") as u32,
             color_ticks: g.u64_field("color_ticks"),
             helper_hit_rate: g.f64_field("helper_hit_rate"),
@@ -497,47 +398,24 @@ pub fn parse_json_line(line: &str) -> Option<(String, RunResult)> {
         _ => None,
     };
     let reuse = match j.get("reuse") {
-        Some(u @ Json::Obj(_)) => Some(ReuseSummary {
-            instr_mean_distance: u.f64_field("instr_mean_distance"),
-            data_mean_distance: u.f64_field("data_mean_distance"),
-            instr_within_assoc: u.f64_field("instr_within_assoc"),
-            data_within_assoc: u.f64_field("data_within_assoc"),
-            accesses_per_instr_line: u.f64_field("accesses_per_instr_line"),
-            accesses_per_data_line: u.f64_field("accesses_per_data_line"),
-            shared_lifecycle_fraction: u.f64_field("shared_lifecycle_fraction"),
-        }),
+        Some(u @ Json::Obj(_)) => Some(record_from(u)),
         _ => None,
     };
-    let dram = j.get("dram")?;
-    let cond = j.get("conditional")?;
-    let energy = j.get("energy")?;
+    let record = |name| j.get(name).map(record_from).unwrap_or_default();
     Some((
         key,
         RunResult {
             scheme: j.str_field("scheme"),
             cores,
-            l1: j.get("l1").map(cache_stats_from).unwrap_or_default(),
-            l1i: j.get("l1i").map(cache_stats_from).unwrap_or_default(),
-            l2: j.get("l2").map(cache_stats_from).unwrap_or_default(),
-            llc: j.get("llc").map(cache_stats_from).unwrap_or_default(),
-            dram: DramStats {
-                reads: dram.u64_field("reads"),
-                writes: dram.u64_field("writes"),
-                queue_delay: dram.u64_field("queue_delay"),
-                queued_requests: dram.u64_field("queued_requests"),
-            },
+            l1: record("l1"),
+            l1i: record("l1i"),
+            l2: record("l2"),
+            llc: record("llc"),
+            dram: record_from(j.get("dram")?),
             garibaldi,
-            conditional: ConditionalMatrix {
-                dhit_imiss: cond.u64_field("dhit_imiss"),
-                dhit_total: cond.u64_field("dhit_total"),
-                dmiss_imiss: cond.u64_field("dmiss_imiss"),
-                dmiss_total: cond.u64_field("dmiss_total"),
-            },
+            conditional: record_from(j.get("conditional")?),
             reuse,
-            energy: EnergyReport {
-                dynamic_j: energy.f64_field("dynamic_j"),
-                static_j: energy.f64_field("static_j"),
-            },
+            energy: record_from(j.get("energy")?),
             qbs_cycles: j.u64_field("qbs_cycles"),
             invalidations: j.u64_field("invalidations"),
         },
@@ -821,6 +699,11 @@ pub fn append_retry(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::{ConditionalMatrix, ReuseSummary};
+    use crate::{CpiStack, EnergyReport};
+    use garibaldi::GaribaldiStats;
+    use garibaldi_cache::CacheStats;
+    use garibaldi_mem::DramStats;
 
     fn sample(with_garibaldi: bool) -> RunResult {
         RunResult {
@@ -885,11 +768,41 @@ mod tests {
         assert_eq!(old.energy.dynamic_j, 0.0);
     }
 
+    /// Every field of every record is written, under its own name, with
+    /// the record's object holding exactly its field list.
     #[test]
     fn skipped_serde_fields_are_present_in_the_line() {
-        let line = to_json_line("k", &sample(true));
-        for field in ["guarded_protections", "queue_delay", "pair_updates", "i_evictions"] {
-            assert!(line.contains(field), "{field} serialized");
+        fn names(mut rec: impl Fields) -> Vec<&'static str> {
+            let mut out = Vec::new();
+            rec.each(|name, _| out.push(name));
+            out
+        }
+        let mut r = sample(true);
+        r.reuse = Some(ReuseSummary::default());
+        let j = parse_json(&to_json_line("k", &r)).unwrap();
+        let g = j.get("garibaldi").unwrap();
+        let core = match j.get("cores") {
+            Some(Json::Arr(cores)) => &cores[0],
+            other => panic!("cores: {other:?}"),
+        };
+        let records = [
+            (j.get("l1"), names(r.l1)),
+            (j.get("l1i"), names(r.l1i)),
+            (j.get("l2"), names(r.l2)),
+            (j.get("llc"), names(r.llc)),
+            (j.get("dram"), names(r.dram)),
+            (g.get("stats"), names(GaribaldiStats::default())),
+            (j.get("conditional"), names(r.conditional)),
+            (core.get("stack"), names(r.cores[0].stack)),
+            (j.get("reuse"), names(ReuseSummary::default())),
+            (j.get("energy"), names(r.energy)),
+        ];
+        for (obj, fields) in records {
+            let Some(Json::Obj(obj)) = obj else { panic!("{fields:?}: no object") };
+            assert_eq!(obj.len(), fields.len(), "{fields:?}");
+            for field in fields {
+                assert!(obj.contains_key(field), "{field} serialized");
+            }
         }
     }
 

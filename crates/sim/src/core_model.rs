@@ -70,6 +70,8 @@ pub struct CpiStack {
     pub branch: f64,
 }
 
+garibaldi_types::fields!(CpiStack { base, ifetch, data, branch });
+
 impl CpiStack {
     /// Total cycles.
     pub fn total(&self) -> f64 {

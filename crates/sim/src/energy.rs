@@ -70,6 +70,8 @@ pub struct EnergyReport {
     pub static_j: f64,
 }
 
+garibaldi_types::fields!(EnergyReport { dynamic_j, static_j });
+
 impl EnergyReport {
     /// Total energy (J).
     pub fn total_j(&self) -> f64 {

@@ -91,6 +91,7 @@ use garibaldi::{PeriodCounts, ThresholdState};
 use garibaldi_cache::{CacheConfig, CacheStats};
 use garibaldi_mem::DramStats;
 use garibaldi_trace::{SharedAddressSpace, WorkloadMix};
+use garibaldi_types::Fields;
 use merge::{kway_merge_order, Pos};
 use private::{ClusterSim, RecordSource, Route};
 use replay::{close_periods, period_cuts, DemandReq};
@@ -636,25 +637,17 @@ impl<'p> ParallelEngine<'p> {
                 scratch: &mut self.scratch,
             };
             ep.advance_to(warmup)?;
-            ep.start_measurement();
+            start_measurement(
+                units.shards().iter_mut().map(|u| &mut u.0),
+                units.clusters().iter_mut().map(|cl| &mut **cl),
+                ep.stats,
+            );
             ep.advance_to(warmup + records)
         })?;
         self.clusters = units.clusters.into_iter().map(|m| m.into_inner().expect("unit")).collect();
         (self.shards, self.shard_bufs) =
             units.shards.into_iter().map(|m| m.into_inner().expect("unit")).unzip();
         Ok(())
-    }
-
-    /// Warmup boundary: clears statistics (contents and learned state
-    /// stay) and snapshots every core's clock, stack and retired count.
-    fn start_measurement(&mut self) {
-        for sh in &mut self.shards {
-            sh.reset_stats();
-        }
-        for cl in &mut self.clusters {
-            cl.start_measurement();
-        }
-        self.stats.inval_cmds = 0;
     }
 
     fn collect(mut self) -> RunResult {
@@ -693,11 +686,7 @@ impl<'p> ParallelEngine<'p> {
         let mut profiler: Option<ReuseProfiler> = None;
         for sh in &mut self.shards {
             llc.merge(sh.cache().stats());
-            let d = sh.dram().stats();
-            dram.reads += d.reads;
-            dram.writes += d.writes;
-            dram.queue_delay += d.queue_delay;
-            dram.queued_requests += d.queued_requests;
+            dram.merge(sh.dram().stats());
             qbs_cycles += sh.qbs_cycles();
             if let Some(s) = sh.garibaldi_stats() {
                 gar_stats.merge(s);
@@ -775,6 +764,22 @@ impl<'p> ParallelEngine<'p> {
     }
 }
 
+/// Warmup boundary: clears statistics (contents and learned state stay)
+/// and snapshots every core's clock, stack and retired count.
+fn start_measurement<'a, 'p: 'a>(
+    shards: impl IntoIterator<Item = &'a mut LlcShard>,
+    clusters: impl IntoIterator<Item = &'a mut ClusterSim<'p>>,
+    stats: &mut EngineStats,
+) {
+    for sh in shards {
+        sh.reset_stats();
+    }
+    for cl in clusters {
+        cl.start_measurement();
+    }
+    stats.inval_cmds = 0;
+}
+
 /// The color and threshold of `threshold`, frozen for the next batch of
 /// drained requests.
 fn snapshot(threshold: &Option<ThresholdState>) -> ThresholdSnapshot {
@@ -833,18 +838,6 @@ impl Epochs<'_, '_> {
             self.barrier(epoch)?;
         }
         Ok(())
-    }
-
-    /// Warmup boundary: clears statistics (contents and learned state
-    /// stay) and snapshots every core's clock, stack and retired count.
-    fn start_measurement(&mut self) {
-        for mut u in self.units.shards() {
-            u.0.reset_stats();
-        }
-        for mut cl in self.units.clusters() {
-            cl.start_measurement();
-        }
-        self.stats.inval_cmds = 0;
     }
 
     /// Resolves every buffered request: the epoch barrier. Every

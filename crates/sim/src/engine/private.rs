@@ -29,7 +29,7 @@ use garibaldi_cache::{
 };
 use garibaldi_trace::{SharedAddressSpace, TraceGenerator, TraceRecord, MAX_DATA_REFS};
 use garibaldi_types::fastdiv::FastDiv;
-use garibaldi_types::{CoreId, LineAddr, VirtAddr};
+use garibaldi_types::{CoreId, Fields, LineAddr, VirtAddr};
 
 /// Requests a core may buffer between two barriers on the epoch schedule.
 /// [`ClusterSim::step_epoch`] stops stepping a core once it has issued this

@@ -24,7 +24,7 @@
 use super::private::{ClusterSim, EpochCore};
 use super::replay::{close_periods, period_cuts, replay_core};
 use super::shard::LlcShard;
-use super::ParallelEngine;
+use super::{start_measurement, ParallelEngine};
 use crate::config::EngineChoice;
 
 impl<'p> ParallelEngine<'p> {
@@ -32,7 +32,7 @@ impl<'p> ParallelEngine<'p> {
     /// schedule, leaving the measured region's state for `collect`.
     pub(super) fn run_serial(&mut self, records: u64, warmup: u64) {
         self.advance_serial(warmup);
-        self.start_measurement();
+        start_measurement(&mut self.shards, &mut self.clusters, &mut self.stats);
         self.advance_serial(warmup + records);
     }
 
@@ -206,7 +206,7 @@ mod tests {
         with_engine(EngineChoice::Serial, |mut e, asp| {
             e.step_serial(0);
             assert!(e.shards[0].cache().stats().accesses() > 0);
-            e.start_measurement();
+            start_measurement(&mut e.shards, &mut e.clusters, &mut e.stats);
             assert_eq!(e.shards[0].cache().stats().accesses(), 0);
             let line = asp.translate_line(VirtAddr::new(0x31 * 64));
             assert!(e.shards[0].cache().peek(line).is_some(), "contents survive the reset");

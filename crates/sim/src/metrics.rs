@@ -22,6 +22,8 @@ pub struct ConditionalMatrix {
     pub dmiss_total: u64,
 }
 
+garibaldi_types::fields!(ConditionalMatrix { dhit_imiss, dhit_total, dmiss_imiss, dmiss_total });
+
 impl ConditionalMatrix {
     /// Records one instruction/data outcome pair.
     pub fn record(&mut self, i_miss: bool, d_hit: bool) {
@@ -36,14 +38,6 @@ impl ConditionalMatrix {
                 self.dmiss_imiss += 1;
             }
         }
-    }
-
-    /// Adds another matrix's pairs.
-    pub fn merge(&mut self, o: &ConditionalMatrix) {
-        self.dhit_imiss += o.dhit_imiss;
-        self.dhit_total += o.dhit_total;
-        self.dmiss_imiss += o.dmiss_imiss;
-        self.dmiss_total += o.dmiss_total;
     }
 
     /// `MissRate_DataHit`: P(instruction miss | data hit).
@@ -89,7 +83,6 @@ pub struct CoreResult {
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct GaribaldiReport {
     /// Module event counters.
-    #[serde(skip)]
     pub stats: GaribaldiStats,
     /// Final dynamic threshold.
     pub final_threshold: u32,
@@ -100,7 +93,7 @@ pub struct GaribaldiReport {
 }
 
 /// Reuse-profiler summary (only when `profile_reuse` was on).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct ReuseSummary {
     /// Mean instruction reuse distance (unique lines per set).
     pub instr_mean_distance: f64,
@@ -118,6 +111,16 @@ pub struct ReuseSummary {
     pub shared_lifecycle_fraction: f64,
 }
 
+garibaldi_types::fields!(ReuseSummary {
+    instr_mean_distance,
+    data_mean_distance,
+    instr_within_assoc,
+    data_within_assoc,
+    accesses_per_instr_line,
+    accesses_per_data_line,
+    shared_lifecycle_fraction,
+});
+
 /// Complete result of one simulation run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunResult {
@@ -126,19 +129,14 @@ pub struct RunResult {
     /// Per-core results.
     pub cores: Vec<CoreResult>,
     /// Aggregated L1 stats (I+D).
-    #[serde(skip)]
     pub l1: CacheStats,
     /// Aggregated L1I stats.
-    #[serde(skip)]
     pub l1i: CacheStats,
     /// Aggregated L2 stats.
-    #[serde(skip)]
     pub l2: CacheStats,
     /// LLC stats.
-    #[serde(skip)]
     pub llc: CacheStats,
     /// DRAM stats.
-    #[serde(skip)]
     pub dram: DramStats,
     /// Garibaldi report, when the module was configured.
     pub garibaldi: Option<GaribaldiReport>,

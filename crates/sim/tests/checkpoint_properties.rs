@@ -3,14 +3,13 @@
 //! to the last good record — including a crash-mid-append battery that
 //! cuts the file at every byte offset of its final record.
 
-use garibaldi::GaribaldiStats;
 use garibaldi_cache::CacheStats;
 use garibaldi_mem::DramStats;
 use garibaldi_sim::checkpoint;
-use garibaldi_sim::metrics::{ConditionalMatrix, CoreResult, GaribaldiReport, ReuseSummary};
+use garibaldi_sim::metrics::{ConditionalMatrix, CoreResult, GaribaldiReport};
 use garibaldi_sim::{CpiStack, EngineChoice, ExperimentScale, FidelitySuite, RunResult};
 use garibaldi_trace::{serial, TraceRecord};
-use garibaldi_types::VirtAddr;
+use garibaldi_types::{Field, Fields, VirtAddr};
 use proptest::prelude::*;
 
 /// Finite floats with awkward shortest-representations (ratios of random
@@ -26,31 +25,42 @@ fn arb_string() -> impl Strategy<Value = String> {
         .prop_map(|cs| cs.into_iter().filter_map(char::from_u32).collect())
 }
 
-fn arb_cache_stats() -> impl Strategy<Value = CacheStats> {
-    prop::collection::vec(0u64..=u64::MAX / 2, 12..13).prop_map(|v| CacheStats {
-        i_accesses: v[0],
-        i_hits: v[1],
-        d_accesses: v[2],
-        d_hits: v[3],
-        evictions: v[4],
-        writebacks: v[5],
-        prefetch_fills: v[6],
-        prefetch_useful: v[7],
-        bypasses: v[8],
-        guarded_protections: v[9],
-        invalidations: v[10],
-        i_evictions: v[11],
+/// A record with every field drawn through its field list: counts from
+/// `0..=u64::MAX / 2`, floats from [`arb_f64`].
+fn arb_record<T: Fields + Default + std::fmt::Debug>() -> impl Strategy<Value = T> {
+    let mut n = 0;
+    T::default().each(|_, _| n += 1);
+    let counts = prop::collection::vec(0u64..=u64::MAX / 2, n..n + 1);
+    (counts, prop::collection::vec(arb_f64(), n..n + 1)).prop_map(|(u, f)| {
+        let (mut u, mut f) = (u.into_iter(), f.into_iter());
+        let mut rec = T::default();
+        rec.each(|_, field| match field {
+            Field::U64(v) => *v = u.next().expect("one count per field"),
+            Field::F64(v) => *v = f.next().expect("one float per field"),
+        });
+        rec
     })
 }
 
 fn arb_core() -> impl Strategy<Value = CoreResult> {
-    (arb_string(), 0u64..=u64::MAX / 2, arb_f64(), arb_f64(), arb_f64(), arb_f64()).prop_map(
-        |(workload, instrs, cycles, ipc, a, b)| CoreResult {
+    (arb_string(), 0u64..=u64::MAX / 2, arb_f64(), arb_f64(), arb_record()).prop_map(
+        |(workload, instrs, cycles, ipc, stack)| CoreResult {
             workload,
             instrs,
             cycles,
             ipc,
-            stack: CpiStack { base: a, ifetch: b, data: a + b, branch: a * 0.5 },
+            stack,
+        },
+    )
+}
+
+fn arb_garibaldi() -> impl Strategy<Value = GaribaldiReport> {
+    (arb_record(), 0u32..=u32::MAX, 0u64..=u64::MAX / 2, arb_f64()).prop_map(
+        |(stats, final_threshold, color_ticks, rate)| GaribaldiReport {
+            stats,
+            final_threshold,
+            color_ticks,
+            helper_hit_rate: rate.min(1.0),
         },
     )
 }
@@ -58,55 +68,34 @@ fn arb_core() -> impl Strategy<Value = CoreResult> {
 fn arb_run_result() -> impl Strategy<Value = RunResult> {
     (
         (arb_string(), prop::collection::vec(arb_core(), 0..5)),
-        (arb_cache_stats(), arb_cache_stats(), arb_cache_stats(), arb_cache_stats()),
-        prop::collection::vec(0u64..=u64::MAX / 2, 10..11),
-        (prop::bool::ANY, prop::bool::ANY, arb_f64(), arb_f64()),
+        (arb_record(), arb_record(), arb_record(), arb_record(), arb_record()),
+        (prop::bool::ANY, arb_garibaldi(), arb_record()),
+        (prop::bool::ANY, arb_record(), arb_record()),
+        (0u64..=u64::MAX / 2, 0u64..=u64::MAX / 2),
     )
-        .prop_map(|((scheme, cores), (l1, l1i, l2, llc), u, (has_g, has_r, fa, fb))| {
-            RunResult {
+        .prop_map(
+            |(
+                (scheme, cores),
+                (l1, l1i, l2, llc, dram),
+                (has_g, g, conditional),
+                (has_r, reuse, energy),
+                (qbs_cycles, invalidations),
+            )| RunResult {
                 scheme,
                 cores,
                 l1,
                 l1i,
                 l2,
                 llc,
-                dram: DramStats {
-                    reads: u[0],
-                    writes: u[1],
-                    queue_delay: u[2],
-                    queued_requests: u[3],
-                },
-                garibaldi: has_g.then(|| GaribaldiReport {
-                    stats: GaribaldiStats {
-                        instr_accesses: u[4],
-                        instr_misses: u[5],
-                        pair_updates: u[6],
-                        ..Default::default()
-                    },
-                    final_threshold: u[7] as u32,
-                    color_ticks: u[8],
-                    helper_hit_rate: fa.min(1.0),
-                }),
-                conditional: ConditionalMatrix {
-                    dhit_imiss: u[4],
-                    dhit_total: u[5],
-                    dmiss_imiss: u[6],
-                    dmiss_total: u[7],
-                },
-                reuse: has_r.then(|| ReuseSummary {
-                    instr_mean_distance: fa,
-                    data_mean_distance: fb,
-                    instr_within_assoc: (fa / (fa + 1.0)).min(1.0),
-                    data_within_assoc: (fb / (fb + 1.0)).min(1.0),
-                    accesses_per_instr_line: fa + fb,
-                    accesses_per_data_line: fa * 0.25,
-                    shared_lifecycle_fraction: (fb / (fb + 2.0)).min(1.0),
-                }),
-                energy: garibaldi_sim::EnergyReport { dynamic_j: fa, static_j: fb },
-                qbs_cycles: u[8],
-                invalidations: u[9],
-            }
-        })
+                dram,
+                garibaldi: has_g.then_some(g),
+                conditional,
+                reuse: has_r.then_some(reuse),
+                energy,
+                qbs_cycles,
+                invalidations,
+            },
+        )
 }
 
 proptest! {

@@ -20,7 +20,7 @@ use garibaldi_sim::{
 };
 use garibaldi_trace::registry::SPEC_NAMES;
 use garibaldi_trace::{SharedAddressSpace, TraceRecord, WorkloadMix};
-use garibaldi_types::{RwKind, ThreadId, VirtAddr};
+use garibaldi_types::{Fields, RwKind, ThreadId, VirtAddr};
 use proptest::prelude::*;
 
 /// Epoch-window grid the properties sweep (cycles). Runs are a few

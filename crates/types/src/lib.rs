@@ -2,8 +2,9 @@
 //!
 //! This crate defines the address arithmetic (virtual/physical addresses,
 //! cacheline and page numbers), memory-access descriptors, identifier
-//! newtypes, and the deterministic hot-path hashing substrate
-//! ([`fasthash`], [`u64map`]) used by every other crate in the workspace.
+//! newtypes, the deterministic hot-path hashing substrate ([`fasthash`],
+//! [`u64map`]) and the named-field walk of every counter record
+//! ([`fields`](mod@fields)) used by every other crate in the workspace.
 //! It deliberately has no simulator logic so that substrate crates can
 //! depend on it without pulling in each other.
 //!
@@ -24,6 +25,7 @@ pub mod addr;
 pub mod crc;
 pub mod fastdiv;
 pub mod fasthash;
+pub mod fields;
 pub mod hint;
 pub mod ids;
 pub mod u64map;
@@ -34,5 +36,6 @@ pub use addr::{
     PAGE_OFFSET_BITS, PHYS_ADDR_BITS,
 };
 pub use fasthash::{FastHashMap, FastHashSet, FxBuildHasher, FxHasher};
+pub use fields::{Field, Fields};
 pub use ids::{CoreId, ThreadId};
-pub use u64map::{FrontCursor, U64Set, U64Table};
+pub use u64map::{U64Set, U64Table};

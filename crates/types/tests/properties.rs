@@ -4,7 +4,7 @@
 //! divide.
 
 use garibaldi_types::fastdiv::FastDiv;
-use garibaldi_types::{FrontCursor, U64Set, U64Table};
+use garibaldi_types::{U64Set, U64Table};
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
 
@@ -85,50 +85,31 @@ proptest! {
         prop_assert_eq!(drained, want);
     }
 
-    /// A [`FrontCursor`] names the key `keys().next()` does after random
-    /// runs of cursor inserts, removals, front evictions and capped-cache
-    /// inserts (evict the first key, then insert), on both key spaces. The
-    /// check is its own op, so runs of inserts between two checks leave
-    /// the bounds in every state they can reach.
+    /// A clock hand walked from slot 0 through [`U64Table::key_from`]
+    /// meets the array's keys in slot order, then wraps to the first; the
+    /// side slot's `u64::MAX` comes up only when the array is empty.
     #[test]
-    fn front_cursor_names_the_first_key(
-        ops in prop::collection::vec((0u8..5, 0u64..u64::MAX), 1..800),
+    fn key_from_walks_the_keys_in_slot_order(
+        ops in prop::collection::vec((0u8..5, 0u64..u64::MAX, 0u64..1000), 1..400),
         fold in prop::bool::ANY,
-        cap in 1usize..200,
     ) {
-        let mut table: U64Table<u64> = U64Table::new();
-        let mut cursor = FrontCursor::new();
-        for (op, raw_key) in ops {
+        let mut table = U64Table::new();
+        let mut model = HashMap::new();
+        for (op, raw_key, val) in ops {
             let key = if fold { fold_key(raw_key, 397) } else { raw_key };
-            match op {
-                0 => {
-                    cursor.get_or_insert_with(&mut table, key, || key);
-                }
-                1 => {
-                    table.remove(key);
-                }
-                2 => {
-                    let first = table.keys().next();
-                    if let Some(k) = first {
-                        table.remove(k);
-                    }
-                }
-                3 => {
-                    if table.len() >= cap && !table.contains_key(key) {
-                        let victim = cursor.first_key(&table);
-                        prop_assert_eq!(victim, table.keys().next());
-                        table.remove(victim.unwrap());
-                    }
-                    cursor.get_or_insert_with(&mut table, key, || key);
-                }
-                _ => {
-                    let first = table.keys().next();
-                    prop_assert_eq!(cursor.first_key(&table), first);
-                }
-            }
+            apply(&mut table, &mut model, op, key, val);
         }
-        let first = table.keys().next();
-        prop_assert_eq!(cursor.first_key(&table), first);
+        let order: Vec<u64> = table.keys().filter(|&k| k != u64::MAX).collect();
+        let mut hand = 0;
+        for &want in order.iter().chain(order.first()) {
+            let (key, next) = table.key_from(hand).expect("keys remain");
+            prop_assert_eq!(key, want);
+            hand = next;
+        }
+        if order.is_empty() {
+            let side = table.contains_key(u64::MAX).then_some((u64::MAX, hand));
+            prop_assert_eq!(table.key_from(hand), side);
+        }
     }
 
     /// Slot iteration order is a pure function of the operation history:

@@ -15,7 +15,7 @@ use garibaldi_sim::{
     EngineChoice, ExperimentScale, LlcScheme, ParallelEngine, SimRunner, SystemConfig,
 };
 use garibaldi_trace::{SharedAddressSpace, TraceRecord, WorkloadMix};
-use garibaldi_types::{LineAddr, RwKind, VirtAddr};
+use garibaldi_types::{Fields, LineAddr, RwKind, VirtAddr};
 
 fn small_cfg(scheme: LlcScheme) -> SystemConfig {
     let mut cfg = SystemConfig::scaled(&ExperimentScale::smoke(), scheme);

@@ -13,7 +13,9 @@ use crate::line::{LineFlags, LineMeta, MesiState};
 use crate::policy::{build_policy, Lru, PolicyCtx, PolicyKind, ReplacementPolicy};
 use crate::stats::CacheStats;
 use garibaldi_types::fastdiv::FastDiv;
-use garibaldi_types::{hint, AccessKind, LineAddr, LINE_BYTES, LINE_OFFSET_BITS, PHYS_ADDR_BITS};
+use garibaldi_types::{
+    hint, rowmask, AccessKind, LineAddr, LINE_BYTES, LINE_OFFSET_BITS, PHYS_ADDR_BITS,
+};
 
 /// Geometry and identity of a cache.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -422,7 +424,7 @@ impl LineMut<'_> {
     /// Number of sharer clusters recorded in the directory mask.
     #[inline]
     pub fn sharer_count(&self) -> u32 {
-        self.sharers.iter().map(|b| b.count_ones()).sum()
+        load_mask(self.sharers).count_ones()
     }
 }
 
@@ -698,20 +700,14 @@ impl SetAssocCache {
         tag_word(q)
     }
 
-    /// One pass over the set's contiguous tag words, one equality compare
-    /// per way: the ways whose word is `word`, and the ways whose word is 0.
-    /// Branchless into way bitmasks, with no early exit, so LLVM vectorizes
-    /// the row (misses — the common case on the bigger caches — walk the
-    /// full row anyway).
+    /// One pass over the set's contiguous tag words: the ways whose word is
+    /// `word`, and the ways whose word is 0, as way bitmasks
+    /// ([`rowmask::eq_masks_u32`], four ways per vector compare). No early
+    /// exit: misses — the common case on the bigger caches — walk the
+    /// full row anyway.
     #[inline]
     fn scan(&self, base: usize, word: u32) -> (u64, u64) {
-        let mut hits = 0u64;
-        let mut zeros = 0u64;
-        for (w, &t) in self.tags[base..base + self.ways].iter().enumerate() {
-            hits |= ((t == word) as u64) << w;
-            zeros |= ((t == 0) as u64) << w;
-        }
-        (hits, zeros)
+        rowmask::eq_masks_u32(&self.tags[base..base + self.ways], word, 0)
     }
 
     /// The ways of the set at `base` whose frame is occupied, read from
@@ -719,11 +715,7 @@ impl SetAssocCache {
     /// the cache wraps).
     #[inline]
     fn occupied(&self, base: usize) -> u64 {
-        let mut occupied = 0u64;
-        for (w, &f) in self.flags[base..base + self.ways].iter().enumerate() {
-            occupied |= ((f != 0) as u64) << w;
-        }
-        occupied
+        !rowmask::eq_mask_u8(&self.flags[base..base + self.ways], 0) & u64::MAX >> (64 - self.ways)
     }
 
     /// The one tag scan behind every access and fill. At most one way can

@@ -1,6 +1,7 @@
 //! Least-recently-used replacement (the paper's baseline).
 
 use super::{PolicyCtx, ReplacementPolicy};
+use garibaldi_types::rowmask;
 
 /// True LRU via per-set recency ranks: each set's ranks are a permutation
 /// of `0..ways`, 0 the most recent way and `ways − 1` the victim. One byte
@@ -65,6 +66,10 @@ impl ReplacementPolicy for Lru {
     fn choose_victim(&mut self, set: usize, _ctx: &PolicyCtx, excluded: u64) -> usize {
         // The oldest allowed way: ranks are distinct, so there are no ties.
         let row = &self.rank[set * self.ways..(set + 1) * self.ways];
+        if excluded == 0 {
+            // The oldest way of all is the one way ranked `ways − 1`.
+            return rowmask::eq_mask_u8(row, (self.ways - 1) as u8).trailing_zeros() as usize;
+        }
         let mut best: Option<(usize, u8)> = None;
         for (w, &r) in row.iter().enumerate() {
             if excluded & (1 << w) == 0 && best.is_none_or(|(_, b)| r > b) {
@@ -168,6 +173,34 @@ mod tests {
     }
 
     proptest! {
+        /// Over random rank permutations of 1–64 ways, `choose_victim`
+        /// picks the allowed way of highest rank, as an argmax over the
+        /// row does: with no way excluded (the rank-`ways − 1` fast path)
+        /// and with random exclusions that leave one way allowed.
+        #[test]
+        fn the_victim_is_the_argmax_of_the_allowed_ranks(
+            ways in 1usize..=64,
+            keys in prop::collection::vec(0u64..u64::MAX, 64),
+            mask in 0u64..u64::MAX,
+            keep in 0usize..64,
+        ) {
+            let mut order: Vec<usize> = (0..ways).collect();
+            order.sort_by_key(|&w| (keys[w], w));
+            let mut p = Lru::new(1, ways);
+            for (r, &w) in order.iter().enumerate() {
+                p.rank[w] = r as u8;
+            }
+            let full = u64::MAX >> (64 - ways);
+            let excluded = mask & full & !(1 << (keep % ways));
+            for ex in [0, excluded] {
+                let argmax = (0..ways)
+                    .filter(|w| ex & (1 << w) == 0)
+                    .max_by_key(|&w| p.rank[w])
+                    .expect("one way stays allowed");
+                prop_assert_eq!(p.choose_victim(0, &ctx(), ex), argmax);
+            }
+        }
+
         /// Random insert / hit / `reset_priority` / `choose_victim(excluded)`
         /// sequences choose the same victims as the stamp model.
         #[test]

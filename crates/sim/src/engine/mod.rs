@@ -190,6 +190,10 @@ pub struct EngineStats {
     /// [`private::RECORD_REQUEST_CEILING`]), so any other value means it
     /// was regrown.
     pub run_capacity: Vec<usize>,
+    /// Each core's outcome-table capacity at the end of the run, indexed
+    /// like [`EngineStats::run_capacity`]. The table is allocated at the
+    /// same bound as the run, so any other value means it was regrown.
+    pub outcome_capacity: Vec<usize>,
     /// Every core's issue-time latency estimates against the drained
     /// latencies, merged across cores (measured region only).
     pub estimator: EstimatorStats,
@@ -567,7 +571,8 @@ impl<'p> ParallelEngine<'p> {
     /// engine was built for; returns the measured-region result and the
     /// wall-clock [`EngineStats`] of the whole run (warmup + measured).
     /// The serial schedule sets only [`EngineStats::wall_s`],
-    /// [`EngineStats::run_capacity`] and [`EngineStats::estimator`].
+    /// [`EngineStats::run_capacity`], [`EngineStats::outcome_capacity`]
+    /// and [`EngineStats::estimator`].
     ///
     /// On the epoch schedule a worker panic in any parallel section, or a
     /// stuck barrier phase when the `GARIBALDI_BARRIER_TIMEOUT_S` watchdog
@@ -593,6 +598,7 @@ impl<'p> ParallelEngine<'p> {
         stats.wall_s = t0.elapsed().as_secs_f64();
         let cores = || self.clusters.iter().flat_map(|cl| cl.cores.iter());
         stats.run_capacity = cores().map(|c| c.run.capacity()).collect();
+        stats.outcome_capacity = cores().map(|c| c.outcomes.capacity()).collect();
         for c in cores() {
             stats.estimator.merge(&c.est_stats);
         }

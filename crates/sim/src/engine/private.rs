@@ -193,6 +193,7 @@ pub struct EpochCore<'p> {
     /// conditional-matrix replay ([`super::replay`]).
     pub demand: Vec<DemandReq>,
     /// Drain outcomes scattered back by the barrier, indexed by seq.
+    /// Allocated once at the run's bound, like `run`, and never regrown.
     pub outcomes: Vec<ReqOutcome>,
     /// The epoch schedule's drained `(seq, outcome)`s, one vector per LLC
     /// shard, handed over after the drain.
@@ -457,7 +458,7 @@ impl<'p> ClusterSim<'p> {
                 run: Vec::with_capacity(run_bound as usize),
                 lanes: vec![Vec::new(); lanes],
                 demand: Vec::new(),
-                outcomes: Vec::new(),
+                outcomes: Vec::with_capacity(run_bound as usize),
                 drained: vec![Vec::new(); route.shards()],
                 pmu: cfg.scheme.garibaldi.as_ref().map(ThreadPmu::new),
                 shares: Vec::new(),

@@ -131,21 +131,33 @@ impl<'p> ParallelEngine<'p> {
 /// A tournament tree over the cores' clocks: [`MinClock::min`] is the core
 /// with the lowest clock, ties to the lower core id, and re-keying one core
 /// replays only its path to the root.
+///
+/// Clocks are finite and non-negative, or +∞ for a finished core. Their
+/// bit patterns then order as the clocks do, so each node holds one
+/// integer key, the clock's bits above the core id, and a match is one
+/// integer compare.
 struct MinClock {
     /// Leaves start here (a power of two at least the core count).
     leaves: usize,
-    /// `(clock, core)` of each node's winner; node 1 is the root, node
+    /// The key of each node's winner ([`key`]); node 1 is the root, node
     /// `k` has children `2k` and `2k + 1`. Finished cores and padding
     /// leaves hold an infinite clock.
-    nodes: Vec<(f64, usize)>,
+    nodes: Vec<u128>,
+}
+
+/// The tree key of `core` at `clock`: smaller keys win, so the lower
+/// clock wins and equal clocks go to the lower core.
+fn key(clock: f64, core: usize) -> u128 {
+    debug_assert!(clock >= 0.0 && clock.is_sign_positive(), "clock {clock} of core {core}");
+    (u128::from(clock.to_bits()) << 64) | core as u128
 }
 
 impl MinClock {
     fn new(clocks: Vec<f64>) -> Self {
         let leaves = clocks.len().next_power_of_two();
-        let mut nodes = vec![(f64::INFINITY, usize::MAX); 2 * leaves];
+        let mut nodes = vec![key(f64::INFINITY, usize::MAX); 2 * leaves];
         for (i, c) in clocks.into_iter().enumerate() {
-            nodes[leaves + i] = (c, i);
+            nodes[leaves + i] = key(c, i);
         }
         let mut t = Self { leaves, nodes };
         for k in (1..leaves).rev() {
@@ -155,20 +167,19 @@ impl MinClock {
     }
 
     fn replay(&mut self, k: usize) {
-        let (a, b) = (self.nodes[2 * k], self.nodes[2 * k + 1]);
-        self.nodes[k] = if b.0 < a.0 || (b.0 == a.0 && b.1 < a.1) { b } else { a };
+        self.nodes[k] = self.nodes[2 * k].min(self.nodes[2 * k + 1]);
     }
 
     /// The unfinished core with the lowest clock.
     fn min(&self) -> Option<usize> {
-        let (clock, core) = self.nodes[1];
-        (clock < f64::INFINITY).then_some(core)
+        let root = self.nodes[1];
+        ((root >> 64) as u64 != f64::INFINITY.to_bits()).then_some(root as u64 as usize)
     }
 
     /// Re-keys `core` (an infinite clock retires it).
     fn set(&mut self, core: usize, clock: f64) {
         let mut k = self.leaves + core;
-        self.nodes[k].0 = clock;
+        self.nodes[k] = key(clock, core);
         while k > 1 {
             k /= 2;
             self.replay(k);
@@ -236,5 +247,34 @@ mod tests {
             t.set(c, f64::INFINITY);
         }
         assert_eq!(t.min(), None, "every core finished");
+    }
+
+    #[test]
+    fn min_clock_breaks_equal_clocks_by_core_at_any_tree_depth() {
+        let mut t = MinClock::new(vec![7.5; 9]);
+        for core in 0..9 {
+            assert_eq!(t.min(), Some(core), "all clocks equal: the lowest live core wins");
+            t.set(core, 7.5 + 1e-9);
+        }
+        assert_eq!(t.min(), Some(0), "a second equal round starts from core 0 again");
+        t.set(8, 7.5);
+        assert_eq!(t.min(), Some(8), "the lone lower clock wins whatever its core");
+    }
+
+    #[test]
+    fn min_clock_retires_cores_at_infinity_and_starts_at_zero() {
+        let mut t = MinClock::new(vec![0.0, 0.0, 4.0]);
+        assert_eq!(t.min(), Some(0), "clock 0 is a live clock");
+        t.set(0, f64::INFINITY);
+        assert_eq!(t.min(), Some(1));
+        t.set(1, 4.0);
+        assert_eq!(t.min(), Some(1), "tie at 4.0 goes to the lower id");
+        t.set(1, f64::INFINITY);
+        t.set(2, f64::MAX);
+        assert_eq!(t.min(), Some(2), "the largest finite clock is still live");
+        t.set(2, f64::INFINITY);
+        assert_eq!(t.min(), None, "every core retired");
+        t.set(2, 0.0);
+        assert_eq!(t.min(), Some(2), "a retired core can be re-keyed");
     }
 }

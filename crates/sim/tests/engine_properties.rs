@@ -171,11 +171,11 @@ proptest! {
         }
     }
 
-    /// Each core's request run is allocated once at its schedule's bound
-    /// and never regrown: over random SPEC-heavy registry mixes at 1–3
-    /// workers every core ends the epoch schedule with a run of
-    /// `EPOCH_RUN_BOUND` requests' capacity, and the serial schedule with
-    /// one of `RECORD_REQUEST_CEILING`.
+    /// Each core's request run and outcome table are allocated once at
+    /// the schedule's bound and never regrown: over random SPEC-heavy
+    /// registry mixes at 1–3 workers every core ends the epoch schedule
+    /// with a run and a table of `EPOCH_RUN_BOUND` entries' capacity, and
+    /// the serial schedule with ones of `RECORD_REQUEST_CEILING`.
     #[test]
     fn request_runs_keep_their_build_time_capacity(
         mix in arb_mix(),
@@ -188,7 +188,9 @@ proptest! {
         let mix = WorkloadMix { slots: mix };
         let r = SimRunner::new(cfg.clone(), mix.clone(), seed);
         let (_, epoch) = r.run_parallel_stats(400, 1_600, &EngineConfig::with_workers(workers));
-        prop_assert_eq!(&epoch.run_capacity, &vec![EPOCH_RUN_BOUND as usize; cores], "{:?}", mix);
+        let bound = vec![EPOCH_RUN_BOUND as usize; cores];
+        prop_assert_eq!(&epoch.run_capacity, &bound, "{:?}", mix);
+        prop_assert_eq!(&epoch.outcome_capacity, &bound, "{:?}", mix);
 
         let streams = r.generate_streams(2_000);
         let sources = streams
@@ -198,12 +200,9 @@ proptest! {
             .collect();
         let engine = ParallelEngine::new(&cfg, &EngineChoice::Serial, mix.clone(), sources);
         let (_, serial) = engine.try_run(400, 1_600).expect("the serial schedule never errs");
-        prop_assert_eq!(
-            &serial.run_capacity,
-            &vec![RECORD_REQUEST_CEILING as usize; cores],
-            "{:?}",
-            mix
-        );
+        let bound = vec![RECORD_REQUEST_CEILING as usize; cores];
+        prop_assert_eq!(&serial.run_capacity, &bound, "{:?}", mix);
+        prop_assert_eq!(&serial.outcome_capacity, &bound, "{:?}", mix);
     }
 
     /// On stationary synthetic outcome streams, the EWMA estimator's

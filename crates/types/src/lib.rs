@@ -3,7 +3,8 @@
 //! This crate defines the address arithmetic (virtual/physical addresses,
 //! cacheline and page numbers), memory-access descriptors, identifier
 //! newtypes, the deterministic hot-path hashing substrate ([`fasthash`],
-//! [`u64map`]) and the named-field walk of every counter record
+//! [`u64map`]), the way-mask row kernels behind every cache lookup
+//! ([`rowmask`]) and the named-field walk of every counter record
 //! ([`fields`](mod@fields)) used by every other crate in the workspace.
 //! It deliberately has no simulator logic so that substrate crates can
 //! depend on it without pulling in each other.
@@ -28,6 +29,7 @@ pub mod fasthash;
 pub mod fields;
 pub mod hint;
 pub mod ids;
+pub mod rowmask;
 pub mod u64map;
 
 pub use access::{AccessKind, RwKind};

@@ -1,9 +1,10 @@
 //! Property-based tests for the hot-path substrate: the open-addressed
 //! [`U64Table`]/[`U64Set`] against `std::collections` reference models
-//! under arbitrary operation streams, and [`FastDiv`] against the hardware
-//! divide.
+//! under arbitrary operation streams, [`FastDiv`] against the hardware
+//! divide, and the [`rowmask`] kernels against the way mask's definition.
 
 use garibaldi_types::fastdiv::FastDiv;
+use garibaldi_types::rowmask;
 use garibaldi_types::{U64Set, U64Table};
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
@@ -174,5 +175,25 @@ proptest! {
         prop_assert_eq!(f.remainder(x), x % d);
         let line = x >> 26; // a 38-bit line address
         prop_assert_eq!(f.remainder(line), line % d);
+    }
+}
+
+proptest! {
+    /// The row kernels against the mask's definition on random rows of
+    /// 0–64 ways whose values come from a small alphabet (so probes match
+    /// several ways, or none), zero and the all-ones value included.
+    #[test]
+    fn row_kernels_match_the_mask_definition(
+        picks in prop::collection::vec(0usize..5, 0..65),
+        a in 0usize..5,
+        b in 0usize..5,
+    ) {
+        const WORDS: [u32; 5] = [0, 1, 0x8000_0000, u32::MAX, 0x0101_0101];
+        const BYTES: [u8; 5] = [0, 1, 0x80, u8::MAX, 0x7f];
+        let words: Vec<u32> = picks.iter().map(|&k| WORDS[k]).collect();
+        let bytes: Vec<u8> = picks.iter().map(|&k| BYTES[k]).collect();
+        let mask = |x: usize| picks.iter().enumerate().filter(|&(_, &k)| k == x).map(|(w, _)| 1u64 << w).sum::<u64>();
+        prop_assert_eq!(rowmask::eq_masks_u32(&words, WORDS[a], WORDS[b]), (mask(a), mask(b)));
+        prop_assert_eq!(rowmask::eq_mask_u8(&bytes, BYTES[a]), mask(a));
     }
 }

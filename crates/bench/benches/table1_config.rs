@@ -4,29 +4,29 @@
 
 use garibaldi_bench::*;
 use garibaldi_cache::PolicyKind;
+use garibaldi_sim::config::{
+    BASE_CPI, BRANCH_PENALTY, L1_LATENCY, L2_CLUSTER_SIZE, L2_LATENCY, LLC_LATENCY, MLP_OVERLAP,
+    ROB_SHADOW,
+};
 
 fn describe(name: &str, cfg: &SystemConfig) {
     println!("\n== Table 1: {name} ==");
     println!("cores:            {}", cfg.cores);
     println!(
-        "L1I / L1D:        {} KB / {} KB, {}-way, {} cycles",
+        "L1I / L1D:        {} KB / {} KB, {}-way, {L1_LATENCY} cycles",
         cfg.l1i_bytes / 1024,
         cfg.l1d_bytes / 1024,
         cfg.l1_ways,
-        cfg.l1_latency
     );
     println!(
-        "L2 (per {} cores): {} KB, {}-way, {} cycles",
-        cfg.l2_cluster_size,
+        "L2 (per {L2_CLUSTER_SIZE} cores): {} KB, {}-way, {L2_LATENCY} cycles",
         cfg.l2_bytes / 1024,
         cfg.l2_ways,
-        cfg.l2_latency
     );
     println!(
-        "LLC (shared):     {} KB, {}-way, {} cycles, non-inclusive",
+        "LLC (shared):     {} KB, {}-way, {LLC_LATENCY} cycles, non-inclusive",
         cfg.llc_bytes / 1024,
         cfg.llc_ways,
-        cfg.llc_latency
     );
     println!(
         "DRAM:             {} channels, {} cycles access, occupancy {} cycles/line, queue depth {}",
@@ -36,8 +36,8 @@ fn describe(name: &str, cfg: &SystemConfig) {
         cfg.dram.queue_depth
     );
     println!(
-        "core model:       base CPI {}, branch penalty {}, ROB shadow {}, MLP overlap {}",
-        cfg.base_cpi, cfg.branch_penalty, cfg.rob_shadow, cfg.mlp_overlap
+        "core model:       base CPI {BASE_CPI}, branch penalty {BRANCH_PENALTY}, ROB shadow \
+         {ROB_SHADOW}, MLP overlap {MLP_OVERLAP}"
     );
     println!(
         "prefetchers:      L1I temporal+runahead={}, L1D next-line={}, L2 GHB={}",

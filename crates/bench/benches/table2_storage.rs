@@ -1,6 +1,11 @@
 //! Table 2 — Garibaldi storage overheads, computed from the configuration
 //! (exact bit accounting; the paper's table rounds to power-of-two arrays).
 
+use garibaldi::config::{
+    COLOR_BITS, COST_MISS_STEP, DL_SCTR_THRESHOLD, HELPER_ENTRIES, HELPER_WAYS, INIT_COST,
+    INIT_THRESHOLD, MISS_COST_BITS, PMU_RECENT_PCS, QBS_LOOKUP_COST, QBS_MAX_ATTEMPTS,
+    THRESHOLD_MARGIN,
+};
 use garibaldi::{GaribaldiConfig, StorageReport};
 use garibaldi_bench::*;
 
@@ -26,7 +31,7 @@ fn main() {
         ],
         vec![
             "helper table (per core)".to_string(),
-            cfg.helper_entries.to_string(),
+            HELPER_ENTRIES.to_string(),
             "64".to_string(),
             kb(r.helper_table_bytes_per_core),
         ],
@@ -43,5 +48,12 @@ fn main() {
     println!(
         "DL_PA field: {} bits (paper: 23); pair entry: {} bits (paper: 34 + k*23 = 57 at k=1)",
         r.dl_field_bits, r.pair_entry_bits
+    );
+    println!(
+        "fixed parameters: miss cost {MISS_COST_BITS} b (init {INIT_COST}), coloring \
+         {COLOR_BITS} b, threshold init {INIT_THRESHOLD} (margin {THRESHOLD_MARGIN}), \
+         QBS_MAX_ATTEMPTS {QBS_MAX_ATTEMPTS}, QBS_LOOKUP_COST {QBS_LOOKUP_COST} cycle, \
+         PMU ring {PMU_RECENT_PCS} PCs, helper {HELPER_ENTRIES} entries {HELPER_WAYS}-way, \
+         DL sctr threshold {DL_SCTR_THRESHOLD}, miss step {COST_MISS_STEP}"
     );
 }

@@ -117,16 +117,6 @@ impl CacheConfig {
         self.dir_bytes as usize
     }
 
-    /// Global set index of `line` under this config's indexing (for shard
-    /// views this is the parent cache's set, not the local one).
-    #[inline]
-    pub fn global_set_of(&self, line: LineAddr) -> usize {
-        match self.indexing {
-            SetIndexing::Modulo => (line.get() % self.sets as u64) as usize,
-            SetIndexing::Shard { modulus, .. } => (line.get() % modulus) as usize,
-        }
-    }
-
     /// Builds a config from a capacity in bytes and associativity.
     ///
     /// # Panics
@@ -136,11 +126,6 @@ impl CacheConfig {
         let lines = bytes / LINE_BYTES;
         let sets = (lines as usize / ways).max(1);
         Self::new(name, sets, ways)
-    }
-
-    /// Capacity in bytes.
-    pub fn capacity_bytes(&self) -> u64 {
-        (self.sets * self.ways) as u64 * LINE_BYTES
     }
 }
 
@@ -1079,7 +1064,7 @@ mod tests {
     fn from_capacity_geometry() {
         let c = CacheConfig::from_capacity("llc", 30 * 1024 * 1024, 12);
         assert_eq!(c.sets, 30 * 1024 * 1024 / 64 / 12);
-        assert_eq!(c.capacity_bytes(), 30 * 1024 * 1024);
+        assert_eq!((c.sets * c.ways) as u64 * LINE_BYTES, 30 * 1024 * 1024);
     }
 
     #[test]
@@ -1274,7 +1259,8 @@ mod tests {
         // Line 12 → global set 4 → local set 0; line 15 → global 7 → local 3.
         assert_eq!(c.set_of(LineAddr::new(12)), 0);
         assert_eq!(c.set_of(LineAddr::new(15)), 3);
-        assert_eq!(c.config().global_set_of(LineAddr::new(12)), 4);
+        let parent = SetAssocCache::new(CacheConfig::new("llc", 8, 2), PolicyKind::Lru);
+        assert_eq!(parent.set_of(LineAddr::new(12)), 4, "global set 4 = base 4 + local 0");
         c.insert(LineAddr::new(12), &dctx(12), false);
         assert!(c.access(&dctx(12), false));
         // Lines 4 and 12 collide in the same local set (both global set 4).

@@ -130,12 +130,6 @@ impl LineFlags {
         self.0 = (self.0 & !Self::DIRTY) | ((v as u8) * Self::DIRTY);
     }
 
-    /// Sets or clears the prefetched bit.
-    #[inline]
-    pub fn set_prefetched(&mut self, v: bool) {
-        self.0 = (self.0 & !Self::PREFETCHED) | ((v as u8) * Self::PREFETCHED);
-    }
-
     /// Sets or clears the instruction bit.
     #[inline]
     pub fn set_is_instr(&mut self, v: bool) {
@@ -255,9 +249,8 @@ mod tests {
 
     #[test]
     fn line_flags_setters() {
-        let mut f = LineFlags::EMPTY;
+        let mut f = LineFlags::new(false, true, false, MesiState::Exclusive);
         f.set_dirty(true);
-        f.set_prefetched(true);
         f.set_state(MesiState::Shared);
         assert!(f.dirty() && f.prefetched() && !f.is_instr());
         assert_eq!(f.state(), MesiState::Shared);

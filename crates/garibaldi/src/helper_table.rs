@@ -6,6 +6,7 @@
 //! core's ITLB. Structured like a small set-associative TLB with 3-bit
 //! saturating-counter replacement.
 
+use crate::config::{HELPER_ENTRIES, HELPER_WAYS};
 use garibaldi_cache::SatCounter;
 use garibaldi_types::{LineAddr, PageNum, VirtAddr, LINE_BYTES};
 
@@ -31,6 +32,13 @@ pub struct HelperTable {
     entries: Vec<HelperEntry>,
     hits: u64,
     misses: u64,
+}
+
+impl Default for HelperTable {
+    /// The Table 2 geometry: [`HELPER_ENTRIES`] entries, [`HELPER_WAYS`]-way.
+    fn default() -> Self {
+        Self::new(HELPER_ENTRIES, HELPER_WAYS)
+    }
 }
 
 impl HelperTable {

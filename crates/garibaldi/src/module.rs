@@ -44,9 +44,7 @@ impl GaribaldiModule {
         cfg.validate().expect("valid Garibaldi configuration");
         Self {
             slice: GaribaldiSlice::new(&cfg, 1),
-            helpers: (0..n_cores.max(1))
-                .map(|_| HelperTable::new(cfg.helper_entries, cfg.helper_ways))
-                .collect(),
+            helpers: vec![HelperTable::default(); n_cores.max(1)],
             threshold: ThresholdUnit::new(&cfg, n_cores.max(1)),
         }
     }

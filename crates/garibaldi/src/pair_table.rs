@@ -11,7 +11,9 @@
 //!   instruction (old bit + 3-bit sctr management, Fig 10b), each storing a
 //!   D_PPN-table index plus the in-page line offset.
 
-use crate::config::GaribaldiConfig;
+use crate::config::{
+    GaribaldiConfig, COLORS, COST_MISS_STEP, DL_SCTR_THRESHOLD, INIT_COST, MISS_COST_BITS,
+};
 use crate::dppn_table::DppnTable;
 use garibaldi_cache::SatCounter;
 use garibaldi_types::LineAddr;
@@ -58,14 +60,22 @@ pub struct PairEntry {
 }
 
 impl PairEntry {
-    fn empty(cost_bits: u32) -> Self {
+    fn empty() -> Self {
         Self {
             valid: false,
             il_line: LineAddr::new(0),
-            miss_cost: SatCounter::new(cost_bits, 0),
+            miss_cost: SatCounter::new(MISS_COST_BITS, 0),
             color: 0,
             dl: [DlField::empty(); MAX_DL_FIELDS],
         }
+    }
+
+    /// Aged miss cost under the current color (Fig 9c): the cost less the
+    /// color distance from the entry's stamp, which wraps at 2^l (color 5
+    /// → current 0 with l = 3 is a distance of 3).
+    pub fn aged_cost(&self, current_color: u8) -> u32 {
+        let dist = (current_color as u32 + COLORS - self.color as u32) % COLORS;
+        self.miss_cost.get().saturating_sub(dist)
     }
 }
 
@@ -80,23 +90,14 @@ pub struct PairTableStats {
     pub replacements: u64,
     /// Conflicting entries preserved (aged cost above threshold).
     pub preservations: u64,
-    /// Protection queries answered "protect".
-    pub protects: u64,
-    /// Protection queries answered "evict".
-    pub declines: u64,
 }
 
 /// The direct-mapped pair table.
 #[derive(Debug, Clone)]
 pub struct PairTable {
     entries: Vec<PairEntry>,
-    cost_bits: u32,
-    init_cost: u32,
     k: usize,
-    colors: u32,
-    dl_sctr_threshold: u32,
     hit_step: u32,
-    miss_step: u32,
     stats: PairTableStats,
 }
 
@@ -115,14 +116,9 @@ impl PairTable {
     pub fn with_entries(cfg: &GaribaldiConfig, entries: usize) -> Self {
         assert!(entries > 0, "zero-entry pair table");
         Self {
-            entries: vec![PairEntry::empty(cfg.miss_cost_bits); entries],
-            cost_bits: cfg.miss_cost_bits,
-            init_cost: cfg.init_cost,
+            entries: vec![PairEntry::empty(); entries],
             k: cfg.k as usize,
-            colors: cfg.colors(),
-            dl_sctr_threshold: cfg.dl_sctr_threshold,
             hit_step: cfg.cost_hit_step,
-            miss_step: cfg.cost_miss_step,
             stats: PairTableStats::default(),
         }
     }
@@ -159,18 +155,6 @@ impl PairTable {
         garibaldi_types::hint::prefetch_index(&self.entries, self.index_of(il));
     }
 
-    /// Color distance from `entry_color` to `current`, wrapping at 2^l
-    /// (Fig 9c: color 5 → current 0 with l = 3 is a distance of 3).
-    fn color_distance(&self, entry_color: u8, current: u8) -> u32 {
-        (current as u32 + self.colors - entry_color as u32) % self.colors
-    }
-
-    /// Aged miss cost of an entry under the current color (Fig 9c); the
-    /// entry itself is not modified.
-    pub fn aged_cost(&self, entry: &PairEntry, current_color: u8) -> u32 {
-        entry.miss_cost.get().saturating_sub(self.color_distance(entry.color, current_color))
-    }
-
     /// Read-only lookup by instruction line (tag must match).
     pub fn lookup(&self, il: LineAddr) -> Option<&PairEntry> {
         let e = &self.entries[self.index_of(il)];
@@ -180,16 +164,8 @@ impl PairTable {
     /// QBS protection query (§4.2 / Fig 9c): returns `true` when the
     /// victim's aged miss cost exceeds `threshold`. Per the paper, a query
     /// mutates nothing — color and cost stay as they were.
-    pub fn query_protect(&mut self, il: LineAddr, current_color: u8, threshold: u32) -> bool {
-        let idx = self.index_of(il);
-        let e = &self.entries[idx];
-        let protect = e.valid && e.il_line == il && self.aged_cost(e, current_color) > threshold;
-        if protect {
-            self.stats.protects += 1;
-        } else {
-            self.stats.declines += 1;
-        }
-        protect
+    pub fn query_protect(&self, il: LineAddr, current_color: u8, threshold: u32) -> bool {
+        self.lookup(il).is_some_and(|e| e.aged_cost(current_color) > threshold)
     }
 
     /// Allocate/update on a data LLC access whose triggering instruction
@@ -209,7 +185,6 @@ impl PairTable {
         threshold: u32,
     ) {
         let idx = self.index_of(il);
-        let colors = self.colors;
         let entry = &mut self.entries[idx];
 
         if entry.valid && entry.il_line == il {
@@ -225,9 +200,9 @@ impl PairTable {
             if data_hit {
                 entry.miss_cost.add(self.hit_step);
             } else {
-                entry.miss_cost.sub(self.miss_step);
+                entry.miss_cost.sub(COST_MISS_STEP);
             }
-            update_dl_fields(entry, dppn_idx, line_in_page, self.k, self.dl_sctr_threshold);
+            update_dl_fields(entry, dppn_idx, line_in_page, self.k);
             return;
         }
 
@@ -236,8 +211,7 @@ impl PairTable {
             // preservation the cost is rewritten with its aged value and the
             // color refreshed — the one place queries and updates differ.
             self.stats.update_conflicts += 1;
-            let dist = (current_color as u32 + colors - entry.color as u32) % colors;
-            let aged = entry.miss_cost.get().saturating_sub(dist);
+            let aged = entry.aged_cost(current_color);
             if aged > threshold {
                 entry.miss_cost.set(aged);
                 entry.color = current_color;
@@ -248,16 +222,16 @@ impl PairTable {
         }
 
         // Allocate.
-        let mut fresh = PairEntry::empty(self.cost_bits);
+        let mut fresh = PairEntry::empty();
         fresh.valid = true;
         fresh.il_line = il;
-        fresh.miss_cost = SatCounter::new(self.cost_bits, self.init_cost);
+        fresh.miss_cost = SatCounter::new(MISS_COST_BITS, INIT_COST);
         // The triggering data access was a miss when the pair is first seen;
         // still apply the hit/miss signal so allocation is unbiased.
         if data_hit {
             fresh.miss_cost.add(self.hit_step);
         } else {
-            fresh.miss_cost.sub(self.miss_step);
+            fresh.miss_cost.sub(COST_MISS_STEP);
         }
         fresh.color = current_color;
         if self.k > 0 {
@@ -277,8 +251,7 @@ impl PairTable {
     /// — exactly equivalent to `lookup(il).is_some()`, then (when tracked)
     /// [`PairTable::query_protect`], then [`PairTable::on_instr_miss`],
     /// which would each recompute the direct-mapped slot. Returns
-    /// `(tracked, protected)`; stats update as in the unfused sequence
-    /// (`query_protect` only fires on tracked entries). The old bits do
+    /// `(tracked, protected)` and counts nothing. The old bits do
     /// not feed [`PairTable::prefetch_candidates_into`], so marking them
     /// before a candidate query is order-equivalent.
     pub fn resolve_instr_miss(
@@ -288,18 +261,11 @@ impl PairTable {
         threshold: u32,
     ) -> (bool, bool) {
         let idx = self.index_of(il);
-        let colors = self.colors;
         let e = &mut self.entries[idx];
         if !(e.valid && e.il_line == il) {
             return (false, false);
         }
-        let dist = (current_color as u32 + colors - e.color as u32) % colors;
-        let protect = e.miss_cost.get().saturating_sub(dist) > threshold;
-        if protect {
-            self.stats.protects += 1;
-        } else {
-            self.stats.declines += 1;
-        }
+        let protect = e.aged_cost(current_color) > threshold;
         for f in e.dl.iter_mut().filter(|f| f.valid) {
             f.old = true;
         }
@@ -346,13 +312,7 @@ impl PairTable {
 }
 
 /// Fig 10(b) DL-field management.
-fn update_dl_fields(
-    entry: &mut PairEntry,
-    dppn_idx: u16,
-    line_in_page: u8,
-    k: usize,
-    sctr_threshold: u32,
-) {
+fn update_dl_fields(entry: &mut PairEntry, dppn_idx: u16, line_in_page: u8, k: usize) {
     if k == 0 {
         return;
     }
@@ -387,7 +347,7 @@ fn update_dl_fields(
         f.old = false;
         f.sctr.dec();
         // (3) Below threshold ⇒ replace with the new DL_PA.
-        if f.sctr.get() < sctr_threshold {
+        if f.sctr.get() < DL_SCTR_THRESHOLD {
             *f = DlField {
                 valid: true,
                 dppn_idx,
@@ -442,7 +402,7 @@ mod tests {
             e.color = 5;
         }
         let e = *t.entry_for(IL);
-        assert_eq!(t.aged_cost(&e, 0), 22);
+        assert_eq!(e.aged_cost(0), 22);
         assert!(!t.query_protect(IL, 0, 23));
         // Query must not mutate the entry (Fig 9c note).
         let e2 = t.entry_for(IL);
@@ -574,8 +534,8 @@ mod tests {
 
     #[test]
     fn query_on_absent_entry_declines() {
-        let mut t = table();
+        let t = table();
         assert!(!t.query_protect(IL, 0, 0));
-        assert_eq!(t.stats().declines, 1);
+        assert_eq!(t.stats(), &PairTableStats::default(), "a query counts nothing");
     }
 }

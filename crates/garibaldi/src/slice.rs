@@ -9,7 +9,7 @@
 //! Every rule takes the threshold unit's current `(color, threshold)`; the
 //! unit itself stays with the caller.
 
-use crate::config::GaribaldiConfig;
+use crate::config::{GaribaldiConfig, QBS_MAX_ATTEMPTS};
 use crate::dppn_table::DppnTable;
 use crate::pair_table::PairTable;
 use garibaldi_cache::Fill;
@@ -72,11 +72,6 @@ impl GaribaldiSlice {
             stats: GaribaldiStats::default(),
             cfg: cfg.clone(),
         }
-    }
-
-    /// The configuration the slice was built with.
-    pub fn config(&self) -> &GaribaldiConfig {
-        &self.cfg
     }
 
     /// Event counters.
@@ -160,7 +155,7 @@ impl GaribaldiSlice {
     }
 
     /// The LLC fill rule for `line`: QBS may defend up to
-    /// `qbs_max_attempts` instruction victims, and an instruction line the
+    /// [`QBS_MAX_ATTEMPTS`] instruction victims, and an instruction line the
     /// pair table would defend (aged cost above `threshold`) is pinned —
     /// its fill clears [`Fill::bypass`], since a line must be resident to
     /// be defended. A pinned fill enters at the lowest eviction priority.
@@ -168,8 +163,7 @@ impl GaribaldiSlice {
         if !self.cfg.enable_protection {
             return Fill::PLAIN;
         }
-        let pinned = is_instr
-            && self.pair.lookup(line).is_some_and(|e| self.pair.aged_cost(e, color) > threshold);
-        Fill { bypass: !pinned, max_protects: self.cfg.qbs_max_attempts, ..Fill::PLAIN }
+        let pinned = is_instr && self.pair.query_protect(line, color, threshold);
+        Fill { bypass: !pinned, max_protects: QBS_MAX_ATTEMPTS, ..Fill::PLAIN }
     }
 }

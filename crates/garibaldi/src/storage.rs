@@ -10,7 +10,7 @@
 //! * helper entry = VPPN (29 b) + PPPN (32 b) + valid (1 b) + sctr (3 b)
 //!   ≈ 64 b, 128 entries per core.
 
-use crate::config::GaribaldiConfig;
+use crate::config::{GaribaldiConfig, COLOR_BITS, HELPER_ENTRIES, MISS_COST_BITS};
 use serde::{Deserialize, Serialize};
 
 /// Bit widths fixed by the paper's layout.
@@ -45,15 +45,14 @@ impl StorageReport {
     pub fn compute(cfg: &GaribaldiConfig, cores: usize) -> Self {
         let dl_field_bits = DL_PPO_BITS + cfg.dppn_entries_log2 as u64 + DL_OLD_BITS + DL_SCTR_BITS;
         let pair_entry_bits = IL_TAG_BITS
-            + cfg.miss_cost_bits as u64
-            + cfg.color_bits as u64
+            + MISS_COST_BITS as u64
+            + COLOR_BITS as u64
             + VALID_BITS
             + cfg.k as u64 * dl_field_bits;
         let pair_table_bytes = (cfg.pair_entries() as u64 * pair_entry_bits).div_ceil(8);
         let dppn_entry_bits = DPPN_BITS + DPPN_SCTR_BITS + VALID_BITS;
         let dppn_table_bytes = (cfg.dppn_entries() as u64 * dppn_entry_bits).div_ceil(8);
-        let helper_table_bytes_per_core =
-            (cfg.helper_entries as u64 * HELPER_ENTRY_BITS).div_ceil(8);
+        let helper_table_bytes_per_core = (HELPER_ENTRIES as u64 * HELPER_ENTRY_BITS).div_ceil(8);
         Self {
             pair_table_bytes,
             dppn_table_bytes,

@@ -20,27 +20,32 @@
 //! period from the summed shares. [`ThresholdUnit`] composes them into the
 //! sequential unit.
 
-use crate::config::{GaribaldiConfig, ThresholdMode};
+use crate::config::{
+    GaribaldiConfig, ThresholdMode, COLORS, INIT_THRESHOLD, MAX_COST, PMU_RECENT_PCS,
+    THRESHOLD_MARGIN,
+};
 use garibaldi_types::{ThreadId, VirtAddr};
 
-/// One hardware thread's slice of the PMU: its ring of recent
-/// instruction-miss PCs (64 B-aligned).
+/// One hardware thread's slice of the PMU: its ring of the
+/// [`PMU_RECENT_PCS`] most recent instruction-miss PCs (64 B-aligned).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ThreadPmu {
-    pcs: Vec<u64>,
+    pcs: [u64; PMU_RECENT_PCS],
     next: usize,
 }
 
-impl ThreadPmu {
-    /// An empty ring of `cfg.pmu_recent_pcs` entries.
-    pub fn new(cfg: &GaribaldiConfig) -> Self {
-        Self { pcs: vec![u64::MAX; cfg.pmu_recent_pcs.max(1)], next: 0 }
+impl Default for ThreadPmu {
+    /// An empty ring.
+    fn default() -> Self {
+        Self { pcs: [u64::MAX; PMU_RECENT_PCS], next: 0 }
     }
+}
 
+impl ThreadPmu {
     /// Records an instruction miss PC.
     pub fn record_instr_miss(&mut self, pc: VirtAddr) {
         self.pcs[self.next] = pc.get() & !63;
-        self.next = (self.next + 1) % self.pcs.len();
+        self.next = (self.next + 1) % PMU_RECENT_PCS;
     }
 
     /// Records a data access into `counts` when its PC matches a recent
@@ -96,10 +101,7 @@ impl PeriodCounts {
 pub struct ThresholdState {
     mode: ThresholdMode,
     threshold: u32,
-    margin: f64,
-    max_cost: u32,
     color: u8,
-    colors: u32,
     period: u64,
     open: PeriodCounts,
     // Lifetime diagnostics.
@@ -112,19 +114,16 @@ impl ThresholdState {
     /// The state at reset.
     pub fn new(cfg: &GaribaldiConfig) -> Self {
         let threshold = match cfg.threshold_mode {
-            ThresholdMode::Dynamic => cfg.init_threshold,
+            ThresholdMode::Dynamic => INIT_THRESHOLD,
             ThresholdMode::Fixed(delta) => {
-                (cfg.init_threshold as i64 + delta as i64).clamp(0, cfg.max_cost() as i64) as u32
+                (INIT_THRESHOLD as i64 + delta as i64).clamp(0, MAX_COST as i64) as u32
             }
             ThresholdMode::AllProtect => 0,
         };
         Self {
             mode: cfg.threshold_mode,
             threshold,
-            margin: cfg.threshold_margin,
-            max_cost: cfg.max_cost(),
             color: 0,
-            colors: cfg.colors(),
             period: cfg.color_period,
             open: PeriodCounts::default(),
             color_ticks: 0,
@@ -184,16 +183,16 @@ impl ThresholdState {
         if self.mode == ThresholdMode::Dynamic && o.cond_total > 0 {
             let p_cond = o.cond_miss as f64 / o.cond_total as f64;
             let p_total = o.misses as f64 / o.accesses.max(1) as f64;
-            if p_cond < p_total + self.margin {
+            if p_cond < p_total + THRESHOLD_MARGIN {
                 self.threshold = self.threshold.saturating_sub(1);
             } else {
-                self.threshold = (self.threshold + 1).min(self.max_cost);
+                self.threshold = (self.threshold + 1).min(MAX_COST);
             }
             self.threshold_min = self.threshold_min.min(self.threshold);
             self.threshold_max = self.threshold_max.max(self.threshold);
         }
         // Advance the color and reset the PMU counters (Fig 9b).
-        self.color = ((self.color as u32 + 1) % self.colors) as u8;
+        self.color = ((self.color as u32 + 1) % COLORS) as u8;
         self.color_ticks += 1;
         self.open = PeriodCounts::default();
     }
@@ -212,7 +211,7 @@ impl ThresholdUnit {
     pub fn new(cfg: &GaribaldiConfig, n_threads: usize) -> Self {
         Self {
             state: ThresholdState::new(cfg),
-            threads: vec![ThreadPmu::new(cfg); n_threads.max(1)],
+            threads: vec![ThreadPmu::default(); n_threads.max(1)],
         }
     }
 
@@ -350,7 +349,7 @@ mod tests {
     fn pmu_ring_keeps_only_recent_pcs() {
         let mut u = ThresholdUnit::new(&cfg(1000), 1);
         let t = ThreadId::new(0);
-        for i in 0..11u64 {
+        for i in 0..=PMU_RECENT_PCS as u64 {
             u.record_instr_miss(t, VirtAddr::new(i * 64));
         }
         // PC 0 was pushed out of the 10-entry ring.

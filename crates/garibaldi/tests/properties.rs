@@ -1,7 +1,8 @@
 //! Property-based tests for the Garibaldi structures.
 
-use garibaldi::{DppnTable, GaribaldiConfig, HelperTable, PairTable};
-use garibaldi_types::{LineAddr, PageNum};
+use garibaldi::config::{COLORS, MAX_COST};
+use garibaldi::{DppnTable, GaribaldiConfig, HelperTable, PairTable, ThresholdMode, ThresholdUnit};
+use garibaldi_types::{LineAddr, PageNum, ThreadId, VirtAddr};
 use proptest::prelude::*;
 
 fn small_cfg(k: u8) -> GaribaldiConfig {
@@ -9,8 +10,9 @@ fn small_cfg(k: u8) -> GaribaldiConfig {
 }
 
 proptest! {
-    /// Aged cost never exceeds the raw cost and protection queries never
-    /// mutate the entry, for arbitrary update/query interleavings.
+    /// Aged cost never exceeds the raw cost, and a protection query
+    /// answers the aged-cost comparison without mutating the entry, for
+    /// arbitrary update/query interleavings.
     #[test]
     fn aging_is_monotone_and_queries_are_pure(
         ops in prop::collection::vec((0u64..256, prop::bool::ANY, 0u8..8), 1..300),
@@ -23,9 +25,12 @@ proptest! {
             let e = *t.entry_for(il);
             if e.valid {
                 for qc in 0..8u8 {
-                    prop_assert!(t.aged_cost(&e, qc) <= e.miss_cost.get());
+                    prop_assert!(e.aged_cost(qc) <= e.miss_cost.get());
                     let before = *t.entry_for(il);
-                    t.query_protect(il, qc, threshold);
+                    prop_assert_eq!(
+                        t.query_protect(il, qc, threshold),
+                        e.il_line == il && e.aged_cost(qc) > threshold
+                    );
                     prop_assert_eq!(before, *t.entry_for(il), "query mutated the entry");
                 }
             }
@@ -117,6 +122,45 @@ proptest! {
             } else {
                 break;
             }
+        }
+    }
+
+    /// The threshold register stays within the miss-cost range and inside
+    /// its recorded (min, max), moves only in the dynamic mode, and the
+    /// color timer ticks once per period and wraps at `COLORS`, for any
+    /// interleaving of PMU records and LLC accesses.
+    #[test]
+    fn threshold_and_color_stay_in_range(
+        period in 1u64..16,
+        mode in 0usize..3,
+        delta in -80i32..80,
+        ops in prop::collection::vec((0u8..3, 0u64..16, prop::bool::ANY), 1..400),
+    ) {
+        let mode = [ThresholdMode::Dynamic, ThresholdMode::Fixed(delta), ThresholdMode::AllProtect][mode];
+        let cfg = GaribaldiConfig { color_period: period, threshold_mode: mode, ..Default::default() };
+        let mut u = ThresholdUnit::new(&cfg, 2);
+        let initial = u.threshold();
+        let mut accesses = 0u64;
+        for (op, pc, hit) in ops {
+            let t = ThreadId::new((pc % 2) as u16);
+            let pc = VirtAddr::new(pc * 64);
+            match op {
+                0 => u.record_instr_miss(t, pc),
+                1 => {
+                    u.record_data_access(t, pc, hit);
+                }
+                _ => {
+                    u.on_llc_access(hit);
+                    accesses += 1;
+                }
+            }
+            let (lo, hi) = u.threshold_range();
+            prop_assert!(lo <= u.threshold() && u.threshold() <= hi && hi <= MAX_COST);
+            if mode != ThresholdMode::Dynamic {
+                prop_assert_eq!(u.threshold(), initial);
+            }
+            prop_assert_eq!(u.color_ticks(), accesses / period);
+            prop_assert_eq!(u64::from(u.color()), u.color_ticks() % u64::from(COLORS));
         }
     }
 }

@@ -45,9 +45,38 @@ impl LlcScheme {
     }
 }
 
-/// Full system configuration.
+/// Cores sharing one L2 (Table 1: 4).
+pub const L2_CLUSTER_SIZE: usize = 4;
+const _: () = assert!(L2_CLUSTER_SIZE > 0);
+/// L1 hit latency in cycles (Table 1: 3).
+pub const L1_LATENCY: u64 = 3;
+/// L2 hit latency in cycles (Table 1: 18).
+pub const L2_LATENCY: u64 = 18;
+/// LLC hit latency in cycles (Table 1: 40).
+pub const LLC_LATENCY: u64 = 40;
+/// Latency of an access that hits in the LLC: the L1, L2 and LLC
+/// lookups in series.
+pub const HIT_LATENCY: u64 = L1_LATENCY + L2_LATENCY + LLC_LATENCY;
+/// Base CPI of the 6-wide OoO core (Table 1) when never stalled on memory.
+pub const BASE_CPI: f64 = 0.5;
+const _: () = assert!(BASE_CPI > 0.0);
+/// Branch misprediction penalty in cycles (Table 1's core model).
+pub const BRANCH_PENALTY: u64 = 14;
+/// Backend overlap factor: fraction of each *additional* concurrent
+/// data-miss stall hidden by out-of-order execution (0 = fully serial,
+/// 1 = all but the longest miss free).
+pub const MLP_OVERLAP: f64 = 0.85;
+const _: () = assert!(MLP_OVERLAP >= 0.0 && MLP_OVERLAP <= 1.0);
+/// Cycles of an isolated data-miss stall hidden by the reorder buffer
+/// (≈ ROB entries × base CPI / instructions per record window). The
+/// frontend has no such shadow: instruction misses stall serially — the
+/// cost asymmetry at the heart of the paper (§3.2).
+pub const ROB_SHADOW: u64 = 96;
+
+/// Full system configuration: the parameters a study varies.
 ///
-/// Defaults follow Table 1; [`SystemConfig::scaled`] shrinks footprint-
+/// Defaults follow Table 1, whose fixed latencies and core model are the
+/// constants above; [`SystemConfig::scaled`] shrinks footprint-
 /// sensitive structures together with the workload scale factor so that
 /// capacity ratios (and therefore the paper's effects) are preserved at
 /// CI-tractable simulation cost.
@@ -55,28 +84,20 @@ impl LlcScheme {
 pub struct SystemConfig {
     /// Core count.
     pub cores: usize,
-    /// Cores sharing one L2 (Table 1: 4).
-    pub l2_cluster_size: usize,
     /// L1I capacity per core in bytes (64 KB).
     pub l1i_bytes: u64,
     /// L1D capacity per core in bytes (32 KB).
     pub l1d_bytes: u64,
     /// L1 associativity (8).
     pub l1_ways: usize,
-    /// L1 hit latency in cycles (3).
-    pub l1_latency: u64,
     /// L2 capacity per cluster in bytes (4 MB).
     pub l2_bytes: u64,
     /// L2 associativity (16).
     pub l2_ways: usize,
-    /// L2 hit latency in cycles (18).
-    pub l2_latency: u64,
     /// LLC capacity in bytes, total (30 MB = 0.75 MB × 40 cores).
     pub llc_bytes: u64,
     /// LLC associativity (12).
     pub llc_ways: usize,
-    /// LLC hit latency in cycles (40).
-    pub llc_latency: u64,
     /// DRAM model parameters.
     pub dram: DramConfig,
     /// LLC scheme under test.
@@ -92,19 +113,6 @@ pub struct SystemConfig {
     pub l2_prefetcher: bool,
     /// Enable the L1I temporal (I-SPY stand-in) prefetcher.
     pub l1i_prefetcher: bool,
-    /// Base CPI of the 6-wide OoO core when never stalled on memory.
-    pub base_cpi: f64,
-    /// Branch misprediction penalty in cycles.
-    pub branch_penalty: u64,
-    /// Backend overlap factor: fraction of each *additional* concurrent
-    /// data-miss stall hidden by out-of-order execution (0 = fully serial,
-    /// 1 = all but the longest miss free).
-    pub mlp_overlap: f64,
-    /// Cycles of an isolated data-miss stall hidden by the reorder buffer
-    /// (≈ ROB entries × base CPI / instructions per record window). The
-    /// frontend has no such shadow: instruction misses stall serially —
-    /// the cost asymmetry at the heart of the paper (§3.2).
-    pub rob_shadow: u64,
     /// Enable the reuse-distance / per-line profiler (Fig 3/4 analyses;
     /// costs simulation time, off by default).
     pub profile_reuse: bool,
@@ -119,17 +127,13 @@ impl SystemConfig {
     pub fn paper_baseline() -> Self {
         Self {
             cores: 40,
-            l2_cluster_size: 4,
             l1i_bytes: 64 * 1024,
             l1d_bytes: 32 * 1024,
             l1_ways: 8,
-            l1_latency: 3,
             l2_bytes: 4 * 1024 * 1024,
             l2_ways: 16,
-            l2_latency: 18,
             llc_bytes: 30 * 1024 * 1024,
             llc_ways: 12,
-            llc_latency: 40,
             dram: DramConfig::default(),
             scheme: LlcScheme::plain(PolicyKind::Lru),
             partition_instr_ways: 0,
@@ -137,10 +141,6 @@ impl SystemConfig {
             l1d_prefetcher: true,
             l2_prefetcher: true,
             l1i_prefetcher: true,
-            base_cpi: 0.5,
-            branch_penalty: 14,
-            mlp_overlap: 0.85,
-            rob_shadow: 96,
             profile_reuse: false,
             profile_scale: 1.0,
         }
@@ -175,12 +175,12 @@ impl SystemConfig {
 
     /// Cluster index of a core.
     pub fn cluster_of(&self, core: usize) -> usize {
-        core / self.l2_cluster_size
+        core / L2_CLUSTER_SIZE
     }
 
     /// Number of L2 clusters.
     pub fn clusters(&self) -> usize {
-        self.cores.div_ceil(self.l2_cluster_size)
+        self.cores.div_ceil(L2_CLUSTER_SIZE)
     }
 
     /// The cache level with the fewest sets, by name (L1I, L1D, L2 or
@@ -217,9 +217,6 @@ impl SystemConfig {
         if self.cores == 0 {
             return Err("zero cores".into());
         }
-        if self.l2_cluster_size == 0 {
-            return Err("zero cluster size".into());
-        }
         if self.clusters() > 64 {
             return Err(format!(
                 "{} L2 clusters exceed the LLC directory's 64-bit sharer mask",
@@ -253,12 +250,6 @@ impl SystemConfig {
             // A partitioned fill never reaches the QBS guard, so the module
             // would track pairs and prefetch but protect nothing.
             return Err("way partitioning cannot be combined with Garibaldi".into());
-        }
-        if !(0.0..=1.0).contains(&self.mlp_overlap) {
-            return Err("mlp_overlap out of [0,1]".into());
-        }
-        if self.base_cpi <= 0.0 {
-            return Err("non-positive base CPI".into());
         }
         if let Some(g) = &self.scheme.garibaldi {
             g.validate()?;
@@ -440,6 +431,7 @@ mod tests {
         assert_eq!(c.l2_bytes, 4 * 1024 * 1024);
         assert_eq!(c.clusters(), 10);
         assert_eq!(c.cluster_of(7), 1);
+        assert_eq!(HIT_LATENCY, 3 + 18 + 40);
         c.validate().unwrap();
     }
 
@@ -470,12 +462,9 @@ mod tests {
         c.scheme = LlcScheme::mockingjay_garibaldi();
         let err = c.validate().unwrap_err();
         assert!(err.contains("Garibaldi"), "{err}");
-        c.partition_instr_ways = 0;
-        c.mlp_overlap = 1.5;
-        assert!(c.validate().is_err());
 
         let mut c = SystemConfig::paper_baseline();
-        c.cores = 64 * c.l2_cluster_size;
+        c.cores = 64 * L2_CLUSTER_SIZE;
         c.validate().expect("64 clusters fit the sharer mask");
         c.cores = 257;
         let err = c.validate().unwrap_err();

@@ -3,7 +3,7 @@
 //! One trace record = one fetched instruction line (+ its data references).
 //! The model charges:
 //!
-//! * **base** — `instrs × base_cpi` (the 6-wide OoO core's no-stall IPC);
+//! * **base** — `instrs × BASE_CPI` (the 6-wide OoO core's no-stall IPC);
 //! * **ifetch** — fetch latency beyond the pipelined L1I hit latency.
 //!   Frontend stalls are serial: the pipeline cannot run ahead of a missing
 //!   instruction, which is exactly why one instruction miss is "much more
@@ -16,7 +16,7 @@
 //! The cores themselves are [`crate::engine::private::EpochCore`]s; this
 //! module holds the arithmetic they share.
 
-use crate::config::SystemConfig;
+use crate::config::{MLP_OVERLAP, ROB_SHADOW};
 use garibaldi_cache::{Prefetcher, TemporalPrefetcher};
 use garibaldi_types::{LineAddr, VirtAddr, LINE_BYTES};
 use serde::{Deserialize, Serialize};
@@ -107,16 +107,16 @@ impl CpiStack {
 /// shadow, the rest are discounted by the MLP overlap factor. Sorts
 /// `stalls` descending in place. Used at issue and again at correction
 /// time, so a perfectly estimated record corrects by exactly zero.
-pub fn combine_data_stalls(stalls: &mut [f64], cfg: &SystemConfig) -> f64 {
+pub fn combine_data_stalls(stalls: &mut [f64]) -> f64 {
     stalls.sort_unstable_by(|a, b| b.partial_cmp(a).expect("no NaN stalls"));
     let mut data_stall = 0.0;
     for (i, s) in stalls.iter().enumerate() {
         data_stall += if i == 0 {
             // The ROB hides the head of an isolated miss; deeper misses
             // in the same record overlap under the MLP factor.
-            (*s - cfg.rob_shadow as f64).max(0.0)
+            (*s - ROB_SHADOW as f64).max(0.0)
         } else {
-            s * (1.0 - cfg.mlp_overlap)
+            s * (1.0 - MLP_OVERLAP)
         };
     }
     data_stall

@@ -25,7 +25,7 @@
 //! `crates/sim/tests/engine_properties.rs`).
 
 use super::request::ReqOutcome;
-use crate::config::SystemConfig;
+use crate::config::{HIT_LATENCY, L1_LATENCY};
 use crate::core_model::combine_data_stalls;
 use garibaldi_trace::MAX_DATA_REFS;
 use serde::{Deserialize, Serialize};
@@ -128,27 +128,19 @@ impl ClassEwma {
 /// Learned per-core, per-stream-class estimator: charges the expected
 /// access latency `P(hit)·E[lat|hit] + P(miss)·E[lat|miss]`, each term an
 /// EWMA over this core's drained outcomes. Cold state (no observations
-/// yet) falls back to the optimistic L1+L2+LLC hit constant.
-#[derive(Debug, Clone, Copy)]
+/// yet) falls back to the optimistic hit constant [`HIT_LATENCY`]; the
+/// default estimator is cold.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct Ewma {
-    hit_latency: u64,
     classes: [ClassEwma; 2],
 }
 
 impl Ewma {
-    /// Cold estimator with `cfg`'s hit latency as the fallback.
-    pub fn new(cfg: &SystemConfig) -> Self {
-        Self {
-            hit_latency: cfg.l1_latency + cfg.l2_latency + cfg.llc_latency,
-            classes: [ClassEwma::default(); 2],
-        }
-    }
-
     /// Full access latency (cycles) to charge at issue time for an
     /// LLC-bound access of `class`.
     #[inline]
     pub fn issue_estimate(&self, class: StreamClass) -> u64 {
-        self.classes[class.idx()].expected(self.hit_latency)
+        self.classes[class.idx()].expected(HIT_LATENCY)
     }
 
     /// Learns from one drained demand outcome of `class`. Called at epoch
@@ -241,12 +233,11 @@ pub struct PendingRecord {
 /// `(ifetch, data)` stall deltas to charge back to the core's clock.
 ///
 /// The arithmetic deliberately mirrors the issue path
-/// ([`combine_data_stalls`] over `latency − l1_latency` stalls), so a
+/// ([`combine_data_stalls`] over `latency − L1_LATENCY` stalls), so a
 /// perfectly predicted latency yields exactly zero correction.
 pub fn correct_record(
     p: &PendingRecord,
     outcomes: &[ReqOutcome],
-    cfg: &SystemConfig,
     est: &mut Ewma,
     stats: &mut EstimatorStats,
 ) -> (f64, f64) {
@@ -255,7 +246,7 @@ pub fn correct_record(
             let o = outcomes[seq as usize];
             est.observe(StreamClass::Ifetch, o);
             stats.record(p.ifetch.lat, o.latency);
-            o.latency.saturating_sub(cfg.l1_latency) as f64
+            o.latency.saturating_sub(L1_LATENCY) as f64
         }
         None => p.est_ifetch_stall,
     };
@@ -270,22 +261,16 @@ pub fn correct_record(
             }
             None => r.lat,
         };
-        *s = lat.saturating_sub(cfg.l1_latency) as f64;
+        *s = lat.saturating_sub(L1_LATENCY) as f64;
     }
-    let actual_data_stall = combine_data_stalls(&mut stalls[..p.n], cfg);
+    let actual_data_stall = combine_data_stalls(&mut stalls[..p.n]);
     (actual_ifetch_stall - p.est_ifetch_stall, actual_data_stall - p.est_data_stall)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::LlcScheme;
-    use crate::experiment::ExperimentScale;
-    use garibaldi_cache::PolicyKind;
-
-    fn cfg() -> SystemConfig {
-        SystemConfig::scaled(&ExperimentScale::smoke(), LlcScheme::plain(PolicyKind::Lru))
-    }
+    use crate::config::{L2_LATENCY, LLC_LATENCY};
 
     fn hit(lat: u64) -> ReqOutcome {
         ReqOutcome { latency: lat, llc_hit: true }
@@ -298,17 +283,15 @@ mod tests {
     #[test]
     fn ewma_cold_state_matches_optimistic() {
         // Cold state charges the optimistic L1+L2+LLC hit constant.
-        let c = cfg();
-        let e = Ewma::new(&c);
+        let e = Ewma::default();
         for class in [StreamClass::Ifetch, StreamClass::Data] {
-            assert_eq!(e.issue_estimate(class), c.l1_latency + c.l2_latency + c.llc_latency);
+            assert_eq!(e.issue_estimate(class), L1_LATENCY + L2_LATENCY + LLC_LATENCY);
         }
     }
 
     #[test]
     fn ewma_converges_to_the_expected_latency() {
-        let c = cfg();
-        let mut e = Ewma::new(&c);
+        let mut e = Ewma::default();
         // Alternate 50/50 hits at 60 and misses at 260: expectation 160.
         for _ in 0..500 {
             e.observe(StreamClass::Data, hit(60));
@@ -317,13 +300,12 @@ mod tests {
         let est = e.issue_estimate(StreamClass::Data);
         assert!((140..=180).contains(&est), "expected ≈160, got {est}");
         // Ifetch class is independent: still cold.
-        assert_eq!(e.issue_estimate(StreamClass::Ifetch), e.hit_latency);
+        assert_eq!(e.issue_estimate(StreamClass::Ifetch), HIT_LATENCY);
     }
 
     #[test]
     fn ewma_tracks_a_phase_change() {
-        let c = cfg();
-        let mut e = Ewma::new(&c);
+        let mut e = Ewma::default();
         for _ in 0..200 {
             e.observe(StreamClass::Ifetch, hit(61));
         }
@@ -352,27 +334,26 @@ mod tests {
 
     #[test]
     fn correct_record_charges_the_estimate_outcome_gap() {
-        let c = cfg();
-        let mut est = Ewma::new(&c);
+        let mut est = Ewma::default();
         let mut stats = EstimatorStats::default();
-        let hitlat = c.l1_latency + c.l2_latency + c.llc_latency;
+        let hitlat = HIT_LATENCY;
         let p = PendingRecord {
             ifetch: PendingRef { lat: hitlat, seq: Some(0) },
             refs: [PendingRef { lat: 0, seq: None }; MAX_DATA_REFS],
             n: 0,
-            est_ifetch_stall: (hitlat - c.l1_latency) as f64,
+            est_ifetch_stall: (hitlat - L1_LATENCY) as f64,
             est_data_stall: 0.0,
         };
         // Outcome 100 cycles slower than estimated → +100 ifetch correction.
         let outcomes = [ReqOutcome { latency: hitlat + 100, llc_hit: false }];
-        let (d_if, d_data) = correct_record(&p, &outcomes, &c, &mut est, &mut stats);
+        let (d_if, d_data) = correct_record(&p, &outcomes, &mut est, &mut stats);
         assert!((d_if - 100.0).abs() < 1e-12, "{d_if}");
         assert_eq!(d_data, 0.0);
         assert_eq!(stats.samples, 1);
         assert!((stats.bias() + 100.0).abs() < 1e-12);
         // A perfectly predicted outcome corrects by exactly zero.
         let outcomes = [ReqOutcome { latency: hitlat, llc_hit: true }];
-        let (d_if, d_data) = correct_record(&p, &outcomes, &c, &mut est, &mut stats);
+        let (d_if, d_data) = correct_record(&p, &outcomes, &mut est, &mut stats);
         assert_eq!(d_if, 0.0);
         assert_eq!(d_data, 0.0);
     }

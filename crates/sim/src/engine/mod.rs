@@ -80,7 +80,7 @@ pub mod shard;
 
 pub use contain::EngineError;
 
-use crate::config::{EngineChoice, EngineConfig, SystemConfig};
+use crate::config::{EngineChoice, EngineConfig, SystemConfig, L2_CLUSTER_SIZE};
 use crate::energy::{EnergyEvents, EnergyModel};
 use crate::fault;
 use crate::metrics::{ConditionalMatrix, GaribaldiReport, ReuseSummary, RunResult};
@@ -539,8 +539,8 @@ impl<'p> ParallelEngine<'p> {
         let route = Route::new(llc_sets, n_shards, cfg.i_oracle);
         let mut clusters = Vec::with_capacity(cfg.clusters());
         for k in 0..cfg.clusters() {
-            let lo = k * cfg.l2_cluster_size;
-            let hi = (lo + cfg.l2_cluster_size).min(cfg.cores);
+            let lo = k * L2_CLUSTER_SIZE;
+            let hi = (lo + L2_CLUSTER_SIZE).min(cfg.cores);
             let members: Vec<_> = cores.drain(..hi - lo).collect();
             clusters.push(ClusterSim::new(cfg, route, choice, k, lo, members));
         }

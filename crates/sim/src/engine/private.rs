@@ -19,7 +19,7 @@ use super::estimate::{
 };
 use super::replay::{replay_core, DemandKind, DemandReq};
 use super::request::{InvalCmd, LlcRequest, ReqKey, ReqKind, ReqOutcome};
-use crate::config::{EngineChoice, SystemConfig};
+use crate::config::{EngineChoice, SystemConfig, BASE_CPI, BRANCH_PENALTY, L1_LATENCY, L2_LATENCY};
 use crate::core_model::{combine_data_stalls, CpiStack, InstrPrefetchEngine};
 use crate::metrics::{ConditionalMatrix, CoreResult};
 use garibaldi::{HelperTable, PeriodCounts, ThreadPmu};
@@ -432,9 +432,7 @@ impl<'p> ClusterSim<'p> {
                 .map(|_| NextLinePrefetcher::new(L1D_PF_DEGREE).trigger_on_hits())
                 .collect(),
             l2_pf: GhbPrefetcher::new(L2_PF_DEGREE),
-            helpers: cfg.scheme.garibaldi.as_ref().map(|g| {
-                (0..n).map(|_| HelperTable::new(g.helper_entries, g.helper_ways)).collect()
-            }),
+            helpers: cfg.scheme.garibaldi.is_some().then(|| vec![HelperTable::default(); n]),
             helper_gar_misses: 0,
             pf_buf: Vec::with_capacity(8),
         };
@@ -460,10 +458,10 @@ impl<'p> ClusterSim<'p> {
                 demand: Vec::new(),
                 outcomes: Vec::with_capacity(run_bound as usize),
                 drained: vec![Vec::new(); route.shards()],
-                pmu: cfg.scheme.garibaldi.as_ref().map(ThreadPmu::new),
+                pmu: cfg.scheme.garibaldi.is_some().then(ThreadPmu::default),
                 shares: Vec::new(),
                 pending: Vec::new(),
-                est: Ewma::new(cfg),
+                est: Ewma::default(),
                 est_stats: EstimatorStats::default(),
             })
             .collect();
@@ -527,7 +525,7 @@ impl<'p> ClusterSim<'p> {
         // Frontend: fetch the instruction line through the private tier.
         let i_res = instr_access(tier, c, cfg, sig, il_pa, rec.pc);
         let est_lat = i_res.est_latency();
-        let est_ifetch_stall = est_lat.saturating_sub(cfg.l1_latency) as f64;
+        let est_ifetch_stall = est_lat.saturating_sub(L1_LATENCY) as f64;
         let ifetch_seq = match i_res {
             TierRes::Pending { seq, .. } => Some(seq),
             TierRes::Done(_) => None,
@@ -536,7 +534,7 @@ impl<'p> ClusterSim<'p> {
         // Frontend prefetch engine reacts to L1I misses. Candidate lines are
         // translated up front and their tag rows hinted to the host CPU so
         // the row misses overlap instead of serializing per candidate.
-        if cfg.l1i_prefetcher && est_lat > cfg.l1_latency {
+        if cfg.l1i_prefetcher && est_lat > L1_LATENCY {
             let mut out = std::mem::take(&mut c.ipf_out);
             c.ipf.on_miss(rec.pc, &mut out);
             let mut pas = [LineAddr::new(0); InstrPrefetchEngine::MAX_CANDIDATES];
@@ -578,12 +576,12 @@ impl<'p> ClusterSim<'p> {
         }
         let mut stalls = [0.0f64; MAX_DATA_REFS];
         for (s, r) in stalls.iter_mut().zip(refs.iter()).take(n) {
-            *s = r.lat.saturating_sub(cfg.l1_latency) as f64;
+            *s = r.lat.saturating_sub(L1_LATENCY) as f64;
         }
-        let est_data_stall = combine_data_stalls(&mut stalls[..n], cfg);
+        let est_data_stall = combine_data_stalls(&mut stalls[..n]);
 
-        let base = rec.instrs as f64 * cfg.base_cpi;
-        let branch = if rec.mispredict { cfg.branch_penalty as f64 } else { 0.0 };
+        let base = rec.instrs as f64 * BASE_CPI;
+        let branch = if rec.mispredict { BRANCH_PENALTY as f64 } else { 0.0 };
         c.clock += base + est_ifetch_stall + est_data_stall + branch;
         c.stack.base += base;
         c.stack.ifetch += est_ifetch_stall;
@@ -657,11 +655,9 @@ impl<'p> ClusterSim<'p> {
     /// state. Runs per cluster, each core touching only its own state, so
     /// estimator evolution is worker-count invariant.
     pub fn apply_corrections(&mut self) {
-        let cfg = &self.cfg;
         for c in self.cores.iter_mut() {
             for p in c.pending.drain(..) {
-                let (d_if, d_data) =
-                    correct_record(&p, &c.outcomes, cfg, &mut c.est, &mut c.est_stats);
+                let (d_if, d_data) = correct_record(&p, &c.outcomes, &mut c.est, &mut c.est_stats);
                 c.clock += d_if + d_data;
                 c.stack.ifetch += d_if;
                 c.stack.data += d_data;
@@ -692,14 +688,14 @@ fn instr_access(
     // this function returns).
     let l1i = &mut tier.l1i[li];
     let l1i_probe = match l1i.access_at(l1i.set_of(line), &ctx, false) {
-        AccessOutcome::Hit(_) => return TierRes::Done(cfg.l1_latency),
+        AccessOutcome::Hit(_) => return TierRes::Done(L1_LATENCY),
         AccessOutcome::Miss(p) => p,
     };
     let probe = match tier.l2.access_at(tier.l2.set_of(line), &ctx, false) {
         AccessOutcome::Hit(_) => {
             fill(&mut tier.l1i[li], l1i_probe, &ctx, false);
             c.emit(line, pc, sig, tier.cluster, ReqKind::DirUpdate { record: true, write: false });
-            return TierRes::Done(cfg.l1_latency + cfg.l2_latency);
+            return TierRes::Done(L1_LATENCY + L2_LATENCY);
         }
         // Nothing below touches the L2 before the fill redeems the probe.
         AccessOutcome::Miss(p) => p,
@@ -745,7 +741,7 @@ fn data_access(
                     ReqKind::DirUpdate { record: false, write: true },
                 );
             }
-            return TierRes::Done(cfg.l1_latency);
+            return TierRes::Done(L1_LATENCY);
         }
         AccessOutcome::Miss(p) => Some(p),
     };
@@ -772,7 +768,7 @@ fn data_access(
                 tier.cluster,
                 ReqKind::DirUpdate { record: true, write: is_write },
             );
-            return TierRes::Done(cfg.l1_latency + cfg.l2_latency);
+            return TierRes::Done(L1_LATENCY + L2_LATENCY);
         }
         AccessOutcome::Miss(p) => Some(p),
     };

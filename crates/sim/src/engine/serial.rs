@@ -25,7 +25,7 @@ use super::private::{ClusterSim, EpochCore};
 use super::replay::{close_periods, period_cuts, replay_core};
 use super::shard::LlcShard;
 use super::{start_measurement, ParallelEngine};
-use crate::config::EngineChoice;
+use crate::config::{EngineChoice, L2_CLUSTER_SIZE};
 
 impl<'p> ParallelEngine<'p> {
     /// Runs `warmup` + `records` records per core on the serial min-clock
@@ -37,7 +37,7 @@ impl<'p> ParallelEngine<'p> {
     }
 
     fn advance_serial(&mut self, target: u64) {
-        let csize = self.cfg.l2_cluster_size;
+        let csize = L2_CLUSTER_SIZE;
         let due = |c: &EpochCore<'_>| if c.records() < target { c.clock } else { f64::INFINITY };
         let mut pick =
             MinClock::new(self.clusters.iter().flat_map(|cl| cl.cores.iter().map(due)).collect());
@@ -61,8 +61,7 @@ impl<'p> ParallelEngine<'p> {
             "step_serial on an engine built for the epoch schedule; build it with \
              EngineChoice::Serial"
         );
-        let csize = self.cfg.l2_cluster_size;
-        let (k, i) = (core / csize, core % csize);
+        let (k, i) = (core / L2_CLUSTER_SIZE, core % L2_CLUSTER_SIZE);
         self.clusters[k].step_core(i);
         if !self.clusters[k].cores[i].has_requests() {
             return;

@@ -13,8 +13,9 @@
 
 use super::merge::{self, kway_merge_order, Pos};
 use super::request::{InvalCmd, LlcRequest, ReqKey, ReqKind, ReqOutcome, ShardCmd};
-use crate::config::SystemConfig;
+use crate::config::{SystemConfig, HIT_LATENCY};
 use crate::reuse::ReuseProfiler;
+use garibaldi::config::QBS_LOOKUP_COST;
 use garibaldi::{instruction_way_mask, DppnTable, GaribaldiSlice, GaribaldiStats, PairTable};
 use garibaldi_cache::{
     AccessCtx, AccessOutcome, CacheConfig, Fill, FillProbe, LineMeta, LineMut, MesiState,
@@ -120,9 +121,6 @@ pub struct LlcShard {
     /// Shard-local set of each request in the run being drained, filled by
     /// the batched prologue pass (reused across barriers).
     set_scratch: Vec<u32>,
-    /// Sum of the three tier hit latencies, hoisted out of the drain hot
-    /// loop (configuration-constant).
-    hit_lat: u64,
     /// `(instruction, data)` way masks when way partitioning is on, hoisted
     /// out of `fill_guarded` (configuration-constant).
     part_masks: Option<(u64, u64)>,
@@ -148,7 +146,6 @@ impl LlcShard {
             lost_upgrades: 0,
             pf_cands: Vec::new(),
             set_scratch: Vec::new(),
-            hit_lat: cfg.l1_latency + cfg.l2_latency + cfg.llc_latency,
             part_masks: (cfg.partition_instr_ways > 0)
                 .then(|| instruction_way_mask(cfg.llc_ways, cfg.partition_instr_ways)),
             cfg: cfg.clone(),
@@ -374,9 +371,9 @@ impl LlcShard {
             let seen = !self.oracle_seen.insert(r.line.get());
             self.cache.stats_mut().record_access(AccessKind::Instr, seen);
             let latency = if seen {
-                self.hit_lat
+                HIT_LATENCY
             } else {
-                self.hit_lat + self.dram.access(r.line, r.key.now, false)
+                HIT_LATENCY + self.dram.access(r.line, r.key.now, false)
             };
             out.outcome(r.key, ReqOutcome { latency, llc_hit: seen });
             return;
@@ -529,11 +526,11 @@ impl LlcShard {
         snap: ThresholdSnapshot,
     ) -> (u64, Option<usize>) {
         match access {
-            AccessOutcome::Hit(way) => (self.hit_lat, Some(way)),
+            AccessOutcome::Hit(way) => (HIT_LATENCY, Some(way)),
             AccessOutcome::Miss(probe) => {
                 let dram_lat = self.dram.access(r.line, r.key.now, false);
                 let (qbs, way) = self.fill_guarded(probe, ctx, false, snap);
-                (self.hit_lat + dram_lat + qbs, way)
+                (HIT_LATENCY + dram_lat + qbs, way)
             }
         }
     }
@@ -566,7 +563,7 @@ impl LlcShard {
                     queries += 1;
                     g.should_protect(meta.line, snap.color, snap.threshold)
                 });
-                (out, g.config().qbs_lookup_cost * queries, !rule.bypass)
+                (out, QBS_LOOKUP_COST * queries, !rule.bypass)
             }
         };
         self.qbs_cycles += qbs_lat;
@@ -721,7 +718,7 @@ pub fn shard_of_set(sets: usize, shards: usize, set: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::LlcScheme;
+    use crate::config::{LlcScheme, L2_CLUSTER_SIZE};
     use garibaldi_cache::PolicyKind;
 
     #[test]
@@ -768,7 +765,7 @@ mod tests {
         assert_eq!(sh.cache().peek(LineAddr::new(5)).unwrap().sharers, 1 << 9 | 1 << 3);
         // 64 clusters keep the full mask, cluster 63 included.
         let mut wide = SystemConfig::paper_baseline();
-        wide.cores = 64 * wide.l2_cluster_size;
+        wide.cores = 64 * L2_CLUSTER_SIZE;
         wide.validate().expect("64 clusters fit the sharer mask");
         let mut sh = LlcShard::new(&wide, 0, 1, 64);
         sh.drain(&[data_request(1, 5, 63)], snap, &mut out);

@@ -3,8 +3,8 @@
 //!
 //! `RefShard` reimplements `LlcShard`'s externally visible drain semantics
 //! in the most literal per-request form possible — the pre-batching scalar
-//! loop, recomputing the hit latency and the partition way mask on every
-//! request, issuing no host-CPU hints — using only public crate APIs. Both
+//! loop, recomputing the partition way mask on every request, issuing no
+//! host-CPU hints — using only public crate APIs. Both
 //! sides are driven with byte-identical sorted request runs, so any
 //! divergence in outcomes, cross-shard commands, invalidations, stats or
 //! post-drain state pinpoints a bug in the batched prologue, the lookahead
@@ -18,11 +18,13 @@
 //! Run with `PROPTEST_CASES=512` (the CI `differential` job) for an
 //! elevated case count.
 
+use garibaldi::config::{QBS_LOOKUP_COST, QBS_MAX_ATTEMPTS};
 use garibaldi::{instruction_way_mask, DppnTable, GaribaldiConfig, GaribaldiStats, PairTable};
 use garibaldi_cache::{
     AccessCtx, CacheConfig, Fill, LineMeta, MesiState, PolicyKind, SetAssocCache,
 };
 use garibaldi_mem::{DramConfig, DramModel};
+use garibaldi_sim::config::HIT_LATENCY;
 use garibaldi_sim::engine::request::{InvalCmd, LlcRequest, ReqKey, ReqKind, ReqOutcome, ShardCmd};
 use garibaldi_sim::engine::shard::{shard_range, DrainOut, LlcShard, ThresholdSnapshot};
 use garibaldi_sim::{LlcScheme, SystemConfig};
@@ -83,12 +85,6 @@ impl RefShard {
         }
     }
 
-    /// The three adds the batched drain hoists into a field — recomputed
-    /// per request here, as the scalar loop did.
-    fn hit_latency(&self) -> u64 {
-        self.cfg.l1_latency + self.cfg.l2_latency + self.cfg.llc_latency
-    }
-
     fn drain(&mut self, reqs: &[LlcRequest], snap: ThresholdSnapshot, out: &mut DrainOut) {
         out.clear();
         for r in reqs {
@@ -140,9 +136,9 @@ impl RefShard {
             let seen = !self.oracle_seen.insert(r.line.get());
             self.cache.stats_mut().record_access(AccessKind::Instr, seen);
             let latency = if seen {
-                self.hit_latency()
+                HIT_LATENCY
             } else {
-                self.hit_latency() + self.dram.access(r.line, r.key.now, false)
+                HIT_LATENCY + self.dram.access(r.line, r.key.now, false)
             };
             out.outcomes.push((r.key.core, r.key.seq, ReqOutcome { latency, llc_hit: seen }));
             return;
@@ -180,11 +176,11 @@ impl RefShard {
         }
 
         let latency = if hit {
-            self.hit_latency()
+            HIT_LATENCY
         } else {
             let dram_lat = self.dram.access(r.line, r.key.now, false);
             let qbs = self.insert_guarded(r.line, &ctx, false, snap);
-            self.hit_latency() + dram_lat + qbs
+            HIT_LATENCY + dram_lat + qbs
         };
         self.record_sharer(r.line, r.cluster as usize);
         if demand {
@@ -209,11 +205,11 @@ impl RefShard {
             }
         }
         let latency = if hit {
-            self.hit_latency()
+            HIT_LATENCY
         } else {
             let dram_lat = self.dram.access(r.line, r.key.now, false);
             let qbs = self.insert_guarded(r.line, &ctx, false, snap);
-            self.hit_latency() + dram_lat + qbs
+            HIT_LATENCY + dram_lat + qbs
         };
         self.record_sharer(r.line, r.cluster as usize);
         if is_write {
@@ -275,7 +271,7 @@ impl RefShard {
             return 0;
         }
 
-        let Some(pair) = self.pair.as_mut() else {
+        let Some(pair) = self.pair.as_ref() else {
             let out = self.cache.insert(line, ctx, dirty);
             if let Some(ev) = out.evicted {
                 self.on_evict(ev);
@@ -283,16 +279,11 @@ impl RefShard {
             return 0;
         };
 
-        let gcfg = self.gcfg.as_ref().expect("pair implies config");
-        let enable_protection = gcfg.enable_protection;
-        let qbs_lookup_cost = gcfg.qbs_lookup_cost;
-        let max_protects = if enable_protection { gcfg.qbs_max_attempts } else { 0 };
+        let enable_protection = self.gcfg.as_ref().expect("pair implies config").enable_protection;
+        let max_protects = if enable_protection { QBS_MAX_ATTEMPTS } else { 0 };
         let no_bypass = ctx.is_instr
             && enable_protection
-            && pair
-                .lookup(line)
-                .map(|e| pair.aged_cost(e, snap.color) > snap.threshold)
-                .unwrap_or(false);
+            && pair.lookup(line).map(|e| e.aged_cost(snap.color) > snap.threshold).unwrap_or(false);
         let mut queries = 0u32;
         let stats = &mut self.gstats;
         let rule = Fill { bypass: !no_bypass, max_protects, ..Fill::PLAIN };
@@ -308,7 +299,7 @@ impl RefShard {
             }
             protect
         });
-        let qbs_lat = qbs_lookup_cost * queries as u64;
+        let qbs_lat = QBS_LOOKUP_COST * queries as u64;
         self.qbs_cycles += qbs_lat;
         if no_bypass {
             if let Some(way) = self.cache.lookup(line) {

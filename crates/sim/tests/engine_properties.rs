@@ -4,6 +4,7 @@
 //! [`SimRunner::with_streams`], so the properties hold for inputs no
 //! calibrated profile would produce.
 
+use garibaldi::config::PMU_RECENT_PCS;
 use garibaldi::{GaribaldiConfig, ThreadPmu, ThresholdState, ThresholdUnit};
 use garibaldi_cache::PolicyKind;
 use garibaldi_sim::engine::estimate::{Ewma, StreamClass};
@@ -63,14 +64,20 @@ fn arb_streams() -> impl Strategy<Value = Vec<Vec<TraceRecord>>> {
 }
 
 /// One demand access: the clock step before it, instruction or data, a PC
-/// line out of four, the LLC outcome, and (for data) whether it pairs with
-/// the core's last instruction access.
+/// line out of [`PC_LINES`], the LLC outcome, and (for data) whether it
+/// pairs with the core's last instruction access.
 type Access = (u64, bool, u64, bool, bool);
 
-/// One demand stream per core.
+/// Distinct PC lines of the demand streams: more than the PMU ring holds
+/// ([`PMU_RECENT_PCS`]), so a core's ring wraps and evicts lines that
+/// recur.
+const PC_LINES: u64 = 2 * PMU_RECENT_PCS as u64 + 4;
+
+/// One demand stream per core, long enough that a core's ring wraps
+/// within one long period.
 fn arb_demand() -> impl Strategy<Value = Vec<Vec<Access>>> {
-    let access = (0u64..3, prop::bool::ANY, 0u64..4, prop::bool::ANY, prop::bool::ANY);
-    prop::collection::vec(prop::collection::vec(access, 0..60), 1..5)
+    let access = (0u64..3, prop::bool::ANY, 0..PC_LINES, prop::bool::ANY, prop::bool::ANY);
+    prop::collection::vec(prop::collection::vec(access, 0..120), 1..5)
 }
 
 /// Periods of 1, of a few accesses (several boundaries per epoch) and of
@@ -221,9 +228,7 @@ proptest! {
         seed in 1u64..u64::MAX,
         class_data in prop::bool::ANY,
     ) {
-        let scale = ExperimentScale { cores: CORES, ..ExperimentScale::smoke() };
-        let cfg = SystemConfig::scaled(&scale, LlcScheme::plain(PolicyKind::Lru));
-        let mut est = Ewma::new(&cfg);
+        let mut est = Ewma::default();
         let class = if class_data { StreamClass::Data } else { StreamClass::Ifetch };
 
         // Stationary process: P(hit) = hit_num/8, latencies constant per
@@ -304,9 +309,8 @@ proptest! {
     fn per_core_threshold_replay_equals_global_order(
         streams in arb_demand(),
         period in arb_period(),
-        ring in 1usize..4,
     ) {
-        let cfg = GaribaldiConfig { color_period: period, pmu_recent_pcs: ring, ..Default::default() };
+        let cfg = GaribaldiConfig { color_period: period, ..Default::default() };
         let n = streams.len();
         // Keys, demand lists and outcomes per core.
         let mut lists: Vec<Vec<DemandReq>> = vec![Vec::new(); n];
@@ -332,7 +336,7 @@ proptest! {
         let mut unit = ThresholdUnit::new(&cfg, n);
         let mut cond_seq = ConditionalMatrix::default();
         let mut state = ThresholdState::new(&cfg);
-        let mut pmus = vec![ThreadPmu::new(&cfg); n];
+        let mut pmus = vec![ThreadPmu::default(); n];
         let mut shares = vec![Vec::new(); n];
         let mut conds = vec![ConditionalMatrix::default(); n.div_ceil(2)];
         let (mut cuts, mut sums, mut next) = (Vec::new(), Vec::new(), 0usize);

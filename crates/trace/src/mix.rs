@@ -36,11 +36,6 @@ impl WorkloadMix {
         }
         out
     }
-
-    /// True if every slot runs the same workload.
-    pub fn is_homogeneous(&self) -> bool {
-        self.distinct().len() <= 1
-    }
 }
 
 /// Draws `n_mixes` random multiprogrammed mixes of server workloads
@@ -103,7 +98,6 @@ mod tests {
     fn homogeneous_mix() {
         let m = WorkloadMix::homogeneous("tpcc", 8);
         assert_eq!(m.cores(), 8);
-        assert!(m.is_homogeneous());
         assert_eq!(m.distinct(), vec!["tpcc"]);
     }
 

@@ -98,11 +98,6 @@ impl WorkloadProfile {
         self.hot_data_lines * garibaldi_types::LINE_BYTES
     }
 
-    /// True for server-class workloads.
-    pub fn is_server(&self) -> bool {
-        self.class == WorkloadClass::Server
-    }
-
     /// Write fraction for hot-region references: `shared_write_frac` when
     /// set (the shared-data family's reader/writer mix), else `write_frac`.
     pub fn hot_write_frac(&self) -> f64 {
